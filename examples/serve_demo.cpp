@@ -15,7 +15,6 @@
 #include "graph/label_index.h"
 #include "query/query_graph.h"
 #include "serve/query_service.h"
-#include "shard/partitioner.h"
 #include "text/ensemble.h"
 
 using star::Deadline;
@@ -124,41 +123,5 @@ int main() {
               static_cast<unsigned long long>(stats.completed),
               static_cast<unsigned long long>(stats.deadline_exceeded),
               stats.cache_hit_rate());
-
-  std::printf("-- sharded backend ---------------------------------------\n");
-  ServiceOptions sharded_options = options;
-  sharded_options.shards = 2;  // same answers, scatter-gathered
-  QueryService sharded(g, ensemble, &index, sharded_options);
-  std::printf("%s", star::shard::FormatPartitionReport(
-                        sharded.shard_cluster()->partition().stats())
-                        .c_str());
-
-  QueryRequest over_shards;
-  over_shards.query = BradAwardQuery();
-  over_shards.k = 3;
-  const QueryResponse sr = sharded.Execute(std::move(over_shards));
-  Describe("sharded query", sr);
-  const auto& sh = sr.framework.shard;
-  std::printf("shards=%zu pulls=%zu scatter_nodes=%zu boundary_pivots=%zu "
-              "early_stop_round=%zu coordinator=%.2fms\n",
-              sh.shards, sh.total_pulls, sh.scatter_nodes,
-              sh.boundary_pivot_hits, sh.early_termination_round,
-              sh.coordinator_wall_ms);
-  for (size_t s = 0; s < sh.shard_pulls.size(); ++s) {
-    std::printf("  shard %zu: pulls=%zu\n", s, sh.shard_pulls[s]);
-  }
-
-  QueryRequest again;
-  again.query = BradAwardQueryReordered();
-  again.k = 3;
-  Describe("sharded cache hit", sharded.Execute(std::move(again)));
-
-  const ServiceStats sstats = sharded.stats();
-  std::printf("sharded_queries=%llu shard_pulls=%llu boundary_pivot_hits=%llu "
-              "coordinator_ms=%.2f\n",
-              static_cast<unsigned long long>(sstats.sharded_queries),
-              static_cast<unsigned long long>(sstats.shard_pulls),
-              static_cast<unsigned long long>(sstats.shard_boundary_pivot_hits),
-              sstats.shard_coordinator_ms);
   return 0;
 }

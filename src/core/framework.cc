@@ -186,7 +186,7 @@ std::vector<GraphMatch> StarFramework::TopK(const QueryGraph& q, size_t k,
                                             common::MonotonicArena* arena) {
   stats_ = FrameworkStats{};
   std::vector<GraphMatch> out;
-  if (q.node_count() == 0 || k == 0) return out;
+  if (k == 0 || !q.Validate().ok()) return out;
 
   // Pre-expired deadline / pre-cancelled request: return before building
   // the scorer so not a single candidate is retrieved or scored.

@@ -1,7 +1,6 @@
 #ifndef STAR_CORE_FRAMEWORK_H_
 #define STAR_CORE_FRAMEWORK_H_
 
-#include <algorithm>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -58,9 +57,7 @@ std::string StarOptionsFingerprint(const StarOptions& o, bool has_index);
 /// α-scheme ownership weights for star `star_index` of `stars` (§VI-A):
 /// weights[u] is the fraction of query node u's F_N that this star's
 /// ranking function owns (0 for nodes outside the star; the first owning
-/// star gets α, the rest split the remainder evenly). Shared by
-/// StarFramework and the sharded coordinator — both must derive
-/// bit-identical weights for the same decomposition.
+/// star gets α, the rest split the remainder evenly).
 std::vector<double> AlphaNodeWeights(const query::QueryGraph& q,
                                      const std::vector<query::StarQuery>& stars,
                                      size_t star_index, double alpha);
@@ -76,48 +73,6 @@ std::string StarCacheKey(const std::string& config_fingerprint,
                          const query::QueryGraph& q,
                          const query::StarQuery& star,
                          const std::vector<double>& node_weights);
-
-/// Per-query diagnostics of the sharded scatter-gather backend (all zero
-/// when a query ran single-process). Defined here so FrameworkStats can
-/// embed it without core depending on src/shard/; the shard coordinator
-/// fills it in.
-struct ShardStats {
-  /// Number of shards the query fanned out to (0 = not sharded).
-  size_t shards = 0;
-  /// Star-match pulls issued to each shard across all star streams.
-  std::vector<size_t> shard_pulls;
-  size_t total_pulls = 0;
-  /// Query nodes whose candidate scoring was scattered across shards.
-  size_t scatter_nodes = 0;
-  /// Emitted star matches whose pivot sits on a partition boundary (owned
-  /// node incident to at least one cut edge) — how often answers lean on
-  /// halo replication.
-  size_t boundary_pivot_hits = 0;
-  /// Global emission count at which the coordinator issued its LAST shard
-  /// pull: emissions after this round were served entirely from staged
-  /// matches because every live shard bound was dominated (the cross-shard
-  /// early-termination point).
-  size_t early_termination_round = 0;
-  /// Wall time spent in the coordinator (scatter + merge + joins),
-  /// excluding nothing — workers run inside it.
-  double coordinator_wall_ms = 0.0;
-
-  void Merge(const ShardStats& o) {
-    shards = std::max(shards, o.shards);
-    if (shard_pulls.size() < o.shard_pulls.size()) {
-      shard_pulls.resize(o.shard_pulls.size(), 0);
-    }
-    for (size_t s = 0; s < o.shard_pulls.size(); ++s) {
-      shard_pulls[s] += o.shard_pulls[s];
-    }
-    total_pulls += o.total_pulls;
-    scatter_nodes += o.scatter_nodes;
-    boundary_pivot_hits += o.boundary_pivot_hits;
-    early_termination_round =
-        std::max(early_termination_round, o.early_termination_round);
-    coordinator_wall_ms += o.coordinator_wall_ms;
-  }
-};
 
 /// Per-query-node candidate-list digest, exported for the serve layer's
 /// degradation drop bounds: when a tightened cutoff or pool sampling may
@@ -175,14 +130,10 @@ struct FrameworkStats {
   /// harvested into it after a clean run.
   size_t candidate_lists_seeded = 0;
   size_t candidate_lists_inserted = 0;
-
-  /// Scatter-gather diagnostics (all zero when run single-process).
-  ShardStats shard;
 };
 
 /// Fills one NodeCandidateInfo per query node from the scorer's memoized
-/// candidate lists (never triggers computation). Shared by StarFramework
-/// and the sharded ShardEngine so both backends export identical digests.
+/// candidate lists (never triggers computation).
 std::vector<NodeCandidateInfo> CollectNodeCandidateInfo(
     const query::QueryGraph& q, const scoring::QueryScorer& scorer);
 
@@ -199,7 +150,8 @@ class StarFramework {
                 const graph::LabelIndex* index, StarOptions options);
 
   /// Top-k matches of q in descending score order. Exact under the
-  /// configured matching semantics (ties broken arbitrarily).
+  /// configured matching semantics (ties broken arbitrarily). A query
+  /// that fails QueryGraph::Validate() gets no matches.
   std::vector<GraphMatch> TopK(const query::QueryGraph& q, size_t k);
 
   /// Cancellable variant: `cancel` (nullable, must outlive the call) is

@@ -10,32 +10,6 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// StarMatchStream
-// ---------------------------------------------------------------------------
-
-StarMatchStream::StarMatchStream(std::unique_ptr<StarSearch> search)
-    : search_(std::move(search)) {
-  // Derive the covered-node mask by converting a placeholder star match:
-  // exactly the pivot's and the leaves' query-node slots get mapped.
-  StarMatch probe;
-  probe.pivot = 0;
-  probe.leaves.assign(search_->star().edges.size(), 0);
-  const GraphMatch gm = search_->ToGraphMatch(probe);
-  for (size_t u = 0; u < gm.mapping.size(); ++u) {
-    if (gm.mapping[u] != graph::kInvalidNode) covered_ |= uint64_t{1} << u;
-  }
-}
-
-std::optional<GraphMatch> StarMatchStream::Next() {
-  auto m = search_->Next();
-  if (!m.has_value()) return std::nullopt;
-  ++depth_;
-  return search_->ToGraphMatch(*m);
-}
-
-double StarMatchStream::UpperBound() const { return search_->UpperBound(); }
-
-// ---------------------------------------------------------------------------
 // CachedStarStream
 // ---------------------------------------------------------------------------
 
@@ -44,21 +18,16 @@ CachedStarStream::CachedStarStream(scoring::QueryScorer& scorer,
                                    StarSearch::Options options,
                                    ReuseCache* cache, std::string key,
                                    uint64_t generation)
-    : CachedStarStream(std::make_unique<StarSearch>(scorer, std::move(star),
-                                                    std::move(options)),
-                       cache, std::move(key), generation) {}
-
-CachedStarStream::CachedStarStream(std::unique_ptr<StarStreamEngine> engine,
-                                   ReuseCache* cache, std::string key,
-                                   uint64_t generation)
     : cache_(cache),
       key_(std::move(key)),
       generation_(generation),
-      search_(std::move(engine)) {
+      search_(scorer, std::move(star), std::move(options)) {
+  // Derive the covered-node mask by converting a placeholder star match:
+  // exactly the pivot's and the leaves' query-node slots get mapped.
   StarMatch probe;
   probe.pivot = 0;
-  probe.leaves.assign(search_->star().edges.size(), 0);
-  const GraphMatch gm = search_->ToGraphMatch(probe);
+  probe.leaves.assign(search_.star().edges.size(), 0);
+  const GraphMatch gm = search_.ToGraphMatch(probe);
   for (size_t u = 0; u < gm.mapping.size(); ++u) {
     if (gm.mapping[u] != graph::kInvalidNode) covered_ |= uint64_t{1} << u;
   }
@@ -79,19 +48,19 @@ std::optional<GraphMatch> CachedStarStream::Next() {
     const auto& cached = *entry_->matches;
     if (pos_ < cached.size()) {
       ++depth_;
-      return search_->ToGraphMatch(cached[pos_++]);
+      return search_.ToGraphMatch(cached[pos_++]);
     }
     if (entry_->exhausted) return std::nullopt;
     if (!resumed_) {
-      // The consumer outran the recording: fast-forward the cold engine
-      // past the replayed prefix (the engine is deterministic per
+      // The consumer outran the recording: fast-forward the cold search
+      // past the replayed prefix (the search is deterministic per
       // canonical star, so discarded pull i is exactly cached[i]) and
       // carry the recording forward from there.
       resumed_ = true;
       record_matches_ = cached;
       record_bounds_ = *entry_->bounds;
       for (size_t i = 0; i < cached.size(); ++i) {
-        if (!search_->Next().has_value()) break;  // cancelled mid-skip
+        if (!search_.Next().has_value()) break;  // cancelled mid-skip
       }
     }
   }
@@ -100,26 +69,26 @@ std::optional<GraphMatch> CachedStarStream::Next() {
 
 std::optional<GraphMatch> CachedStarStream::LivePull() {
   if (probed() && record_bounds_.size() == depth_) {
-    // The engine bound after depth_ pulls — the value a consumer reads
+    // The search bound after depth_ pulls — the value a consumer reads
     // between this pull and the previous one. Replays surface exactly
     // these recorded bounds so warm rank joins take identical decisions.
-    record_bounds_.push_back(search_->UpperBound());
+    record_bounds_.push_back(search_.UpperBound());
   }
-  auto m = search_->Next();
+  auto m = search_.Next();
   if (!m.has_value()) {
-    if (!search_->stats().cancelled) live_exhausted_ = true;
+    if (!search_.stats().cancelled) live_exhausted_ = true;
     return std::nullopt;
   }
   if (probed()) record_matches_.push_back(*m);
   ++depth_;
-  return search_->ToGraphMatch(*m);
+  return search_.ToGraphMatch(*m);
 }
 
 double CachedStarStream::UpperBound() const {
   if (entry_.has_value() && !resumed_) {
     return (*entry_->bounds)[pos_];
   }
-  return search_->UpperBound();
+  return search_.UpperBound();
 }
 
 void CachedStarStream::CommitToCache() {
@@ -127,7 +96,7 @@ void CachedStarStream::CommitToCache() {
   if (entry_.has_value() && !resumed_) return;  // nothing new learned
   if (record_matches_.empty() && !live_exhausted_) return;
   if (record_bounds_.size() == record_matches_.size()) {
-    record_bounds_.push_back(search_->UpperBound());
+    record_bounds_.push_back(search_.UpperBound());
   }
   // An interrupted fast-forward can leave the recording misaligned with
   // the bounds; such a recording can never replay faithfully, so drop it.

@@ -36,45 +36,25 @@ class CoveredMatchIterator : public RankedMatchIterator {
 };
 
 /// Adapts a StarSearch into a CoveredMatchIterator producing partial
-/// GraphMatches. The stream's scores are the α-weighted star scores
-/// (StarSearch::Options::node_weights), so they are monotone and sum
-/// exactly to Eq. 2 across a decomposition.
-class StarMatchStream : public CoveredMatchIterator {
- public:
-  explicit StarMatchStream(std::unique_ptr<StarSearch> search);
-
-  std::optional<GraphMatch> Next() override;
-  double UpperBound() const override;
-  uint64_t covered_mask() const override { return covered_; }
-  bool cancelled() const override { return search_->stats().cancelled; }
-
-  /// Matches pulled so far — the star's search depth |L_i| (Fig. 14(d)).
-  size_t depth() const { return depth_; }
-
-  StarSearch& search() { return *search_; }
-
- private:
-  std::unique_ptr<StarSearch> search_;
-  uint64_t covered_ = 0;
-  size_t depth_ = 0;
-};
-
-/// A StarMatchStream with a cross-query memo: probes a ReuseCache for the
-/// canonical star's recorded stream prefix and replays it instead of
-/// driving the engine; when the consumer outruns the prefix the cold
-/// search resumes exactly where the recording left off (the engine is
-/// deterministic per canonical star, so skipping the replayed pulls lands
-/// it in the identical state). Replay also surfaces the RECORDED
-/// between-pull upper bounds, so a rank join fed by a warm stream makes
-/// bit-for-bit the same pull and emit decisions as one fed cold — warm
-/// results are bitwise identical to cold execution, including tie order.
+/// GraphMatches, with an optional cross-query memo. The stream's scores are
+/// the α-weighted star scores (StarSearch::Options::node_weights), so they
+/// are monotone and sum exactly to Eq. 2 across a decomposition.
+///
+/// The memo probes a ReuseCache for the canonical star's recorded stream
+/// prefix and replays it instead of driving the search; when the consumer
+/// outruns the prefix the cold search resumes exactly where the recording
+/// left off (the search is deterministic per canonical star, so skipping
+/// the replayed pulls lands it in the identical state). Replay also
+/// surfaces the RECORDED between-pull upper bounds, so a rank join fed by a
+/// warm stream makes bit-for-bit the same pull and emit decisions as one
+/// fed cold — warm results are bitwise identical to cold execution,
+/// including tie order.
 ///
 /// With cache == nullptr or an empty key (non-exact canonical star) the
-/// stream behaves exactly like StarMatchStream: cold engine, no recording.
-/// Cold/extending runs record what they emit; CommitToCache() publishes
-/// the recording — callers must only invoke it when the whole query run
-/// finished without any cancellation, so truncated partials never enter
-/// the cache.
+/// stream is the plain search: cold, no recording. Cold/extending runs
+/// record what they emit; CommitToCache() publishes the recording —
+/// callers must only invoke it when the whole query run finished without
+/// any cancellation, so truncated partials never enter the cache.
 class CachedStarStream : public CoveredMatchIterator {
  public:
   /// `scorer` and `cache` (nullable) must outlive the stream. `key` is the
@@ -85,20 +65,13 @@ class CachedStarStream : public CoveredMatchIterator {
                    StarSearch::Options options, ReuseCache* cache,
                    std::string key, uint64_t generation);
 
-  /// Same semantics over any StarStreamEngine (the sharded coordinator
-  /// wraps its merged per-shard stream this way). The engine must honor
-  /// the StarStreamEngine monotonicity contract; replay/resume then works
-  /// unchanged because the merged stream is deterministic per canonical
-  /// star, exactly like a cold StarSearch.
-  CachedStarStream(std::unique_ptr<StarStreamEngine> engine, ReuseCache* cache,
-                   std::string key, uint64_t generation);
-
   std::optional<GraphMatch> Next() override;
   double UpperBound() const override;
   uint64_t covered_mask() const override { return covered_; }
-  bool cancelled() const override { return search_->stats().cancelled; }
+  bool cancelled() const override { return search_.stats().cancelled; }
 
-  /// Matches emitted so far (replayed + live).
+  /// Matches emitted so far (replayed + live) — the star's search depth
+  /// |L_i| (Fig. 14(d)).
   size_t depth() const { return depth_; }
 
   /// True when the stream probed the cache at all (cache attached and the
@@ -107,11 +80,11 @@ class CachedStarStream : public CoveredMatchIterator {
   /// True when the probe found a recorded prefix.
   bool cache_hit() const { return entry_.has_value(); }
   /// True when the consumer outran the recorded prefix and the cold
-  /// engine resumed.
+  /// search resumed.
   bool resumed() const { return resumed_; }
 
-  /// Engine counters (all zero for a pure replay — no engine work ran).
-  const StarSearchStats& stats() const { return search_->stats(); }
+  /// Search counters (all zero for a pure replay — no search work ran).
+  const StarSearchStats& stats() const { return search_.stats(); }
 
   /// Inserts/extends the cache entry from what this stream emitted. Call
   /// ONLY after the whole query completed with no cancellation anywhere
@@ -119,23 +92,24 @@ class CachedStarStream : public CoveredMatchIterator {
   void CommitToCache();
 
  private:
-  /// One live engine pull with bound recording; nullopt on exhaustion.
+  /// One live search pull with bound recording; nullopt on exhaustion.
   std::optional<GraphMatch> LivePull();
 
   ReuseCache* cache_;
   std::string key_;
   uint64_t generation_ = 0;
-  std::unique_ptr<StarStreamEngine> search_;
+  // Mutable: UpperBound() const initializes the search on first use.
+  mutable StarSearch search_;
   uint64_t covered_ = 0;
 
   std::optional<StarTopList> entry_;  // recorded prefix, if any
   size_t pos_ = 0;                    // replay cursor into entry_
-  bool resumed_ = false;              // cold engine took over after replay
-  bool live_exhausted_ = false;       // engine reported genuine exhaustion
+  bool resumed_ = false;              // cold search took over after replay
+  bool live_exhausted_ = false;       // search reported genuine exhaustion
   size_t depth_ = 0;
 
   /// Recording: combined prefix + live emissions, maintained only when
-  /// probed(). record_bounds_[i] is the engine upper bound after i pulls.
+  /// probed(). record_bounds_[i] is the search upper bound after i pulls.
   std::vector<StarMatch> record_matches_;
   std::vector<double> record_bounds_;
 };

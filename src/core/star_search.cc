@@ -28,17 +28,17 @@ StarQuery MakeStarQuery(const QueryGraph& q) {
   return s;
 }
 
-query::StarQuery CanonicalizeStarEdgeOrder(
-    const QueryGraph& q, query::StarQuery star,
-    const std::vector<double>& node_weights) {
-  // Canonical execution order: process edges sorted by their canonical
-  // record (relation attr, leaf attrs, leaf weight) instead of insertion
-  // order. Emission order, floating-point summation order and tie-breaking
-  // all follow edge order, so this makes the whole stream a function of
-  // the canonical star — the property the cross-query star cache replays
-  // and the sharded coordinator's match reassembly rely on (coordinator
-  // and workers derive the identical order independently). Ties keep
-  // insertion order (such stars are never memoized).
+namespace {
+
+/// Reorders `star.edges` into canonical execution order: edges sorted by
+/// their canonical record (relation attr, leaf attrs, leaf weight) instead
+/// of insertion order. Emission order, floating-point summation order and
+/// tie-breaking all follow edge order, so this makes the whole stream a
+/// function of the canonical star — the property the cross-query star
+/// cache replays. Ties keep insertion order (such stars are never
+/// memoized).
+StarQuery CanonicalizeStarEdgeOrder(const QueryGraph& q, StarQuery star,
+                                    const std::vector<double>& node_weights) {
   if (star.edges.size() > 1) {
     std::vector<std::pair<std::string, int>> keyed;
     keyed.reserve(star.edges.size());
@@ -55,6 +55,8 @@ query::StarQuery CanonicalizeStarEdgeOrder(
   }
   return star;
 }
+
+}  // namespace
 
 StarSearch::StarSearch(QueryScorer& scorer, StarQuery star, Options options)
     : scorer_(scorer), star_(std::move(star)), options_(std::move(options)) {
@@ -201,10 +203,6 @@ void StarSearch::InitializeStark() {
                       worker_stats[chunk].cancelled = true;
                       break;  // unbuilt slots stay null and are skipped
                     }
-                    if (options_.pivot_owned != nullptr &&
-                        !(*options_.pivot_owned)[candidates[i].node]) {
-                      continue;  // unowned pivots never enter the reserve
-                    }
                     // Pool workers must NOT touch the per-query arena.
                     built[i] = BuildEnumerator(candidates[i].node,
                                                candidates[i].score * pivot_weight,
@@ -231,9 +229,6 @@ void StarSearch::InitializeStark() {
         stats_.cancelled = true;
         break;
       }
-      if (options_.pivot_owned != nullptr && !(*options_.pivot_owned)[c.node]) {
-        continue;
-      }
       auto enumerator = BuildEnumerator(c.node, c.score * pivot_weight, stats_,
                                         scorer_.transient_resource());
       const auto top1 = enumerator->PeekScore();
@@ -249,7 +244,7 @@ void StarSearch::InitializeStark() {
   std::sort(reserve_.begin(), reserve_.end(),
             [](const ReserveEntry& a, const ReserveEntry& b) {
               if (a.bound != b.bound) return a.bound > b.bound;
-              return a.pivot < b.pivot;  // total order: shard-stable
+              return a.pivot < b.pivot;  // total order
             });
 }
 
@@ -512,9 +507,6 @@ void StarSearch::InitializeStard() {
         break;  // unprocessed entries stay invalid
       }
       const ScoredCandidate& c = candidates[idx];
-      if (options_.pivot_owned != nullptr && !(*options_.pivot_owned)[c.node]) {
-        continue;  // entry stays invalid (pivot == kInvalidNode)
-      }
       double estimate = c.score * pivot_weight;
       bool feasible = true;
       for (size_t i = 0; i < s; ++i) {
@@ -556,7 +548,7 @@ void StarSearch::InitializeStard() {
   std::sort(reserve_.begin(), reserve_.end(),
             [](const ReserveEntry& a, const ReserveEntry& b) {
               if (a.bound != b.bound) return a.bound > b.bound;
-              return a.pivot < b.pivot;  // total order: shard-stable
+              return a.pivot < b.pivot;  // total order
             });
 }
 
@@ -594,9 +586,6 @@ void StarSearch::InitializeHybrid() {
   const double pivot_weight = NodeWeight(star_.pivot);
   reserve_.reserve(candidates.size());
   for (const ScoredCandidate& c : candidates) {
-    if (options_.pivot_owned != nullptr && !(*options_.pivot_owned)[c.node]) {
-      continue;
-    }
     ReserveEntry entry;
     entry.bound = c.score * pivot_weight + leaf_ub_total;
     entry.pivot = c.node;
@@ -608,7 +597,7 @@ void StarSearch::InitializeHybrid() {
   std::sort(reserve_.begin(), reserve_.end(),
             [](const ReserveEntry& a, const ReserveEntry& b) {
               if (a.bound != b.bound) return a.bound > b.bound;
-              return a.pivot < b.pivot;  // total order: shard-stable
+              return a.pivot < b.pivot;  // total order
             });
 }
 
@@ -745,7 +734,7 @@ double StarSearch::UpperBound() {
     // (the stream is monotone) when the candidate universe is complete.
     // The bound may jump UP at the moment of cancellation; that is the
     // safe direction for every consumer (a higher join threshold only
-    // delays emission, a higher shard bound only causes extra pulls).
+    // delays emission, a higher certificate bound only claims less).
     double cap = AprioriBound();
     if (!scorer_.truncated()) cap = std::min(cap, last_emitted_score_);
     ub = std::max(ub, cap);

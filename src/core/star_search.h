@@ -88,20 +88,10 @@ struct StarSearchStats {
 /// Precondition: q.IsStar().
 query::StarQuery MakeStarQuery(const query::QueryGraph& q);
 
-/// Reorders `star.edges` into the canonical execution order every
-/// StarSearch uses internally (see the .cc comment): a pure function of
-/// (query, star, node_weights), so independent processes derive the same
-/// order — the sharded coordinator calls this to align worker-emitted
-/// StarMatch::leaves with its own query-node mapping.
-query::StarQuery CanonicalizeStarEdgeOrder(
-    const query::QueryGraph& q, query::StarQuery star,
-    const std::vector<double>& node_weights);
-
-/// Abstract monotone star match stream: what a rank join (via
-/// StarMatchStream / CachedStarStream) actually consumes from a star
-/// engine. StarSearch is the single-process implementation; the sharded
-/// coordinator's merged per-shard stream implements the same contract, so
-/// every downstream layer (replay, reuse cache, joins) is engine-agnostic.
+/// Top-k evaluation of one star (sub)query: a monotone star match stream
+/// that rank joins consume directly (§VI) through CachedStarStream. Every
+/// strategy produces identical results; they differ only in how much work
+/// identifying the pivot set costs.
 ///
 /// Contract: Next() emits matches in non-increasing score order (ties in
 /// ascending pivot id); UpperBound() between pulls bounds every
@@ -111,22 +101,7 @@ query::StarQuery CanonicalizeStarEdgeOrder(
 /// it may jump UP once at the moment of cancellation (a wound-down build
 /// falls back to an a-priori cap), never down. Certificate readers rely
 /// on this post-cancellation soundness.
-class StarStreamEngine {
- public:
-  virtual ~StarStreamEngine() = default;
-
-  virtual std::optional<StarMatch> Next() = 0;
-  virtual double UpperBound() = 0;
-  virtual GraphMatch ToGraphMatch(const StarMatch& m) const = 0;
-  virtual const query::StarQuery& star() const = 0;
-  virtual const StarSearchStats& stats() const = 0;
-};
-
-/// Top-k evaluation of one star (sub)query. Emits matches in
-/// non-increasing score order via Next(), which makes it directly usable
-/// as a rank-join input (§VI). Both strategies produce identical results;
-/// they differ only in how much work identifying the pivot set costs.
-class StarSearch final : public StarStreamEngine {
+class StarSearch {
  public:
   struct Options {
     StarStrategy strategy = StarStrategy::kStard;
@@ -146,13 +121,6 @@ class StarSearch final : public StarStreamEngine {
     /// a prefix of the exact one. Must outlive the search. nullptr = run
     /// to completion.
     const Cancellation* cancel = nullptr;
-    /// Optional pivot-ownership filter (sharded execution): when non-null,
-    /// only pivot candidates p with (*pivot_owned)[p] != 0 enter the
-    /// reserve — the stream emits exactly the owned-pivot subset of the
-    /// unfiltered stream, in the same relative order, and UpperBound()
-    /// bounds only that subset. Indexed by graph NodeId; must cover every
-    /// node id and outlive the search.
-    const std::vector<uint8_t>* pivot_owned = nullptr;
   };
 
   /// The scorer must outlive the search; `star.edges` must all be incident
@@ -165,19 +133,19 @@ class StarSearch final : public StarStreamEngine {
 
   /// The next-best match of the star, or nullopt when no more matches
   /// satisfy the thresholds. Scores never increase across calls.
-  std::optional<StarMatch> Next() override;
+  std::optional<StarMatch> Next();
 
   /// Upper bound on the score of any not-yet-returned match.
-  double UpperBound() override;
+  double UpperBound();
 
   /// Convenience: the best k matches (Fig. 5's stark procedure).
   std::vector<StarMatch> TopK(size_t k);
 
   /// Expands a star match to a (partial) match of the full query graph.
-  GraphMatch ToGraphMatch(const StarMatch& m) const override;
+  GraphMatch ToGraphMatch(const StarMatch& m) const;
 
-  const query::StarQuery& star() const override { return star_; }
-  const StarSearchStats& stats() const override { return stats_; }
+  const query::StarQuery& star() const { return star_; }
+  const StarSearchStats& stats() const { return stats_; }
 
  private:
   struct ReserveEntry {
@@ -194,8 +162,8 @@ class StarSearch final : public StarStreamEngine {
     // Score ties break toward the smaller pivot id (priority_queue pops
     // the largest element, so the comparison is inverted). This makes the
     // emitted stream the canonical (score desc, pivot asc) merge of the
-    // per-pivot streams — the invariant the sharded coordinator relies on
-    // to reproduce the stream from per-shard pivot subsets.
+    // per-pivot streams, a pure function of the canonical star — the
+    // invariant reuse-cache replay relies on.
     bool operator<(const QueueEntry& o) const {
       if (score != o.score) return score < o.score;
       return pivot > o.pivot;
@@ -225,8 +193,8 @@ class StarSearch final : public StarStreamEngine {
   /// a partial reserve, and an interrupted BuildEnumerator can stage a
   /// partial enumerator whose PeekScore understates — the structural
   /// queue/reserve maximum alone can then sit BELOW a real unseen match,
-  /// which a certificate reader (shard coordinator bound aggregation,
-  /// serve-layer QualityCertificate) must never observe.
+  /// which a certificate reader (rank-join thresholds, the serve-layer
+  /// QualityCertificate) must never observe.
   double AprioriBound();
 
   /// Exact per-pivot leaf lists via a depth-(d-1) BFS around the pivot

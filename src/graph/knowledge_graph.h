@@ -140,13 +140,6 @@ class KnowledgeGraph {
     /// Endpoints must be previously returned by AddNode.
     EdgeId AddEdge(NodeId src, NodeId dst, std::string relation = "");
 
-    /// Interns `relation` into the relation dictionary without adding an
-    /// edge; returns its id. Sharded execution uses this to replay the
-    /// full global relation dictionary into each shard graph (bound
-    /// computations iterate the dictionary, so shard results are bitwise
-    /// global only when ids AND vocabulary match exactly).
-    uint32_t InternRelation(std::string relation);
-
     size_t node_count() const { return labels_.size(); }
     size_t edge_count() const { return srcs_.size(); }
 
@@ -158,6 +151,10 @@ class KnowledgeGraph {
 
    private:
     friend class KnowledgeGraph;
+
+    /// Interns `relation` into the relation dictionary; returns its id.
+    uint32_t InternRelation(std::string relation);
+
     std::vector<std::string> labels_;
     std::vector<int32_t> types_;
     std::vector<NodeId> srcs_, dsts_;

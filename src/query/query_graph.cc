@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace star::query {
 
@@ -20,7 +21,7 @@ int QueryGraph::AddWildcardNode(std::string type_name) {
 }
 
 int QueryGraph::AddEdge(int u, int v, std::string relation) {
-  assert(u >= 0 && u < node_count() && v >= 0 && v < node_count() && u != v);
+  assert(u >= 0 && u < node_count() && v >= 0 && v < node_count());
   const int id = static_cast<int>(edges_.size());
   const bool wildcard = relation.empty() || relation == "?";
   edges_.push_back(QueryEdge{u, v, std::move(relation), wildcard});
@@ -48,6 +49,33 @@ bool QueryGraph::IsConnected() const {
     }
   }
   return count == node_count();
+}
+
+Status QueryGraph::Validate() const {
+  if (nodes_.empty()) return Status::InvalidArgument("query has no nodes");
+  if (node_count() > kMaxQueryNodes) {
+    return Status::InvalidArgument("query exceeds " +
+                                   std::to_string(kMaxQueryNodes) +
+                                   " nodes (rank-join coverage mask limit)");
+  }
+  std::vector<std::pair<int, int>> pairs;
+  pairs.reserve(edges_.size());
+  for (const QueryEdge& e : edges_) {
+    if (e.u == e.v) {
+      return Status::InvalidArgument("query node " + std::to_string(e.u) +
+                                     " has a self-loop edge");
+    }
+    pairs.emplace_back(std::min(e.u, e.v), std::max(e.u, e.v));
+  }
+  std::sort(pairs.begin(), pairs.end());
+  const auto dup = std::adjacent_find(pairs.begin(), pairs.end());
+  if (dup != pairs.end()) {
+    return Status::InvalidArgument(
+        "query nodes " + std::to_string(dup->first) + " and " +
+        std::to_string(dup->second) + " are joined by more than one edge");
+  }
+  if (!IsConnected()) return Status::InvalidArgument("query is disconnected");
+  return Status::Ok();
 }
 
 bool QueryGraph::IsStar() const { return StarPivot() >= 0; }

@@ -5,7 +5,13 @@
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
+
 namespace star::query {
+
+/// Most nodes a query may have: rank joins track the query nodes each
+/// stream covers in a 64-bit mask.
+inline constexpr int kMaxQueryNodes = 64;
 
 /// A query node: a keyword/entity description plus an optional type name.
 /// A wildcard node ("?") places no content constraint (F_N == 1 for any
@@ -38,7 +44,8 @@ class QueryGraph {
   /// Adds a wildcard ("?") node; returns its index.
   int AddWildcardNode(std::string type_name = "");
 
-  /// Adds an undirected edge; empty relation = wildcard.
+  /// Adds an undirected edge; empty relation = wildcard. Self-loops and
+  /// parallel edges are accepted here and rejected by Validate().
   int AddEdge(int u, int v, std::string relation = "");
 
   /// Replaces node u's type constraint (used by the parser when a later
@@ -74,6 +81,12 @@ class QueryGraph {
 
   /// True if all nodes are reachable from node 0 (or the graph is empty).
   bool IsConnected() const;
+
+  /// The one definition of the query shapes the engine answers exactly:
+  /// 1 to kMaxQueryNodes nodes, no self-loop, at most one edge per node
+  /// pair, and connected. Returns InvalidArgument naming the first broken
+  /// rule, Ok otherwise.
+  Status Validate() const;
 
   /// True if the query is a star: some node is an endpoint of every edge
   /// and there are no parallel edges between the same pair.

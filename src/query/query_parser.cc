@@ -31,6 +31,7 @@ class Parser {
     if (graph_.node_count() == 0) {
       return Status::CorruptData("empty query");
     }
+    if (Status valid = graph_.Validate(); !valid.ok()) return valid;
     return std::move(graph_);
   }
 

@@ -32,7 +32,9 @@ namespace star::query {
 ///
 /// Matching is undirected, so no arrowheads; duplicate edges between the
 /// same node pair are rejected. Returns CorruptData with a position
-/// message on malformed input.
+/// message on malformed input, and QueryGraph::Validate()'s
+/// InvalidArgument for a well-formed query the engine does not answer
+/// (e.g. the disconnected "(A); (B)").
 Result<QueryGraph> ParseQuery(std::string_view text);
 
 }  // namespace star::query

@@ -56,7 +56,7 @@ struct MatchConfig {
   /// in a query node's retrieval pool is kept iff
   /// splitmix64(sample_seed ^ id) / 2^64 < sample_rate. The predicate is
   /// a pure function of (seed, id), so the same config produces the same
-  /// pools on every engine, shard, and thread count. Wildcard query
+  /// pools on every engine and thread count. Wildcard query
   /// nodes are never sampled (they have no pool). Both fields are
   /// result-affecting and included in StarOptionsFingerprint. Sampling
   /// forces the unpruned retrieval path (block-max thresholds assume the

@@ -391,61 +391,13 @@ std::vector<NodeId> QueryScorer::RetrievalPool(int query_node) const {
 
 bool QueryScorer::SampleKeep(uint64_t seed, graph::NodeId v, double rate) {
   // splitmix64 of (seed ^ id): a pure function of the config and the node
-  // id, so every engine/shard/thread derives the same sampled pool.
+  // id, so every engine and thread derives the same sampled pool.
   uint64_t x = seed ^ (0x9e3779b97f4a7c15ull * (uint64_t{v} + 1));
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   x = x ^ (x >> 31);
   return static_cast<double>(x >> 11) * 0x1.0p-53 < rate;
-}
-
-std::vector<ScoredCandidate> QueryScorer::ScorePool(
-    int query_node, const std::vector<NodeId>& pool) const {
-  query_node = node_rep_[query_node];
-  // A shard worker cannot apply the max_candidates cut (the coordinator
-  // truncates after the cross-shard merge), so the only sound bound here
-  // is node_threshold: a node whose upper bound is already below it can
-  // never pass the filter and is dropped without scoring.
-  const query::QueryNode& qn = query_.node(query_node);
-  const std::vector<NodeId>* scored = &pool;
-  std::vector<NodeId> kept;
-  if (config_.use_pruned_retrieval && !qn.wildcard) {
-    const auto& batch = prepared_store_[prepared_idx_[query_node]];
-    kept.reserve(pool.size());
-    for (const NodeId v : pool) {
-      const double cap =
-          index_ != nullptr
-              ? ensemble_.RetrievalNodeBound(batch, index_->NodeLabelLength(v),
-                                             index_->NodeLooksNumeric(v))
-              : ensemble_.RetrievalNodeBound(
-                    batch, graph_.NodeLabel(v).size(),
-                    text::LooksNumeric(graph_.NodeLabel(v)));
-      if (cap < config_.node_threshold - kBoundMargin) {
-        ++retrieval_stats_.nodes_bound_skipped;
-        continue;
-      }
-      kept.push_back(v);
-    }
-    retrieval_stats_.nodes_considered += pool.size();
-    retrieval_stats_.nodes_scored += kept.size();
-    scored = &kept;
-  }
-  const std::vector<double> scores =
-      BulkScore(query_node, *scored, ResolveThreads(config_.threads),
-                config_.node_threshold);
-  std::vector<ScoredCandidate> out;
-  for (size_t i = 0; i < scored->size(); ++i) {
-    if (scores[i] >= config_.node_threshold) {
-      out.push_back({(*scored)[i], scores[i]});
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ScoredCandidate& a, const ScoredCandidate& b) {
-              return a.score > b.score ||
-                     (a.score == b.score && a.node < b.node);
-            });
-  return out;
 }
 
 double QueryScorer::RetrievalTheta(const CandidateList& heap) const {
@@ -596,8 +548,8 @@ void QueryScorer::PrunedRetrievePool(int query_node,
   std::pmr::vector<Entry> order(mem_);
   order.reserve(pool.size());
   for (const NodeId v : pool) {
-    // Index facts when available (shard workers, ranked pools); otherwise
-    // the no-index fallback derives the same two facts from the label.
+    // Index facts when available (ranked pools); otherwise the no-index
+    // fallback derives the same two facts from the label.
     const double cap =
         index_ != nullptr
             ? ensemble_.RetrievalNodeBound(batch, index_->NodeLabelLength(v),

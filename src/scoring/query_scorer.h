@@ -25,7 +25,7 @@ struct ScoredCandidate {
 /// Counters of bound-driven candidate retrieval (MatchConfig::
 /// use_pruned_retrieval): how much of the retrieval union was skipped by
 /// block/node score caps instead of being fully scored. Accumulated across
-/// every pruned Candidates() / ScorePool() call of the scorer.
+/// every pruned Candidates() call of the scorer.
 struct RetrievalStats {
   uint64_t blocks_considered = 0;   ///< postings blocks in cap order
   uint64_t blocks_skipped = 0;      ///< blocks never decoded (cap < theta)
@@ -116,29 +116,11 @@ class QueryScorer {
   void SeedCandidates(int query_node,
                       const std::vector<ScoredCandidate>& list) const;
 
-  /// The retrieval pool of `query_node`: the node ids Candidates() would
-  /// bulk-score, before any scoring or filtering (index-backed postings,
-  /// typed-wildcard postings, or the full-scan iota). Pure — never touches
-  /// the candidate memo. Sharded scatter calls this per shard (each shard
-  /// index is rebuilt over the full node table, so every shard computes
-  /// the identical pool) and intersects with its owned slice.
-  std::vector<graph::NodeId> RetrievalPool(int query_node) const;
-
   /// The MatchConfig::sample_rate pool predicate: whether node v survives
   /// deterministic seeded sampling. Pure function of (seed, v, rate) —
   /// exposed so the serve layer's degradation certificate and tests can
   /// reproduce the sampled universe exactly.
   static bool SampleKeep(uint64_t seed, graph::NodeId v, double rate);
-
-  /// Scores `pool` exactly as Candidates() would (bulk F_N at
-  /// node_threshold) and returns the surviving entries in the canonical
-  /// (score desc, node asc) order — WITHOUT max_candidates truncation and
-  /// WITHOUT memoizing the result as the node's candidate list. Per-node
-  /// scores are pure, so scoring a partition of the pool shard-by-shard
-  /// and merging preserves every bit of the single-process list; the
-  /// coordinator applies the max_candidates cut after the merge.
-  std::vector<ScoredCandidate> ScorePool(
-      int query_node, const std::vector<graph::NodeId>& pool) const;
 
   /// The memoized candidate list of `query_node` if it has been computed
   /// (or seeded) this session, nullptr otherwise. Never triggers
@@ -272,6 +254,12 @@ class QueryScorer {
  private:
   /// Ontology type id for a type name (-1 if no ontology / unknown).
   int OntologyType(std::string_view type_name) const;
+
+  /// The retrieval pool of `query_node`: the node ids Candidates() would
+  /// bulk-score, before any scoring or filtering (index-backed postings,
+  /// typed-wildcard postings, or the full-scan iota, then the sampling
+  /// predicate). Pure — never touches the candidate memo.
+  std::vector<graph::NodeId> RetrievalPool(int query_node) const;
 
   /// Pure F_N computation (Eq. 1) for a non-wildcard query node: no memo
   /// access, no counters — safe to call from any thread (the ensemble

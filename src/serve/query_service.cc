@@ -40,16 +40,6 @@ QueryService::QueryService(const graph::KnowledgeGraph& g,
       cache_(options_.cache_capacity),
       star_cache_(options_.star_cache_capacity,
                   options_.star_cache_capacity) {
-  if (options_.shards >= 2) {
-    shard::ShardCluster::Options co;
-    co.partition.policy = options_.partition_policy;
-    co.partition.shards = options_.shards;
-    // Halo must cover the deepest traversal any request performs; the
-    // service's match semantics are fixed for its lifetime, so d is it.
-    co.partition.halo_depth = std::max(1, options_.star.match.d);
-    cluster_ = std::make_unique<shard::ShardCluster>(graph_, ensemble_,
-                                                     index_, std::move(co));
-  }
   // Workers chain through the queue, so max_inflight pool threads suffice
   // for the serving layer itself (engine-internal ParallelFor calls nested
   // inside a worker degrade to inline-serial by design).
@@ -121,15 +111,8 @@ std::future<QueryResponse> QueryService::Submit(QueryRequest req) {
   p->rewrites = std::move(rewrites);
   std::future<QueryResponse> fut = p->promise.get_future();
 
-  Status reject = Status::Ok();
-  if (p->req.k == 0) {
-    reject = Status::InvalidArgument("k must be >= 1");
-  } else if (p->req.query.node_count() == 0) {
-    reject = Status::InvalidArgument("query has no nodes");
-  } else if (p->req.query.node_count() > 64) {
-    reject = Status::InvalidArgument(
-        "query exceeds 64 nodes (rank-join coverage mask limit)");
-  }
+  Status reject = p->req.k == 0 ? Status::InvalidArgument("k must be >= 1")
+                                : p->req.query.Validate();
 
   // Normalized key, computed outside the lock (canonicalization walks the
   // query). Shared by the result cache and the coalescing map; a cache
@@ -294,20 +277,10 @@ QueryResponse QueryService::Run(Pending& p) {
   // then (responses own plain heap copies).
   static thread_local common::MonotonicArena arena;
   arena.Reset();
-  if (cluster_ != nullptr) {
-    // Sharded backend: same inputs, same caches, bitwise-identical output.
-    shard::ShardEngine::Options eo;
-    eo.star = star_options;
-    shard::ShardEngine engine(*cluster_, std::move(eo));
-    resp.matches = engine.TopK(p.req.query, p.req.k, &p.cancel, &arena);
-    resp.exec_ms = exec.ElapsedMillis();
-    resp.framework = engine.last_stats();
-  } else {
-    core::StarFramework fw(graph_, ensemble_, index_, star_options);
-    resp.matches = fw.TopK(p.req.query, p.req.k, &p.cancel, &arena);
-    resp.exec_ms = exec.ElapsedMillis();
-    resp.framework = fw.last_stats();
-  }
+  core::StarFramework fw(graph_, ensemble_, index_, star_options);
+  resp.matches = fw.TopK(p.req.query, p.req.k, &p.cancel, &arena);
+  resp.exec_ms = exec.ElapsedMillis();
+  resp.framework = fw.last_stats();
   // The engine's hot-loop checkers amortize clock reads (64-call stride),
   // so a deadline can expire mid-run, truncate work, and still leave
   // FrameworkStats.cancelled unset. Cancellation is monotone, so one
@@ -358,12 +331,6 @@ void QueryService::RecordLocked(const QueryResponse& resp) {
   stats_.total_exec_ms += resp.exec_ms;
   stats_.max_queue_ms = std::max(stats_.max_queue_ms, resp.queue_ms);
   stats_.max_exec_ms = std::max(stats_.max_exec_ms, resp.exec_ms);
-  if (resp.framework.shard.shards > 0) {
-    ++stats_.sharded_queries;
-    stats_.shard_pulls += resp.framework.shard.total_pulls;
-    stats_.shard_boundary_pivot_hits += resp.framework.shard.boundary_pivot_hits;
-    stats_.shard_coordinator_ms += resp.framework.shard.coordinator_wall_ms;
-  }
 }
 
 std::shared_ptr<QueryService::Pending> QueryService::FinishAndSettle(

@@ -24,8 +24,6 @@
 #include "serve/query_rewrite.h"
 #include "serve/result_cache.h"
 #include "serve/star_cache.h"
-#include "shard/coordinator.h"
-#include "shard/partitioner.h"
 
 namespace star::serve {
 
@@ -65,17 +63,6 @@ struct ServiceOptions {
   /// executes (after dequeue, before the deadline checkpoint). Lets tests
   /// hold workers busy deterministically to exercise admission control.
   std::function<void()> before_execute;
-
-  /// >= 2 enables the sharded scatter-gather backend: the graph is
-  /// partitioned at construction (halo depth = star.match.d, so every
-  /// query the service can run satisfies the halo invariant) and fresh
-  /// executions go through shard::ShardEngine instead of StarFramework.
-  /// Results — matches, score bits, tie order, cache interaction — are
-  /// bitwise identical to the single-process backend. 0 or 1 = default
-  /// single-process execution.
-  size_t shards = 0;
-  /// Node-ownership policy of the sharded backend's partition.
-  shard::PartitionPolicy partition_policy = shard::PartitionPolicy::kHash;
 
   /// Accuracy-first load shedding (see serve/degrade.h): under queue
   /// pressure, admission picks a degradation level that trades answer
@@ -153,13 +140,6 @@ struct ServiceStats {
   double max_queue_ms = 0.0;
   double max_exec_ms = 0.0;
 
-  /// Sharded-backend aggregates (all zero when ServiceOptions::shards < 2
-  /// or every response came from a cache). Summed over fresh executions.
-  uint64_t sharded_queries = 0;
-  uint64_t shard_pulls = 0;
-  uint64_t shard_boundary_pivot_hits = 0;
-  double shard_coordinator_ms = 0.0;
-
   double cache_hit_rate() const {
     const uint64_t total = cache_hits + cache_misses;
     return total == 0 ? 0.0 : static_cast<double>(cache_hits) / total;
@@ -236,11 +216,6 @@ class QueryService {
   CacheStats cache_stats() const { return cache_.stats(); }
   StarCacheStats star_cache_stats() const { return star_cache_.stats(); }
   const ServiceOptions& options() const { return options_; }
-
-  /// The sharded backend's cluster (partition + workers), or nullptr when
-  /// the service runs single-process. Exposed for diagnostics (partition
-  /// report, active-session invariants in tests).
-  const shard::ShardCluster* shard_cluster() const { return cluster_.get(); }
 
   /// The normalized cache key for (q, k) under this service's
   /// configuration. Exposed for tests and cache diagnostics.
@@ -320,9 +295,6 @@ class QueryService {
   /// Fingerprint of every result-affecting configuration field (excludes
   /// threads / use_scoring_kernel, which carry bit-identity contracts).
   std::string config_key_;
-  /// Non-null iff options_.shards >= 2: the sharded backend's partition
-  /// and resident worker threads, shared by every request.
-  std::unique_ptr<shard::ShardCluster> cluster_;
   ResultCache cache_;
   StarCache star_cache_;
 

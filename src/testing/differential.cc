@@ -22,8 +22,6 @@
 #include "scoring/query_scorer.h"
 #include "serve/degrade.h"
 #include "serve/star_cache.h"
-#include "shard/coordinator.h"
-#include "shard/partitioner.h"
 #include "text/ensemble.h"
 
 namespace star::testing {
@@ -140,6 +138,14 @@ void CheckWellFormed(const std::string& cell, const EngineResult& r,
                              i, m.score, prev));
     }
     prev = m.score;
+    for (size_t j = 0; j < i; ++j) {
+      if (r.matches[j].mapping == m.mapping) {
+        AddViolation(out, "duplicate", cell,
+                     StrPrintf("ranks %zu and %zu share a mapping: %s", j, i,
+                               DescribeMatch(m).c_str()));
+        break;
+      }
+    }
   }
   if (expect_complete_run && r.stats.cancelled) {
     AddViolation(out, "spurious-cancel", cell,
@@ -227,15 +233,23 @@ bool UntypedWildcard(const query::QueryGraph& q, int u) {
 /// Recomputes each match's score from first principles through a fresh
 /// scorer: every mapped node must be a candidate (or wildcard-exempt),
 /// every query edge must have a valid connection, and the parts must sum
-/// to the reported score. Catches "agrees with itself but wrong" bugs that
-/// pure differential cells cannot.
+/// to the reported score, which may not exceed the scorer's perfect-match
+/// cap. Catches "agrees with itself but wrong" bugs that pure differential
+/// cells cannot.
 void CheckValidity(const std::string& cell,
                    const std::vector<core::GraphMatch>& matches,
                    scoring::QueryScorer& scorer, CaseOutcome* out) {
   const query::QueryGraph& q = scorer.query();
   const scoring::MatchConfig& cfg = scorer.config();
+  const double cap = scorer.ScoreUpperBound();
   for (size_t i = 0; i < matches.size(); ++i) {
     const auto& m = matches[i];
+    if (m.score > cap + kEps) {
+      AddViolation(out, "score-bound", cell,
+                   StrPrintf("match %zu scores %.17g above the upper bound "
+                             "%.17g",
+                             i, m.score, cap));
+    }
     if (m.mapping.size() != static_cast<size_t>(q.node_count())) continue;
     double sum = 0.0;
     bool valid = true;
@@ -389,7 +403,10 @@ CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
   {
     scoring::QueryScorer vscorer(c.graph, c.query, ensemble, base_spec.config,
                                  index.get());
-    CheckValidity("stard/base", base[kRefStrategy].matches, vscorer, &out);
+    for (size_t i = 0; i < 3; ++i) {
+      CheckValidity(std::string(kStrategies[i].name) + "/base",
+                    base[i].matches, vscorer, &out);
+    }
   }
 
   // --- Thread x kernel matrix: bit-identity contract per strategy ---
@@ -498,111 +515,6 @@ CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
       CheckWellFormed(cell, r, c, true, &out);
       CheckBitwiseEqual("layout-diff", cell, base[i].matches, r.matches,
                         &out);
-    }
-  }
-
-  // --- Shard cells: scatter-gather backend, all bitwise vs base ---
-  // A ShardCluster at each count serves every strategy through a
-  // ShardEngine; the distribution is required to be invisible (same
-  // matches, same score bits, same tie order as the single-process base).
-  // Hash partitioning runs at 2 shards and label-range at 4 so both
-  // policies stay under differential coverage; c.shards pins the sweep to
-  // one count for shrinking/replay.
-  if (opts.run_shards) {
-    std::vector<size_t> counts;
-    if (c.shards != 0) {
-      counts.push_back(c.shards);
-    } else {
-      counts = {2, 4};
-    }
-    for (const size_t n_shards : counts) {
-      shard::ShardCluster::Options co;
-      co.partition.shards = n_shards;
-      co.partition.policy = n_shards == 4 && c.shards == 0
-                                ? shard::PartitionPolicy::kLabelRange
-                                : shard::PartitionPolicy::kHash;
-      co.partition.halo_depth = std::max(1, base_spec.config.d);
-      shard::ShardCluster cluster(c.graph, ensemble, index.get(),
-                                  std::move(co));
-
-      for (size_t i = 0; i < 3; ++i) {
-        shard::ShardEngine::Options eo;
-        eo.star.strategy = kStrategies[i].s;
-        eo.star.match = base_spec.config;
-        eo.star.decomposition = base_spec.decomposition;
-        eo.star.alpha = base_spec.alpha;
-        shard::ShardEngine engine(cluster, eo);
-        EngineResult r;
-        r.matches = engine.TopK(c.query, c.k);
-        r.stats = engine.last_stats();
-        ++out.cells_run;
-        const std::string cell =
-            StrPrintf("%s/shards=%zu", kStrategies[i].name, n_shards);
-        CheckWellFormed(cell, r, c, /*expect_complete_run=*/true, &out);
-        CheckBitwiseEqual("shard-diff", cell, base[i].matches, r.matches,
-                          &out);
-      }
-
-      // Coordinator-side scoring at threads=4: the thread bit-identity
-      // contract must survive the scatter-gather split too.
-      {
-        shard::ShardEngine::Options eo;
-        eo.star.strategy = kStrategies[kRefStrategy].s;
-        eo.star.match = base_spec.config;
-        eo.star.match.threads = 4;
-        eo.star.decomposition = base_spec.decomposition;
-        eo.star.alpha = base_spec.alpha;
-        shard::ShardEngine engine(cluster, eo);
-        const auto got = engine.TopK(c.query, c.k);
-        ++out.cells_run;
-        CheckBitwiseEqual("shard-thread-diff",
-                          StrPrintf("stard/shards=%zu/t=4", n_shards),
-                          base[kRefStrategy].matches, got, &out);
-      }
-
-      // Sharded retrieval off: workers drop their bound pre-filter and
-      // score every pooled node — the merge must still be byte-identical.
-      {
-        shard::ShardEngine::Options eo;
-        eo.star.strategy = kStrategies[kRefStrategy].s;
-        eo.star.match = base_spec.config;
-        eo.star.match.use_pruned_retrieval = false;
-        eo.star.decomposition = base_spec.decomposition;
-        eo.star.alpha = base_spec.alpha;
-        shard::ShardEngine engine(cluster, eo);
-        const auto got = engine.TopK(c.query, c.k);
-        ++out.cells_run;
-        CheckBitwiseEqual("retrieval-diff",
-                          StrPrintf("stard/shards=%zu/pruned=0", n_shards),
-                          base[kRefStrategy].matches, got, &out);
-      }
-
-      // Sharded tight deadline: wherever the expiry lands (coordinator
-      // pull loop or a worker), the result must be a correctly ordered
-      // bitwise prefix of the undeadlined single-process run.
-      if (c.tight_deadline_ms > 0.0) {
-        const Cancellation tight{Deadline::AfterMillis(c.tight_deadline_ms)};
-        shard::ShardEngine::Options eo;
-        eo.star.strategy = kStrategies[kRefStrategy].s;
-        eo.star.match = base_spec.config;
-        eo.star.decomposition = base_spec.decomposition;
-        eo.star.alpha = base_spec.alpha;
-        shard::ShardEngine engine(cluster, eo);
-        EngineResult r;
-        r.matches = engine.TopK(c.query, c.k, &tight);
-        r.stats = engine.last_stats();
-        ++out.cells_run;
-        const std::string cell =
-            StrPrintf("stard/shards=%zu/deadline=tight", n_shards);
-        CheckWellFormed(cell, r, c, /*expect_complete_run=*/false, &out);
-        if (r.stats.cancelled) {
-          CheckBitwisePrefix("shard-deadline-prefix", cell,
-                             base[kRefStrategy].matches, r.matches, &out);
-        } else {
-          CheckBitwiseEqual("shard-deadline-complete", cell,
-                            base[kRefStrategy].matches, r.matches, &out);
-        }
-      }
     }
   }
 
@@ -785,8 +697,6 @@ CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
     } else {
       levels = {1, 2, 3};
     }
-    core::StarOptions first_effective;
-    EngineResult first_degraded;
     for (const int level : levels) {
       core::StarOptions effective = nominal;
       serve::ApplyDegradation(policy, level, &effective);
@@ -804,35 +714,6 @@ CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
         CheckValidity(cell, r.matches, escorer, &out);
       }
       check_certificate(cell, effective, level, r);
-      if (level == levels.front()) {
-        first_effective = effective;
-        first_degraded = r;
-      }
-    }
-
-    // Sharded degraded cell: the scatter-gather backend must reproduce the
-    // single-process degraded run byte for byte, and the certificate built
-    // from ITS stats export must be just as sound.
-    if (opts.run_shards) {
-      const int level = levels.front();
-      const size_t n_shards = c.shards != 0 ? c.shards : 2;
-      shard::ShardCluster::Options co;
-      co.partition.shards = n_shards;
-      co.partition.halo_depth = std::max(1, first_effective.match.d);
-      shard::ShardCluster cluster(c.graph, ensemble, index.get(),
-                                  std::move(co));
-      shard::ShardEngine::Options eo;
-      eo.star = first_effective;
-      shard::ShardEngine engine(cluster, eo);
-      EngineResult r;
-      r.matches = engine.TopK(c.query, c.k);
-      r.stats = engine.last_stats();
-      ++out.cells_run;
-      const std::string cell =
-          StrPrintf("stard/shards=%zu/cert=degrade-l%d", n_shards, level);
-      CheckBitwiseEqual("cert-shard-diff", cell, first_degraded.matches,
-                        r.matches, &out);
-      check_certificate(cell, first_effective, level, r);
     }
   }
 

@@ -31,10 +31,6 @@ struct RunnerOptions {
   /// Re-run every strategy over a kCompressed rebuild of the case's graph
   /// and index; results must be bitwise identical to the flat base cells.
   bool run_layout = true;
-  /// Re-run every strategy through the sharded backend (ShardEngine over a
-  /// ShardCluster) at shard counts {2, 4} (or the case's pinned count);
-  /// results must be bitwise identical to the single-process base cells.
-  bool run_shards = true;
   /// Anytime/degraded certificate cells: re-run the reference strategy at
   /// degradation levels {1, 2, 3} (or the case's pinned level) plus the
   /// deadline-truncated level-0 cells, build each run's QualityCertificate,
@@ -67,13 +63,10 @@ struct CaseOutcome {
 ///    bug injection between cold and warm);
 ///  - deadline cells: pre-expired => empty + cancelled; tight => bitwise
 ///    prefix of the undeadlined run;
-///  - sharded backend at {2, 4} shards (hash and label-range policies)
-///    bitwise identical to the base cells per strategy, plus a threaded
-///    coordinator cell and a sharded tight-deadline prefix cell;
 ///  - certificate cells: degraded runs (shedding-ladder levels) and
 ///    deadline-truncated runs carry QualityCertificates whose bound
 ///    dominates the oracle's true next-rank score and whose guaranteed
-///    prefix is bitwise exact, single-process and sharded;
+///    prefix is bitwise exact;
 ///  - metamorphic relations needing no oracle: query node/edge permutation
 ///    invariance, TopK(k) prefix-of TopK(k+3), graph node-id relabeling
 ///    invariance, threshold/lambda/d monotonicity, and star-stream upper

@@ -22,14 +22,13 @@ std::string FuzzCase::Describe() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "seed=%llu |V|=%zu |E|=%zu q=%d/%d k=%zu d=%d nt=%.3f et=%.3f "
-                "lambda=%.3f cut=%zu inj=%d idx=%d dl=%.2fms sh=%zu dg=%d "
-                "bug=%s",
+                "lambda=%.3f cut=%zu inj=%d idx=%d dl=%.2fms dg=%d bug=%s",
                 static_cast<unsigned long long>(seed), graph.node_count(),
                 graph.edge_count(), query.node_count(), query.edge_count(), k,
                 config.d, config.node_threshold, config.edge_threshold,
                 config.lambda, config.max_candidates,
                 config.enforce_injective ? 1 : 0, with_index ? 1 : 0,
-                tight_deadline_ms, shards, degrade, BugInjectionName(inject));
+                tight_deadline_ms, degrade, BugInjectionName(inject));
   return buf;
 }
 
@@ -220,7 +219,6 @@ FuzzCase CopyCase(const FuzzCase& c) {
   out.k = c.k;
   out.with_index = c.with_index;
   out.tight_deadline_ms = c.tight_deadline_ms;
-  out.shards = c.shards;
   out.degrade = c.degrade;
   out.inject = c.inject;
   return out;

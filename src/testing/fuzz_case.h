@@ -50,10 +50,6 @@ struct FuzzCase {
   /// Tight-deadline cell budget in ms (0 disables the tight cell; the
   /// pre-expired cell always runs).
   double tight_deadline_ms = 0.0;
-  /// Shard count for the sharded-backend cells: 0 runs the default
-  /// {2, 4} sweep, a nonzero value pins the cells to that one count (the
-  /// shrinker narrows to the failing count; replays carry it).
-  size_t shards = 0;
   /// Degradation level for the certificate cells: 0 runs the default
   /// {1, 2, 3} ladder sweep, a nonzero value pins the cells to that one
   /// level (the shrinker narrows to the failing level; replays carry it).

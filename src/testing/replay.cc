@@ -105,10 +105,9 @@ std::string SerializeReplay(const FuzzCase& c) {
   out << "with_index " << (c.with_index ? 1 : 0) << "\n";
   out << "alpha " << BitsOf(c.alpha) << "\n";
   out << "tight_deadline_ms " << BitsOf(c.tight_deadline_ms) << "\n";
-  // Written only when pinned so pre-shard replay files stay loadable by
+  // Written only when pinned so pre-degrade replay files stay loadable by
   // this parser and new files stay loadable by strict older parsers
   // whenever the field is at its default.
-  if (c.shards != 0) out << "shards " << c.shards << "\n";
   if (c.degrade != 0) out << "degrade " << c.degrade << "\n";
   const auto& dc = c.decomposition;
   out << "decomp " << static_cast<int>(dc.strategy) << " "
@@ -179,10 +178,6 @@ bool ParseReplay(const std::string& text, FuzzCase* out, std::string* error) {
       if (!ParseBits(rest, &c.tight_deadline_ms)) {
         return fail("bad deadline bits");
       }
-    } else if (key == "shards") {
-      uint64_t s = 0;
-      if (!ParseU64(rest, &s)) return fail("bad shards");
-      c.shards = static_cast<size_t>(s);
     } else if (key == "degrade") {
       int64_t l = 0;
       if (!ParseI64(rest, &l) || l < 0 || l > 3) return fail("bad degrade");

@@ -210,19 +210,9 @@ ShrinkResult ShrinkCase(const FuzzCase& c, const std::string& target_check,
     if (res.minimal.tight_deadline_ms > 0.0) {
       try_config([](FuzzCase& f) { f.tight_deadline_ms = 0.0; });
     }
-    // Pin the shard sweep to a single count: a pinned case runs one
-    // cluster instead of two, and the replay records which count failed.
-    // Only worth trying when the target check is a shard cell's.
-    if (res.minimal.shards == 0 &&
-        target_check.rfind("shard", 0) == 0) {
-      for (const size_t n : {size_t{2}, size_t{4}}) {
-        try_config([n](FuzzCase& f) { f.shards = n; });
-        if (res.minimal.shards != 0) break;
-      }
-    }
-    // Same narrowing for the degradation-ladder sweep: a pinned level runs
-    // one certificate cell instead of three, and the replay records which
-    // level failed.
+    // Pin the degradation-ladder sweep to a single level: a pinned level
+    // runs one certificate cell instead of three, and the replay records
+    // which level failed.
     if (res.minimal.degrade == 0 && target_check.rfind("cert", 0) == 0) {
       for (const int l : {1, 2, 3}) {
         try_config([l](FuzzCase& f) { f.degrade = l; });

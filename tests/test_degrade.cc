@@ -2,8 +2,8 @@
 // the shedding ladder's level choice and knob application, the certified
 // quality statement BuildCertificate derives from a finished run, the
 // deterministic sampling predicate, typo-tolerant label rewriting, and the
-// service-level kDeadlineExceeded contract (ordered prefix with ties,
-// single-process and sharded, each response carrying a sound certificate).
+// service-level kDeadlineExceeded contract (ordered prefix with ties, each
+// response carrying a sound certificate).
 
 #include "serve/degrade.h"
 
@@ -424,7 +424,6 @@ TEST(FuzzyRewriteTest, WildcardNodesAreNeverTouched) {
 // Service-level deadline contract: a kDeadlineExceeded response is a
 // bitwise ordered prefix of the exact answer — including through exact
 // score ties — and its certificate bound dominates every dropped match.
-// Pinned for the single-process backend and the 2- and 4-shard ones.
 // ---------------------------------------------------------------------------
 
 /// Six bitwise-identical star subgraphs: every ("Star Alpha" -> "Planet
@@ -464,55 +463,49 @@ TEST(DeadlineContractTest, TruncatedResponseIsACertifiedOrderedPrefix) {
   text::SimilarityEnsemble ensemble;
   graph::LabelIndex index(g);
 
-  for (const size_t shards : {size_t{0}, size_t{2}, size_t{4}}) {
-    ServiceOptions so;
-    so.star.match = TestConfig(1);
-    so.shards = shards;
-    QueryService service(g, ensemble, &index, so);
+  ServiceOptions so;
+  so.star.match = TestConfig(1);
+  QueryService service(g, ensemble, &index, so);
 
-    QueryRequest ref;
-    ref.query = TwinQuery();
-    ref.k = 4;
-    const QueryResponse full = service.Execute(ref);
-    ASSERT_TRUE(full.status.ok()) << "shards=" << shards;
-    ASSERT_EQ(full.matches.size(), 4u) << "shards=" << shards;
-    // The fixture delivers what it promises: a tie group at the boundary.
-    EXPECT_EQ(full.matches[0].score, full.matches[3].score);
-    EXPECT_TRUE(full.certificate.exact);
-    EXPECT_EQ(full.certificate.guaranteed_prefix, 4u);
+  QueryRequest ref;
+  ref.query = TwinQuery();
+  ref.k = 4;
+  const QueryResponse full = service.Execute(ref);
+  ASSERT_TRUE(full.status.ok());
+  ASSERT_EQ(full.matches.size(), 4u);
+  // The fixture delivers what it promises: a tie group at the boundary.
+  EXPECT_EQ(full.matches[0].score, full.matches[3].score);
+  EXPECT_TRUE(full.certificate.exact);
+  EXPECT_EQ(full.certificate.guaranteed_prefix, 4u);
 
-    // Sweep deadlines from instantly-expired to comfortable. Wherever the
-    // expiry lands — pre-admission, in queue, mid-run, after completion —
-    // the response must be a bitwise prefix with a sound certificate.
-    for (const double ms : {0.0, 0.01, 0.05, 0.2, 1.0, 50.0}) {
-      QueryRequest req;
-      req.query = TwinQuery();
-      req.k = 4;
-      req.use_cache = false;  // force fresh execution every iteration
-      req.deadline = ms == 0.0 ? Deadline::Expired() : Deadline::AfterMillis(ms);
-      const QueryResponse resp = service.Execute(std::move(req));
-      const std::string ctx =
-          "shards=" + std::to_string(shards) + " ms=" + std::to_string(ms);
-      if (resp.status.ok()) {
-        EXPECT_TRUE(IsBitwisePrefix(resp.matches, full.matches)) << ctx;
-        EXPECT_EQ(resp.matches.size(), 4u) << ctx;
-        continue;
-      }
-      ASSERT_EQ(resp.status.code(), StatusCode::kDeadlineExceeded) << ctx;
-      EXPECT_TRUE(resp.partial) << ctx;
+  // Sweep deadlines from instantly-expired to comfortable. Wherever the
+  // expiry lands — pre-admission, in queue, mid-run, after completion —
+  // the response must be a bitwise prefix with a sound certificate.
+  for (const double ms : {0.0, 0.01, 0.05, 0.2, 1.0, 50.0}) {
+    QueryRequest req;
+    req.query = TwinQuery();
+    req.k = 4;
+    req.use_cache = false;  // force fresh execution every iteration
+    req.deadline = ms == 0.0 ? Deadline::Expired() : Deadline::AfterMillis(ms);
+    const QueryResponse resp = service.Execute(std::move(req));
+    const std::string ctx = "ms=" + std::to_string(ms);
+    if (resp.status.ok()) {
       EXPECT_TRUE(IsBitwisePrefix(resp.matches, full.matches)) << ctx;
-      // Certificate soundness: the guaranteed prefix cannot exceed what
-      // was returned, and every match it does not cover — in particular
-      // the first dropped one — scores at most the certified bound.
-      EXPECT_LE(resp.certificate.guaranteed_prefix, resp.matches.size())
+      EXPECT_EQ(resp.matches.size(), 4u) << ctx;
+      continue;
+    }
+    ASSERT_EQ(resp.status.code(), StatusCode::kDeadlineExceeded) << ctx;
+    EXPECT_TRUE(resp.partial) << ctx;
+    EXPECT_TRUE(IsBitwisePrefix(resp.matches, full.matches)) << ctx;
+    // Certificate soundness: the guaranteed prefix cannot exceed what was
+    // returned, and every match it does not cover — in particular the
+    // first dropped one — scores at most the certified bound.
+    EXPECT_LE(resp.certificate.guaranteed_prefix, resp.matches.size()) << ctx;
+    EXPECT_FALSE(resp.certificate.exact) << ctx;
+    if (resp.certificate.guaranteed_prefix < full.matches.size()) {
+      EXPECT_GE(resp.certificate.score_bound,
+                full.matches[resp.certificate.guaranteed_prefix].score - 1e-9)
           << ctx;
-      EXPECT_FALSE(resp.certificate.exact) << ctx;
-      if (resp.certificate.guaranteed_prefix < full.matches.size()) {
-        EXPECT_GE(resp.certificate.score_bound,
-                  full.matches[resp.certificate.guaranteed_prefix].score -
-                      1e-9)
-            << ctx;
-      }
     }
   }
 }

@@ -76,43 +76,6 @@ TEST(ReplayTest, RejectsMalformedInputWithLineNumbers) {
   EXPECT_NE(err.find("endgraph"), std::string::npos) << err;
 }
 
-TEST(ReplayTest, ShardPinRoundTripsAndDefaultsStayCompatible) {
-  FuzzCase c = MakeFuzzCase(SmokeProfile(), 11);
-  c.shards = 4;
-  const std::string text = SerializeReplay(c);
-  EXPECT_NE(text.find("\nshards 4\n"), std::string::npos);
-  FuzzCase parsed;
-  std::string err;
-  ASSERT_TRUE(ParseReplay(text, &parsed, &err)) << err;
-  EXPECT_EQ(parsed.shards, 4u);
-  EXPECT_EQ(SerializeReplay(parsed), text);
-
-  // Unpinned cases keep the pre-shard wire format (no `shards` line), so
-  // their files remain loadable by strict parsers from before the field.
-  c.shards = 0;
-  EXPECT_EQ(SerializeReplay(c).find("shards"), std::string::npos);
-}
-
-TEST(DifferentialTest, ShardCellsRunAndAPinnedCountNarrowsTheSweep) {
-  const FuzzCase c = MakeFuzzCase(SmokeProfile(), 9001);
-  const RunnerOptions all;
-  RunnerOptions no_shards;
-  no_shards.run_shards = false;
-
-  const CaseOutcome with_cells = RunDifferentialCase(c, all);
-  const CaseOutcome without = RunDifferentialCase(c, no_shards);
-  EXPECT_TRUE(with_cells.ok()) << c.Describe() << "\n  "
-                               << with_cells.Summary();
-  EXPECT_GT(with_cells.cells_run, without.cells_run);
-
-  FuzzCase pinned = CopyCase(c);
-  pinned.shards = 2;
-  const CaseOutcome pin = RunDifferentialCase(pinned, all);
-  EXPECT_TRUE(pin.ok()) << pin.Summary();
-  EXPECT_LT(pin.cells_run, with_cells.cells_run);
-  EXPECT_GT(pin.cells_run, without.cells_run);
-}
-
 TEST(ReplayTest, DegradePinRoundTripsAndDefaultsStayCompatible) {
   FuzzCase c = MakeFuzzCase(SmokeProfile(), 11);
   c.degrade = 2;
@@ -126,7 +89,7 @@ TEST(ReplayTest, DegradePinRoundTripsAndDefaultsStayCompatible) {
 
   // Unpinned cases (full ladder sweep) keep the pre-degrade wire format,
   // so their files remain loadable by strict parsers from before the
-  // field — same convention as `shards`.
+  // field.
   c.degrade = 0;
   EXPECT_EQ(SerializeReplay(c).find("degrade"), std::string::npos);
 }

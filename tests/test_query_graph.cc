@@ -107,6 +107,43 @@ TEST(QueryGraphTest, IncidentEdgesAndDegree) {
   EXPECT_EQ(q.IncidentEdges(a), (std::vector<int>{e0, e1}));
 }
 
+TEST(QueryGraphTest, ValidateAcceptsOnlyConnectedSimpleQueries) {
+  QueryGraph path;
+  const int a = path.AddNode("A");
+  const int b = path.AddNode("B");
+  path.AddEdge(a, b);
+  EXPECT_TRUE(path.Validate().ok());
+
+  QueryGraph single;
+  single.AddNode("A");
+  EXPECT_TRUE(single.Validate().ok());
+
+  EXPECT_EQ(QueryGraph().Validate().code(), StatusCode::kInvalidArgument);
+
+  QueryGraph disconnected;
+  disconnected.AddNode("A");
+  disconnected.AddNode("B");
+  EXPECT_EQ(disconnected.Validate().code(), StatusCode::kInvalidArgument);
+
+  QueryGraph parallel = path;
+  parallel.AddEdge(b, a, "other");
+  EXPECT_EQ(parallel.Validate().code(), StatusCode::kInvalidArgument);
+
+  QueryGraph loop = path;
+  loop.AddEdge(b, b);
+  EXPECT_EQ(loop.Validate().code(), StatusCode::kInvalidArgument);
+
+  // A connected chain at the node cap passes; one node more does not.
+  QueryGraph chain;
+  chain.AddNode("N");
+  for (int u = 1; u < kMaxQueryNodes; ++u) {
+    chain.AddEdge(u - 1, chain.AddNode("N"));
+  }
+  EXPECT_TRUE(chain.Validate().ok());
+  chain.AddEdge(kMaxQueryNodes - 1, chain.AddNode("N"));
+  EXPECT_EQ(chain.Validate().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(QueryGraphTest, ToStringMentionsShape) {
   QueryGraph q;
   const int a = q.AddNode("Brad", "Actor");

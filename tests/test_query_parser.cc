@@ -95,6 +95,9 @@ TEST(QueryParserTest, Errors) {
   EXPECT_FALSE(ParseQuery("(A) -- (A)").ok());          // self loop
   EXPECT_FALSE(ParseQuery("(A) -- (B); (B) -- (A)").ok());  // dup edge
   EXPECT_FALSE(ParseQuery("(A) (B)").ok());
+  // Well formed but disconnected: QueryGraph::Validate() rejects it.
+  EXPECT_EQ(ParseQuery("(A); (B)").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(QueryParserTest, ErrorMessagesCarryPosition) {

@@ -311,6 +311,41 @@ TEST(QueryServiceTest, InvalidRequestsAreRejectedSynchronously) {
   EXPECT_EQ(service.stats().rejected_invalid, 2u);
 }
 
+// Shapes outside QueryGraph::Validate(). Stars and rank joins assume a
+// connected simple query: an edgeless pair would leave a node unmapped,
+// parallel edges would score one node pair twice, and a self-loop would
+// credit an edge the data node does not have.
+TEST(QueryServiceTest, DegenerateShapesAreRejected) {
+  ServeFixture fx(MovieGraph());
+  ServiceOptions so;
+  so.star = TestStarOptions();
+  QueryService service(fx.graph, fx.ensemble, &fx.index, so);
+
+  query::QueryGraph pair;
+  const int brad = pair.AddNode("Brad");
+  const int troy = pair.AddNode("Troy");
+  query::QueryGraph edge = pair;
+  edge.AddEdge(brad, troy);
+  ASSERT_FALSE(fx.Direct(edge, 5, so.star).empty());
+
+  query::QueryGraph parallel = edge;
+  parallel.AddEdge(troy, brad);
+  query::QueryGraph loop = edge;
+  loop.AddEdge(troy, troy);
+
+  for (const query::QueryGraph* q : {&pair, &parallel, &loop}) {
+    EXPECT_TRUE(fx.Direct(*q, 5, so.star).empty()) << q->ToString();
+    QueryRequest req;
+    req.query = *q;
+    req.k = 5;
+    const QueryResponse resp = service.Execute(std::move(req));
+    EXPECT_EQ(resp.status.code(), StatusCode::kInvalidArgument)
+        << q->ToString();
+    EXPECT_TRUE(resp.matches.empty()) << q->ToString();
+  }
+  EXPECT_EQ(service.stats().rejected_invalid, 3u);
+}
+
 TEST(QueryServiceTest, SaturatedServiceRejectsWithOverloaded) {
   ServeFixture fx(MovieGraph());
 

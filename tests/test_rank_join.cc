@@ -149,7 +149,7 @@ TEST(RankJoinTest, DisjointStreamsCrossProduct) {
   EXPECT_EQ(count, 4u);
 }
 
-TEST(StarMatchStreamTest, CoversPivotAndLeaves) {
+TEST(CachedStarStreamTest, CoversPivotAndLeaves) {
   const auto g = star::testing::MovieGraph();
   query::QueryGraph q;
   const int a = q.AddNode("Brad");
@@ -161,9 +161,10 @@ TEST(StarMatchStreamTest, CoversPivotAndLeaves) {
   query::StarQuery star;
   star.pivot = b;
   star.edges = {0, 1};
-  auto search = std::make_unique<StarSearch>(*fx.scorer, star,
-                                             StarSearch::Options{});
-  StarMatchStream stream(std::move(search));
+  // No cache: the stream is the plain search.
+  CachedStarStream stream(*fx.scorer, star, StarSearch::Options{}, nullptr,
+                          "", 0);
+  EXPECT_FALSE(stream.probed());
   EXPECT_EQ(stream.covered_mask(), 0b111u);
   const auto m = stream.Next();
   ASSERT_TRUE(m.has_value());

@@ -1,6 +1,7 @@
 #include "core/star_search.h"
 
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -120,11 +121,15 @@ TEST(StarSearchTest, InjectiveMatchesHaveDistinctNodes) {
 // injectivity, and seeds.
 // ---------------------------------------------------------------------------
 
+// gtest names each case after the raw bytes of its EquivCase, so the struct
+// must have no padding: padding bytes are uninitialised and would give a case
+// a different name from run to run. Hence `injective` is an int (0 or 1).
 struct EquivCase {
   int seed;
   int d;
-  bool injective;
+  int injective;
 };
+static_assert(std::has_unique_object_representations_v<EquivCase>);
 
 class StarEquivalence : public ::testing::TestWithParam<EquivCase> {};
 
@@ -137,7 +142,7 @@ TEST_P(StarEquivalence, MatchesBruteForce) {
   const int num_nodes = 2 + (p.seed % 3);
   const auto q = wg.RandomStarQuery(num_nodes, wo);
   ASSERT_TRUE(q.IsStar());
-  const auto cfg = TestConfig(p.d, p.injective);
+  const auto cfg = TestConfig(p.d, p.injective != 0);
   const size_t k = 5;
 
   ScorerFixture fx(g, q, cfg);
@@ -165,8 +170,8 @@ std::vector<EquivCase> EquivCases() {
   std::vector<EquivCase> cases;
   for (int seed = 0; seed < 12; ++seed) {
     for (int d = 1; d <= 3; ++d) {
-      cases.push_back({seed, d, true});
-      cases.push_back({seed, d, false});
+      cases.push_back({seed, d, 1});
+      cases.push_back({seed, d, 0});
     }
   }
   return cases;
