@@ -12,20 +12,29 @@
 //   4. bulk batch: the scalar kernel ON in both passes, only the SoA
 //      batched scorer toggled — isolates the batch layer's contribution.
 //
-// Every accepted kernel score is compared bitwise against Score(), and
-// both bulk passes must produce byte-identical candidate lists; any
-// mismatch fails the run (nonzero exit). Output is one JSON object so
-// runs can be committed/diffed (BENCH_scoring.json).
+// An untimed identity sweep checks Score() against the canonical
+// Features()·weights sum, and both kernels against Score() bitwise, over
+// (query label, graph label), (relation label, relation name) and
+// (label, label) pairs with labels of 63..130 bytes — both sides of the
+// 64-byte word of the bit-parallel alignment features. Both bulk passes
+// must produce byte-identical candidate lists; any mismatch fails the run
+// (nonzero exit). Output is one JSON object so runs can be
+// committed/diffed (BENCH_scoring.json).
 //
 // Environment overrides (also see bench_util.h):
 //   STAR_BENCH_NODES    dataset size (default 20000)
 //   STAR_BENCH_QUERIES  star queries per workload (default 6)
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/string_util.h"
 #include "core/star_search.h"
 
 namespace star::bench {
@@ -36,9 +45,15 @@ struct PairBench {
   double score_ms = 0.0;
   double kernel_exact_ms = 0.0;
   double kernel_thresh_ms = 0.0;
-  bool exact_bitwise = true;
-  bool accepted_bitwise = true;
   text::KernelStats stats;
+};
+
+/// Outcome of the untimed identity sweeps.
+struct Identity {
+  size_t pairs = 0;
+  bool features_sum = true;      // Score() == Features()·weights (1e-12)
+  bool exact_bitwise = true;     // both kernels' exact mode == Score()
+  bool accepted_bitwise = true;  // accepted values == Score(), others below
 };
 
 /// Non-wildcard query labels of a workload, deduplicated by position.
@@ -98,24 +113,122 @@ PairBench RunPairBench(const Dataset& d,
     r.kernel_thresh_ms = t.ElapsedMillis();
     if (sink < 0) std::printf("%f", sink);
   }
+  r.pairs = labels.size() * d.graph.node_count();
+  return r;
+}
 
-  // Untimed identity sweep: exact mode must equal Score() bitwise on every
-  // pair; thresholded results must equal Score() bitwise whenever accepted.
-  for (size_t i = 0; i < labels.size(); ++i) {
-    for (graph::NodeId v = 0; v < d.graph.node_count(); ++v) {
-      const std::string_view dl = d.graph.NodeLabel(v);
-      const double canonical = e.Score(labels[i], dl);
-      const double exact = e.ScoreAgainstThreshold(
-          prepared[i], dl, text::SimilarityEnsemble::kNoThreshold);
-      const double thresh =
-          e.ScoreAgainstThreshold(prepared[i], dl, threshold, -1, -1, &r.stats);
-      r.exact_bitwise &= exact == canonical;
-      r.accepted_bitwise &=
-          thresh >= threshold ? thresh == canonical : canonical < threshold;
-      ++r.pairs;
+/// A thresholded kernel value is sound when it is Score() bitwise if
+/// accepted and the canonical score is truly below the threshold if not.
+bool Sound(double value, double canonical, double threshold) {
+  return value >= threshold ? value == canonical : canonical < threshold;
+}
+
+/// Untimed identity sweep over queries x data: Score() against the
+/// canonical Features()·weights sum (case-insensitively equal non-empty
+/// labels score exactly 1), and the scalar and batch kernels against
+/// Score() in exact and thresholded mode. `stats` (nullable) collects the
+/// scalar thresholded kernel's counters.
+void SweepIdentity(const text::SimilarityEnsemble& e,
+                   const std::vector<std::string>& queries,
+                   const std::vector<std::string_view>& data,
+                   double threshold, Identity* id, text::KernelStats* stats) {
+  using text::SimilarityEnsemble;
+  constexpr size_t kLanes = SimilarityEnsemble::kBatchLanes;
+  for (const std::string& q : queries) {
+    const auto prepared = e.Prepare(q);
+    const auto batch = e.PrepareBatch(q);
+    const std::string q_lower = ToLower(q);
+    for (size_t lo = 0; lo < data.size(); lo += kLanes) {
+      const size_t count = std::min(kLanes, data.size() - lo);
+      double batch_exact[kLanes], batch_thresh[kLanes];
+      e.ScoreBatchAgainstThreshold(batch, data.data() + lo, count,
+                                   SimilarityEnsemble::kNoThreshold, -1,
+                                   nullptr, batch_exact);
+      e.ScoreBatchAgainstThreshold(batch, data.data() + lo, count, threshold,
+                                   -1, nullptr, batch_thresh);
+      for (size_t l = 0; l < count; ++l) {
+        const std::string_view d = data[lo + l];
+        const double canonical = e.Score(q, d);
+        double sum = 0.0;
+        const std::vector<double> f = e.Features(q, d);
+        for (int i = 0; i < SimilarityEnsemble::kFeatureCount; ++i) {
+          sum += e.weights()[i] * f[i];
+        }
+        if (!q.empty() && q_lower == ToLower(d)) sum = 1.0;
+        id->features_sum &= std::abs(canonical - sum) <= 1e-12;
+        const double exact = e.ScoreAgainstThreshold(
+            prepared, d, SimilarityEnsemble::kNoThreshold);
+        const double thresh =
+            e.ScoreAgainstThreshold(prepared, d, threshold, -1, -1, stats);
+        id->exact_bitwise &= exact == canonical && batch_exact[l] == canonical;
+        id->accepted_bitwise &= Sound(thresh, canonical, threshold) &&
+                                Sound(batch_thresh[l], canonical, threshold);
+        ++id->pairs;
+      }
     }
   }
-  return r;
+}
+
+/// `count` labels of 63, 64, 65, 80 and 130 bytes, cut from consecutive
+/// graph labels joined by spaces: both sides of the 64-byte word.
+std::vector<std::string> LongLabels(const graph::KnowledgeGraph& g,
+                                    size_t count) {
+  static constexpr size_t kLengths[] = {63, 64, 65, 80, 130};
+  std::vector<std::string> out;
+  graph::NodeId v = 0;
+  for (size_t i = 0; i < count; ++i) {
+    std::string s;
+    const size_t len = kLengths[i % std::size(kLengths)];
+    while (s.size() < len) {
+      s += g.NodeLabel(v);
+      s += ' ';
+      v = (v + 1) % static_cast<graph::NodeId>(g.node_count());
+    }
+    s.resize(len);
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+/// The three identity sweeps: query labels against every graph label
+/// (kernel counters from this one), relation labels against every
+/// relation name, and long labels against long and short ones.
+Identity RunIdentity(const Dataset& d, const std::vector<std::string>& labels,
+                     const std::vector<query::QueryGraph>& queries,
+                     double threshold, text::KernelStats* stats) {
+  const text::SimilarityEnsemble& e = *d.ensemble;
+  const graph::KnowledgeGraph& g = d.graph;
+  Identity id;
+  std::vector<std::string_view> node_labels;
+  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+    node_labels.push_back(g.NodeLabel(v));
+  }
+  SweepIdentity(e, labels, node_labels, threshold, &id, stats);
+
+  std::vector<std::string> relation_labels;
+  std::vector<std::string_view> relation_names;
+  for (uint32_t r = 0; r < g.relation_count(); ++r) {
+    relation_labels.push_back(g.RelationName(r));
+    relation_names.push_back(g.RelationName(r));
+  }
+  for (const auto& q : queries) {
+    for (int e_idx = 0; e_idx < q.edge_count(); ++e_idx) {
+      if (!q.edge(e_idx).wildcard_relation) {
+        relation_labels.push_back(q.edge(e_idx).relation);
+      }
+    }
+  }
+  SweepIdentity(e, relation_labels, relation_names, threshold, &id, nullptr);
+
+  std::vector<std::string> long_queries = LongLabels(g, 40);
+  std::vector<std::string_view> long_data(long_queries.begin(),
+                                          long_queries.end());
+  long_data.insert(long_data.end(), node_labels.begin(),
+                   node_labels.begin() +
+                       std::min<size_t>(256, node_labels.size()));
+  long_queries.insert(long_queries.end(), labels.begin(), labels.end());
+  SweepIdentity(e, long_queries, long_data, threshold, &id, nullptr);
+  return id;
 }
 
 struct BulkBench {
@@ -210,14 +323,17 @@ int main() {
   }
   const auto labels = QueryLabels(queries);
 
-  const PairBench pair = RunPairBench(d, labels, threshold);
+  PairBench pair = RunPairBench(d, labels, threshold);
+  const Identity identity =
+      RunIdentity(d, labels, queries, threshold, &pair.stats);
   const BulkBench scan = RunBulkBench(d, queries, /*with_index=*/false);
   const BulkBench indexed = RunBulkBench(d, queries, /*with_index=*/true);
   const BulkBench batch = RunBulkBench(d, queries, /*with_index=*/false,
                                        /*toggle_batch=*/true);
 
-  const bool ok = pair.exact_bitwise && pair.accepted_bitwise &&
-                  scan.identical && indexed.identical && batch.identical;
+  const bool ok = identity.features_sum && identity.exact_bitwise &&
+                  identity.accepted_bitwise && scan.identical &&
+                  indexed.identical && batch.identical;
 
   std::printf("{\n");
   std::printf("  \"bench\": \"scoring_kernel\",\n");
@@ -252,9 +368,10 @@ int main() {
   std::printf("  \"bulk_batch\": {\"batch_off_ms\": %.1f, \"batch_on_ms\": %.1f, \"speedup\": %.2f, \"candidates\": %zu},\n",
               batch.off_ms, batch.on_ms, Speedup(batch.off_ms, batch.on_ms),
               batch.candidates);
-  std::printf("  \"identity\": {\"exact_bitwise\": %s, \"accepted_bitwise\": %s, \"bulk_scan_identical\": %s, \"bulk_indexed_identical\": %s, \"bulk_batch_identical\": %s}\n",
-              pair.exact_bitwise ? "true" : "false",
-              pair.accepted_bitwise ? "true" : "false",
+  std::printf("  \"identity\": {\"pairs\": %zu, \"features_sum\": %s, \"exact_bitwise\": %s, \"accepted_bitwise\": %s, \"bulk_scan_identical\": %s, \"bulk_indexed_identical\": %s, \"bulk_batch_identical\": %s}\n",
+              identity.pairs, identity.features_sum ? "true" : "false",
+              identity.exact_bitwise ? "true" : "false",
+              identity.accepted_bitwise ? "true" : "false",
               scan.identical ? "true" : "false",
               indexed.identical ? "true" : "false",
               batch.identical ? "true" : "false");

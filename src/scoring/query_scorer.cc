@@ -58,7 +58,6 @@ QueryScorer::QueryScorer(const KnowledgeGraph& g, const QueryGraph& q,
       mem_(arena != nullptr ? arena->resource()
                             : std::pmr::get_default_resource()),
       node_cache_(q.node_count()),
-      relation_cache_(q.edge_count()),
       candidates_ready_(q.node_count(), false),
       max_relation_score_(q.edge_count(), 1.0),
       max_relation_ready_(q.edge_count(), false),
@@ -699,20 +698,8 @@ double QueryScorer::CandidateScore(int query_node, graph::NodeId v) const {
 }
 
 double QueryScorer::RelationScore(int query_edge, uint32_t relation) const {
-  const query::QueryEdge& qe = query_.edge(query_edge);
-  if (qe.wildcard_relation) return 1.0;
-  query_edge = edge_rep_[query_edge];
-  // Warmed edges answer from the dense table (pure lookup, thread-safe).
-  if (relation_table_ready_[query_edge]) {
-    return relation_table_[query_edge][relation];
-  }
-  auto& cache = relation_cache_[query_edge];
-  const auto it = cache.find(relation);
-  if (it != cache.end()) return it->second;
-  const double s =
-      ensemble_.Score(qe.relation, graph_.RelationName(relation));
-  cache.emplace(relation, s);
-  return s;
+  if (query_.edge(query_edge).wildcard_relation) return 1.0;
+  return RelationScoresAll(query_edge)[relation];
 }
 
 const std::vector<double>& QueryScorer::RelationScoresAll(
@@ -722,13 +709,22 @@ const std::vector<double>& QueryScorer::RelationScoresAll(
   if (relation_table_ready_[query_edge]) return table;
   const query::QueryEdge& qe = query_.edge(query_edge);
   if (!qe.wildcard_relation) {
-    table.resize(graph_.relation_count());
-    const auto& cache = relation_cache_[query_edge];
-    for (uint32_t r = 0; r < graph_.relation_count(); ++r) {
-      const auto it = cache.find(r);
-      table[r] = it != cache.end()
-                     ? it->second
-                     : ensemble_.Score(qe.relation, graph_.RelationName(r));
+    // F_E is Eq. 1 on relation labels: the batch kernel in exact mode
+    // returns Score()'s bits. No KernelStats, so the F_N counters do not
+    // count relation evaluations.
+    const auto batch = ensemble_.PrepareBatch(qe.relation);
+    const uint32_t count = static_cast<uint32_t>(graph_.relation_count());
+    table.resize(count);
+    constexpr uint32_t kLanes = SimilarityEnsemble::kBatchLanes;
+    std::string_view names[kLanes];
+    for (uint32_t r = 0; r < count; r += kLanes) {
+      const uint32_t lanes = std::min(kLanes, count - r);
+      for (uint32_t l = 0; l < lanes; ++l) {
+        names[l] = graph_.RelationName(r + l);
+      }
+      ensemble_.ScoreBatchAgainstThreshold(
+          batch, names, lanes, SimilarityEnsemble::kNoThreshold,
+          /*query_type=*/-1, /*data_types=*/nullptr, table.data() + r);
     }
   }
   relation_table_ready_[query_edge] = true;

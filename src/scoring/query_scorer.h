@@ -158,11 +158,14 @@ class QueryScorer {
                       const std::vector<int>& leaves) const;
 
   /// Relation-label similarity of mapping query edge e to a data edge with
-  /// relation id `relation`. Wildcard query relations score 1.
+  /// relation id `relation`: bitwise ensemble.Score(edge label, relation
+  /// name). Wildcard query relations score 1. The first call for an edge
+  /// fills its whole RelationScoresAll table (owning thread only).
   double RelationScore(int query_edge, uint32_t relation) const;
 
   /// Dense similarity table for a query edge: entry r is
-  /// RelationScore(query_edge, r) for every relation id in the graph.
+  /// RelationScore(query_edge, r) for every relation id in the graph,
+  /// scored in kBatchLanes-wide calls of the exact-mode batch kernel.
   /// Computed once; afterwards RelationScore is a pure array lookup
   /// (thread-safe). Empty for wildcard-relation edges (they score 1).
   const std::vector<double>& RelationScoresAll(int query_edge) const;
@@ -373,10 +376,9 @@ class QueryScorer {
   // matches / untyped wildcard).
   std::vector<int32_t> wildcard_graph_type_;
 
-  // Memoization: per query node, data-node -> F_N; per query edge,
-  // relation -> similarity; candidate lists per query node.
+  // Memoization: per query node, data-node -> F_N; candidate lists per
+  // query node.
   mutable std::vector<std::unordered_map<graph::NodeId, double>> node_cache_;
-  mutable std::vector<std::unordered_map<uint32_t, double>> relation_cache_;
   mutable std::vector<CandidateList> candidates_;
   mutable std::vector<bool> candidates_ready_;
   mutable std::vector<std::unordered_map<graph::NodeId, double>>
@@ -384,7 +386,8 @@ class QueryScorer {
   mutable std::vector<bool> candidate_map_ready_;
   mutable std::vector<double> max_relation_score_;
   mutable std::vector<bool> max_relation_ready_;
-  // Dense per-edge relation-similarity tables (RelationScoresAll).
+  // Dense per-edge relation-similarity tables (RelationScoresAll), the
+  // only relation memo: filled whole on the edge's first RelationScore.
   mutable std::vector<std::vector<double>> relation_table_;
   mutable std::vector<bool> relation_table_ready_;
   // Walk-ball memo: node -> (reachable node -> smallest walk length in

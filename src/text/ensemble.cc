@@ -1,8 +1,10 @@
 #include "text/ensemble.h"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -64,10 +66,103 @@ struct PairScratch {
   }
 };
 
+// ---------------------------------------------------------------------
+// Word-level bit-parallel alignment (labels of <= 64 bytes).
+// ---------------------------------------------------------------------
+//
+// Jaro, Levenshtein, OSA-Damerau and LCS do a few 64-bit word operations
+// per character of one label instead of one step per character pair.
+// Each computes the same integer as its DP (match/transposition counts,
+// distance, subsequence length), and the normalization is the same
+// expression on that integer, so every feature value stays bitwise
+// identical. Longer labels take the DPs.
+
+constexpr size_t kWordBits = 64;
+
+/// Per-call pattern-mask table: bit i of masks[c] is set iff pattern[i]
+/// == c. Only the entries of bytes occurring in the two labels are written
+/// (zeroed, then filled), and only those are ever read, so the 256-entry
+/// table is never cleared as a whole.
+class PatternMasks {
+ public:
+  PatternMasks(const std::string& pattern, const std::string& text) {
+    for (const char c : text) masks_[Byte(c)] = 0;
+    for (const char c : pattern) masks_[Byte(c)] = 0;
+    for (size_t i = 0; i < pattern.size(); ++i) {
+      masks_[Byte(pattern[i])] |= uint64_t{1} << i;
+    }
+  }
+
+  uint64_t operator[](char c) const { return masks_[Byte(c)]; }
+
+ private:
+  static unsigned char Byte(char c) { return static_cast<unsigned char>(c); }
+
+  uint64_t masks_[256];
+};
+
+/// Bits [0, k) set, for k in [0, 64].
+uint64_t LowBits(size_t k) {
+  return k >= kWordBits ? ~uint64_t{0} : (uint64_t{1} << k) - 1;
+}
+
+/// Unit-cost edit distance of a (the pattern, 1..64 bytes) and b: Myers'
+/// bit-vector algorithm (J. ACM 1999) in Hyyrö's global-distance form.
+/// Column j of the DP is held as vertical +1/-1 delta words (pv/mv) over
+/// the pattern rows; `dist` tracks the bottom cell D[n][j]. With
+/// kTranspositions it is Hyyrö's extension (Nordic J. Computing 2003) to
+/// the optimal-string-alignment distance: a zero diagonal delta at row i
+/// may also come from an adjacent transposition (a[i-1] == b[j] and
+/// a[i] == b[j-1]) when the previous column's diagonal delta at row i-1
+/// is not zero. Bits above the pattern hold garbage that carries and
+/// shifts only move upward, so they never reach bit n-1.
+template <bool kTranspositions>
+int BitParallelEditDistance(const std::string& a, const std::string& b) {
+  const PatternMasks peq(a, b);
+  const uint64_t last = uint64_t{1} << (a.size() - 1);
+  uint64_t pv = ~uint64_t{0}, mv = 0, d0 = 0, prev_eq = 0;
+  int dist = static_cast<int>(a.size());
+  for (const char c : b) {
+    const uint64_t eq = peq[c];
+    uint64_t tr = 0;
+    if constexpr (kTranspositions) tr = ((~d0 & eq) << 1) & prev_eq;
+    d0 = (((eq & pv) + pv) ^ pv) | eq | mv | tr;
+    uint64_t ph = mv | ~(d0 | pv);
+    uint64_t mh = d0 & pv;
+    dist += (ph & last) != 0 ? 1 : 0;
+    dist -= (mh & last) != 0 ? 1 : 0;
+    // Row 0 is D[0][j] = j: every column enters with a +1 at the top.
+    ph = (ph << 1) | 1;
+    mh <<= 1;
+    pv = mh | ~(d0 | ph);
+    mv = ph & d0;
+    prev_eq = eq;
+  }
+  return dist;
+}
+
+/// Length of the longest common subsequence of a (1..64 bytes) and b:
+/// Allison and Dix's bit-string algorithm (IPL 1986). Bit i of `row` is
+/// set where the DP row steps up at pattern position i, so the row's last
+/// cell is its popcount. Bits above the pattern stay clear.
+int AllisonDixLcs(const std::string& a, const std::string& b) {
+  const PatternMasks peq(a, b);
+  uint64_t row = 0;
+  for (const char c : b) {
+    const uint64_t x = peq[c] | row;
+    row = x & ~(x - ((row << 1) | 1));
+  }
+  return std::popcount(row);
+}
+
 double FastLevenshtein(const std::string& a, const std::string& b) {
   if (a.empty() && b.empty()) return 1.0;
   const size_t n = a.size(), m = b.size();
   if (n == 0 || m == 0) return 0.0;
+  if (n <= kWordBits && m <= kWordBits) {
+    return 1.0 - BitParallelEditDistance<false>(a, b) /
+                     static_cast<double>(std::max(n, m));
+  }
   // Two-row DP on pre-lowercased strings.
   static thread_local std::vector<int> prev, cur;
   prev.resize(m + 1);
@@ -88,6 +183,10 @@ double FastDamerau(const std::string& a, const std::string& b) {
   const size_t n = a.size(), m = b.size();
   if (n == 0 && m == 0) return 1.0;
   if (n == 0 || m == 0) return 0.0;
+  if (n <= kWordBits && m <= kWordBits) {
+    return 1.0 - BitParallelEditDistance<true>(a, b) /
+                     static_cast<double>(std::max(n, m));
+  }
   // Three-row rolling OSA DP.
   static thread_local std::vector<int> r0, r1, r2;
   r0.resize(m + 1);
@@ -114,34 +213,30 @@ double FastJaro(const std::string& a, const std::string& b) {
   if (n == 0 && m == 0) return 1.0;
   if (n == 0 || m == 0) return 0.0;
   const size_t window = std::max(n, m) / 2 == 0 ? 0 : std::max(n, m) / 2 - 1;
-  if (n <= 64 && m <= 64) {
-    // Match bookkeeping in two 64-bit masks: same greedy pairing as the
-    // vector<bool> path below (ascending i, first unmatched j in window),
-    // so matches/transpositions — and the resulting double — are
-    // bitwise identical, without the per-pair bitset clearing. This is
-    // also the Monge-Elkan inner loop, where labels are single tokens.
+  if (n <= kWordBits && m <= kWordBits) {
+    // Same greedy pairing as the vector<bool> path below (ascending i,
+    // first unmatched j in the window), one word operation per i: the
+    // first such j is the lowest set bit of in_b[a[i]] & window &
+    // ~matched. Matches and transpositions — and so the double — are
+    // identical. This is also the Monge-Elkan inner loop.
+    const PatternMasks in_b(b, a);
     uint64_t a_mask = 0, b_mask = 0;
-    size_t matches = 0;
     for (size_t i = 0; i < n; ++i) {
       const size_t lo = i > window ? i - window : 0;
       const size_t hi = std::min(m, i + window + 1);
-      const char ai = a[i];
-      for (size_t j = lo; j < hi; ++j) {
-        if (((b_mask >> j) & 1u) != 0 || ai != b[j]) continue;
-        a_mask |= uint64_t{1} << i;
-        b_mask |= uint64_t{1} << j;
-        ++matches;
-        break;
-      }
+      const uint64_t open = in_b[a[i]] & LowBits(hi) & ~LowBits(lo) & ~b_mask;
+      if (open == 0) continue;
+      a_mask |= uint64_t{1} << i;
+      b_mask |= open & (~open + 1);  // lowest set bit
     }
-    if (matches == 0) return 0.0;
-    size_t t = 0, j = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (((a_mask >> i) & 1u) == 0) continue;
-      while (((b_mask >> j) & 1u) == 0) ++j;
-      if (a[i] != b[j]) ++t;
-      ++j;
+    if (a_mask == 0) return 0.0;
+    // The k-th matched a position pairs with the k-th matched b position.
+    size_t t = 0;
+    for (uint64_t am = a_mask, bm = b_mask; am != 0;
+         am &= am - 1, bm &= bm - 1) {
+      if (a[std::countr_zero(am)] != b[std::countr_zero(bm)]) ++t;
     }
+    const size_t matches = static_cast<size_t>(std::popcount(a_mask));
     const double mm = static_cast<double>(matches);
     return (mm / n + mm / m + (mm - t / 2.0) / mm) / 3.0;
   }
@@ -251,7 +346,7 @@ bool ContainsDigit(const std::string& s) {
 // Feature enum). Used to break weight ties in RebuildEvalOrder so early
 // exits skip the expensive alignment DPs: 0 = O(1), 1 = single linear
 // scan/parse, 2 = tokenization-level, 3 = n-gram/sparse-vector,
-// 4 = O(n*m) character DP, 5 = token-pair DP product (Monge-Elkan).
+// 4 = character alignment, 5 = token-pair alignment product (Monge-Elkan).
 constexpr int kCostRank[SimilarityEnsemble::kFeatureCount] = {
     0,  // kExact
     0,  // kCaseInsensitive
@@ -291,7 +386,8 @@ constexpr int kCostRank[SimilarityEnsemble::kFeatureCount] = {
 // first so sub-threshold lanes exit before the DPs and sparse probes:
 // 0 = O(1) facts, 1 = linear scans, 2 = token-set measures,
 // 3 = character scans with refined caps, 4 = phonetic/synonym probes,
-// 5 = gram/sparse-vector measures, 6 = O(n*m) DPs, 7 = Monge-Elkan.
+// 5 = gram/sparse-vector measures, 6 = character alignment,
+// 7 = Monge-Elkan.
 constexpr int kBatchGroup[SimilarityEnsemble::kFeatureCount] = {
     0,  // kExact
     0,  // kCaseInsensitive
@@ -333,6 +429,9 @@ double FastLcs(const std::string& a, const std::string& b) {
   const size_t n = a.size(), m = b.size();
   if (n == 0 && m == 0) return 1.0;
   if (n == 0 || m == 0) return 0.0;
+  if (n <= kWordBits && m <= kWordBits) {
+    return static_cast<double>(AllisonDixLcs(a, b)) / std::max(n, m);
+  }
   static thread_local std::vector<int> prev, cur;
   prev.assign(m + 1, 0);
   cur.assign(m + 1, 0);
@@ -1281,10 +1380,11 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
     const double qlen = static_cast<double>(p.lower.size());
     const double phon = p.soundex.empty() ? 0.0 : 1.0;
     const double date = p.contains_digit ? 1.0 : 0.0;
-    const double tfidf = (context_.tfidf != nullptr &&
-                          context_.tfidf->finalized() && !p.tfidf.empty())
-                             ? 1.0
-                             : 0.0;
+    // Not gated on the query's tf-idf vector: two token-less labels have
+    // cosine 1 (CosineSparse of two empty vectors).
+    const double tfidf =
+        (context_.tfidf != nullptr && context_.tfidf->finalized()) ? 1.0
+                                                                    : 0.0;
     const double syn = context_.synonyms != nullptr ? 1.0 : 0.0;
     const double onto = context_.ontology != nullptr ? 1.0 : 0.0;
     for (int l = 0; l < L; ++l) {
@@ -1448,10 +1548,8 @@ double SimilarityEnsemble::RetrievalCapSum(const PreparedLabel& p, double rr,
   caps[kNumeric] = (p.looks_numeric || any_numeric) ? 1.0 : 0.0;
   caps[kDate] = p.contains_digit ? 1.0 : 0.0;
   caps[kPhonetic] = p.soundex.empty() ? 0.0 : 1.0;
-  caps[kTfIdfCosine] = (context_.tfidf != nullptr &&
-                        context_.tfidf->finalized() && !p.tfidf.empty())
-                           ? 1.0
-                           : 0.0;
+  caps[kTfIdfCosine] =
+      (context_.tfidf != nullptr && context_.tfidf->finalized()) ? 1.0 : 0.0;
   caps[kSynonym] = context_.synonyms != nullptr ? 1.0 : 0.0;
   caps[kTypeOntology] = context_.ontology != nullptr ? 1.0 : 0.0;
   caps[kNGramJaccard] = qtri > 0.0 ? std::min(qtri, tri_max) / qtri : 1.0;

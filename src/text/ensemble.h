@@ -161,7 +161,7 @@ class SimilarityEnsemble {
   // evaluates features in descending-weight order under the running upper
   // bound `score_so_far + remaining_weight_mass` (every feature is in
   // [0, 1]). Once the bound cannot reach `threshold` the pair is rejected
-  // without evaluating the expensive tail (the O(n*m) alignment DPs).
+  // without evaluating the expensive tail (the alignment features).
   //
   // Exactness: completed evaluations replay the weighted sum in canonical
   // feature order, so any returned value >= threshold is bitwise equal to
@@ -226,11 +226,14 @@ class SimilarityEnsemble {
   // facts (label lengths, query-side guard flags, token/gram counts):
   // Levenshtein-family features are capped by min/max length, Jaro by
   // (2 + min/max)/3, exact/Hamming by length equality, the numeric/date/
-  // phonetic/tf-idf features by query-side guards, and so on. The cap and
-  // bound arithmetic runs lane-parallel over kBatchLanes candidates at a
-  // time (contiguous double lanes, auto-vectorizable), and the per-feature
-  // sweep evaluates cheap features first so sub-threshold lanes exit
-  // before any DP, gram build or hash probe.
+  // phonetic features by query-side guards, tf-idf by whether a finalized
+  // model is attached, and so on. The cap and bound arithmetic runs
+  // lane-parallel over kBatchLanes candidates at a time (contiguous double
+  // lanes, auto-vectorizable), and the per-feature sweep evaluates cheap
+  // features first, so a lane exits as soon as its score so far plus the
+  // refined caps of the features it has not reached falls below the
+  // threshold. Under uniform weights the caps are loose: few lanes are
+  // rejected outright, and most exits come part-way through the sweep.
   //
   // Exactness: identical contract to ScoreAgainstThreshold. Lanes whose
   // evaluation completes replay the weighted sum in canonical feature

@@ -141,6 +141,26 @@ TEST(BatchKernelTest, FullContextRaggedLanesMatchScalarKernelBitwise) {
   ExpectBatchMatchesScalar(*full.ensemble, corpus);
 }
 
+TEST(BatchKernelTest, TokenlessLabelsKeepTheTfIdfCap) {
+  // Two labels without tokens have tf-idf cosine 1 (two empty vectors),
+  // so a query that vectorizes to nothing must still cap the feature at
+  // 1. Tf-idf-only weights leave no slack in the other caps to hide a
+  // zero cap: Score("-", ".") is 1 here.
+  const std::vector<std::string> corpus = {"-",  ".",     "..",   " ", "",
+                                           "_-", "alpha", "beta", "alpha beta"};
+  text::TfIdfModel tfidf;
+  for (const auto& l : corpus) tfidf.AddDocument(l);
+  tfidf.Finalize();
+  SimilarityEnsemble::Context ctx;
+  ctx.tfidf = &tfidf;
+  SimilarityEnsemble e(ctx);
+  std::vector<double> w(SimilarityEnsemble::kFeatureCount, 0.0);
+  w[SimilarityEnsemble::kTfIdfCosine] = 1.0;
+  e.SetWeights(w);
+  ASSERT_EQ(e.Score("-", "."), 1.0);
+  ExpectBatchMatchesScalar(e, corpus);
+}
+
 TEST(BatchKernelTest, TypedLanesMatchScalarKernelBitwise) {
   // With ontology types attached per lane, the type feature participates;
   // the batch path must still agree with the scalar kernel bitwise.

@@ -1,9 +1,15 @@
 #include "text/ensemble.h"
 
+#include <algorithm>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "common/string_util.h"
+#include "text/similarity.h"
 #include "text/synonym_dictionary.h"
 #include "text/tfidf.h"
 #include "text/type_ontology.h"
@@ -159,21 +165,29 @@ TEST(EnsembleTest, FastPathMatchesFeatures) {
   }
 }
 
+// Labels of 0..max_len bytes for the alignment features: mixed case,
+// digits and delimiters, runs of one repeated character, and bytes >=
+// 0x80. Labels straddle the 64-byte word of the bit-parallel kernels.
+// The alphabet avoids "inf"/"nan" (see test_scoring_kernel.cc for why).
+std::string RandomAlignmentLabel(Rng& rng, size_t max_len) {
+  static const std::string kAlphabet = "abcDEF 12._-";
+  const size_t len = rng.Below(max_len + 1);
+  std::string s;
+  while (s.size() < len) {
+    char c = kAlphabet[rng.Below(kAlphabet.size())];
+    if (rng.Below(4) == 0) c = static_cast<char>(0x80 + rng.Below(0x80));
+    const size_t run = rng.Below(4) == 0 ? 1 + rng.Below(8) : 1;
+    s.append(std::min(run, len - s.size()), c);
+  }
+  return s;
+}
+
 TEST(EnsembleTest, FastPathMatchesFeaturesRandomized) {
   SimilarityEnsemble e;
   Rng rng(99);
-  const auto make_string = [&]() {
-    std::string s;
-    const size_t len = rng.Below(16);
-    for (size_t i = 0; i < len; ++i) {
-      const char* alphabet = "abcDEF 12._-";
-      s.push_back(alphabet[rng.Below(12)]);
-    }
-    return s;
-  };
   for (int trial = 0; trial < 200; ++trial) {
-    const std::string a = make_string();
-    const std::string b = make_string();
+    const std::string a = RandomAlignmentLabel(rng, 130);
+    const std::string b = RandomAlignmentLabel(rng, 130);
     const auto f = e.Features(a, b);
     double expected = 0.0;
     for (int i = 0; i < SimilarityEnsemble::kFeatureCount; ++i) {
@@ -184,6 +198,77 @@ TEST(EnsembleTest, FastPathMatchesFeaturesRandomized) {
     }
     EXPECT_NEAR(e.Score(a, b), expected, 1e-12)
         << "a='" << a << "' b='" << b << "'";
+  }
+}
+
+// Each alignment feature alone (one-hot weights): Score(), the scalar
+// kernel and the exact-mode batch kernel must return the bits of the
+// similarity.h function. The reference DPs share no code with the
+// bit-parallel kernels, so a wrong word-level recurrence cannot hide
+// behind a kernel == Score() identity.
+TEST(EnsembleTest, AlignmentFeaturesMatchReferenceBitwise) {
+  struct Feature {
+    SimilarityEnsemble::Feature id;
+    double (*reference)(std::string_view, std::string_view);
+  };
+  const Feature features[] = {
+      {SimilarityEnsemble::kJaro, JaroSimilarity},
+      {SimilarityEnsemble::kJaroWinkler, JaroWinklerSimilarity},
+      {SimilarityEnsemble::kMongeElkan, MongeElkanSimilarity},
+      {SimilarityEnsemble::kLevenshtein, LevenshteinSimilarity},
+      {SimilarityEnsemble::kDamerauLevenshtein, DamerauLevenshteinSimilarity},
+      {SimilarityEnsemble::kLcs, LcsSimilarity},
+  };
+  // Every label of <= 3 bytes over the bytes a, B and b: Jaro's
+  // match window is 0 there. Then labels of 63/64/65 bytes around the
+  // word size, and random labels of 0..130 bytes.
+  std::vector<std::string> labels = {""};
+  for (size_t i = 0; i < labels.size(); ++i) {
+    if (labels[i].size() == 3) continue;
+    for (const char c : {'a', 'B', 'b'}) labels.push_back(labels[i] + c);
+  }
+  Rng rng(2024);
+  for (const size_t len : {63u, 64u, 65u}) {
+    for (int k = 0; k < 4; ++k) {
+      std::string s = RandomAlignmentLabel(rng, 2 * len);
+      s.resize(len, 'a');
+      labels.push_back(std::move(s));
+    }
+  }
+  for (int k = 0; k < 24; ++k) labels.push_back(RandomAlignmentLabel(rng, 130));
+
+  constexpr size_t kLanes = SimilarityEnsemble::kBatchLanes;
+  for (const Feature& f : features) {
+    std::vector<double> w(SimilarityEnsemble::kFeatureCount, 0.0);
+    w[f.id] = 1.0;
+    SimilarityEnsemble e;
+    e.SetWeights(w);
+    const std::string& name = SimilarityEnsemble::FeatureNames()[f.id];
+    for (const std::string& q : labels) {
+      const auto prepared = e.Prepare(q);
+      const auto batch = e.PrepareBatch(q);
+      for (size_t lo = 0; lo < labels.size(); lo += kLanes) {
+        const size_t count = std::min(kLanes, labels.size() - lo);
+        std::string_view lanes[kLanes];
+        for (size_t l = 0; l < count; ++l) lanes[l] = labels[lo + l];
+        double out[kLanes];
+        e.ScoreBatchAgainstThreshold(batch, lanes, count,
+                                     SimilarityEnsemble::kNoThreshold, -1,
+                                     nullptr, out);
+        for (size_t l = 0; l < count; ++l) {
+          const std::string& d = labels[lo + l];
+          const double ref = f.reference(q, d);
+          EXPECT_EQ(e.Score(q, d), ref)
+              << name << " q='" << q << "' d='" << d << "'";
+          EXPECT_EQ(e.ScoreAgainstThreshold(prepared, d,
+                                            SimilarityEnsemble::kNoThreshold),
+                    ref)
+              << name << " q='" << q << "' d='" << d << "'";
+          EXPECT_EQ(out[l], ref)
+              << name << " q='" << q << "' d='" << d << "'";
+        }
+      }
+    }
   }
 }
 

@@ -139,44 +139,76 @@ TEST(PrunedRetrievalTest, BlockAndNodeBoundsDominateMembers) {
     if (i % 11 == 0) label = "alpha 1234";
     b.AddNode(std::move(label), i % 3 == 0 ? "Thing" : "");
   }
+  // Labels without tokens (delimiters only), reachable through their type.
+  for (const char* label : {"..", "--", "...", " - ", "_._"}) {
+    b.AddNode(label, "Mark");
+  }
   const graph::KnowledgeGraph g = std::move(b).Build();
 
-  text::SimilarityEnsemble ens;
-  for (const std::string& label :
-       {std::string("alpha tail0"), std::string("alpha 1234"),
-        std::string("alphaz")}) {
+  // Checks every block and node cap of `label`'s retrieval lists against
+  // the members' scores; returns the number of blocks walked.
+  const auto expect_caps_dominate = [&](const text::SimilarityEnsemble& ens,
+                                        const std::string& label,
+                                        int32_t type,
+                                        const graph::LabelIndex& index) {
     const auto batch = ens.PrepareBatch(label);
-    for (const auto layout :
-         {graph::GraphLayout::kFlat, graph::GraphLayout::kCompressed}) {
-      const graph::LabelIndex index(g, layout);
-      const auto lists = index.RetrievalLists(label, /*type=*/-1);
-      ASSERT_FALSE(lists.empty());
-      size_t blocks_seen = 0;
-      for (const auto& l : lists) {
-        for (size_t blk = 0; blk < index.ListBlocks(l); ++blk) {
-          ++blocks_seen;
-          const double cap =
-              ens.RetrievalBlockBound(batch, index.BlockStats(l, blk));
-          auto cursor = index.BlockCursor(l, blk);
-          uint32_t v;
-          size_t members = 0;
-          while (cursor.Next(&v)) {
-            ++members;
-            const double node_cap = ens.RetrievalNodeBound(
-                batch, index.NodeLabelLength(v), index.NodeLooksNumeric(v));
-            const double score = ens.Score(label, g.NodeLabel(v));
-            EXPECT_GE(cap + 1e-9, score)
-                << label << " block " << blk << " node " << v;
-            EXPECT_GE(node_cap + 1e-9, score) << label << " node " << v;
-            EXPECT_GE(cap + 1e-9, node_cap)
-                << label << " block " << blk << " node " << v;
-          }
-          EXPECT_EQ(members, index.BlockSize(l, blk));
+    const auto lists = index.RetrievalLists(label, type);
+    EXPECT_FALSE(lists.empty()) << label;
+    size_t blocks_seen = 0;
+    for (const auto& l : lists) {
+      for (size_t blk = 0; blk < index.ListBlocks(l); ++blk) {
+        ++blocks_seen;
+        const double cap =
+            ens.RetrievalBlockBound(batch, index.BlockStats(l, blk));
+        auto cursor = index.BlockCursor(l, blk);
+        uint32_t v;
+        size_t members = 0;
+        while (cursor.Next(&v)) {
+          ++members;
+          const double node_cap = ens.RetrievalNodeBound(
+              batch, index.NodeLabelLength(v), index.NodeLooksNumeric(v));
+          const double score = ens.Score(label, g.NodeLabel(v));
+          EXPECT_GE(cap + 1e-9, score)
+              << label << " block " << blk << " node " << v;
+          EXPECT_GE(node_cap + 1e-9, score) << label << " node " << v;
+          EXPECT_GE(cap + 1e-9, node_cap)
+              << label << " block " << blk << " node " << v;
         }
+        EXPECT_EQ(members, index.BlockSize(l, blk));
       }
-      // The shared "alpha" token must have produced a multi-block list.
-      EXPECT_GT(blocks_seen, 2u) << label;
     }
+    return blocks_seen;
+  };
+
+  // A query without tokens against the token-less labels: their tf-idf
+  // cosine is 1 (two empty vectors), so the tf-idf cap must be 1 even
+  // though the query vectorizes to nothing. Tf-idf-only weights leave no
+  // slack in the other caps to hide a zero cap.
+  text::TfIdfModel tfidf;
+  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+    tfidf.AddDocument(g.NodeLabel(v));
+  }
+  tfidf.Finalize();
+  text::SimilarityEnsemble::Context ctx;
+  ctx.tfidf = &tfidf;
+  text::SimilarityEnsemble tfidf_only(ctx);
+  std::vector<double> w(text::SimilarityEnsemble::kFeatureCount, 0.0);
+  w[text::SimilarityEnsemble::kTfIdfCosine] = 1.0;
+  tfidf_only.SetWeights(w);
+
+  text::SimilarityEnsemble ens;
+  for (const auto layout :
+       {graph::GraphLayout::kFlat, graph::GraphLayout::kCompressed}) {
+    const graph::LabelIndex index(g, layout);
+    for (const std::string& label :
+         {std::string("alpha tail0"), std::string("alpha 1234"),
+          std::string("alphaz")}) {
+      // The shared "alpha" token must have produced a multi-block list.
+      EXPECT_GT(expect_caps_dominate(ens, label, /*type=*/-1, index), 2u)
+          << label;
+    }
+    ASSERT_EQ(tfidf_only.Score("-", ".."), 1.0);
+    expect_caps_dominate(tfidf_only, "-", g.FindTypeId("Mark"), index);
   }
 }
 

@@ -1,11 +1,14 @@
 #include "scoring/query_scorer.h"
 
+#include <algorithm>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "test_helpers.h"
 
 namespace star::scoring {
@@ -89,6 +92,84 @@ TEST(QueryScorerTest, RelationScores) {
   EXPECT_LT(scorer.RelationScore(exact, won), 1.0);
   EXPECT_DOUBLE_EQ(scorer.MaxRelationScore(wild), 1.0);
   EXPECT_DOUBLE_EQ(scorer.MaxRelationScore(exact), 1.0);  // exists in graph
+}
+
+// The dense relation tables come from the exact-mode batch kernel in
+// kBatchLanes-wide calls. 13 relations end in a ragged 5-lane call; two
+// query edges share a label (one aliased table); one edge is a wildcard;
+// one name fills the 64-byte word of the bit-parallel features and one
+// name and one edge label run past it.
+TEST(QueryScorerTest, RelationTablesMatchScoreBitwise) {
+  const std::vector<std::string> relations = {
+      "actedIn",   "acted_in",  "actsIn",     "directed",   "directedBy",
+      "bornIn",    "birthPlace", "wonAward",  "award",      "locatedIn",
+      "livesIn",
+      "hasAVeryLongRelationNameThatRunsPastTheSixtyFourByteMachineWords",
+      "has_a_very_long_relation_name_that_runs_past_the_sixty_four_byte_word"};
+  ASSERT_NE(relations.size() % text::SimilarityEnsemble::kBatchLanes, 0u);
+  graph::KnowledgeGraph::Builder b;
+  const auto hub = b.AddNode("Hub", "Thing");
+  for (const auto& r : relations) {
+    b.AddEdge(hub, b.AddNode("Leaf " + r, "Thing"), r);
+  }
+  const auto g = std::move(b).Build();
+  ASSERT_EQ(g.relation_count(), relations.size());
+
+  query::QueryGraph q;
+  const int pivot = q.AddNode("Hub");
+  std::vector<int> leaves, edges;
+  const std::vector<std::string> labels = {
+      "acted in", "acted in", "", "won award",
+      "has a very long relation name that runs past the sixty four byte word"};
+  for (size_t i = 0; i < labels.size(); ++i) {
+    leaves.push_back(q.AddNode("Leaf"));
+    edges.push_back(q.AddEdge(pivot, leaves.back(), labels[i]));
+  }
+  ASSERT_TRUE(q.edge(edges[2]).wildcard_relation);
+
+  text::SimilarityEnsemble ensemble;
+  const graph::LabelIndex index(g);
+  for (const int threads : {1, 4}) {
+    for (const bool warmed : {false, true}) {
+      auto cfg = TestConfig();
+      cfg.threads = threads;
+      QueryScorer scorer(g, q, ensemble, cfg, &index);
+      for (int u = 0; u < q.node_count(); ++u) scorer.Candidates(u);
+      const text::KernelStats before = scorer.kernel_stats();
+      if (warmed) scorer.WarmStarCaches(pivot, edges, leaves);
+      std::vector<std::vector<double>> seen(edges.size());
+      // Warmed tables are read-only, so workers may read them at once.
+      ParallelFor(edges.size(), warmed ? threads : 1,
+                  [&](size_t lo, size_t hi, int) {
+                    for (size_t i = lo; i < hi; ++i) {
+                      for (uint32_t r = 0; r < g.relation_count(); ++r) {
+                        seen[i].push_back(scorer.RelationScore(edges[i], r));
+                      }
+                    }
+                  });
+      for (size_t i = 0; i < edges.size(); ++i) {
+        const query::QueryEdge& qe = q.edge(edges[i]);
+        double best = 0.0;
+        for (uint32_t r = 0; r < g.relation_count(); ++r) {
+          const double expected =
+              qe.wildcard_relation
+                  ? 1.0
+                  : ensemble.Score(qe.relation, g.RelationName(r));
+          EXPECT_EQ(seen[i][r], expected)
+              << "edge " << i << " relation " << g.RelationName(r)
+              << " threads " << threads << " warmed " << warmed;
+          best = std::max(best, expected);
+        }
+        EXPECT_EQ(scorer.MaxRelationScore(edges[i]), best) << "edge " << i;
+      }
+      // F_E evaluations are not F_N evaluations: the kernel counters only
+      // count node scoring.
+      EXPECT_EQ(scorer.kernel_stats().pairs, before.pairs);
+      EXPECT_EQ(scorer.kernel_stats().features_evaluated,
+                before.features_evaluated);
+      EXPECT_GT(before.pairs, 0u);
+    }
+  }
 }
 
 TEST(QueryScorerTest, EdgeScoreDecaysWithHops) {
