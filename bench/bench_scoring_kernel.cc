@@ -16,8 +16,11 @@
 // Features()·weights sum, and both kernels against Score() bitwise, over
 // (query label, graph label), (relation label, relation name) and
 // (label, label) pairs with labels of 63..130 bytes — both sides of the
-// 64-byte word of the bit-parallel alignment features. Both bulk passes
-// must produce byte-identical candidate lists; any mismatch fails the run
+// 64-byte word of the bit-parallel alignment features. A fourth sweep
+// batch-scores every query node's real RankedCandidates pool with its
+// retrieval facts (shares_token) at the threshold: accepted values must
+// be Score() bitwise, rejected pairs truly below. Both bulk passes must
+// produce byte-identical candidate lists; any mismatch fails the run
 // (nonzero exit). Output is one JSON object so runs can be
 // committed/diffed (BENCH_scoring.json).
 //
@@ -54,6 +57,9 @@ struct Identity {
   bool features_sum = true;      // Score() == Features()·weights (1e-12)
   bool exact_bitwise = true;     // both kernels' exact mode == Score()
   bool accepted_bitwise = true;  // accepted values == Score(), others below
+  size_t pool_pairs = 0;           // retrieval-pool lanes scored with facts
+  size_t pool_disjoint_pairs = 0;  // ... of which share no query token
+  bool pool_facts_sound = true;    // the accepted_bitwise rule on those
 };
 
 /// Non-wildcard query labels of a workload, deduplicated by position.
@@ -169,6 +175,56 @@ void SweepIdentity(const text::SimilarityEnsemble& e,
   }
 }
 
+/// Sweep over real retrieval pools: each non-wildcard query node's
+/// RankedCandidates pool at the retrieval cap, batch-scored at the
+/// threshold with the pool's retrieval facts and the ontology types
+/// QueryScorer passes, checked against Score() with the same types.
+void SweepPools(const Dataset& d,
+                const std::vector<query::QueryGraph>& queries,
+                double threshold, size_t cap, Identity* id) {
+  using text::SimilarityEnsemble;
+  constexpr size_t kLanes = SimilarityEnsemble::kBatchLanes;
+  const SimilarityEnsemble& e = *d.ensemble;
+  const graph::KnowledgeGraph& g = d.graph;
+  const auto onto_type = [&](std::string_view name) {
+    return name.empty() ? -1 : d.ontology.FindType(name);
+  };
+  for (const auto& q : queries) {
+    for (int u = 0; u < q.node_count(); ++u) {
+      const query::QueryNode& qn = q.node(u);
+      if (qn.wildcard) continue;
+      const int32_t gt =
+          qn.type_name.empty() ? -1 : g.FindTypeId(qn.type_name);
+      std::vector<uint8_t> shares;
+      const auto pool = d.index->RankedCandidates(qn.label, gt, cap, &shares);
+      const auto batch = e.PrepareBatch(qn.label);
+      const int query_type = onto_type(qn.type_name);
+      for (size_t lo = 0; lo < pool.size(); lo += kLanes) {
+        const size_t count = std::min(kLanes, pool.size() - lo);
+        std::string_view labels[kLanes];
+        int types[kLanes];
+        for (size_t l = 0; l < count; ++l) {
+          const graph::NodeId v = pool[lo + l];
+          labels[l] = g.NodeLabel(v);
+          const int32_t t = g.NodeType(v);
+          types[l] = t >= 0 ? onto_type(g.TypeName(t)) : -1;
+        }
+        double out[kLanes];
+        e.ScoreBatchAgainstThreshold(batch, labels, count, threshold,
+                                     query_type, types, out, nullptr,
+                                     shares.data() + lo);
+        for (size_t l = 0; l < count; ++l) {
+          const double canonical =
+              e.Score(qn.label, labels[l], query_type, types[l]);
+          id->pool_facts_sound &= Sound(out[l], canonical, threshold);
+          ++id->pool_pairs;
+          if (shares[lo + l] == 0) ++id->pool_disjoint_pairs;
+        }
+      }
+    }
+  }
+}
+
 /// `count` labels of 63, 64, 65, 80 and 130 bytes, cut from consecutive
 /// graph labels joined by spaces: both sides of the 64-byte word.
 std::vector<std::string> LongLabels(const graph::KnowledgeGraph& g,
@@ -190,12 +246,14 @@ std::vector<std::string> LongLabels(const graph::KnowledgeGraph& g,
   return out;
 }
 
-/// The three identity sweeps: query labels against every graph label
+/// The four identity sweeps: query labels against every graph label
 /// (kernel counters from this one), relation labels against every
-/// relation name, and long labels against long and short ones.
+/// relation name, long labels against long and short ones, and the
+/// query nodes' retrieval pools with their facts.
 Identity RunIdentity(const Dataset& d, const std::vector<std::string>& labels,
                      const std::vector<query::QueryGraph>& queries,
-                     double threshold, text::KernelStats* stats) {
+                     double threshold, size_t retrieval_cap,
+                     text::KernelStats* stats) {
   const text::SimilarityEnsemble& e = *d.ensemble;
   const graph::KnowledgeGraph& g = d.graph;
   Identity id;
@@ -228,6 +286,7 @@ Identity RunIdentity(const Dataset& d, const std::vector<std::string>& labels,
                        std::min<size_t>(256, node_labels.size()));
   long_queries.insert(long_queries.end(), labels.begin(), labels.end());
   SweepIdentity(e, long_queries, long_data, threshold, &id, nullptr);
+  SweepPools(d, queries, threshold, retrieval_cap, &id);
   return id;
 }
 
@@ -324,15 +383,16 @@ int main() {
   const auto labels = QueryLabels(queries);
 
   PairBench pair = RunPairBench(d, labels, threshold);
-  const Identity identity =
-      RunIdentity(d, labels, queries, threshold, &pair.stats);
+  const Identity identity = RunIdentity(
+      d, labels, queries, threshold, BenchConfig(2).max_retrieval, &pair.stats);
   const BulkBench scan = RunBulkBench(d, queries, /*with_index=*/false);
   const BulkBench indexed = RunBulkBench(d, queries, /*with_index=*/true);
   const BulkBench batch = RunBulkBench(d, queries, /*with_index=*/false,
                                        /*toggle_batch=*/true);
 
   const bool ok = identity.features_sum && identity.exact_bitwise &&
-                  identity.accepted_bitwise && scan.identical &&
+                  identity.accepted_bitwise && identity.pool_facts_sound &&
+                  scan.identical &&
                   indexed.identical && batch.identical;
 
   std::printf("{\n");
@@ -368,10 +428,12 @@ int main() {
   std::printf("  \"bulk_batch\": {\"batch_off_ms\": %.1f, \"batch_on_ms\": %.1f, \"speedup\": %.2f, \"candidates\": %zu},\n",
               batch.off_ms, batch.on_ms, Speedup(batch.off_ms, batch.on_ms),
               batch.candidates);
-  std::printf("  \"identity\": {\"pairs\": %zu, \"features_sum\": %s, \"exact_bitwise\": %s, \"accepted_bitwise\": %s, \"bulk_scan_identical\": %s, \"bulk_indexed_identical\": %s, \"bulk_batch_identical\": %s}\n",
+  std::printf("  \"identity\": {\"pairs\": %zu, \"features_sum\": %s, \"exact_bitwise\": %s, \"accepted_bitwise\": %s, \"pool_pairs\": %zu, \"pool_disjoint_pairs\": %zu, \"pool_facts_sound\": %s, \"bulk_scan_identical\": %s, \"bulk_indexed_identical\": %s, \"bulk_batch_identical\": %s}\n",
               identity.pairs, identity.features_sum ? "true" : "false",
               identity.exact_bitwise ? "true" : "false",
               identity.accepted_bitwise ? "true" : "false",
+              identity.pool_pairs, identity.pool_disjoint_pairs,
+              identity.pool_facts_sound ? "true" : "false",
               scan.identical ? "true" : "false",
               indexed.identical ? "true" : "false",
               batch.identical ? "true" : "false");

@@ -28,47 +28,76 @@ std::string_view Trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
+namespace {
+
+/// Membership table of a delimiter set: one lookup per byte instead of a
+/// string_view::find over the set.
+class DelimiterTable {
+ public:
+  explicit DelimiterTable(std::string_view delims) {
+    for (const char c : delims) is_delim_[Byte(c)] = true;
+  }
+
+  bool operator()(char c) const { return is_delim_[Byte(c)]; }
+
+ private:
+  static unsigned char Byte(char c) { return static_cast<unsigned char>(c); }
+
+  bool is_delim_[256] = {};
+};
+
+/// The table of `delims`: the default set's is built once, others per call.
+template <typename Fn>
+void WithDelimiters(std::string_view delims, Fn&& fn) {
+  static const DelimiterTable kDefault(kDefaultDelimiters);
+  if (delims == kDefaultDelimiters) {
+    fn(kDefault);
+  } else {
+    fn(DelimiterTable(delims));
+  }
+}
+
+/// Calls emit(begin, end) for every maximal run of non-delimiter bytes.
+template <typename Emit>
+void ForEachToken(std::string_view s, const DelimiterTable& is_delim,
+                  Emit&& emit) {
+  size_t i = 0;
+  const size_t n = s.size();
+  while (i < n) {
+    while (i < n && is_delim(s[i])) ++i;
+    if (i == n) break;
+    const size_t begin = i;
+    while (i < n && !is_delim(s[i])) ++i;
+    emit(begin, i);
+  }
+}
+
+}  // namespace
+
 std::vector<std::string> SplitTokens(std::string_view s,
                                      std::string_view delims) {
   std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (delims.find(c) != std::string_view::npos) {
-      if (!cur.empty()) {
-        out.push_back(std::move(cur));
-        cur.clear();
-      }
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) out.push_back(std::move(cur));
+  WithDelimiters(delims, [&](const DelimiterTable& is_delim) {
+    ForEachToken(s, is_delim, [&](size_t b, size_t e) {
+      out.emplace_back(s.substr(b, e - b));
+    });
+  });
   return out;
 }
 
 void SplitTokensInto(std::string_view s, std::vector<std::string>* out,
                      std::string_view delims) {
   size_t count = 0;
-  size_t begin = std::string_view::npos;
-  const auto emit = [&](size_t b, size_t e) {
-    if (count < out->size()) {
-      (*out)[count].assign(s.substr(b, e - b));
-    } else {
-      out->emplace_back(s.substr(b, e - b));
-    }
-    ++count;
-  };
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (delims.find(s[i]) != std::string_view::npos) {
-      if (begin != std::string_view::npos) {
-        emit(begin, i);
-        begin = std::string_view::npos;
+  WithDelimiters(delims, [&](const DelimiterTable& is_delim) {
+    ForEachToken(s, is_delim, [&](size_t b, size_t e) {
+      if (count < out->size()) {
+        (*out)[count].assign(s.substr(b, e - b));
+      } else {
+        out->emplace_back(s.substr(b, e - b));
       }
-    } else if (begin == std::string_view::npos) {
-      begin = i;
-    }
-  }
-  if (begin != std::string_view::npos) emit(begin, s.size());
+      ++count;
+    });
+  });
   out->resize(count);
 }
 

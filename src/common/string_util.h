@@ -33,15 +33,18 @@ void ToLowerInto(std::string_view s, std::string* out);
 /// Removes leading/trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
 
+/// The delimiter set label tokenization splits on.
+inline constexpr std::string_view kDefaultDelimiters = " \t_-./,";
+
 /// Splits on any of the given delimiter characters; empty pieces dropped.
-std::vector<std::string> SplitTokens(std::string_view s,
-                                     std::string_view delims = " \t_-./,");
+std::vector<std::string> SplitTokens(
+    std::string_view s, std::string_view delims = kDefaultDelimiters);
 
 /// SplitTokens into a reusable vector: existing elements are assign()ed in
 /// place so their heap buffers (and the vector's) are reused across calls.
 /// Produces exactly the tokens SplitTokens would.
 void SplitTokensInto(std::string_view s, std::vector<std::string>* out,
-                     std::string_view delims = " \t_-./,");
+                     std::string_view delims = kDefaultDelimiters);
 
 /// Splits on a single character, keeping empty fields (TSV parsing).
 std::vector<std::string> SplitFields(std::string_view s, char delim);

@@ -377,57 +377,84 @@ std::vector<NodeId> LabelIndex::Candidates(std::string_view label,
   return out;
 }
 
-std::vector<NodeId> LabelIndex::RankedCandidates(std::string_view label,
-                                                 int32_t type,
-                                                 size_t cap) const {
+std::vector<NodeId> LabelIndex::RankedCandidates(
+    std::string_view label, int32_t type, size_t cap,
+    std::vector<uint8_t>* shares_token) const {
   static thread_local std::string low;
   static thread_local std::vector<std::string> toks;
-  // Accumulator scratch is thread_local like the probe scratch above —
-  // the weight map is rebuilt per call but its buckets are reused.
-  static thread_local std::unordered_map<NodeId, double> weight;
+  // Node-indexed accumulator scratch, thread_local like the probe scratch
+  // above and left all-zero on every exit: weight[v] sums v's rarity
+  // weights in list order, mark[v] flags v as touched (kTouched) and as a
+  // member of an exact query token's postings (kExact), and `touched`
+  // lists the marked ids in first-touch order.
+  constexpr uint8_t kTouched = 1, kExact = 2;
+  static thread_local std::vector<double> weight;
+  static thread_local std::vector<uint8_t> mark;
+  static thread_local std::vector<NodeId> touched;
+  if (weight.size() < node_count_) {
+    weight.resize(node_count_, 0.0);
+    mark.resize(node_count_, 0);
+  }
   ToLowerInto(label, &low);
   SplitTokensInto(low, &toks);
-  weight.clear();
+  touched.clear();
   const double n = static_cast<double>(std::max<size_t>(1, node_count_));
   const auto add_store = [&](const PostingsStore& store, size_t i,
-                             double scale) {
+                             double scale, uint8_t flags) {
     auto cursor = store.Cursor(i);
     if (cursor.remaining() == 0) return;
     const double w =
         scale * std::log(1.0 + n / static_cast<double>(cursor.remaining()));
     uint32_t v;
-    while (cursor.Next(&v)) weight[v] += w;
+    while (cursor.Next(&v)) {
+      if (mark[v] == 0) touched.push_back(v);
+      mark[v] |= flags;
+      weight[v] += w;
+    }
   };
   for (const auto& token : toks) {
     const int64_t id = token_dict_.Find(token);
     if (id >= 0) {
-      add_store(token_postings_, static_cast<size_t>(id), 1.0);
+      add_store(token_postings_, static_cast<size_t>(id), 1.0,
+                kTouched | kExact);
       continue;
     }
     for (const uint32_t similar : FuzzyTokenIds(token, 0.5)) {
-      add_store(token_postings_, similar, 0.5);
+      add_store(token_postings_, similar, 0.5, kTouched);
     }
   }
   if (type >= 0 && static_cast<size_t>(type) < type_postings_.lists()) {
-    add_store(type_postings_, static_cast<size_t>(type), 1e-3);
+    add_store(type_postings_, static_cast<size_t>(type), 1e-3, kTouched);
   }
 
-  std::vector<std::pair<double, NodeId>> ranked;
-  ranked.reserve(weight.size());
-  for (const auto& [v, w] : weight) ranked.emplace_back(w, v);
-  // Deterministic truncation on the total order (rarity-weight desc, node
-  // id asc): ties at the cap boundary always retain the smallest ids,
-  // independent of the hash map's iteration order above.
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first > b.first ||
-                            (a.first == b.first && a.second < b.second);
-                   });
-  if (cap > 0 && ranked.size() > cap) ranked.resize(cap);
-  std::vector<NodeId> out;
-  out.reserve(ranked.size());
-  for (const auto& [w, v] : ranked) out.push_back(v);
-  std::sort(out.begin(), out.end());
+  if (cap > 0 && touched.size() > cap) {
+    // Deterministic truncation on the total order (rarity-weight desc,
+    // node id asc): ties at the cap boundary always retain the smallest
+    // ids. Only the cut needs the order, so select it, then clear the
+    // scratch of the ids that fall off.
+    const auto better = [](NodeId a, NodeId b) {
+      return weight[a] > weight[b] || (weight[a] == weight[b] && a < b);
+    };
+    std::nth_element(touched.begin(),
+                     touched.begin() + static_cast<ptrdiff_t>(cap - 1),
+                     touched.end(), better);
+    for (size_t i = cap; i < touched.size(); ++i) {
+      weight[touched[i]] = 0.0;
+      mark[touched[i]] = 0;
+    }
+    touched.resize(cap);
+  }
+  std::sort(touched.begin(), touched.end());
+  std::vector<NodeId> out(touched.begin(), touched.end());
+  if (shares_token != nullptr) shares_token->resize(out.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    const NodeId v = out[i];
+    if (shares_token != nullptr) {
+      (*shares_token)[i] = (mark[v] & kExact) != 0 ? 1 : 0;
+    }
+    weight[v] = 0.0;
+    mark[v] = 0;
+  }
   return out;
 }
 

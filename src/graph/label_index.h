@@ -91,8 +91,16 @@ class LabelIndex {
   /// cap == 0). This keeps the number of candidates the expensive Eq. 1
   /// ensemble must score small — the paper's "various indices" that make
   /// node matching account for <= 1% of query time.
-  std::vector<NodeId> RankedCandidates(std::string_view label, int32_t type,
-                                       size_t cap) const;
+  ///
+  /// `shares_token`, when given, receives one entry per returned id: 1
+  /// when the node is in the postings of an exact query token, else 0
+  /// (fuzzy expansions and the type list do not count). Since the index
+  /// tokenizes node labels as the ensemble does, 0 means the node's label
+  /// shares no token with `label` — the retrieval fact the batch kernel's
+  /// disjoint-token caps take (SimilarityEnsemble::ScoreBatchAgainstThreshold).
+  std::vector<NodeId> RankedCandidates(
+      std::string_view label, int32_t type, size_t cap,
+      std::vector<uint8_t>* shares_token = nullptr) const;
 
   /// Posting list of one token (empty if unknown). Materialized on demand
   /// (the compressed layout has no raw array to reference).

@@ -185,7 +185,8 @@ double QueryScorer::ComputeNodeScore(int query_node, NodeId v, double threshold,
 
 void QueryScorer::ScoreChunkBatched(int query_node,
                                     const std::vector<graph::NodeId>& nodes,
-                                    size_t lo, size_t hi, double threshold,
+                                    const uint8_t* shares_token, size_t lo,
+                                    size_t hi, double threshold,
                                     text::KernelStats* stats,
                                     CancelChecker* cancel_check,
                                     std::vector<double>* scores,
@@ -199,16 +200,20 @@ void QueryScorer::ScoreChunkBatched(int query_node,
 
   // Duplicate-label elision within the chunk: generated and real graphs
   // repeat labels across nodes, and the kernel is a pure function of
-  // (label, type, threshold), so a repeated pair reuses the first lane's
-  // result bitwise. Keyed on the label bytes plus the ontology type id.
+  // (label, type, threshold, shares_token), so a repeated pair reuses the
+  // first lane's result bitwise. Keyed on the label's address and length
+  // plus the ontology type id: the graph interns labels, so equal labels
+  // share one address and no label bytes are hashed. shares_token is a
+  // function of the label.
   struct SeenKey {
-    std::string_view label;
+    const char* data;
+    size_t size;
     int type;
     bool operator==(const SeenKey&) const = default;
   };
   struct SeenKeyHash {
     size_t operator()(const SeenKey& k) const {
-      return std::hash<std::string_view>{}(k.label) * 1000003u ^
+      return std::hash<const char*>{}(k.data) * 1000003u ^
              static_cast<size_t>(k.type + 2);
     }
   };
@@ -216,20 +221,24 @@ void QueryScorer::ScoreChunkBatched(int query_node,
 
   std::string_view lane_labels[kLanes];
   int lane_types[kLanes];
+  uint8_t lane_shares[kLanes];
   size_t lane_index[kLanes];
   size_t lanes = 0;
   const auto flush = [&] {
     if (lanes == 0) return;
     double out[kLanes];
-    ensemble_.ScoreBatchAgainstThreshold(batch, lane_labels, lanes, threshold,
-                                         query_type, lane_types, out, stats);
+    ensemble_.ScoreBatchAgainstThreshold(
+        batch, lane_labels, lanes, threshold, query_type, lane_types, out,
+        stats, shares_token != nullptr ? lane_shares : nullptr);
     for (size_t l = 0; l < lanes; ++l) {
       (*scores)[lane_index[l]] = out[l];
       // miss[] is only set here, after the score landed, so a
       // cancellation that drops gathered-but-unflushed lanes can never
       // let the merge step memoize an unscored 0.0.
       (*miss)[lane_index[l]] = 1;
-      seen.emplace(SeenKey{lane_labels[l], lane_types[l]}, out[l]);
+      seen.emplace(SeenKey{lane_labels[l].data(), lane_labels[l].size(),
+                           lane_types[l]},
+                   out[l]);
     }
     lanes = 0;
   };
@@ -247,7 +256,8 @@ void QueryScorer::ScoreChunkBatched(int query_node,
     const std::string_view label = graph_.NodeLabel(v);
     const int32_t gt = graph_.NodeType(v);
     const int data_type = gt >= 0 ? graph_type_onto_type_[gt] : -1;
-    const auto dup = seen.find(SeenKey{label, data_type});
+    const auto dup =
+        seen.find(SeenKey{label.data(), label.size(), data_type});
     if (dup != seen.end()) {
       (*scores)[i] = dup->second;
       (*miss)[i] = 1;
@@ -255,6 +265,7 @@ void QueryScorer::ScoreChunkBatched(int query_node,
     }
     lane_labels[lanes] = label;
     lane_types[lanes] = data_type;
+    lane_shares[lanes] = shares_token != nullptr ? shares_token[i] : 1;
     lane_index[lanes] = i;
     if (++lanes == kLanes) flush();
   }
@@ -268,10 +279,9 @@ std::vector<double> QueryScorer::ScoreNodesParallel(
                    text::SimilarityEnsemble::kNoThreshold);
 }
 
-std::vector<double> QueryScorer::BulkScore(int query_node,
-                                           const std::vector<graph::NodeId>& nodes,
-                                           int threads,
-                                           double threshold) const {
+std::vector<double> QueryScorer::BulkScore(
+    int query_node, const std::vector<graph::NodeId>& nodes, int threads,
+    double threshold, const uint8_t* shares_token) const {
   std::vector<double> scores(nodes.size());
   const query::QueryNode& qn = query_.node(query_node);
   if (qn.wildcard) {
@@ -308,8 +318,8 @@ std::vector<double> QueryScorer::BulkScore(int query_node,
     text::KernelStats* ks = &worker_stats[chunk];
     CancelChecker cancel_check(cancel_);
     if (batch_kernel) {
-      ScoreChunkBatched(query_node, nodes, lo, hi, threshold, ks,
-                        &cancel_check, &scores, &miss,
+      ScoreChunkBatched(query_node, nodes, shares_token, lo, hi, threshold,
+                        ks, &cancel_check, &scores, &miss,
                         &chunk_cancelled[chunk]);
       return;
     }
@@ -348,8 +358,10 @@ std::vector<double> QueryScorer::BulkScore(int query_node,
   return scores;
 }
 
-std::vector<NodeId> QueryScorer::RetrievalPool(int query_node) const {
+std::vector<NodeId> QueryScorer::RetrievalPool(
+    int query_node, std::vector<uint8_t>* shares_token) const {
   query_node = node_rep_[query_node];
+  shares_token->clear();
   const query::QueryNode& qn = query_.node(query_node);
 
   // Retrieval: the node ids to score (index semantics unchanged).
@@ -368,7 +380,8 @@ std::vector<NodeId> QueryScorer::RetrievalPool(int query_node) const {
     const int32_t gt =
         qn.type_name.empty() ? -1 : graph_.FindTypeId(qn.type_name);
     pool = config_.max_retrieval > 0
-               ? index_->RankedCandidates(qn.label, gt, config_.max_retrieval)
+               ? index_->RankedCandidates(qn.label, gt, config_.max_retrieval,
+                                          shares_token)
                : index_->Candidates(qn.label, gt);
   } else {
     full_scan = true;
@@ -378,12 +391,18 @@ std::vector<NodeId> QueryScorer::RetrievalPool(int query_node) const {
     std::iota(pool.begin(), pool.end(), NodeId{0});
   }
   if (config_.sampling() && !qn.wildcard) {
-    pool.erase(std::remove_if(pool.begin(), pool.end(),
-                              [this](NodeId v) {
-                                return !SampleKeep(config_.sample_seed, v,
-                                                   config_.sample_rate);
-                              }),
-               pool.end());
+    // Compact the pool and its facts together.
+    size_t kept = 0;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      if (!SampleKeep(config_.sample_seed, pool[i], config_.sample_rate)) {
+        continue;
+      }
+      pool[kept] = pool[i];
+      if (!shares_token->empty()) (*shares_token)[kept] = (*shares_token)[i];
+      ++kept;
+    }
+    pool.resize(kept);
+    if (!shares_token->empty()) shares_token->resize(kept);
   }
   return pool;
 }
@@ -538,41 +557,58 @@ void QueryScorer::PrunedRetrieveBlocks(int query_node,
 
 void QueryScorer::PrunedRetrievePool(int query_node,
                                      const std::vector<NodeId>& pool,
+                                     const std::vector<uint8_t>& shares_token,
                                      CandidateList* out) const {
   const auto& batch = prepared_store_[prepared_idx_[query_node]];
   struct Entry {
     double cap;
     NodeId v;
+    uint8_t shares;
   };
   std::pmr::vector<Entry> order(mem_);
   order.reserve(pool.size());
-  for (const NodeId v : pool) {
+  for (size_t i = 0; i < pool.size(); ++i) {
+    const NodeId v = pool[i];
+    const bool shares = shares_token.empty() || shares_token[i] != 0;
     // Index facts when available (ranked pools); otherwise the no-index
     // fallback derives the same two facts from the label.
+    const std::string_view label = graph_.NodeLabel(v);
     const double cap =
         index_ != nullptr
             ? ensemble_.RetrievalNodeBound(batch, index_->NodeLabelLength(v),
-                                           index_->NodeLooksNumeric(v))
-            : ensemble_.RetrievalNodeBound(batch, graph_.NodeLabel(v).size(),
-                                           text::LooksNumeric(graph_.NodeLabel(v)));
-    order.push_back({cap, v});
+                                           index_->NodeLooksNumeric(v), shares)
+            : ensemble_.RetrievalNodeBound(batch, label.size(),
+                                           text::LooksNumeric(label), shares);
+    order.push_back({cap, v, static_cast<uint8_t>(shares ? 1 : 0)});
   }
-  std::sort(order.begin(), order.end(), [](const Entry& a, const Entry& b) {
-    return a.cap != b.cap ? a.cap > b.cap : a.v < b.v;
-  });
+  // Theta rises above node_threshold only once the heap holds
+  // max_candidates entries. A pool that cannot fill it keeps theta fixed
+  // for the whole walk, so every entry is skipped or scored against the
+  // same theta in any order and in any waves: such a pool skips the cap
+  // sort and scores its survivors in one wave.
+  const bool can_fill = config_.max_candidates > 0 &&
+                        order.size() > config_.max_candidates;
+  if (can_fill) {
+    std::sort(order.begin(), order.end(), [](const Entry& a, const Entry& b) {
+      return a.cap != b.cap ? a.cap > b.cap : a.v < b.v;
+    });
+  }
   retrieval_stats_.nodes_considered += order.size();
 
   const int threads = ResolveThreads(config_.threads);
   std::vector<NodeId> wave;
-  wave.reserve(kRetrievalWave);
+  std::vector<uint8_t> wave_shares;
+  wave.reserve(can_fill ? kRetrievalWave : order.size());
+  wave_shares.reserve(wave.capacity());
   double theta = RetrievalTheta(*out);
   const auto flush = [&] {
     if (wave.empty()) return;
     retrieval_stats_.nodes_scored += wave.size();
     const std::vector<double> scores =
-        BulkScore(query_node, wave, threads, theta);
+        BulkScore(query_node, wave, threads, theta, wave_shares.data());
     MergeScoredWave(wave, scores, out);
     wave.clear();
+    wave_shares.clear();
     theta = RetrievalTheta(*out);
   };
   for (size_t i = 0; i < order.size(); ++i) {
@@ -581,12 +617,17 @@ void QueryScorer::PrunedRetrievePool(int query_node,
       break;
     }
     if (order[i].cap < theta - kBoundMargin) {
+      if (!can_fill) {
+        ++retrieval_stats_.nodes_bound_skipped;
+        continue;
+      }
       // Cap-ordered and theta monotone: the rest can never make the list.
       retrieval_stats_.nodes_bound_skipped += order.size() - i;
       break;
     }
     wave.push_back(order[i].v);
-    if (wave.size() >= kRetrievalWave) flush();
+    wave_shares.push_back(order[i].shares);
+    if (can_fill && wave.size() >= kRetrievalWave) flush();
   }
   flush();
   std::sort(out->begin(), out->end(), BetterCandidate);
@@ -621,21 +662,26 @@ const CandidateList& QueryScorer::Candidates(int query_node) const {
     } else {
       // Pooled variant: the no-index full scan and the max_retrieval
       // rarity pre-ranking fix the pool first; bound-order it per node.
-      PrunedRetrievePool(query_node, RetrievalPool(query_node), &out);
+      std::vector<uint8_t> shares_token;
+      const std::vector<NodeId> pool = RetrievalPool(query_node, &shares_token);
+      PrunedRetrievePool(query_node, pool, shares_token, &out);
     }
     out.shrink_to_fit();
     return out;
   }
 
-  const std::vector<NodeId> pool = RetrievalPool(query_node);
+  std::vector<uint8_t> shares_token;
+  const std::vector<NodeId> pool = RetrievalPool(query_node, &shares_token);
 
   // Bulk F_N scoring — chunked across the pool (serial at threads = 1).
   // The candidate filter below keeps only scores >= node_threshold, so the
   // kernel may early-exit any pair whose score bound falls below it: kept
   // candidates are exact (bit-identical to the kernel-off path), rejected
   // ones return a sub-threshold bound that the filter drops either way.
-  const std::vector<double> scores = BulkScore(
-      query_node, pool, ResolveThreads(config_.threads), config_.node_threshold);
+  const std::vector<double> scores =
+      BulkScore(query_node, pool, ResolveThreads(config_.threads),
+                config_.node_threshold,
+                shares_token.empty() ? nullptr : shares_token.data());
   for (size_t i = 0; i < pool.size(); ++i) {
     if (scores[i] >= config_.node_threshold) out.push_back({pool[i], scores[i]});
   }

@@ -261,8 +261,11 @@ class QueryScorer {
   /// The retrieval pool of `query_node`: the node ids Candidates() would
   /// bulk-score, before any scoring or filtering (index-backed postings,
   /// typed-wildcard postings, or the full-scan iota, then the sampling
-  /// predicate). Pure — never touches the candidate memo.
-  std::vector<graph::NodeId> RetrievalPool(int query_node) const;
+  /// predicate). Pure — never touches the candidate memo. `shares_token`
+  /// receives the RankedCandidates retrieval facts aligned with the pool
+  /// (max_retrieval pools only; left empty otherwise).
+  std::vector<graph::NodeId> RetrievalPool(
+      int query_node, std::vector<uint8_t>* shares_token) const;
 
   /// Pure F_N computation (Eq. 1) for a non-wildcard query node: no memo
   /// access, no counters — safe to call from any thread (the ensemble
@@ -283,9 +286,12 @@ class QueryScorer {
   /// When config.use_batch_kernel is set (and the scoring kernel is on),
   /// each worker chunk runs through the batched SoA kernel via
   /// ScoreChunkBatched — results are bit-identical either way.
+  /// `shares_token` (nullable, aligned with `nodes`) passes retrieval
+  /// facts to the batch kernel's disjoint-token caps.
   std::vector<double> BulkScore(int query_node,
                                 const std::vector<graph::NodeId>& nodes,
-                                int threads, double threshold) const;
+                                int threads, double threshold,
+                                const uint8_t* shares_token = nullptr) const;
 
   // --- Bound-driven retrieval (MatchConfig::use_pruned_retrieval) ---
   //
@@ -306,11 +312,16 @@ class QueryScorer {
   /// bound-filters single nodes before waving them into BulkScore.
   void PrunedRetrieveBlocks(int query_node, CandidateList* out) const;
 
-  /// Pool path (no index, or a RankedCandidates-capped pool): sorts the
-  /// pool by per-node RetrievalNodeBound (cap desc, id asc) and stops at
-  /// the first node whose cap cannot reach theta.
+  /// Pool path (no index, or a RankedCandidates-capped pool): bounds
+  /// each node by RetrievalNodeBound, with its retrieval fact when
+  /// `shares_token` (aligned with `pool`, or empty) has one. A pool that
+  /// can fill max_candidates is sorted by cap (cap desc, id asc) and the
+  /// walk stops at the first node whose cap cannot reach theta; a smaller
+  /// pool keeps theta at node_threshold, so it skips each such node
+  /// unsorted and scores the rest in one wave.
   void PrunedRetrievePool(int query_node,
                           const std::vector<graph::NodeId>& pool,
+                          const std::vector<uint8_t>& shares_token,
                           CandidateList* out) const;
 
   /// The current pruning threshold: the heap's worst kept score once it
@@ -332,8 +343,9 @@ class QueryScorer {
   /// this chunk's scores/miss entries and its own stats/cancel slots —
   /// the same data contract as the scalar chunk loop.
   void ScoreChunkBatched(int query_node,
-                         const std::vector<graph::NodeId>& nodes, size_t lo,
-                         size_t hi, double threshold, text::KernelStats* stats,
+                         const std::vector<graph::NodeId>& nodes,
+                         const uint8_t* shares_token, size_t lo, size_t hi,
+                         double threshold, text::KernelStats* stats,
                          CancelChecker* cancel_check,
                          std::vector<double>* scores,
                          std::vector<uint8_t>* miss,

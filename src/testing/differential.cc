@@ -23,6 +23,9 @@
 #include "serve/degrade.h"
 #include "serve/star_cache.h"
 #include "text/ensemble.h"
+#include "text/synonym_dictionary.h"
+#include "text/tfidf.h"
+#include "text/type_ontology.h"
 
 namespace star::testing {
 
@@ -365,7 +368,25 @@ CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
   CaseOutcome out;
   if (c.query.node_count() == 0 || c.graph.node_count() == 0) return out;
 
-  text::SimilarityEnsemble ensemble;
+  // Context cases score with every feature family live: the built-in
+  // synonyms and ontology, and a tf-idf model fitted on this graph's
+  // labels. Every cell shares the one ensemble.
+  text::SynonymDictionary synonyms;
+  text::TypeOntology ontology;
+  text::TfIdfModel tfidf;
+  text::SimilarityEnsemble::Context context;
+  if (c.context) {
+    synonyms = text::SynonymDictionary::BuiltIn();
+    ontology = text::TypeOntology::BuiltIn();
+    for (graph::NodeId v = 0; v < c.graph.node_count(); ++v) {
+      tfidf.AddDocument(c.graph.NodeLabel(v));
+    }
+    tfidf.Finalize();
+    context.synonyms = &synonyms;
+    context.tfidf = &tfidf;
+    context.ontology = &ontology;
+  }
+  const text::SimilarityEnsemble ensemble(context);
   std::unique_ptr<graph::LabelIndex> index;
   if (c.with_index) index = std::make_unique<graph::LabelIndex>(c.graph);
 

@@ -22,13 +22,15 @@ std::string FuzzCase::Describe() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "seed=%llu |V|=%zu |E|=%zu q=%d/%d k=%zu d=%d nt=%.3f et=%.3f "
-                "lambda=%.3f cut=%zu inj=%d idx=%d dl=%.2fms dg=%d bug=%s",
+                "lambda=%.3f cut=%zu inj=%d idx=%d ctx=%d dl=%.2fms dg=%d "
+                "bug=%s",
                 static_cast<unsigned long long>(seed), graph.node_count(),
                 graph.edge_count(), query.node_count(), query.edge_count(), k,
                 config.d, config.node_threshold, config.edge_threshold,
                 config.lambda, config.max_candidates,
                 config.enforce_injective ? 1 : 0, with_index ? 1 : 0,
-                tight_deadline_ms, degrade, BugInjectionName(inject));
+                context ? 1 : 0, tight_deadline_ms, degrade,
+                BugInjectionName(inject));
   return buf;
 }
 
@@ -122,6 +124,21 @@ size_t SizeIn(Rng& rng, size_t lo, size_t hi) {
   return lo + static_cast<size_t>(rng.Below(hi - lo + 1));
 }
 
+/// Share of cases, in every profile, whose ensemble carries context
+/// (FuzzCase::context).
+constexpr double kContextShare = 0.3;
+
+/// A coin of probability p that is a pure function of the seed: a
+/// splitmix64 hash, so it draws nothing from the case generator's stream
+/// and every other draw of a seed is the same either way.
+bool SeedChance(uint64_t seed, double p) {
+  uint64_t x = (seed ^ 0xC0C0A5E5ULL) + 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  x ^= x >> 31;
+  return static_cast<double>(x >> 11) * 0x1.0p-53 < p;
+}
+
 }  // namespace
 
 FuzzCase MakeFuzzCase(const FuzzProfile& profile, uint64_t seed) {
@@ -132,6 +149,7 @@ FuzzCase MakeFuzzCase(const FuzzProfile& profile, uint64_t seed) {
   FuzzCase c;
   c.seed = seed;
   c.profile = profile.name;
+  c.context = SeedChance(seed, kContextShare);
 
   graph::GeneratorConfig gc;
   gc.num_nodes = SizeIn(rng, profile.min_nodes, profile.max_nodes);
@@ -218,6 +236,7 @@ FuzzCase CopyCase(const FuzzCase& c) {
   out.decomposition = c.decomposition;
   out.k = c.k;
   out.with_index = c.with_index;
+  out.context = c.context;
   out.tight_deadline_ms = c.tight_deadline_ms;
   out.degrade = c.degrade;
   out.inject = c.inject;

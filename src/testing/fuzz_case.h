@@ -47,6 +47,10 @@ struct FuzzCase {
   size_t k = 5;
   /// Whether a LabelIndex is attached (retrieval semantics differ).
   bool with_index = true;
+  /// Whether the ensemble carries corpus context: the built-in synonyms
+  /// and ontology, and a tf-idf model fitted on the graph's labels.
+  /// Without it the synonym, tf-idf and ontology features have weight 0.
+  bool context = false;
   /// Tight-deadline cell budget in ms (0 disables the tight cell; the
   /// pre-expired cell always runs).
   double tight_deadline_ms = 0.0;

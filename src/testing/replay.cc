@@ -109,6 +109,9 @@ std::string SerializeReplay(const FuzzCase& c) {
   // this parser and new files stay loadable by strict older parsers
   // whenever the field is at its default.
   if (c.degrade != 0) out << "degrade " << c.degrade << "\n";
+  // Likewise written only when set: replays without the line read as "no
+  // context", as every replay did before the field existed.
+  if (c.context) out << "context 1\n";
   const auto& dc = c.decomposition;
   out << "decomp " << static_cast<int>(dc.strategy) << " "
       << BitsOf(dc.lambda_tradeoff) << " " << dc.sample_size << " "
@@ -172,6 +175,9 @@ bool ParseReplay(const std::string& text, FuzzCase* out, std::string* error) {
       c.k = static_cast<size_t>(k);
     } else if (key == "with_index") {
       c.with_index = rest == "1";
+    } else if (key == "context") {
+      if (rest != "0" && rest != "1") return fail("bad context");
+      c.context = rest == "1";
     } else if (key == "alpha") {
       if (!ParseBits(rest, &c.alpha)) return fail("bad alpha bits");
     } else if (key == "tight_deadline_ms") {

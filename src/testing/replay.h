@@ -8,11 +8,12 @@
 namespace star::testing {
 
 /// Self-contained, line-oriented text form of a fuzz case ("star-replay
-/// v1"): seed/profile provenance, every result-affecting knob (doubles as
-/// bit-exact %016llx patterns, so a replay reproduces the exact FP
-/// behaviour), the query, and the full graph embedded in the graph_io
-/// "star-kg v1" format between `graph` and `endgraph` lines. Everything a
-/// failure needs to reproduce on a machine that has only this file.
+/// v1"): seed/profile provenance, every result-affecting knob (the
+/// ensemble's context flag included; doubles as bit-exact %016llx
+/// patterns, so a replay reproduces the exact FP behaviour), the query,
+/// and the full graph embedded in the graph_io "star-kg v1" format
+/// between `graph` and `endgraph` lines. Everything a failure needs to
+/// reproduce on a machine that has only this file.
 std::string SerializeReplay(const FuzzCase& c);
 
 /// Parses a replay produced by SerializeReplay. On failure returns false

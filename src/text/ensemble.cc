@@ -155,6 +155,29 @@ int AllisonDixLcs(const std::string& a, const std::string& b) {
   return std::popcount(row);
 }
 
+/// Length of the longest common substring of a (1..64 bytes) and b. Bit i
+/// of runs[k] marks a common run of length >= k ending at a[i] and the
+/// current byte of b: a run extends along its diagonal by one shift per
+/// byte of b. Only lengths up to best + 1 are tracked, because a run of
+/// best + 2 would need a run of best + 1 ending one byte earlier. This is
+/// the DP's maximum, found with one word operation per tracked length.
+int BitParallelLongestRun(const std::string& a, const std::string& b) {
+  const PatternMasks peq(a, b);
+  uint64_t runs[kWordBits + 1] = {};
+  size_t level = 1;  // best + 1: the longest run length tracked
+  int best = 0;
+  for (const char c : b) {
+    const uint64_t eq = peq[c];
+    for (size_t k = level; k > 1; --k) runs[k] = (runs[k - 1] << 1) & eq;
+    runs[1] = eq;
+    if (runs[level] == 0) continue;
+    best = static_cast<int>(level);
+    if (level == a.size()) break;  // the whole pattern occurs in b
+    ++level;  // runs[level] is still 0: no longer run can end here
+  }
+  return best;
+}
+
 double FastLevenshtein(const std::string& a, const std::string& b) {
   if (a.empty() && b.empty()) return 1.0;
   const size_t n = a.size(), m = b.size();
@@ -331,6 +354,59 @@ double FastNGramJaccard(const std::string& la, const std::string& lb) {
   return uni == 0 ? 0.0 : static_cast<double>(inter) / uni;
 }
 
+// Soundex digit of a lowercase letter; '0' for the ignored letters
+// (vowels, h, w, y) and for every other byte.
+char SoundexDigitOfLower(char lc) {
+  switch (lc) {
+    case 'b': case 'f': case 'p': case 'v':
+      return '1';
+    case 'c': case 'g': case 'j': case 'k':
+    case 'q': case 's': case 'x': case 'z':
+      return '2';
+    case 'd': case 't':
+      return '3';
+    case 'l':
+      return '4';
+    case 'm': case 'n':
+      return '5';
+    case 'r':
+      return '6';
+    default:
+      return '0';
+  }
+}
+
+/// SoundexToken(token) packed big-endian into a uint32, without building
+/// the string: the same four bytes (a letter, then digits padded with
+/// '0'), so packed codes are equal exactly when the codes are. 0 is the
+/// empty code of a token with no letter.
+uint32_t PackedSoundex(std::string_view token) {
+  uint32_t code = 0;
+  int len = 0;
+  char last = '0';
+  for (const char c : token) {
+    const unsigned char u = static_cast<unsigned char>(c);
+    if (!std::isalpha(u)) continue;
+    const char lc = static_cast<char>(std::tolower(u));
+    const char digit = SoundexDigitOfLower(lc);
+    if (len == 0) {
+      code = static_cast<unsigned char>(std::toupper(u));
+      len = 1;
+      last = digit;
+      continue;
+    }
+    if (digit != '0' && digit != last) {
+      code = (code << 8) | static_cast<unsigned char>(digit);
+      if (++len == 4) break;
+    }
+    // 'h' and 'w' are transparent: they do not reset the run; vowels do.
+    if (lc != 'h' && lc != 'w') last = digit;
+  }
+  if (len == 0) return 0;
+  for (; len < 4; ++len) code = (code << 8) | static_cast<unsigned char>('0');
+  return code;
+}
+
 bool ContainsDigit(const std::string& s) {
   for (const char c : s) {
     if (c >= '0' && c <= '9') return true;
@@ -452,6 +528,9 @@ double FastLongestCommonSubstring(const std::string& a, const std::string& b) {
   const size_t n = a.size(), m = b.size();
   if (n == 0 && m == 0) return 1.0;
   if (n == 0 || m == 0) return 0.0;
+  if (n <= kWordBits) {
+    return static_cast<double>(BitParallelLongestRun(a, b)) / std::max(n, m);
+  }
   static thread_local std::vector<int> prev, cur;
   prev.assign(m + 1, 0);
   cur.assign(m + 1, 0);
@@ -648,16 +727,12 @@ struct KernelScratch {
   std::vector<uint32_t> bigrams_packed, trigrams_packed;  // batch kernel
   std::vector<int> syn_groups;  // per-token synonym groups (batch kernel)
   std::string initials;
-  std::vector<std::string> soundex;   // non-empty per-token codes
-  std::vector<std::string> numerals;  // numeral-normalized tokens
-  TfIdfModel::SparseVector tfidf;
   std::optional<double> quantity;
   std::optional<int> year;
   double jaro = 0.0;
   size_t trio_inter = 0;
   bool has_tokens = false, has_tokens_sorted = false, has_bigrams = false,
-       has_trigrams = false, has_initials = false, has_soundex = false,
-       has_numerals = false, has_tfidf = false, has_quantity = false,
+       has_trigrams = false, has_initials = false, has_quantity = false,
        has_year = false, has_trio = false, has_jaro = false,
        has_bigrams_packed = false, has_trigrams_packed = false,
        has_syn_groups = false;
@@ -665,9 +740,8 @@ struct KernelScratch {
   void Reset(std::string_view d) {
     ToLowerInto(d, &lb);
     has_tokens = has_tokens_sorted = has_bigrams = has_trigrams =
-        has_initials = has_soundex = has_numerals = has_tfidf = has_quantity =
-            has_year = has_trio = has_jaro = has_bigrams_packed =
-                has_trigrams_packed = has_syn_groups = false;
+        has_initials = has_quantity = has_year = has_trio = has_jaro =
+            has_bigrams_packed = has_trigrams_packed = has_syn_groups = false;
   }
 
   void EnsureTokens() {
@@ -721,40 +795,6 @@ struct KernelScratch {
     initials.clear();
     for (const auto& t : tokens) initials.push_back(t[0]);
     has_initials = true;
-  }
-
-  void EnsureSoundex() {
-    if (has_soundex) return;
-    EnsureTokens();
-    soundex.clear();
-    for (const auto& t : tokens) {
-      std::string code = SoundexToken(t);
-      if (!code.empty()) soundex.push_back(std::move(code));
-    }
-    has_soundex = true;
-  }
-
-  void EnsureNumerals() {
-    if (has_numerals) return;
-    EnsureTokens();
-    const size_t n = tokens.size();
-    if (numerals.size() > n) numerals.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (i < numerals.size()) {
-        numerals[i].assign(tokens[i]);
-      } else {
-        numerals.emplace_back(tokens[i]);
-      }
-      const int v = NumeralTokenValue(numerals[i]);
-      if (v > 0) numerals[i] = std::to_string(v);
-    }
-    has_numerals = true;
-  }
-
-  void EnsureTfidf(std::string_view d, const TfIdfModel& model) {
-    if (has_tfidf) return;
-    model.VectorizeInto(d, &tfidf);
-    has_tfidf = true;
   }
 
   void EnsureQuantity(std::string_view d) {
@@ -896,12 +936,15 @@ double EvalKernelFeature(int feature, const SimilarityEnsemble::Context& ctx,
     case E::kLcs:
       return FastLcs(p.lower, sc.lb);
     case E::kPhonetic: {
+      // PhoneticSimilarity: 1 iff some query and some data token have the
+      // same non-empty code.
       sc.EnsureTokens();
       if (p.tokens.empty() || sc.tokens.empty()) return 0.0;
       if (p.soundex.empty()) return 0.0;
-      sc.EnsureSoundex();
-      for (const auto& code : sc.soundex) {
-        if (std::binary_search(p.soundex.begin(), p.soundex.end(), code)) {
+      for (const auto& t : sc.tokens) {
+        const uint32_t code = PackedSoundex(t);
+        if (code != 0 &&
+            std::binary_search(p.soundex.begin(), p.soundex.end(), code)) {
           return 1.0;
         }
       }
@@ -945,8 +988,8 @@ double EvalKernelFeature(int feature, const SimilarityEnsemble::Context& ctx,
     }
     case E::kTfIdfCosine: {
       if (ctx.tfidf == nullptr || !ctx.tfidf->finalized()) return 0.0;
-      sc.EnsureTfidf(d, *ctx.tfidf);
-      return TfIdfModel::CosineSparse(p.tfidf, sc.tfidf);
+      sc.EnsureTokens();
+      return ctx.tfidf->CosineWithTokens(p.tfidf, sc.tokens);
     }
     case E::kTypeOntology:
       return ctx.ontology != nullptr
@@ -994,9 +1037,20 @@ double EvalKernelFeature(int feature, const SimilarityEnsemble::Context& ctx,
       return YearSimilarity(p.year, sc.year);
     }
     case E::kNumeralAware: {
+      // NormalizeNumerals(q) == NormalizeNumerals(d), position by
+      // position. A normalized query token has numeral value 0, so a data
+      // token equal to it normalizes to it; a differing one can only
+      // normalize to it through its value, and only the strings "1".."20"
+      // are such normalizations.
       if (p.label.empty() || d.empty()) return 0.0;
-      sc.EnsureNumerals();
-      return p.numerals == sc.numerals ? 1.0 : 0.0;
+      sc.EnsureTokens();
+      if (sc.tokens.size() != p.numerals.size()) return 0.0;
+      for (size_t i = 0; i < sc.tokens.size(); ++i) {
+        if (sc.tokens[i] == p.numerals[i]) continue;
+        const int want = p.numeral_values[i];
+        if (want == 0 || NumeralTokenValue(sc.tokens[i]) != want) return 0.0;
+      }
+      return 1.0;
     }
     default:
       return 0.0;
@@ -1227,13 +1281,19 @@ SimilarityEnsemble::PreparedLabel SimilarityEnsemble::Prepare(
   GramsInto(p.lower, 3, &p.trigrams);
   for (const auto& t : p.tokens) {
     p.initials.push_back(t[0]);
-    std::string code = SoundexToken(t);
-    if (!code.empty()) p.soundex.push_back(std::move(code));
+    const uint32_t code = PackedSoundex(t);
+    if (code != 0) p.soundex.push_back(code);
   }
   std::sort(p.soundex.begin(), p.soundex.end());
   p.soundex.erase(std::unique(p.soundex.begin(), p.soundex.end()),
                   p.soundex.end());
   p.numerals = NormalizeNumerals(label);
+  p.numeral_values.assign(p.numerals.size(), 0);
+  for (size_t i = 0; i < p.numerals.size(); ++i) {
+    for (int v = 1; v <= 20; ++v) {
+      if (p.numerals[i] == std::to_string(v)) p.numeral_values[i] = v;
+    }
+  }
   p.quantity = ParseQuantity(label);
   p.year = ExtractYear(label);
   p.looks_numeric = LooksNumeric(p.lower);
@@ -1275,6 +1335,16 @@ SimilarityEnsemble::PreparedLabelBatch SimilarityEnsemble::PrepareBatch(
       b.token_syn_groups.push_back(context_.synonyms->GroupOfLower(t));
     }
   }
+  // Both conditions, and the disjoint-token caps they gate, argue from
+  // exact token equality; DESIGN.md "Memory layout & batched scoring"
+  // spells out why each capped feature is then exactly 0.
+  b.synonym_needs_token =
+      b.label_syn_group < 0 &&
+      std::all_of(b.token_syn_groups.begin(), b.token_syn_groups.end(),
+                  [](int g) { return g < 0; });
+  b.numeral_needs_token =
+      std::find(p.numeral_values.begin(), p.numeral_values.end(), 0) !=
+      p.numeral_values.end();
   return b;
 }
 
@@ -1323,7 +1393,7 @@ double SimilarityEnsemble::ScoreAgainstThreshold(const PreparedLabel& prepared,
 void SimilarityEnsemble::ScoreBatchAgainstThreshold(
     const PreparedLabelBatch& batch, const std::string_view* data_labels,
     size_t count, double threshold, int query_type, const int* data_types,
-    double* out, KernelStats* stats) const {
+    double* out, KernelStats* stats, const uint8_t* shares_token) const {
   constexpr int L = kBatchLanes;
   if (count == 0) return;
   const PreparedLabel& p = batch.prepared;
@@ -1343,6 +1413,7 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
   double tok_max[L] = {};  // max token count of the data label
   double num_ok[L] = {};   // data label passes the numeric guard
   double dlen[L] = {};     // data byte length
+  double tok_ok[L] = {};   // 0 when the lane provably shares no token
   const size_t m = p.label.size();  // ToLower preserves byte length
   for (size_t l = 0; l < count; ++l) {
     const std::string_view d = data_labels[l];
@@ -1362,6 +1433,10 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
     bi_max[l] = n >= 2 ? static_cast<double>(n - 1) : (n > 0 ? 1.0 : 0.0);
     tok_max[l] = static_cast<double>((n + 1) / 2);
     num_ok[l] = LooksNumeric(d) ? 1.0 : 0.0;
+    tok_ok[l] = (shares_token != nullptr && shares_token[l] == 0 &&
+                 !p.tokens.empty())
+                    ? 0.0
+                    : 1.0;
   }
 
   // Stage A (thresholded mode only): refined per-lane caps from the O(1)
@@ -1388,6 +1463,10 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
     const double syn = context_.synonyms != nullptr ? 1.0 : 0.0;
     const double onto = context_.ontology != nullptr ? 1.0 : 0.0;
     for (int l = 0; l < L; ++l) {
+      // Disjoint-token lanes (tok_ok 0): each feature below that can only
+      // be positive through a shared token is capped at 0.
+      const double syn_tok = batch.synonym_needs_token ? tok_ok[l] : 1.0;
+      const double num_tok = batch.numeral_needs_token ? tok_ok[l] : 1.0;
       // Length-equality features: anything normalized over a fixed-length
       // alignment (or exact equality) is 0 when lengths differ.
       caps[kExact][l] = eq[l];
@@ -1417,8 +1496,8 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
       caps[kNumeric][l] = p.looks_numeric ? 1.0 : num_ok[l];
       caps[kDate][l] = date;
       caps[kPhonetic][l] = phon;
-      caps[kTfIdfCosine][l] = tfidf;
-      caps[kSynonym][l] = syn;
+      caps[kTfIdfCosine][l] = tfidf * tok_ok[l];
+      caps[kSynonym][l] = syn * syn_tok;
       caps[kTypeOntology][l] = onto;
       // Gram/token set measures: a data label of n bytes has at most
       // n-2 distinct trigrams, n-1 distinct bigrams, (n+1)/2 tokens.
@@ -1428,21 +1507,22 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
                                  ? 2.0 * bi_max[l] / (qbi + bi_max[l])
                                  : 1.0;
       caps[kTokenSequenceEdit][l] =
-          qtok > tok_max[l] ? tok_max[l] / qtok : 1.0;
-      caps[kNumeralAware][l] = qnum > tok_max[l] ? 0.0 : 1.0;
+          (qtok > tok_max[l] ? tok_max[l] / qtok : 1.0) * tok_ok[l];
+      caps[kNumeralAware][l] = (qnum > tok_max[l] ? 0.0 : 1.0) * num_tok;
       caps[kAcronym][l] = ((acr_q && qlen >= 2.0 && qlen <= tok_max[l]) ||
                            (qini == dlen[l] && dlen[l] >= 2.0))
                               ? 1.0
                               : 0.0;
+      // Token-set measures: 0 without a shared token, else no O(1) cap.
+      caps[kTokenJaccard][l] = tok_ok[l];
+      caps[kTokenDice][l] = tok_ok[l];
+      caps[kTokenOverlap][l] = tok_ok[l];
       // No useful O(1) cap (normalized by the shorter side / token-pair
       // maxima): these stay at the trivial bound of 1.
       caps[kPrefix][l] = 1.0;
       caps[kSuffix][l] = 1.0;
       caps[kSmithWaterman][l] = 1.0;
       caps[kMongeElkan][l] = 1.0;
-      caps[kTokenJaccard][l] = 1.0;
-      caps[kTokenDice][l] = 1.0;
-      caps[kTokenOverlap][l] = 1.0;
     }
     double bound[L] = {};
     for (size_t k = 0; k < order; ++k) {
@@ -1487,38 +1567,53 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
     double f[kFeatureCount] = {};
     double partial = 0.0;
     bool exited = false;
+    size_t pinned = 0;  // features skipped for a zero cap
     for (size_t k = 0; k < order; ++k) {
       if (threshold >= 0.0 && partial + remaining[k] < threshold - 1e-9) {
         out[l] = partial + remaining[k];
         if (stats != nullptr) {
           ++stats->early_exits;
-          stats->features_evaluated += k;
-          stats->features_skipped += order - k;
+          stats->features_evaluated += k - pinned;
+          stats->features_skipped += order - k + pinned;
         }
         exited = true;
         break;
       }
       const int i = batch_order_[k];
+      // Every cap dominates a feature in [0, 1], so a zero cap means the
+      // feature is exactly 0: f[i] stays 0 without evaluating it.
+      if (threshold >= 0.0 && caps[i][l] == 0.0) {
+        ++pinned;
+        continue;
+      }
       f[i] = EvalKernelFeature(i, context_, p, sc, d, query_type, data_type,
                                &batch);
       partial += weights_[i] * f[i];
     }
     if (exited) continue;
-    if (stats != nullptr) stats->features_evaluated += order;
+    if (stats != nullptr) {
+      stats->features_evaluated += order - pinned;
+      stats->features_skipped += pinned;
+    }
     double s = 0.0;
     for (int i = 0; i < kFeatureCount; ++i) s += weights_[i] * f[i];
     out[l] = s;
   }
 }
 
-double SimilarityEnsemble::RetrievalCapSum(const PreparedLabel& p, double rr,
-                                           double minlen, double gram_len,
-                                           bool any_numeric,
-                                           bool acr_len_match) const {
+double SimilarityEnsemble::RetrievalCapSum(const PreparedLabelBatch& batch,
+                                           double rr, double minlen,
+                                           double gram_len, bool any_numeric,
+                                           bool acr_len_match,
+                                           bool shares_token) const {
   // The rows below are the batched kernel's stage-A caps (see
   // ScoreBatchAgainstThreshold), evaluated from index-carried facts
   // instead of per-lane ones. Eq-gated caps are 0 here: callers return
   // the trivial 1.0 outright whenever byte-length equality is possible.
+  const PreparedLabel& p = batch.prepared;
+  const double tok_ok = (!shares_token && !p.tokens.empty()) ? 0.0 : 1.0;
+  const double syn_tok = batch.synonym_needs_token ? tok_ok : 1.0;
+  const double num_tok = batch.numeral_needs_token ? tok_ok : 1.0;
   const double qtri = static_cast<double>(p.trigrams.size());
   const double qbi = static_cast<double>(p.bigrams.size());
   const double qtok = static_cast<double>(p.tokens.size());
@@ -1549,23 +1644,24 @@ double SimilarityEnsemble::RetrievalCapSum(const PreparedLabel& p, double rr,
   caps[kDate] = p.contains_digit ? 1.0 : 0.0;
   caps[kPhonetic] = p.soundex.empty() ? 0.0 : 1.0;
   caps[kTfIdfCosine] =
-      (context_.tfidf != nullptr && context_.tfidf->finalized()) ? 1.0 : 0.0;
-  caps[kSynonym] = context_.synonyms != nullptr ? 1.0 : 0.0;
+      (context_.tfidf != nullptr && context_.tfidf->finalized()) ? tok_ok
+                                                                  : 0.0;
+  caps[kSynonym] = context_.synonyms != nullptr ? syn_tok : 0.0;
   caps[kTypeOntology] = context_.ontology != nullptr ? 1.0 : 0.0;
   caps[kNGramJaccard] = qtri > 0.0 ? std::min(qtri, tri_max) / qtri : 1.0;
   caps[kBigramDice] =
       (qbi > 0.0 && bi_max < qbi) ? 2.0 * bi_max / (qbi + bi_max) : 1.0;
-  caps[kTokenSequenceEdit] = qtok > tok_max ? tok_max / qtok : 1.0;
-  caps[kNumeralAware] = qnum > tok_max ? 0.0 : 1.0;
+  caps[kTokenSequenceEdit] = (qtok > tok_max ? tok_max / qtok : 1.0) * tok_ok;
+  caps[kNumeralAware] = (qnum > tok_max ? 0.0 : 1.0) * num_tok;
   caps[kAcronym] =
       ((acr_q && qlen >= 2.0 && qlen <= tok_max) || acr_len_match) ? 1.0 : 0.0;
+  caps[kTokenJaccard] = tok_ok;
+  caps[kTokenDice] = tok_ok;
+  caps[kTokenOverlap] = tok_ok;
   caps[kPrefix] = 1.0;
   caps[kSuffix] = 1.0;
   caps[kSmithWaterman] = 1.0;
   caps[kMongeElkan] = 1.0;
-  caps[kTokenJaccard] = 1.0;
-  caps[kTokenDice] = 1.0;
-  caps[kTokenOverlap] = 1.0;
 
   double bound = 0.0;
   for (const int i : batch_order_) bound += weights_[i] * caps[i];
@@ -1574,7 +1670,8 @@ double SimilarityEnsemble::RetrievalCapSum(const PreparedLabel& p, double rr,
 
 double SimilarityEnsemble::RetrievalNodeBound(const PreparedLabelBatch& batch,
                                               size_t data_len,
-                                              bool data_numeric) const {
+                                              bool data_numeric,
+                                              bool shares_token) const {
   const PreparedLabel& p = batch.prepared;
   const size_t m = p.label.size();
   // Equal byte length admits the case-insensitive-equality 1.0 and opens
@@ -1583,8 +1680,10 @@ double SimilarityEnsemble::RetrievalNodeBound(const PreparedLabelBatch& batch,
   const double rr = static_cast<double>(std::min(data_len, m)) /
                     static_cast<double>(std::max(data_len, m));
   const bool acr = p.initials.size() == data_len && data_len >= 2;
-  return RetrievalCapSum(p, rr, static_cast<double>(std::min(data_len, m)),
-                         static_cast<double>(data_len), data_numeric, acr);
+  return RetrievalCapSum(batch, rr,
+                         static_cast<double>(std::min(data_len, m)),
+                         static_cast<double>(data_len), data_numeric, acr,
+                         shares_token);
 }
 
 double SimilarityEnsemble::RetrievalBlockBound(
@@ -1614,8 +1713,10 @@ double SimilarityEnsemble::RetrievalBlockBound(
     const size_t qini = p.initials.size();
     const bool acr = qini >= 63 && qini <= hi;
     best = std::max(
-        best, RetrievalCapSum(p, rr, static_cast<double>(std::min<size_t>(63, m)),
-                              static_cast<double>(hi), stats.any_numeric, acr));
+        best,
+        RetrievalCapSum(batch, rr, static_cast<double>(std::min<size_t>(63, m)),
+                        static_cast<double>(hi), stats.any_numeric, acr,
+                        /*shares_token=*/true));
   }
   return best;
 }

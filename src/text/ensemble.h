@@ -185,8 +185,11 @@ class SimilarityEnsemble {
     std::vector<std::string> bigrams;        ///< sorted unique char 2-grams
     std::vector<std::string> trigrams;       ///< sorted unique char 3-grams
     std::string initials;                    ///< first char of each token
-    std::vector<std::string> soundex;        ///< non-empty per-token codes
+    std::vector<uint32_t> soundex;  ///< packed non-empty codes, sorted unique
     std::vector<std::string> numerals;       ///< numeral-normalized tokens
+    /// Per numerals entry: v when it is the string of v in 1..20 (the only
+    /// strings a numeral token normalizes to), else 0.
+    std::vector<int> numeral_values;
     std::optional<double> quantity;          ///< ParseQuantity(label)
     std::optional<int> year;                 ///< ExtractYear(label)
     bool looks_numeric = false;              ///< numeric-guard flag (lower)
@@ -261,6 +264,14 @@ class SimilarityEnsemble {
     /// the whole-label group. Empty when the context has no dictionary.
     std::vector<int> token_syn_groups;
     int label_syn_group = -1;
+    /// Query-side conditions of the disjoint-token caps (see
+    /// ScoreBatchAgainstThreshold): the synonym feature can be positive
+    /// only through a shared token when neither the label nor any token
+    /// has a synonym group; the numeral-aware feature when some token has
+    /// numeral value 0 and is not one of "1".."20", so that only an equal
+    /// data token normalizes to it.
+    bool synonym_needs_token = false;
+    bool numeral_needs_token = false;
   };
 
   /// Builds the batched query-side view (Prepare() plus the SoA lanes).
@@ -275,12 +286,21 @@ class SimilarityEnsemble {
   /// contract as ScoreAgainstThreshold, so the two kernels and Score()
   /// agree bitwise on every kept candidate. `data_types` (nullable) gives
   /// the per-lane ontology type id. Thread-safe; `stats` is the caller's.
+  ///
+  /// `shares_token` (nullable) carries retrieval facts: shares_token[l] ==
+  /// 0 asserts that data label l shares no token with the query label
+  /// (LabelIndex::RankedCandidates reports exactly this). When the query
+  /// label has tokens, such a lane has token Jaccard, Dice, Overlap,
+  /// token-sequence edit and tf-idf cosine exactly 0, and also synonym
+  /// and numeral-aware under the query-side conditions PrepareBatch
+  /// records; stage A caps them at 0 and the sweep skips them. A wrong 0
+  /// breaks the contract, so pass facts only for labels they describe.
   void ScoreBatchAgainstThreshold(const PreparedLabelBatch& batch,
                                   const std::string_view* data_labels,
                                   size_t count, double threshold,
                                   int query_type, const int* data_types,
-                                  double* out,
-                                  KernelStats* stats = nullptr) const;
+                                  double* out, KernelStats* stats = nullptr,
+                                  const uint8_t* shares_token = nullptr) const;
 
   // -------------------------------------------------------------------
   // Retrieval upper bounds (block-max candidate pruning)
@@ -304,9 +324,11 @@ class SimilarityEnsemble {
 
   /// Upper bound on Score(query label, any data label of byte length
   /// `data_len` whose numeric guard equals `data_numeric`), for any data
-  /// type. >= the true score; equal-length labels return 1.0.
+  /// type. >= the true score; equal-length labels return 1.0. With
+  /// `shares_token` false (a retrieval fact, as in the batch kernel) the
+  /// disjoint-token caps apply.
   double RetrievalNodeBound(const PreparedLabelBatch& batch, size_t data_len,
-                            bool data_numeric) const;
+                            bool data_numeric, bool shares_token = true) const;
 
   /// Upper bound on Score(query label, d) over every data label d whose
   /// facts were folded into `stats` (one postings block), for any data
@@ -329,12 +351,13 @@ class SimilarityEnsemble {
   /// min/max byte-length ratio, `minlen` the smaller byte length,
   /// `gram_len` the length the gram/token caps are evaluated at (the
   /// largest length the facts admit), `acr_len_match` whether some
-  /// admitted length equals the query's initials count (>= 2). Assumes
-  /// the caller already handled possible byte-length equality (returns
-  /// the eq-gated caps as 0).
-  double RetrievalCapSum(const PreparedLabel& p, double rr, double minlen,
-                         double gram_len, bool any_numeric,
-                         bool acr_len_match) const;
+  /// admitted length equals the query's initials count (>= 2),
+  /// `shares_token` false that the disjoint-token caps apply. Assumes the
+  /// caller already handled possible byte-length equality (returns the
+  /// eq-gated caps as 0).
+  double RetrievalCapSum(const PreparedLabelBatch& batch, double rr,
+                         double minlen, double gram_len, bool any_numeric,
+                         bool acr_len_match, bool shares_token) const;
 
   Context context_;
   std::vector<double> weights_;

@@ -11,8 +11,7 @@ namespace star::text {
 std::string Soundex(std::string_view s);
 
 /// Soundex code of a single, already-split token (case-insensitive; empty
-/// for tokens without letters). Exposed for the scoring kernel's prepared
-/// query-side phonetic codes.
+/// for tokens without letters).
 std::string SoundexToken(std::string_view token);
 
 /// 1 if the Soundex codes of the two strings match (token-wise best match

@@ -37,14 +37,18 @@ class TfIdfModel {
   /// Sparse tf-idf vector of a label (valid only after Finalize()).
   SparseVector Vectorize(std::string_view s) const;
 
-  /// Vectorize into a reused buffer: token strings and the vector's
-  /// storage are recycled across calls (the scoring kernel's per-pair
-  /// data-side path). Produces exactly Vectorize(s).
-  void VectorizeInto(std::string_view s, SparseVector* out) const;
-
-  /// Cosine of two prepared sparse vectors; the shared core of Cosine()
-  /// and the scoring kernel's prepared-query-side evaluation.
+  /// Cosine of two prepared sparse vectors: the core of Cosine(), and
+  /// the accumulation order CosineWithTokens reproduces.
   static double CosineSparse(const SparseVector& a, const SparseVector& b);
+
+  /// CosineSparse(a, Vectorize(label)), given the label's lowercased
+  /// tokens in split order (the scoring kernel's data side), without
+  /// building the second vector or copying a token: the tokens' sorted
+  /// runs are walked in the vector's order, so the norm and the dot
+  /// product add the same terms in the same order and the result is
+  /// bitwise equal. Valid only after Finalize().
+  double CosineWithTokens(const SparseVector& a,
+                          const std::vector<std::string>& lower_tokens) const;
 
   /// idf of a token (log((1+N)/(1+df)) + 1); max-idf for unseen tokens.
   double Idf(std::string_view token) const;
@@ -56,6 +60,11 @@ class TfIdfModel {
  private:
   /// Idf lookup for an already-lowercased token (no copy).
   double IdfLower(const std::string& lower_token) const;
+
+  /// Vectorize into a reused buffer (Cosine()'s per-call path): token
+  /// strings and the vector's storage are recycled across calls.
+  /// Produces exactly Vectorize(s).
+  void VectorizeInto(std::string_view s, SparseVector* out) const;
 
   std::unordered_map<std::string, size_t> doc_freq_;
   std::unordered_map<std::string, double> idf_;

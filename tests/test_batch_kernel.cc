@@ -13,7 +13,10 @@
 //    only ever hold fully evaluated scores, never rejected-lane bounds.
 // The *ParallelDeterminism* suite here is picked up by the TSan CI filter.
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -22,12 +25,14 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "core/framework.h"
 #include "core/star_search.h"
 #include "query/workload.h"
 #include "scoring/query_scorer.h"
 #include "test_helpers.h"
 #include "text/ensemble.h"
+#include "text/similarity.h"
 #include "text/synonym_dictionary.h"
 #include "text/tfidf.h"
 #include "text/type_ontology.h"
@@ -203,6 +208,154 @@ TEST(BatchKernelTest, BatchStatsCountEveryLane) {
   // feature evaluations for those lanes.
   EXPECT_GT(stats.early_exits, 0u);
   EXPECT_GT(stats.features_skipped, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Retrieval facts (shares_token): a lane whose label shares no token with
+// the query may have its token-only features capped at 0. The pairs are
+// found independently of the kernel, and the caps must only ever pin
+// exact zeros: with the facts, the kernel keeps the same lanes with the
+// same bits as without them.
+// ---------------------------------------------------------------------
+
+std::set<std::string> TokenSet(std::string_view label) {
+  const auto tokens = SplitTokens(ToLower(label));
+  return {tokens.begin(), tokens.end()};
+}
+
+bool SharesToken(const std::set<std::string>& a,
+                 const std::set<std::string>& b) {
+  for (const auto& t : a) {
+    if (b.count(t) != 0) return true;
+  }
+  return false;
+}
+
+/// Random labels plus the adversarial ones: delimiter-only labels,
+/// repeated tokens, numerals and number words around 20, thesaurus terms,
+/// bytes >= 0x80, and labels of 63-65 bytes.
+std::vector<std::string> FactCorpus(uint64_t seed) {
+  std::vector<std::string> labels = {
+      "",        "-",         " . ",         "__",        "--../,",
+      "ab ab ab", "ab ab",    "cd ab cd",    "ab",        "ii",
+      "two",     "2",         "20",          "21",        "xx",
+      "XX",      "one",       "1",           "Part II",   "Part 2",
+      "Part 21", "Rocky III", "Rocky three", "film",      "Movie",
+      "motion picture",       "picture show", "teacher",  "tutor",
+      "teacher ii", "educator two", "caf\xc3\xa9", "\xe9t\xe9 \xe9t\xe9",
+      "\x80\x81 \xff",         "Brad Pitt",   "brad",      "Bradd Pit",
+  };
+  Rng rng(seed);
+  for (const size_t len : {63u, 64u, 65u}) {
+    for (int k = 0; k < 2; ++k) {
+      std::string s = RandomLabel(rng, 2 * len);
+      s.resize(len, k == 0 ? 'x' : ' ');
+      labels.push_back(std::move(s));
+    }
+  }
+  for (int k = 0; k < 24; ++k) labels.push_back(RandomLabel(rng));
+  return labels;
+}
+
+TEST(BatchKernelTest, RetrievalFactsCapOnlyExactZeros) {
+  using E = SimilarityEnsemble;
+  const auto corpus = FactCorpus(214);
+  FullContextEnsemble full(corpus);
+  // Uniform weights, then each capped feature alone: one-hot weights leave
+  // no slack elsewhere, so a cap that zeroes a positive feature flips its
+  // lane at every threshold below the feature's value.
+  const E::Feature capped[] = {E::kTokenJaccard,      E::kTokenDice,
+                               E::kTokenOverlap,      E::kTokenSequenceEdit,
+                               E::kTfIdfCosine,       E::kSynonym,
+                               E::kNumeralAware};
+  std::vector<std::vector<double>> weightings = {
+      std::vector<double>(E::kFeatureCount, 1.0)};
+  for (const E::Feature f : capped) {
+    weightings.emplace_back(E::kFeatureCount, 0.0);
+    weightings.back()[f] = 1.0;
+  }
+  const text::SynonymDictionary& dict = full.synonyms;
+  size_t disjoint_pairs = 0, synonym_pairs = 0, numeral_pairs = 0;
+  for (const auto& weights : weightings) {
+    SimilarityEnsemble e(full.ensemble->context());
+    e.SetWeights(weights);
+    for (const auto& q : corpus) {
+      const auto q_tokens = TokenSet(q);
+      const auto batch = e.PrepareBatch(q);
+      // The query-side conditions, derived here from their definitions.
+      bool synonym_cond = dict.GroupOfLower(ToLower(q)) < 0;
+      bool numeral_cond = false;
+      for (const auto& t : q_tokens) {
+        synonym_cond = synonym_cond && dict.GroupOfLower(t) < 0;
+        bool numeral_string = false;
+        for (int v = 1; v <= 20; ++v) {
+          numeral_string = numeral_string || t == std::to_string(v);
+        }
+        numeral_cond = numeral_cond ||
+                       (text::NumeralTokenValue(t) == 0 && !numeral_string);
+      }
+      std::vector<uint8_t> shares(corpus.size());
+      for (size_t i = 0; i < corpus.size(); ++i) {
+        const std::string& d = corpus[i];
+        shares[i] = SharesToken(q_tokens, TokenSet(d)) ? 1 : 0;
+        if (shares[i] != 0 || q_tokens.empty()) continue;
+        ++disjoint_pairs;
+        const auto f = e.Features(q, d);
+        const std::string pair = "q=\"" + q + "\" d=\"" + d + "\"";
+        for (const E::Feature always :
+             {E::kTokenJaccard, E::kTokenDice, E::kTokenOverlap,
+              E::kTokenSequenceEdit, E::kTfIdfCosine}) {
+          EXPECT_EQ(f[always], 0.0) << pair << " feature " << always;
+        }
+        if (synonym_cond) {
+          EXPECT_EQ(f[E::kSynonym], 0.0) << pair;
+        } else if (f[E::kSynonym] > 0.0) {
+          ++synonym_pairs;
+        }
+        if (numeral_cond) {
+          EXPECT_EQ(f[E::kNumeralAware], 0.0) << pair;
+        } else if (f[E::kNumeralAware] > 0.0) {
+          ++numeral_pairs;
+        }
+        EXPECT_GE(e.RetrievalNodeBound(batch, d.size(), text::LooksNumeric(d),
+                                       /*shares_token=*/false) +
+                      1e-9,
+                  e.Score(q, d))
+            << pair;
+      }
+      constexpr size_t kLanes = E::kBatchLanes;
+      for (const double t : {0.2, 0.4, 0.6}) {
+        for (size_t lo = 0; lo < corpus.size(); lo += kLanes) {
+          const size_t count = std::min(kLanes, corpus.size() - lo);
+          std::string_view lanes[kLanes];
+          for (size_t l = 0; l < count; ++l) lanes[l] = corpus[lo + l];
+          double plain[kLanes], with_facts[kLanes];
+          e.ScoreBatchAgainstThreshold(batch, lanes, count, t, -1, nullptr,
+                                       plain);
+          e.ScoreBatchAgainstThreshold(batch, lanes, count, t, -1, nullptr,
+                                       with_facts, nullptr,
+                                       shares.data() + lo);
+          for (size_t l = 0; l < count; ++l) {
+            const std::string pair = "q=\"" + q + "\" d=\"" +
+                                     corpus[lo + l] +
+                                     "\" t=" + std::to_string(t);
+            ASSERT_EQ(with_facts[l] >= t, plain[l] >= t) << pair;
+            if (plain[l] >= t) {
+              EXPECT_EQ(std::bit_cast<uint64_t>(with_facts[l]),
+                        std::bit_cast<uint64_t>(plain[l]))
+                  << pair;
+            } else {
+              EXPECT_LT(e.Score(q, corpus[lo + l]), t) << pair;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The corpus must exercise both sides of each query-side condition.
+  EXPECT_GT(disjoint_pairs, 1000u);
+  EXPECT_GT(synonym_pairs, 0u);
+  EXPECT_GT(numeral_pairs, 0u);
 }
 
 // ---------------------------------------------------------------------

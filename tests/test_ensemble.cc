@@ -1,6 +1,7 @@
 #include "text/ensemble.h"
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -9,6 +10,7 @@
 
 #include "common/random.h"
 #include "common/string_util.h"
+#include "text/phonetic.h"
 #include "text/similarity.h"
 #include "text/synonym_dictionary.h"
 #include "text/tfidf.h"
@@ -201,15 +203,47 @@ TEST(EnsembleTest, FastPathMatchesFeaturesRandomized) {
   }
 }
 
-// Each alignment feature alone (one-hot weights): Score(), the scalar
-// kernel and the exact-mode batch kernel must return the bits of the
-// similarity.h function. The reference DPs share no code with the
-// bit-parallel kernels, so a wrong word-level recurrence cannot hide
-// behind a kernel == Score() identity.
+// Each alignment or rewritten token feature alone (one-hot weights):
+// Score(), the scalar kernel and the exact and thresholded batch kernels
+// must return the bits of the reference function (similarity.h,
+// phonetic.h, TfIdfModel::Cosine). The references share no code with the
+// kernels' bit-parallel loops, packed soundex codes, position-wise
+// numeral compare or token-run tf-idf vector, so a wrong rewrite cannot
+// hide behind a kernel == Score() identity.
 TEST(EnsembleTest, AlignmentFeaturesMatchReferenceBitwise) {
+  // Every label of <= 3 bytes over the bytes a, B and b: Jaro's
+  // match window is 0 there. Then tokens with no letter (empty soundex),
+  // repeated tokens (tf > 1), numerals, labels of 63/64/65 bytes around
+  // the word size, and random labels of 0..130 bytes.
+  std::vector<std::string> labels = {""};
+  for (size_t i = 0; i < labels.size(); ++i) {
+    if (labels[i].size() == 3) continue;
+    for (const char c : {'a', 'B', 'b'}) labels.push_back(labels[i] + c);
+  }
+  for (const char* extra :
+       {"12 34", "- 9 -", "Robert Rupert", "rob rob rob", "ab ab cd",
+        "Part II", "part 2", "Part Two", "ii", "2", "two", "20", "xx", "21",
+        "Ashcraft Tymczak", "Ascraft", "h w", "\xc3\xa9t\xc3\xa9 Pfister",
+        "Pister"}) {
+    labels.push_back(extra);
+  }
+  Rng rng(2024);
+  for (const size_t len : {63u, 64u, 65u}) {
+    for (int k = 0; k < 4; ++k) {
+      std::string s = RandomAlignmentLabel(rng, 2 * len);
+      s.resize(len, k % 2 == 0 ? 'a' : ' ');
+      labels.push_back(std::move(s));
+    }
+  }
+  for (int k = 0; k < 24; ++k) labels.push_back(RandomAlignmentLabel(rng, 130));
+  TfIdfModel tfidf;
+  for (const std::string& l : labels) tfidf.AddDocument(l);
+  tfidf.AddDocument("rob");  // a document frequency above 1 for one token
+  tfidf.Finalize();
+
   struct Feature {
     SimilarityEnsemble::Feature id;
-    double (*reference)(std::string_view, std::string_view);
+    std::function<double(std::string_view, std::string_view)> reference;
   };
   const Feature features[] = {
       {SimilarityEnsemble::kJaro, JaroSimilarity},
@@ -218,30 +252,23 @@ TEST(EnsembleTest, AlignmentFeaturesMatchReferenceBitwise) {
       {SimilarityEnsemble::kLevenshtein, LevenshteinSimilarity},
       {SimilarityEnsemble::kDamerauLevenshtein, DamerauLevenshteinSimilarity},
       {SimilarityEnsemble::kLcs, LcsSimilarity},
+      {SimilarityEnsemble::kLongestCommonSubstring,
+       LongestCommonSubstringSimilarity},
+      {SimilarityEnsemble::kPhonetic, PhoneticSimilarity},
+      {SimilarityEnsemble::kNumeralAware, NumeralAwareMatch},
+      {SimilarityEnsemble::kTfIdfCosine,
+       [&](std::string_view a, std::string_view b) {
+         return tfidf.Cosine(a, b);
+       }},
   };
-  // Every label of <= 3 bytes over the bytes a, B and b: Jaro's
-  // match window is 0 there. Then labels of 63/64/65 bytes around the
-  // word size, and random labels of 0..130 bytes.
-  std::vector<std::string> labels = {""};
-  for (size_t i = 0; i < labels.size(); ++i) {
-    if (labels[i].size() == 3) continue;
-    for (const char c : {'a', 'B', 'b'}) labels.push_back(labels[i] + c);
-  }
-  Rng rng(2024);
-  for (const size_t len : {63u, 64u, 65u}) {
-    for (int k = 0; k < 4; ++k) {
-      std::string s = RandomAlignmentLabel(rng, 2 * len);
-      s.resize(len, 'a');
-      labels.push_back(std::move(s));
-    }
-  }
-  for (int k = 0; k < 24; ++k) labels.push_back(RandomAlignmentLabel(rng, 130));
+  SimilarityEnsemble::Context ctx;
+  ctx.tfidf = &tfidf;
 
   constexpr size_t kLanes = SimilarityEnsemble::kBatchLanes;
   for (const Feature& f : features) {
     std::vector<double> w(SimilarityEnsemble::kFeatureCount, 0.0);
     w[f.id] = 1.0;
-    SimilarityEnsemble e;
+    SimilarityEnsemble e(ctx);
     e.SetWeights(w);
     const std::string& name = SimilarityEnsemble::FeatureNames()[f.id];
     for (const std::string& q : labels) {
@@ -251,21 +278,31 @@ TEST(EnsembleTest, AlignmentFeaturesMatchReferenceBitwise) {
         const size_t count = std::min(kLanes, labels.size() - lo);
         std::string_view lanes[kLanes];
         for (size_t l = 0; l < count; ++l) lanes[l] = labels[lo + l];
-        double out[kLanes];
+        double out[kLanes], thresholded[kLanes];
         e.ScoreBatchAgainstThreshold(batch, lanes, count,
                                      SimilarityEnsemble::kNoThreshold, -1,
                                      nullptr, out);
+        e.ScoreBatchAgainstThreshold(batch, lanes, count, 0.5, -1, nullptr,
+                                     thresholded);
         for (size_t l = 0; l < count; ++l) {
           const std::string& d = labels[lo + l];
-          const double ref = f.reference(q, d);
-          EXPECT_EQ(e.Score(q, d), ref)
-              << name << " q='" << q << "' d='" << d << "'";
+          // Score() returns 1 for case-insensitively equal labels before
+          // any feature is consulted.
+          const double ref = !q.empty() && ToLower(q) == ToLower(d)
+                                 ? 1.0
+                                 : f.reference(q, d);
+          const std::string pair = name + " q='" + q + "' d='" + d + "'";
+          EXPECT_EQ(e.Score(q, d), ref) << pair;
           EXPECT_EQ(e.ScoreAgainstThreshold(prepared, d,
                                             SimilarityEnsemble::kNoThreshold),
                     ref)
-              << name << " q='" << q << "' d='" << d << "'";
-          EXPECT_EQ(out[l], ref)
-              << name << " q='" << q << "' d='" << d << "'";
+              << pair;
+          EXPECT_EQ(out[l], ref) << pair;
+          if (ref >= 0.5) {
+            EXPECT_EQ(thresholded[l], ref) << pair;
+          } else {
+            EXPECT_LT(thresholded[l], 0.5) << pair;
+          }
         }
       }
     }

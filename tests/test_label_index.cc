@@ -1,9 +1,13 @@
 #include "graph/label_index.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "test_helpers.h"
 
 namespace star::graph {
@@ -143,6 +147,50 @@ TEST(LabelIndexTest, RankedCandidatesRarityBeatsIdAtCap) {
   const auto top = index.RankedCandidates("alpha bravo", -1, 1);
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(g.NodeLabel(top[0]), "alpha bravo");
+}
+
+TEST(LabelIndexTest, RankedCandidatesReportExactTokenFacts) {
+  // "alpha" has an exact posting, "betta" only fuzzy-expands to "beta",
+  // and the Thing type list adds nodes sharing no token at all. The fact
+  // must be 1 exactly for nodes whose label shares a query token.
+  KnowledgeGraph::Builder b;
+  b.AddNode("Alpha beta", "Thing");   // 0: exact + fuzzy
+  b.AddNode("beta", "Thing");         // 1: fuzzy + type
+  b.AddNode("gamma", "Thing");        // 2: type only
+  b.AddNode("alpha-alpha", "Other");  // 3: exact, repeated token
+  b.AddNode("beta gamma", "Other");   // 4: fuzzy only
+  b.AddNode("delta", "Other");        // 5: not retrieved
+  const auto g = std::move(b).Build();
+  const LabelIndex index(g);
+  const std::string query = "ALPHA betta";
+  const auto shares = [&](NodeId v) {
+    const auto q = SplitTokens(ToLower(query));
+    for (const auto& t : SplitTokens(ToLower(g.NodeLabel(v)))) {
+      if (std::find(q.begin(), q.end(), t) != q.end()) return uint8_t{1};
+    }
+    return uint8_t{0};
+  };
+  // A smaller index in between must neither see nor leave stale scratch.
+  KnowledgeGraph::Builder small;
+  small.AddNode("alpha", "Thing");
+  const auto g_small = std::move(small).Build();
+  const LabelIndex index_small(g_small);
+  for (const size_t cap : {size_t{0}, size_t{2}, size_t{4}}) {
+    for (int round = 0; round < 2; ++round) {
+      std::vector<uint8_t> facts = {7, 7, 7, 7, 7, 7, 7, 7, 7};
+      const auto ids =
+          index.RankedCandidates(query, g.FindTypeId("Thing"), cap, &facts);
+      EXPECT_EQ(ids, index.RankedCandidates(query, g.FindTypeId("Thing"), cap));
+      ASSERT_EQ(facts.size(), ids.size());
+      EXPECT_EQ(ids.size(), cap == 0 ? 5u : cap);
+      for (size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(facts[i], shares(ids[i]))
+            << "cap " << cap << " id " << ids[i];
+      }
+      EXPECT_EQ(index_small.RankedCandidates("alpha", -1, 0),
+                std::vector<NodeId>{0});
+    }
+  }
 }
 
 TEST(LabelIndexTest, TokenCount) {

@@ -15,6 +15,9 @@
 #include "graph/label_index.h"
 #include "scoring/query_scorer.h"
 #include "test_helpers.h"
+#include "text/synonym_dictionary.h"
+#include "text/tfidf.h"
+#include "text/type_ontology.h"
 
 namespace star::scoring {
 namespace {
@@ -260,6 +263,91 @@ TEST(PrunedRetrievalTest, SelectiveQuerySkipsBlocks) {
   EXPECT_GT(stats.blocks_considered, 0u);
   EXPECT_GT(stats.blocks_skipped, 0u);
   EXPECT_LT(stats.nodes_scored, g.node_count());
+}
+
+// Typed query nodes with a retrieval cap: the RankedCandidates pool mixes
+// token hits with type-only entries, whose retrieval facts (no shared
+// token) let the batch kernel and the node bound cap the token-only
+// features at 0. On the pruned walk, the unpruned path and the sampled
+// pool, Candidates() must equal the Score()-only lists
+// (use_scoring_kernel = false) bitwise. The synonym- and numeral-heavy
+// weighting makes type-only pairs like "movie"/"film" and "two"/"ii"
+// candidates through exactly the features whose caps carry query-side
+// conditions.
+TEST(PrunedRetrievalTest, RetrievalFactsKeepTypedPoolsBitwise) {
+  graph::KnowledgeGraph::Builder b;
+  const char* film_labels[] = {
+      "film",     "Movie",   "motion picture", "picture", "Part II",
+      "Part 2",   "ii",      "2",              "two",     "20",
+      "xx",       "21",      "Rocky three",    "Rocky 3", "teacher",
+      "educator", "- . -",   "alpha beta",     "beta",    "gamma delta"};
+  for (int rep = 0; rep < 12; ++rep) {
+    for (const char* label : film_labels) b.AddNode(label, "Film");
+    b.AddNode("alpha " + std::to_string(rep), "Person");
+  }
+  const graph::KnowledgeGraph g = std::move(b).Build();
+  const graph::LabelIndex index(g);
+
+  text::SynonymDictionary synonyms = text::SynonymDictionary::BuiltIn();
+  text::TypeOntology ontology = text::TypeOntology::BuiltIn();
+  text::TfIdfModel tfidf;
+  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+    tfidf.AddDocument(g.NodeLabel(v));
+  }
+  tfidf.Finalize();
+  text::SimilarityEnsemble::Context ctx;
+  ctx.synonyms = &synonyms;
+  ctx.tfidf = &tfidf;
+  ctx.ontology = &ontology;
+  text::SimilarityEnsemble uniform(ctx);
+  text::SimilarityEnsemble heavy(ctx);
+  std::vector<double> w(text::SimilarityEnsemble::kFeatureCount, 0.1);
+  w[text::SimilarityEnsemble::kSynonym] = 4.0;
+  w[text::SimilarityEnsemble::kNumeralAware] = 4.0;
+  heavy.SetWeights(w);
+  ASSERT_GT(heavy.Score("movie", "film"), TestConfig().node_threshold);
+  ASSERT_GT(heavy.Score("two", "ii"), TestConfig().node_threshold);
+
+  query::QueryGraph q;
+  std::vector<int> nodes;
+  for (const char* label :
+       {"movie", "two", "2", "ii", "21", "Part Two", "teacher", "alpha"}) {
+    nodes.push_back(q.AddNode(label, "Film"));
+  }
+  for (const text::SimilarityEnsemble* ens : {&uniform, &heavy}) {
+    for (const size_t max_retrieval : {size_t{8}, size_t{1000}}) {
+      for (const size_t max_candidates : {size_t{0}, size_t{3}, size_t{1000}}) {
+        for (const double sample_rate : {1.0, 0.6}) {
+          for (const int threads : {1, 4}) {
+            MatchConfig cfg = TestConfig();
+            cfg.threads = threads;
+            cfg.max_retrieval = max_retrieval;
+            cfg.max_candidates = max_candidates;
+            cfg.sample_rate = sample_rate;
+            cfg.sample_seed = 9;
+            MatchConfig reference = cfg;
+            reference.use_scoring_kernel = false;
+            for (const int u : nodes) {
+              const std::string cell =
+                  q.node(u).label + (ens == &heavy ? "/heavy" : "/uniform") +
+                  "/r=" + std::to_string(max_retrieval) +
+                  "/k=" + std::to_string(max_candidates) +
+                  "/s=" + std::to_string(sample_rate) +
+                  "/t=" + std::to_string(threads);
+              const auto want =
+                  CandidatesWith(g, q, u, *ens, reference, &index, false);
+              ExpectBitwiseEqual(
+                  want, CandidatesWith(g, q, u, *ens, cfg, &index, true),
+                  cell + "/pruned");
+              ExpectBitwiseEqual(
+                  want, CandidatesWith(g, q, u, *ens, cfg, &index, false),
+                  cell + "/unpruned");
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // End-to-end: full TopK matches across all three engines, serial and

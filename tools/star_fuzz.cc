@@ -234,13 +234,14 @@ int RunFuzz(const Args& args) {
   const FuzzProfile profile = star::testing::ProfileByName(args.profile);
   RunnerOptions opts;
   opts.max_oracle_states = args.max_oracle_states;
-  size_t failed = 0, cells = 0, oracle_cases = 0;
+  size_t failed = 0, cells = 0, oracle_cases = 0, context_cases = 0;
   const auto start = std::chrono::steady_clock::now();
   for (size_t i = 0; i < args.cases; ++i) {
     const FuzzCase c = MakeFuzzCase(profile, args.seed + i);
     const CaseOutcome o = RunDifferentialCase(c, opts);
     cells += o.cells_run;
     if (o.oracle_ran) ++oracle_cases;
+    if (c.context) ++context_cases;
     if (!o.ok()) {
       ++failed;
       std::printf("FAIL seed=%llu %s\n  %s\n",
@@ -258,8 +259,9 @@ int RunFuzz(const Args& args) {
           .count();
   std::printf(
       "profile=%s cases=%zu failed=%zu cells=%zu oracle_cases=%zu "
-      "elapsed=%.2fs rate=%.1f cases/s\n",
-      profile.name.c_str(), args.cases, failed, cells, oracle_cases, secs,
+      "context_cases=%zu elapsed=%.2fs rate=%.1f cases/s\n",
+      profile.name.c_str(), args.cases, failed, cells, oracle_cases,
+      context_cases, secs,
       args.cases / (secs > 0 ? secs : 1e-9));
   return failed == 0 ? 0 : 1;
 }
