@@ -12,7 +12,8 @@ PivotEnumerator::PivotEnumerator(graph::NodeId pivot, double pivot_score,
     : pivot_(pivot),
       pivot_score_(pivot_score),
       lists_(std::move(lists)),
-      enforce_injective_(enforce_injective) {
+      enforce_injective_(enforce_injective),
+      visited_(lists_.size()) {
   if (k_hint > 0) {
     // Prop. 3 (or its injective per-list variant) bounds how deep into the
     // unsorted lists a top-k workload can reach; prune before sorting.
@@ -47,33 +48,34 @@ PivotEnumerator::PivotEnumerator(graph::NodeId pivot, double pivot_score,
     }
   }
   if (!lists_.empty()) {
-    PushState(std::vector<int>(lists_.size(), 0));
+    next_.assign(lists_.size(), 0);
+    PushState(next_.data());
   }
 }
 
-double PivotEnumerator::StateScore(const std::vector<int>& cursor) const {
+double PivotEnumerator::StateScore(const uint32_t* cursor) const {
   double s = pivot_score_;
-  for (size_t i = 0; i < cursor.size(); ++i) {
+  for (size_t i = 0; i < lists_.size(); ++i) {
     s += lists_[i][cursor[i]].total;
   }
   return s;
 }
 
-bool PivotEnumerator::StateInjective(const std::vector<int>& cursor) const {
-  for (size_t i = 0; i < cursor.size(); ++i) {
+bool PivotEnumerator::StateInjective(const uint32_t* cursor) const {
+  for (size_t i = 0; i < lists_.size(); ++i) {
     const graph::NodeId a = lists_[i][cursor[i]].node;
     if (a == pivot_) return false;
-    for (size_t j = i + 1; j < cursor.size(); ++j) {
+    for (size_t j = i + 1; j < lists_.size(); ++j) {
       if (a == lists_[j][cursor[j]].node) return false;
     }
   }
   return true;
 }
 
-void PivotEnumerator::PushState(std::vector<int> cursor) {
-  if (!visited_.insert(cursor).second) return;
-  const double score = StateScore(cursor);
-  frontier_.push(State{score, std::move(cursor)});
+void PivotEnumerator::PushState(const uint32_t* cursor) {
+  const auto [id, inserted] = visited_.Insert(cursor);
+  if (!inserted) return;
+  frontier_.push(State{StateScore(cursor), id});
 }
 
 void PivotEnumerator::Stage() {
@@ -81,7 +83,7 @@ void PivotEnumerator::Stage() {
   if (lists_.empty()) {
     // Zero-leaf star: the pivot alone is the single match.
     if (!zero_leaf_emitted_) {
-      staged_ = State{pivot_score_, {}};
+      staged_ = State{pivot_score_, 0};
       zero_leaf_emitted_ = true;
     } else {
       exhausted_ = true;
@@ -89,20 +91,23 @@ void PivotEnumerator::Stage() {
     return;
   }
   while (!frontier_.empty()) {
-    State top = frontier_.top();
+    const State top = frontier_.top();
     frontier_.pop();
     ++states_explored_;
     // Expand successors regardless of validity: an invalid state's
-    // children may be valid and cheaper states are never skipped.
+    // children may be valid and cheaper states are never skipped. The
+    // cursor is copied out first: pushing may grow the visited buffer.
+    const uint32_t* cursor = visited_.tuple(top.cursor);
+    next_.assign(cursor, cursor + lists_.size());
     for (size_t i = 0; i < lists_.size(); ++i) {
-      if (top.cursor[i] + 1 < static_cast<int>(lists_[i].size())) {
-        std::vector<int> next = top.cursor;
-        ++next[i];
-        PushState(std::move(next));
+      if (next_[i] + 1 < lists_[i].size()) {
+        ++next_[i];
+        PushState(next_.data());
+        --next_[i];
       }
     }
-    if (!enforce_injective_ || StateInjective(top.cursor)) {
-      staged_ = std::move(top);
+    if (!enforce_injective_ || StateInjective(visited_.tuple(top.cursor))) {
+      staged_ = top;
       return;
     }
   }
@@ -121,9 +126,10 @@ std::optional<StarMatch> PivotEnumerator::Next() {
   StarMatch m;
   m.pivot = pivot_;
   m.score = staged_->score;
-  m.leaves.reserve(staged_->cursor.size());
-  for (size_t i = 0; i < staged_->cursor.size(); ++i) {
-    m.leaves.push_back(lists_[i][staged_->cursor[i]].node);
+  m.leaves.reserve(lists_.size());
+  const uint32_t* cursor = visited_.tuple(staged_->cursor);
+  for (size_t i = 0; i < lists_.size(); ++i) {
+    m.leaves.push_back(lists_[i][cursor[i]].node);
   }
   staged_.reset();
   return m;

@@ -2,11 +2,12 @@
 #define STAR_CORE_PIVOT_ENUMERATOR_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
+#include "core/flat_tuple_set.h"
 #include "core/match.h"
 
 namespace star::core {
@@ -24,7 +25,9 @@ struct LeafCandidate {
 /// Construction sorts each leaf list descending (optionally pruning via
 /// Prop. 3 / the injective per-list bound first); Next() then walks the
 /// cursor lattice with a priority queue and a visited set, advancing one
-/// cursor at a time from each popped state. With injectivity enforcement,
+/// cursor at a time from each popped state. Every pushed cursor lives in
+/// the visited set's flat buffer, and queued states refer to it by id, so
+/// a state costs no allocation of its own. With injectivity enforcement,
 /// states whose leaf nodes collide (or equal the pivot) are skipped but
 /// still expanded, preserving the monotone emission order.
 class PivotEnumerator {
@@ -50,26 +53,16 @@ class PivotEnumerator {
  private:
   struct State {
     double score;
-    std::vector<int> cursor;
-    bool operator<(const State& other) const {  // max-heap by score
-      return score < other.score;
-    }
+    uint32_t cursor;  // id of the cursor in visited_
+    // Max-heap by score alone: equal scores pop in the order the heap
+    // operations leave them, which depends only on the push sequence.
+    bool operator<(const State& other) const { return score < other.score; }
   };
 
-  struct CursorHash {
-    size_t operator()(const std::vector<int>& c) const {
-      size_t h = 0xcbf29ce484222325ULL;
-      for (const int x : c) {
-        h ^= static_cast<size_t>(x) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-             (h >> 2);
-      }
-      return h;
-    }
-  };
-
-  void PushState(std::vector<int> cursor);
-  double StateScore(const std::vector<int>& cursor) const;
-  bool StateInjective(const std::vector<int>& cursor) const;
+  /// Queues `cursor` (one index per leaf list) unless it was queued before.
+  void PushState(const uint32_t* cursor);
+  double StateScore(const uint32_t* cursor) const;
+  bool StateInjective(const uint32_t* cursor) const;
   /// Pops states until a valid one is staged or the lattice is exhausted.
   void Stage();
 
@@ -81,7 +74,8 @@ class PivotEnumerator {
   bool zero_leaf_emitted_ = false;
 
   std::priority_queue<State> frontier_;
-  std::unordered_set<std::vector<int>, CursorHash> visited_;
+  FlatTupleSet visited_;         // every pushed cursor, in push order
+  std::vector<uint32_t> next_;   // successor cursor being built
   std::optional<State> staged_;
   size_t states_explored_ = 0;
 };

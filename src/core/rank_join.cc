@@ -127,16 +127,15 @@ RankJoin::RankJoin(std::unique_ptr<CoveredMatchIterator> left,
   for (int u = 0; u < 64; ++u) {
     if (shared & (uint64_t{1} << u)) shared_nodes_.push_back(u);
   }
+  key_.resize(shared_nodes_.size());
+  left_.keys = FlatTupleSet(shared_nodes_.size());
+  right_.keys = FlatTupleSet(shared_nodes_.size());
 }
 
-std::string RankJoin::JoinKey(const GraphMatch& m) const {
-  std::string key;
-  key.reserve(shared_nodes_.size() * sizeof(graph::NodeId));
-  for (const int u : shared_nodes_) {
-    const graph::NodeId v = m.mapping[u];
-    key.append(reinterpret_cast<const char*>(&v), sizeof(v));
+void RankJoin::JoinKey(const GraphMatch& m) {
+  for (size_t k = 0; k < shared_nodes_.size(); ++k) {
+    key_[k] = m.mapping[shared_nodes_[k]];
   }
-  return key;
 }
 
 std::optional<GraphMatch> RankJoin::Combine(const GraphMatch& a,
@@ -181,11 +180,11 @@ bool RankJoin::Pull(Side& self, Side& other) {
     self.top_seen = true;
     self.top_score = m->score;
   }
-  const std::string key = JoinKey(*m);
+  JoinKey(*m);
   // Probe the other side's table.
-  const auto it = other.table.find(key);
-  if (it != other.table.end()) {
-    for (const GraphMatch& partner : it->second) {
+  const uint32_t partners = other.keys.Find(key_.data());
+  if (partners != FlatTupleSet::kAbsent) {
+    for (const GraphMatch& partner : other.groups[partners]) {
       ++stats_.pairs_probed;
       auto joined = Combine(*m, partner);
       if (joined.has_value()) {
@@ -194,7 +193,9 @@ bool RankJoin::Pull(Side& self, Side& other) {
       }
     }
   }
-  self.table[key].push_back(std::move(*m));
+  const auto [group, inserted] = self.keys.Insert(key_.data());
+  if (inserted) self.groups.emplace_back();
+  self.groups[group].push_back(std::move(*m));
   return true;
 }
 

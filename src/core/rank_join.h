@@ -8,10 +8,10 @@
 #include <optional>
 #include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/deadline.h"
+#include "core/flat_tuple_set.h"
 #include "core/match.h"
 #include "core/reuse_cache.h"
 #include "core/star_search.h"
@@ -159,15 +159,20 @@ class RankJoin : public CoveredMatchIterator {
  private:
   struct Side {
     std::unique_ptr<CoveredMatchIterator> input;
-    std::unordered_map<std::string, std::vector<GraphMatch>> table;
+    // Join table: the distinct join keys pulled so far, and per key id the
+    // matches pulled with that key, in pull order. Only probed and
+    // appended, never iterated as a whole.
+    FlatTupleSet keys;
+    std::vector<std::vector<GraphMatch>> groups;
     double top_score = 0.0;  // score of the first match pulled
     bool top_seen = false;
     bool exhausted = false;
     size_t pulled = 0;
   };
 
-  /// Joint-node signature of a match (data nodes at shared query nodes).
-  std::string JoinKey(const GraphMatch& m) const;
+  /// Fills key_ with the join key of `m`: its data nodes at the shared
+  /// query nodes, in shared_nodes_ order.
+  void JoinKey(const GraphMatch& m);
 
   /// Unseen-result threshold T (Eq. 4 composition); -inf when both inputs
   /// are exhausted.
@@ -184,6 +189,7 @@ class RankJoin : public CoveredMatchIterator {
   Side left_, right_;
   uint64_t covered_ = 0;
   std::vector<int> shared_nodes_;
+  std::vector<uint32_t> key_;  // join key of the match being pulled
   bool enforce_injective_;
   CancelChecker cancel_check_;
   bool cancelled_ = false;

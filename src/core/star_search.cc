@@ -262,15 +262,18 @@ namespace {
 /// symmetric and the forwarded state independent of relations.
 struct Message {
   NodeId source = graph::kInvalidNode;
-  double base = 0.0;
   int hops = 0;
+  double base = 0.0;
 };
 
-/// Arrival bookkeeping per (leaf, node): the best arrival values of the
-/// two best *distinct* sources — exactly what the pivot estimate needs
-/// under injectivity (§V-B's ping-pong rule: "record two best matches"),
-/// plus an admissible upper bound for anything dropped from the forward
-/// set upstream.
+/// Arrival bookkeeping per (leaf, pivot candidate): the best arrival
+/// values of the two best *distinct* sources — exactly what the pivot
+/// estimate needs under injectivity (§V-B's ping-pong rule: "record two
+/// best matches"), plus an admissible upper bound for anything dropped
+/// from the forward set upstream. Both readings are functions of the
+/// multiset of (source, value) offers alone, whatever their order:
+/// BestAny is the max over all offers and BestExcluding(x) the max over
+/// offers whose source is not x.
 struct ArrivalSlot {
   NodeId best_source = graph::kInvalidNode;
   double best_value = -1.0;
@@ -305,12 +308,19 @@ struct ArrivalSlot {
   double BestAny() const { return std::max(best_value, overflow); }
 };
 
+constexpr size_t kForwardCap = 5;
+// At most two messages are protected from eviction, so an over-full set
+// always evicts one and never holds more than kForwardCap + 1 messages.
+static_assert(kForwardCap >= 2);
+
 /// Forward state per (leaf, node): messages eligible to travel further.
 /// Only (source, base, hops) matter downstream. Same-source dominated
 /// entries are pruned; the set is capped with the two best distinct
 /// sources protected; drops record an upper bound on future arrivals.
+/// Fixed capacity, so the sets of one leaf sit inline in a flat pool.
 struct ForwardSet {
-  std::vector<Message> messages;
+  uint32_t size = 0;
+  Message messages[kForwardCap + 1];
 
   /// Potential of a message = best possible future arrival value.
   static double Potential(const Message& m, double lambda) {
@@ -319,51 +329,130 @@ struct ForwardSet {
 
   /// Returns (kept, dropped_bound): dropped_bound >= any future arrival of
   /// a message evicted by this insertion (< 0 if nothing dropped).
-  std::pair<bool, double> Insert(const Message& m, double lambda,
-                                 size_t cap) {
-    for (const Message& e : messages) {
-      if (e.source == m.source && e.base >= m.base && e.hops <= m.hops) {
+  std::pair<bool, double> Insert(const Message& m, double lambda) {
+    Message* const begin = messages;
+    Message* end = messages + size;
+    for (const Message* e = begin; e != end; ++e) {
+      if (e->source == m.source && e->base >= m.base && e->hops <= m.hops) {
         return {false, -1.0};
       }
     }
-    std::erase_if(messages, [&](const Message& e) {
+    end = std::remove_if(begin, end, [&](const Message& e) {
       return e.source == m.source && m.base >= e.base && m.hops <= e.hops;
     });
-    messages.push_back(m);
-    if (messages.size() <= cap) return {true, -1.0};
+    *end++ = m;
+    size = static_cast<uint32_t>(end - begin);
+    if (size <= kForwardCap) return {true, -1.0};
     // Evict the weakest unprotected message.
-    std::sort(messages.begin(), messages.end(),
-              [&](const Message& a, const Message& b) {
-                return Potential(a, lambda) > Potential(b, lambda);
-              });
-    const NodeId first = messages[0].source;
+    std::sort(begin, end, [&](const Message& a, const Message& b) {
+      return Potential(a, lambda) > Potential(b, lambda);
+    });
+    const NodeId first = begin[0].source;
     NodeId second = graph::kInvalidNode;
-    for (const Message& e : messages) {
-      if (e.source != first) {
-        second = e.source;
+    for (const Message* e = begin; e != end; ++e) {
+      if (e->source != first) {
+        second = e->source;
         break;
       }
     }
-    for (size_t i = messages.size(); i-- > 0;) {
-      const Message& e = messages[i];
-      const bool first_of_source =
-          std::find_if(messages.begin(), messages.begin() + i,
-                       [&](const Message& x) { return x.source == e.source; }) ==
-          messages.begin() + i;
-      if ((e.source == first || e.source == second) && first_of_source) {
-        continue;  // protected
-      }
-      const double bound = Potential(e, lambda);
-      const bool dropped_is_new =
-          e.source == m.source && e.base == m.base && e.hops == m.hops;
-      messages.erase(messages.begin() + i);
-      return {!dropped_is_new, bound};
-    }
-    return {true, -1.0};  // everything protected; tolerate over-capacity
+    const auto is_protected = [&](size_t i) {
+      const NodeId source = begin[i].source;
+      return (source == first || source == second) &&
+             std::none_of(begin, begin + i, [&](const Message& x) {
+               return x.source == source;
+             });
+    };
+    size_t i = size - 1;
+    while (is_protected(i)) --i;  // ends: at most two are protected
+    const Message& e = begin[i];
+    const double bound = Potential(e, lambda);
+    const bool dropped_is_new =
+        e.source == m.source && e.base == m.base && e.hops == m.hops;
+    std::copy(begin + i + 1, end, begin + i);
+    --size;
+    return {!dropped_is_new, bound};
   }
 };
 
-constexpr size_t kForwardCap = 5;
+constexpr uint32_t kNone = UINT32_MAX;
+
+/// Node-indexed values that live for one epoch. Begin() opens a new epoch
+/// in O(1) (a full reset only when the counter wraps); an entry not yet
+/// touched this epoch is absent to Find() and starts from `init` in At().
+/// Sized to the graph once per thread and reused across leaves and
+/// queries, so no |V|-sized allocation or clear runs per query.
+template <typename T>
+class EpochArray {
+ public:
+  void Begin(size_t nodes, const T& init) {
+    if (entries_.size() < nodes) entries_.resize(nodes);
+    init_ = init;
+    if (++epoch_ == 0) {
+      for (Entry& e : entries_) e.epoch = 0;
+      epoch_ = 1;
+    }
+  }
+  /// The entry of v, reset to `init` on its first access this epoch.
+  T& At(NodeId v) {
+    Entry& e = entries_[v];
+    if (e.epoch != epoch_) e = {epoch_, init_};
+    return e.value;
+  }
+  /// The entry of v, or nullptr if it was not written this epoch.
+  const T* Find(NodeId v) const {
+    const Entry& e = entries_[v];
+    return e.epoch == epoch_ ? &e.value : nullptr;
+  }
+
+ private:
+  struct Entry {
+    uint32_t epoch = 0;
+    T value;
+  };
+  std::vector<Entry> entries_;
+  uint32_t epoch_ = 0;
+  T init_{};
+};
+
+/// stard's pivot candidates: node -> dense slot index, and back. Built
+/// by the owning thread before propagation; read-only afterwards, so
+/// leaf workers read it through a reference to the owner's instance.
+struct PivotSlots {
+  EpochArray<uint32_t> slot_of;
+  std::vector<NodeId> nodes;
+};
+
+struct FrontierEntry {
+  NodeId at;
+  Message msg;
+};
+
+/// Per-node propagation state of the leaf being propagated.
+struct NodeState {
+  uint32_t forward;  // index into LeafScratch::sets, kNone = no set yet
+  uint32_t queued;   // first last-round frontier entry queued here, kNone
+  double overflow;   // overflow bound that reached this node, -1 = none
+  double queued_overflow;  // max overflow bound queued for the last round
+};
+
+/// One thread's stard propagation scratch, reused leaf after leaf.
+struct LeafScratch {
+  EpochArray<NodeState> nodes;
+  std::vector<ForwardSet> sets;
+  std::vector<FrontierEntry> frontier, next;
+  std::vector<uint32_t> queued_next;  // per frontier entry: next at its node
+  std::vector<std::pair<NodeId, double>> overflow_frontier, next_overflow;
+};
+
+PivotSlots& ThreadPivotSlots() {
+  thread_local PivotSlots slots;
+  return slots;
+}
+
+LeafScratch& ThreadLeafScratch() {
+  thread_local LeafScratch scratch;
+  return scratch;
+}
 
 }  // namespace
 
@@ -371,26 +460,38 @@ void StarSearch::InitializeStard() {
   const KnowledgeGraph& g = scorer_.graph();
   const scoring::MatchConfig& cfg = scorer_.config();
   const size_t s = star_.edges.size();
-  const int d = std::max(1, cfg.d);
+  const int d = cfg.d;  // >= 2: Initialize() runs stark at d <= 1
   const double lambda = cfg.lambda;
   const int threads = ResolveThreads(cfg.threads);
 
-  std::vector<std::unordered_map<NodeId, ArrivalSlot>> arrivals(s);
-
-  // Parallel contract: leaves propagate into disjoint state (arrivals[i]
-  // etc. are per-leaf), so the d rounds run leaf-parallel after the scorer
-  // is warmed; each leaf's message sequence — and thus its arrival slots —
-  // is exactly the serial one.
+  // Parallel contract: leaves propagate into disjoint state (their own
+  // arrival slots and thread-local scratch), so the d rounds run
+  // leaf-parallel after the scorer is warmed; each leaf's message
+  // sequence — and thus its arrival slots — is exactly the serial one.
   if (threads > 1) scorer_.WarmStarCaches(star_.pivot, star_.edges, leaf_nodes_);
 
-  // Propagation scratch lands on the per-query arena only when the
-  // ParallelFor below is guaranteed inline (the single-threaded arena must
-  // never be touched from pool workers).
-  std::pmr::memory_resource* const prop_mem =
-      (threads > 1 && s > 1) ? std::pmr::get_default_resource()
-                             : scorer_.transient_resource();
+  // The estimate reads arrival slots only at pivot candidates, so those
+  // are the only slots kept: one per (leaf, distinct pivot candidate), at
+  // arrivals[leaf * P + slot].
+  const auto& candidates = scorer_.Candidates(star_.pivot);
+  stats_.pivot_candidates = candidates.size();
+  PivotSlots& pivots = ThreadPivotSlots();
+  pivots.slot_of.Begin(g.node_count(), kNone);
+  pivots.nodes.clear();
+  for (const ScoredCandidate& c : candidates) {
+    uint32_t& slot = pivots.slot_of.At(c.node);
+    if (slot != kNone) continue;
+    slot = static_cast<uint32_t>(pivots.nodes.size());
+    pivots.nodes.push_back(c.node);
+  }
+  const size_t P = pivots.nodes.size();
+  std::pmr::vector<ArrivalSlot> arrivals(s * P,
+                                         scorer_.transient_resource());
 
-  // All d propagation rounds for one leaf (§V-B, Example 6).
+  // All d propagation rounds for one leaf (§V-B, Example 6). Rounds
+  // 1 .. d-1 push: every message is offered to the arrival slot at each
+  // neighbor that is a pivot candidate, and to its forward set. Round d
+  // is pulled: see below.
   const auto propagate = [&](size_t i, StarSearchStats& stats) {
     CancelChecker cancel_check(options_.cancel);
     const int leaf = leaf_nodes_[i];
@@ -400,13 +501,28 @@ void StarSearch::InitializeStard() {
     // wildcards have proper candidate lists and propagate normally.
     if (leaf_node.wildcard && leaf_node.type_name.empty()) return;
 
-    struct FrontierEntry {
-      NodeId at;
-      Message msg;
+    LeafScratch& scratch = ThreadLeafScratch();
+    scratch.nodes.Begin(g.node_count(), NodeState{kNone, kNone, -1.0, -1.0});
+    scratch.sets.clear();
+    scratch.next.clear();
+    scratch.next_overflow.clear();
+    ArrivalSlot* const slots = arrivals.data() + i * P;
+    const auto offer = [&](NodeId at, NodeId source, double value) {
+      const uint32_t* slot = pivots.slot_of.Find(at);
+      if (slot != nullptr) slots[*slot].Offer(source, value);
     };
-    std::pmr::unordered_map<NodeId, ForwardSet> forward(prop_mem);
-    std::pmr::vector<FrontierEntry> frontier(prop_mem);
-    std::pmr::vector<std::pair<NodeId, double>> overflow_frontier(prop_mem);
+    // Inserts into at's forward set; a kept message travels on next
+    // round, an evicted one leaves an overflow bound queued at `at`.
+    const auto forward = [&](NodeId at, const Message& m) {
+      NodeState& node = scratch.nodes.At(at);
+      if (node.forward == kNone) {
+        node.forward = static_cast<uint32_t>(scratch.sets.size());
+        scratch.sets.emplace_back();
+      }
+      const auto [kept, dropped] = scratch.sets[node.forward].Insert(m, lambda);
+      if (kept) scratch.next.push_back({at, m});
+      if (dropped >= 0.0) scratch.next_overflow.emplace_back(at, dropped);
+    };
 
     // Round 1: each leaf candidate sends to its neighbors; the arrival
     // value uses the direct edge's relation similarity.
@@ -417,30 +533,24 @@ void StarSearch::InitializeStard() {
         return;
       }
       const double base = c.score * leaf_weight;
-      const Message m{c.node, base, 1};
+      const Message m{c.node, 1, base};
       for (const Neighbor& nb : g.Neighbors(c.node)) {
         ++stats.messages_sent;
         const double relsim = scorer_.RelationScore(star_.edges[i], nb.relation);
-        if (relsim >= cfg.edge_threshold) {
-          arrivals[i][nb.node].Offer(c.node, base + relsim);
-        }
-        if (d >= 2) {
-          auto [kept, dropped] =
-              forward[nb.node].Insert(m, lambda, kForwardCap);
-          if (kept) frontier.push_back({nb.node, m});
-          if (dropped >= 0.0) {
-            overflow_frontier.emplace_back(nb.node, dropped);
-          }
-        }
+        if (relsim >= cfg.edge_threshold) offer(nb.node, c.node, base + relsim);
+        forward(nb.node, m);
       }
     }
+    std::swap(scratch.frontier, scratch.next);
+    std::swap(scratch.overflow_frontier, scratch.next_overflow);
 
-    // Rounds 2..d: forward one hop; arrival value is base + lambda^(h-1).
-    for (int h = 2; h <= d; ++h) {
+    // Rounds 2 .. d-1: forward one hop; arrival value is base +
+    // lambda^(h-1).
+    for (int h = 2; h < d; ++h) {
       const double decay = scorer_.PathDecay(h);
-      std::pmr::vector<FrontierEntry> next(prop_mem);
-      std::pmr::vector<std::pair<NodeId, double>> next_overflow(prop_mem);
-      for (const FrontierEntry& fe : frontier) {
+      scratch.next.clear();
+      scratch.next_overflow.clear();
+      for (const FrontierEntry& fe : scratch.frontier) {
         if (cancel_check.ShouldStop()) {
           stats.cancelled = true;
           return;
@@ -450,35 +560,69 @@ void StarSearch::InitializeStard() {
         for (const Neighbor& nb : g.Neighbors(fe.at)) {
           ++stats.messages_sent;
           if (decay >= cfg.edge_threshold) {
-            arrivals[i][nb.node].Offer(fwd.source, fwd.base + decay);
+            offer(nb.node, fwd.source, fwd.base + decay);
           }
-          if (h < d) {
-            auto [kept, dropped] =
-                forward[nb.node].Insert(fwd, lambda, kForwardCap);
-            if (kept) next.push_back({nb.node, fwd});
-            if (dropped >= 0.0) next_overflow.emplace_back(nb.node, dropped);
-          }
+          forward(nb.node, fwd);
         }
       }
-      // Overflow upper bounds spread undecayed to stay admissible.
-      for (const auto& [at, ub] : overflow_frontier) {
-        ArrivalSlot& self = arrivals[i][at];
+      // Overflow upper bounds spread undecayed to stay admissible; the
+      // node-indexed overflow dedups the spread at every node.
+      for (const auto& [at, ub] : scratch.overflow_frontier) {
+        NodeState& self = scratch.nodes.At(at);
         self.overflow = std::max(self.overflow, ub);
         for (const Neighbor& nb : g.Neighbors(at)) {
-          ArrivalSlot& slot = arrivals[i][nb.node];
-          if (ub > slot.overflow) {
-            slot.overflow = ub;
-            next_overflow.emplace_back(nb.node, ub);
+          NodeState& node = scratch.nodes.At(nb.node);
+          if (ub > node.overflow) {
+            node.overflow = ub;
+            scratch.next_overflow.emplace_back(nb.node, ub);
           }
         }
       }
-      frontier = std::move(next);
-      overflow_frontier = std::move(next_overflow);
+      std::swap(scratch.frontier, scratch.next);
+      std::swap(scratch.overflow_frontier, scratch.next_overflow);
     }
-    // Any overflow still queued lands in its node's slot.
-    for (const auto& [at, ub] : overflow_frontier) {
-      ArrivalSlot& slot = arrivals[i][at];
-      slot.overflow = std::max(slot.overflow, ub);
+
+    // Round d, pulled. Pushing would offer every frontier entry at x to
+    // each neighbor of x; Neighbors() lists both orientations of every
+    // edge, so p is in N(x) exactly as often as x is in N(p), and each
+    // pivot candidate p pulling the entries queued at its neighbors gets
+    // the same multiset of offers. Likewise p's overflow is the max of
+    // its own, what is queued at p, and what is queued at its neighbors.
+    const double decay = scorer_.PathDecay(d);
+    const bool offers = decay >= cfg.edge_threshold;
+    scratch.queued_next.resize(scratch.frontier.size());
+    for (size_t j = 0; j < scratch.frontier.size(); ++j) {
+      NodeState& node = scratch.nodes.At(scratch.frontier[j].at);
+      scratch.queued_next[j] = node.queued;
+      node.queued = static_cast<uint32_t>(j);
+    }
+    for (const auto& [at, ub] : scratch.overflow_frontier) {
+      NodeState& node = scratch.nodes.At(at);
+      node.queued_overflow = std::max(node.queued_overflow, ub);
+    }
+    for (size_t k = 0; k < P; ++k) {
+      if (cancel_check.ShouldStop()) {
+        stats.cancelled = true;
+        return;
+      }
+      const NodeId p = pivots.nodes[k];
+      ArrivalSlot& slot = slots[k];
+      if (const NodeState* self = scratch.nodes.Find(p)) {
+        slot.overflow =
+            std::max({slot.overflow, self->overflow, self->queued_overflow});
+      }
+      for (const Neighbor& nb : g.Neighbors(p)) {
+        const NodeState* node = scratch.nodes.Find(nb.node);
+        if (node == nullptr) continue;
+        slot.overflow = std::max(slot.overflow, node->queued_overflow);
+        if (!offers) continue;
+        for (uint32_t j = node->queued; j != kNone;
+             j = scratch.queued_next[j]) {
+          ++stats.messages_sent;
+          const Message& m = scratch.frontier[j].msg;
+          slot.Offer(m.source, m.base + decay);
+        }
+      }
     }
   };
 
@@ -493,8 +637,6 @@ void StarSearch::InitializeStard() {
   // Estimate each pivot candidate's top-1 score from the arrival slots
   // (read-only now, so candidates partition across workers; the indexed
   // output vector preserves candidate order for determinism).
-  const auto& candidates = scorer_.Candidates(star_.pivot);
-  stats_.pivot_candidates = candidates.size();
   const double pivot_weight = NodeWeight(star_.pivot);
   std::vector<ReserveEntry> entries(candidates.size());
   std::vector<uint8_t> chunk_cancelled(
@@ -507,6 +649,7 @@ void StarSearch::InitializeStard() {
         break;  // unprocessed entries stay invalid
       }
       const ScoredCandidate& c = candidates[idx];
+      const size_t slot = *pivots.slot_of.Find(c.node);
       double estimate = c.score * pivot_weight;
       bool feasible = true;
       for (size_t i = 0; i < s; ++i) {
@@ -519,12 +662,9 @@ void StarSearch::InitializeStard() {
                            scorer_.MaxEdgeScore(star_.edges[i]);
           }
         } else {
-          const auto it = arrivals[i].find(c.node);
-          if (it != arrivals[i].end()) {
-            contribution = cfg.enforce_injective
-                               ? it->second.BestExcluding(c.node)
-                               : it->second.BestAny();
-          }
+          const ArrivalSlot& a = arrivals[i * P + slot];
+          contribution = cfg.enforce_injective ? a.BestExcluding(c.node)
+                                               : a.BestAny();
         }
         if (contribution < 0.0) {
           feasible = false;
@@ -740,6 +880,14 @@ double StarSearch::UpperBound() {
     ub = std::max(ub, cap);
   }
   return ub;
+}
+
+std::vector<std::pair<NodeId, double>> StarSearch::PivotBounds() {
+  Initialize();
+  std::vector<std::pair<NodeId, double>> out;
+  out.reserve(reserve_.size());
+  for (const ReserveEntry& e : reserve_) out.emplace_back(e.pivot, e.bound);
+  return out;
 }
 
 std::vector<StarMatch> StarSearch::TopK(size_t k) {

@@ -7,6 +7,7 @@
 #include <memory_resource>
 #include <optional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
@@ -41,6 +42,9 @@ enum class StarStrategy {
 struct StarSearchStats {
   size_t pivot_candidates = 0;
   size_t enumerators_built = 0;
+  /// stard messages: the sends pushed in rounds 1 .. d-1 (one per
+  /// neighbor of each sender), plus the offers pivot candidates pull in
+  /// round d (one per frontier entry queued at a neighbor).
   size_t messages_sent = 0;
   size_t nodes_expanded = 0;
   size_t matches_emitted = 0;
@@ -140,6 +144,12 @@ class StarSearch {
 
   /// Convenience: the best k matches (Fig. 5's stark procedure).
   std::vector<StarMatch> TopK(size_t k);
+
+  /// The reserve's (pivot, bound) pairs in reserve order (bound desc,
+  /// pivot asc), after initializing the search: stark's exact top-1
+  /// scores, stard's §V-B estimates, or the hybrid's closed-form bounds.
+  /// Reading them changes nothing; tests pin the estimates with it.
+  std::vector<std::pair<graph::NodeId, double>> PivotBounds();
 
   /// Expands a star match to a (partial) match of the full query graph.
   GraphMatch ToGraphMatch(const StarMatch& m) const;

@@ -59,6 +59,7 @@ QueryScorer::QueryScorer(const KnowledgeGraph& g, const QueryGraph& q,
                             : std::pmr::get_default_resource()),
       node_cache_(q.node_count()),
       candidates_ready_(q.node_count(), false),
+      candidate_scores_ready_(q.node_count(), false),
       max_relation_score_(q.edge_count(), 1.0),
       max_relation_ready_(q.edge_count(), false),
       relation_table_(q.edge_count()),
@@ -72,6 +73,10 @@ QueryScorer::QueryScorer(const KnowledgeGraph& g, const QueryGraph& q,
   // copies take the DEFAULT resource, silently dropping the arena.
   candidates_.reserve(q.node_count());
   for (int u = 0; u < q.node_count(); ++u) candidates_.emplace_back(mem_);
+  candidate_scores_.reserve(q.node_count());
+  for (int u = 0; u < q.node_count(); ++u) {
+    candidate_scores_.push_back({std::pmr::vector<CandidateSlot>(mem_), 63});
+  }
   // Resolve type names into the ensemble's ontology once.
   query_node_onto_type_.resize(q.node_count(), -1);
   for (int u = 0; u < q.node_count(); ++u) {
@@ -727,20 +732,30 @@ double QueryScorer::CandidateScore(int query_node, graph::NodeId v) const {
     return config_.wildcard_node_score;
   }
   query_node = node_rep_[query_node];
-  if (candidate_map_ready_.empty()) {
-    candidate_map_ready_.assign(query_.node_count(), false);
-    candidate_score_map_.resize(query_.node_count());
+  if (!candidate_scores_ready_[query_node]) {
+    BuildCandidateScoreTable(query_node);
   }
-  if (!candidate_map_ready_[query_node]) {
-    candidate_map_ready_[query_node] = true;
-    auto& map = candidate_score_map_[query_node];
-    for (const ScoredCandidate& c : Candidates(query_node)) {
-      map.emplace(c.node, c.score);
-    }
+  // An absent v (kInvalidNode too) ends at an empty slot, which reads -1.
+  const CandidateScoreTable& table = candidate_scores_[query_node];
+  return table.slots[table.Probe(v)].score;
+}
+
+void QueryScorer::BuildCandidateScoreTable(int rep) const {
+  const CandidateList& list = Candidates(rep);
+  CandidateScoreTable& table = candidate_scores_[rep];
+  size_t capacity = 2;
+  table.shift = 63;
+  while (capacity < 2 * list.size()) {
+    capacity *= 2;
+    --table.shift;
   }
-  const auto& map = candidate_score_map_[query_node];
-  const auto it = map.find(v);
-  return it == map.end() ? -1.0 : it->second;
+  table.slots.assign(capacity, CandidateSlot{});
+  for (const ScoredCandidate& c : list) {
+    CandidateSlot& slot = table.slots[table.Probe(c.node)];
+    // A repeated node keeps its first score.
+    if (slot.node == graph::kInvalidNode) slot = {c.node, c.score};
+  }
+  candidate_scores_ready_[rep] = true;
 }
 
 double QueryScorer::RelationScore(int query_edge, uint32_t relation) const {
@@ -782,11 +797,11 @@ void QueryScorer::WarmStarCaches(int pivot, const std::vector<int>& edges,
   Candidates(pivot);
   for (const int leaf : leaves) {
     const query::QueryNode& qn = query_.node(leaf);
-    // Untyped wildcards never build candidate lists or maps — their
+    // Untyped wildcards never build candidate lists or tables — their
     // CandidateScore short-circuits to a constant (same as serial).
     if (qn.wildcard && qn.type_name.empty()) continue;
     Candidates(leaf);
-    CandidateScore(leaf, graph::kInvalidNode);  // forces the score map
+    CandidateScore(leaf, graph::kInvalidNode);  // forces the score table
   }
   for (const int e : edges) {
     RelationScoresAll(e);

@@ -72,7 +72,7 @@ using CandidateList = std::pmr::vector<ScoredCandidate>;
 ///
 ///  2. Warmed read-only sections (WarmStarCaches): a caller precomputes
 ///     every memo a star search touches (candidate lists, candidate-score
-///     maps, the dense per-edge relation table, max relation scores).
+///     tables, the dense per-edge relation table, max relation scores).
 ///     Afterwards NodeScore-free accessors — CandidateScore,
 ///     RelationScore, MaxRelationScore, MaxEdgeScore, EdgeScore,
 ///     PathDecay, and the Candidates getters for warmed nodes — perform
@@ -131,7 +131,9 @@ class QueryScorer {
   const CandidateList* CandidatesIfReady(int query_node) const;
 
   /// Membership score in Candidates(query_node): F_N if v is a candidate,
-  /// -1 otherwise. O(1) after the first call per query node. Untyped
+  /// -1 otherwise (also for kInvalidNode). The first call per query node
+  /// builds a flat open-addressing table over the list (the first entry
+  /// of a node wins); later calls are one probe sequence. Untyped
   /// wildcards short-circuit to the wildcard score (every node matches).
   double CandidateScore(int query_node, graph::NodeId v) const;
 
@@ -148,7 +150,7 @@ class QueryScorer {
                                          int threads) const;
 
   /// Precomputes every memo a star search over (pivot, edges, leaves)
-  /// touches: Candidates + candidate-score maps for the pivot and each
+  /// touches: Candidates + candidate-score tables for the pivot and each
   /// non-wildcard leaf (untyped wildcard leaves never build lists — same
   /// as the serial paths), the dense relation table and max relation
   /// score per star edge. After this returns, CandidateScore /
@@ -267,6 +269,9 @@ class QueryScorer {
   std::vector<graph::NodeId> RetrievalPool(
       int query_node, std::vector<uint8_t>* shares_token) const;
 
+  /// Builds candidate_scores_[rep] from Candidates(rep) (owning thread).
+  void BuildCandidateScoreTable(int rep) const;
+
   /// Pure F_N computation (Eq. 1) for a non-wildcard query node: no memo
   /// access, no counters — safe to call from any thread (the ensemble
   /// keeps its scratch buffers thread_local). Uses the prepared-label
@@ -370,7 +375,7 @@ class QueryScorer {
   // graph/config state, so nodes sharing a signature alias one
   // representative's memos: node_rep_[u] is the first query node with u's
   // signature, and every node-level memo below (F_N cache, candidate
-  // lists, candidate-score maps) is indexed through it. Likewise
+  // lists, candidate-score tables) is indexed through it. Likewise
   // edge_rep_[e] aliases relation-similarity memos by (wildcard, relation
   // label), and prepared_idx_[u] dedupes kernel views by label text —
   // each view is built, and each postings list decoded, once per query
@@ -393,9 +398,30 @@ class QueryScorer {
   mutable std::vector<std::unordered_map<graph::NodeId, double>> node_cache_;
   mutable std::vector<CandidateList> candidates_;
   mutable std::vector<bool> candidates_ready_;
-  mutable std::vector<std::unordered_map<graph::NodeId, double>>
-      candidate_score_map_;
-  mutable std::vector<bool> candidate_map_ready_;
+  // CandidateScore tables, per representative query node: open addressing
+  // with linear probing over a power-of-two slot array at least twice the
+  // list size, so every probe sequence ends at an empty slot (node ==
+  // kInvalidNode, score -1). v's probe starts at the top bits of v times
+  // the golden ratio (Fibonacci hashing).
+  struct CandidateSlot {
+    graph::NodeId node = graph::kInvalidNode;
+    double score = -1.0;
+  };
+  struct CandidateScoreTable {
+    std::pmr::vector<CandidateSlot> slots;
+    int shift = 63;  // 64 - log2(slots.size())
+
+    /// Index of v's slot, or of the empty slot that ends v's probe.
+    size_t Probe(graph::NodeId v) const {
+      size_t i = (uint64_t{v} * 0x9e3779b97f4a7c15ULL) >> shift;
+      while (slots[i].node != v && slots[i].node != graph::kInvalidNode) {
+        i = (i + 1) & (slots.size() - 1);
+      }
+      return i;
+    }
+  };
+  mutable std::vector<CandidateScoreTable> candidate_scores_;
+  mutable std::vector<bool> candidate_scores_ready_;
   mutable std::vector<double> max_relation_score_;
   mutable std::vector<bool> max_relation_ready_;
   // Dense per-edge relation-similarity tables (RelationScoresAll), the

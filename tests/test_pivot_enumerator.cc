@@ -1,11 +1,17 @@
 #include "core/pivot_enumerator.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <optional>
+#include <queue>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/topk_utils.h"
 
 namespace star::core {
 namespace {
@@ -145,6 +151,197 @@ TEST_P(EnumeratorPruneProperty, PruningPreservesTopK) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EnumeratorPruneProperty,
                          ::testing::Range(0, 40));
+
+// ---------------------------------------------------------------------------
+// Tie order. Which of two equal-score states pops first is fixed by the
+// sequence of heap pushes and pops, so the lattice must push the same
+// states in the same order as this reference: vector cursors, a hash-set
+// of visited cursors, and the same score-only heap comparator.
+// ---------------------------------------------------------------------------
+
+class ReferenceLattice {
+ public:
+  ReferenceLattice(NodeId pivot, double pivot_score,
+                   std::vector<std::vector<LeafCandidate>> lists,
+                   bool enforce_injective, size_t k_hint)
+      : pivot_(pivot),
+        pivot_score_(pivot_score),
+        lists_(std::move(lists)),
+        enforce_injective_(enforce_injective) {
+    if (k_hint > 0) {
+      std::vector<std::vector<ListEntry>> entries(lists_.size());
+      for (size_t i = 0; i < lists_.size(); ++i) {
+        for (size_t j = 0; j < lists_[i].size(); ++j) {
+          entries[i].push_back({j, lists_[i][j].total});
+        }
+      }
+      if (enforce_injective_) {
+        PruneListsPerList(entries, k_hint);
+      } else {
+        PruneListsProp3(entries, k_hint);
+      }
+      for (size_t i = 0; i < lists_.size(); ++i) {
+        std::vector<LeafCandidate> kept;
+        for (const ListEntry& e : entries[i]) kept.push_back(lists_[i][e.index]);
+        lists_[i] = std::move(kept);
+      }
+    }
+    for (auto& list : lists_) {
+      std::sort(list.begin(), list.end(),
+                [](const LeafCandidate& a, const LeafCandidate& b) {
+                  return a.total > b.total ||
+                         (a.total == b.total && a.node < b.node);
+                });
+      if (list.empty()) {
+        exhausted_ = true;
+        return;
+      }
+    }
+    if (!lists_.empty()) PushState(std::vector<int>(lists_.size(), 0));
+  }
+
+  std::optional<StarMatch> Next() {
+    Stage();
+    if (!staged_.has_value()) return std::nullopt;
+    StarMatch m;
+    m.pivot = pivot_;
+    m.score = staged_->score;
+    for (size_t i = 0; i < staged_->cursor.size(); ++i) {
+      m.leaves.push_back(lists_[i][staged_->cursor[i]].node);
+    }
+    staged_.reset();
+    return m;
+  }
+
+  size_t states_explored() const { return states_explored_; }
+
+ private:
+  struct State {
+    double score;
+    std::vector<int> cursor;
+    bool operator<(const State& other) const { return score < other.score; }
+  };
+  struct CursorHash {
+    size_t operator()(const std::vector<int>& c) const {
+      size_t h = 0xcbf29ce484222325ULL;
+      for (const int x : c) {
+        h ^= static_cast<size_t>(x) + 0x9e3779b97f4a7c15ULL + (h << 6) +
+             (h >> 2);
+      }
+      return h;
+    }
+  };
+
+  void PushState(std::vector<int> cursor) {
+    if (!visited_.insert(cursor).second) return;
+    double score = pivot_score_;
+    for (size_t i = 0; i < cursor.size(); ++i) {
+      score += lists_[i][cursor[i]].total;
+    }
+    frontier_.push(State{score, std::move(cursor)});
+  }
+
+  bool Injective(const std::vector<int>& cursor) const {
+    for (size_t i = 0; i < cursor.size(); ++i) {
+      const NodeId a = lists_[i][cursor[i]].node;
+      if (a == pivot_) return false;
+      for (size_t j = i + 1; j < cursor.size(); ++j) {
+        if (a == lists_[j][cursor[j]].node) return false;
+      }
+    }
+    return true;
+  }
+
+  void Stage() {
+    if (staged_.has_value() || exhausted_) return;
+    if (lists_.empty()) {
+      if (!zero_leaf_emitted_) {
+        staged_ = State{pivot_score_, {}};
+        zero_leaf_emitted_ = true;
+      } else {
+        exhausted_ = true;
+      }
+      return;
+    }
+    while (!frontier_.empty()) {
+      State top = frontier_.top();
+      frontier_.pop();
+      ++states_explored_;
+      for (size_t i = 0; i < lists_.size(); ++i) {
+        if (top.cursor[i] + 1 < static_cast<int>(lists_[i].size())) {
+          std::vector<int> next = top.cursor;
+          ++next[i];
+          PushState(std::move(next));
+        }
+      }
+      if (!enforce_injective_ || Injective(top.cursor)) {
+        staged_ = std::move(top);
+        return;
+      }
+    }
+    exhausted_ = true;
+  }
+
+  NodeId pivot_;
+  double pivot_score_;
+  std::vector<std::vector<LeafCandidate>> lists_;
+  bool enforce_injective_;
+  bool exhausted_ = false;
+  bool zero_leaf_emitted_ = false;
+  std::priority_queue<State> frontier_;
+  std::unordered_set<std::vector<int>, CursorHash> visited_;
+  std::optional<State> staged_;
+  size_t states_explored_ = 0;
+};
+
+TEST(PivotLatticeTieOrder, MatchesReferenceLatticeOnTiedLists) {
+  Rng rng(20160);
+  size_t tied_pairs = 0;
+  for (size_t s = 0; s <= 5; ++s) {
+    for (size_t len = 1; len <= 12; ++len) {
+      for (const bool injective : {true, false}) {
+        for (const size_t k_hint : {size_t{0}, size_t{3}}) {
+          // Totals from a four-value grid and node ids from a small range:
+          // many exact score ties and many colliding leaves.
+          std::vector<std::vector<std::pair<NodeId, double>>> raw(s);
+          for (auto& list : raw) {
+            const size_t n = 1 + rng.Below(len);
+            for (size_t j = 0; j < n; ++j) {
+              list.emplace_back(static_cast<NodeId>(rng.Below(8)),
+                                0.25 * static_cast<double>(1 + rng.Below(4)));
+            }
+          }
+          const NodeId pivot = static_cast<NodeId>(rng.Below(8));
+          PivotEnumerator lattice(pivot, 0.5, MakeLists(raw), injective, k_hint);
+          ReferenceLattice reference(pivot, 0.5, MakeLists(raw), injective,
+                                     k_hint);
+          const auto context = ::testing::Message()
+                               << "s=" << s << " len=" << len
+                               << " injective=" << injective
+                               << " k_hint=" << k_hint;
+          double prev = 0.0;
+          for (size_t pulls = 0; pulls < 400; ++pulls) {
+            const auto got = lattice.Next();
+            const auto want = reference.Next();
+            ASSERT_EQ(got.has_value(), want.has_value()) << context;
+            if (!got.has_value()) break;
+            uint64_t got_bits, want_bits;
+            std::memcpy(&got_bits, &got->score, sizeof(got_bits));
+            std::memcpy(&want_bits, &want->score, sizeof(want_bits));
+            ASSERT_EQ(got_bits, want_bits) << context << " pull " << pulls;
+            ASSERT_EQ(got->leaves, want->leaves) << context << " pull " << pulls;
+            if (pulls > 0 && got->score == prev) ++tied_pairs;
+            prev = got->score;
+          }
+          EXPECT_EQ(lattice.states_explored(), reference.states_explored())
+              << context;
+        }
+      }
+    }
+  }
+  // Most consecutive emissions tie, so the tie order is what is compared.
+  EXPECT_GT(tied_pairs, 1000u);
+}
 
 }  // namespace
 }  // namespace star::core

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
+#include "graph/graph_generator.h"
 #include "test_helpers.h"
 
 namespace star::scoring {
@@ -76,6 +77,63 @@ TEST(QueryScorerTest, CandidateScoreMembership) {
   EXPECT_DOUBLE_EQ(scorer.CandidateScore(u, 0), 1.0);
   // Academy Award shares no token with "Brad Pitt": not a candidate.
   EXPECT_LT(scorer.CandidateScore(u, 6), 0.0);
+}
+
+// CandidateScore's flat table against a linear scan of Candidates(u), for
+// every node of the graph and kInvalidNode, before and after
+// WarmStarCaches. Two query nodes share a representative (same label and
+// type), and one leaf is an untyped wildcard, which short-circuits.
+TEST(CandidateScoreTableTest, MatchesLinearScanOfCandidates) {
+  graph::GeneratorConfig gc;
+  gc.num_nodes = 400;
+  gc.num_edges = 1200;
+  gc.num_types = 5;
+  gc.num_relations = 6;
+  gc.token_pool = 8;
+  gc.seed = 5;
+  const graph::KnowledgeGraph g = graph::GenerateGraph(gc);
+  const graph::LabelIndex index(g);
+  const text::SimilarityEnsemble ensemble;
+  query::QueryGraph q;
+  const int pivot = q.AddNode(std::string(g.NodeLabel(7)));
+  const int twin_a = q.AddNode(std::string(g.NodeLabel(11)));
+  const int twin_b = q.AddNode(std::string(g.NodeLabel(11)));
+  const int any = q.AddWildcardNode();
+  graph::NodeId typed_node = 0;
+  while (g.NodeType(typed_node) < 0) ++typed_node;
+  const int typed =
+      q.AddWildcardNode(std::string(g.TypeName(g.NodeType(typed_node))));
+  std::vector<int> edges, leaves;
+  for (const int leaf : {twin_a, twin_b, any, typed}) {
+    edges.push_back(q.AddEdge(pivot, leaf));
+    leaves.push_back(leaf);
+  }
+  const auto scan = [&](const QueryScorer& scorer, int u, graph::NodeId v) {
+    if (u == any) return scorer.config().wildcard_node_score;
+    for (const ScoredCandidate& c : scorer.Candidates(u)) {
+      if (c.node == v) return c.score;
+    }
+    return -1.0;
+  };
+  for (const bool warm : {false, true}) {
+    QueryScorer scorer(g, q, ensemble, TestConfig(), &index);
+    if (warm) scorer.WarmStarCaches(pivot, edges, leaves);
+    size_t members = 0;
+    for (int u = 0; u < q.node_count(); ++u) {
+      for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+        const double got = scorer.CandidateScore(u, v);
+        EXPECT_EQ(got, scan(scorer, u, v)) << "warm=" << warm << " u=" << u
+                                           << " v=" << v;
+        if (got >= 0.0 && u != any) ++members;
+      }
+      EXPECT_EQ(scorer.CandidateScore(u, graph::kInvalidNode),
+                u == any ? scorer.config().wildcard_node_score : -1.0)
+          << "warm=" << warm << " u=" << u;
+    }
+    // Both present and absent nodes were probed.
+    EXPECT_GT(members, 100u) << "warm=" << warm;
+    EXPECT_EQ(&scorer.Candidates(twin_a), &scorer.Candidates(twin_b));
+  }
 }
 
 TEST(QueryScorerTest, RelationScores) {

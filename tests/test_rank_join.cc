@@ -1,11 +1,16 @@
 #include "core/rank_join.h"
 
+#include <algorithm>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <queue>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baseline/brute_force.h"
+#include "common/random.h"
 #include "core/decomposition.h"
 #include "query/workload.h"
 #include "test_helpers.h"
@@ -147,6 +152,178 @@ TEST(RankJoinTest, DisjointStreamsCrossProduct) {
   size_t count = 0;
   while (join.Next().has_value()) ++count;
   EXPECT_EQ(count, 4u);
+}
+
+/// Reference for the join tables: RankJoin's pull loop (HRJN with the
+/// Eq. 4 threshold) over two scripted streams, where each probe scans
+/// every match the other side pulled so far, in pull order, and pairs
+/// those that agree on all shared query nodes.
+class NestedLoopJoin {
+ public:
+  NestedLoopJoin(std::vector<GraphMatch> left, std::vector<GraphMatch> right,
+                 std::vector<int> shared, bool injective)
+      : shared_(std::move(shared)), injective_(injective) {
+    left_.in = std::move(left);
+    right_.in = std::move(right);
+  }
+
+  std::optional<GraphMatch> Next() {
+    while (true) {
+      const double threshold = Threshold();
+      if (!results_.empty() &&
+          (results_.top().score >= threshold || threshold == kNegInf)) {
+        GraphMatch out = results_.top();
+        results_.pop();
+        return out;
+      }
+      if (threshold == kNegInf) return std::nullopt;
+      if (Bound(left_) >= Bound(right_)) {
+        if (!Pull(left_, right_)) Pull(right_, left_);
+      } else {
+        if (!Pull(right_, left_)) Pull(left_, right_);
+      }
+    }
+  }
+
+  size_t pairs_probed = 0;
+  size_t results_formed = 0;
+
+ private:
+  static constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  struct Side {
+    std::vector<GraphMatch> in;
+    size_t pos = 0;
+    std::vector<GraphMatch> pulled;
+    double top = 0.0;
+    bool top_seen = false;
+    bool exhausted = false;
+  };
+  struct Order {
+    bool operator()(const GraphMatch& a, const GraphMatch& b) const {
+      return a.score < b.score;
+    }
+  };
+
+  static double Bound(const Side& s) {
+    return s.exhausted || s.pos >= s.in.size() ? kNegInf : s.in[s.pos].score;
+  }
+
+  double Threshold() const {
+    const double lu = Bound(left_), ru = Bound(right_);
+    const double lt = left_.top_seen ? left_.top : lu;
+    const double rt = right_.top_seen ? right_.top : ru;
+    double t = kNegInf;
+    if (lu != kNegInf && rt != kNegInf) t = std::max(t, lu + rt);
+    if (ru != kNegInf && lt != kNegInf) t = std::max(t, lt + ru);
+    if (lu != kNegInf && ru != kNegInf) t = std::max(t, lu + ru);
+    return t;
+  }
+
+  bool Pull(Side& self, Side& other) {
+    if (self.exhausted) return false;
+    if (self.pos >= self.in.size()) {
+      self.exhausted = true;
+      return false;
+    }
+    const GraphMatch m = self.in[self.pos++];
+    if (!self.top_seen) {
+      self.top_seen = true;
+      self.top = m.score;
+    }
+    for (const GraphMatch& partner : other.pulled) {
+      bool same = true;
+      for (const int u : shared_) same &= m.mapping[u] == partner.mapping[u];
+      if (!same) continue;
+      ++pairs_probed;
+      GraphMatch joined;
+      joined.mapping.assign(m.mapping.size(), X);
+      for (size_t u = 0; u < m.mapping.size(); ++u) {
+        joined.mapping[u] = m.mapping[u] != X ? m.mapping[u] : partner.mapping[u];
+      }
+      if (injective_ && !joined.Injective()) continue;
+      joined.score = m.score + partner.score;
+      ++results_formed;
+      results_.push(std::move(joined));
+    }
+    self.pulled.push_back(m);
+    return true;
+  }
+
+  Side left_, right_;
+  std::vector<int> shared_;
+  bool injective_;
+  std::priority_queue<GraphMatch, std::vector<GraphMatch>, Order> results_;
+};
+
+/// A monotone stream over query nodes 0..5 covering `nodes`, with scores
+/// from a tied grid. Nodes 1..3 (the shared ones) each draw from two ids
+/// of their own, so many keys repeat and many agree on only some shared
+/// nodes; nodes 0 and 5 draw from ids that overlap them, so injectivity
+/// rejects some pairs.
+std::vector<GraphMatch> RandomStream(Rng& rng, const std::vector<int>& nodes,
+                                     size_t count) {
+  std::vector<GraphMatch> out;
+  for (size_t i = 0; i < count; ++i) {
+    std::vector<graph::NodeId> mapping(6, X);
+    for (const int u : nodes) {
+      const uint64_t id = (u == 0 || u == 5) ? 12 + rng.Below(4)
+                                             : 10 + 2 * u + rng.Below(2);
+      mapping[u] = static_cast<graph::NodeId>(id);
+    }
+    out.push_back(MakeMatch(std::move(mapping),
+                            0.25 * static_cast<double>(1 + rng.Below(8))));
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const GraphMatch& a, const GraphMatch& b) {
+                     return a.score > b.score;
+                   });
+  return out;
+}
+
+uint64_t CoverMask(const std::vector<int>& nodes) {
+  uint64_t mask = 0;
+  for (const int u : nodes) mask |= uint64_t{1} << u;
+  return mask;
+}
+
+TEST(RankJoinTest, MultiNodeKeysMatchNestedLoopJoin) {
+  // Two and three shared query nodes.
+  const std::vector<std::vector<int>> shared_sets = {{1, 2}, {1, 2, 3}};
+  for (const auto& shared : shared_sets) {
+    std::vector<int> left_nodes = {0}, right_nodes = shared;
+    left_nodes.insert(left_nodes.end(), shared.begin(), shared.end());
+    right_nodes.push_back(5);
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      for (const bool injective : {true, false}) {
+        Rng rng(seed);
+        const auto left = RandomStream(rng, left_nodes, 30);
+        const auto right = RandomStream(rng, right_nodes, 30);
+        RankJoin join(
+            std::make_unique<ScriptedStream>(CoverMask(left_nodes), left),
+            std::make_unique<ScriptedStream>(CoverMask(right_nodes), right),
+            injective);
+        NestedLoopJoin reference(left, right, shared, injective);
+        const auto context = ::testing::Message()
+                             << "shared=" << shared.size() << " seed=" << seed
+                             << " injective=" << injective;
+        size_t emitted = 0;
+        while (true) {
+          const auto got = join.Next();
+          const auto want = reference.Next();
+          ASSERT_EQ(got.has_value(), want.has_value()) << context;
+          if (!got.has_value()) break;
+          ASSERT_EQ(got->mapping, want->mapping) << context << " #" << emitted;
+          ASSERT_EQ(got->score, want->score) << context << " #" << emitted;
+          ++emitted;
+        }
+        EXPECT_GT(emitted, 0u) << context;
+        EXPECT_EQ(join.stats().pairs_probed, reference.pairs_probed)
+            << context;
+        EXPECT_EQ(join.stats().results_formed, reference.results_formed)
+            << context;
+      }
+    }
+  }
 }
 
 TEST(CachedStarStreamTest, CoversPivotAndLeaves) {
