@@ -21,7 +21,7 @@ PivotEnumerator::PivotEnumerator(graph::NodeId pivot, double pivot_score,
     for (size_t i = 0; i < lists_.size(); ++i) {
       entries[i].reserve(lists_[i].size());
       for (size_t j = 0; j < lists_[i].size(); ++j) {
-        entries[i].push_back({j, lists_[i][j].total});
+        entries[i].push_back({j, lists_[i][j].total, lists_[i][j].node});
       }
     }
     if (enforce_injective_) {

@@ -5,6 +5,16 @@
 
 namespace star::core {
 
+namespace {
+
+// The total order every cut ranks by: value desc, then node asc.
+bool RanksBefore(const ListEntry& a, const ListEntry& b) {
+  if (a.value != b.value) return a.value > b.value;
+  return a.node < b.node;
+}
+
+}  // namespace
+
 std::vector<double> TopKValues(std::vector<double> values, size_t k) {
   if (k == 0) return {};
   if (values.size() > k) {
@@ -51,17 +61,13 @@ void PruneListsProp3(std::vector<std::vector<ListEntry>>& lists, size_t k) {
   } else {
     // (k-1) largest deficits survive; cutoff = (k-1)-th largest (ties kept).
     if (k == 1) {
-      // No extra elements beyond the maxima.
-      for (size_t i = 0; i < s; ++i) {
-        std::vector<ListEntry> kept;
-        bool max_kept = false;
-        for (const ListEntry& e : lists[i]) {
-          if (!max_kept && e.value == maxima[i]) {
-            kept.push_back(e);
-            max_kept = true;
-          }
-        }
-        lists[i] = std::move(kept);
+      // No extra elements beyond the maxima: of the entries equal to a
+      // list's maximum, the one with the smallest node.
+      for (auto& list : lists) {
+        if (list.empty()) continue;
+        const ListEntry best = *std::min_element(list.begin(), list.end(),
+                                                 RanksBefore);
+        list.assign(1, best);
       }
       return;
     }
@@ -90,9 +96,7 @@ void PruneListsPerList(std::vector<std::vector<ListEntry>>& lists, size_t k) {
   for (auto& list : lists) {
     if (list.size() <= keep) continue;
     std::nth_element(list.begin(), list.begin() + keep - 1, list.end(),
-                     [](const ListEntry& a, const ListEntry& b) {
-                       return a.value > b.value;
-                     });
+                     RanksBefore);
     list.resize(keep);
   }
 }

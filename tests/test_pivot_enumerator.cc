@@ -172,7 +172,7 @@ class ReferenceLattice {
       std::vector<std::vector<ListEntry>> entries(lists_.size());
       for (size_t i = 0; i < lists_.size(); ++i) {
         for (size_t j = 0; j < lists_[i].size(); ++j) {
-          entries[i].push_back({j, lists_[i][j].total});
+          entries[i].push_back({j, lists_[i][j].total, lists_[i][j].node});
         }
       }
       if (enforce_injective_) {
