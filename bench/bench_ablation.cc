@@ -52,8 +52,8 @@ int main() {
     }
     std::printf("\n");
   }
-  std::printf("(enums = exact per-pivot traversals per query; stark always "
-              "pays one per candidate)\n\n");
+  std::printf("(enums = per-pivot enumerators built per query; stark still "
+              "traverses every candidate for its exact top-1)\n\n");
 
   // --- (2) Prop. 3 pruning ------------------------------------------------
   PrintTitle("Ablation 2: Prop. 3 leaf-list pruning in the enumerators, d=2");

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <memory_resource>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -56,6 +54,46 @@ StarQuery CanonicalizeStarEdgeOrder(const QueryGraph& q, StarQuery star,
   return star;
 }
 
+constexpr uint32_t kNone = UINT32_MAX;
+
+/// Node-indexed values that live for one epoch. Begin() opens a new epoch
+/// in O(1) (a full reset only when the counter wraps); an entry not yet
+/// touched this epoch is absent to Find() and starts from `init` in At().
+/// Sized to the graph once per thread and reused across leaves and
+/// queries, so no |V|-sized allocation or clear runs per query.
+template <typename T>
+class EpochArray {
+ public:
+  void Begin(size_t nodes, const T& init) {
+    if (entries_.size() < nodes) entries_.resize(nodes);
+    init_ = init;
+    if (++epoch_ == 0) {
+      for (Entry& e : entries_) e.epoch = 0;
+      epoch_ = 1;
+    }
+  }
+  /// The entry of v, reset to `init` on its first access this epoch.
+  T& At(NodeId v) {
+    Entry& e = entries_[v];
+    if (e.epoch != epoch_) e = {epoch_, init_};
+    return e.value;
+  }
+  /// The entry of v, or nullptr if it was not written this epoch.
+  const T* Find(NodeId v) const {
+    const Entry& e = entries_[v];
+    return e.epoch == epoch_ ? &e.value : nullptr;
+  }
+
+ private:
+  struct Entry {
+    uint32_t epoch = 0;
+    T value;
+  };
+  std::vector<Entry> entries_;
+  uint32_t epoch_ = 0;
+  T init_{};
+};
+
 }  // namespace
 
 StarSearch::StarSearch(QueryScorer& scorer, StarQuery star, Options options)
@@ -70,109 +108,194 @@ StarSearch::StarSearch(QueryScorer& scorer, StarQuery star, Options options)
 }
 
 // ---------------------------------------------------------------------------
-// Exact per-pivot enumeration (shared by stark and stard's refinement).
+// Exact per-pivot leaf lists (shared by stark's top-1 pass and by every
+// strategy's enumerators).
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<PivotEnumerator> StarSearch::BuildEnumerator(
-    NodeId pivot, double pivot_score, StarSearchStats& stats,
-    std::pmr::memory_resource* mem) {
-  ++stats.enumerators_built;
+/// One thread's leaf-list builder scratch, reused pivot after pivot: the
+/// lists and layers keep their buffers, and the node-indexed arrays open a
+/// new epoch instead of clearing.
+struct StarSearch::LeafListScratch {
+  /// Walk bookkeeping per node (d >= 2): the last layer it joined, and
+  /// whether it was already credited a decay.
+  struct WalkMark {
+    int layer = 0;
+    bool credited = false;
+  };
+  EpochArray<uint32_t> entry;  // node -> its entry in the list being built
+  EpochArray<WalkMark> walk;
+  std::vector<NodeId> layer, next;
+  std::vector<std::pair<NodeId, double>> credited;  // walk node, decay
+  std::vector<std::vector<LeafCandidate>> lists;    // the first s are in use
+};
+
+StarSearch::LeafListScratch& StarSearch::ThreadLeafLists() {
+  thread_local LeafListScratch scratch;
+  return scratch;
+}
+
+bool StarSearch::FillLeafLists(NodeId pivot, bool first_only,
+                               StarSearchStats& stats,
+                               LeafListScratch& scratch) {
   const KnowledgeGraph& g = scorer_.graph();
   const scoring::MatchConfig& cfg = scorer_.config();
   const size_t s = star_.edges.size();
   const int d = std::max(1, cfg.d);
-  // Local checker: BuildEnumerator runs on pool workers in the parallel
-  // stark path, so the owning-thread cancel_check_ can't be shared.
+  // Local checker: the top-1 pass runs this on pool workers, so the
+  // owning-thread cancel_check_ can't be shared.
   CancelChecker cancel_check(options_.cancel);
-
-  // Best combined contribution per (leaf, candidate node) under the walk
-  // semantics: the direct edges give relsim (h = 1); any node reachable by
-  // a walk of length h in [2, d] additionally offers lambda^(h-1).
-  // Fill-construction through a pmr outer vector uses-allocator-constructs
-  // the maps, so they inherit `mem`.
-  std::pmr::vector<std::pmr::unordered_map<NodeId, double>> best(s, mem);
-
-  // CandidateScore defines leaf-match validity (threshold + index
-  // semantics shared with every other algorithm in the library).
-  const auto consider = [&](NodeId w, double edge_component) {
-    if (edge_component < cfg.edge_threshold) return;
-    if (cfg.enforce_injective && w == pivot) return;
-    for (size_t i = 0; i < s; ++i) {
-      const int leaf = leaf_nodes_[i];
-      const double node_score = scorer_.CandidateScore(leaf, w);
-      if (node_score < 0.0) continue;
-      const double total = node_score * NodeWeight(leaf) + edge_component;
-      auto [it, inserted] = best[i].try_emplace(w, total);
-      if (!inserted && total > it->second) it->second = total;
-    }
+  const auto stop = [&] {
+    if (!cancel_check.ShouldStop()) return false;
+    stats.cancelled = true;
+    return true;
   };
-
-  // h = 1: direct edges (relation similarity applies, per edge).
-  // The per-leaf relation scores differ, so this loop is leaf-specific.
   ++stats.nodes_expanded;
-  for (const Neighbor& nb : g.Neighbors(pivot)) {
-    if (cancel_check.ShouldStop()) {
-      stats.cancelled = true;
-      break;
-    }
-    const NodeId w = nb.node;
-    if (cfg.enforce_injective && w == pivot) continue;
-    for (size_t i = 0; i < s; ++i) {
-      const double edge_component =
-          scorer_.RelationScore(star_.edges[i], nb.relation);
-      if (edge_component < cfg.edge_threshold) continue;
-      const int leaf = leaf_nodes_[i];
-      const double node_score = scorer_.CandidateScore(leaf, w);
-      if (node_score < 0.0) continue;
-      const double total = node_score * NodeWeight(leaf) + edge_component;
-      auto [it, inserted] = best[i].try_emplace(w, total);
-      if (!inserted && total > it->second) it->second = total;
-    }
-  }
 
-  // h >= 2: walk layers. W_h = N(W_{h-1}); a node may appear in several
-  // layers (walks revisit), and the best (smallest h) dominates since
-  // lambda^(h-1) decreases, so each node is considered once at its first
-  // layer appearance.
+  // h >= 2: walk layers. W_1 = N(pivot) and W_h = N(W_{h-1}) are exactly
+  // the walk-length-h sets; a node may appear in several layers (walks
+  // revisit), and the best (smallest h) dominates since lambda^(h-1)
+  // decreases, so each node is credited once, at its first layer
+  // appearance. The credits are the same for every leaf.
+  scratch.credited.clear();
   if (d >= 2) {
-    std::pmr::unordered_set<NodeId> reached(mem);  // already credited a decay
-    // W_1 = N(pivot); W_h = N(W_{h-1}) are exactly the walk-length-h sets.
-    std::pmr::unordered_set<NodeId> layer(mem);
-    for (const Neighbor& nb : g.Neighbors(pivot)) layer.insert(nb.node);
+    scratch.walk.Begin(g.node_count(), LeafListScratch::WalkMark{});
+    scratch.layer.clear();
+    const auto join = [&](NodeId w, int h, std::vector<NodeId>& layer) {
+      LeafListScratch::WalkMark& mark = scratch.walk.At(w);
+      if (mark.layer == h) return;
+      mark.layer = h;
+      layer.push_back(w);
+    };
+    for (const Neighbor& nb : g.Neighbors(pivot)) join(nb.node, 1, scratch.layer);
     for (int h = 2; h <= d; ++h) {
       const double decay = scorer_.PathDecay(h);
       if (decay < cfg.edge_threshold) break;
-      if (cancel_check.ShouldStop()) {
-        stats.cancelled = true;
-        break;
-      }
-      std::pmr::unordered_set<NodeId> next(mem);
-      for (const NodeId x : layer) {
-        if (cancel_check.ShouldStop()) {
-          stats.cancelled = true;
-          break;
-        }
+      if (stop()) return false;
+      scratch.next.clear();
+      for (const NodeId x : scratch.layer) {
+        if (stop()) return false;
         ++stats.nodes_expanded;
-        for (const Neighbor& nb : g.Neighbors(x)) next.insert(nb.node);
+        for (const Neighbor& nb : g.Neighbors(x)) join(nb.node, h, scratch.next);
       }
-      if (stats.cancelled) break;
-      // Credit each node once, at its smallest walk length (max decay).
-      for (const NodeId w : next) {
-        if (reached.insert(w).second) consider(w, decay);
+      for (const NodeId w : scratch.next) {
+        LeafListScratch::WalkMark& mark = scratch.walk.At(w);
+        if (mark.credited) continue;
+        mark.credited = true;
+        if (cfg.enforce_injective && w == pivot) continue;
+        scratch.credited.emplace_back(w, decay);
       }
-      layer = std::move(next);
+      std::swap(scratch.layer, scratch.next);
     }
   }
 
-  std::vector<std::vector<LeafCandidate>> lists(s);
+  // One list per leaf, built leaf by leaf: each node's entry keeps the
+  // best combined contribution F_N(leaf, w) + F_E offered to it. Direct
+  // edges give relsim (h = 1, per edge); walk credits give lambda^(h-1).
+  // CandidateScore defines leaf-match validity (threshold + index
+  // semantics shared with every other algorithm in the library).
+  if (scratch.lists.size() < s) scratch.lists.resize(s);
   for (size_t i = 0; i < s; ++i) {
-    lists[i].reserve(best[i].size());
-    for (const auto& [node, total] : best[i]) lists[i].push_back({node, total});
+    std::vector<LeafCandidate>& list = scratch.lists[i];
+    list.clear();
+    if (!first_only) scratch.entry.Begin(g.node_count(), kNone);
+    const int leaf = leaf_nodes_[i];
+    const double weight = NodeWeight(leaf);
+    const auto offer = [&](NodeId w, double edge_component) {
+      const double node_score = scorer_.CandidateScore(leaf, w);
+      if (node_score < 0.0) return;
+      const double total = node_score * weight + edge_component;
+      if (first_only) {
+        // The best offer under (total desc, node asc) is the best node's
+        // entry: no other node's maximum can rank before it.
+        if (list.empty()) {
+          list.push_back({w, total});
+        } else if (total > list[0].total ||
+                   (total == list[0].total && w < list[0].node)) {
+          list[0] = {w, total};
+        }
+        return;
+      }
+      uint32_t& at = scratch.entry.At(w);
+      if (at == kNone) {
+        at = static_cast<uint32_t>(list.size());
+        list.push_back({w, total});
+      } else if (total > list[at].total) {
+        list[at].total = total;
+      }
+    };
+    // RelationScore, read straight from the edge's table (1 for a
+    // wildcard relation).
+    const int edge = star_.edges[i];
+    const std::vector<double>* relsim =
+        scorer_.query().edge(edge).wildcard_relation
+            ? nullptr
+            : &scorer_.RelationScoresAll(edge);
+    for (const Neighbor& nb : g.Neighbors(pivot)) {
+      if (stop()) return false;
+      if (cfg.enforce_injective && nb.node == pivot) continue;
+      const double edge_component =
+          relsim == nullptr ? 1.0 : (*relsim)[nb.relation];
+      if (edge_component >= cfg.edge_threshold) offer(nb.node, edge_component);
+    }
+    for (const auto& [w, decay] : scratch.credited) offer(w, decay);
+    // A leaf with no candidate: the pivot has no match, and the remaining
+    // leaves need not be built.
+    if (list.empty()) return false;
   }
-  return std::make_unique<PivotEnumerator>(pivot, pivot_score,
-                                           std::move(lists),
-                                           cfg.enforce_injective,
-                                           options_.k_hint);
+  return true;
+}
+
+std::unique_ptr<PivotEnumerator> StarSearch::MakeEnumerator(
+    NodeId pivot, double pivot_score, StarSearchStats& stats,
+    const LeafListScratch& scratch) {
+  ++stats.enumerators_built;
+  const auto lists = scratch.lists.begin();
+  return std::make_unique<PivotEnumerator>(
+      pivot, pivot_score,
+      std::vector<std::vector<LeafCandidate>>(
+          lists, lists + static_cast<std::ptrdiff_t>(star_.edges.size())),
+      scorer_.config().enforce_injective, options_.k_hint);
+}
+
+std::unique_ptr<PivotEnumerator> StarSearch::BuildEnumerator(
+    NodeId pivot, double pivot_score, StarSearchStats& stats) {
+  LeafListScratch& scratch = ThreadLeafLists();
+  if (!FillLeafLists(pivot, /*first_only=*/false, stats, scratch)) {
+    return nullptr;
+  }
+  return MakeEnumerator(pivot, pivot_score, stats, scratch);
+}
+
+std::optional<double> StarSearch::TopOneScore(NodeId pivot,
+                                              double pivot_score,
+                                              StarSearchStats& stats) {
+  LeafListScratch& scratch = ThreadLeafLists();
+  if (!FillLeafLists(pivot, /*first_only=*/true, stats, scratch)) {
+    return std::nullopt;
+  }
+  // The state the enumerator pops first takes each list's first entry,
+  // which the Prop. 3 cuts always keep, and its score is summed exactly
+  // as PivotEnumerator::StateScore sums it.
+  const size_t s = star_.edges.size();
+  double score = pivot_score;
+  for (size_t i = 0; i < s; ++i) score += scratch.lists[i][0].total;
+  if (!scorer_.config().enforce_injective) return score;
+  bool collides = false;
+  for (size_t i = 0; i < s && !collides; ++i) {
+    const NodeId head = scratch.lists[i][0].node;
+    collides = head == pivot;
+    for (size_t j = 0; j < i && !collides; ++j) {
+      collides = head == scratch.lists[j][0].node;
+    }
+  }
+  if (!collides) return score;
+  // That state is not injective: the enumerator, over the full lists,
+  // pops on to the best one that is. It is dropped after the peek;
+  // activation builds it again.
+  if (!FillLeafLists(pivot, /*first_only=*/false, stats, scratch)) {
+    return std::nullopt;  // cancelled
+  }
+  return MakeEnumerator(pivot, pivot_score, stats, scratch)->PeekScore();
 }
 
 // ---------------------------------------------------------------------------
@@ -182,64 +305,42 @@ std::unique_ptr<PivotEnumerator> StarSearch::BuildEnumerator(
 void StarSearch::InitializeStark() {
   const auto& candidates = scorer_.Candidates(star_.pivot);
   stats_.pivot_candidates = candidates.size();
-  reserve_.reserve(candidates.size());
   const double pivot_weight = NodeWeight(star_.pivot);
   const int threads = ResolveThreads(scorer_.config().threads);
 
+  // Parallel contract: the per-candidate top-1s (the d-hop traversals
+  // Exp-1 measures) are independent, so after warming the scorer's memos
+  // every one only performs concurrent const reads into its thread's
+  // scratch. The indexed output keeps candidate order, so the reserve —
+  // and therefore every emitted match — is identical at any thread count.
   if (threads > 1 && candidates.size() > 1) {
-    // Parallel path: the per-candidate d-hop traversals (the cost Exp-1
-    // measures) are independent, so after warming the scorer's memos every
-    // BuildEnumerator only performs concurrent const reads. Candidate
-    // order is preserved through the indexed output vector, so the reserve
-    // — and therefore every emitted match — is identical to serial.
     scorer_.WarmStarCaches(star_.pivot, star_.edges, leaf_nodes_);
-    std::vector<std::unique_ptr<PivotEnumerator>> built(candidates.size());
-    std::vector<StarSearchStats> worker_stats(threads);
-    ParallelFor(candidates.size(), threads,
-                [&](size_t lo, size_t hi, int chunk) {
-                  CancelChecker cancel_check(options_.cancel);
-                  for (size_t i = lo; i < hi; ++i) {
-                    if (cancel_check.ShouldStop()) {
-                      worker_stats[chunk].cancelled = true;
-                      break;  // unbuilt slots stay null and are skipped
-                    }
-                    // Pool workers must NOT touch the per-query arena.
-                    built[i] = BuildEnumerator(candidates[i].node,
-                                               candidates[i].score * pivot_weight,
-                                               worker_stats[chunk],
-                                               std::pmr::get_default_resource());
-                    built[i]->PeekScore();  // stage top-1 off the main thread
-                  }
-                });
-    for (const StarSearchStats& ws : worker_stats) stats_.Merge(ws);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (built[i] == nullptr) continue;  // skipped after cancellation
-      const auto top1 = built[i]->PeekScore();
-      if (!top1.has_value()) continue;
-      ReserveEntry entry;
-      entry.bound = *top1;
-      entry.pivot = candidates[i].node;
-      entry.pivot_score = candidates[i].score * pivot_weight;
-      entry.prebuilt = std::move(built[i]);
-      reserve_.push_back(std::move(entry));
-    }
-  } else {
-    for (const ScoredCandidate& c : candidates) {
-      if (cancel_check_.ShouldStop()) {
-        stats_.cancelled = true;
-        break;
+  }
+  std::vector<ReserveEntry> entries(candidates.size());
+  std::vector<StarSearchStats> worker_stats(std::max(threads, 1));
+  ParallelFor(candidates.size(), threads, [&](size_t lo, size_t hi, int chunk) {
+    CancelChecker cancel_check(options_.cancel);
+    StarSearchStats& stats = worker_stats[chunk];
+    for (size_t idx = lo; idx < hi; ++idx) {
+      // stats.cancelled is re-read directly: the checkpoints inside
+      // TopOneScore set it, and the amortized ShouldStop may lag.
+      if (stats.cancelled || cancel_check.ShouldStop()) {
+        stats.cancelled = true;
+        break;  // unprocessed entries stay invalid
       }
-      auto enumerator = BuildEnumerator(c.node, c.score * pivot_weight, stats_,
-                                        scorer_.transient_resource());
-      const auto top1 = enumerator->PeekScore();
-      if (!top1.has_value()) continue;
-      ReserveEntry entry;
-      entry.bound = *top1;
-      entry.pivot = c.node;
-      entry.pivot_score = c.score * pivot_weight;
-      entry.prebuilt = std::move(enumerator);
-      reserve_.push_back(std::move(entry));
+      const ScoredCandidate& c = candidates[idx];
+      const double pivot_score = c.score * pivot_weight;
+      const std::optional<double> top1 = TopOneScore(c.node, pivot_score, stats);
+      if (!top1.has_value()) continue;  // no match: the entry stays invalid
+      entries[idx].bound = *top1;
+      entries[idx].pivot = c.node;
+      entries[idx].pivot_score = pivot_score;
     }
+  });
+  for (const StarSearchStats& ws : worker_stats) stats_.Merge(ws);
+  reserve_.reserve(candidates.size());
+  for (const ReserveEntry& e : entries) {
+    if (e.pivot != graph::kInvalidNode) reserve_.push_back(e);
   }
   std::sort(reserve_.begin(), reserve_.end(),
             [](const ReserveEntry& a, const ReserveEntry& b) {
@@ -372,46 +473,6 @@ struct ForwardSet {
     --size;
     return {!dropped_is_new, bound};
   }
-};
-
-constexpr uint32_t kNone = UINT32_MAX;
-
-/// Node-indexed values that live for one epoch. Begin() opens a new epoch
-/// in O(1) (a full reset only when the counter wraps); an entry not yet
-/// touched this epoch is absent to Find() and starts from `init` in At().
-/// Sized to the graph once per thread and reused across leaves and
-/// queries, so no |V|-sized allocation or clear runs per query.
-template <typename T>
-class EpochArray {
- public:
-  void Begin(size_t nodes, const T& init) {
-    if (entries_.size() < nodes) entries_.resize(nodes);
-    init_ = init;
-    if (++epoch_ == 0) {
-      for (Entry& e : entries_) e.epoch = 0;
-      epoch_ = 1;
-    }
-  }
-  /// The entry of v, reset to `init` on its first access this epoch.
-  T& At(NodeId v) {
-    Entry& e = entries_[v];
-    if (e.epoch != epoch_) e = {epoch_, init_};
-    return e.value;
-  }
-  /// The entry of v, or nullptr if it was not written this epoch.
-  const T* Find(NodeId v) const {
-    const Entry& e = entries_[v];
-    return e.epoch == epoch_ ? &e.value : nullptr;
-  }
-
- private:
-  struct Entry {
-    uint32_t epoch = 0;
-    T value;
-  };
-  std::vector<Entry> entries_;
-  uint32_t epoch_ = 0;
-  T init_{};
 };
 
 /// stard's pivot candidates: node -> dense slot index, and back. Built
@@ -682,8 +743,8 @@ void StarSearch::InitializeStard() {
     if (c) stats_.cancelled = true;
   }
   reserve_.reserve(candidates.size());
-  for (ReserveEntry& e : entries) {
-    if (e.pivot != graph::kInvalidNode) reserve_.push_back(std::move(e));
+  for (const ReserveEntry& e : entries) {
+    if (e.pivot != graph::kInvalidNode) reserve_.push_back(e);
   }
   std::sort(reserve_.begin(), reserve_.end(),
             [](const ReserveEntry& a, const ReserveEntry& b) {
@@ -730,7 +791,7 @@ void StarSearch::InitializeHybrid() {
     entry.bound = c.score * pivot_weight + leaf_ub_total;
     entry.pivot = c.node;
     entry.pivot_score = c.score * pivot_weight;
-    reserve_.push_back(std::move(entry));
+    reserve_.push_back(entry);
   }
   // Candidates are already sorted by score, so the reserve is sorted by
   // bound; std::sort kept for clarity and weighted edge cases.
@@ -791,12 +852,11 @@ void StarSearch::ActivateReserve() {
       stats_.cancelled = true;
       break;
     }
-    ReserveEntry& entry = reserve_[reserve_pos_++];
+    const ReserveEntry& entry = reserve_[reserve_pos_++];
     std::unique_ptr<PivotEnumerator> enumerator =
-        entry.prebuilt != nullptr
-            ? std::move(entry.prebuilt)
-            : BuildEnumerator(entry.pivot, entry.pivot_score, stats_,
-                              scorer_.transient_resource());
+        BuildEnumerator(entry.pivot, entry.pivot_score, stats_);
+    // nullptr: a leaf with no candidate, or a cancelled build.
+    if (enumerator == nullptr) continue;
     const auto score = enumerator->PeekScore();
     if (!score.has_value()) continue;
     active_.push_back(std::move(enumerator));
@@ -866,9 +926,10 @@ double StarSearch::UpperBound() {
   }
   if (stats_.cancelled || scorer_.truncated()) {
     // A wound-down build can leave the structural state missing entries:
-    // an interrupted init drops whole pivots from the reserve, and an
-    // interrupted BuildEnumerator stages a partial enumerator whose
-    // PeekScore understates its pivot's true best. The structural maximum
+    // an interrupted init drops whole pivots from the reserve, an
+    // interrupted activation drops the pivot it was building, and after a
+    // scorer truncation a leaf list can miss candidates, so a PeekScore
+    // can understate its pivot's true best. The structural maximum
     // alone may then sit BELOW a real unseen match, so the bound falls
     // back to the a-priori star cap — tightened by the last emitted score
     // (the stream is monotone) when the candidate universe is complete.

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <limits>
 #include <memory>
-#include <memory_resource>
 #include <optional>
 #include <queue>
 #include <utility>
@@ -22,7 +21,10 @@ namespace star::core {
 enum class StarStrategy {
   /// stark (Fig. 5): the exact top-1 match is computed for *every* pivot
   /// candidate up front. For d >= 2 this performs a d-hop traversal per
-  /// candidate — the cost the paper's Exp-1 measures.
+  /// candidate — the cost the paper's Exp-1 measures. The top-1 is read
+  /// off the pivot's leaf lists; a pivot's enumerator is built only when
+  /// the search activates it (or, once, to resolve a top-1 whose best
+  /// leaves collide under injectivity).
   kStark,
   /// stard (§V-B): d rounds of message propagation produce (an upper bound
   /// on) each candidate's top-1 score; exact per-pivot enumeration runs
@@ -41,15 +43,21 @@ enum class StarStrategy {
 /// Counters exposed for the benchmark harness.
 struct StarSearchStats {
   size_t pivot_candidates = 0;
+  /// PivotEnumerators constructed: one per activated pivot with a match,
+  /// plus one for each stark top-1 whose first state collides under
+  /// injectivity (built for its PeekScore, then dropped).
   size_t enumerators_built = 0;
   /// stard messages: the sends pushed in rounds 1 .. d-1 (one per
   /// neighbor of each sender), plus the offers pivot candidates pull in
   /// round d (one per frontier entry queued at a neighbor).
   size_t messages_sent = 0;
+  /// Leaf-list builds, one per pivot scanned (each stark top-1, each
+  /// rebuild for a colliding top-1, each activation), plus the walk-layer
+  /// nodes they expand at d >= 2.
   size_t nodes_expanded = 0;
   size_t matches_emitted = 0;
   /// Initialize() wall-clock time (the phase the parallel engine speeds
-  /// up: candidate scoring + stark enumeration / stard propagation).
+  /// up: candidate scoring + stark's top-1 pass / stard propagation).
   double init_wall_ms = 0.0;
   /// Initialize() process-CPU time summed over all worker threads;
   /// init_cpu_ms / init_wall_ms approximates the cores kept busy.
@@ -162,8 +170,10 @@ class StarSearch {
     double bound = 0.0;  // stark: exact top-1; stard: upper-bound estimate
     graph::NodeId pivot = graph::kInvalidNode;
     double pivot_score = 0.0;
-    std::unique_ptr<PivotEnumerator> prebuilt;  // stark only
   };
+
+  /// One thread's leaf-list scratch (defined in star_search.cc).
+  struct LeafListScratch;
 
   struct QueueEntry {
     double score;
@@ -200,8 +210,9 @@ class StarSearch {
   /// edge. This bounds every match of the star no matter what a wound-down
   /// initialization failed to build, which makes UpperBound() sound after
   /// a cancellation: an interrupted InitializeStark/InitializeStard leaves
-  /// a partial reserve, and an interrupted BuildEnumerator can stage a
-  /// partial enumerator whose PeekScore understates — the structural
+  /// a partial reserve, an interrupted activation drops the pivot it was
+  /// building, and after a scorer truncation a leaf list can miss
+  /// candidates, so a PeekScore can understate — the structural
   /// queue/reserve maximum alone can then sit BELOW a real unseen match,
   /// which a certificate reader (rank-join thresholds, the serve-layer
   /// QualityCertificate) must never observe.
@@ -209,17 +220,35 @@ class StarSearch {
 
   /// Exact per-pivot leaf lists via a depth-(d-1) BFS around the pivot
   /// (each leaf candidate w gets max over incident edges (x,w,r) with
-  /// dist(v,x) = delta of NodeScore + RelationScore(r) * lambda^delta).
-  /// Counters accumulate into `stats` — the parallel stark path passes a
-  /// per-worker scratch struct and merges after the join, so the scorer
-  /// must be warmed (WarmStarCaches) before concurrent calls. `mem` backs
-  /// the traversal's frontier sets and per-leaf accumulation maps:
-  /// owning-thread call sites pass the scorer's per-query arena resource,
-  /// pool-worker call sites MUST pass the default resource (the arena is
-  /// single-threaded).
-  std::unique_ptr<PivotEnumerator> BuildEnumerator(
+  /// dist(v,x) = delta of NodeScore + RelationScore(r) * lambda^delta),
+  /// built into `scratch.lists[0 .. s)`, one entry per node, in no
+  /// particular order; with `first_only`, each list holds just its first
+  /// entry under (total desc, node asc). Returns false, with the lists
+  /// incomplete, when some leaf has no candidate (the pivot has no match)
+  /// or a cancellation checkpoint fired (stats.cancelled is then set).
+  /// Counters accumulate into `stats`; callers on pool workers pass a
+  /// per-worker struct and must warm the scorer first (WarmStarCaches).
+  bool FillLeafLists(graph::NodeId pivot, bool first_only,
+                     StarSearchStats& stats, LeafListScratch& scratch);
+  /// The calling thread's scratch, sized to the graph once and reused.
+  static LeafListScratch& ThreadLeafLists();
+
+  /// An enumerator over the lists FillLeafLists left in `scratch`.
+  std::unique_ptr<PivotEnumerator> MakeEnumerator(
       graph::NodeId pivot, double pivot_score, StarSearchStats& stats,
-      std::pmr::memory_resource* mem);
+      const LeafListScratch& scratch);
+  /// The pivot's enumerator over its leaf lists; nullptr when it has no
+  /// match (or the build was cancelled).
+  std::unique_ptr<PivotEnumerator> BuildEnumerator(graph::NodeId pivot,
+                                                   double pivot_score,
+                                                   StarSearchStats& stats);
+
+  /// The pivot's exact top-1 score, bitwise what the enumerator's first
+  /// PeekScore() returns, without building it unless the state it pops
+  /// first collides under injectivity; nullopt when it has no match (or
+  /// the build was cancelled).
+  std::optional<double> TopOneScore(graph::NodeId pivot, double pivot_score,
+                                    StarSearchStats& stats);
 
   scoring::QueryScorer& scorer_;
   query::StarQuery star_;

@@ -136,9 +136,12 @@ QueryGraph WorkloadGenerator::RandomGraphQuery(int num_nodes, int num_edges,
         break;
       }
     }
-    if (!grew && sample.size() > 1) {
+    if (!grew) {
       // This node is saturated; a different one may still expand. Detect a
-      // fully saturated sample by scanning all of them once.
+      // fully saturated sample by scanning all of them once. The scan
+      // draws nothing from the RNG. A one-node sample gets here only when
+      // the seed node's neighbours are all itself (a self-loop), and then
+      // stays one node.
       bool any = false;
       for (const NodeId s : sample) {
         for (const Neighbor& nb : graph_.Neighbors(s)) {

@@ -668,10 +668,9 @@ size_t SortedIntersectionCount(const std::vector<std::string>& a,
 }
 
 // Packs a 1-3 byte gram into a uint32 (length tag + big-endian bytes).
-// Injective for grams this short, so a packed sorted-unique vector has
-// exactly the size and pairwise intersection counts of its string
-// counterpart — Jaccard/Dice stay bitwise identical, without per-gram
-// string compares.
+// Injective for grams this short, and never 0 (the length tag is >= 1),
+// so packed grams count and intersect exactly as their strings do —
+// Jaccard/Dice stay bitwise identical, without per-gram string compares.
 uint32_t PackGram(const char* s, size_t len) {
   uint32_t v = static_cast<uint32_t>(len) << 24;
   for (size_t i = 0; i < len; ++i) {
@@ -681,38 +680,98 @@ uint32_t PackGram(const char* s, size_t len) {
   return v;
 }
 
-// Packed equivalent of GramsInto (same degenerate short-string
-// convention: strings shorter than n contribute themselves).
-void PackedGramsInto(const std::string& s, size_t n,
-                     std::vector<uint32_t>* dst) {
-  dst->clear();
-  if (s.size() < n) {
-    if (!s.empty()) dst->push_back(PackGram(s.data(), s.size()));
-  } else {
-    dst->reserve(s.size() - n + 1);
-    for (size_t i = 0; i + n <= s.size(); ++i) {
-      dst->push_back(PackGram(s.data() + i, n));
-    }
-  }
-  std::sort(dst->begin(), dst->end());
-  dst->erase(std::unique(dst->begin(), dst->end()), dst->end());
+// The multiplicative hash of a packed gram. Its top bits pick the home
+// slot in a table of 2^bits slots (bits >= 1), and its top 8 bits the
+// gram's bit in a PackedGramSet's filter.
+uint32_t GramHash(uint32_t gram) { return gram * 0x9E3779B1u; }
+
+// Smallest bits >= 1 with 2^bits >= 2 * n: open addressing at load <= 1/2.
+int GramTableBits(size_t n) {
+  int bits = 1;
+  while ((size_t{1} << bits) < 2 * n) ++bits;
+  return bits;
 }
 
-size_t PackedIntersectionCount(const std::vector<uint32_t>& a,
-                               const std::vector<uint32_t>& b) {
-  size_t inter = 0, i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++inter;
-      ++i;
-      ++j;
-    }
+SimilarityEnsemble::PackedGramSet MakeGramSet(
+    const std::vector<std::string>& unique_grams) {
+  SimilarityEnsemble::PackedGramSet set;
+  set.size = unique_grams.size();
+  if (set.size == 0) return set;
+  set.bits = GramTableBits(set.size);
+  set.slots.assign(size_t{1} << set.bits, 0);
+  const size_t mask = set.slots.size() - 1;
+  for (const std::string& g : unique_grams) {
+    const uint32_t packed = PackGram(g.data(), g.size());
+    const uint32_t h = GramHash(packed);
+    set.filter[h >> 30] |= uint64_t{1} << ((h >> 24) & 63);
+    size_t slot = h >> (32 - set.bits);
+    while (set.slots[slot] != 0) slot = (slot + 1) & mask;
+    set.slots[slot] = packed;
   }
-  return inter;
+  return set;
+}
+
+// The batch kernel's gram dedup table, one per thread: open addressing
+// over 2^bits slots, each holding (epoch << 32 | packed gram). A slot is
+// empty unless it carries the current call's epoch, so nothing is cleared
+// between labels. It starts at 2^kGramDedupFirstBits slots and grows for
+// labels with more grams.
+constexpr int kGramDedupFirstBits = 9;
+
+struct GramDedupTable {
+  std::vector<uint64_t> slots;
+  int bits = 0;
+  uint32_t epoch = 0;
+};
+
+// What the batch kernel's gram measures need of a data label: its number
+// of distinct n-grams (the GramsInto convention: a string shorter than n
+// is its own single gram) and how many of them the query's set holds.
+struct GramCounts {
+  size_t unique = 0;
+  size_t shared = 0;
+};
+
+// Counts without sorting: each packed gram goes into the dedup table, and
+// each new one is looked up in the query's set.
+template <size_t N>
+GramCounts CountGrams(const std::string& s,
+                      const SimilarityEnsemble::PackedGramSet& query,
+                      GramDedupTable& table) {
+  GramCounts c;
+  if (s.empty()) return c;
+  if (s.size() < N) {
+    c.unique = 1;
+    c.shared = query.Contains(PackGram(s.data(), s.size())) ? 1 : 0;
+    return c;
+  }
+  const size_t grams = s.size() - N + 1;
+  const int bits = std::max(GramTableBits(grams), kGramDedupFirstBits);
+  if (bits > table.bits) {
+    table.slots.assign(size_t{1} << bits, 0);
+    table.bits = bits;
+    table.epoch = 0;
+  }
+  if (++table.epoch == 0) {  // wrapped: no slot may carry a stale epoch
+    std::fill(table.slots.begin(), table.slots.end(), 0);
+    table.epoch = 1;
+  }
+  const uint64_t stamp = uint64_t{table.epoch} << 32;
+  const size_t mask = table.slots.size() - 1;
+  for (size_t i = 0; i < grams; ++i) {
+    const uint32_t g = PackGram(s.data() + i, N);
+    const uint64_t entry = stamp | g;
+    size_t slot = GramHash(g) >> (32 - table.bits);
+    while ((table.slots[slot] >> 32) == table.epoch &&
+           table.slots[slot] != entry) {
+      slot = (slot + 1) & mask;
+    }
+    if (table.slots[slot] == entry) continue;  // a repeat
+    table.slots[slot] = entry;
+    ++c.unique;
+    if (query.Contains(g)) ++c.shared;
+  }
+  return c;
 }
 
 /// Data-side per-pair scratch of the kernel. One thread_local instance;
@@ -724,7 +783,7 @@ struct KernelScratch {
   std::vector<std::string> tokens;         // in split order
   std::vector<std::string> tokens_sorted;  // sorted, unique
   std::vector<std::string> bigrams, trigrams;
-  std::vector<uint32_t> bigrams_packed, trigrams_packed;  // batch kernel
+  GramDedupTable gram_table;  // CountGrams dedup table (batch kernel)
   std::vector<int> syn_groups;  // per-token synonym groups (batch kernel)
   std::string initials;
   std::optional<double> quantity;
@@ -734,14 +793,13 @@ struct KernelScratch {
   bool has_tokens = false, has_tokens_sorted = false, has_bigrams = false,
        has_trigrams = false, has_initials = false, has_quantity = false,
        has_year = false, has_trio = false, has_jaro = false,
-       has_bigrams_packed = false, has_trigrams_packed = false,
        has_syn_groups = false;
 
   void Reset(std::string_view d) {
     ToLowerInto(d, &lb);
     has_tokens = has_tokens_sorted = has_bigrams = has_trigrams =
         has_initials = has_quantity = has_year = has_trio = has_jaro =
-            has_bigrams_packed = has_trigrams_packed = has_syn_groups = false;
+            has_syn_groups = false;
   }
 
   void EnsureTokens() {
@@ -767,18 +825,6 @@ struct KernelScratch {
     if (has_trigrams) return;
     GramsInto(lb, 3, &trigrams);
     has_trigrams = true;
-  }
-
-  void EnsureBigramsPacked() {
-    if (has_bigrams_packed) return;
-    PackedGramsInto(lb, 2, &bigrams_packed);
-    has_bigrams_packed = true;
-  }
-
-  void EnsureTrigramsPacked() {
-    if (has_trigrams_packed) return;
-    PackedGramsInto(lb, 3, &trigrams_packed);
-    has_trigrams_packed = true;
   }
 
   void EnsureSynGroups(const SynonymDictionary& dict) {
@@ -879,13 +925,12 @@ double EvalKernelFeature(int feature, const SimilarityEnsemble::Context& ctx,
     }
     case E::kNGramJaccard: {
       if (batch != nullptr) {
-        sc.EnsureTrigramsPacked();
-        const auto& qa = batch->trigrams_packed;
-        if (qa.empty() && sc.trigrams_packed.empty()) return 1.0;
-        const size_t inter =
-            PackedIntersectionCount(qa, sc.trigrams_packed);
-        const size_t uni = qa.size() + sc.trigrams_packed.size() - inter;
-        return uni == 0 ? 0.0 : static_cast<double>(inter) / uni;
+        const GramCounts c = CountGrams<3>(sc.lb, batch->trigrams,
+                                           sc.gram_table);
+        const size_t na = batch->trigrams.size;
+        if (na == 0 && c.unique == 0) return 1.0;
+        const size_t uni = na + c.unique - c.shared;
+        return uni == 0 ? 0.0 : static_cast<double>(c.shared) / uni;
       }
       sc.EnsureTrigrams();
       if (p.trigrams.empty() && sc.trigrams.empty()) return 1.0;
@@ -1015,12 +1060,12 @@ double EvalKernelFeature(int feature, const SimilarityEnsemble::Context& ctx,
       return FastSmithWaterman(p.lower, sc.lb);
     case E::kBigramDice: {
       if (batch != nullptr) {
-        sc.EnsureBigramsPacked();
-        const auto& qa = batch->bigrams_packed;
-        if (qa.empty() && sc.bigrams_packed.empty()) return 1.0;
-        if (qa.empty() || sc.bigrams_packed.empty()) return 0.0;
-        const size_t inter = PackedIntersectionCount(qa, sc.bigrams_packed);
-        return 2.0 * inter / (qa.size() + sc.bigrams_packed.size());
+        const GramCounts c = CountGrams<2>(sc.lb, batch->bigrams,
+                                           sc.gram_table);
+        const size_t na = batch->bigrams.size;
+        if (na == 0 && c.unique == 0) return 1.0;
+        if (na == 0 || c.unique == 0) return 0.0;
+        return 2.0 * c.shared / (na + c.unique);
       }
       sc.EnsureBigrams();
       if (p.bigrams.empty() && sc.bigrams.empty()) return 1.0;
@@ -1315,19 +1360,9 @@ SimilarityEnsemble::PreparedLabelBatch SimilarityEnsemble::PrepareBatch(
   b.prepared = std::move(prepared);
   const PreparedLabel& p = b.prepared;
   // Packing is injective for grams of <= 3 bytes and the string grams are
-  // already unique, so sorting the packed values yields exactly the same
-  // set — intersection counts (and the Jaccard/Dice ratios) are bitwise
-  // identical to the string-gram path.
-  b.bigrams_packed.reserve(p.bigrams.size());
-  for (const auto& g : p.bigrams) {
-    b.bigrams_packed.push_back(PackGram(g.data(), g.size()));
-  }
-  std::sort(b.bigrams_packed.begin(), b.bigrams_packed.end());
-  b.trigrams_packed.reserve(p.trigrams.size());
-  for (const auto& g : p.trigrams) {
-    b.trigrams_packed.push_back(PackGram(g.data(), g.size()));
-  }
-  std::sort(b.trigrams_packed.begin(), b.trigrams_packed.end());
+  // already unique, so each set holds exactly the query's grams.
+  b.bigrams = MakeGramSet(p.bigrams);
+  b.trigrams = MakeGramSet(p.trigrams);
   if (context_.synonyms != nullptr) {
     b.label_syn_group = context_.synonyms->GroupOfLower(p.lower);
     b.token_syn_groups.reserve(p.tokens.size());
@@ -1346,6 +1381,17 @@ SimilarityEnsemble::PreparedLabelBatch SimilarityEnsemble::PrepareBatch(
       std::find(p.numeral_values.begin(), p.numeral_values.end(), 0) !=
       p.numeral_values.end();
   return b;
+}
+
+bool SimilarityEnsemble::PackedGramSet::Contains(uint32_t gram) const {
+  const uint32_t h = GramHash(gram);
+  if (((filter[h >> 30] >> ((h >> 24) & 63)) & 1) == 0) return false;
+  const size_t mask = slots.size() - 1;
+  for (size_t slot = h >> (32 - bits); slots[slot] != 0;
+       slot = (slot + 1) & mask) {
+    if (slots[slot] == gram) return true;
+  }
+  return false;
 }
 
 double SimilarityEnsemble::ScoreAgainstThreshold(const PreparedLabel& prepared,

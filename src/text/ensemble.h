@@ -248,18 +248,31 @@ class SimilarityEnsemble {
   /// Lanes evaluated per batch kernel invocation.
   static constexpr int kBatchLanes = 8;
 
+  /// A set of character n-grams packed (length, bytes) -> uint32: open
+  /// addressing over a power-of-two slot count, where 0 marks an empty
+  /// slot (a packed gram is never 0), behind a 256-bit filter of the
+  /// grams' hashes that rejects most absent grams without a probe.
+  struct PackedGramSet {
+    std::vector<uint32_t> slots;
+    int bits = 0;     ///< log2 of slots.size(); slots is empty when size == 0
+    size_t size = 0;  ///< distinct grams held
+    uint64_t filter[4] = {};
+    bool Contains(uint32_t gram) const;
+  };
+
   /// Query-side SoA view for the batched kernel: the scalar PreparedLabel
-  /// plus packed n-gram lanes and pre-resolved synonym group ids. Built
+  /// plus packed n-gram sets and pre-resolved synonym group ids. Built
   /// once per query node; immutable afterwards, so concurrent
   /// ScoreBatchAgainstThreshold calls may share it.
   struct PreparedLabelBatch {
     PreparedLabel prepared;
-    /// Sorted unique character n-grams, packed (length, bytes) -> uint32.
-    /// Packing is injective for grams of <= 3 bytes, so intersection
-    /// counts — and therefore the Jaccard/Dice values — are bitwise
-    /// identical to the string-gram path.
-    std::vector<uint32_t> bigrams_packed;
-    std::vector<uint32_t> trigrams_packed;
+    /// prepared.bigrams and prepared.trigrams as packed gram sets. Packing
+    /// is injective for grams of <= 3 bytes, so the kernel's counts —
+    /// distinct data grams and how many of them the query holds — and
+    /// therefore the Jaccard/Dice values are bitwise identical to the
+    /// string-gram path.
+    PackedGramSet bigrams;
+    PackedGramSet trigrams;
     /// Synonym group id per prepared.tokens entry (-1 = no group), plus
     /// the whole-label group. Empty when the context has no dictionary.
     std::vector<int> token_syn_groups;

@@ -203,13 +203,13 @@ TEST(EnsembleTest, FastPathMatchesFeaturesRandomized) {
   }
 }
 
-// Each alignment or rewritten token feature alone (one-hot weights):
-// Score(), the scalar kernel and the exact and thresholded batch kernels
-// must return the bits of the reference function (similarity.h,
+// Each alignment, rewritten token or gram feature alone (one-hot
+// weights): Score(), the scalar kernel and the exact and thresholded batch
+// kernels must return the bits of the reference function (similarity.h,
 // phonetic.h, TfIdfModel::Cosine). The references share no code with the
 // kernels' bit-parallel loops, packed soundex codes, position-wise
-// numeral compare or token-run tf-idf vector, so a wrong rewrite cannot
-// hide behind a kernel == Score() identity.
+// numeral compare, token-run tf-idf vector or hashed gram counts, so a
+// wrong rewrite cannot hide behind a kernel == Score() identity.
 TEST(EnsembleTest, AlignmentFeaturesMatchReferenceBitwise) {
   // Every label of <= 3 bytes over the bytes a, B and b: Jaro's
   // match window is 0 there. Then tokens with no letter (empty soundex),
@@ -236,6 +236,21 @@ TEST(EnsembleTest, AlignmentFeaturesMatchReferenceBitwise) {
     }
   }
   for (int k = 0; k < 24; ++k) labels.push_back(RandomAlignmentLabel(rng, 130));
+  // For the gram measures: repeated grams, NUL bytes, and labels longer
+  // than any before them, which grow the kernel's gram dedup table (later
+  // short labels then reuse its first slots).
+  for (const char* extra : {"aaaa", "abab", "ababab", "aaab", "abcabc"}) {
+    labels.push_back(extra);
+  }
+  labels.push_back(std::string("a\0b\0a\0b", 7));
+  labels.push_back(std::string(1, '\0'));
+  labels.push_back(std::string("\0\0\0\0", 4));
+  labels.push_back(std::string(300, 'a'));
+  {
+    std::string cycle;
+    while (cycle.size() < 260) cycle += "ab\xc3\xa9" "c ";
+    labels.push_back(std::move(cycle));
+  }
   TfIdfModel tfidf;
   for (const std::string& l : labels) tfidf.AddDocument(l);
   tfidf.AddDocument("rob");  // a document frequency above 1 for one token
@@ -260,6 +275,11 @@ TEST(EnsembleTest, AlignmentFeaturesMatchReferenceBitwise) {
        [&](std::string_view a, std::string_view b) {
          return tfidf.Cosine(a, b);
        }},
+      {SimilarityEnsemble::kNGramJaccard,
+       [](std::string_view a, std::string_view b) {
+         return NGramJaccard(a, b, 3);
+       }},
+      {SimilarityEnsemble::kBigramDice, BigramDice},
   };
   SimilarityEnsemble::Context ctx;
   ctx.tfidf = &tfidf;

@@ -4,6 +4,7 @@
 // right configs, and a deliberately injected bug is caught, shrunk, and
 // reproduced from its replay file.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,20 @@ TEST(FuzzCaseTest, DifferentSeedsGiveDifferentCases) {
   const FuzzProfile p = SmokeProfile();
   EXPECT_NE(SerializeReplay(MakeFuzzCase(p, 1)),
             SerializeReplay(MakeFuzzCase(p, 2)));
+}
+
+// Smoke seeds 918517 and 918584 draw a graph query whose seed node's only
+// neighbour is itself, through a self-loop. Case generation used to spin
+// on them; they now give a one-node star, which runs clean.
+TEST(FuzzCaseTest, SelfLoopSeedNodeMakesAOneNodeStar) {
+  for (const uint64_t seed : {918517u, 918584u}) {
+    const FuzzCase c = MakeFuzzCase(SmokeProfile(), seed);
+    EXPECT_EQ(c.query.node_count(), 1) << seed;
+    EXPECT_EQ(c.query.edge_count(), 0) << seed;
+    const CaseOutcome o = RunDifferentialCase(c, RunnerOptions());
+    EXPECT_TRUE(o.ok()) << c.Describe() << "\n  " << o.Summary();
+    EXPECT_GT(o.cells_run, 0u) << seed;
+  }
 }
 
 TEST(FuzzCaseTest, CopyCaseIsFaithful) {
