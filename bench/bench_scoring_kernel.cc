@@ -16,7 +16,10 @@
 // Features()·weights sum, and both kernels against Score() bitwise, over
 // (query label, graph label), (relation label, relation name) and
 // (label, label) pairs with labels of 63..130 bytes — both sides of the
-// 64-byte word of the bit-parallel alignment features. A fourth sweep
+// 64-byte word of the bit-parallel alignment features — and pairs of
+// labels with repeated tokens, numeral forms and thesaurus terms, the
+// vocabulary of the kernel's token table and its synonym and numeral
+// features. A further sweep
 // batch-scores every query node's real RankedCandidates pool with its
 // retrieval facts (shares_token) at the threshold: accepted values must
 // be Score() bitwise, rejected pairs truly below. Both bulk passes must
@@ -246,10 +249,32 @@ std::vector<std::string> LongLabels(const graph::KnowledgeGraph& g,
   return out;
 }
 
-/// The four identity sweeps: query labels against every graph label
+/// Labels with repeated tokens, the digit, roman-numeral and number-word
+/// forms of numerals, and one- and multi-token thesaurus terms, alone and
+/// around the first graph labels' tokens.
+std::vector<std::string> VocabularyLabels(const graph::KnowledgeGraph& g) {
+  std::vector<std::string> out = {
+      "Part II",        "part 2",          "Part Two",     "III",
+      "3",              "three",           "xx 20",        "rob rob rob",
+      "film film movie", "motion picture", "picture motion",
+      "movie maker",    "place of birth",  "teacher educator tutor",
+      "--film__teacher..", "Teacher 2 two ii"};
+  static constexpr const char* kSuffixes[] = {" ii", " 2", " two", " film",
+                                              " motion picture"};
+  for (graph::NodeId v = 0; v < std::min<size_t>(40, g.node_count()); ++v) {
+    const std::string label(g.NodeLabel(v));
+    const std::vector<std::string> tokens = SplitTokens(label);
+    out.push_back(label + kSuffixes[v % std::size(kSuffixes)]);
+    if (!tokens.empty()) out.push_back(tokens[0] + " " + label);
+  }
+  return out;
+}
+
+/// The five identity sweeps: query labels against every graph label
 /// (kernel counters from this one), relation labels against every
-/// relation name, long labels against long and short ones, and the
-/// query nodes' retrieval pools with their facts.
+/// relation name, long labels against long and short ones, vocabulary
+/// labels against themselves and graph labels, and the query nodes'
+/// retrieval pools with their facts.
 Identity RunIdentity(const Dataset& d, const std::vector<std::string>& labels,
                      const std::vector<query::QueryGraph>& queries,
                      double threshold, size_t retrieval_cap,
@@ -286,6 +311,14 @@ Identity RunIdentity(const Dataset& d, const std::vector<std::string>& labels,
                        std::min<size_t>(256, node_labels.size()));
   long_queries.insert(long_queries.end(), labels.begin(), labels.end());
   SweepIdentity(e, long_queries, long_data, threshold, &id, nullptr);
+
+  const std::vector<std::string> vocabulary = VocabularyLabels(g);
+  std::vector<std::string_view> vocabulary_data(vocabulary.begin(),
+                                                vocabulary.end());
+  vocabulary_data.insert(vocabulary_data.end(), node_labels.begin(),
+                         node_labels.begin() +
+                             std::min<size_t>(256, node_labels.size()));
+  SweepIdentity(e, vocabulary, vocabulary_data, threshold, &id, nullptr);
   SweepPools(d, queries, threshold, retrieval_cap, &id);
   return id;
 }

@@ -101,6 +101,16 @@ void SplitTokensInto(std::string_view s, std::vector<std::string>* out,
   out->resize(count);
 }
 
+void SplitTokenViewsInto(std::string_view s,
+                         std::vector<std::string_view>* out) {
+  out->clear();
+  WithDelimiters(kDefaultDelimiters, [&](const DelimiterTable& is_delim) {
+    ForEachToken(s, is_delim, [&](size_t b, size_t e) {
+      out->push_back(s.substr(b, e - b));
+    });
+  });
+}
+
 std::vector<std::string> SplitFields(std::string_view s, char delim) {
   std::vector<std::string> out;
   size_t start = 0;

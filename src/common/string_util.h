@@ -46,6 +46,11 @@ std::vector<std::string> SplitTokens(
 void SplitTokensInto(std::string_view s, std::vector<std::string>* out,
                      std::string_view delims = kDefaultDelimiters);
 
+/// The tokens SplitTokens(s) returns, as views into `s`, into a reused
+/// vector: the same split without copying a token.
+void SplitTokenViewsInto(std::string_view s,
+                         std::vector<std::string_view>* out);
+
 /// Splits on a single character, keeping empty fields (TSV parsing).
 std::vector<std::string> SplitFields(std::string_view s, char delim);
 

@@ -1,6 +1,7 @@
 #include "scoring/query_scorer.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -43,6 +44,102 @@ inline bool BetterCandidate(const ScoredCandidate& a,
                             const ScoredCandidate& b) {
   return a.score > b.score || (a.score == b.score && a.node < b.node);
 }
+
+/// RetrievalNodeBound of one prepared label, memoized for the calls of one
+/// retrieval walk. The bound is a pure function of (byte length, numeric
+/// flag, shares flag) for a fixed label, so a memoized cap has the bits of
+/// the call it replaces. Lengths of kLengths bytes and more are not
+/// memoized.
+class NodeBoundMemo {
+ public:
+  NodeBoundMemo(const SimilarityEnsemble& ensemble,
+                const SimilarityEnsemble::PreparedLabelBatch& batch)
+      : ensemble_(ensemble), batch_(batch) {
+    caps_.fill(-1.0);  // bounds are >= 0
+  }
+
+  double operator()(size_t len, bool numeric, bool shares) {
+    if (len >= kLengths) {
+      return ensemble_.RetrievalNodeBound(batch_, len, numeric, shares);
+    }
+    double& cap = caps_[len * 4 + (numeric ? 2 : 0) + (shares ? 1 : 0)];
+    if (cap < 0.0) {
+      cap = ensemble_.RetrievalNodeBound(batch_, len, numeric, shares);
+    }
+    return cap;
+  }
+
+ private:
+  static constexpr size_t kLengths = 64;
+  const SimilarityEnsemble& ensemble_;
+  const SimilarityEnsemble::PreparedLabelBatch& batch_;
+  std::array<double, kLengths * 4> caps_;
+};
+
+/// ScoreChunkBatched's duplicate-pair table, one per thread: open
+/// addressing over (label address, label size, ontology type) keys. A
+/// slot is empty unless it carries the current chunk's epoch, so a chunk
+/// clears nothing, and the table only grows (to twice the largest chunk).
+class ChunkDedup {
+ public:
+  /// Starts a chunk of at most `n` inserts.
+  void Begin(size_t n) {
+    int bits = 4;
+    while ((size_t{1} << bits) < 2 * n) ++bits;
+    if (bits > bits_) {
+      slots_.assign(size_t{1} << bits, Slot{});
+      bits_ = bits;
+      epoch_ = 0;
+    }
+    if (++epoch_ == 0) {  // wrapped: no slot may carry a stale epoch
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+      epoch_ = 1;
+    }
+  }
+
+  /// The value stored for the key in this chunk, or null.
+  const double* Find(std::string_view label, int type) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Home(label, type); slots_[i].epoch == epoch_;
+         i = (i + 1) & mask) {
+      if (Matches(slots_[i], label, type)) return &slots_[i].value;
+    }
+    return nullptr;
+  }
+
+  /// Stores the key's value unless the chunk already holds one.
+  void Insert(std::string_view label, int type, double value) {
+    const size_t mask = slots_.size() - 1;
+    size_t i = Home(label, type);
+    for (; slots_[i].epoch == epoch_; i = (i + 1) & mask) {
+      if (Matches(slots_[i], label, type)) return;
+    }
+    slots_[i] = Slot{label.data(), label.size(), type, epoch_, value};
+  }
+
+ private:
+  struct Slot {
+    const char* data = nullptr;
+    size_t size = 0;
+    int type = 0;
+    uint32_t epoch = 0;
+    double value = 0.0;
+  };
+
+  static bool Matches(const Slot& s, std::string_view label, int type) {
+    return s.data == label.data() && s.size == label.size() && s.type == type;
+  }
+
+  size_t Home(std::string_view label, int type) const {
+    const uint64_t key = reinterpret_cast<uintptr_t>(label.data()) ^
+                         (uint64_t{static_cast<uint32_t>(type)} << 40);
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> (64 - bits_));
+  }
+
+  std::vector<Slot> slots_;
+  int bits_ = 0;
+  uint32_t epoch_ = 0;
+};
 
 }  // namespace
 
@@ -209,20 +306,10 @@ void QueryScorer::ScoreChunkBatched(int query_node,
   // first lane's result bitwise. Keyed on the label's address and length
   // plus the ontology type id: the graph interns labels, so equal labels
   // share one address and no label bytes are hashed. shares_token is a
-  // function of the label.
-  struct SeenKey {
-    const char* data;
-    size_t size;
-    int type;
-    bool operator==(const SeenKey&) const = default;
-  };
-  struct SeenKeyHash {
-    size_t operator()(const SeenKey& k) const {
-      return std::hash<const char*>{}(k.data) * 1000003u ^
-             static_cast<size_t>(k.type + 2);
-    }
-  };
-  std::unordered_map<SeenKey, double, SeenKeyHash> seen;
+  // function of the label. Lanes still gathered are not looked up, so a
+  // repeat inside one batch is scored again and the first value is kept.
+  static thread_local ChunkDedup seen;
+  seen.Begin(hi - lo);
 
   std::string_view lane_labels[kLanes];
   int lane_types[kLanes];
@@ -241,9 +328,7 @@ void QueryScorer::ScoreChunkBatched(int query_node,
       // cancellation that drops gathered-but-unflushed lanes can never
       // let the merge step memoize an unscored 0.0.
       (*miss)[lane_index[l]] = 1;
-      seen.emplace(SeenKey{lane_labels[l].data(), lane_labels[l].size(),
-                           lane_types[l]},
-                   out[l]);
+      seen.Insert(lane_labels[l], lane_types[l], out[l]);
     }
     lanes = 0;
   };
@@ -261,10 +346,8 @@ void QueryScorer::ScoreChunkBatched(int query_node,
     const std::string_view label = graph_.NodeLabel(v);
     const int32_t gt = graph_.NodeType(v);
     const int data_type = gt >= 0 ? graph_type_onto_type_[gt] : -1;
-    const auto dup =
-        seen.find(SeenKey{label.data(), label.size(), data_type});
-    if (dup != seen.end()) {
-      (*scores)[i] = dup->second;
+    if (const double* dup = seen.Find(label, data_type)) {
+      (*scores)[i] = *dup;
       (*miss)[i] = 1;
       continue;
     }
@@ -473,6 +556,7 @@ void QueryScorer::PrunedRetrieveBlocks(int query_node,
     uint32_t list;
     uint32_t block;
   };
+  NodeBoundMemo node_bound(ensemble_, batch);
   std::pmr::vector<BlockRef> blocks(mem_);
   size_t total_blocks = 0;
   for (const auto& l : lists) total_blocks += index_->ListBlocks(l);
@@ -546,8 +630,9 @@ void QueryScorer::PrunedRetrieveBlocks(int query_node,
       // Per-node refinement from the index's O(1) facts: theta may have
       // outgrown this node's own cap even though the block cap survived.
       // (Marking it seen first is sound — theta only rises.)
-      const double cap = ensemble_.RetrievalNodeBound(
-          batch, index_->NodeLabelLength(v), index_->NodeLooksNumeric(v));
+      const double cap = node_bound(index_->NodeLabelLength(v),
+                                    index_->NodeLooksNumeric(v),
+                                    /*shares=*/true);
       if (cap < theta - kBoundMargin) {
         ++retrieval_stats_.nodes_bound_skipped;
         continue;
@@ -570,6 +655,7 @@ void QueryScorer::PrunedRetrievePool(int query_node,
     NodeId v;
     uint8_t shares;
   };
+  NodeBoundMemo node_bound(ensemble_, batch);
   std::pmr::vector<Entry> order(mem_);
   order.reserve(pool.size());
   for (size_t i = 0; i < pool.size(); ++i) {
@@ -580,10 +666,9 @@ void QueryScorer::PrunedRetrievePool(int query_node,
     const std::string_view label = graph_.NodeLabel(v);
     const double cap =
         index_ != nullptr
-            ? ensemble_.RetrievalNodeBound(batch, index_->NodeLabelLength(v),
-                                           index_->NodeLooksNumeric(v), shares)
-            : ensemble_.RetrievalNodeBound(batch, label.size(),
-                                           text::LooksNumeric(label), shares);
+            ? node_bound(index_->NodeLabelLength(v),
+                         index_->NodeLooksNumeric(v), shares)
+            : node_bound(label.size(), text::LooksNumeric(label), shares);
     order.push_back({cap, v, static_cast<uint8_t>(shares ? 1 : 0)});
   }
   // Theta rises above node_threshold only once the heap holds

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <string_view>
+#include <vector>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "graph/graph_generator.h"
 #include "query/workload.h"
 
@@ -106,15 +110,95 @@ FuzzProfile OverloadProfile() {
   return p;
 }
 
+FuzzProfile VocabularyProfile() {
+  FuzzProfile p;
+  p.name = "vocabulary";
+  p.vocabulary = true;
+  // Typed queries over few types, and ranked pools (the only ones that
+  // carry retrieval facts), put labels that share no query token into the
+  // scored pools. A synonym or numeral match adds one feature weight to
+  // such a label's low F_N, so low thresholds, small queries and large k
+  // keep it in the answers.
+  p.num_types = 3;
+  p.keep_type = 0.8;
+  p.with_index_prob = 0.9;
+  p.retrieval_cutoff_prob = 0.8;
+  p.max_retrieval_min = 8;
+  p.max_retrieval_max = 40;
+  p.node_threshold_min = 0.01;
+  p.node_threshold_max = 0.15;
+  p.max_query_nodes = 3;
+  p.min_k = 4;
+  p.max_k = 16;
+  p.partial_label = 0.5;
+  p.context_share = 0.8;  // the synonym feature needs the context
+  return p;
+}
+
 FuzzProfile ProfileByName(const std::string& name) {
   if (name == "ties") return TieHeavyProfile();
   if (name == "tiecut") return TieCutProfile();
   if (name == "deadline") return DeadlineProfile();
   if (name == "overload") return OverloadProfile();
+  if (name == "vocabulary") return VocabularyProfile();
   return SmokeProfile();
 }
 
 namespace {
+
+/// A VocabularyProfile() node label: one to three pieces, each a thesaurus
+/// term, a numeral form or a token of the generated label, some repeated.
+std::string VocabularyLabel(std::string_view generated, Rng& rng) {
+  static constexpr const char* kTerms[] = {
+      "teacher", "Educator", "tutor",  "film",           "movie",
+      "motion picture",      "director", "movie maker",  "award",
+      "prize",   "city",     "Town",   "place of birth", "born"};
+  static constexpr const char* kNumerals[] = {
+      "2", "ii", "II", "two", "3", "iii", "Three", "10", "x", "ten",
+      "20", "xx", "21"};
+  // A quarter of the labels are one numeral form (not "21"): every token
+  // of a query label drawn from one is a numeral, and labels of equal
+  // value share no token.
+  if (rng.Chance(0.25)) return kNumerals[rng.Below(std::size(kNumerals) - 1)];
+  const std::vector<std::string> tokens = SplitTokens(generated);
+  std::string label;
+  const uint64_t pieces = 1 + rng.Below(3);
+  for (uint64_t i = 0; i < pieces; ++i) {
+    std::string piece;
+    switch (rng.Below(3)) {
+      case 0:
+        piece = kTerms[rng.Below(std::size(kTerms))];
+        break;
+      case 1:
+        piece = kNumerals[rng.Below(std::size(kNumerals))];
+        break;
+      default:
+        piece = tokens.empty() ? "x" : tokens[rng.Below(tokens.size())];
+        break;
+    }
+    if (!label.empty()) label += ' ';
+    label += piece;
+    if (rng.Chance(0.15)) label += " " + piece;
+  }
+  return label;
+}
+
+/// A copy of `g` whose node labels are label(NodeLabel(v)), in node order.
+template <typename LabelFn>
+graph::KnowledgeGraph RebuildGraph(const graph::KnowledgeGraph& g,
+                                   LabelFn&& label) {
+  graph::KnowledgeGraph::Builder b;
+  for (graph::NodeId v = 0; v < static_cast<graph::NodeId>(g.node_count());
+       ++v) {
+    const int32_t t = g.NodeType(v);
+    b.AddNode(label(g.NodeLabel(v)), std::string(g.TypeName(t)));
+  }
+  for (graph::EdgeId e = 0; e < static_cast<graph::EdgeId>(g.edge_count());
+       ++e) {
+    b.AddEdge(g.EdgeSrc(e), g.EdgeDst(e), g.RelationName(g.EdgeRelation(e)));
+  }
+  return std::move(b).Build();
+}
 
 double UniformIn(Rng& rng, double lo, double hi) {
   return lo + (hi - lo) * rng.NextDouble();
@@ -123,10 +207,6 @@ double UniformIn(Rng& rng, double lo, double hi) {
 size_t SizeIn(Rng& rng, size_t lo, size_t hi) {
   return lo + static_cast<size_t>(rng.Below(hi - lo + 1));
 }
-
-/// Share of cases, in every profile, whose ensemble carries context
-/// (FuzzCase::context).
-constexpr double kContextShare = 0.3;
 
 /// A coin of probability p that is a pure function of the seed: a
 /// splitmix64 hash, so it draws nothing from the case generator's stream
@@ -149,7 +229,7 @@ FuzzCase MakeFuzzCase(const FuzzProfile& profile, uint64_t seed) {
   FuzzCase c;
   c.seed = seed;
   c.profile = profile.name;
-  c.context = SeedChance(seed, kContextShare);
+  c.context = SeedChance(seed, profile.context_share);
 
   graph::GeneratorConfig gc;
   gc.num_nodes = SizeIn(rng, profile.min_nodes, profile.max_nodes);
@@ -163,6 +243,13 @@ FuzzCase MakeFuzzCase(const FuzzProfile& profile, uint64_t seed) {
       UniformIn(rng, profile.degree_skew_min, profile.degree_skew_max);
   gc.seed = rng.Next();
   c.graph = graph::GenerateGraph(gc);
+  if (profile.vocabulary) {
+    // A stream of its own: the generator's draws below stay as they are.
+    Rng vocabulary(seed ^ 0x70CAB5EEDULL);
+    c.graph = RebuildGraph(c.graph, [&](std::string_view generated) {
+      return VocabularyLabel(generated, vocabulary);
+    });
+  }
 
   query::WorkloadOptions wo;
   wo.variable_fraction = profile.variable_fraction;
@@ -196,7 +283,8 @@ FuzzCase MakeFuzzCase(const FuzzProfile& profile, uint64_t seed) {
   }
   c.with_index = rng.Chance(profile.with_index_prob);
   if (c.with_index && rng.Chance(profile.retrieval_cutoff_prob)) {
-    c.config.max_retrieval = SizeIn(rng, 4, 12);
+    c.config.max_retrieval =
+        SizeIn(rng, profile.max_retrieval_min, profile.max_retrieval_max);
   }
   c.k = SizeIn(rng, profile.min_k, profile.max_k);
   c.decomposition.seed = rng.Next();
@@ -212,17 +300,7 @@ FuzzCase MakeFuzzCase(const FuzzProfile& profile, uint64_t seed) {
 }
 
 graph::KnowledgeGraph CopyGraph(const graph::KnowledgeGraph& g) {
-  graph::KnowledgeGraph::Builder b;
-  for (graph::NodeId v = 0; v < static_cast<graph::NodeId>(g.node_count());
-       ++v) {
-    const int32_t t = g.NodeType(v);
-    b.AddNode(std::string(g.NodeLabel(v)), std::string(g.TypeName(t)));
-  }
-  for (graph::EdgeId e = 0; e < static_cast<graph::EdgeId>(g.edge_count());
-       ++e) {
-    b.AddEdge(g.EdgeSrc(e), g.EdgeDst(e), g.RelationName(g.EdgeRelation(e)));
-  }
-  return std::move(b).Build();
+  return RebuildGraph(g, [](std::string_view l) { return std::string(l); });
 }
 
 FuzzCase CopyCase(const FuzzCase& c) {

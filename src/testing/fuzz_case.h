@@ -79,6 +79,12 @@ struct FuzzProfile {
   /// Token pool per label part; small pools collide labels, which is what
   /// produces exact F_N ties (the historic bug magnet).
   size_t token_pool_min = 6, token_pool_max = 14;
+  /// Relabels the generated graph's nodes with the mixed vocabulary of
+  /// VocabularyProfile() (see there). Off, the generated labels stay.
+  bool vocabulary = false;
+  /// Share of cases whose ensemble carries context (FuzzCase::context),
+  /// picked by a hash of the seed that draws nothing from the generator.
+  double context_share = 0.3;
   double degree_skew_min = 0.4, degree_skew_max = 1.2;
 
   // --- query shape ---
@@ -98,8 +104,10 @@ struct FuzzProfile {
   int max_d = 3;
   /// Probability of a candidate cutoff (then uniform in [2, 6]).
   double cutoff_prob = 0.3;
-  /// Probability of a retrieval cutoff when an index is attached.
+  /// Probability of a retrieval cutoff when an index is attached, and
+  /// its range.
   double retrieval_cutoff_prob = 0.2;
+  size_t max_retrieval_min = 4, max_retrieval_max = 12;
   double injective_prob = 0.7;
   double with_index_prob = 0.7;
 
@@ -136,8 +144,16 @@ FuzzProfile DeadlineProfile();
 /// bitwise identity) under the exact conditions a shedding service hits.
 FuzzProfile OverloadProfile();
 
-/// Profile by name ("smoke", "ties", "deadline", "overload"); falls back
-/// to smoke.
+/// Node labels mixing built-in thesaurus terms (one and several tokens),
+/// the digit, roman-numeral and number-word forms of numerals, tokens of
+/// the generated labels, and repeated tokens: the vocabulary on which the
+/// synonym and numeral-aware features, and the kernel's caps for them,
+/// take both values. Typed queries, large type lists and ranked pools put
+/// labels that share no query token into the scored pools.
+FuzzProfile VocabularyProfile();
+
+/// Profile by name ("smoke", "ties", "tiecut", "deadline", "overload",
+/// "vocabulary"); falls back to smoke.
 FuzzProfile ProfileByName(const std::string& name);
 
 /// Deterministically generates the case for (profile, seed).

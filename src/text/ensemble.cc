@@ -1,11 +1,14 @@
 #include "text/ensemble.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <string_view>
 
 #include "common/string_util.h"
 #include "text/phonetic.h"
@@ -85,7 +88,7 @@ constexpr size_t kWordBits = 64;
 /// table is never cleared as a whole.
 class PatternMasks {
  public:
-  PatternMasks(const std::string& pattern, const std::string& text) {
+  PatternMasks(std::string_view pattern, std::string_view text) {
     for (const char c : text) masks_[Byte(c)] = 0;
     for (const char c : pattern) masks_[Byte(c)] = 0;
     for (size_t i = 0; i < pattern.size(); ++i) {
@@ -231,7 +234,7 @@ double FastDamerau(const std::string& a, const std::string& b) {
   return 1.0 - r1[m] / static_cast<double>(std::max(n, m));
 }
 
-double FastJaro(const std::string& a, const std::string& b) {
+double FastJaro(std::string_view a, std::string_view b) {
   const size_t n = a.size(), m = b.size();
   if (n == 0 && m == 0) return 1.0;
   if (n == 0 || m == 0) return 0.0;
@@ -289,8 +292,7 @@ double FastJaro(const std::string& a, const std::string& b) {
   return (mm / n + mm / m + (mm - t / 2.0) / mm) / 3.0;
 }
 
-double FastJaroWinkler(const std::string& a, const std::string& b,
-                       double jaro) {
+double FastJaroWinkler(std::string_view a, std::string_view b, double jaro) {
   size_t prefix = 0;
   const size_t max_prefix = std::min<size_t>({4, a.size(), b.size()});
   while (prefix < max_prefix && a[prefix] == b[prefix]) ++prefix;
@@ -501,12 +503,16 @@ constexpr int kBatchGroup[SimilarityEnsemble::kFeatureCount] = {
 // pre-lowercased inputs (integer DPs, so the normalized results are
 // bitwise equal to the canonical functions).
 
-double FastLcs(const std::string& a, const std::string& b) {
+// FastLcs and FastLongestCommonSubstring store the raw length they
+// compute in *length, for FastSmithWaterman's shortcut.
+
+double FastLcs(const std::string& a, const std::string& b, int* length) {
   const size_t n = a.size(), m = b.size();
   if (n == 0 && m == 0) return 1.0;
   if (n == 0 || m == 0) return 0.0;
   if (n <= kWordBits && m <= kWordBits) {
-    return static_cast<double>(AllisonDixLcs(a, b)) / std::max(n, m);
+    *length = AllisonDixLcs(a, b);
+    return static_cast<double>(*length) / std::max(n, m);
   }
   static thread_local std::vector<int> prev, cur;
   prev.assign(m + 1, 0);
@@ -521,15 +527,18 @@ double FastLcs(const std::string& a, const std::string& b) {
     }
     std::swap(prev, cur);
   }
+  *length = prev[m];
   return static_cast<double>(prev[m]) / std::max(n, m);
 }
 
-double FastLongestCommonSubstring(const std::string& a, const std::string& b) {
+double FastLongestCommonSubstring(const std::string& a, const std::string& b,
+                                  int* length) {
   const size_t n = a.size(), m = b.size();
   if (n == 0 && m == 0) return 1.0;
   if (n == 0 || m == 0) return 0.0;
   if (n <= kWordBits) {
-    return static_cast<double>(BitParallelLongestRun(a, b)) / std::max(n, m);
+    *length = BitParallelLongestRun(a, b);
+    return static_cast<double>(*length) / std::max(n, m);
   }
   static thread_local std::vector<int> prev, cur;
   prev.assign(m + 1, 0);
@@ -546,13 +555,23 @@ double FastLongestCommonSubstring(const std::string& a, const std::string& b) {
     }
     std::swap(prev, cur);
   }
+  *length = best;
   return static_cast<double>(best) / std::max(n, m);
 }
 
-double FastSmithWaterman(const std::string& a, const std::string& b) {
+// Smith-Waterman at match +1, mismatch -1, gap -1. `lcs` and `run` are the
+// pair's LCS and longest-common-substring lengths when already computed
+// (else -1). They sandwich the alignment score: a common substring of
+// length run is a local alignment scoring run, and an alignment scores at
+// most its match count, whose matched pairs form a common subsequence of
+// at most lcs. So when they are equal the score is that length, and the
+// DP is skipped.
+double FastSmithWaterman(const std::string& a, const std::string& b, int lcs,
+                         int run) {
   const size_t n = a.size(), m = b.size();
   if (n == 0 && m == 0) return 1.0;
   if (n == 0 || m == 0) return 0.0;
+  if (run >= 0 && lcs == run) return static_cast<double>(run) / std::min(n, m);
   static thread_local std::vector<int> prev, cur;
   prev.assign(m + 1, 0);
   cur.assign(m + 1, 0);
@@ -568,8 +587,10 @@ double FastSmithWaterman(const std::string& a, const std::string& b) {
   return static_cast<double>(best) / std::min(n, m);
 }
 
-double FastTokenSequenceEdit(const std::vector<std::string>& ta,
-                             const std::vector<std::string>& tb) {
+// Token-sequence edit similarity over interned token ids (equal exactly
+// when the tokens are): the integer DP of TokenSequenceEditSimilarity.
+double FastTokenSequenceEdit(const std::vector<uint32_t>& ta,
+                             const std::vector<uint32_t>& tb) {
   if (ta.empty() && tb.empty()) return 1.0;
   if (ta.empty() || tb.empty()) return 0.0;
   const size_t n = ta.size(), m = tb.size();
@@ -586,44 +607,6 @@ double FastTokenSequenceEdit(const std::vector<std::string>& ta,
     std::swap(prev, cur);
   }
   return 1.0 - prev[m] / static_cast<double>(std::max(n, m));
-}
-
-// Monge-Elkan over pre-lowercased in-order token lists (duplicates kept,
-// summation in token order — the canonical accumulation order).
-double FastMongeElkan(const std::vector<std::string>& ta,
-                      const std::vector<std::string>& tb) {
-  if (ta.empty() && tb.empty()) return 1.0;
-  if (ta.empty() || tb.empty()) return 0.0;
-  const auto directed = [](const std::vector<std::string>& xs,
-                           const std::vector<std::string>& ys) {
-    double sum = 0.0;
-    for (const auto& x : xs) {
-      double best = 0.0;
-      for (const auto& y : ys) {
-        best = std::max(best, FastJaroWinkler(x, y, FastJaro(x, y)));
-      }
-      sum += best;
-    }
-    return sum / xs.size();
-  };
-  return std::max(directed(ta, tb), directed(tb, ta));
-}
-
-// Copies `src` into `dst` reusing element buffers, then sorts and
-// deduplicates in place (string swaps/moves only).
-void SortedUniqueInto(const std::vector<std::string>& src,
-                      std::vector<std::string>* dst) {
-  const size_t n = src.size();
-  if (dst->size() > n) dst->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (i < dst->size()) {
-      (*dst)[i].assign(src[i]);
-    } else {
-      dst->emplace_back(src[i]);
-    }
-  }
-  std::sort(dst->begin(), dst->end());
-  dst->erase(std::unique(dst->begin(), dst->end()), dst->end());
 }
 
 // Sorted unique character n-grams of a pre-lowercased string into a
@@ -774,45 +757,286 @@ GramCounts CountGrams(const std::string& s,
   return c;
 }
 
-/// Data-side per-pair scratch of the kernel. One thread_local instance;
-/// every view is derived lazily from the lowercased data label, at most
-/// once per pair, into buffers that are reused across pairs (steady-state
-/// allocation-free).
+// ---------------------------------------------------------------------
+// Per-label token table (the kernels' token features).
+// ---------------------------------------------------------------------
+//
+// The token features meet the same few data tokens lane after lane: the
+// labels a query label is scored against share a small vocabulary. The
+// table interns each distinct token once per scope (one PreparedLabel)
+// and caches the facts the features read, each computed the first time a
+// feature needs it. Within a scope two tokens have the same id exactly
+// when their bytes are equal, so every feature on ids computes the same
+// integers, and the same floating-point operations in the same order, as
+// on strings. The query's tokens are interned first, so the ids below
+// query_count() are exactly its distinct tokens.
+class TokenTable {
+ public:
+  using PreparedLabel = SimilarityEnsemble::PreparedLabel;
+
+  /// Starts a lane scored against `p`. Rebinds the table when it serves
+  /// another label or has passed its size bound; either way every data id
+  /// of the previous lane is invalid afterwards.
+  void BeginLane(const PreparedLabel& p) {
+    if (p.id != scope_ || Size() > SimilarityEnsemble::kTokenTableBound) {
+      Bind(p);
+    }
+    if (++lane_ == 0) {  // wrapped: no token may carry a stale stamp
+      for (Token& t : tokens_) t.lane = 0;
+      lane_ = 1;
+    }
+  }
+
+  /// Interns a token of the current lane and counts it there. `first` is
+  /// set on its first occurrence in the lane.
+  uint32_t AddToLane(std::string_view token, bool* first) {
+    const uint32_t id = Intern(token);
+    Token& t = tokens_[id];
+    *first = t.lane != lane_;
+    t.count = *first ? 1 : t.count + 1;
+    t.lane = lane_;
+    return id;
+  }
+
+  /// Occurrences of `id` in the current lane.
+  uint32_t LaneCount(uint32_t id) const { return tokens_[id].count; }
+
+  std::string_view View(uint32_t id) const {
+    return std::string_view(bytes_.data() + tokens_[id].offset,
+                            tokens_[id].size);
+  }
+
+  /// Ids of the query's tokens (p.tokens order), its numeral-normalized
+  /// tokens (p.numerals order), and the number of its distinct tokens.
+  const std::vector<uint32_t>& query_ids() const { return query_ids_; }
+  const std::vector<uint32_t>& numeral_ids() const { return numeral_ids_; }
+  uint32_t query_count() const { return query_count_; }
+
+  /// Whether the token's soundex code is non-empty and one of the query's.
+  bool SoundexInQuery(uint32_t id, const PreparedLabel& p) {
+    Token& t = tokens_[id];
+    if ((t.known & kSoundex) == 0) {
+      const uint32_t code = PackedSoundex(View(id));
+      t.soundex_in_query =
+          code != 0 && std::binary_search(p.soundex.begin(), p.soundex.end(),
+                                          code);
+      t.known |= kSoundex;
+    }
+    return t.soundex_in_query;
+  }
+
+  int SynonymGroup(uint32_t id, const SynonymDictionary& dict) {
+    Token& t = tokens_[id];
+    if ((t.known & kSynonym) == 0) {
+      t.synonym_group = dict.GroupOfLower(View(id));
+      t.known |= kSynonym;
+    }
+    return t.synonym_group;
+  }
+
+  double Idf(uint32_t id, const TfIdfModel& model) {
+    Token& t = tokens_[id];
+    if ((t.known & kIdf) == 0) {
+      t.idf = model.IdfLower(View(id));
+      t.known |= kIdf;
+    }
+    return t.idf;
+  }
+
+  int NumeralValue(uint32_t id) {
+    Token& t = tokens_[id];
+    if ((t.known & kNumeral) == 0) {
+      t.numeral = NumeralTokenValue(std::string(View(id)));
+      t.known |= kNumeral;
+    }
+    return t.numeral;
+  }
+
+  /// The query's tf-idf weight of query token `id` (< query_count()), and
+  /// its vector's squared norm summed in the vector's order.
+  double QueryWeight(uint32_t id, const PreparedLabel& p) {
+    EnsureQueryVector(p);
+    return query_weights_[id];
+  }
+  double QueryNorm(const PreparedLabel& p) {
+    EnsureQueryVector(p);
+    return query_norm_;
+  }
+
+  /// Monge-Elkan row of data token `id`: entry i < query_count() is
+  /// Jaro-Winkler(query token i, token), and entry query_count() the
+  /// maximum of Jaro-Winkler(token, query token) over the query's tokens
+  /// (from 0) — FastMongeElkan's calls in its argument orders.
+  const double* MongeElkanRow(uint32_t id) {
+    if (tokens_[id].row == kNoRow) {
+      tokens_[id].row = static_cast<uint32_t>(rows_.size());
+      const std::string_view d = View(id);
+      double back = 0.0;
+      for (uint32_t q = 0; q < query_count_; ++q) {
+        const std::string_view x = View(q);
+        rows_.push_back(FastJaroWinkler(x, d, FastJaro(x, d)));
+        back = std::max(back, FastJaroWinkler(d, x, FastJaro(d, x)));
+      }
+      rows_.push_back(back);
+    }
+    return rows_.data() + tokens_[id].row;
+  }
+
+  /// Interned tokens plus cached row doubles (the bound's units).
+  size_t Size() const { return tokens_.size() + rows_.size(); }
+
+ private:
+  static constexpr uint32_t kNoRow = ~uint32_t{0};
+  static constexpr int kFirstBits = 10;
+  enum : uint8_t { kSoundex = 1, kSynonym = 2, kIdf = 4, kNumeral = 8 };
+
+  struct Token {
+    uint32_t offset = 0;  // bytes_[offset, offset + size)
+    uint32_t size = 0;
+    uint64_t hash = 0;
+    uint32_t lane = 0;   // stamp of the last lane it occurred in
+    uint32_t count = 0;  // occurrences in that lane
+    uint32_t row = kNoRow;
+    uint8_t known = 0;  // facts computed so far
+    bool soundex_in_query = false;
+    int synonym_group = -1;
+    int numeral = 0;
+    double idf = 0.0;
+  };
+
+  void Bind(const PreparedLabel& p) {
+    scope_ = p.id;
+    tokens_.clear();
+    bytes_.clear();
+    rows_.clear();
+    query_vector_ready_ = false;
+    if (slots_.empty()) {
+      slots_.assign(size_t{1} << kFirstBits, 0);
+      bits_ = kFirstBits;
+    }
+    if (++epoch_ == 0) {  // wrapped: no slot may carry a stale epoch
+      std::fill(slots_.begin(), slots_.end(), 0);
+      epoch_ = 1;
+    }
+    query_ids_.clear();
+    for (const std::string& t : p.tokens) query_ids_.push_back(Intern(t));
+    query_count_ = static_cast<uint32_t>(tokens_.size());
+    numeral_ids_.clear();
+    for (const std::string& t : p.numerals) numeral_ids_.push_back(Intern(t));
+  }
+
+  void EnsureQueryVector(const PreparedLabel& p) {
+    if (query_vector_ready_) return;
+    query_weights_.assign(query_count_, 0.0);
+    query_norm_ = 0.0;
+    // p.tfidf vectorizes the label's own tokens, so each of its entries
+    // is a query token.
+    for (const auto& [token, w] : p.tfidf) {
+      query_norm_ += w * w;
+      query_weights_[Intern(token)] = w;
+    }
+    query_vector_ready_ = true;
+  }
+
+  size_t Home(uint64_t hash) const {
+    return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ULL) >> (64 - bits_));
+  }
+
+  /// Open addressing over 2^bits_ slots of (epoch << 32 | id); a slot is
+  /// empty unless it carries the current epoch, so a rebind clears nothing.
+  uint32_t Intern(std::string_view s) {
+    const uint64_t hash = std::hash<std::string_view>{}(s);
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Home(hash);; i = (i + 1) & mask) {
+      if ((slots_[i] >> 32) != epoch_) {
+        const uint32_t id = static_cast<uint32_t>(tokens_.size());
+        Token t;
+        t.offset = static_cast<uint32_t>(bytes_.size());
+        t.size = static_cast<uint32_t>(s.size());
+        t.hash = hash;
+        tokens_.push_back(t);
+        bytes_.append(s);
+        slots_[i] = (uint64_t{epoch_} << 32) | id;
+        if (2 * tokens_.size() > slots_.size()) Grow();
+        return id;
+      }
+      const uint32_t id = static_cast<uint32_t>(slots_[i]);
+      if (tokens_[id].hash == hash && View(id) == s) return id;
+    }
+  }
+
+  void Grow() {
+    ++bits_;
+    slots_.assign(size_t{1} << bits_, 0);
+    epoch_ = 1;
+    const size_t mask = slots_.size() - 1;
+    for (uint32_t id = 0; id < tokens_.size(); ++id) {
+      size_t i = Home(tokens_[id].hash);
+      while ((slots_[i] >> 32) == epoch_) i = (i + 1) & mask;
+      slots_[i] = (uint64_t{epoch_} << 32) | id;
+    }
+  }
+
+  uint64_t scope_ = ~uint64_t{0};  // Prepare() never stamps this id
+  std::vector<Token> tokens_;
+  std::string bytes_;
+  std::vector<double> rows_;
+  std::vector<uint64_t> slots_;
+  int bits_ = 0;
+  uint32_t epoch_ = 0;
+  uint32_t lane_ = 0;
+  std::vector<uint32_t> query_ids_, numeral_ids_;
+  uint32_t query_count_ = 0;
+  std::vector<double> query_weights_;
+  double query_norm_ = 0.0;
+  bool query_vector_ready_ = false;
+};
+
+/// Data-side per-pair scratch of the kernels. One thread_local instance
+/// (ThreadScratch); every view is derived lazily from the lowercased data
+/// label, at most once per pair, into buffers that are reused across pairs
+/// (steady-state allocation-free).
 struct KernelScratch {
-  std::string lb;                          // lowercased data label
-  std::vector<std::string> tokens;         // in split order
-  std::vector<std::string> tokens_sorted;  // sorted, unique
+  std::string lb;  // lowercased data label
   std::vector<std::string> bigrams, trigrams;
   GramDedupTable gram_table;  // CountGrams dedup table (batch kernel)
-  std::vector<int> syn_groups;  // per-token synonym groups (batch kernel)
-  std::string initials;
+  TokenTable token_table;
+  std::vector<std::string_view> pieces;  // the label's tokens, as split
+  std::vector<uint32_t> tokens;    // their ids, in split order
+  std::vector<uint32_t> distinct;  // distinct ids, in first-occurrence order
+  size_t shared = 0;               // distinct ids that are query tokens
+  std::vector<uint32_t> by_bytes;  // tf-idf scratch
+  std::vector<double> best;        // Monge-Elkan scratch
   std::optional<double> quantity;
   std::optional<int> year;
   double jaro = 0.0;
-  size_t trio_inter = 0;
-  bool has_tokens = false, has_tokens_sorted = false, has_bigrams = false,
-       has_trigrams = false, has_initials = false, has_quantity = false,
-       has_year = false, has_trio = false, has_jaro = false,
-       has_syn_groups = false;
+  int lcs_length = -1, run_length = -1;  // -1 until computed in this lane
+  bool has_tokens = false, has_bigrams = false, has_trigrams = false,
+       has_quantity = false, has_year = false, has_jaro = false;
 
   void Reset(std::string_view d) {
     ToLowerInto(d, &lb);
-    has_tokens = has_tokens_sorted = has_bigrams = has_trigrams =
-        has_initials = has_quantity = has_year = has_trio = has_jaro =
-            has_syn_groups = false;
+    has_tokens = has_bigrams = has_trigrams = has_quantity = has_year =
+        has_jaro = false;
+    lcs_length = run_length = -1;
   }
 
-  void EnsureTokens() {
+  void EnsureTokens(const SimilarityEnsemble::PreparedLabel& p) {
     if (has_tokens) return;
-    SplitTokensInto(lb, &tokens);
     has_tokens = true;
-  }
-
-  void EnsureTokensSorted() {
-    if (has_tokens_sorted) return;
-    EnsureTokens();
-    SortedUniqueInto(tokens, &tokens_sorted);
-    has_tokens_sorted = true;
+    token_table.BeginLane(p);
+    SplitTokenViewsInto(lb, &pieces);
+    tokens.clear();
+    distinct.clear();
+    shared = 0;
+    for (const std::string_view piece : pieces) {
+      bool first = false;
+      const uint32_t id = token_table.AddToLane(piece, &first);
+      tokens.push_back(id);
+      if (!first) continue;
+      distinct.push_back(id);
+      if (id < token_table.query_count()) ++shared;
+    }
   }
 
   void EnsureBigrams() {
@@ -827,22 +1051,6 @@ struct KernelScratch {
     has_trigrams = true;
   }
 
-  void EnsureSynGroups(const SynonymDictionary& dict) {
-    if (has_syn_groups) return;
-    EnsureTokens();
-    syn_groups.clear();
-    for (const auto& t : tokens) syn_groups.push_back(dict.GroupOfLower(t));
-    has_syn_groups = true;
-  }
-
-  void EnsureInitials() {
-    if (has_initials) return;
-    EnsureTokens();
-    initials.clear();
-    for (const auto& t : tokens) initials.push_back(t[0]);
-    has_initials = true;
-  }
-
   void EnsureQuantity(std::string_view d) {
     if (has_quantity) return;
     quantity = ParseQuantity(d);
@@ -855,13 +1063,6 @@ struct KernelScratch {
     has_year = true;
   }
 
-  void EnsureTrio(const SimilarityEnsemble::PreparedLabel& p) {
-    if (has_trio) return;
-    EnsureTokensSorted();
-    trio_inter = SortedIntersectionCount(p.tokens_sorted, tokens_sorted);
-    has_trio = true;
-  }
-
   double EnsureJaro(const SimilarityEnsemble::PreparedLabel& p) {
     if (!has_jaro) {
       jaro = FastJaro(p.lower, lb);
@@ -871,17 +1072,23 @@ struct KernelScratch {
   }
 };
 
+KernelScratch& ThreadScratch() {
+  static thread_local KernelScratch sc;
+  return sc;
+}
+
 // One feature value, bitwise equal to what Score() would fold in for the
 // same pair (same guards, same shared intermediates, same expressions).
-// When `batch` is non-null (the batched kernel), the n-gram and synonym
-// features run on packed grams / pre-resolved group ids — identical
-// values from cheaper representations.
+// Token features run on the thread's token table. When `batch` is
+// non-null (the batched kernel), the n-gram features run on packed grams
+// — identical values from a cheaper representation.
 double EvalKernelFeature(int feature, const SimilarityEnsemble::Context& ctx,
                          const SimilarityEnsemble::PreparedLabel& p,
                          KernelScratch& sc, std::string_view d, int query_type,
                          int data_type,
                          const SimilarityEnsemble::PreparedLabelBatch* batch) {
   using E = SimilarityEnsemble;
+  TokenTable& table = sc.token_table;
   switch (feature) {
     case E::kExact:
       return p.label == d ? 1.0 : 0.0;
@@ -901,27 +1108,29 @@ double EvalKernelFeature(int feature, const SimilarityEnsemble::Context& ctx,
       return FastSuffix(p.lower, sc.lb);
     case E::kContainment:
       return FastContainment(p.lower, sc.lb);
+    // The token-set family counts distinct tokens: the query's are the ids
+    // below query_count(), the lane's `distinct`, and `shared` both.
     case E::kTokenJaccard: {
-      sc.EnsureTrio(p);
-      const size_t na = p.tokens_sorted.size(), nb = sc.tokens_sorted.size();
+      sc.EnsureTokens(p);
+      const size_t na = table.query_count(), nb = sc.distinct.size();
       if (na == 0 && nb == 0) return 1.0;
       if (na == 0 || nb == 0) return 0.0;
-      const size_t uni = na + nb - sc.trio_inter;
-      return uni == 0 ? 0.0 : static_cast<double>(sc.trio_inter) / uni;
+      const size_t uni = na + nb - sc.shared;
+      return uni == 0 ? 0.0 : static_cast<double>(sc.shared) / uni;
     }
     case E::kTokenDice: {
-      sc.EnsureTrio(p);
-      const size_t na = p.tokens_sorted.size(), nb = sc.tokens_sorted.size();
+      sc.EnsureTokens(p);
+      const size_t na = table.query_count(), nb = sc.distinct.size();
       if (na == 0 && nb == 0) return 1.0;
       if (na == 0 || nb == 0) return 0.0;
-      return 2.0 * sc.trio_inter / (na + nb);
+      return 2.0 * sc.shared / (na + nb);
     }
     case E::kTokenOverlap: {
-      sc.EnsureTrio(p);
-      const size_t na = p.tokens_sorted.size(), nb = sc.tokens_sorted.size();
+      sc.EnsureTokens(p);
+      const size_t na = table.query_count(), nb = sc.distinct.size();
       if (na == 0 && nb == 0) return 1.0;
       if (na == 0 || nb == 0) return 0.0;
-      return static_cast<double>(sc.trio_inter) / std::min(na, nb);
+      return static_cast<double>(sc.shared) / std::min(na, nb);
     }
     case E::kNGramJaccard: {
       if (batch != nullptr) {
@@ -940,10 +1149,17 @@ double EvalKernelFeature(int feature, const SimilarityEnsemble::Context& ctx,
     }
     case E::kAcronym: {
       if (p.label.empty() || d.empty()) return 0.0;
-      sc.EnsureTokens();
-      if (p.tokens.size() == 1 && p.lower.size() >= 2) {
-        sc.EnsureInitials();
-        if (sc.initials == p.lower) return 1.0;
+      sc.EnsureTokens(p);
+      // The data tokens' initials (first bytes) spell the one-token query,
+      // or the query's initials spell the one-token data label.
+      if (p.tokens.size() == 1 && p.lower.size() >= 2 &&
+          sc.tokens.size() == p.lower.size()) {
+        size_t i = 0;
+        while (i < sc.tokens.size() &&
+               table.View(sc.tokens[i])[0] == p.lower[i]) {
+          ++i;
+        }
+        if (i == sc.tokens.size()) return 1.0;
       }
       if (sc.tokens.size() == 1 && sc.lb.size() >= 2 && p.initials == sc.lb) {
         return 1.0;
@@ -979,72 +1195,105 @@ double EvalKernelFeature(int feature, const SimilarityEnsemble::Context& ctx,
       return QuantitySimilarity(p.quantity, sc.quantity);
     }
     case E::kLcs:
-      return FastLcs(p.lower, sc.lb);
+      return FastLcs(p.lower, sc.lb, &sc.lcs_length);
     case E::kPhonetic: {
       // PhoneticSimilarity: 1 iff some query and some data token have the
       // same non-empty code.
-      sc.EnsureTokens();
+      sc.EnsureTokens(p);
       if (p.tokens.empty() || sc.tokens.empty()) return 0.0;
       if (p.soundex.empty()) return 0.0;
-      for (const auto& t : sc.tokens) {
-        const uint32_t code = PackedSoundex(t);
-        if (code != 0 &&
-            std::binary_search(p.soundex.begin(), p.soundex.end(), code)) {
-          return 1.0;
-        }
+      for (const uint32_t t : sc.distinct) {
+        if (table.SoundexInQuery(t, p)) return 1.0;
       }
       return 0.0;
     }
     case E::kSynonym: {
       if (ctx.synonyms == nullptr) return 0.0;
-      if (batch != nullptr) {
-        // SynonymDictionary::Similarity replayed on pre-resolved group
-        // ids: whole-label check first, then the shorter side's tokens
-        // against the longer side's (equality or shared group), exactly
-        // the double loop the dictionary runs — same hits, same ratio.
-        const SynonymDictionary& dict = *ctx.synonyms;
-        if (p.lower == sc.lb) return 1.0;
-        const int gd = dict.GroupOfLower(sc.lb);
-        if (batch->label_syn_group >= 0 && batch->label_syn_group == gd) {
-          return 1.0;
-        }
-        sc.EnsureTokens();
-        if (p.tokens.empty() || sc.tokens.empty()) return 0.0;
-        sc.EnsureSynGroups(dict);
-        const bool query_shorter = p.tokens.size() <= sc.tokens.size();
-        const auto& ts = query_shorter ? p.tokens : sc.tokens;
-        const auto& tl = query_shorter ? sc.tokens : p.tokens;
-        const auto& gs = query_shorter ? batch->token_syn_groups
-                                       : sc.syn_groups;
-        const auto& gl = query_shorter ? sc.syn_groups
-                                       : batch->token_syn_groups;
-        size_t hits = 0;
-        for (size_t i = 0; i < ts.size(); ++i) {
-          for (size_t j = 0; j < tl.size(); ++j) {
-            if (ts[i] == tl[j] || (gs[i] >= 0 && gs[i] == gl[j])) {
-              ++hits;
-              break;
-            }
+      // SynonymDictionary::Similarity on interned tokens: whole-label
+      // check first, then the shorter side's tokens against the longer
+      // side's (equality or shared group), exactly the double loop the
+      // dictionary runs — same hits, same ratio.
+      const SynonymDictionary& dict = *ctx.synonyms;
+      if (p.lower == sc.lb) return 1.0;
+      // Sharing a group needs one on the query side.
+      if (p.label_syn_group >= 0 &&
+          dict.GroupOfLower(sc.lb) == p.label_syn_group) {
+        return 1.0;
+      }
+      sc.EnsureTokens(p);
+      const std::vector<uint32_t>& q = table.query_ids();
+      if (q.empty() || sc.tokens.empty()) return 0.0;
+      const bool query_shorter = q.size() <= sc.tokens.size();
+      const std::vector<uint32_t>& ts = query_shorter ? q : sc.tokens;
+      const std::vector<uint32_t>& tl = query_shorter ? sc.tokens : q;
+      size_t hits = 0;
+      for (const uint32_t x : ts) {
+        const int gx = table.SynonymGroup(x, dict);
+        for (const uint32_t y : tl) {
+          if (x == y || (gx >= 0 && gx == table.SynonymGroup(y, dict))) {
+            ++hits;
+            break;
           }
         }
-        return static_cast<double>(hits) / ts.size();
       }
-      return ctx.synonyms->Similarity(p.label, d);
+      return static_cast<double>(hits) / ts.size();
     }
     case E::kTfIdfCosine: {
       if (ctx.tfidf == nullptr || !ctx.tfidf->finalized()) return 0.0;
-      sc.EnsureTokens();
-      return ctx.tfidf->CosineWithTokens(p.tfidf, sc.tokens);
+      // TfIdfModel::CosineSparse(p.tfidf, Vectorize(d)) without building
+      // the data vector: the lane's distinct tokens in byte order (the
+      // vector's order), each weighted count x idf, so the norms and the
+      // dot product add the same terms in the same order.
+      sc.EnsureTokens(p);
+      if (p.tfidf.empty() && sc.tokens.empty()) return 1.0;
+      if (p.tfidf.empty() || sc.tokens.empty()) return 0.0;
+      sc.by_bytes.assign(sc.distinct.begin(), sc.distinct.end());
+      std::sort(sc.by_bytes.begin(), sc.by_bytes.end(),
+                [&](uint32_t x, uint32_t y) {
+                  return table.View(x) < table.View(y);
+                });
+      const double na = table.QueryNorm(p);
+      double nb = 0.0, dot = 0.0;
+      for (const uint32_t t : sc.by_bytes) {
+        const double w = static_cast<double>(table.LaneCount(t)) *
+                         table.Idf(t, *ctx.tfidf);
+        nb += w * w;
+        if (t < table.query_count()) dot += table.QueryWeight(t, p) * w;
+      }
+      if (na == 0.0 || nb == 0.0) return 0.0;
+      return dot / (std::sqrt(na) * std::sqrt(nb));
     }
     case E::kTypeOntology:
       return ctx.ontology != nullptr
                  ? ctx.ontology->Similarity(query_type, data_type)
                  : 0.0;
-    case E::kMongeElkan:
-      sc.EnsureTokens();
-      return FastMongeElkan(p.tokens, sc.tokens);
+    case E::kMongeElkan: {
+      // MongeElkanSimilarity's two directed means from the cached rows:
+      // per query token the maximum over the data tokens (taken over the
+      // distinct ones, the same maximum), per data token the row's cached
+      // maximum over the query's; each summed in token order.
+      sc.EnsureTokens(p);
+      const std::vector<uint32_t>& q = table.query_ids();
+      if (q.empty() && sc.tokens.empty()) return 1.0;
+      if (q.empty() || sc.tokens.empty()) return 0.0;
+      const uint32_t nq = table.query_count();
+      sc.best.assign(nq, 0.0);
+      for (const uint32_t t : sc.distinct) {
+        const double* row = table.MongeElkanRow(t);
+        for (uint32_t i = 0; i < nq; ++i) {
+          sc.best[i] = std::max(sc.best[i], row[i]);
+        }
+      }
+      double forward = 0.0;
+      for (const uint32_t x : q) forward += sc.best[x];
+      double backward = 0.0;
+      for (const uint32_t t : sc.tokens) {
+        backward += table.MongeElkanRow(t)[nq];
+      }
+      return std::max(forward / q.size(), backward / sc.tokens.size());
+    }
     case E::kLongestCommonSubstring:
-      return FastLongestCommonSubstring(p.lower, sc.lb);
+      return FastLongestCommonSubstring(p.lower, sc.lb, &sc.run_length);
     case E::kHamming: {
       const std::string& la = p.lower;
       const std::string& lb = sc.lb;
@@ -1057,7 +1306,7 @@ double EvalKernelFeature(int feature, const SimilarityEnsemble::Context& ctx,
       return static_cast<double>(equal) / la.size();
     }
     case E::kSmithWaterman:
-      return FastSmithWaterman(p.lower, sc.lb);
+      return FastSmithWaterman(p.lower, sc.lb, sc.lcs_length, sc.run_length);
     case E::kBigramDice: {
       if (batch != nullptr) {
         const GramCounts c = CountGrams<2>(sc.lb, batch->bigrams,
@@ -1074,8 +1323,8 @@ double EvalKernelFeature(int feature, const SimilarityEnsemble::Context& ctx,
       return 2.0 * inter / (p.bigrams.size() + sc.bigrams.size());
     }
     case E::kTokenSequenceEdit:
-      sc.EnsureTokens();
-      return FastTokenSequenceEdit(p.tokens, sc.tokens);
+      sc.EnsureTokens(p);
+      return FastTokenSequenceEdit(table.query_ids(), sc.tokens);
     case E::kDate: {
       if (!p.contains_digit || !ContainsDigit(sc.lb)) return 0.0;
       sc.EnsureYear(d);
@@ -1088,12 +1337,13 @@ double EvalKernelFeature(int feature, const SimilarityEnsemble::Context& ctx,
       // normalize to it through its value, and only the strings "1".."20"
       // are such normalizations.
       if (p.label.empty() || d.empty()) return 0.0;
-      sc.EnsureTokens();
-      if (sc.tokens.size() != p.numerals.size()) return 0.0;
+      sc.EnsureTokens(p);
+      const std::vector<uint32_t>& want_ids = table.numeral_ids();
+      if (sc.tokens.size() != want_ids.size()) return 0.0;
       for (size_t i = 0; i < sc.tokens.size(); ++i) {
-        if (sc.tokens[i] == p.numerals[i]) continue;
+        if (sc.tokens[i] == want_ids[i]) continue;
         const int want = p.numeral_values[i];
-        if (want == 0 || NumeralTokenValue(sc.tokens[i]) != want) return 0.0;
+        if (want == 0 || table.NumeralValue(sc.tokens[i]) != want) return 0.0;
       }
       return 1.0;
     }
@@ -1313,15 +1563,12 @@ void SimilarityEnsemble::RebuildEvalOrder() {
 
 SimilarityEnsemble::PreparedLabel SimilarityEnsemble::Prepare(
     std::string_view label) const {
+  static std::atomic<uint64_t> next_id{1};
   PreparedLabel p;
+  p.id = next_id.fetch_add(1, std::memory_order_relaxed);
   p.label.assign(label);
   p.lower = ToLower(label);
   p.tokens = SplitTokens(p.lower);
-  p.tokens_sorted = p.tokens;
-  std::sort(p.tokens_sorted.begin(), p.tokens_sorted.end());
-  p.tokens_sorted.erase(
-      std::unique(p.tokens_sorted.begin(), p.tokens_sorted.end()),
-      p.tokens_sorted.end());
   GramsInto(p.lower, 2, &p.bigrams);
   GramsInto(p.lower, 3, &p.trigrams);
   for (const auto& t : p.tokens) {
@@ -1346,6 +1593,9 @@ SimilarityEnsemble::PreparedLabel SimilarityEnsemble::Prepare(
   if (context_.tfidf != nullptr && context_.tfidf->finalized()) {
     p.tfidf = context_.tfidf->Vectorize(p.label);
   }
+  if (context_.synonyms != nullptr) {
+    p.label_syn_group = context_.synonyms->GroupOfLower(p.lower);
+  }
   return p;
 }
 
@@ -1363,20 +1613,16 @@ SimilarityEnsemble::PreparedLabelBatch SimilarityEnsemble::PrepareBatch(
   // already unique, so each set holds exactly the query's grams.
   b.bigrams = MakeGramSet(p.bigrams);
   b.trigrams = MakeGramSet(p.trigrams);
-  if (context_.synonyms != nullptr) {
-    b.label_syn_group = context_.synonyms->GroupOfLower(p.lower);
-    b.token_syn_groups.reserve(p.tokens.size());
-    for (const auto& t : p.tokens) {
-      b.token_syn_groups.push_back(context_.synonyms->GroupOfLower(t));
-    }
-  }
   // Both conditions, and the disjoint-token caps they gate, argue from
   // exact token equality; DESIGN.md "Memory layout & batched scoring"
   // spells out why each capped feature is then exactly 0.
   b.synonym_needs_token =
-      b.label_syn_group < 0 &&
-      std::all_of(b.token_syn_groups.begin(), b.token_syn_groups.end(),
-                  [](int g) { return g < 0; });
+      p.label_syn_group < 0 &&
+      (context_.synonyms == nullptr ||
+       std::none_of(p.tokens.begin(), p.tokens.end(),
+                    [&](const std::string& t) {
+                      return context_.synonyms->GroupOfLower(t) >= 0;
+                    }));
   b.numeral_needs_token =
       std::find(p.numeral_values.begin(), p.numeral_values.end(), 0) !=
       p.numeral_values.end();
@@ -1404,7 +1650,7 @@ double SimilarityEnsemble::ScoreAgainstThreshold(const PreparedLabel& prepared,
   if (!prepared.label.empty() && EqualIgnoreCase(prepared.label, data_label)) {
     return 1.0;
   }
-  static thread_local KernelScratch sc;
+  KernelScratch& sc = ThreadScratch();
   sc.Reset(data_label);
   double f[kFeatureCount] = {};
   const size_t order = eval_order_.size();
@@ -1596,7 +1842,7 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
   // batch's packed grams and synonym group ids. Completed lanes replay
   // the weighted sum in canonical feature order, exactly like
   // ScoreAgainstThreshold — so every kept value is bitwise Score().
-  static thread_local KernelScratch sc;
+  KernelScratch& sc = ThreadScratch();
   for (size_t l = 0; l < count; ++l) {
     if (!survive[l]) continue;
     const std::string_view d = data_labels[l];
@@ -1765,6 +2011,10 @@ double SimilarityEnsemble::RetrievalBlockBound(
                         /*shares_token=*/true));
   }
   return best;
+}
+
+size_t SimilarityEnsemble::ThreadTokenTableSize() {
+  return ThreadScratch().token_table.Size();
 }
 
 const std::vector<std::string>& SimilarityEnsemble::FeatureNames() {

@@ -178,10 +178,15 @@ class SimilarityEnsemble {
   /// Immutable afterwards, so concurrent ScoreAgainstThreshold calls may
   /// share it (the per-pair scratch is thread_local).
   struct PreparedLabel {
+    /// Process-unique stamp from Prepare(); copies keep it (and equal
+    /// contents). The kernels' per-thread token table serves one id at a
+    /// time, is rebuilt when a lane arrives with another, and caches
+    /// facts from the context of the ensemble that prepared the label:
+    /// score a label only with that ensemble.
+    uint64_t id = 0;
     std::string label;                       ///< original bytes
     std::string lower;                       ///< lowercased
     std::vector<std::string> tokens;         ///< tokens of lower, in order
-    std::vector<std::string> tokens_sorted;  ///< sorted, unique
     std::vector<std::string> bigrams;        ///< sorted unique char 2-grams
     std::vector<std::string> trigrams;       ///< sorted unique char 3-grams
     std::string initials;                    ///< first char of each token
@@ -195,6 +200,8 @@ class SimilarityEnsemble {
     bool looks_numeric = false;              ///< numeric-guard flag (lower)
     bool contains_digit = false;             ///< date-guard flag (lower)
     TfIdfModel::SparseVector tfidf;          ///< empty without tf-idf ctx
+    /// Synonym group of the whole label (-1 = none or no dictionary).
+    int label_syn_group = -1;
   };
 
   /// Builds the query-side view of `label` (uses the tf-idf context when
@@ -215,6 +222,15 @@ class SimilarityEnsemble {
 
   /// Human-readable feature names, index-aligned with Features().
   static const std::vector<std::string>& FeatureNames();
+
+  /// Size bound of a thread's token table: interned data tokens plus
+  /// cached Monge-Elkan row doubles. Past it, the table is cleared at the
+  /// next lane boundary. DESIGN.md "Scoring kernel" describes the table.
+  static constexpr size_t kTokenTableBound = size_t{1} << 15;
+
+  /// The calling thread's token table size in kTokenTableBound's units
+  /// (for tests of the bound).
+  static size_t ThreadTokenTableSize();
 
   // -------------------------------------------------------------------
   // Batched scoring kernel (structure-of-arrays)
@@ -261,9 +277,9 @@ class SimilarityEnsemble {
   };
 
   /// Query-side SoA view for the batched kernel: the scalar PreparedLabel
-  /// plus packed n-gram sets and pre-resolved synonym group ids. Built
-  /// once per query node; immutable afterwards, so concurrent
-  /// ScoreBatchAgainstThreshold calls may share it.
+  /// plus packed n-gram sets and the query-side conditions of the
+  /// disjoint-token caps. Built once per query node; immutable afterwards,
+  /// so concurrent ScoreBatchAgainstThreshold calls may share it.
   struct PreparedLabelBatch {
     PreparedLabel prepared;
     /// prepared.bigrams and prepared.trigrams as packed gram sets. Packing
@@ -273,10 +289,6 @@ class SimilarityEnsemble {
     /// string-gram path.
     PackedGramSet bigrams;
     PackedGramSet trigrams;
-    /// Synonym group id per prepared.tokens entry (-1 = no group), plus
-    /// the whole-label group. Empty when the context has no dictionary.
-    std::vector<int> token_syn_groups;
-    int label_syn_group = -1;
     /// Query-side conditions of the disjoint-token caps (see
     /// ScoreBatchAgainstThreshold): the synonym feature can be positive
     /// only through a shared token when neither the label nor any token

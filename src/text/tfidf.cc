@@ -29,7 +29,7 @@ double TfIdfModel::Idf(std::string_view token) const {
   return it == idf_.end() ? max_idf_ : it->second;
 }
 
-double TfIdfModel::IdfLower(const std::string& lower_token) const {
+double TfIdfModel::IdfLower(std::string_view lower_token) const {
   const auto it = idf_.find(lower_token);
   return it == idf_.end() ? max_idf_ : it->second;
 }
@@ -87,37 +87,6 @@ double TfIdfModel::CosineSparse(const SparseVector& a, const SparseVector& b) {
       ++i;
       ++j;
     }
-  }
-  if (na == 0.0 || nb == 0.0) return 0.0;
-  return dot / (std::sqrt(na) * std::sqrt(nb));
-}
-
-double TfIdfModel::CosineWithTokens(
-    const SparseVector& a, const std::vector<std::string>& lower_tokens) const {
-  if (a.empty() && lower_tokens.empty()) return 1.0;
-  if (a.empty() || lower_tokens.empty()) return 0.0;
-  static thread_local std::vector<const std::string*> sorted;
-  sorted.clear();
-  for (const std::string& t : lower_tokens) sorted.push_back(&t);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const std::string* x, const std::string* y) { return *x < *y; });
-  double na = 0.0, nb = 0.0, dot = 0.0;
-  for (const auto& [t, w] : a) na += w * w;
-  size_t i = 0;
-  for (size_t r = 0; r < sorted.size();) {
-    const std::string& token = *sorted[r];
-    size_t e = r + 1;
-    while (e < sorted.size() && *sorted[e] == token) ++e;
-    // The entry VectorizeInto emits for this run, and the merge step of
-    // CosineSparse against it.
-    const double w = static_cast<double>(e - r) * IdfLower(token);
-    nb += w * w;
-    while (i < a.size() && a[i].first.compare(token) < 0) ++i;
-    if (i < a.size() && a[i].first == token) {
-      dot += a[i].second * w;
-      ++i;
-    }
-    r = e;
   }
   if (na == 0.0 || nb == 0.0) return 0.0;
   return dot / (std::sqrt(na) * std::sqrt(nb));

@@ -1,11 +1,14 @@
 #ifndef STAR_TEXT_TFIDF_H_
 #define STAR_TEXT_TFIDF_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include "common/string_util.h"
 
 namespace star::text {
 
@@ -38,36 +41,30 @@ class TfIdfModel {
   SparseVector Vectorize(std::string_view s) const;
 
   /// Cosine of two prepared sparse vectors: the core of Cosine(), and
-  /// the accumulation order CosineWithTokens reproduces.
+  /// the accumulation order the scoring kernel's tf-idf feature replays.
   static double CosineSparse(const SparseVector& a, const SparseVector& b);
-
-  /// CosineSparse(a, Vectorize(label)), given the label's lowercased
-  /// tokens in split order (the scoring kernel's data side), without
-  /// building the second vector or copying a token: the tokens' sorted
-  /// runs are walked in the vector's order, so the norm and the dot
-  /// product add the same terms in the same order and the result is
-  /// bitwise equal. Valid only after Finalize().
-  double CosineWithTokens(const SparseVector& a,
-                          const std::vector<std::string>& lower_tokens) const;
 
   /// idf of a token (log((1+N)/(1+df)) + 1); max-idf for unseen tokens.
   double Idf(std::string_view token) const;
+
+  /// Idf() of an already-lowercased token, without a copy: the weight
+  /// Vectorize() gives one occurrence of it.
+  double IdfLower(std::string_view lower_token) const;
 
   size_t document_count() const { return num_docs_; }
   size_t vocabulary_size() const { return doc_freq_.size(); }
   bool finalized() const { return finalized_; }
 
  private:
-  /// Idf lookup for an already-lowercased token (no copy).
-  double IdfLower(const std::string& lower_token) const;
-
   /// Vectorize into a reused buffer (Cosine()'s per-call path): token
   /// strings and the vector's storage are recycled across calls.
   /// Produces exactly Vectorize(s).
   void VectorizeInto(std::string_view s, SparseVector* out) const;
 
   std::unordered_map<std::string, size_t> doc_freq_;
-  std::unordered_map<std::string, double> idf_;
+  std::unordered_map<std::string, double, star::TransparentStringHash,
+                     std::equal_to<>>
+      idf_;
   size_t num_docs_ = 0;
   double max_idf_ = 1.0;
   bool finalized_ = false;

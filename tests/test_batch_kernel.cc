@@ -60,11 +60,16 @@ std::string RandomLabel(Rng& rng, size_t max_len = 12) {
 }
 
 std::vector<std::string> LabelCorpus(uint64_t seed, size_t n) {
+  // The fixed labels include the token table's cases: repeated tokens,
+  // split order unlike byte order, numeral forms, one- and multi-token
+  // thesaurus terms, and leading, trailing, repeated and only delimiters.
   std::vector<std::string> labels = {
       "",           "Brad Pitt",  "brad pitt", "Brad Garrett",
       "JFK",        "Intl",       "Part II",   "Part 2",
       "12 km",      "12000 m",    "  ",        "a_b-c",
       "aaaa",       "aaab",       "Rocky 3",   "Rocky Three",
+      "rob Rob rob", "zeta alpha mid", "part two ii", "motion picture",
+      "--film__teacher..", "-_./,",
   };
   Rng rng(seed);
   for (size_t i = 0; i < n; ++i) labels.push_back(RandomLabel(rng));
@@ -356,6 +361,108 @@ TEST(BatchKernelTest, RetrievalFactsCapOnlyExactZeros) {
   EXPECT_GT(disjoint_pairs, 1000u);
   EXPECT_GT(synonym_pairs, 0u);
   EXPECT_GT(numeral_pairs, 0u);
+}
+
+// ---------------------------------------------------------------------
+// The kernels' token table is per thread and serves one prepared label at
+// a time. Interleaved labels, a scope that passes the size bound, and bulk
+// scoring on worker threads must all keep Score()'s bits.
+// ---------------------------------------------------------------------
+
+TEST(TokenTableScopeTest, InterleavedLabelsKeepScoreBits) {
+  const auto corpus = LabelCorpus(215, 40);
+  FullContextEnsemble full(corpus);
+  const SimilarityEnsemble& e = *full.ensemble;
+  // The two labels share tokens, so a table left bound to one of them
+  // gives the other's lanes wrong ids.
+  const std::string a = "Part II teacher", b = "teacher film part";
+  const auto prepared_a = e.Prepare(a);
+  const auto batch_a = e.PrepareBatch(a);
+  const auto batch_b = e.PrepareBatch(b);
+  constexpr double kExact = SimilarityEnsemble::kNoThreshold;
+  for (const auto& d : corpus) {
+    const std::string_view lane = d;
+    double out = 0.0;
+    // A, B, A on this thread, through both kernels.
+    EXPECT_EQ(e.ScoreAgainstThreshold(prepared_a, d, kExact), e.Score(a, d))
+        << d;
+    e.ScoreBatchAgainstThreshold(batch_b, &lane, 1, kExact, -1, nullptr, &out);
+    EXPECT_EQ(out, e.Score(b, d)) << d;
+    e.ScoreBatchAgainstThreshold(batch_a, &lane, 1, kExact, -1, nullptr, &out);
+    EXPECT_EQ(out, e.Score(a, d)) << d;
+  }
+}
+
+TEST(TokenTableScopeTest, TableIsClearedPastItsBound) {
+  const SimilarityEnsemble e;
+  const std::string q = "alpha beta gamma";
+  const auto prepared = e.Prepare(q);
+  // Each label brings two new tokens, each with a Monge-Elkan row of
+  // query_count + 1 = 4 doubles: 10 units a lane, so the scope passes
+  // the bound after about 3,300 lanes.
+  constexpr size_t kPerLane = 10;
+  size_t previous = 0, peak = 0;
+  int clears = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string d =
+        "t" + std::to_string(i) + " alpha u" + std::to_string(i);
+    ASSERT_EQ(e.ScoreAgainstThreshold(prepared, d,
+                                      SimilarityEnsemble::kNoThreshold),
+              e.Score(q, d))
+        << d;
+    const size_t size = SimilarityEnsemble::ThreadTokenTableSize();
+    if (size < previous) ++clears;
+    previous = size;
+    peak = std::max(peak, size);
+  }
+  EXPECT_EQ(clears, 1);
+  EXPECT_LE(peak, SimilarityEnsemble::kTokenTableBound + kPerLane);
+}
+
+TEST(TokenTableScopeTest, BulkScoreOnWorkerThreadsKeepsScoreBits) {
+  // Labels over a small vocabulary, so each worker's table sees repeats;
+  // two query nodes score in both orders, so scopes change on every
+  // worker.
+  static const char* const kTokens[] = {"teacher", "film", "Part", "ii",
+                                        "2",       "two",  "zeta", "alpha"};
+  Rng rng(216);
+  graph::KnowledgeGraph::Builder b;
+  std::vector<graph::NodeId> nodes;
+  for (int i = 0; i < 300; ++i) {
+    std::string label = kTokens[rng.Below(8)];
+    for (uint64_t t = rng.Below(3); t > 0; --t) {
+      label += rng.Below(2) == 0 ? " " : "-";
+      label += kTokens[rng.Below(8)];
+    }
+    nodes.push_back(b.AddNode(label, "Thing"));
+  }
+  for (size_t i = 0; i + 1 < nodes.size(); ++i) {
+    b.AddEdge(nodes[i], nodes[i + 1], "rel");
+  }
+  const auto g = std::move(b).Build();
+  query::QueryGraph q;
+  q.AddNode("Part two teacher");
+  q.AddNode("alpha film ii");
+  q.AddEdge(0, 1, "rel");
+  for (const int threads : {1, 4}) {
+    for (const bool batch : {false, true}) {
+      for (const int first : {0, 1}) {
+        auto cfg = TestConfig(/*d=*/1);
+        cfg.threads = threads;
+        cfg.use_batch_kernel = batch;
+        ScorerFixture f(g, q, cfg);
+        for (const int u : {first, 1 - first}) {
+          const auto scores = f.scorer->ScoreNodesParallel(u, nodes, threads);
+          for (size_t i = 0; i < nodes.size(); ++i) {
+            EXPECT_EQ(scores[i], f.ensemble.Score(q.node(u).label,
+                                                  g.NodeLabel(nodes[i])))
+                << "threads=" << threads << " batch=" << batch << " u=" << u
+                << " node " << nodes[i];
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -184,6 +185,36 @@ std::string RandomAlignmentLabel(Rng& rng, size_t max_len) {
   return s;
 }
 
+// Labels over a small token vocabulary: one- and multi-token thesaurus
+// terms, the digit, roman-numeral and number-word forms of numerals,
+// repeated tokens, every delimiter (leading, trailing and repeated), bytes
+// >= 0x80, and now and then a token of 64 bytes or more or a label of
+// more than 64 tokens.
+std::string RandomVocabularyLabel(Rng& rng) {
+  static const char* const kVocabulary[] = {
+      "teacher", "Educator", "tutor",  "motion picture", "film",
+      "movie maker", "place of birth", "born", "ii",   "II",
+      "2",       "two",      "three",  "3",      "iii",  "xx",
+      "20",      "21",       "part",   "Part",   "zeta", "alpha",
+      "mid",     "\xc3\xa9t\xc3\xa9", "rob", "Rupert", "Robert"};
+  static const char kDelimiters[] = " \t_-./,";
+  const auto delimiter = [&] { return kDelimiters[rng.Below(7)]; };
+  std::string s;
+  if (rng.Below(3) == 0) s += delimiter();
+  const size_t tokens = rng.Below(30) == 0 ? 65 + rng.Below(4) : rng.Below(5);
+  for (size_t i = 0; i < tokens; ++i) {
+    if (i > 0) {
+      s += delimiter();
+      if (rng.Below(4) == 0) s += delimiter();
+    }
+    s += rng.Below(40) == 0
+             ? std::string(64 + rng.Below(3), 'q')
+             : std::string(kVocabulary[rng.Below(std::size(kVocabulary))]);
+  }
+  if (rng.Below(3) == 0) s += delimiter();
+  return s;
+}
+
 TEST(EnsembleTest, FastPathMatchesFeaturesRandomized) {
   SimilarityEnsemble e;
   Rng rng(99);
@@ -201,15 +232,65 @@ TEST(EnsembleTest, FastPathMatchesFeaturesRandomized) {
     EXPECT_NEAR(e.Score(a, b), expected, 1e-12)
         << "a='" << a << "' b='" << b << "'";
   }
+
+  // Vocabulary labels under full context: Score() against the feature
+  // sum, and both kernels against Score() bitwise.
+  std::vector<std::string> labels;
+  for (int i = 0; i < 120; ++i) labels.push_back(RandomVocabularyLabel(rng));
+  const auto dict = SynonymDictionary::BuiltIn();
+  const auto onto = TypeOntology::BuiltIn();
+  TfIdfModel tfidf;
+  for (const std::string& l : labels) tfidf.AddDocument(l);
+  tfidf.Finalize();
+  SimilarityEnsemble::Context ctx;
+  ctx.synonyms = &dict;
+  ctx.ontology = &onto;
+  ctx.tfidf = &tfidf;
+  const SimilarityEnsemble full(ctx);
+  constexpr size_t kLanes = SimilarityEnsemble::kBatchLanes;
+  for (size_t qi = 0; qi < 40; ++qi) {
+    const std::string& q = labels[qi];
+    const auto prepared = full.Prepare(q);
+    const auto batch = full.PrepareBatch(q);
+    for (size_t lo = 0; lo < labels.size(); lo += kLanes) {
+      const size_t count = std::min(kLanes, labels.size() - lo);
+      std::string_view lanes[kLanes];
+      for (size_t l = 0; l < count; ++l) lanes[l] = labels[lo + l];
+      double out[kLanes];
+      full.ScoreBatchAgainstThreshold(batch, lanes, count,
+                                      SimilarityEnsemble::kNoThreshold, -1,
+                                      nullptr, out);
+      for (size_t l = 0; l < count; ++l) {
+        const std::string& d = labels[lo + l];
+        const std::string pair = "q='" + q + "' d='" + d + "'";
+        const auto f = full.Features(q, d);
+        double expected = 0.0;
+        for (int i = 0; i < SimilarityEnsemble::kFeatureCount; ++i) {
+          expected += full.weights()[i] * f[i];
+        }
+        if (!q.empty() && ToLower(q) == ToLower(d)) expected = 1.0;
+        const double score = full.Score(q, d);
+        EXPECT_NEAR(score, expected, 1e-12) << pair;
+        EXPECT_EQ(full.ScoreAgainstThreshold(prepared, d,
+                                             SimilarityEnsemble::kNoThreshold),
+                  score)
+            << pair;
+        EXPECT_EQ(out[l], score) << pair;
+      }
+    }
+  }
 }
 
 // Each alignment, rewritten token or gram feature alone (one-hot
 // weights): Score(), the scalar kernel and the exact and thresholded batch
 // kernels must return the bits of the reference function (similarity.h,
-// phonetic.h, TfIdfModel::Cosine). The references share no code with the
-// kernels' bit-parallel loops, packed soundex codes, position-wise
-// numeral compare, token-run tf-idf vector or hashed gram counts, so a
-// wrong rewrite cannot hide behind a kernel == Score() identity.
+// phonetic.h, TfIdfModel::Cosine, SynonymDictionary::Similarity). The
+// references share no code with the kernels' bit-parallel loops, token
+// table, packed soundex codes, position-wise numeral compare, token-run
+// tf-idf walk or hashed gram counts, so a wrong rewrite cannot hide behind
+// a kernel == Score() identity. One more entry weighs LCS, longest common
+// substring and Smith-Waterman equally: the kernels then compute the two
+// lengths before Smith-Waterman, which skips its DP when they are equal.
 TEST(EnsembleTest, AlignmentFeaturesMatchReferenceBitwise) {
   // Every label of <= 3 bytes over the bytes a, B and b: Jaro's
   // match window is 0 there. Then tokens with no letter (empty soundex),
@@ -251,46 +332,96 @@ TEST(EnsembleTest, AlignmentFeaturesMatchReferenceBitwise) {
     while (cycle.size() < 260) cycle += "ab\xc3\xa9" "c ";
     labels.push_back(std::move(cycle));
   }
+  // For the token table: repeated tokens, tokens whose split order is not
+  // their byte order, the forms of one numeral, one- and multi-token
+  // thesaurus terms, leading/trailing/repeated delimiters and a
+  // delimiter-only label. For Smith-Waterman: pairs whose LCS and longest
+  // common substring are equal, and pairs where they differ.
+  for (const char* extra :
+       {"zeta alpha mid zeta", "Mid  zeta", "III", "3", "three", "Part iii",
+        "teacher", "Educator film", "motion picture", "picture motion",
+        "--teacher__tutor..", "-_./,", "abcxdef", "abcydef", "xabcdefy"}) {
+    labels.push_back(extra);
+  }
+  {
+    // More than 64 tokens, and a token of more than 64 bytes.
+    std::string many;
+    for (int i = 0; i < 70; ++i) many += std::string(1, 'a' + i % 7) + " ";
+    labels.push_back(std::move(many));
+    labels.push_back(std::string(66, 'b') + " ab");
+  }
   TfIdfModel tfidf;
   for (const std::string& l : labels) tfidf.AddDocument(l);
   tfidf.AddDocument("rob");  // a document frequency above 1 for one token
   tfidf.Finalize();
 
+  const SynonymDictionary dict = SynonymDictionary::BuiltIn();
+
+  using Reference = std::function<double(std::string_view, std::string_view)>;
   struct Feature {
     SimilarityEnsemble::Feature id;
-    std::function<double(std::string_view, std::string_view)> reference;
+    Reference reference;
   };
-  const Feature features[] = {
-      {SimilarityEnsemble::kJaro, JaroSimilarity},
-      {SimilarityEnsemble::kJaroWinkler, JaroWinklerSimilarity},
-      {SimilarityEnsemble::kMongeElkan, MongeElkanSimilarity},
-      {SimilarityEnsemble::kLevenshtein, LevenshteinSimilarity},
-      {SimilarityEnsemble::kDamerauLevenshtein, DamerauLevenshteinSimilarity},
-      {SimilarityEnsemble::kLcs, LcsSimilarity},
-      {SimilarityEnsemble::kLongestCommonSubstring,
-       LongestCommonSubstringSimilarity},
-      {SimilarityEnsemble::kPhonetic, PhoneticSimilarity},
-      {SimilarityEnsemble::kNumeralAware, NumeralAwareMatch},
-      {SimilarityEnsemble::kTfIdfCosine,
-       [&](std::string_view a, std::string_view b) {
-         return tfidf.Cosine(a, b);
-       }},
-      {SimilarityEnsemble::kNGramJaccard,
-       [](std::string_view a, std::string_view b) {
-         return NGramJaccard(a, b, 3);
-       }},
-      {SimilarityEnsemble::kBigramDice, BigramDice},
+  // Features weighted equally (in index order), with their references.
+  using Weighted = std::vector<Feature>;
+  const Weighted features[] = {
+      {{SimilarityEnsemble::kJaro, JaroSimilarity}},
+      {{SimilarityEnsemble::kJaroWinkler, JaroWinklerSimilarity}},
+      {{SimilarityEnsemble::kMongeElkan, MongeElkanSimilarity}},
+      {{SimilarityEnsemble::kLevenshtein, LevenshteinSimilarity}},
+      {{SimilarityEnsemble::kDamerauLevenshtein,
+        DamerauLevenshteinSimilarity}},
+      {{SimilarityEnsemble::kLcs, LcsSimilarity}},
+      {{SimilarityEnsemble::kLongestCommonSubstring,
+        LongestCommonSubstringSimilarity}},
+      {{SimilarityEnsemble::kSmithWaterman, SmithWatermanSimilarity}},
+      {{SimilarityEnsemble::kLcs, LcsSimilarity},
+       {SimilarityEnsemble::kLongestCommonSubstring,
+        LongestCommonSubstringSimilarity},
+       {SimilarityEnsemble::kSmithWaterman, SmithWatermanSimilarity}},
+      {{SimilarityEnsemble::kPhonetic, PhoneticSimilarity}},
+      {{SimilarityEnsemble::kNumeralAware, NumeralAwareMatch}},
+      {{SimilarityEnsemble::kTfIdfCosine,
+        [&](std::string_view a, std::string_view b) {
+          return tfidf.Cosine(a, b);
+        }}},
+      {{SimilarityEnsemble::kSynonym,
+        [&](std::string_view a, std::string_view b) {
+          return dict.Similarity(a, b);
+        }}},
+      {{SimilarityEnsemble::kTokenJaccard, TokenJaccard}},
+      {{SimilarityEnsemble::kTokenDice, TokenDice}},
+      {{SimilarityEnsemble::kTokenOverlap, TokenOverlap}},
+      {{SimilarityEnsemble::kTokenSequenceEdit, TokenSequenceEditSimilarity}},
+      {{SimilarityEnsemble::kAcronym, AcronymSimilarity}},
+      {{SimilarityEnsemble::kNGramJaccard,
+        [](std::string_view a, std::string_view b) {
+          return NGramJaccard(a, b, 3);
+        }}},
+      {{SimilarityEnsemble::kBigramDice, BigramDice}},
   };
   SimilarityEnsemble::Context ctx;
   ctx.tfidf = &tfidf;
+  ctx.synonyms = &dict;
 
   constexpr size_t kLanes = SimilarityEnsemble::kBatchLanes;
-  for (const Feature& f : features) {
+  for (const Weighted& weighted : features) {
     std::vector<double> w(SimilarityEnsemble::kFeatureCount, 0.0);
-    w[f.id] = 1.0;
+    std::string name;
+    for (const Feature& f : weighted) {
+      w[f.id] = 1.0;
+      name += SimilarityEnsemble::FeatureNames()[f.id] + " ";
+    }
     SimilarityEnsemble e(ctx);
     e.SetWeights(w);
-    const std::string& name = SimilarityEnsemble::FeatureNames()[f.id];
+    // Score()'s sum of the weighted references, in feature order.
+    const auto reference = [&](std::string_view a, std::string_view b) {
+      double sum = 0.0;
+      for (const Feature& f : weighted) {
+        sum += e.weights()[f.id] * f.reference(a, b);
+      }
+      return sum;
+    };
     for (const std::string& q : labels) {
       const auto prepared = e.Prepare(q);
       const auto batch = e.PrepareBatch(q);
@@ -310,8 +441,8 @@ TEST(EnsembleTest, AlignmentFeaturesMatchReferenceBitwise) {
           // any feature is consulted.
           const double ref = !q.empty() && ToLower(q) == ToLower(d)
                                  ? 1.0
-                                 : f.reference(q, d);
-          const std::string pair = name + " q='" + q + "' d='" + d + "'";
+                                 : reference(q, d);
+          const std::string pair = name + "q='" + q + "' d='" + d + "'";
           EXPECT_EQ(e.Score(q, d), ref) << pair;
           EXPECT_EQ(e.ScoreAgainstThreshold(prepared, d,
                                             SimilarityEnsemble::kNoThreshold),

@@ -61,7 +61,7 @@ TEST(FuzzCaseTest, CopyCaseIsFaithful) {
 }
 
 TEST(ReplayTest, RoundTripsBitExactly) {
-  for (const char* profile : {"smoke", "ties", "deadline"}) {
+  for (const char* profile : {"smoke", "ties", "deadline", "vocabulary"}) {
     FuzzCase c = MakeFuzzCase(ProfileByName(profile), 11);
     c.inject = BugInjection::kWarmTopListScores;
     const std::string text = SerializeReplay(c);

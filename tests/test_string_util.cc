@@ -61,6 +61,7 @@ TEST(StringUtilTest, SplitTokensMatchesNaiveSplitterOnRandomBytes) {
   // NUL and every byte >= 0x80; lengths 0..40.
   const std::string pool = std::string(" \t_-./,aZ9\0", 11);
   std::vector<std::string> reused = {"stale", "buffers", "x"};
+  std::vector<std::string_view> views = {"stale"};
   for (int trial = 0; trial < 3000; ++trial) {
     std::string s;
     const size_t len = rng.Below(41);
@@ -74,6 +75,12 @@ TEST(StringUtilTest, SplitTokensMatchesNaiveSplitterOnRandomBytes) {
     EXPECT_EQ(SplitTokens(s, delims), expected) << "trial " << trial;
     SplitTokensInto(s, &reused, delims);
     EXPECT_EQ(reused, expected) << "trial " << trial;
+    if (delims == kDefaultDelimiters) {
+      SplitTokenViewsInto(s, &views);
+      EXPECT_EQ(std::vector<std::string>(views.begin(), views.end()),
+                expected)
+          << "trial " << trial;
+    }
   }
   // The default argument is the default set.
   EXPECT_EQ(SplitTokens("a b\tc_d-e.f/g,h"), NaiveSplit("a b\tc_d-e.f/g,h",

@@ -56,7 +56,7 @@ struct Args {
 void Usage() {
   std::fprintf(stderr,
                "usage: star_fuzz [--profile "
-               "smoke|ties|tiecut|deadline|overload] [--cases N]\n"
+               "smoke|ties|tiecut|deadline|overload|vocabulary] [--cases N]\n"
                "                 [--seed S] [--out-dir DIR] [--no-shrink]\n"
                "                 [--max-oracle-states X]\n"
                "                 [--inject-bug toplist|candidates]\n"
