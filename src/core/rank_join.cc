@@ -251,12 +251,16 @@ std::optional<GraphMatch> RankJoin::Next() {
       results_.pop();
       return out;
     }
-    // Pull from the side that currently determines the larger part of the
-    // threshold (the classic HRJN strategy), falling back to the other.
+    // Pull the side whose term sets the threshold (HRJN's adaptive
+    // strategy; see the class comment): U_left + top_right falls only when
+    // the left input is pulled, top_left + U_right only when the right one
+    // is. Ties go left; a dry side falls back to the other.
     const double left_ub = left_.exhausted ? kNegInf : left_.input->UpperBound();
     const double right_ub =
         right_.exhausted ? kNegInf : right_.input->UpperBound();
-    const bool prefer_left = left_ub >= right_ub;
+    const double left_top = left_.top_seen ? left_.top_score : left_ub;
+    const double right_top = right_.top_seen ? right_.top_score : right_ub;
+    const bool prefer_left = left_ub + right_top >= left_top + right_ub;
     if (prefer_left) {
       if (!Pull(left_, right_) && !Pull(right_, left_)) continue;
     } else {

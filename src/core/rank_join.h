@@ -117,12 +117,20 @@ class CachedStarStream : public CoveredMatchIterator {
 /// Hash rank join of two monotone match streams (starjoin, Fig. 9; HRJN
 /// [21] with the α-scheme upper bounds of Eq. 4).
 ///
-/// Pulls alternately from the side with the larger bound contribution,
-/// maintains a hash table per input keyed by the joint-node assignment,
+/// Maintains a hash table per input keyed by the joint-node assignment,
 /// and emits joined matches once their score is at least the threshold
 ///   T = max(U_left + top_right, top_left + U_right),
 /// which Eq. 4 shows is a valid upper bound on any unseen join result when
 /// the two inputs' ranking functions split shared-node scores by α.
+///
+/// Each step pulls the input whose term sets T, HRJN's adaptive strategy:
+/// the left one when U_left + top_right >= top_left + U_right, else the
+/// right one (a side's top is its UpperBound() until its first pull; an
+/// exhausted side's U is -inf). Pulling the side with the larger U is not
+/// that strategy: when the left input's scores run above the right's,
+/// top_left + U_right sets T, pulling the left input cannot lower it, and
+/// that rule reads the left input far past the point where the k-th
+/// result could be emitted.
 ///
 /// The output is itself a CoveredMatchIterator, enabling the left-deep
 /// multiway pipeline of §VI-A.

@@ -414,6 +414,7 @@ CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
                     /*expect_complete_run=*/true, &out);
   }
   const std::vector<double> ref_scores = Scores(base[kRefStrategy].matches);
+  out.num_stars = base[kRefStrategy].stats.num_stars;
   for (size_t i = 0; i < 3; ++i) {
     if (i == kRefStrategy) continue;
     CheckScoresNear("strategy-diff",

@@ -48,6 +48,8 @@ struct CaseOutcome {
   std::vector<Violation> violations;
   size_t cells_run = 0;
   bool oracle_ran = false;
+  /// Stars the reference base run decomposed the query into (1 = no join).
+  size_t num_stars = 0;
 
   bool ok() const { return violations.empty(); }
   /// First violation rendered as "check @ cell: detail" ("" when ok).

@@ -135,12 +135,34 @@ FuzzProfile VocabularyProfile() {
   return p;
 }
 
+FuzzProfile JoinsProfile() {
+  FuzzProfile p;
+  p.name = "joins";
+  // Path and cyclic queries of 5-6 nodes decompose into two or three
+  // stars (a few draws on a sparse corner of the graph still come out
+  // star-shaped), so nearly every case runs the left-deep rank-join
+  // pipeline; small graphs keep the brute-force oracle feasible on most of
+  // them. Candidate cutoffs and k up to 16 vary where the k-th join result
+  // lands within the inputs, and so how deep each rank join reads.
+  p.min_nodes = 16;
+  p.max_nodes = 32;
+  p.min_query_nodes = 5;
+  p.max_query_nodes = 6;
+  p.path_prob = 0.5;
+  p.cyclic_prob = 0.5;
+  p.cutoff_prob = 0.6;
+  p.min_k = 2;
+  p.max_k = 16;
+  return p;
+}
+
 FuzzProfile ProfileByName(const std::string& name) {
   if (name == "ties") return TieHeavyProfile();
   if (name == "tiecut") return TieCutProfile();
   if (name == "deadline") return DeadlineProfile();
   if (name == "overload") return OverloadProfile();
   if (name == "vocabulary") return VocabularyProfile();
+  if (name == "joins") return JoinsProfile();
   return SmokeProfile();
 }
 

@@ -152,8 +152,13 @@ FuzzProfile OverloadProfile();
 /// labels that share no query token into the scored pools.
 FuzzProfile VocabularyProfile();
 
+/// Path and cyclic queries of 5-6 nodes on small graphs: nearly every case
+/// runs a rank join of two or more stars, most of them under the
+/// brute-force oracle.
+FuzzProfile JoinsProfile();
+
 /// Profile by name ("smoke", "ties", "tiecut", "deadline", "overload",
-/// "vocabulary"); falls back to smoke.
+/// "vocabulary", "joins"); falls back to smoke.
 FuzzProfile ProfileByName(const std::string& name);
 
 /// Deterministically generates the case for (profile, seed).

@@ -61,7 +61,8 @@ TEST(FuzzCaseTest, CopyCaseIsFaithful) {
 }
 
 TEST(ReplayTest, RoundTripsBitExactly) {
-  for (const char* profile : {"smoke", "ties", "deadline", "vocabulary"}) {
+  for (const char* profile :
+       {"smoke", "ties", "deadline", "vocabulary", "joins"}) {
     FuzzCase c = MakeFuzzCase(ProfileByName(profile), 11);
     c.inject = BugInjection::kWarmTopListScores;
     const std::string text = SerializeReplay(c);

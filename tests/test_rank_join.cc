@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -154,10 +156,47 @@ TEST(RankJoinTest, DisjointStreamsCrossProduct) {
   EXPECT_EQ(count, 4u);
 }
 
+TEST(RankJoinTest, CornerRulePullsTheSideHoldingTheThreshold) {
+  // The left stream's scores run far above the right's, so after the
+  // first pulls T = top_left + U_right: only right pulls lower it. Left
+  // match i joins only right match i (shared query node 1 maps to i), so
+  // the top 3 are (0,0), (1,1) and (2,2). A join that pulls the side with
+  // the larger U reads all 2,000 left matches before its first right pull.
+  std::vector<GraphMatch> left, right;
+  for (int i = 0; i < 2000; ++i) {
+    left.push_back(MakeMatch({static_cast<graph::NodeId>(10000 + i),
+                              static_cast<graph::NodeId>(i), X},
+                             6.0 - 0.001 * i));
+  }
+  for (int j = 0; j < 5; ++j) {
+    right.push_back(MakeMatch({X, static_cast<graph::NodeId>(j),
+                               static_cast<graph::NodeId>(20000 + j)},
+                              2.0 - 0.1 * j));
+  }
+  RankJoin join(std::make_unique<ScriptedStream>(0b011, left),
+                std::make_unique<ScriptedStream>(0b110, right), true);
+  const double want[] = {8.0, 7.899, 7.798};
+  for (int r = 0; r < 3; ++r) {
+    const auto m = join.Next();
+    ASSERT_TRUE(m.has_value()) << "#" << r;
+    EXPECT_NEAR(m->score, want[r], 1e-12) << "#" << r;
+    EXPECT_EQ(m->mapping,
+              (std::vector<graph::NodeId>{left[r].mapping[0],
+                                          static_cast<graph::NodeId>(r),
+                                          right[r].mapping[2]}));
+  }
+  // Each emission waits until U_left + top_right falls to the result, so
+  // about 100 left pulls per result; the right input is read one match
+  // per result.
+  EXPECT_LT(join.stats().left_pulled, 250u);
+  EXPECT_LE(join.stats().right_pulled, 3u);
+}
+
 /// Reference for the join tables: RankJoin's pull loop (HRJN with the
-/// Eq. 4 threshold) over two scripted streams, where each probe scans
-/// every match the other side pulled so far, in pull order, and pairs
-/// those that agree on all shared query nodes.
+/// Eq. 4 threshold, pulling the side whose term sets it) over two scripted
+/// streams, where each probe scans every match the other side pulled so
+/// far, in pull order, and pairs those that agree on all shared query
+/// nodes.
 class NestedLoopJoin {
  public:
   NestedLoopJoin(std::vector<GraphMatch> left, std::vector<GraphMatch> right,
@@ -177,7 +216,7 @@ class NestedLoopJoin {
         return out;
       }
       if (threshold == kNegInf) return std::nullopt;
-      if (Bound(left_) >= Bound(right_)) {
+      if (Bound(left_) + Top(right_) >= Top(left_) + Bound(right_)) {
         if (!Pull(left_, right_)) Pull(right_, left_);
       } else {
         if (!Pull(right_, left_)) Pull(left_, right_);
@@ -208,10 +247,11 @@ class NestedLoopJoin {
     return s.exhausted || s.pos >= s.in.size() ? kNegInf : s.in[s.pos].score;
   }
 
+  static double Top(const Side& s) { return s.top_seen ? s.top : Bound(s); }
+
   double Threshold() const {
     const double lu = Bound(left_), ru = Bound(right_);
-    const double lt = left_.top_seen ? left_.top : lu;
-    const double rt = right_.top_seen ? right_.top : ru;
+    const double lt = Top(left_), rt = Top(right_);
     double t = kNegInf;
     if (lu != kNegInf && rt != kNegInf) t = std::max(t, lu + rt);
     if (ru != kNegInf && lt != kNegInf) t = std::max(t, lt + ru);
@@ -280,6 +320,29 @@ std::vector<GraphMatch> RandomStream(Rng& rng, const std::vector<int>& nodes,
   return out;
 }
 
+/// The whole join of `left` and `right` as a multiset of (mapping, score):
+/// what a rank join must emit, in any pull order.
+std::map<std::pair<std::vector<graph::NodeId>, double>, int> FullJoin(
+    const std::vector<GraphMatch>& left, const std::vector<GraphMatch>& right,
+    const std::vector<int>& shared, bool injective) {
+  std::map<std::pair<std::vector<graph::NodeId>, double>, int> out;
+  for (const GraphMatch& l : left) {
+    for (const GraphMatch& r : right) {
+      bool same = true;
+      for (const int u : shared) same &= l.mapping[u] == r.mapping[u];
+      if (!same) continue;
+      GraphMatch joined;
+      for (size_t u = 0; u < l.mapping.size(); ++u) {
+        joined.mapping.push_back(l.mapping[u] != X ? l.mapping[u]
+                                                   : r.mapping[u]);
+      }
+      if (injective && !joined.Injective()) continue;
+      ++out[{joined.mapping, l.score + r.score}];
+    }
+  }
+  return out;
+}
+
 uint64_t CoverMask(const std::vector<int>& nodes) {
   uint64_t mask = 0;
   for (const int u : nodes) mask |= uint64_t{1} << u;
@@ -296,8 +359,23 @@ TEST(RankJoinTest, MultiNodeKeysMatchNestedLoopJoin) {
     for (uint64_t seed = 1; seed <= 20; ++seed) {
       for (const bool injective : {true, false}) {
         Rng rng(seed);
-        const auto left = RandomStream(rng, left_nodes, 30);
-        const auto right = RandomStream(rng, right_nodes, 30);
+        auto left = RandomStream(rng, left_nodes, 30);
+        auto right = RandomStream(rng, right_nodes, 30);
+        // Two seeds in three lift one side's scores above the other's
+        // (on the 0.25 grid, so sums stay exact and ties stay ties): the
+        // regime where the two terms of T differ and the pull choice
+        // matters.
+        if (seed % 3 != 0) {
+          for (GraphMatch& m : seed % 3 == 1 ? left : right) m.score += 0.75;
+        }
+        // Pull-order-free reference: the sorted scores of the whole join,
+        // and the multiset of its (mapping, score) pairs.
+        auto full = FullJoin(left, right, shared, injective);
+        std::vector<double> full_scores;
+        for (const auto& [entry, count] : full) {
+          full_scores.insert(full_scores.end(), count, entry.second);
+        }
+        std::sort(full_scores.rbegin(), full_scores.rend());
         RankJoin join(
             std::make_unique<ScriptedStream>(CoverMask(left_nodes), left),
             std::make_unique<ScriptedStream>(CoverMask(right_nodes), right),
@@ -314,9 +392,17 @@ TEST(RankJoinTest, MultiNodeKeysMatchNestedLoopJoin) {
           if (!got.has_value()) break;
           ASSERT_EQ(got->mapping, want->mapping) << context << " #" << emitted;
           ASSERT_EQ(got->score, want->score) << context << " #" << emitted;
+          ASSERT_LT(emitted, full_scores.size()) << context;
+          ASSERT_EQ(got->score, full_scores[emitted])
+              << context << " #" << emitted;
+          const auto it = full.find({got->mapping, got->score});
+          ASSERT_TRUE(it != full.end() && it->second > 0)
+              << context << " #" << emitted << ": not in the full join";
+          --it->second;
           ++emitted;
         }
         EXPECT_GT(emitted, 0u) << context;
+        EXPECT_EQ(emitted, full_scores.size()) << context;
         EXPECT_EQ(join.stats().pairs_probed, reference.pairs_probed)
             << context;
         EXPECT_EQ(join.stats().results_formed, reference.results_formed)

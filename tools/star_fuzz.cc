@@ -16,6 +16,7 @@
 // Exit code: 0 clean, 1 violations (or a canary that failed to trip),
 // 2 usage / IO errors.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -56,8 +57,9 @@ struct Args {
 void Usage() {
   std::fprintf(stderr,
                "usage: star_fuzz [--profile "
-               "smoke|ties|tiecut|deadline|overload|vocabulary] [--cases N]\n"
-               "                 [--seed S] [--out-dir DIR] [--no-shrink]\n"
+               "smoke|ties|tiecut|deadline|overload|vocabulary|joins]\n"
+               "                 [--cases N] [--seed S] [--out-dir DIR] "
+               "[--no-shrink]\n"
                "                 [--max-oracle-states X]\n"
                "                 [--inject-bug toplist|candidates]\n"
                "                 [--emit FILE] [--replay FILE ...]\n");
@@ -235,6 +237,7 @@ int RunFuzz(const Args& args) {
   RunnerOptions opts;
   opts.max_oracle_states = args.max_oracle_states;
   size_t failed = 0, cells = 0, oracle_cases = 0, context_cases = 0;
+  size_t star_mix[4] = {};  // cases by star count: 1, 2, 3, 4 or more
   const auto start = std::chrono::steady_clock::now();
   for (size_t i = 0; i < args.cases; ++i) {
     const FuzzCase c = MakeFuzzCase(profile, args.seed + i);
@@ -242,6 +245,7 @@ int RunFuzz(const Args& args) {
     cells += o.cells_run;
     if (o.oracle_ran) ++oracle_cases;
     if (c.context) ++context_cases;
+    if (o.num_stars > 0) ++star_mix[std::min<size_t>(o.num_stars, 4) - 1];
     if (!o.ok()) {
       ++failed;
       std::printf("FAIL seed=%llu %s\n  %s\n",
@@ -259,9 +263,10 @@ int RunFuzz(const Args& args) {
           .count();
   std::printf(
       "profile=%s cases=%zu failed=%zu cells=%zu oracle_cases=%zu "
-      "context_cases=%zu elapsed=%.2fs rate=%.1f cases/s\n",
+      "context_cases=%zu stars=1:%zu,2:%zu,3:%zu,4+:%zu elapsed=%.2fs "
+      "rate=%.1f cases/s\n",
       profile.name.c_str(), args.cases, failed, cells, oracle_cases,
-      context_cases, secs,
+      context_cases, star_mix[0], star_mix[1], star_mix[2], star_mix[3], secs,
       args.cases / (secs > 0 ? secs : 1e-9));
   return failed == 0 ? 0 : 1;
 }
