@@ -188,7 +188,6 @@ int main(int argc, char** argv) {
   scoring::MatchConfig cfg = BenchConfig(/*d=*/2);
   cfg.max_retrieval = 0;
   cfg.max_candidates = 20;
-  cfg.threads = 1;
 
   std::vector<ClassResult> results;
   for (const char* klass : {"selective", "partial", "fuzzy"}) {

@@ -99,7 +99,6 @@ bool IdentitySweep(const Dataset& d, const LayoutSide& flat,
     core::StarOptions so;
     so.strategy = strategy;
     so.match = BenchConfig(/*d=*/2);
-    so.match.threads = 1;
     for (const auto& q : queries) {
       core::StarFramework ffw(*flat.graph, *d.ensemble, flat.index, so);
       core::StarFramework cfw(*comp.graph, *d.ensemble, comp.index, so);

@@ -348,8 +348,7 @@ BulkBench RunBulkBench(const Dataset& d,
                        const std::vector<query::QueryGraph>& queries,
                        bool with_index, bool toggle_batch = false) {
   BulkBench r;
-  auto base = BenchConfig(/*d=*/2);
-  base.threads = 1;  // isolate the kernel's effect from thread scaling
+  const auto base = BenchConfig(/*d=*/2);
   const graph::LabelIndex* index = with_index ? d.index.get() : nullptr;
   for (const auto& q : queries) {
     auto off_cfg = base;

@@ -8,13 +8,11 @@
 // laptop-sized (see DESIGN.md): the goal is the *shape* of each comparison
 // (who wins, by what factor, where crossovers fall), not absolute numbers.
 //
+// Each query runs on the calling thread.
+//
 // Environment overrides:
 //   STAR_BENCH_NODES    graph size (default per binary)
 //   STAR_BENCH_QUERIES  queries per workload (default per binary)
-//   STAR_THREADS        worker threads for the parallel engine when a
-//                       binary leaves MatchConfig::threads = 0 (auto);
-//                       bench_parallel_scaling sets threads explicitly
-//                       per pass instead (see DESIGN.md "Threading model")
 
 #include <cstdio>
 #include <cstdlib>
@@ -64,8 +62,8 @@ inline std::string CompilerString() {
 /// One-line JSON object describing the host and build that produced a
 /// measurement. Committed BENCH_*.json numbers are only comparable within
 /// a host class, so every emitter includes this verbatim — in particular
-/// `hardware_threads` is what qualifies (or disqualifies) any scaling or
-/// throughput claim the surrounding numbers appear to make.
+/// `hardware_threads` is what qualifies (or disqualifies) any throughput
+/// claim the surrounding numbers appear to make.
 /// STAR_BENCH_BUILD_TYPE / STAR_BENCH_BUILD_FLAGS are baked in by
 /// bench/CMakeLists.txt; they fall back to "unknown" for ad-hoc builds.
 inline std::string HostJson() {

@@ -6,8 +6,6 @@
 #include <queue>
 #include <set>
 
-#include "common/timer.h"
-
 namespace star::baseline {
 
 using core::GraphMatch;
@@ -48,19 +46,26 @@ double BeliefPropagation::ScoreAssignment(
   return score;
 }
 
+bool BeliefPropagation::OutOfBudget(CancelChecker& budget) {
+  if (budget.ShouldStop()) stats_.timed_out = true;
+  return stats_.timed_out;
+}
+
 std::optional<std::pair<std::vector<int>, double>> BeliefPropagation::Map(
-    const Constraints& constraints) {
+    const Constraints& constraints, CancelChecker& budget) {
+  if (OutOfBudget(budget)) return std::nullopt;
   ++stats_.map_calls;
   for (const auto& d : domains_) {
     if (d.empty()) return std::nullopt;
   }
-  return scorer_.query().IsTree() ? MapTree(constraints)
-                                  : MapLoopy(constraints);
+  return scorer_.query().IsTree() ? MapTree(constraints, budget)
+                                  : MapLoopy(constraints, budget);
 }
 
 // Exact max-sum dynamic program on acyclic queries.
 std::optional<std::pair<std::vector<int>, double>>
-BeliefPropagation::MapTree(const Constraints& constraints) {
+BeliefPropagation::MapTree(const Constraints& constraints,
+                           CancelChecker& budget) {
   const QueryGraph& q = scorer_.query();
   const int n = q.node_count();
   // Rooted BFS order (parents precede children).
@@ -112,6 +117,7 @@ BeliefPropagation::MapTree(const Constraints& constraints) {
         double best_child = kNegInf;
         int best_idx = -1;
         for (size_t b = 0; b < domains_[child].size(); ++b) {
+          if (OutOfBudget(budget)) return std::nullopt;
           ++stats_.message_updates;
           if (best[child][b] == kNegInf) continue;
           const double fe = scorer_.PairEdgeScore(
@@ -157,7 +163,8 @@ BeliefPropagation::MapTree(const Constraints& constraints) {
 // Loopy max-sum with a conditioned greedy decode (cyclic queries; no
 // optimality guarantee, as in the paper).
 std::optional<std::pair<std::vector<int>, double>>
-BeliefPropagation::MapLoopy(const Constraints& constraints) {
+BeliefPropagation::MapLoopy(const Constraints& constraints,
+                            CancelChecker& budget) {
   const QueryGraph& q = scorer_.query();
   const int n = q.node_count();
 
@@ -193,6 +200,7 @@ BeliefPropagation::MapLoopy(const Constraints& constraints) {
         for (size_t b = 0; b < domains_[to].size(); ++b) {
           double best = kNegInf;
           for (size_t a = 0; a < domains_[from].size(); ++a) {
+            if (OutOfBudget(budget)) return std::nullopt;
             ++stats_.message_updates;
             if (!allowed(from, static_cast<int>(a))) continue;
             const double fe = scorer_.PairEdgeScore(
@@ -260,6 +268,11 @@ BeliefPropagation::MapLoopy(const Constraints& constraints) {
 }
 
 std::vector<GraphMatch> BeliefPropagation::TopK(size_t k) {
+  // The budget covers the whole call, domain building included.
+  const Cancellation deadline(options_.budget_ms > 0.0
+                                  ? Deadline::AfterMillis(options_.budget_ms)
+                                  : Deadline::Infinite());
+  CancelChecker budget(&deadline);
   BuildDomains();
   const QueryGraph& q = scorer_.query();
   const int n = q.node_count();
@@ -281,16 +294,11 @@ std::vector<GraphMatch> BeliefPropagation::TopK(size_t k) {
   root.forced.assign(n, -1);
   root.forbidden.resize(n);
   for (int u = 0; u < n; ++u) root.forbidden[u].assign(domains_[u].size(), false);
-  if (auto m = Map(root)) {
+  if (auto m = Map(root, budget)) {
     heap.push(Node{m->second, std::move(m->first), std::move(root)});
   }
   std::set<std::vector<int>> emitted;
-  WallTimer timer;
-  while (!heap.empty() && out.size() < k) {
-    if (options_.budget_ms > 0.0 && timer.ElapsedMillis() > options_.budget_ms) {
-      stats_.timed_out = true;
-      break;
-    }
+  while (!heap.empty() && out.size() < k && !OutOfBudget(budget)) {
     Node top = heap.top();
     heap.pop();
     if (!emitted.insert(top.assignment).second) continue;
@@ -310,8 +318,10 @@ std::vector<GraphMatch> BeliefPropagation::TopK(size_t k) {
       for (int j = 0; j < i; ++j) child.forced[j] = top.assignment[j];
       child.forbidden[i][top.assignment[i]] = true;
       if (child.forced[i] == top.assignment[i]) continue;  // infeasible
-      if (auto m = Map(child)) {
+      if (auto m = Map(child, budget)) {
         heap.push(Node{m->second, std::move(m->first), std::move(child)});
+      } else if (stats_.timed_out) {
+        break;
       }
     }
   }

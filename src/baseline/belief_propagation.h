@@ -5,6 +5,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/deadline.h"
 #include "core/match.h"
 #include "scoring/query_scorer.h"
 
@@ -17,8 +18,10 @@ struct BpOptions {
   /// Candidates per variable (largest-F_N prefix of the candidate list);
   /// 0 = unlimited.
   size_t domain_cap = 0;
-  /// Wall-clock cap in ms (0 = none): TopK returns best-effort results and
-  /// sets stats().timed_out when exceeded (benchmark harness safety).
+  /// Wall-clock cap in ms (0 = none) on the whole TopK call, checked
+  /// before every MAP and inside its message loops: TopK returns the
+  /// matches found so far and sets stats().timed_out when exceeded
+  /// (benchmark harness safety). An interrupted MAP yields nothing.
   double budget_ms = 0.0;
 };
 
@@ -63,13 +66,18 @@ class BeliefPropagation {
 
   /// MAP assignment (domain indices per variable) under constraints, or
   /// nullopt if infeasible. Exact on trees; loopy approximation otherwise.
+  /// Polls `budget` first and inside the message loops; once it fires,
+  /// returns nullopt with stats().timed_out set.
   std::optional<std::pair<std::vector<int>, double>> Map(
-      const Constraints& constraints);
+      const Constraints& constraints, CancelChecker& budget);
 
   std::optional<std::pair<std::vector<int>, double>> MapTree(
-      const Constraints& constraints);
+      const Constraints& constraints, CancelChecker& budget);
   std::optional<std::pair<std::vector<int>, double>> MapLoopy(
-      const Constraints& constraints);
+      const Constraints& constraints, CancelChecker& budget);
+
+  /// True, with stats().timed_out set, once `budget` has fired.
+  bool OutOfBudget(CancelChecker& budget);
 
   /// Eq. 2 score of a domain-index assignment (-inf if an edge fails).
   double ScoreAssignment(const std::vector<int>& assignment) const;

@@ -25,9 +25,8 @@ void Enumerate(QueryScorer& scorer,
   const query::QueryGraph& q = scorer.query();
   const scoring::MatchConfig& cfg = scorer.config();
   const int n = q.node_count();
-  // Bulk-score every query node's candidate list up front: Candidates()
-  // fans the online F_N evaluations across the worker pool
-  // (MatchConfig::threads), which is where brute force spends most of its
+  // Bulk-score every query node's candidate list up front: the online F_N
+  // evaluations in Candidates() are where brute force spends most of its
   // time before the enumeration even starts. Untyped wildcards never build
   // lists (mirrors the engines' leaf path).
   for (int u = 0; u < n; ++u) {

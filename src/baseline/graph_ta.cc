@@ -177,9 +177,7 @@ std::vector<GraphMatch> GraphTa::TopK(size_t k) {
   if (n == 0 || k == 0) return {};
   timer_.Restart();
 
-  // Sorted candidate list per query node (Fig. 2 lines 1-4). Each list's
-  // F_N scoring runs on the worker pool (MatchConfig::threads) inside
-  // Candidates(); everything after this loop is single-threaded.
+  // Sorted candidate list per query node (Fig. 2 lines 1-4).
   std::vector<const scoring::CandidateList*> lists(n);
   for (int u = 0; u < n; ++u) lists[u] = &scorer_.Candidates(u);
 

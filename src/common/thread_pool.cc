@@ -1,40 +1,9 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <exception>
-#include <latch>
 #include <utility>
 
 namespace star {
-
-namespace {
-
-// Set for the lifetime of a pool worker thread; lets ParallelFor detect
-// nested parallel sections and fall back to inline execution.
-thread_local bool tls_in_pool_worker = false;
-
-}  // namespace
-
-int StarThreads() {
-  static const int n = [] {
-    if (const char* env = std::getenv("STAR_THREADS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v >= 1) {
-        return static_cast<int>(
-            std::min<long>(v, ThreadPool::kMaxWorkers + 1));
-      }
-    }
-    const unsigned hc = std::thread::hardware_concurrency();
-    return hc == 0 ? 1 : static_cast<int>(hc);
-  }();
-  return n;
-}
-
-int ResolveThreads(int requested) {
-  return requested >= 1 ? requested : StarThreads();
-}
 
 ThreadPool::ThreadPool(int workers) { EnsureWorkers(workers); }
 
@@ -68,15 +37,12 @@ void ThreadPool::Submit(std::function<void()> task) {
   cv_.notify_one();
 }
 
-bool ThreadPool::InWorkerThread() const { return tls_in_pool_worker; }
-
 ThreadPool& ThreadPool::Global() {
-  static ThreadPool* pool = new ThreadPool(StarThreads() - 1);
+  static ThreadPool* pool = new ThreadPool(0);
   return *pool;
 }
 
 void ThreadPool::WorkerLoop() {
-  tls_in_pool_worker = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -88,53 +54,6 @@ void ThreadPool::WorkerLoop() {
     }
     task();
   }
-}
-
-void ParallelFor(size_t n, int threads,
-                 const std::function<void(size_t, size_t, int)>& body) {
-  if (n == 0) return;
-  const size_t wanted = std::max(threads, 1);
-  const int w = static_cast<int>(std::min(wanted, n));
-  ThreadPool& pool = ThreadPool::Global();
-  if (w <= 1 || pool.InWorkerThread()) {
-    body(0, n, 0);
-    return;
-  }
-  pool.EnsureWorkers(w - 1);
-
-  // Deterministic partition: chunk c covers base (+1 for the first
-  // n % w chunks) consecutive indices.
-  const size_t base = n / static_cast<size_t>(w);
-  const size_t rem = n % static_cast<size_t>(w);
-  const auto chunk_begin = [&](int c) {
-    const size_t uc = static_cast<size_t>(c);
-    return uc * base + std::min(uc, rem);
-  };
-
-  std::atomic<bool> failed(false);
-  std::exception_ptr error;
-  std::mutex error_mu;
-  const auto run_chunk = [&](int c) {
-    try {
-      const size_t begin = chunk_begin(c);
-      const size_t end = chunk_begin(c + 1);
-      body(begin, end, c);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!failed.exchange(true)) error = std::current_exception();
-    }
-  };
-
-  std::latch done(w - 1);
-  for (int c = 1; c < w; ++c) {
-    pool.Submit([&, c] {
-      run_chunk(c);
-      done.count_down();
-    });
-  }
-  run_chunk(0);
-  done.wait();
-  if (failed.load()) std::rethrow_exception(error);
 }
 
 }  // namespace star

@@ -2,7 +2,6 @@
 #define STAR_COMMON_THREAD_POOL_H_
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -11,27 +10,14 @@
 
 namespace star {
 
-/// Worker-thread count STAR uses when a caller passes threads = 0
-/// ("auto"): the STAR_THREADS environment variable when set to >= 1,
-/// otherwise std::thread::hardware_concurrency(). Read once per process.
-int StarThreads();
-
-/// Resolves a per-query `threads` knob (MatchConfig::threads): values
-/// >= 1 are honored as-is, anything else means "use StarThreads()".
-int ResolveThreads(int requested);
-
-/// A fixed pool of reusable worker threads with a shared FIFO task queue.
-/// Workers are started lazily and kept for the process lifetime; the
-/// process-wide instance (Global()) grows on demand when a ParallelFor
-/// requests more workers than currently exist, up to kMaxWorkers.
-///
-/// Most code should not touch this class directly — use ParallelFor(),
-/// which handles chunking, caller participation, serial fallback and
-/// exception propagation.
+/// A pool of reusable worker threads with a shared FIFO task queue.
+/// Workers are started on demand (EnsureWorkers) and kept for the pool's
+/// lifetime. The query service runs each admitted request as one task on
+/// the process-wide instance (Global()), sized to its max_inflight.
 class ThreadPool {
  public:
-  /// Upper bound on workers the pool will ever spawn (sanity cap; a
-  /// ParallelFor asking for more is clamped, not rejected).
+  /// Upper bound on workers the pool will ever spawn (sanity cap; an
+  /// EnsureWorkers asking for more is clamped, not rejected).
   static constexpr int kMaxWorkers = 64;
 
   explicit ThreadPool(int workers);
@@ -47,19 +33,12 @@ class ThreadPool {
   void EnsureWorkers(int workers);
 
   /// Enqueues one task for any worker. Fire-and-forget: the caller is
-  /// responsible for its own completion signaling (ParallelFor uses a
-  /// countdown latch).
+  /// responsible for its own completion signaling.
   void Submit(std::function<void()> task);
 
-  /// True when the calling thread is one of this pool's workers.
-  /// ParallelFor uses this to run nested parallel sections inline instead
-  /// of deadlocking on a full pool.
-  bool InWorkerThread() const;
-
-  /// Process-wide shared pool, created on first use with
-  /// StarThreads() - 1 workers (the ParallelFor caller participates, so
-  /// total concurrency equals StarThreads()). Intentionally leaked so
-  /// worker threads never race static destruction at exit.
+  /// Process-wide shared pool, created on first use with no workers; its
+  /// users size it with EnsureWorkers. Intentionally leaked so worker
+  /// threads never race static destruction at exit.
   static ThreadPool& Global();
 
  private:
@@ -71,25 +50,6 @@ class ThreadPool {
   std::vector<std::thread> threads_;
   bool stop_ = false;
 };
-
-/// Chunked fork-join loop over the index range [0, n).
-///
-/// The range is split into W = min(threads, n) contiguous chunks of
-/// near-equal size (a deterministic function of n and W alone), and
-/// body(begin, end, chunk) is invoked once per chunk with 0 <= chunk < W.
-/// Chunk 0 runs on the calling thread; the rest run on Global() pool
-/// workers. Blocks until every chunk finishes. If any chunk throws, the
-/// first exception is rethrown on the caller after all chunks complete.
-///
-/// threads <= 1, n <= 1, or a call from inside a pool worker (nested
-/// parallelism) degrade to a plain inline loop: body(0, n, 0), no pool,
-/// no synchronization. n == 0 never invokes body.
-///
-/// The fixed partition is what makes parallel reductions reproducible:
-/// per-chunk partial results, concatenated in chunk order, are a pure
-/// function of (n, threads) — see DESIGN.md "Threading model".
-void ParallelFor(size_t n, int threads,
-                 const std::function<void(size_t, size_t, int)>& body);
 
 }  // namespace star
 

@@ -29,10 +29,10 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-/// Process CPU-time stopwatch: sums CPU consumed by *all* threads, so
-/// ElapsedMillis() / WallTimer::ElapsedMillis() approximates the number of
-/// cores a parallel section kept busy. Used by StarSearchStats to report
-/// parallel efficiency.
+/// Process CPU-time stopwatch: sums CPU consumed by *all* threads of the
+/// process, so it also counts work other threads (concurrent requests, a
+/// benchmark's clients) did in the same interval. StarSearchStats reports
+/// it for star initialization beside the wall time.
 class CpuTimer {
  public:
   CpuTimer() { Restart(); }

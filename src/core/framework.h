@@ -45,13 +45,13 @@ struct StarOptions {
 
 /// Serializes every StarOptions field that can change results (bit-exact
 /// doubles), plus whether a label index is attached — the retrieval
-/// semantics differ with and without one. `threads`, `use_scoring_kernel`,
+/// semantics differ with and without one. `use_scoring_kernel`,
 /// `use_batch_kernel` and `use_pruned_retrieval` are deliberately
-/// excluded: all four carry a bit-identity contract (DESIGN.md "Threading
-/// model" / "Scoring kernel" / "Memory layout & batched scoring" /
-/// "Bound-driven retrieval"), so results are interchangeable across their
-/// settings. Used as the config segment of serve-layer cache keys and of
-/// ReuseCache keys.
+/// excluded: all three carry a bit-identity contract (DESIGN.md "Scoring
+/// kernel" / "Memory layout & batched scoring" / "Bound-driven
+/// retrieval"), so results are interchangeable across their settings.
+/// Used as the config segment of serve-layer cache keys and of ReuseCache
+/// keys.
 std::string StarOptionsFingerprint(const StarOptions& o, bool has_index);
 
 /// α-scheme ownership weights for star `star_index` of `stars` (§VI-A):

@@ -5,7 +5,6 @@
 #include <limits>
 #include <memory_resource>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "query/query_canonical.h"
 
@@ -141,8 +140,7 @@ bool StarSearch::FillLeafLists(NodeId pivot, bool first_only,
   const scoring::MatchConfig& cfg = scorer_.config();
   const size_t s = star_.edges.size();
   const int d = std::max(1, cfg.d);
-  // Local checker: the top-1 pass runs this on pool workers, so the
-  // owning-thread cancel_check_ can't be shared.
+  // A checker per build, so its first checkpoint always reads the clock.
   CancelChecker cancel_check(options_.cancel);
   const auto stop = [&] {
     if (!cancel_check.ShouldStop()) return false;
@@ -306,41 +304,24 @@ void StarSearch::InitializeStark() {
   const auto& candidates = scorer_.Candidates(star_.pivot);
   stats_.pivot_candidates = candidates.size();
   const double pivot_weight = NodeWeight(star_.pivot);
-  const int threads = ResolveThreads(scorer_.config().threads);
 
-  // Parallel contract: the per-candidate top-1s (the d-hop traversals
-  // Exp-1 measures) are independent, so after warming the scorer's memos
-  // every one only performs concurrent const reads into its thread's
-  // scratch. The indexed output keeps candidate order, so the reserve —
-  // and therefore every emitted match — is identical at any thread count.
-  if (threads > 1 && candidates.size() > 1) {
-    scorer_.WarmStarCaches(star_.pivot, star_.edges, leaf_nodes_);
-  }
-  std::vector<ReserveEntry> entries(candidates.size());
-  std::vector<StarSearchStats> worker_stats(std::max(threads, 1));
-  ParallelFor(candidates.size(), threads, [&](size_t lo, size_t hi, int chunk) {
-    CancelChecker cancel_check(options_.cancel);
-    StarSearchStats& stats = worker_stats[chunk];
-    for (size_t idx = lo; idx < hi; ++idx) {
-      // stats.cancelled is re-read directly: the checkpoints inside
-      // TopOneScore set it, and the amortized ShouldStop may lag.
-      if (stats.cancelled || cancel_check.ShouldStop()) {
-        stats.cancelled = true;
-        break;  // unprocessed entries stay invalid
-      }
-      const ScoredCandidate& c = candidates[idx];
-      const double pivot_score = c.score * pivot_weight;
-      const std::optional<double> top1 = TopOneScore(c.node, pivot_score, stats);
-      if (!top1.has_value()) continue;  // no match: the entry stays invalid
-      entries[idx].bound = *top1;
-      entries[idx].pivot = c.node;
-      entries[idx].pivot_score = pivot_score;
-    }
-  });
-  for (const StarSearchStats& ws : worker_stats) stats_.Merge(ws);
+  // The per-candidate top-1s are the d-hop traversals Exp-1 measures.
+  // Each one builds leaf lists only up to the pivot's first empty list,
+  // so a leaf's candidates are scored only once some pivot reaches it.
+  CancelChecker cancel_check(options_.cancel);
   reserve_.reserve(candidates.size());
-  for (const ReserveEntry& e : entries) {
-    if (e.pivot != graph::kInvalidNode) reserve_.push_back(e);
+  for (const ScoredCandidate& c : candidates) {
+    // stats_.cancelled is re-read directly: the checkpoints inside
+    // TopOneScore set it, and the amortized ShouldStop may lag.
+    if (stats_.cancelled || cancel_check.ShouldStop()) {
+      stats_.cancelled = true;
+      break;  // the remaining candidates stay out of the reserve
+    }
+    const double pivot_score = c.score * pivot_weight;
+    const std::optional<double> top1 =
+        TopOneScore(c.node, pivot_score, stats_);
+    if (!top1.has_value()) continue;  // no match
+    reserve_.push_back({*top1, c.node, pivot_score});
   }
   std::sort(reserve_.begin(), reserve_.end(),
             [](const ReserveEntry& a, const ReserveEntry& b) {
@@ -476,8 +457,7 @@ struct ForwardSet {
 };
 
 /// stard's pivot candidates: node -> dense slot index, and back. Built
-/// by the owning thread before propagation; read-only afterwards, so
-/// leaf workers read it through a reference to the owner's instance.
+/// before propagation; read-only afterwards.
 struct PivotSlots {
   EpochArray<uint32_t> slot_of;
   std::vector<NodeId> nodes;
@@ -523,13 +503,6 @@ void StarSearch::InitializeStard() {
   const size_t s = star_.edges.size();
   const int d = cfg.d;  // >= 2: Initialize() runs stark at d <= 1
   const double lambda = cfg.lambda;
-  const int threads = ResolveThreads(cfg.threads);
-
-  // Parallel contract: leaves propagate into disjoint state (their own
-  // arrival slots and thread-local scratch), so the d rounds run
-  // leaf-parallel after the scorer is warmed; each leaf's message
-  // sequence — and thus its arrival slots — is exactly the serial one.
-  if (threads > 1) scorer_.WarmStarCaches(star_.pivot, star_.edges, leaf_nodes_);
 
   // The estimate reads arrival slots only at pivot candidates, so those
   // are the only slots kept: one per (leaf, distinct pivot candidate), at
@@ -553,7 +526,7 @@ void StarSearch::InitializeStard() {
   // 1 .. d-1 push: every message is offered to the arrival slot at each
   // neighbor that is a pivot candidate, and to its forward set. Round d
   // is pulled: see below.
-  const auto propagate = [&](size_t i, StarSearchStats& stats) {
+  const auto propagate = [&](size_t i) {
     CancelChecker cancel_check(options_.cancel);
     const int leaf = leaf_nodes_[i];
     const auto& leaf_node = scorer_.query().node(leaf);
@@ -590,13 +563,13 @@ void StarSearch::InitializeStard() {
     const double leaf_weight = NodeWeight(leaf);
     for (const ScoredCandidate& c : scorer_.Candidates(leaf)) {
       if (cancel_check.ShouldStop()) {
-        stats.cancelled = true;
+        stats_.cancelled = true;
         return;
       }
       const double base = c.score * leaf_weight;
       const Message m{c.node, 1, base};
       for (const Neighbor& nb : g.Neighbors(c.node)) {
-        ++stats.messages_sent;
+        ++stats_.messages_sent;
         const double relsim = scorer_.RelationScore(star_.edges[i], nb.relation);
         if (relsim >= cfg.edge_threshold) offer(nb.node, c.node, base + relsim);
         forward(nb.node, m);
@@ -613,13 +586,13 @@ void StarSearch::InitializeStard() {
       scratch.next_overflow.clear();
       for (const FrontierEntry& fe : scratch.frontier) {
         if (cancel_check.ShouldStop()) {
-          stats.cancelled = true;
+          stats_.cancelled = true;
           return;
         }
         Message fwd = fe.msg;
         fwd.hops = h;
         for (const Neighbor& nb : g.Neighbors(fe.at)) {
-          ++stats.messages_sent;
+          ++stats_.messages_sent;
           if (decay >= cfg.edge_threshold) {
             offer(nb.node, fwd.source, fwd.base + decay);
           }
@@ -663,7 +636,7 @@ void StarSearch::InitializeStard() {
     }
     for (size_t k = 0; k < P; ++k) {
       if (cancel_check.ShouldStop()) {
-        stats.cancelled = true;
+        stats_.cancelled = true;
         return;
       }
       const NodeId p = pivots.nodes[k];
@@ -679,7 +652,7 @@ void StarSearch::InitializeStard() {
         if (!offers) continue;
         for (uint32_t j = node->queued; j != kNone;
              j = scratch.queued_next[j]) {
-          ++stats.messages_sent;
+          ++stats_.messages_sent;
           const Message& m = scratch.frontier[j].msg;
           slot.Offer(m.source, m.base + decay);
         }
@@ -687,64 +660,42 @@ void StarSearch::InitializeStard() {
     }
   };
 
-  {
-    std::vector<StarSearchStats> worker_stats(std::max(threads, 1));
-    ParallelFor(s, threads, [&](size_t lo, size_t hi, int chunk) {
-      for (size_t i = lo; i < hi; ++i) propagate(i, worker_stats[chunk]);
-    });
-    for (const StarSearchStats& ws : worker_stats) stats_.Merge(ws);
-  }
+  for (size_t i = 0; i < s; ++i) propagate(i);
 
-  // Estimate each pivot candidate's top-1 score from the arrival slots
-  // (read-only now, so candidates partition across workers; the indexed
-  // output vector preserves candidate order for determinism).
+  // Estimate each pivot candidate's top-1 score from the arrival slots.
   const double pivot_weight = NodeWeight(star_.pivot);
-  std::vector<ReserveEntry> entries(candidates.size());
-  std::vector<uint8_t> chunk_cancelled(
-      static_cast<size_t>(std::max(threads, 1)), 0);
-  ParallelFor(candidates.size(), threads, [&](size_t lo, size_t hi, int chunk) {
-    CancelChecker cancel_check(options_.cancel);
-    for (size_t idx = lo; idx < hi; ++idx) {
-      if (cancel_check.ShouldStop()) {
-        chunk_cancelled[chunk] = 1;
-        break;  // unprocessed entries stay invalid
-      }
-      const ScoredCandidate& c = candidates[idx];
-      const size_t slot = *pivots.slot_of.Find(c.node);
-      double estimate = c.score * pivot_weight;
-      bool feasible = true;
-      for (size_t i = 0; i < s; ++i) {
-        const int leaf = leaf_nodes_[i];
-        const auto& leaf_node = scorer_.query().node(leaf);
-        double contribution = -1.0;
-        if (leaf_node.wildcard && leaf_node.type_name.empty()) {
-          if (g.Degree(c.node) > 0) {
-            contribution = cfg.wildcard_node_score * NodeWeight(leaf) +
-                           scorer_.MaxEdgeScore(star_.edges[i]);
-          }
-        } else {
-          const ArrivalSlot& a = arrivals[i * P + slot];
-          contribution = cfg.enforce_injective ? a.BestExcluding(c.node)
-                                               : a.BestAny();
-        }
-        if (contribution < 0.0) {
-          feasible = false;
-          break;
-        }
-        estimate += contribution;
-      }
-      if (!feasible) continue;  // entry stays invalid (pivot == kInvalidNode)
-      entries[idx].bound = estimate;
-      entries[idx].pivot = c.node;
-      entries[idx].pivot_score = c.score * pivot_weight;
-    }
-  });
-  for (const uint8_t c : chunk_cancelled) {
-    if (c) stats_.cancelled = true;
-  }
+  CancelChecker cancel_check(options_.cancel);
   reserve_.reserve(candidates.size());
-  for (const ReserveEntry& e : entries) {
-    if (e.pivot != graph::kInvalidNode) reserve_.push_back(e);
+  for (const ScoredCandidate& c : candidates) {
+    if (cancel_check.ShouldStop()) {
+      stats_.cancelled = true;
+      break;  // the remaining candidates stay out of the reserve
+    }
+    const size_t slot = *pivots.slot_of.Find(c.node);
+    double estimate = c.score * pivot_weight;
+    bool feasible = true;
+    for (size_t i = 0; i < s; ++i) {
+      const int leaf = leaf_nodes_[i];
+      const auto& leaf_node = scorer_.query().node(leaf);
+      double contribution = -1.0;
+      if (leaf_node.wildcard && leaf_node.type_name.empty()) {
+        if (g.Degree(c.node) > 0) {
+          contribution = cfg.wildcard_node_score * NodeWeight(leaf) +
+                         scorer_.MaxEdgeScore(star_.edges[i]);
+        }
+      } else {
+        const ArrivalSlot& a = arrivals[i * P + slot];
+        contribution = cfg.enforce_injective ? a.BestExcluding(c.node)
+                                             : a.BestAny();
+      }
+      if (contribution < 0.0) {
+        feasible = false;
+        break;
+      }
+      estimate += contribution;
+    }
+    if (!feasible) continue;
+    reserve_.push_back({estimate, c.node, c.score * pivot_weight});
   }
   std::sort(reserve_.begin(), reserve_.end(),
             [](const ReserveEntry& a, const ReserveEntry& b) {

@@ -56,11 +56,12 @@ struct StarSearchStats {
   /// nodes they expand at d >= 2.
   size_t nodes_expanded = 0;
   size_t matches_emitted = 0;
-  /// Initialize() wall-clock time (the phase the parallel engine speeds
-  /// up: candidate scoring + stark's top-1 pass / stard propagation).
+  /// Initialize() wall-clock time: the pivot's candidate scoring plus
+  /// stark's top-1 pass or stard's propagation, including the leaf lists
+  /// they score on the way.
   double init_wall_ms = 0.0;
-  /// Initialize() process-CPU time summed over all worker threads;
-  /// init_cpu_ms / init_wall_ms approximates the cores kept busy.
+  /// Initialize() process-CPU time (CpuTimer): it also counts what other
+  /// threads of the process ran meanwhile, such as concurrent requests.
   double init_cpu_ms = 0.0;
 
   /// Scoring-kernel activity during Initialize() (deltas of the scorer's
@@ -226,8 +227,9 @@ class StarSearch {
   /// entry under (total desc, node asc). Returns false, with the lists
   /// incomplete, when some leaf has no candidate (the pivot has no match)
   /// or a cancellation checkpoint fired (stats.cancelled is then set).
-  /// Counters accumulate into `stats`; callers on pool workers pass a
-  /// per-worker struct and must warm the scorer first (WarmStarCaches).
+  /// Counters accumulate into `stats`. A leaf's candidate list and score
+  /// table are built on its first offer, so the leaves after the first
+  /// empty list are never scored.
   bool FillLeafLists(graph::NodeId pivot, bool first_only,
                      StarSearchStats& stats, LeafListScratch& scratch);
   /// The calling thread's scratch, sized to the graph once and reused.

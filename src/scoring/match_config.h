@@ -56,23 +56,15 @@ struct MatchConfig {
   /// in a query node's retrieval pool is kept iff
   /// splitmix64(sample_seed ^ id) / 2^64 < sample_rate. The predicate is
   /// a pure function of (seed, id), so the same config produces the same
-  /// pools on every engine and thread count. Wildcard query
-  /// nodes are never sampled (they have no pool). Both fields are
-  /// result-affecting and included in StarOptionsFingerprint. Sampling
-  /// forces the unpruned retrieval path (block-max thresholds assume the
-  /// full union).
+  /// pools on every engine. Wildcard query nodes are never sampled (they
+  /// have no pool). Both fields are result-affecting and included in
+  /// StarOptionsFingerprint. Sampling forces the unpruned retrieval path
+  /// (block-max thresholds assume the full union).
   double sample_rate = 1.0;
   uint64_t sample_seed = 0;
 
   /// True when the sampling predicate is active.
   bool sampling() const { return sample_rate < 1.0; }
-
-  /// Worker threads for the parallel execution paths (bulk F_N candidate
-  /// scoring, stark per-pivot enumeration, stard message propagation).
-  /// 0 = auto (the STAR_THREADS env var, else hardware concurrency);
-  /// 1 = fully serial. Results are bit-identical for every value — see
-  /// DESIGN.md "Threading model".
-  int threads = 0;
 
   /// Use the threshold-aware scoring kernel for bulk F_N evaluation
   /// (query-side precomputation, allocation-free per-pair scoring, and

@@ -11,8 +11,6 @@
 #include <tuple>
 #include <utility>
 
-#include "common/thread_pool.h"
-
 namespace star::scoring {
 
 using graph::KnowledgeGraph;
@@ -31,11 +29,9 @@ constexpr double kBoundMargin = 1e-9;
 
 /// Nodes scored per retrieval wave. Wave boundaries are where theta
 /// updates, and membership is decided by the deterministic block/pool
-/// order alone — never by thread count — so pruned retrieval is
-/// bit-identical at any MatchConfig::threads. One postings block per
-/// wave: theta tightens as soon as the highest-cap block has been scored,
-/// which is what lets duplicate-heavy exact matches shut down the rest of
-/// the union.
+/// order alone. One postings block per wave: theta tightens as soon as the
+/// highest-cap block has been scored, which is what lets duplicate-heavy
+/// exact matches shut down the rest of the union.
 constexpr size_t kRetrievalWave = graph::LabelIndex::kRetrievalBlockSize;
 
 /// The candidate total order (score desc, node asc) — the same comparator
@@ -76,10 +72,11 @@ class NodeBoundMemo {
   std::array<double, kLengths * 4> caps_;
 };
 
-/// ScoreChunkBatched's duplicate-pair table, one per thread: open
-/// addressing over (label address, label size, ontology type) keys. A
-/// slot is empty unless it carries the current chunk's epoch, so a chunk
-/// clears nothing, and the table only grows (to twice the largest chunk).
+/// ScoreBatched's duplicate-pair table, one per thread: open addressing
+/// over (label address, label size, ontology type) keys. A chunk is the
+/// nodes of one BulkScore call. A slot is empty unless it carries the
+/// current chunk's epoch, so a chunk clears nothing, and the table only
+/// grows (to twice the largest chunk).
 class ChunkDedup {
  public:
   /// Starts a chunk of at most `n` inserts.
@@ -215,9 +212,8 @@ QueryScorer::QueryScorer(const KnowledgeGraph& g, const QueryGraph& q,
     edge_rep_[e] = it->second;
   }
   // Build the kernel's query-side views eagerly (one per unique query
-  // label) so they are immutable before any parallel section can share
-  // them. The batched view embeds the scalar PreparedLabel, so one build
-  // serves both kernels.
+  // label). The batched view embeds the scalar PreparedLabel, so one
+  // build serves both kernels.
   std::map<std::string_view, uint32_t> label_view;
   prepared_idx_.resize(q.node_count());
   for (int u = 0; u < q.node_count(); ++u) {
@@ -285,22 +281,19 @@ double QueryScorer::ComputeNodeScore(int query_node, NodeId v, double threshold,
       onto_data, stats);
 }
 
-void QueryScorer::ScoreChunkBatched(int query_node,
-                                    const std::vector<graph::NodeId>& nodes,
-                                    const uint8_t* shares_token, size_t lo,
-                                    size_t hi, double threshold,
-                                    text::KernelStats* stats,
-                                    CancelChecker* cancel_check,
-                                    std::vector<double>* scores,
-                                    std::vector<uint8_t>* miss,
-                                    uint8_t* chunk_cancelled) const {
+void QueryScorer::ScoreBatched(int query_node,
+                               const std::vector<graph::NodeId>& nodes,
+                               const uint8_t* shares_token, double threshold,
+                               CancelChecker* cancel_check,
+                               std::vector<double>* scores,
+                               std::vector<uint8_t>* miss) const {
   constexpr int kLanes = text::SimilarityEnsemble::kBatchLanes;
   const text::SimilarityEnsemble::PreparedLabelBatch& batch =
       prepared_store_[prepared_idx_[query_node]];
   const int query_type = query_node_onto_type_[query_node];
   const auto& cache = node_cache_[node_rep_[query_node]];
 
-  // Duplicate-label elision within the chunk: generated and real graphs
+  // Duplicate-label elision within the call: generated and real graphs
   // repeat labels across nodes, and the kernel is a pure function of
   // (label, type, threshold, shares_token), so a repeated pair reuses the
   // first lane's result bitwise. Keyed on the label's address and length
@@ -309,7 +302,7 @@ void QueryScorer::ScoreChunkBatched(int query_node,
   // function of the label. Lanes still gathered are not looked up, so a
   // repeat inside one batch is scored again and the first value is kept.
   static thread_local ChunkDedup seen;
-  seen.Begin(hi - lo);
+  seen.Begin(nodes.size());
 
   std::string_view lane_labels[kLanes];
   int lane_types[kLanes];
@@ -321,7 +314,7 @@ void QueryScorer::ScoreChunkBatched(int query_node,
     double out[kLanes];
     ensemble_.ScoreBatchAgainstThreshold(
         batch, lane_labels, lanes, threshold, query_type, lane_types, out,
-        stats, shares_token != nullptr ? lane_shares : nullptr);
+        &kernel_stats_, shares_token != nullptr ? lane_shares : nullptr);
     for (size_t l = 0; l < lanes; ++l) {
       (*scores)[lane_index[l]] = out[l];
       // miss[] is only set here, after the score landed, so a
@@ -332,9 +325,9 @@ void QueryScorer::ScoreChunkBatched(int query_node,
     }
     lanes = 0;
   };
-  for (size_t i = lo; i < hi; ++i) {
+  for (size_t i = 0; i < nodes.size(); ++i) {
     if (cancel_check->ShouldStop()) {
-      *chunk_cancelled = 1;
+      truncated_ = true;
       break;
     }
     const graph::NodeId v = nodes[i];
@@ -360,88 +353,59 @@ void QueryScorer::ScoreChunkBatched(int query_node,
   flush();
 }
 
-std::vector<double> QueryScorer::ScoreNodesParallel(
-    int query_node, const std::vector<graph::NodeId>& nodes,
-    int threads) const {
-  return BulkScore(query_node, nodes, threads,
-                   text::SimilarityEnsemble::kNoThreshold);
-}
-
 std::vector<double> QueryScorer::BulkScore(
-    int query_node, const std::vector<graph::NodeId>& nodes, int threads,
-    double threshold, const uint8_t* shares_token) const {
+    int query_node, const std::vector<graph::NodeId>& nodes, double threshold,
+    const uint8_t* shares_token) const {
   std::vector<double> scores(nodes.size());
+  CancelChecker cancel_check(cancel_);
   const query::QueryNode& qn = query_.node(query_node);
   if (qn.wildcard) {
-    // Wildcard scoring is pure (type check / constant), so workers may use
-    // NodeScore directly — it never touches the memo for wildcards.
-    std::vector<uint8_t> chunk_cancelled(
-        static_cast<size_t>(std::max(threads, 1)), 0);
-    ParallelFor(nodes.size(), threads, [&](size_t lo, size_t hi, int chunk) {
-      CancelChecker cancel_check(cancel_);
-      for (size_t i = lo; i < hi; ++i) {
-        if (cancel_check.ShouldStop()) {  // rest stay 0 (non-candidates)
-          chunk_cancelled[chunk] = 1;
-          break;
-        }
-        scores[i] = NodeScore(query_node, nodes[i]);
+    // Wildcard scoring is a type check or a constant: NodeScore never
+    // touches the memo for wildcards.
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      if (cancel_check.ShouldStop()) {  // rest stay 0 (non-candidates)
+        truncated_ = true;
+        break;
       }
-    });
-    for (const uint8_t c : chunk_cancelled) {
-      if (c) truncated_ = true;
+      scores[i] = NodeScore(query_node, nodes[i]);
     }
     return scores;
   }
   const bool kernel = config_.use_scoring_kernel;
-  const bool batch_kernel = kernel && config_.use_batch_kernel;
   const bool thresholded = kernel && threshold >= 0.0;
   auto& cache = node_cache_[node_rep_[query_node]];
   std::vector<uint8_t> miss(nodes.size(), 0);
-  // Kernel counters are per worker chunk (ParallelFor chunk ids are
-  // always < threads) and merged serially after the join.
-  std::vector<text::KernelStats> worker_stats(
-      static_cast<size_t>(std::max(threads, 1)));
-  std::vector<uint8_t> chunk_cancelled(worker_stats.size(), 0);
-  ParallelFor(nodes.size(), threads, [&](size_t lo, size_t hi, int chunk) {
-    text::KernelStats* ks = &worker_stats[chunk];
-    CancelChecker cancel_check(cancel_);
-    if (batch_kernel) {
-      ScoreChunkBatched(query_node, nodes, shares_token, lo, hi, threshold,
-                        ks, &cancel_check, &scores, &miss,
-                        &chunk_cancelled[chunk]);
-      return;
-    }
-    for (size_t i = lo; i < hi; ++i) {
-      // Cancellation leaves the rest of the chunk unscored: miss[] stays 0
-      // for those entries, so the merge below never memoizes a guessed
-      // score, and their 0.0 falls below any positive candidate threshold.
+  if (kernel && config_.use_batch_kernel) {
+    ScoreBatched(query_node, nodes, shares_token, threshold, &cancel_check,
+                 &scores, &miss);
+  } else {
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      // Cancellation leaves the rest unscored: miss[] stays 0 for those
+      // entries, so the merge below never memoizes a guessed score, and
+      // their 0.0 falls below any positive candidate threshold.
       if (cancel_check.ShouldStop()) {
-        chunk_cancelled[chunk] = 1;
+        truncated_ = true;
         break;
       }
-      // The memo is read-only during the parallel section.
       const auto it = cache.find(nodes[i]);
       if (it != cache.end()) {
         scores[i] = it->second;
         continue;
       }
       miss[i] = 1;
-      scores[i] = kernel ? ComputeNodeScore(query_node, nodes[i], threshold, ks)
+      scores[i] = kernel ? ComputeNodeScore(query_node, nodes[i], threshold,
+                                            &kernel_stats_)
                          : ComputeNodeScore(query_node, nodes[i]);
     }
-  });
-  // Single-threaded merge: memoize exactly the entries the serial path
-  // would have cached (emplace keeps the first value on duplicates) —
-  // except sub-threshold kernel results, which may be truncated upper
-  // bounds rather than exact F_N values and therefore must not be cached.
+  }
+  // Memo merge: memoize exactly the entries NodeScore would have cached
+  // (emplace keeps the first value on duplicates) — except sub-threshold
+  // kernel results, which may be truncated upper bounds rather than exact
+  // F_N values and therefore must not be cached.
   for (size_t i = 0; i < nodes.size(); ++i) {
     if (!miss[i]) continue;
     if (thresholded && scores[i] < threshold) continue;
     if (cache.emplace(nodes[i], scores[i]).second) ++node_evals_;
-  }
-  for (const text::KernelStats& ks : worker_stats) kernel_stats_.Merge(ks);
-  for (const uint8_t c : chunk_cancelled) {
-    if (c) truncated_ = true;
   }
   return scores;
 }
@@ -497,7 +461,7 @@ std::vector<NodeId> QueryScorer::RetrievalPool(
 
 bool QueryScorer::SampleKeep(uint64_t seed, graph::NodeId v, double rate) {
   // splitmix64 of (seed ^ id): a pure function of the config and the node
-  // id, so every engine and thread derives the same sampled pool.
+  // id, so every engine derives the same sampled pool.
   uint64_t x = seed ^ (0x9e3779b97f4a7c15ull * (uint64_t{v} + 1));
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -588,15 +552,13 @@ void QueryScorer::PrunedRetrieveBlocks(int query_node,
   }
   ++seen_epoch_;
 
-  const int threads = ResolveThreads(config_.threads);
   std::vector<NodeId> wave;
   wave.reserve(kRetrievalWave);
   double theta = RetrievalTheta(*out);
   const auto flush = [&] {
     if (wave.empty()) return;
     retrieval_stats_.nodes_scored += wave.size();
-    const std::vector<double> scores =
-        BulkScore(query_node, wave, threads, theta);
+    const std::vector<double> scores = BulkScore(query_node, wave, theta);
     MergeScoredWave(wave, scores, out);
     wave.clear();
     theta = RetrievalTheta(*out);
@@ -685,7 +647,6 @@ void QueryScorer::PrunedRetrievePool(int query_node,
   }
   retrieval_stats_.nodes_considered += order.size();
 
-  const int threads = ResolveThreads(config_.threads);
   std::vector<NodeId> wave;
   std::vector<uint8_t> wave_shares;
   wave.reserve(can_fill ? kRetrievalWave : order.size());
@@ -695,7 +656,7 @@ void QueryScorer::PrunedRetrievePool(int query_node,
     if (wave.empty()) return;
     retrieval_stats_.nodes_scored += wave.size();
     const std::vector<double> scores =
-        BulkScore(query_node, wave, threads, theta, wave_shares.data());
+        BulkScore(query_node, wave, theta, wave_shares.data());
     MergeScoredWave(wave, scores, out);
     wave.clear();
     wave_shares.clear();
@@ -763,24 +724,23 @@ const CandidateList& QueryScorer::Candidates(int query_node) const {
   std::vector<uint8_t> shares_token;
   const std::vector<NodeId> pool = RetrievalPool(query_node, &shares_token);
 
-  // Bulk F_N scoring — chunked across the pool (serial at threads = 1).
-  // The candidate filter below keeps only scores >= node_threshold, so the
-  // kernel may early-exit any pair whose score bound falls below it: kept
-  // candidates are exact (bit-identical to the kernel-off path), rejected
-  // ones return a sub-threshold bound that the filter drops either way.
+  // Bulk F_N scoring. The candidate filter below keeps only scores >=
+  // node_threshold, so the kernel may early-exit any pair whose score
+  // bound falls below it: kept candidates are exact (bit-identical to the
+  // kernel-off path), rejected ones return a sub-threshold bound that the
+  // filter drops either way.
   const std::vector<double> scores =
-      BulkScore(query_node, pool, ResolveThreads(config_.threads),
-                config_.node_threshold,
+      BulkScore(query_node, pool, config_.node_threshold,
                 shares_token.empty() ? nullptr : shares_token.data());
   for (size_t i = 0; i < pool.size(); ++i) {
     if (scores[i] >= config_.node_threshold) out.push_back({pool[i], scores[i]});
   }
 
-  // (score desc, node asc) is a total order, so the result is identical
-  // for any scoring partition — and when max_candidates truncates,
-  // nth_element + prefix sort beats partial_sort's heap pass (the no-index
-  // O(|V|) scan otherwise pays O(n log k) heap churn for entries it
-  // immediately drops).
+  // (score desc, node asc) is a total order, so the cut is the full
+  // sort's prefix — and when max_candidates truncates, nth_element +
+  // prefix sort beats partial_sort's heap pass (the no-index O(|V|) scan
+  // otherwise pays O(n log k) heap churn for entries it immediately
+  // drops).
   const auto by_score_then_node = [](const ScoredCandidate& a,
                                      const ScoredCandidate& b) {
     return a.score > b.score || (a.score == b.score && a.node < b.node);
@@ -875,23 +835,6 @@ const std::vector<double>& QueryScorer::RelationScoresAll(
   }
   relation_table_ready_[query_edge] = true;
   return table;
-}
-
-void QueryScorer::WarmStarCaches(int pivot, const std::vector<int>& edges,
-                                 const std::vector<int>& leaves) const {
-  Candidates(pivot);
-  for (const int leaf : leaves) {
-    const query::QueryNode& qn = query_.node(leaf);
-    // Untyped wildcards never build candidate lists or tables — their
-    // CandidateScore short-circuits to a constant (same as serial).
-    if (qn.wildcard && qn.type_name.empty()) continue;
-    Candidates(leaf);
-    CandidateScore(leaf, graph::kInvalidNode);  // forces the score table
-  }
-  for (const int e : edges) {
-    RelationScoresAll(e);
-    MaxRelationScore(e);
-  }
 }
 
 double QueryScorer::EdgeScore(int query_edge, uint32_t direct_relation,

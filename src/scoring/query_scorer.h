@@ -59,28 +59,10 @@ using CandidateList = std::pmr::vector<ScoredCandidate>;
 ///
 /// Concurrency contract
 /// --------------------
-/// The scorer is owned and driven by ONE thread; its memo caches are
-/// mutated on read, so arbitrary concurrent calls are NOT safe. Internal
-/// parallelism is instead provided through two mechanisms, both of which
-/// keep results bit-identical to serial execution:
-///
-///  1. Bulk scoring (ScoreNodesParallel, used by Candidates): worker
-///     threads compute F_N with the pure, cache-free path and only READ
-///     the node memo; the memo is then filled in one single-threaded
-///     merge step after the workers join. MatchConfig::threads picks the
-///     worker count (0 = auto via StarThreads(), 1 = serial).
-///
-///  2. Warmed read-only sections (WarmStarCaches): a caller precomputes
-///     every memo a star search touches (candidate lists, candidate-score
-///     tables, the dense per-edge relation table, max relation scores).
-///     Afterwards NodeScore-free accessors — CandidateScore,
-///     RelationScore, MaxRelationScore, MaxEdgeScore, EdgeScore,
-///     PathDecay, and the Candidates getters for warmed nodes — perform
-///     no mutation and are safe to call from multiple threads. This is
-///     how the parallel stark/stard initialization paths run.
-///
-/// NodeScore, WalkBall, FirstWalkLength and PairEdgeScore always mutate
-/// their memos and must stay on the owning thread.
+/// The scorer is owned and driven by ONE thread: its memos fill on read,
+/// so no method is safe to call concurrently. Concurrent requests each
+/// build their own scorer; what they share (graph, index, ensemble) is
+/// immutable, and the kernels' scratch is thread_local.
 class QueryScorer {
  public:
   /// `index` may be null, in which case candidate retrieval scans all of V
@@ -137,39 +119,17 @@ class QueryScorer {
   /// wildcards short-circuit to the wildcard score (every node matches).
   double CandidateScore(int query_node, graph::NodeId v) const;
 
-  /// Bulk F_N scoring: scores of mapping `query_node` to every node in
-  /// `nodes`, index-aligned with the input. Scoring fans out across
-  /// `threads` workers (chunked over the input range); workers use the
-  /// pure compute path — the threshold-aware kernel in exact mode when
-  /// config.use_scoring_kernel is set — and only READ the node memo; the
-  /// memo is filled once, in a serial merge step after they join, so it
-  /// ends up exactly as if NodeScore had been called serially for each
-  /// node. Deterministic for every thread count.
-  std::vector<double> ScoreNodesParallel(int query_node,
-                                         const std::vector<graph::NodeId>& nodes,
-                                         int threads) const;
-
-  /// Precomputes every memo a star search over (pivot, edges, leaves)
-  /// touches: Candidates + candidate-score tables for the pivot and each
-  /// non-wildcard leaf (untyped wildcard leaves never build lists — same
-  /// as the serial paths), the dense relation table and max relation
-  /// score per star edge. After this returns, CandidateScore /
-  /// RelationScore / MaxEdgeScore / EdgeScore / PathDecay on the warmed
-  /// ids are read-only and safe for concurrent calls (see class comment).
-  void WarmStarCaches(int pivot, const std::vector<int>& edges,
-                      const std::vector<int>& leaves) const;
-
   /// Relation-label similarity of mapping query edge e to a data edge with
   /// relation id `relation`: bitwise ensemble.Score(edge label, relation
   /// name). Wildcard query relations score 1. The first call for an edge
-  /// fills its whole RelationScoresAll table (owning thread only).
+  /// fills its whole RelationScoresAll table.
   double RelationScore(int query_edge, uint32_t relation) const;
 
   /// Dense similarity table for a query edge: entry r is
   /// RelationScore(query_edge, r) for every relation id in the graph,
   /// scored in kBatchLanes-wide calls of the exact-mode batch kernel.
-  /// Computed once; afterwards RelationScore is a pure array lookup
-  /// (thread-safe). Empty for wildcard-relation edges (they score 1).
+  /// Computed once; afterwards RelationScore is a pure array lookup.
+  /// Empty for wildcard-relation edges (they score 1).
   const std::vector<double>& RelationScoresAll(int query_edge) const;
 
   /// F_E of a path/walk match of length `hops`: for hops == 1 the relation
@@ -229,8 +189,7 @@ class QueryScorer {
 
   /// True once any cancellation checkpoint fired inside this scorer — some
   /// candidate list or bulk-score result may be truncated. Monotone and
-  /// sticky; owning-thread read (parallel workers report through per-chunk
-  /// flags that are merged serially after the join). StarFramework folds
+  /// sticky. StarFramework folds
   /// this into FrameworkStats.cancelled so a truncated run can never be
   /// reported as a complete answer even when the engine's own amortized
   /// checkpoints all missed the expiry.
@@ -241,19 +200,16 @@ class QueryScorer {
 
   /// Scoring-kernel counters accumulated across every kernel evaluation
   /// this scorer performed (empty when config.use_scoring_kernel is off).
-  /// Owning-thread read; bulk scoring merges per-worker counters in the
-  /// serial step after the workers join.
   const text::KernelStats& kernel_stats() const { return kernel_stats_; }
 
   /// Bound-driven retrieval counters (empty when use_pruned_retrieval is
-  /// off or only wildcard nodes were retrieved). Owning-thread read.
+  /// off or only wildcard nodes were retrieved).
   const RetrievalStats& retrieval_stats() const { return retrieval_stats_; }
 
   /// Memory resource backing the scorer's per-query transient state (the
   /// request arena when one was given, else the default resource). Engine
-  /// code may place OWNING-THREAD transient containers here — never
-  /// buffers allocated from pool workers: the arena is single-threaded
-  /// (see common/arena.h).
+  /// code may place the query's transient containers here; the arena is
+  /// single-threaded (see common/arena.h).
   std::pmr::memory_resource* transient_resource() const { return mem_; }
 
  private:
@@ -273,29 +229,31 @@ class QueryScorer {
   void BuildCandidateScoreTable(int rep) const;
 
   /// Pure F_N computation (Eq. 1) for a non-wildcard query node: no memo
-  /// access, no counters — safe to call from any thread (the ensemble
-  /// keeps its scratch buffers thread_local). Uses the prepared-label
-  /// kernel in exact mode when config.use_scoring_kernel is set.
+  /// access, no counters. Uses the prepared-label kernel in exact mode
+  /// when config.use_scoring_kernel is set.
   double ComputeNodeScore(int query_node, graph::NodeId v) const;
 
   /// Threshold-aware F_N (the scoring kernel): exact for results >=
   /// threshold, a sub-threshold upper bound otherwise (threshold < 0 =
-  /// exact mode). Pure except for `stats`, which the caller owns — pass a
-  /// per-worker instance from parallel sections.
+  /// exact mode). Pure except for `stats` (nullable), which it counts
+  /// into.
   double ComputeNodeScore(int query_node, graph::NodeId v, double threshold,
                           text::KernelStats* stats) const;
 
-  /// Shared core of ScoreNodesParallel / Candidates: bulk F_N against a
-  /// candidate threshold. Entries < threshold may be truncated upper
-  /// bounds; the serial merge step memoizes only exact (kept) scores.
-  /// When config.use_batch_kernel is set (and the scoring kernel is on),
-  /// each worker chunk runs through the batched SoA kernel via
-  /// ScoreChunkBatched — results are bit-identical either way.
-  /// `shares_token` (nullable, aligned with `nodes`) passes retrieval
-  /// facts to the batch kernel's disjoint-token caps.
+  /// Bulk F_N of `query_node` against every node in `nodes` (Candidates'
+  /// scoring step), index-aligned with the input, against a candidate
+  /// threshold. Entries < threshold may be truncated upper bounds. The
+  /// node memo is read while scoring and filled only afterwards, in one
+  /// merge that memoizes only exact (kept) scores, so a node repeated in
+  /// `nodes` is scored twice and its first value kept. When
+  /// config.use_batch_kernel is set (and the scoring kernel is on), the
+  /// nodes run through the batched SoA kernel via ScoreBatched — results
+  /// are bit-identical either way. `shares_token` (nullable, aligned with
+  /// `nodes`) passes retrieval facts to the batch kernel's disjoint-token
+  /// caps.
   std::vector<double> BulkScore(int query_node,
                                 const std::vector<graph::NodeId>& nodes,
-                                int threads, double threshold,
+                                double threshold,
                                 const uint8_t* shares_token = nullptr) const;
 
   // --- Bound-driven retrieval (MatchConfig::use_pruned_retrieval) ---
@@ -305,8 +263,7 @@ class QueryScorer {
   // candidate top list as a bounded heap on the total order (score desc,
   // node asc) whose running max_candidates-th score is the threshold
   // theta, score survivors in deterministic fixed-size waves through
-  // BulkScore (so thread count never changes which nodes are scored at
-  // which theta), and produce lists bitwise identical to the unpruned
+  // BulkScore, and produce lists bitwise identical to the unpruned
   // path — see DESIGN.md "Bound-driven retrieval" for the soundness and
   // tie-safety argument.
 
@@ -340,21 +297,16 @@ class QueryScorer {
                        const std::vector<double>& scores,
                        CandidateList* heap) const;
 
-  /// One worker chunk of BulkScore on the batched kernel: gathers memo
-  /// misses into kBatchLanes-wide lanes, elides duplicate (label, type)
-  /// pairs within the chunk (the kernel is deterministic, so the copied
-  /// score is exact), and scores each full batch in one
-  /// ScoreBatchAgainstThreshold call. Reads the node memo, writes only
-  /// this chunk's scores/miss entries and its own stats/cancel slots —
-  /// the same data contract as the scalar chunk loop.
-  void ScoreChunkBatched(int query_node,
-                         const std::vector<graph::NodeId>& nodes,
-                         const uint8_t* shares_token, size_t lo, size_t hi,
-                         double threshold, text::KernelStats* stats,
-                         CancelChecker* cancel_check,
-                         std::vector<double>* scores,
-                         std::vector<uint8_t>* miss,
-                         uint8_t* chunk_cancelled) const;
+  /// BulkScore on the batched kernel: gathers memo misses into
+  /// kBatchLanes-wide lanes, elides duplicate (label, type) pairs within
+  /// the call (the kernel is deterministic, so the copied score is exact),
+  /// and scores each full batch in one ScoreBatchAgainstThreshold call.
+  /// Reads the node memo and writes `scores`/`miss` — the same data
+  /// contract as BulkScore's scalar loop.
+  void ScoreBatched(int query_node, const std::vector<graph::NodeId>& nodes,
+                    const uint8_t* shares_token, double threshold,
+                    CancelChecker* cancel_check, std::vector<double>* scores,
+                    std::vector<uint8_t>* miss) const;
 
   const graph::KnowledgeGraph& graph_;
   const query::QueryGraph& query_;
@@ -385,7 +337,7 @@ class QueryScorer {
   std::vector<int> edge_rep_;
   std::vector<uint32_t> prepared_idx_;
   // Query-side kernel views, one per UNIQUE query label, built eagerly in
-  // the constructor (immutable afterwards, so worker threads share them).
+  // the constructor (immutable afterwards).
   // The batched view embeds the scalar PreparedLabel, so both kernels
   // share one build. Indexed through prepared_idx_.
   std::vector<text::SimilarityEnsemble::PreparedLabelBatch> prepared_store_;
@@ -453,8 +405,7 @@ class QueryScorer {
   mutable size_t node_evals_ = 0;
   mutable text::KernelStats kernel_stats_;
   mutable RetrievalStats retrieval_stats_;
-  // Sticky truncation flag (see truncated()); written only on the owning
-  // thread — parallel sections report via per-chunk flags merged serially.
+  // Sticky truncation flag (see truncated()).
   mutable bool truncated_ = false;
 };
 

@@ -40,9 +40,8 @@ QueryService::QueryService(const graph::KnowledgeGraph& g,
       cache_(options_.cache_capacity),
       star_cache_(options_.star_cache_capacity,
                   options_.star_cache_capacity) {
-  // Workers chain through the queue, so max_inflight pool threads suffice
-  // for the serving layer itself (engine-internal ParallelFor calls nested
-  // inside a worker degrade to inline-serial by design).
+  // Workers chain through the queue, so max_inflight pool threads suffice;
+  // each request runs start to finish on the one worker that took it.
   ThreadPool::Global().EnsureWorkers(options_.max_inflight);
 }
 

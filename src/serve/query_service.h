@@ -293,7 +293,7 @@ class QueryService {
   const graph::LabelIndex* index_;
   const ServiceOptions options_;
   /// Fingerprint of every result-affecting configuration field (excludes
-  /// threads / use_scoring_kernel, which carry bit-identity contracts).
+  /// the kernel and retrieval toggles, which carry bit-identity contracts).
   std::string config_key_;
   ResultCache cache_;
   StarCache star_cache_;

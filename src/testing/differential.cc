@@ -157,8 +157,8 @@ void CheckWellFormed(const std::string& cell, const EngineResult& r,
 }
 
 /// Bitwise identity (exact double equality + identical mappings): the
-/// contract between cells of the SAME strategy (threads, kernel, reuse,
-/// k-prefix, deadline truncation), where tie decisions must replay exactly.
+/// contract between cells of the SAME strategy (kernel, reuse, k-prefix,
+/// deadline truncation), where tie decisions must replay exactly.
 bool SameMatch(const core::GraphMatch& a, const core::GraphMatch& b) {
   return a.score == b.score && a.mapping == b.mapping;
 }
@@ -395,7 +395,6 @@ CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
   base_spec.index = index.get();
   base_spec.query = &c.query;
   base_spec.config = c.config;
-  base_spec.config.threads = 1;
   base_spec.config.use_scoring_kernel = true;
   base_spec.config.use_batch_kernel = true;
   base_spec.config.use_pruned_retrieval = true;
@@ -403,7 +402,7 @@ CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
   base_spec.decomposition = c.decomposition;
   base_spec.k = c.k;
 
-  // --- Base cells: every strategy at t=1, kernel on, no reuse/deadline ---
+  // --- Base cells: every strategy, kernel on, no reuse/deadline ---
   EngineResult base[3];
   for (size_t i = 0; i < 3; ++i) {
     RunSpec spec = base_spec;
@@ -431,47 +430,37 @@ CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
     }
   }
 
-  // --- Thread x kernel matrix: bit-identity contract per strategy ---
-  // The batch cells toggle the SoA batched scorer beneath the scalar
-  // kernel (batch only engages when the kernel itself is on): every
-  // lane the batch kernel accepts must be bitwise identical to the
-  // scalar kernel's score, so batch=0 runs must reproduce the base
-  // (batch=1) matches byte for byte.
-  if (opts.run_thread_kernel_matrix) {
-    struct TK {
-      int threads;
+  // --- Kernel matrix: bit-identity contract per strategy ---
+  // Each cell switches one path of the base off: the scoring kernel (the
+  // canonical Score() path), the SoA batched scorer beneath the scalar
+  // kernel (batch only engages when the kernel itself is on), or
+  // bound-driven retrieval (the score-everything path). Each must
+  // reproduce the base matches byte for byte.
+  if (opts.run_kernel_matrix) {
+    struct KernelCell {
       bool kernel;
       bool batch;
-      bool pruned = true;
+      bool pruned;
+      const char* check;
     };
-    constexpr TK kCells[] = {{4, true, true},
-                             {1, false, false},
-                             {4, false, false},
-                             {1, true, false},
-                             {4, true, false},
-                             // Bound-driven retrieval off: the pruned base
-                             // must reproduce the score-everything path
-                             // byte for byte, serial and parallel.
-                             {1, true, true, false},
-                             {4, true, true, false}};
+    constexpr KernelCell kCells[] = {
+        {false, false, true, "kernel-diff"},
+        {true, false, true, "batch-kernel-diff"},
+        {true, true, false, "retrieval-diff"}};
     for (size_t i = 0; i < 3; ++i) {
-      for (const TK& tk : kCells) {
+      for (const KernelCell& kc : kCells) {
         RunSpec spec = base_spec;
         spec.strategy = kStrategies[i].s;
-        spec.config.threads = tk.threads;
-        spec.config.use_scoring_kernel = tk.kernel;
-        spec.config.use_batch_kernel = tk.batch;
-        spec.config.use_pruned_retrieval = tk.pruned;
+        spec.config.use_scoring_kernel = kc.kernel;
+        spec.config.use_batch_kernel = kc.batch;
+        spec.config.use_pruned_retrieval = kc.pruned;
         const EngineResult r = Run(ensemble, spec);
         ++out.cells_run;
         const std::string cell = StrPrintf(
-            "%s/t=%d/kernel=%d/batch=%d/pruned=%d", kStrategies[i].name,
-            tk.threads, tk.kernel ? 1 : 0, tk.batch ? 1 : 0, tk.pruned ? 1 : 0);
+            "%s/kernel=%d/batch=%d/pruned=%d", kStrategies[i].name,
+            kc.kernel ? 1 : 0, kc.batch ? 1 : 0, kc.pruned ? 1 : 0);
         CheckWellFormed(cell, r, c, true, &out);
-        CheckBitwiseEqual(!tk.pruned                  ? "retrieval-diff"
-                          : tk.kernel && !tk.batch    ? "batch-kernel-diff"
-                                                      : "thread-kernel-diff",
-                          cell, base[i].matches, r.matches, &out);
+        CheckBitwiseEqual(kc.check, cell, base[i].matches, r.matches, &out);
       }
     }
   }

@@ -27,7 +27,7 @@ struct RunnerOptions {
   bool run_metamorphic = true;
   bool run_reuse = true;
   bool run_deadline = true;
-  bool run_thread_kernel_matrix = true;
+  bool run_kernel_matrix = true;
   /// Re-run every strategy over a kCompressed rebuild of the case's graph
   /// and index; results must be bitwise identical to the flat base cells.
   bool run_layout = true;
@@ -60,7 +60,8 @@ struct CaseOutcome {
 ///
 ///  - BruteForce oracle vs stark/stard/hybrid (framework) score identity;
 ///  - graphTA (always) and BP (acyclic, non-injective) agreement;
-///  - bitwise identity across {1,4} threads x kernel on/off per strategy;
+///  - bitwise identity per strategy with the scoring kernel, the batch
+///    kernel, or pruned retrieval switched off;
 ///  - bitwise identity of reuse cold/warm/invalidated runs (with optional
 ///    bug injection between cold and warm);
 ///  - deadline cells: pre-expired => empty + cancelled; tight => bitwise

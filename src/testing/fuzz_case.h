@@ -30,8 +30,8 @@ const char* BugInjectionName(BugInjection b);
 
 /// One self-contained fuzz input: a concrete graph, query, and matching
 /// configuration. Everything the differential matrix varies per cell
-/// (strategy, threads, kernel, reuse mode, deadline mode) is derived by
-/// the runner; everything that changes *results* lives here.
+/// (strategy, kernel, reuse mode, deadline mode) is derived by the
+/// runner; everything that changes *results* lives here.
 struct FuzzCase {
   /// Seed this case was generated from (provenance; replays keep it).
   uint64_t seed = 0;

@@ -55,13 +55,6 @@ struct KernelStats {
   uint64_t early_exits = 0;         ///< pairs rejected before the full sweep
   uint64_t features_evaluated = 0;  ///< feature positions actually consumed
   uint64_t features_skipped = 0;    ///< feature positions skipped by exits
-
-  void Merge(const KernelStats& o) {
-    pairs += o.pairs;
-    early_exits += o.early_exits;
-    features_evaluated += o.features_evaluated;
-    features_skipped += o.features_skipped;
-  }
 };
 
 /// The learned node/edge matching function of Eq. 1:

@@ -6,15 +6,15 @@
 //    upper bound otherwise, for every ragged lane count 1..kBatchLanes;
 //  - the end-to-end pipeline (Candidates, star top-k, framework top-k)
 //    must be bit-identical with the batch kernel on or off, across every
-//    star strategy and thread count, including candidate sets whose size
-//    is not a multiple of the lane width;
+//    star strategy, including candidate sets whose size is not a multiple
+//    of the lane width;
 //  - duplicated data labels straddling the threshold must come out
 //    identical to the scalar path — the per-chunk (label, type) memo may
 //    only ever hold fully evaluated scores, never rejected-lane bounds.
-// The *ParallelDeterminism* suite here is picked up by the TSan CI filter.
 
 #include <bit>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <set>
 #include <string>
@@ -26,6 +26,7 @@
 
 #include "common/random.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "core/framework.h"
 #include "core/star_search.h"
 #include "query/workload.h"
@@ -365,8 +366,9 @@ TEST(BatchKernelTest, RetrievalFactsCapOnlyExactZeros) {
 
 // ---------------------------------------------------------------------
 // The kernels' token table is per thread and serves one prepared label at
-// a time. Interleaved labels, a scope that passes the size bound, and bulk
-// scoring on worker threads must all keep Score()'s bits.
+// a time. Interleaved labels, a scope that passes the size bound, and
+// concurrent requests bulk-scoring on pool workers must all keep Score()'s
+// bits.
 // ---------------------------------------------------------------------
 
 TEST(TokenTableScopeTest, InterleavedLabelsKeepScoreBits) {
@@ -420,9 +422,12 @@ TEST(TokenTableScopeTest, TableIsClearedPastItsBound) {
 }
 
 TEST(TokenTableScopeTest, BulkScoreOnWorkerThreadsKeepsScoreBits) {
-  // Labels over a small vocabulary, so each worker's table sees repeats;
-  // two query nodes score in both orders, so scopes change on every
-  // worker.
+  // Four pool workers each bulk-score the same labels through their own
+  // scorer at once, as four service requests do: each worker's token
+  // table serves its own scorer's prepared labels. Labels over a small
+  // vocabulary, so each table sees repeats; the two query nodes score in
+  // both orders, so scopes change on every worker. With no index and a
+  // node threshold of 0, Candidates() scores every node and keeps it.
   static const char* const kTokens[] = {"teacher", "film", "Part", "ii",
                                         "2",       "two",  "zeta", "alpha"};
   Rng rng(216);
@@ -444,32 +449,50 @@ TEST(TokenTableScopeTest, BulkScoreOnWorkerThreadsKeepsScoreBits) {
   q.AddNode("Part two teacher");
   q.AddNode("alpha film ii");
   q.AddEdge(0, 1, "rel");
-  for (const int threads : {1, 4}) {
-    for (const bool batch : {false, true}) {
-      for (const int first : {0, 1}) {
-        auto cfg = TestConfig(/*d=*/1);
-        cfg.threads = threads;
-        cfg.use_batch_kernel = batch;
-        ScorerFixture f(g, q, cfg);
-        for (const int u : {first, 1 - first}) {
-          const auto scores = f.scorer->ScoreNodesParallel(u, nodes, threads);
-          for (size_t i = 0; i < nodes.size(); ++i) {
-            EXPECT_EQ(scores[i], f.ensemble.Score(q.node(u).label,
-                                                  g.NodeLabel(nodes[i])))
-                << "threads=" << threads << " batch=" << batch << " u=" << u
-                << " node " << nodes[i];
+  const SimilarityEnsemble ensemble;
+  std::vector<std::vector<double>> expected(
+      2, std::vector<double>(g.node_count(), -1.0));
+  for (const int u : {0, 1}) {
+    for (const graph::NodeId v : nodes) {
+      expected[u][v] = ensemble.Score(q.node(u).label, g.NodeLabel(v));
+    }
+  }
+
+  constexpr int kWorkers = 4;
+  ThreadPool::Global().EnsureWorkers(kWorkers);
+  std::latch start(kWorkers), done(kWorkers);
+  std::vector<size_t> wrong(kWorkers, 0), scored(kWorkers, 0);
+  for (int w = 0; w < kWorkers; ++w) {
+    ThreadPool::Global().Submit([&, w] {
+      start.arrive_and_wait();
+      for (const bool batch : {false, true}) {
+        for (const int first : {0, 1}) {
+          auto cfg = TestConfig(/*d=*/1);
+          cfg.node_threshold = 0.0;
+          cfg.use_batch_kernel = batch;
+          scoring::QueryScorer scorer(g, q, ensemble, cfg);
+          for (const int u : {first, 1 - first}) {
+            for (const scoring::ScoredCandidate& c : scorer.Candidates(u)) {
+              ++scored[w];
+              if (c.score != expected[u][c.node]) ++wrong[w];
+            }
           }
         }
       }
-    }
+      done.count_down();
+    });
+  }
+  done.wait();
+  for (int w = 0; w < kWorkers; ++w) {
+    EXPECT_EQ(wrong[w], 0u) << "worker " << w;
+    EXPECT_EQ(scored[w], 2 * 2 * 2 * nodes.size()) << "worker " << w;
   }
 }
 
 // ---------------------------------------------------------------------
 // End-to-end: batch kernel on vs off must be bit-identical through
-// Candidates, star top-k and framework top-k — for every strategy, thread
-// count, and candidate-set sizes not divisible by the lane width. Named
-// to match the ThreadSanitizer job's *ParallelDeterminism* filter.
+// Candidates, star top-k and framework top-k — for every strategy, and
+// candidate-set sizes not divisible by the lane width.
 // ---------------------------------------------------------------------
 
 // Generic over candidate containers (std::vector and the arena-backed
@@ -500,18 +523,15 @@ TEST(BatchKernelParallelDeterminismTest, CandidatesIdenticalBatchOnOff) {
     query::WorkloadGenerator wg(g, /*seed=*/37);
     const auto q = wg.RandomStarQuery(4, query::WorkloadOptions{});
     for (const bool with_index : {false, true}) {
-      for (const int threads : {1, 4}) {
-        auto off_cfg = TestConfig(/*d=*/2);
-        off_cfg.threads = threads;
-        off_cfg.use_batch_kernel = false;
-        auto on_cfg = off_cfg;
-        on_cfg.use_batch_kernel = true;
-        ScorerFixture off(g, q, off_cfg, with_index);
-        ScorerFixture on(g, q, on_cfg, with_index);
-        for (int u = 0; u < q.node_count(); ++u) {
-          ExpectSameCandidates(off.scorer->Candidates(u),
-                               on.scorer->Candidates(u));
-        }
+      auto off_cfg = TestConfig(/*d=*/2);
+      off_cfg.use_batch_kernel = false;
+      auto on_cfg = off_cfg;
+      on_cfg.use_batch_kernel = true;
+      ScorerFixture off(g, q, off_cfg, with_index);
+      ScorerFixture on(g, q, on_cfg, with_index);
+      for (int u = 0; u < q.node_count(); ++u) {
+        ExpectSameCandidates(off.scorer->Candidates(u),
+                             on.scorer->Candidates(u));
       }
     }
   }
@@ -524,26 +544,23 @@ TEST(BatchKernelParallelDeterminismTest, StarTopKIdenticalBatchOnOff) {
     const auto q = wg.RandomStarQuery(4, query::WorkloadOptions{});
     for (const StarStrategy strategy :
          {StarStrategy::kStark, StarStrategy::kStard, StarStrategy::kHybrid}) {
-      for (const int threads : {1, 4}) {
-        auto off_cfg = TestConfig(d);
-        off_cfg.threads = threads;
-        off_cfg.use_batch_kernel = false;
-        auto on_cfg = off_cfg;
-        on_cfg.use_batch_kernel = true;
-        ScorerFixture off(g, q, off_cfg);
-        ScorerFixture on(g, q, on_cfg);
-        StarSearch::Options so;
-        so.strategy = strategy;
-        StarSearch off_search(*off.scorer, core::MakeStarQuery(q), so);
-        StarSearch on_search(*on.scorer, core::MakeStarQuery(q), so);
-        const auto off_top = off_search.TopK(10);
-        const auto on_top = on_search.TopK(10);
-        ASSERT_EQ(off_top.size(), on_top.size());
-        for (size_t i = 0; i < off_top.size(); ++i) {
-          EXPECT_EQ(off_top[i].pivot, on_top[i].pivot) << "rank " << i;
-          EXPECT_EQ(off_top[i].leaves, on_top[i].leaves) << "rank " << i;
-          EXPECT_EQ(off_top[i].score, on_top[i].score) << "rank " << i;
-        }
+      auto off_cfg = TestConfig(d);
+      off_cfg.use_batch_kernel = false;
+      auto on_cfg = off_cfg;
+      on_cfg.use_batch_kernel = true;
+      ScorerFixture off(g, q, off_cfg);
+      ScorerFixture on(g, q, on_cfg);
+      StarSearch::Options so;
+      so.strategy = strategy;
+      StarSearch off_search(*off.scorer, core::MakeStarQuery(q), so);
+      StarSearch on_search(*on.scorer, core::MakeStarQuery(q), so);
+      const auto off_top = off_search.TopK(10);
+      const auto on_top = on_search.TopK(10);
+      ASSERT_EQ(off_top.size(), on_top.size());
+      for (size_t i = 0; i < off_top.size(); ++i) {
+        EXPECT_EQ(off_top[i].pivot, on_top[i].pivot) << "rank " << i;
+        EXPECT_EQ(off_top[i].leaves, on_top[i].leaves) << "rank " << i;
+        EXPECT_EQ(off_top[i].score, on_top[i].score) << "rank " << i;
       }
     }
   }
@@ -562,7 +579,6 @@ TEST(BatchKernelParallelDeterminismTest, FrameworkTopKIdenticalAcrossKernels) {
     core::StarOptions base;
     base.strategy = strategy;
     base.match = TestConfig(/*d=*/2);
-    base.match.threads = 1;
 
     auto batch_opts = base;
     batch_opts.match.use_batch_kernel = true;
@@ -603,19 +619,16 @@ TEST(BatchKernelParallelDeterminismTest,
   q.AddEdge(a, c, "knows");
 
   for (const bool with_index : {false, true}) {
-    for (const int threads : {1, 4}) {
-      auto off_cfg = TestConfig(/*d=*/1);
-      off_cfg.node_threshold = 0.40;  // "Brandt" near, "zzzz" far below
-      off_cfg.threads = threads;
-      off_cfg.use_batch_kernel = false;
-      auto on_cfg = off_cfg;
-      on_cfg.use_batch_kernel = true;
-      ScorerFixture off(g, q, off_cfg, with_index);
-      ScorerFixture on(g, q, on_cfg, with_index);
-      for (int u = 0; u < q.node_count(); ++u) {
-        ExpectSameCandidates(off.scorer->Candidates(u),
-                             on.scorer->Candidates(u));
-      }
+    auto off_cfg = TestConfig(/*d=*/1);
+    off_cfg.node_threshold = 0.40;  // "Brandt" near, "zzzz" far below
+    off_cfg.use_batch_kernel = false;
+    auto on_cfg = off_cfg;
+    on_cfg.use_batch_kernel = true;
+    ScorerFixture off(g, q, off_cfg, with_index);
+    ScorerFixture on(g, q, on_cfg, with_index);
+    for (int u = 0; u < q.node_count(); ++u) {
+      ExpectSameCandidates(off.scorer->Candidates(u),
+                           on.scorer->Candidates(u));
     }
   }
 }

@@ -113,6 +113,26 @@ TEST(BeliefPropagationTest, StatsCountMapCalls) {
   bp.TopK(2);
   EXPECT_GT(bp.stats().map_calls, 0u);
   EXPECT_GT(bp.stats().message_updates, 0u);
+  EXPECT_FALSE(bp.stats().timed_out);
+}
+
+// The budget starts on entry to TopK, so a spent budget stops the call
+// before its first MAP: one tree MAP at d = 3 can otherwise outlast the
+// whole budget.
+TEST(BeliefPropagationTest, BudgetCoversTheFirstMap) {
+  const auto g = MovieGraph();
+  query::QueryGraph q;
+  const int a = q.AddNode("Brad Pitt");
+  const int b = q.AddNode("Boyhood");
+  q.AddEdge(a, b);
+  ScorerFixture fx(g, q, TestConfig());
+  BpOptions opts;
+  opts.budget_ms = 1e-6;
+  BeliefPropagation bp(*fx.scorer, opts);
+  EXPECT_TRUE(bp.TopK(2).empty());
+  EXPECT_TRUE(bp.stats().timed_out);
+  EXPECT_EQ(bp.stats().map_calls, 0u);
+  EXPECT_EQ(bp.stats().message_updates, 0u);
 }
 
 }  // namespace

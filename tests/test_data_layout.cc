@@ -129,25 +129,22 @@ TEST(DataLayoutTest, TopKIsBitwiseIdenticalAcrossLayouts) {
   for (const auto strategy :
        {core::StarStrategy::kStark, core::StarStrategy::kStard,
         core::StarStrategy::kHybrid}) {
-    for (const int threads : {1, 4}) {
-      for (const bool kernel : {false, true}) {
-        for (const bool batch : {false, true}) {
-          if (batch && !kernel) continue;  // batch requires the kernel
-          core::StarOptions so;
-          so.strategy = strategy;
-          so.match = TestConfig(/*d=*/2);
-          so.match.threads = threads;
-          so.match.use_scoring_kernel = kernel;
-          so.match.use_batch_kernel = batch;
-          core::StarFramework flat_fw(g, ensemble, &flat_idx, so);
-          core::StarFramework comp_fw(cg, ensemble, &comp_idx, so);
-          const auto a = flat_fw.TopK(q, 10);
-          const auto b = comp_fw.TopK(q, 10);
-          ASSERT_EQ(a.size(), b.size());
-          for (size_t i = 0; i < a.size(); ++i) {
-            EXPECT_EQ(a[i].mapping, b[i].mapping) << "rank " << i;
-            EXPECT_EQ(a[i].score, b[i].score) << "rank " << i;  // bitwise
-          }
+    for (const bool kernel : {false, true}) {
+      for (const bool batch : {false, true}) {
+        if (batch && !kernel) continue;  // batch requires the kernel
+        core::StarOptions so;
+        so.strategy = strategy;
+        so.match = TestConfig(/*d=*/2);
+        so.match.use_scoring_kernel = kernel;
+        so.match.use_batch_kernel = batch;
+        core::StarFramework flat_fw(g, ensemble, &flat_idx, so);
+        core::StarFramework comp_fw(cg, ensemble, &comp_idx, so);
+        const auto a = flat_fw.TopK(q, 10);
+        const auto b = comp_fw.TopK(q, 10);
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t i = 0; i < a.size(); ++i) {
+          EXPECT_EQ(a[i].mapping, b[i].mapping) << "rank " << i;
+          EXPECT_EQ(a[i].score, b[i].score) << "rank " << i;  // bitwise
         }
       }
     }

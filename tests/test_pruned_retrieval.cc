@@ -1,6 +1,6 @@
 // Bound-driven candidate retrieval (DESIGN.md "Bound-driven retrieval"):
 // bitwise identity of the pruned path against the score-everything path
-// across engines, thread counts, and postings layouts; adversarial ties
+// across engines and postings layouts; adversarial ties
 // at the max_candidates cut; and the block/node upper-bound soundness
 // contract (a cap must dominate every member it covers).
 
@@ -51,8 +51,8 @@ void ExpectBitwiseEqual(const std::vector<ScoredCandidate>& off,
 }
 
 // Pruned candidate lists must be byte-identical to the unpruned ones for
-// every (layout, thread count, cutoff, retrieval cap, index presence)
-// cell — including partial labels that exercise the fuzzy trigram lists.
+// every (layout, cutoff, retrieval cap, index presence) cell — including
+// partial labels that exercise the fuzzy trigram lists.
 TEST(PrunedRetrievalTest, CandidateListsBitwiseIdentical) {
   for (const uint64_t seed : {1u, 7u, 23u}) {
     const graph::KnowledgeGraph g = SmallRandomGraph(seed, 60, 140);
@@ -66,23 +66,19 @@ TEST(PrunedRetrievalTest, CandidateListsBitwiseIdentical) {
       for (const auto layout :
            {graph::GraphLayout::kFlat, graph::GraphLayout::kCompressed}) {
         const graph::LabelIndex index(g, layout);
-        for (const int threads : {1, 4}) {
-          for (const size_t max_candidates : {size_t{0}, size_t{1}, size_t{5}}) {
-            for (const size_t max_retrieval : {size_t{0}, size_t{8}}) {
-              MatchConfig cfg = TestConfig();
-              cfg.threads = threads;
-              cfg.max_candidates = max_candidates;
-              cfg.max_retrieval = max_retrieval;
-              const std::string cell =
-                  label + "/layout=" +
-                  (layout == graph::GraphLayout::kFlat ? "flat" : "compressed") +
-                  "/t=" + std::to_string(threads) +
-                  "/k=" + std::to_string(max_candidates) +
-                  "/r=" + std::to_string(max_retrieval);
-              ExpectBitwiseEqual(
-                  CandidatesWith(g, q, u, ens, cfg, &index, false),
-                  CandidatesWith(g, q, u, ens, cfg, &index, true), cell);
-            }
+        for (const size_t max_candidates : {size_t{0}, size_t{1}, size_t{5}}) {
+          for (const size_t max_retrieval : {size_t{0}, size_t{8}}) {
+            MatchConfig cfg = TestConfig();
+            cfg.max_candidates = max_candidates;
+            cfg.max_retrieval = max_retrieval;
+            const std::string cell =
+                label + "/layout=" +
+                (layout == graph::GraphLayout::kFlat ? "flat" : "compressed") +
+                "/k=" + std::to_string(max_candidates) +
+                "/r=" + std::to_string(max_retrieval);
+            ExpectBitwiseEqual(
+                CandidatesWith(g, q, u, ens, cfg, &index, false),
+                CandidatesWith(g, q, u, ens, cfg, &index, true), cell);
           }
         }
       }
@@ -318,31 +314,27 @@ TEST(PrunedRetrievalTest, RetrievalFactsKeepTypedPoolsBitwise) {
     for (const size_t max_retrieval : {size_t{8}, size_t{1000}}) {
       for (const size_t max_candidates : {size_t{0}, size_t{3}, size_t{1000}}) {
         for (const double sample_rate : {1.0, 0.6}) {
-          for (const int threads : {1, 4}) {
-            MatchConfig cfg = TestConfig();
-            cfg.threads = threads;
-            cfg.max_retrieval = max_retrieval;
-            cfg.max_candidates = max_candidates;
-            cfg.sample_rate = sample_rate;
-            cfg.sample_seed = 9;
-            MatchConfig reference = cfg;
-            reference.use_scoring_kernel = false;
-            for (const int u : nodes) {
-              const std::string cell =
-                  q.node(u).label + (ens == &heavy ? "/heavy" : "/uniform") +
-                  "/r=" + std::to_string(max_retrieval) +
-                  "/k=" + std::to_string(max_candidates) +
-                  "/s=" + std::to_string(sample_rate) +
-                  "/t=" + std::to_string(threads);
-              const auto want =
-                  CandidatesWith(g, q, u, *ens, reference, &index, false);
-              ExpectBitwiseEqual(
-                  want, CandidatesWith(g, q, u, *ens, cfg, &index, true),
-                  cell + "/pruned");
-              ExpectBitwiseEqual(
-                  want, CandidatesWith(g, q, u, *ens, cfg, &index, false),
-                  cell + "/unpruned");
-            }
+          MatchConfig cfg = TestConfig();
+          cfg.max_retrieval = max_retrieval;
+          cfg.max_candidates = max_candidates;
+          cfg.sample_rate = sample_rate;
+          cfg.sample_seed = 9;
+          MatchConfig reference = cfg;
+          reference.use_scoring_kernel = false;
+          for (const int u : nodes) {
+            const std::string cell =
+                q.node(u).label + (ens == &heavy ? "/heavy" : "/uniform") +
+                "/r=" + std::to_string(max_retrieval) +
+                "/k=" + std::to_string(max_candidates) +
+                "/s=" + std::to_string(sample_rate);
+            const auto want =
+                CandidatesWith(g, q, u, *ens, reference, &index, false);
+            ExpectBitwiseEqual(
+                want, CandidatesWith(g, q, u, *ens, cfg, &index, true),
+                cell + "/pruned");
+            ExpectBitwiseEqual(
+                want, CandidatesWith(g, q, u, *ens, cfg, &index, false),
+                cell + "/unpruned");
           }
         }
       }
@@ -350,9 +342,9 @@ TEST(PrunedRetrievalTest, RetrievalFactsKeepTypedPoolsBitwise) {
   }
 }
 
-// End-to-end: full TopK matches across all three engines, serial and
-// parallel, both layouts, must be byte-identical with retrieval pruning
-// on and off (scores AND mapped nodes).
+// End-to-end: full TopK matches across all three engines, both layouts,
+// must be byte-identical with retrieval pruning on and off (scores AND
+// mapped nodes).
 TEST(PrunedRetrievalTest, FrameworkTopKBitwiseIdentical) {
   for (const uint64_t seed : {2u, 9u}) {
     const graph::KnowledgeGraph g = SmallRandomGraph(seed, 40, 90);
@@ -368,28 +360,25 @@ TEST(PrunedRetrievalTest, FrameworkTopKBitwiseIdentical) {
       for (const auto strategy :
            {core::StarStrategy::kStark, core::StarStrategy::kStard,
             core::StarStrategy::kHybrid}) {
-        for (const int threads : {1, 4}) {
-          core::StarOptions opts;
-          opts.strategy = strategy;
-          opts.match = TestConfig(2);
-          opts.match.threads = threads;
-          opts.match.max_candidates = 6;
+        core::StarOptions opts;
+        opts.strategy = strategy;
+        opts.match = TestConfig(2);
+        opts.match.max_candidates = 6;
 
-          text::SimilarityEnsemble ens;
-          opts.match.use_pruned_retrieval = false;
-          core::StarFramework off_fw(g, ens, &index, opts);
-          const auto off = off_fw.TopK(q, 8);
+        text::SimilarityEnsemble ens;
+        opts.match.use_pruned_retrieval = false;
+        core::StarFramework off_fw(g, ens, &index, opts);
+        const auto off = off_fw.TopK(q, 8);
 
-          opts.match.use_pruned_retrieval = true;
-          core::StarFramework on_fw(g, ens, &index, opts);
-          const auto on = on_fw.TopK(q, 8);
+        opts.match.use_pruned_retrieval = true;
+        core::StarFramework on_fw(g, ens, &index, opts);
+        const auto on = on_fw.TopK(q, 8);
 
-          ASSERT_EQ(off.size(), on.size());
-          for (size_t i = 0; i < off.size(); ++i) {
-            EXPECT_EQ(std::bit_cast<uint64_t>(off[i].score),
-                      std::bit_cast<uint64_t>(on[i].score));
-            EXPECT_EQ(off[i].mapping, on[i].mapping);
-          }
+        ASSERT_EQ(off.size(), on.size());
+        for (size_t i = 0; i < off.size(); ++i) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(off[i].score),
+                    std::bit_cast<uint64_t>(on[i].score));
+          EXPECT_EQ(off[i].mapping, on[i].mapping);
         }
       }
     }

@@ -8,14 +8,16 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "graph/graph_generator.h"
+#include "query/workload.h"
 #include "test_helpers.h"
 
 namespace star::scoring {
 namespace {
 
 using star::testing::MovieGraph;
+using star::testing::ScorerFixture;
+using star::testing::SmallRandomGraph;
 using star::testing::TestConfig;
 
 struct Fixture {
@@ -80,9 +82,9 @@ TEST(QueryScorerTest, CandidateScoreMembership) {
 }
 
 // CandidateScore's flat table against a linear scan of Candidates(u), for
-// every node of the graph and kInvalidNode, before and after
-// WarmStarCaches. Two query nodes share a representative (same label and
-// type), and one leaf is an untyped wildcard, which short-circuits.
+// every node of the graph and kInvalidNode. Two query nodes share a
+// representative (same label and type), and one leaf is an untyped
+// wildcard, which short-circuits.
 TEST(CandidateScoreTableTest, MatchesLinearScanOfCandidates) {
   graph::GeneratorConfig gc;
   gc.num_nodes = 400;
@@ -103,11 +105,7 @@ TEST(CandidateScoreTableTest, MatchesLinearScanOfCandidates) {
   while (g.NodeType(typed_node) < 0) ++typed_node;
   const int typed =
       q.AddWildcardNode(std::string(g.TypeName(g.NodeType(typed_node))));
-  std::vector<int> edges, leaves;
-  for (const int leaf : {twin_a, twin_b, any, typed}) {
-    edges.push_back(q.AddEdge(pivot, leaf));
-    leaves.push_back(leaf);
-  }
+  for (const int leaf : {twin_a, twin_b, any, typed}) q.AddEdge(pivot, leaf);
   const auto scan = [&](const QueryScorer& scorer, int u, graph::NodeId v) {
     if (u == any) return scorer.config().wildcard_node_score;
     for (const ScoredCandidate& c : scorer.Candidates(u)) {
@@ -115,24 +113,43 @@ TEST(CandidateScoreTableTest, MatchesLinearScanOfCandidates) {
     }
     return -1.0;
   };
-  for (const bool warm : {false, true}) {
-    QueryScorer scorer(g, q, ensemble, TestConfig(), &index);
-    if (warm) scorer.WarmStarCaches(pivot, edges, leaves);
-    size_t members = 0;
-    for (int u = 0; u < q.node_count(); ++u) {
-      for (graph::NodeId v = 0; v < g.node_count(); ++v) {
-        const double got = scorer.CandidateScore(u, v);
-        EXPECT_EQ(got, scan(scorer, u, v)) << "warm=" << warm << " u=" << u
-                                           << " v=" << v;
-        if (got >= 0.0 && u != any) ++members;
-      }
-      EXPECT_EQ(scorer.CandidateScore(u, graph::kInvalidNode),
-                u == any ? scorer.config().wildcard_node_score : -1.0)
-          << "warm=" << warm << " u=" << u;
+  QueryScorer scorer(g, q, ensemble, TestConfig(), &index);
+  size_t members = 0;
+  for (int u = 0; u < q.node_count(); ++u) {
+    for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+      const double got = scorer.CandidateScore(u, v);
+      EXPECT_EQ(got, scan(scorer, u, v)) << "u=" << u << " v=" << v;
+      if (got >= 0.0 && u != any) ++members;
     }
-    // Both present and absent nodes were probed.
-    EXPECT_GT(members, 100u) << "warm=" << warm;
-    EXPECT_EQ(&scorer.Candidates(twin_a), &scorer.Candidates(twin_b));
+    EXPECT_EQ(scorer.CandidateScore(u, graph::kInvalidNode),
+              u == any ? scorer.config().wildcard_node_score : -1.0)
+        << "u=" << u;
+  }
+  // Both present and absent nodes were probed.
+  EXPECT_GT(members, 100u);
+  EXPECT_EQ(&scorer.Candidates(twin_a), &scorer.Candidates(twin_b));
+}
+
+TEST(QueryScorerTest, TruncatedCandidatesEqualFullSortPrefix) {
+  // The max_candidates cut (nth_element + prefix sort) must agree with the
+  // full sort under the (score desc, node asc) total order.
+  const auto g = SmallRandomGraph(/*seed=*/23, /*nodes=*/48, /*edges=*/96);
+  query::WorkloadGenerator wg(g, /*seed=*/9);
+  const auto q = wg.RandomStarQuery(3, query::WorkloadOptions{});
+  const auto full_cfg = TestConfig();
+  ScorerFixture full(g, q, full_cfg, /*with_index=*/false);
+  auto cut_cfg = full_cfg;
+  cut_cfg.max_candidates = 5;
+  ScorerFixture cut(g, q, cut_cfg, /*with_index=*/false);
+  for (int u = 0; u < q.node_count(); ++u) {
+    const CandidateList& expect = full.scorer->Candidates(u);
+    const CandidateList& got = cut.scorer->Candidates(u);
+    ASSERT_EQ(got.size(), std::min<size_t>(expect.size(), 5)) << "u=" << u;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].node, expect[i].node) << "u=" << u << " position " << i;
+      EXPECT_EQ(got[i].score, expect[i].score)  // bitwise
+          << "u=" << u << " position " << i;
+    }
   }
 }
 
@@ -175,59 +192,39 @@ TEST(QueryScorerTest, RelationTablesMatchScoreBitwise) {
 
   query::QueryGraph q;
   const int pivot = q.AddNode("Hub");
-  std::vector<int> leaves, edges;
+  std::vector<int> edges;
   const std::vector<std::string> labels = {
       "acted in", "acted in", "", "won award",
       "has a very long relation name that runs past the sixty four byte word"};
-  for (size_t i = 0; i < labels.size(); ++i) {
-    leaves.push_back(q.AddNode("Leaf"));
-    edges.push_back(q.AddEdge(pivot, leaves.back(), labels[i]));
+  for (const std::string& label : labels) {
+    edges.push_back(q.AddEdge(pivot, q.AddNode("Leaf"), label));
   }
   ASSERT_TRUE(q.edge(edges[2]).wildcard_relation);
 
   text::SimilarityEnsemble ensemble;
   const graph::LabelIndex index(g);
-  for (const int threads : {1, 4}) {
-    for (const bool warmed : {false, true}) {
-      auto cfg = TestConfig();
-      cfg.threads = threads;
-      QueryScorer scorer(g, q, ensemble, cfg, &index);
-      for (int u = 0; u < q.node_count(); ++u) scorer.Candidates(u);
-      const text::KernelStats before = scorer.kernel_stats();
-      if (warmed) scorer.WarmStarCaches(pivot, edges, leaves);
-      std::vector<std::vector<double>> seen(edges.size());
-      // Warmed tables are read-only, so workers may read them at once.
-      ParallelFor(edges.size(), warmed ? threads : 1,
-                  [&](size_t lo, size_t hi, int) {
-                    for (size_t i = lo; i < hi; ++i) {
-                      for (uint32_t r = 0; r < g.relation_count(); ++r) {
-                        seen[i].push_back(scorer.RelationScore(edges[i], r));
-                      }
-                    }
-                  });
-      for (size_t i = 0; i < edges.size(); ++i) {
-        const query::QueryEdge& qe = q.edge(edges[i]);
-        double best = 0.0;
-        for (uint32_t r = 0; r < g.relation_count(); ++r) {
-          const double expected =
-              qe.wildcard_relation
-                  ? 1.0
-                  : ensemble.Score(qe.relation, g.RelationName(r));
-          EXPECT_EQ(seen[i][r], expected)
-              << "edge " << i << " relation " << g.RelationName(r)
-              << " threads " << threads << " warmed " << warmed;
-          best = std::max(best, expected);
-        }
-        EXPECT_EQ(scorer.MaxRelationScore(edges[i]), best) << "edge " << i;
-      }
-      // F_E evaluations are not F_N evaluations: the kernel counters only
-      // count node scoring.
-      EXPECT_EQ(scorer.kernel_stats().pairs, before.pairs);
-      EXPECT_EQ(scorer.kernel_stats().features_evaluated,
-                before.features_evaluated);
-      EXPECT_GT(before.pairs, 0u);
+  QueryScorer scorer(g, q, ensemble, TestConfig(), &index);
+  for (int u = 0; u < q.node_count(); ++u) scorer.Candidates(u);
+  const text::KernelStats before = scorer.kernel_stats();
+  for (size_t i = 0; i < edges.size(); ++i) {
+    const query::QueryEdge& qe = q.edge(edges[i]);
+    double best = 0.0;
+    for (uint32_t r = 0; r < g.relation_count(); ++r) {
+      const double expected =
+          qe.wildcard_relation ? 1.0
+                               : ensemble.Score(qe.relation, g.RelationName(r));
+      EXPECT_EQ(scorer.RelationScore(edges[i], r), expected)
+          << "edge " << i << " relation " << g.RelationName(r);
+      best = std::max(best, expected);
     }
+    EXPECT_EQ(scorer.MaxRelationScore(edges[i]), best) << "edge " << i;
   }
+  // F_E evaluations are not F_N evaluations: the kernel counters only
+  // count node scoring.
+  EXPECT_EQ(scorer.kernel_stats().pairs, before.pairs);
+  EXPECT_EQ(scorer.kernel_stats().features_evaluated,
+            before.features_evaluated);
+  EXPECT_GT(before.pairs, 0u);
 }
 
 TEST(QueryScorerTest, EdgeScoreDecaysWithHops) {

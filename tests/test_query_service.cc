@@ -418,8 +418,8 @@ TEST(QueryServiceTest, ShutdownRejectsNewWorkAndDrainsAdmitted) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency suite. Named *ParallelDeterminism* so it runs under the same
-// TSan CI filter as the thread-pool determinism tests.
+// Concurrency suite: concurrent clients against direct execution. The TSan
+// CI filter selects it (*QueryService*).
 // ---------------------------------------------------------------------------
 
 class QueryServiceParallelDeterminismTest

@@ -2,9 +2,7 @@
 // accepted thresholded scores must be BITWISE equal to Score() and to the
 // naive Features()-dot-weights sum, rejected pairs must truly be below the
 // threshold, and the end-to-end pipeline (Candidates, star top-k) must be
-// bit-identical with the kernel on or off, at every thread count and for
-// every star strategy. The *ParallelDeterminism* suite here is picked up
-// by the ThreadSanitizer CI job's test filter.
+// bit-identical with the kernel on or off, for every star strategy.
 
 #include <memory>
 #include <string>
@@ -222,8 +220,7 @@ TEST(ScoringKernelTest, StatsCountPairsExitsAndSkips) {
 
 // ---------------------------------------------------------------------
 // End-to-end: kernel on vs off must be bit-identical through Candidates
-// and star top-k, for every strategy and thread count. Named to match the
-// ThreadSanitizer job's *ParallelDeterminism* filter.
+// and star top-k, for every strategy.
 // ---------------------------------------------------------------------
 
 // Generic over candidate containers (std::vector and the arena-backed
@@ -252,18 +249,15 @@ TEST(ScoringKernelParallelDeterminismTest, CandidatesIdenticalKernelOnOff) {
   query::WorkloadGenerator wg(g, /*seed=*/7);
   const auto q = wg.RandomStarQuery(4, query::WorkloadOptions{});
   for (const bool with_index : {false, true}) {
-    for (const int threads : {1, 4}) {
-      auto off_cfg = TestConfig(/*d=*/2);
-      off_cfg.threads = threads;
-      off_cfg.use_scoring_kernel = false;
-      auto on_cfg = off_cfg;
-      on_cfg.use_scoring_kernel = true;
-      ScorerFixture off(g, q, off_cfg, with_index);
-      ScorerFixture on(g, q, on_cfg, with_index);
-      for (int u = 0; u < q.node_count(); ++u) {
-        ExpectSameCandidates(off.scorer->Candidates(u),
-                             on.scorer->Candidates(u));
-      }
+    auto off_cfg = TestConfig(/*d=*/2);
+    off_cfg.use_scoring_kernel = false;
+    auto on_cfg = off_cfg;
+    on_cfg.use_scoring_kernel = true;
+    ScorerFixture off(g, q, off_cfg, with_index);
+    ScorerFixture on(g, q, on_cfg, with_index);
+    for (int u = 0; u < q.node_count(); ++u) {
+      ExpectSameCandidates(off.scorer->Candidates(u),
+                           on.scorer->Candidates(u));
     }
   }
 }
@@ -275,20 +269,17 @@ TEST(ScoringKernelParallelDeterminismTest, StarTopKIdenticalKernelOnOff) {
     const auto q = wg.RandomStarQuery(4, query::WorkloadOptions{});
     for (const StarStrategy strategy :
          {StarStrategy::kStark, StarStrategy::kStard, StarStrategy::kHybrid}) {
-      for (const int threads : {1, 4}) {
-        auto off_cfg = TestConfig(d);
-        off_cfg.threads = threads;
-        off_cfg.use_scoring_kernel = false;
-        auto on_cfg = off_cfg;
-        on_cfg.use_scoring_kernel = true;
-        ScorerFixture off(g, q, off_cfg);
-        ScorerFixture on(g, q, on_cfg);
-        StarSearch::Options so;
-        so.strategy = strategy;
-        StarSearch off_search(*off.scorer, core::MakeStarQuery(q), so);
-        StarSearch on_search(*on.scorer, core::MakeStarQuery(q), so);
-        ExpectSameStarMatches(off_search.TopK(10), on_search.TopK(10));
-      }
+      auto off_cfg = TestConfig(d);
+      off_cfg.use_scoring_kernel = false;
+      auto on_cfg = off_cfg;
+      on_cfg.use_scoring_kernel = true;
+      ScorerFixture off(g, q, off_cfg);
+      ScorerFixture on(g, q, on_cfg);
+      StarSearch::Options so;
+      so.strategy = strategy;
+      StarSearch off_search(*off.scorer, core::MakeStarQuery(q), so);
+      StarSearch on_search(*on.scorer, core::MakeStarQuery(q), so);
+      ExpectSameStarMatches(off_search.TopK(10), on_search.TopK(10));
     }
   }
 }
@@ -297,9 +288,7 @@ TEST(ScoringKernelParallelDeterminismTest, KernelStatsFlowIntoSearchStats) {
   const auto g = SmallRandomGraph(/*seed=*/41, /*nodes=*/40, /*edges=*/90);
   query::WorkloadGenerator wg(g, /*seed=*/23);
   const auto q = wg.RandomStarQuery(4, query::WorkloadOptions{});
-  auto cfg = TestConfig(/*d=*/2);
-  cfg.threads = 4;
-  ScorerFixture fx(g, q, cfg);
+  ScorerFixture fx(g, q, TestConfig(/*d=*/2));
   StarSearch search(*fx.scorer, core::MakeStarQuery(q), StarSearch::Options{});
   (void)search.TopK(5);
   const core::StarSearchStats& st = search.stats();

@@ -194,8 +194,8 @@ TEST(StarCacheTest, TopListKeepsTheDeeperRecording) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level identity: reuse on/off, cold/warm, across strategies,
-// thread counts, and single-/multi-star queries.
+// Engine-level identity: reuse on/off, cold/warm, across strategies and
+// single-/multi-star queries.
 // ---------------------------------------------------------------------------
 
 struct ReuseFixture {
@@ -240,16 +240,14 @@ QueryGraph StarOnlyQuery() {
   return q;
 }
 
-class StarReuseIdentityTest
-    : public ::testing::TestWithParam<std::tuple<StarStrategy, int>> {};
+class StarReuseIdentityTest : public ::testing::TestWithParam<StarStrategy> {
+};
 
 TEST_P(StarReuseIdentityTest, WarmRunsAreBitwiseIdenticalToCold) {
-  const auto [strategy, threads] = GetParam();
   ReuseFixture fx(MovieGraph());
   StarOptions base;
   base.match = TestConfig(1);
-  base.match.threads = threads;
-  base.strategy = strategy;
+  base.strategy = GetParam();
   const size_t k = 6;
 
   for (const QueryGraph& q : {StarOnlyQuery(), PathQuery()}) {
@@ -275,18 +273,13 @@ TEST_P(StarReuseIdentityTest, WarmRunsAreBitwiseIdenticalToCold) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    StrategiesAndThreads, StarReuseIdentityTest,
-    ::testing::Combine(::testing::Values(StarStrategy::kStark,
-                                         StarStrategy::kStard,
-                                         StarStrategy::kHybrid),
-                       ::testing::Values(1, 4)),
-    [](const ::testing::TestParamInfo<std::tuple<StarStrategy, int>>& info) {
-      const char* s = std::get<0>(info.param) == StarStrategy::kStark
-                          ? "Stark"
-                          : std::get<0>(info.param) == StarStrategy::kStard
-                                ? "Stard"
-                                : "Hybrid";
-      return std::string(s) + "T" + std::to_string(std::get<1>(info.param));
+    Strategies, StarReuseIdentityTest,
+    ::testing::Values(StarStrategy::kStark, StarStrategy::kStard,
+                      StarStrategy::kHybrid),
+    [](const ::testing::TestParamInfo<StarStrategy>& info) {
+      return std::string(info.param == StarStrategy::kStark   ? "Stark"
+                         : info.param == StarStrategy::kStard ? "Stard"
+                                                              : "Hybrid");
     });
 
 TEST(StarReuseIdentityTest, DeeperConsumersResumePastTheRecordedPrefix) {
@@ -543,11 +536,11 @@ TEST(CoalescingTest, LeaderExpiryPromotesALiveFollower) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency suite. Named *ParallelDeterminism* so it runs under the same
-// TSan CI filter as the other concurrent tests.
+// Concurrency suite: concurrent clients through the service's star cache
+// and coalescing. The TSan CI filter selects it (*StarReuse*).
 // ---------------------------------------------------------------------------
 
-TEST(StarReuseParallelDeterminismTest, TemplateSkewedClientsStayExact) {
+TEST(StarReuseConcurrencyTest, TemplateSkewedClientsStayExact) {
   ReuseFixture fx(SmallRandomGraph(11, 30, 60));
   serve::ServiceOptions so;
   so.star = ServeStarOptions();
@@ -604,7 +597,7 @@ TEST(StarReuseParallelDeterminismTest, TemplateSkewedClientsStayExact) {
       << "the skewed workload must actually exercise reuse";
 }
 
-TEST(StarReuseParallelDeterminismTest, ConcurrentInvalidationStaysExact) {
+TEST(StarReuseConcurrencyTest, ConcurrentInvalidationStaysExact) {
   ReuseFixture fx(MovieGraph());
   serve::ServiceOptions so;
   so.star = ServeStarOptions();

@@ -280,6 +280,49 @@ TEST(StarSearchTest, StarkBuildsNoMoreEnumeratorsThanHybrid) {
   }
 }
 
+// Star initialization scores a leaf only when some pivot reaches it: a
+// pivot's top-1 scan stops at its first empty leaf list. Here no leaf
+// candidate is adjacent to a pivot candidate, so every scan stops at the
+// first leaf in canonical edge order and no other leaf is ever scored.
+TEST(StarSearchTest, InitScoresLeavesLazily) {
+  graph::KnowledgeGraph::Builder b;
+  for (const char* town : {"Port Town North", "Port Town South"}) {
+    const graph::NodeId t = b.AddNode(town, "City");
+    b.AddEdge(t, b.AddNode("Qwxv Jjk", "Thing"), "near");
+  }
+  const graph::NodeId ada = b.AddNode("Ada Lovelace", "Person");
+  const graph::NodeId homer = b.AddNode("Homer Simpson", "Person");
+  const graph::NodeId carl = b.AddNode("Carl Gauss", "Person");
+  b.AddEdge(ada, homer, "knows");
+  b.AddEdge(homer, carl, "knows");
+  const auto g = std::move(b).Build();
+  query::QueryGraph q;
+  const int pivot = q.AddNode("Port Town");
+  for (const char* leaf : {"Ada Lovelace", "Homer Simpson", "Carl Gauss"}) {
+    q.AddEdge(pivot, q.AddNode(leaf));
+  }
+  for (const StarStrategy strategy :
+       {StarStrategy::kStark, StarStrategy::kStard}) {
+    ScorerFixture fx(g, q, TestConfig(/*d=*/1));
+    StarSearch::Options so;
+    so.strategy = strategy;
+    StarSearch search(*fx.scorer, MakeStarQuery(q), so);
+    EXPECT_TRUE(search.TopK(5).empty());
+    EXPECT_GE(search.stats().pivot_candidates, 2u);
+    const std::vector<int>& edges = search.star().edges;
+    ASSERT_EQ(edges.size(), 3u);
+    for (size_t i = 0; i < edges.size(); ++i) {
+      const int leaf = q.OtherEnd(edges[i], pivot);
+      EXPECT_EQ(fx.scorer->CandidatesIfReady(leaf) != nullptr, i == 0)
+          << "leaf " << q.node(leaf).label << " at edge position " << i;
+    }
+    // Every leaf has candidates: only laziness left them unscored.
+    for (int leaf = 1; leaf < q.node_count(); ++leaf) {
+      EXPECT_FALSE(fx.scorer->Candidates(leaf).empty()) << "leaf " << leaf;
+    }
+  }
+}
+
 TEST(StarSearchTest, WildcardLeafMatchesAnyNeighbor) {
   const auto g = MovieGraph();
   query::QueryGraph q;

@@ -248,9 +248,8 @@ uint64_t Bits(double x) {
 /// reference, bit for bit. Returns the reference for further checks.
 Reference ExpectEstimatesMatch(const graph::KnowledgeGraph& g,
                                const query::QueryGraph& q,
-                               scoring::MatchConfig cfg, int threads,
+                               const scoring::MatchConfig& cfg,
                                const std::string& context) {
-  cfg.threads = threads;
   ScorerFixture fx(g, q, cfg);
   StarSearch::Options so;
   so.strategy = StarStrategy::kStard;
@@ -351,16 +350,13 @@ TEST(StardEstimateTest, HubGraphMatchesPushReference) {
   for (const HubQuery& hq : HubQueries()) {
     for (const int d : {2, 3, 4}) {
       for (const bool injective : {true, false}) {
-        for (const int threads : {1, 4}) {
-          const std::string context =
-              std::string(hq.name) + " d=" + std::to_string(d) +
-              " injective=" + std::to_string(injective) +
-              " threads=" + std::to_string(threads);
-          const Reference ref = ExpectEstimatesMatch(
-              g, hq.q, TestConfig(d, injective), threads, context);
-          EXPECT_FALSE(ref.bounds.empty()) << context;
-          evictions += ref.evictions;
-        }
+        const std::string context =
+            std::string(hq.name) + " d=" + std::to_string(d) +
+            " injective=" + std::to_string(injective);
+        const Reference ref = ExpectEstimatesMatch(
+            g, hq.q, TestConfig(d, injective), context);
+        EXPECT_FALSE(ref.bounds.empty()) << context;
+        evictions += ref.evictions;
       }
     }
   }
@@ -375,16 +371,12 @@ TEST(StardEstimateTest, EmptyPivotListYieldsNoEstimates) {
   const int person = q.AddNode("Homer Simpson", "Person");
   q.AddEdge(pivot, person);
   for (const int d : {2, 3}) {
-    for (const int threads : {1, 4}) {
-      scoring::MatchConfig cfg = TestConfig(d);
-      cfg.threads = threads;
-      ScorerFixture fx(g, q, cfg);
-      ASSERT_TRUE(fx.scorer->Candidates(pivot).empty());
-      StarSearch search(*fx.scorer, MakeStarQuery(q), {});
-      EXPECT_TRUE(search.PivotBounds().empty());
-      EXPECT_FALSE(search.Next().has_value());
-      EXPECT_EQ(search.stats().pivot_candidates, 0u);
-    }
+    ScorerFixture fx(g, q, TestConfig(d));
+    ASSERT_TRUE(fx.scorer->Candidates(pivot).empty());
+    StarSearch search(*fx.scorer, MakeStarQuery(q), {});
+    EXPECT_TRUE(search.PivotBounds().empty());
+    EXPECT_FALSE(search.Next().has_value());
+    EXPECT_EQ(search.stats().pivot_candidates, 0u);
   }
 }
 
@@ -406,16 +398,13 @@ TEST(StardEstimateTest, RandomGraphsMatchPushReference) {
       const auto q = wg.RandomStarQuery(3 + i % 3, wo);
       for (const int d : {2, 3, 4}) {
         for (const bool injective : {true, false}) {
-          for (const int threads : {1, 4}) {
-            const std::string context =
-                "seed=" + std::to_string(seed) + " query=" + std::to_string(i) +
-                " d=" + std::to_string(d) +
-                " injective=" + std::to_string(injective) +
-                " threads=" + std::to_string(threads);
-            evictions += ExpectEstimatesMatch(g, q, TestConfig(d, injective),
-                                              threads, context)
-                             .evictions;
-          }
+          const std::string context =
+              "seed=" + std::to_string(seed) + " query=" + std::to_string(i) +
+              " d=" + std::to_string(d) +
+              " injective=" + std::to_string(injective);
+          evictions +=
+              ExpectEstimatesMatch(g, q, TestConfig(d, injective), context)
+                  .evictions;
         }
       }
     }

@@ -171,9 +171,8 @@ constexpr size_t kPulls = 25;
 /// stream against eager stark. Returns the reference for further checks.
 Reference ExpectMatchesEagerStark(const graph::KnowledgeGraph& g,
                                   const query::QueryGraph& q,
-                                  scoring::MatchConfig cfg, size_t k_hint,
-                                  int threads, const std::string& context) {
-  cfg.threads = threads;
+                                  const scoring::MatchConfig& cfg,
+                                  size_t k_hint, const std::string& context) {
   ScorerFixture fx(g, q, cfg);
   StarSearch::Options so;
   so.strategy = StarStrategy::kStark;
@@ -213,24 +212,21 @@ Reference ExpectMatchesEagerStark(const graph::KnowledgeGraph& g,
 }
 
 /// Every setting the tests cover: d = 1..3, injective on and off, k_hint 0
-/// and 3, threads 1 and 4. Accumulates collisions and matched pivots.
+/// and 3. Accumulates collisions and matched pivots.
 void ForEachSetting(const graph::KnowledgeGraph& g, const query::QueryGraph& q,
                     const std::string& name, size_t* collisions,
                     size_t* matched) {
   for (const int d : {1, 2, 3}) {
     for (const bool injective : {true, false}) {
       for (const size_t k_hint : {size_t{0}, size_t{3}}) {
-        for (const int threads : {1, 4}) {
-          const std::string context =
-              name + " d=" + std::to_string(d) +
-              " injective=" + std::to_string(injective) +
-              " k_hint=" + std::to_string(k_hint) +
-              " threads=" + std::to_string(threads);
-          const Reference ref = ExpectMatchesEagerStark(
-              g, q, TestConfig(d, injective), k_hint, threads, context);
-          *collisions += ref.collisions;
-          *matched += ref.bounds.size();
-        }
+        const std::string context =
+            name + " d=" + std::to_string(d) +
+            " injective=" + std::to_string(injective) +
+            " k_hint=" + std::to_string(k_hint);
+        const Reference ref = ExpectMatchesEagerStark(
+            g, q, TestConfig(d, injective), k_hint, context);
+        *collisions += ref.collisions;
+        *matched += ref.bounds.size();
       }
     }
   }
@@ -342,8 +338,8 @@ TEST(StarkTop1Test, CollidingFirstStatesFallBackToTheEnumerator) {
   size_t collisions = 0, matched = 0;
   ForEachSetting(g, q, "collisions", &collisions, &matched);
   // Every town collides (both leaves prefer the same person) in each of
-  // the 4 injective settings of each d.
-  EXPECT_EQ(collisions, 3u * 4u * 24u);
+  // the 2 injective settings (k_hint 0 and 3) of each d.
+  EXPECT_EQ(collisions, 3u * 2u * 24u);
   EXPECT_GT(matched, 0u);
 }
 
@@ -381,31 +377,28 @@ TEST(StarkTop1Test, PreCancelledTokenBuildsNothing) {
   const int person = q.AddNode("Homer Simpson", "Person");
   q.AddEdge(city, person, "livesIn");
   for (const int d : {1, 2}) {
-    for (const int threads : {1, 4}) {
-      scoring::MatchConfig cfg = TestConfig(d);
-      cfg.threads = threads;
-      ScorerFixture ref_fx(g, q, cfg);
-      StarSearch::Options ref_so;
-      ref_so.strategy = StarStrategy::kStark;
-      StarSearch exact(*ref_fx.scorer, MakeStarQuery(q), ref_so);
-      const auto best = exact.Next();
-      ASSERT_TRUE(best.has_value());
+    const scoring::MatchConfig cfg = TestConfig(d);
+    ScorerFixture ref_fx(g, q, cfg);
+    StarSearch::Options ref_so;
+    ref_so.strategy = StarStrategy::kStark;
+    StarSearch exact(*ref_fx.scorer, MakeStarQuery(q), ref_so);
+    const auto best = exact.Next();
+    ASSERT_TRUE(best.has_value());
 
-      Cancellation cancel;
-      cancel.Cancel();
-      ScorerFixture fx(g, q, cfg);
-      StarSearch::Options so;
-      so.strategy = StarStrategy::kStark;
-      so.cancel = &cancel;
-      StarSearch search(*fx.scorer, MakeStarQuery(q), so);
-      EXPECT_TRUE(search.PivotBounds().empty());
-      EXPECT_FALSE(search.Next().has_value());
-      EXPECT_TRUE(search.stats().cancelled);
-      EXPECT_EQ(search.stats().enumerators_built, 0u);
-      EXPECT_EQ(search.stats().nodes_expanded, 0u);
-      // The bound stays sound: the a-priori cap covers the best match.
-      EXPECT_GE(search.UpperBound(), best->score);
-    }
+    Cancellation cancel;
+    cancel.Cancel();
+    ScorerFixture fx(g, q, cfg);
+    StarSearch::Options so;
+    so.strategy = StarStrategy::kStark;
+    so.cancel = &cancel;
+    StarSearch search(*fx.scorer, MakeStarQuery(q), so);
+    EXPECT_TRUE(search.PivotBounds().empty());
+    EXPECT_FALSE(search.Next().has_value());
+    EXPECT_TRUE(search.stats().cancelled);
+    EXPECT_EQ(search.stats().enumerators_built, 0u);
+    EXPECT_EQ(search.stats().nodes_expanded, 0u);
+    // The bound stays sound: the a-priori cap covers the best match.
+    EXPECT_GE(search.UpperBound(), best->score);
   }
 }
 

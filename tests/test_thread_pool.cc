@@ -1,126 +1,12 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
-#include <cstdint>
-#include <mutex>
-#include <stdexcept>
 #include <thread>
-#include <utility>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 namespace star {
 namespace {
-
-TEST(StarThreadsTest, AtLeastOne) {
-  EXPECT_GE(StarThreads(), 1);
-}
-
-TEST(ResolveThreadsTest, HonorsExplicitAndAuto) {
-  EXPECT_EQ(ResolveThreads(1), 1);
-  EXPECT_EQ(ResolveThreads(7), 7);
-  EXPECT_EQ(ResolveThreads(0), StarThreads());
-  EXPECT_EQ(ResolveThreads(-3), StarThreads());
-}
-
-TEST(ParallelForTest, EmptyRangeNeverInvokesBody) {
-  bool called = false;
-  ParallelFor(0, 4, [&](size_t, size_t, int) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ParallelForTest, SerialFallbackRunsInlineAsOneChunk) {
-  const std::thread::id caller = std::this_thread::get_id();
-  size_t calls = 0;
-  ParallelFor(100, 1, [&](size_t begin, size_t end, int chunk) {
-    ++calls;
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 100u);
-    EXPECT_EQ(chunk, 0);
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-  });
-  EXPECT_EQ(calls, 1u);
-}
-
-TEST(ParallelForTest, CoversRangeExactlyOnce) {
-  for (const int threads : {2, 3, 4, 8}) {
-    for (const size_t n : {size_t{1}, size_t{5}, size_t{64}, size_t{1000}}) {
-      std::vector<std::atomic<uint32_t>> hits(n);
-      for (auto& h : hits) h.store(0);
-      ParallelFor(n, threads, [&](size_t begin, size_t end, int) {
-        for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-      });
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(hits[i].load(), 1u) << "n=" << n << " threads=" << threads
-                                      << " index=" << i;
-      }
-    }
-  }
-}
-
-TEST(ParallelForTest, PartitionIsDeterministic) {
-  const auto chunks_of = [](size_t n, int threads) {
-    std::mutex mu;
-    std::vector<std::pair<size_t, size_t>> chunks;
-    ParallelFor(n, threads, [&](size_t begin, size_t end, int chunk) {
-      std::lock_guard<std::mutex> lock(mu);
-      if (chunks.size() <= static_cast<size_t>(chunk)) {
-        chunks.resize(static_cast<size_t>(chunk) + 1);
-      }
-      chunks[static_cast<size_t>(chunk)] = {begin, end};
-    });
-    return chunks;
-  };
-  // Same (n, threads) must always produce the same chunk boundaries —
-  // this is what makes chunk-ordered reductions reproducible.
-  EXPECT_EQ(chunks_of(103, 4), chunks_of(103, 4));
-  // Chunks are contiguous and ordered by chunk index.
-  const auto chunks = chunks_of(103, 4);
-  ASSERT_EQ(chunks.size(), 4u);
-  size_t expect_begin = 0;
-  for (const auto& [begin, end] : chunks) {
-    EXPECT_EQ(begin, expect_begin);
-    EXPECT_GE(end, begin);
-    expect_begin = end;
-  }
-  EXPECT_EQ(expect_begin, 103u);
-}
-
-TEST(ParallelForTest, ExceptionsPropagateToCaller) {
-  EXPECT_THROW(
-      ParallelFor(100, 4,
-                  [&](size_t begin, size_t, int) {
-                    if (begin == 0) throw std::runtime_error("chunk failure");
-                  }),
-      std::runtime_error);
-  // Exceptions from pool-worker chunks (not the caller's chunk 0) also
-  // arrive, and the pool stays usable afterwards.
-  EXPECT_THROW(ParallelFor(100, 4,
-                           [&](size_t begin, size_t, int) {
-                             if (begin != 0) throw std::runtime_error("boom");
-                           }),
-               std::runtime_error);
-  std::atomic<size_t> total(0);
-  ParallelFor(50, 4, [&](size_t begin, size_t end, int) {
-    total.fetch_add(end - begin);
-  });
-  EXPECT_EQ(total.load(), 50u);
-}
-
-TEST(ParallelForTest, NestedCallsRunInlineWithoutDeadlock) {
-  std::atomic<size_t> inner_total(0);
-  ParallelFor(8, 4, [&](size_t begin, size_t end, int) {
-    for (size_t i = begin; i < end; ++i) {
-      // A nested ParallelFor from a worker must not wait on the (busy)
-      // pool; it degrades to an inline loop.
-      ParallelFor(10, 4, [&](size_t b, size_t e, int) {
-        inner_total.fetch_add(e - b);
-      });
-    }
-  });
-  EXPECT_EQ(inner_total.load(), 80u);
-}
 
 TEST(ThreadPoolTest, EnsureWorkersGrowsAndClamps) {
   ThreadPool pool(2);
@@ -136,14 +22,14 @@ TEST(ThreadPoolTest, EnsureWorkersGrowsAndClamps) {
 TEST(ThreadPoolTest, SubmitRunsOnWorkerThread) {
   ThreadPool pool(1);
   std::atomic<bool> ran(false);
-  std::atomic<bool> on_worker(false);
+  std::atomic<bool> on_caller(true);
+  const std::thread::id caller = std::this_thread::get_id();
   pool.Submit([&] {
-    on_worker.store(pool.InWorkerThread());
+    on_caller.store(std::this_thread::get_id() == caller);
     ran.store(true);
   });
   while (!ran.load()) std::this_thread::yield();
-  EXPECT_TRUE(on_worker.load());
-  EXPECT_FALSE(pool.InWorkerThread());
+  EXPECT_FALSE(on_caller.load());
 }
 
 }  // namespace
