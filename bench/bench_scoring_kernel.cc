@@ -1,31 +1,29 @@
-// Threshold-aware scoring kernel vs the canonical Score() path, with the
-// bit-identity contract checked in-bench. Four measurements on the
-// DBpediaLike preset:
+// The batch scoring kernel vs the canonical Score() path, with the
+// bit-identity contract checked in-bench. Two parts on the DBpediaLike
+// preset:
 //
-//   1. per-pair: one query label against every graph label — Score(),
-//      kernel exact mode (query side prepared once, allocation-free data
-//      side), and kernel thresholded mode (weight-ordered early exit at
-//      the candidate threshold).
-//   2. bulk scan: Candidates() with no index (the paper's O(|V|) base
-//      case, candidate scoring is the whole cost), kernel off vs on.
-//   3. bulk indexed: Candidates() with the token/type index attached.
-//   4. bulk batch: the scalar kernel ON in both passes, only the SoA
-//      batched scorer toggled — isolates the batch layer's contribution.
+//   1. timing: per pair, one query label against every graph label —
+//      Score(), and the batch kernel (query side prepared once,
+//      allocation-free data side, kBatchLanes lanes a call) in exact mode
+//      and against the candidate threshold; in bulk, every query node's
+//      candidate list without and with the label index, built from
+//      Score() over the scorer's retrieval pool
+//      (testing::CandidatesFromScore) and by QueryScorer::Candidates().
+//   2. identity: Score() against the canonical Features()·weights sum,
+//      and the batch kernel against Score() bitwise, over (query label,
+//      graph label), (relation label, relation name) and (label, label)
+//      pairs with labels of 63..130 bytes — both sides of the 64-byte
+//      word of the bit-parallel alignment features — and pairs of labels
+//      with repeated tokens, numeral forms and thesaurus terms, the
+//      vocabulary of the kernel's token table and its synonym and numeral
+//      features; every query node's real RankedCandidates pool
+//      batch-scored with its retrieval facts (shares_token) at the
+//      threshold, where accepted values must be Score() bitwise and
+//      rejected pairs truly below; and the timed candidate lists, which
+//      must agree in ids and score bits.
 //
-// An untimed identity sweep checks Score() against the canonical
-// Features()·weights sum, and both kernels against Score() bitwise, over
-// (query label, graph label), (relation label, relation name) and
-// (label, label) pairs with labels of 63..130 bytes — both sides of the
-// 64-byte word of the bit-parallel alignment features — and pairs of
-// labels with repeated tokens, numeral forms and thesaurus terms, the
-// vocabulary of the kernel's token table and its synonym and numeral
-// features. A further sweep
-// batch-scores every query node's real RankedCandidates pool with its
-// retrieval facts (shares_token) at the threshold: accepted values must
-// be Score() bitwise, rejected pairs truly below. Both bulk passes must
-// produce byte-identical candidate lists; any mismatch fails the run
-// (nonzero exit). Output is one JSON object so runs can be
-// committed/diffed (BENCH_scoring.json).
+// Any mismatch fails the run (nonzero exit). Output is one JSON object so
+// runs can be committed/diffed (BENCH_scoring.json).
 //
 // Environment overrides (also see bench_util.h):
 //   STAR_BENCH_NODES    dataset size (default 20000)
@@ -41,7 +39,7 @@
 
 #include "bench_util.h"
 #include "common/string_util.h"
-#include "core/star_search.h"
+#include "testing/differential.h"
 
 namespace star::bench {
 namespace {
@@ -77,24 +75,43 @@ std::vector<std::string> QueryLabels(
   return labels;
 }
 
+/// Every graph label through the batch kernel, kBatchLanes at a time.
+double KernelPass(const text::SimilarityEnsemble& e,
+                  const text::SimilarityEnsemble::PreparedLabelBatch& p,
+                  const std::vector<std::string_view>& data, double threshold,
+                  text::KernelStats* stats) {
+  constexpr size_t kLanes = text::SimilarityEnsemble::kBatchLanes;
+  double sink = 0.0;
+  double out[kLanes];
+  for (size_t lo = 0; lo < data.size(); lo += kLanes) {
+    const size_t count = std::min(kLanes, data.size() - lo);
+    e.ScoreBatchAgainstThreshold(p, data.data() + lo, count, threshold, -1,
+                                 nullptr, out, stats);
+    for (size_t l = 0; l < count; ++l) sink += out[l];
+  }
+  return sink;
+}
+
 PairBench RunPairBench(const Dataset& d,
                        const std::vector<std::string>& labels,
                        double threshold) {
   const text::SimilarityEnsemble& e = *d.ensemble;
   PairBench r;
-  std::vector<text::SimilarityEnsemble::PreparedLabel> prepared;
+  std::vector<text::SimilarityEnsemble::PreparedLabelBatch> prepared;
   prepared.reserve(labels.size());
   for (const auto& l : labels) prepared.push_back(e.Prepare(l));
+  std::vector<std::string_view> data;
+  for (graph::NodeId v = 0; v < d.graph.node_count(); ++v) {
+    data.push_back(d.graph.NodeLabel(v));
+  }
 
   // Timed passes. The canonical path re-derives the query side per pair;
-  // the kernel paths share the PreparedLabel built once above.
+  // the kernel passes share the views prepared once above.
   {
     WallTimer t;
     double sink = 0.0;
     for (const auto& l : labels) {
-      for (graph::NodeId v = 0; v < d.graph.node_count(); ++v) {
-        sink += e.Score(l, d.graph.NodeLabel(v));
-      }
+      for (const std::string_view label : data) sink += e.Score(l, label);
     }
     r.score_ms = t.ElapsedMillis();
     if (sink < 0) std::printf("%f", sink);  // keep the loop alive
@@ -103,10 +120,8 @@ PairBench RunPairBench(const Dataset& d,
     WallTimer t;
     double sink = 0.0;
     for (const auto& p : prepared) {
-      for (graph::NodeId v = 0; v < d.graph.node_count(); ++v) {
-        sink += e.ScoreAgainstThreshold(
-            p, d.graph.NodeLabel(v), text::SimilarityEnsemble::kNoThreshold);
-      }
+      sink += KernelPass(e, p, data, text::SimilarityEnsemble::kNoThreshold,
+                         nullptr);
     }
     r.kernel_exact_ms = t.ElapsedMillis();
     if (sink < 0) std::printf("%f", sink);
@@ -115,14 +130,12 @@ PairBench RunPairBench(const Dataset& d,
     WallTimer t;
     double sink = 0.0;
     for (const auto& p : prepared) {
-      for (graph::NodeId v = 0; v < d.graph.node_count(); ++v) {
-        sink += e.ScoreAgainstThreshold(p, d.graph.NodeLabel(v), threshold);
-      }
+      sink += KernelPass(e, p, data, threshold, &r.stats);
     }
     r.kernel_thresh_ms = t.ElapsedMillis();
     if (sink < 0) std::printf("%f", sink);
   }
-  r.pairs = labels.size() * d.graph.node_count();
+  r.pairs = labels.size() * data.size();
   return r;
 }
 
@@ -134,18 +147,16 @@ bool Sound(double value, double canonical, double threshold) {
 
 /// Untimed identity sweep over queries x data: Score() against the
 /// canonical Features()·weights sum (case-insensitively equal non-empty
-/// labels score exactly 1), and the scalar and batch kernels against
-/// Score() in exact and thresholded mode. `stats` (nullable) collects the
-/// scalar thresholded kernel's counters.
+/// labels score exactly 1), and the batch kernel against Score() in exact
+/// and thresholded mode.
 void SweepIdentity(const text::SimilarityEnsemble& e,
                    const std::vector<std::string>& queries,
                    const std::vector<std::string_view>& data,
-                   double threshold, Identity* id, text::KernelStats* stats) {
+                   double threshold, Identity* id) {
   using text::SimilarityEnsemble;
   constexpr size_t kLanes = SimilarityEnsemble::kBatchLanes;
   for (const std::string& q : queries) {
-    const auto prepared = e.Prepare(q);
-    const auto batch = e.PrepareBatch(q);
+    const auto batch = e.Prepare(q);
     const std::string q_lower = ToLower(q);
     for (size_t lo = 0; lo < data.size(); lo += kLanes) {
       const size_t count = std::min(kLanes, data.size() - lo);
@@ -165,13 +176,8 @@ void SweepIdentity(const text::SimilarityEnsemble& e,
         }
         if (!q.empty() && q_lower == ToLower(d)) sum = 1.0;
         id->features_sum &= std::abs(canonical - sum) <= 1e-12;
-        const double exact = e.ScoreAgainstThreshold(
-            prepared, d, SimilarityEnsemble::kNoThreshold);
-        const double thresh =
-            e.ScoreAgainstThreshold(prepared, d, threshold, -1, -1, stats);
-        id->exact_bitwise &= exact == canonical && batch_exact[l] == canonical;
-        id->accepted_bitwise &= Sound(thresh, canonical, threshold) &&
-                                Sound(batch_thresh[l], canonical, threshold);
+        id->exact_bitwise &= batch_exact[l] == canonical;
+        id->accepted_bitwise &= Sound(batch_thresh[l], canonical, threshold);
         ++id->pairs;
       }
     }
@@ -200,7 +206,7 @@ void SweepPools(const Dataset& d,
           qn.type_name.empty() ? -1 : g.FindTypeId(qn.type_name);
       std::vector<uint8_t> shares;
       const auto pool = d.index->RankedCandidates(qn.label, gt, cap, &shares);
-      const auto batch = e.PrepareBatch(qn.label);
+      const auto batch = e.Prepare(qn.label);
       const int query_type = onto_type(qn.type_name);
       for (size_t lo = 0; lo < pool.size(); lo += kLanes) {
         const size_t count = std::min(kLanes, pool.size() - lo);
@@ -270,15 +276,13 @@ std::vector<std::string> VocabularyLabels(const graph::KnowledgeGraph& g) {
   return out;
 }
 
-/// The five identity sweeps: query labels against every graph label
-/// (kernel counters from this one), relation labels against every
-/// relation name, long labels against long and short ones, vocabulary
-/// labels against themselves and graph labels, and the query nodes'
-/// retrieval pools with their facts.
+/// The five pair sweeps: query labels against every graph label,
+/// relation labels against every relation name, long labels against long
+/// and short ones, vocabulary labels against themselves and graph labels,
+/// and the query nodes' retrieval pools with their facts.
 Identity RunIdentity(const Dataset& d, const std::vector<std::string>& labels,
                      const std::vector<query::QueryGraph>& queries,
-                     double threshold, size_t retrieval_cap,
-                     text::KernelStats* stats) {
+                     double threshold, size_t retrieval_cap) {
   const text::SimilarityEnsemble& e = *d.ensemble;
   const graph::KnowledgeGraph& g = d.graph;
   Identity id;
@@ -286,7 +290,7 @@ Identity RunIdentity(const Dataset& d, const std::vector<std::string>& labels,
   for (graph::NodeId v = 0; v < g.node_count(); ++v) {
     node_labels.push_back(g.NodeLabel(v));
   }
-  SweepIdentity(e, labels, node_labels, threshold, &id, stats);
+  SweepIdentity(e, labels, node_labels, threshold, &id);
 
   std::vector<std::string> relation_labels;
   std::vector<std::string_view> relation_names;
@@ -301,7 +305,7 @@ Identity RunIdentity(const Dataset& d, const std::vector<std::string>& labels,
       }
     }
   }
-  SweepIdentity(e, relation_labels, relation_names, threshold, &id, nullptr);
+  SweepIdentity(e, relation_labels, relation_names, threshold, &id);
 
   std::vector<std::string> long_queries = LongLabels(g, 40);
   std::vector<std::string_view> long_data(long_queries.begin(),
@@ -310,7 +314,7 @@ Identity RunIdentity(const Dataset& d, const std::vector<std::string>& labels,
                    node_labels.begin() +
                        std::min<size_t>(256, node_labels.size()));
   long_queries.insert(long_queries.end(), labels.begin(), labels.end());
-  SweepIdentity(e, long_queries, long_data, threshold, &id, nullptr);
+  SweepIdentity(e, long_queries, long_data, threshold, &id);
 
   const std::vector<std::string> vocabulary = VocabularyLabels(g);
   std::vector<std::string_view> vocabulary_data(vocabulary.begin(),
@@ -318,70 +322,55 @@ Identity RunIdentity(const Dataset& d, const std::vector<std::string>& labels,
   vocabulary_data.insert(vocabulary_data.end(), node_labels.begin(),
                          node_labels.begin() +
                              std::min<size_t>(256, node_labels.size()));
-  SweepIdentity(e, vocabulary, vocabulary_data, threshold, &id, nullptr);
+  SweepIdentity(e, vocabulary, vocabulary_data, threshold, &id);
   SweepPools(d, queries, threshold, retrieval_cap, &id);
   return id;
 }
 
 struct BulkBench {
-  double off_ms = 0.0;
-  double on_ms = 0.0;
+  double score_ms = 0.0;
+  double kernel_ms = 0.0;
   bool identical = true;
   size_t candidates = 0;
 };
 
-template <typename A, typename B>
-bool SameCandidates(const A& a, const B& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].node != b[i].node || a[i].score != b[i].score) return false;
-  }
-  return true;
-}
-
-/// Full Candidates() pass over every query node of every query, with a
-/// fresh scorer per query (online scoring is the measured cost). When
-/// `toggle_batch` is set the scalar kernel stays ON in both passes and
-/// only the SoA batch layer is toggled, isolating the batch kernel's
-/// contribution from the scalar early-exit kernel's.
+/// Every non-wildcard query node's candidate list, built from Score()
+/// over the scorer's retrieval pool and then by Candidates() on the batch
+/// kernel, each with a fresh scorer per query (online scoring is the
+/// measured cost). The two lists must agree in ids and score bits.
 BulkBench RunBulkBench(const Dataset& d,
                        const std::vector<query::QueryGraph>& queries,
-                       bool with_index, bool toggle_batch = false) {
+                       bool with_index) {
   BulkBench r;
-  const auto base = BenchConfig(/*d=*/2);
+  const auto cfg = BenchConfig(/*d=*/2);
   const graph::LabelIndex* index = with_index ? d.index.get() : nullptr;
   for (const auto& q : queries) {
-    auto off_cfg = base;
-    auto on_cfg = base;
-    if (toggle_batch) {
-      off_cfg.use_scoring_kernel = true;
-      off_cfg.use_batch_kernel = false;
-      on_cfg.use_scoring_kernel = true;
-      on_cfg.use_batch_kernel = true;
-    } else {
-      off_cfg.use_scoring_kernel = false;
-      on_cfg.use_scoring_kernel = true;
-    }
-
-    std::vector<std::vector<scoring::ScoredCandidate>> off_lists;
+    std::vector<std::vector<scoring::ScoredCandidate>> want(q.node_count());
     {
       WallTimer t;
-      scoring::QueryScorer scorer(d.graph, q, *d.ensemble, off_cfg, index);
+      const scoring::QueryScorer scorer(d.graph, q, *d.ensemble, cfg, index);
       for (int u = 0; u < q.node_count(); ++u) {
-        const auto& list = scorer.Candidates(u);
-        off_lists.emplace_back(list.begin(), list.end());
+        if (q.node(u).wildcard) continue;
+        want[size_t(u)] = testing::CandidatesFromScore(scorer, *d.ensemble, u);
       }
-      r.off_ms += t.ElapsedMillis();
+      r.score_ms += t.ElapsedMillis();
     }
     {
       WallTimer t;
-      scoring::QueryScorer scorer(d.graph, q, *d.ensemble, on_cfg, index);
+      const scoring::QueryScorer scorer(d.graph, q, *d.ensemble, cfg, index);
       for (int u = 0; u < q.node_count(); ++u) {
-        const auto& on_list = scorer.Candidates(u);
-        r.identical &= SameCandidates(off_lists[size_t(u)], on_list);
-        r.candidates += on_list.size();
+        if (q.node(u).wildcard) continue;
+        const auto& got = scorer.Candidates(u);
+        const auto& w = want[size_t(u)];
+        r.identical &= std::equal(
+            got.begin(), got.end(), w.begin(), w.end(),
+            [](const scoring::ScoredCandidate& a,
+               const scoring::ScoredCandidate& b) {
+              return a.node == b.node && a.score == b.score;
+            });
+        r.candidates += got.size();
       }
-      r.on_ms += t.ElapsedMillis();
+      r.kernel_ms += t.ElapsedMillis();
     }
   }
   return r;
@@ -414,18 +403,15 @@ int main() {
   }
   const auto labels = QueryLabels(queries);
 
-  PairBench pair = RunPairBench(d, labels, threshold);
-  const Identity identity = RunIdentity(
-      d, labels, queries, threshold, BenchConfig(2).max_retrieval, &pair.stats);
+  const PairBench pair = RunPairBench(d, labels, threshold);
+  const Identity identity = RunIdentity(d, labels, queries, threshold,
+                                        BenchConfig(2).max_retrieval);
   const BulkBench scan = RunBulkBench(d, queries, /*with_index=*/false);
   const BulkBench indexed = RunBulkBench(d, queries, /*with_index=*/true);
-  const BulkBench batch = RunBulkBench(d, queries, /*with_index=*/false,
-                                       /*toggle_batch=*/true);
 
   const bool ok = identity.features_sum && identity.exact_bitwise &&
                   identity.accepted_bitwise && identity.pool_facts_sound &&
-                  scan.identical &&
-                  indexed.identical && batch.identical;
+                  scan.identical && indexed.identical;
 
   std::printf("{\n");
   std::printf("  \"bench\": \"scoring_kernel\",\n");
@@ -451,24 +437,21 @@ int main() {
               static_cast<unsigned long long>(pair.stats.early_exits),
               static_cast<unsigned long long>(pair.stats.features_evaluated),
               static_cast<unsigned long long>(pair.stats.features_skipped));
-  std::printf("  \"bulk_scan\": {\"kernel_off_ms\": %.1f, \"kernel_on_ms\": %.1f, \"speedup\": %.2f, \"candidates\": %zu},\n",
-              scan.off_ms, scan.on_ms, Speedup(scan.off_ms, scan.on_ms),
-              scan.candidates);
-  std::printf("  \"bulk_indexed\": {\"kernel_off_ms\": %.1f, \"kernel_on_ms\": %.1f, \"speedup\": %.2f, \"candidates\": %zu},\n",
-              indexed.off_ms, indexed.on_ms,
-              Speedup(indexed.off_ms, indexed.on_ms), indexed.candidates);
-  std::printf("  \"bulk_batch\": {\"batch_off_ms\": %.1f, \"batch_on_ms\": %.1f, \"speedup\": %.2f, \"candidates\": %zu},\n",
-              batch.off_ms, batch.on_ms, Speedup(batch.off_ms, batch.on_ms),
-              batch.candidates);
-  std::printf("  \"identity\": {\"pairs\": %zu, \"features_sum\": %s, \"exact_bitwise\": %s, \"accepted_bitwise\": %s, \"pool_pairs\": %zu, \"pool_disjoint_pairs\": %zu, \"pool_facts_sound\": %s, \"bulk_scan_identical\": %s, \"bulk_indexed_identical\": %s, \"bulk_batch_identical\": %s}\n",
+  std::printf("  \"bulk_scan\": {\"score_ms\": %.1f, \"kernel_ms\": %.1f, \"speedup\": %.2f, \"candidates\": %zu},\n",
+              scan.score_ms, scan.kernel_ms,
+              Speedup(scan.score_ms, scan.kernel_ms), scan.candidates);
+  std::printf("  \"bulk_indexed\": {\"score_ms\": %.1f, \"kernel_ms\": %.1f, \"speedup\": %.2f, \"candidates\": %zu},\n",
+              indexed.score_ms, indexed.kernel_ms,
+              Speedup(indexed.score_ms, indexed.kernel_ms),
+              indexed.candidates);
+  std::printf("  \"identity\": {\"pairs\": %zu, \"features_sum\": %s, \"exact_bitwise\": %s, \"accepted_bitwise\": %s, \"pool_pairs\": %zu, \"pool_disjoint_pairs\": %zu, \"pool_facts_sound\": %s, \"lists_scan_identical\": %s, \"lists_indexed_identical\": %s}\n",
               identity.pairs, identity.features_sum ? "true" : "false",
               identity.exact_bitwise ? "true" : "false",
               identity.accepted_bitwise ? "true" : "false",
               identity.pool_pairs, identity.pool_disjoint_pairs,
               identity.pool_facts_sound ? "true" : "false",
               scan.identical ? "true" : "false",
-              indexed.identical ? "true" : "false",
-              batch.identical ? "true" : "false");
+              indexed.identical ? "true" : "false");
   std::printf("}\n");
 
   std::fprintf(stderr, "identity: %s\n",

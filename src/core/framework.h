@@ -45,11 +45,10 @@ struct StarOptions {
 
 /// Serializes every StarOptions field that can change results (bit-exact
 /// doubles), plus whether a label index is attached — the retrieval
-/// semantics differ with and without one. `use_scoring_kernel`,
-/// `use_batch_kernel` and `use_pruned_retrieval` are deliberately
-/// excluded: all three carry a bit-identity contract (DESIGN.md "Scoring
-/// kernel" / "Memory layout & batched scoring" / "Bound-driven
-/// retrieval"), so results are interchangeable across their settings.
+/// semantics differ with and without one. `use_pruned_retrieval` is
+/// deliberately excluded: it carries a bit-identity contract (DESIGN.md
+/// "Bound-driven retrieval"), so results are interchangeable across its
+/// settings.
 /// Used as the config segment of serve-layer cache keys and of ReuseCache
 /// keys.
 std::string StarOptionsFingerprint(const StarOptions& o, bool has_index);

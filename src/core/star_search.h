@@ -65,9 +65,9 @@ struct StarSearchStats {
   double init_cpu_ms = 0.0;
 
   /// Scoring-kernel activity during Initialize() (deltas of the scorer's
-  /// KernelStats): F_N pairs pushed through the threshold-aware kernel,
-  /// how many exited early, and feature evaluations performed vs skipped
-  /// by the weight-ordered bound. All zero when the kernel is disabled.
+  /// KernelStats): F_N pairs pushed through the batch kernel, how many
+  /// exited early, and feature evaluations performed vs skipped by the
+  /// per-lane caps.
   size_t fn_pairs_scored = 0;
   size_t fn_early_exits = 0;
   size_t fn_feature_evals = 0;

@@ -56,7 +56,7 @@ Status SaveGraphToFile(const KnowledgeGraph& g, const std::string& path) {
   return SaveGraph(g, out);
 }
 
-Result<KnowledgeGraph> LoadGraph(std::istream& in, GraphLayout layout) {
+Result<KnowledgeGraph> LoadGraph(std::istream& in) {
   // Slurp once; the buffer is the only size-dependent allocation the parse
   // itself makes (lines are viewed, records counted, builder pre-sized).
   const std::string buf{std::istreambuf_iterator<char>(in),
@@ -117,14 +117,13 @@ Result<KnowledgeGraph> LoadGraph(std::istream& in, GraphLayout layout) {
       return fail("unknown record type '" + fields[0] + "'");
     }
   }
-  return std::move(builder).Build(layout);
+  return std::move(builder).Build();
 }
 
-Result<KnowledgeGraph> LoadGraphFromFile(const std::string& path,
-                                         GraphLayout layout) {
+Result<KnowledgeGraph> LoadGraphFromFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open for reading: " + path);
-  return LoadGraph(in, layout);
+  return LoadGraph(in);
 }
 
 }  // namespace star::graph

@@ -32,12 +32,10 @@ Status SaveGraphToFile(const KnowledgeGraph& g, const std::string& path);
 /// on malformed input. The loader slurps the stream once, counts records,
 /// and pre-sizes the builder (Builder::Reserve), so arrays never reallocate
 /// during the build regardless of file size.
-Result<KnowledgeGraph> LoadGraph(std::istream& in,
-                                 GraphLayout layout = GraphLayout::kFlat);
+Result<KnowledgeGraph> LoadGraph(std::istream& in);
 
 /// Reads a graph from a file path.
-Result<KnowledgeGraph> LoadGraphFromFile(
-    const std::string& path, GraphLayout layout = GraphLayout::kFlat);
+Result<KnowledgeGraph> LoadGraphFromFile(const std::string& path);
 
 }  // namespace star::graph
 

@@ -35,7 +35,7 @@ struct GraphStats {
   /// Most frequent node types / relation labels with their counts.
   std::vector<std::pair<std::string, size_t>> top_types;
   std::vector<std::pair<std::string, size_t>> top_relations;
-  /// Resident bytes per structure under the graph's layout.
+  /// Resident bytes per structure.
   GraphFootprint footprint;
 };
 

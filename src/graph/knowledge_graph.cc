@@ -5,54 +5,9 @@
 #include <limits>
 #include <utility>
 
-#include "graph/csr_codec.h"
-
 namespace star::graph {
 
 namespace {
-
-// Thread-local free list of decode scratch buffers for compressed-layout
-// NeighborView. Callers routinely hold one view while issuing nested
-// Neighbors() calls of unbounded depth (walk balls, pair-edge scoring), so
-// a single reusable scratch is not enough; a pool of independently owned
-// buffers is, and after warmup every acquire is a pop (allocation-free).
-class DecodePool {
- public:
-  ~DecodePool() {
-    for (std::vector<Neighbor>* buf : free_) delete buf;
-  }
-
-  std::vector<Neighbor>* Acquire(size_t n) {
-    std::vector<Neighbor>* buf;
-    if (free_.empty()) {
-      buf = new std::vector<Neighbor>();
-    } else {
-      buf = free_.back();
-      free_.pop_back();
-    }
-    if (buf->size() < n) buf->resize(n);
-    return buf;
-  }
-
-  void Release(std::vector<Neighbor>* buf) {
-    if (free_.size() >= kMaxPooled) {
-      delete buf;
-      return;
-    }
-    free_.push_back(buf);
-  }
-
- private:
-  // Bounds per-thread retained scratch; deeper nesting falls back to the
-  // allocator. 64 far exceeds any real expansion depth.
-  static constexpr size_t kMaxPooled = 64;
-  std::vector<std::vector<Neighbor>*> free_;
-};
-
-DecodePool& Pool() {
-  thread_local DecodePool pool;
-  return pool;
-}
 
 template <typename T>
 size_t VecBytes(const std::vector<T>& v) {
@@ -77,21 +32,6 @@ size_t MapBytes(const NameMap<V>& m) {
 }
 
 }  // namespace
-
-NeighborView::~NeighborView() {
-  if (owned_ != nullptr) Pool().Release(owned_);
-}
-
-NeighborView& NeighborView::operator=(NeighborView&& o) noexcept {
-  if (this != &o) {
-    if (owned_ != nullptr) Pool().Release(owned_);
-    data_ = o.data_;
-    size_ = o.size_;
-    owned_ = o.owned_;
-    o.owned_ = nullptr;
-  }
-  return *this;
-}
 
 void KnowledgeGraph::Builder::Reserve(size_t nodes, size_t edges) {
   labels_.reserve(nodes);
@@ -133,9 +73,8 @@ uint32_t KnowledgeGraph::Builder::InternRelation(std::string relation) {
   return it->second;
 }
 
-KnowledgeGraph KnowledgeGraph::Builder::Build(GraphLayout layout) && {
+KnowledgeGraph KnowledgeGraph::Builder::Build() && {
   KnowledgeGraph g;
-  g.layout_ = layout;
   g.types_ = std::move(types_);
   g.relation_names_ = std::move(relation_names_);
   g.type_index_ = std::move(type_index_);
@@ -204,9 +143,8 @@ KnowledgeGraph KnowledgeGraph::Builder::Build(GraphLayout layout) && {
       g.adjacency_[cursor[d]++] = Neighbor{s, r, false};
     }
   }
-  // Canonical adjacency order — applied in BOTH layouts so they are
-  // indistinguishable to every engine, and a prerequisite for the delta
-  // codec (node ids must be non-decreasing within a list).
+  // Canonical adjacency order, so every engine's neighbor scans are
+  // independent of edge insertion order.
   g.max_degree_ = 0;
   for (size_t v = 0; v < n; ++v) {
     Neighbor* first = g.adjacency_.data() + g.offsets_[v];
@@ -220,21 +158,6 @@ KnowledgeGraph KnowledgeGraph::Builder::Build(GraphLayout layout) && {
         g.max_degree_, static_cast<size_t>(g.offsets_[v + 1] - g.offsets_[v]));
   }
 
-  if (layout == GraphLayout::kCompressed) {
-    g.byte_offsets_.resize(n + 1);
-    g.adjacency_bytes_.reserve(g.adjacency_.size() * 2);  // typical density
-    for (size_t v = 0; v < n; ++v) {
-      g.byte_offsets_[v] = static_cast<uint32_t>(g.adjacency_bytes_.size());
-      csr::EncodeAdjacency(g.adjacency_.data() + g.offsets_[v],
-                           g.offsets_[v + 1] - g.offsets_[v],
-                           &g.adjacency_bytes_);
-    }
-    assert(g.adjacency_bytes_.size() <= std::numeric_limits<uint32_t>::max());
-    g.byte_offsets_[n] = static_cast<uint32_t>(g.adjacency_bytes_.size());
-    g.adjacency_ = {};
-    g.adjacency_bytes_.shrink_to_fit();
-  }
-
   g.pool_.shrink_to_fit();
   g.label_refs_.shrink_to_fit();
   g.type_refs_.shrink_to_fit();
@@ -245,17 +168,7 @@ KnowledgeGraph KnowledgeGraph::Builder::Build(GraphLayout layout) && {
   g.edge_rel_.shrink_to_fit();
   g.offsets_.shrink_to_fit();
   g.adjacency_.shrink_to_fit();
-  g.byte_offsets_.shrink_to_fit();
   return g;
-}
-
-NeighborView KnowledgeGraph::DecodeNeighbors(NodeId v) const {
-  const size_t count = offsets_[v + 1] - offsets_[v];
-  if (count == 0) return {static_cast<const Neighbor*>(nullptr), 0};
-  std::vector<Neighbor>* buf = Pool().Acquire(count);
-  csr::DecodeAdjacency(adjacency_bytes_.data() + byte_offsets_[v], count,
-                       buf->data());
-  return {buf, count};
 }
 
 std::string_view KnowledgeGraph::TypeName(int32_t type) const {
@@ -285,8 +198,7 @@ bool KnowledgeGraph::HasEdge(NodeId u, NodeId v) const {
 
 GraphFootprint KnowledgeGraph::Footprint() const {
   GraphFootprint f;
-  f.csr_bytes = VecBytes(offsets_) + VecBytes(adjacency_) +
-                VecBytes(adjacency_bytes_) + VecBytes(byte_offsets_);
+  f.csr_bytes = VecBytes(offsets_) + VecBytes(adjacency_);
   f.label_bytes = pool_.capacity() + VecBytes(label_refs_) +
                   VecBytes(type_refs_) + VecBytes(types_);
   f.edge_bytes = VecBytes(edge_src_) + VecBytes(edge_dst_) +
@@ -297,25 +209,11 @@ GraphFootprint KnowledgeGraph::Footprint() const {
     if (s.capacity() > sizeof(std::string)) f.dict_bytes += s.capacity() + 1;
   }
   f.capacity_slack = VecSlack(offsets_) + VecSlack(adjacency_) +
-                     VecSlack(adjacency_bytes_) + VecSlack(byte_offsets_) +
                      (pool_.capacity() - pool_.size()) +
                      VecSlack(label_refs_) + VecSlack(type_refs_) +
                      VecSlack(types_) + VecSlack(edge_src_) +
                      VecSlack(edge_dst_) + VecSlack(edge_rel_);
   return f;
-}
-
-KnowledgeGraph CloneWithLayout(const KnowledgeGraph& g, GraphLayout layout) {
-  KnowledgeGraph::Builder b;
-  b.Reserve(g.node_count(), g.edge_count());
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    b.AddNode(std::string(g.NodeLabel(v)),
-              std::string(g.TypeName(g.NodeType(v))));
-  }
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    b.AddEdge(g.EdgeSrc(e), g.EdgeDst(e), g.RelationName(g.EdgeRelation(e)));
-  }
-  return std::move(b).Build(layout);
 }
 
 }  // namespace star::graph

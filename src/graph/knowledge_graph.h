@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -31,7 +32,7 @@ inline constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 ///
 /// Packed to a fixed 8-byte POD (relation ids are capped at 2^31 - 1, far
 /// beyond any KG's relation vocabulary) so the flat CSR stores 8 bytes per
-/// entry and the whole struct round-trips through the delta-varint codec.
+/// entry.
 struct Neighbor {
   NodeId node = kInvalidNode;
   uint32_t relation : 31 = 0;
@@ -41,59 +42,16 @@ struct Neighbor {
 };
 static_assert(sizeof(Neighbor) == 8, "Neighbor must stay a packed 8-byte POD");
 
-/// Storage layout of the read-only data plane, chosen at Build() time.
-/// Results are bitwise identical across layouts for every engine; the
-/// choice trades decode cost for resident bytes (see DESIGN.md "Data
-/// plane layout").
-enum class GraphLayout {
-  /// One flat Neighbor array (8 B/entry), zero decode cost.
-  kFlat,
-  /// Delta-varint adjacency arena (~2-4 B/entry) decoded per list into a
-  /// pooled scratch buffer on access.
-  kCompressed,
-};
-
 /// The result of Neighbors(v): a contiguous, canonically ordered neighbor
-/// list. On the flat layout it borrows the CSR array; on the compressed
-/// layout it owns a pooled scratch buffer holding the decoded list, which
-/// returns to a thread-local free list on destruction (allocation-free
-/// after warmup). Views therefore stay valid across further Neighbors()
-/// calls and arbitrary nesting, but must not outlive the graph or cross
-/// threads.
-class NeighborView {
- public:
-  NeighborView(const Neighbor* data, size_t size)
-      : data_(data), size_(size), owned_(nullptr) {}
-  NeighborView(std::vector<Neighbor>* owned, size_t size)
-      : data_(owned->data()), size_(size), owned_(owned) {}
-  NeighborView(NeighborView&& o) noexcept
-      : data_(o.data_), size_(o.size_), owned_(o.owned_) {
-    o.owned_ = nullptr;
-  }
-  NeighborView& operator=(NeighborView&& o) noexcept;
-  NeighborView(const NeighborView&) = delete;
-  NeighborView& operator=(const NeighborView&) = delete;
-  ~NeighborView();
-
-  const Neighbor* begin() const { return data_; }
-  const Neighbor* end() const { return data_ + size_; }
-  const Neighbor* data() const { return data_; }
-  const Neighbor& operator[](size_t i) const { return data_[i]; }
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
- private:
-  const Neighbor* data_;
-  size_t size_;
-  std::vector<Neighbor>* owned_;
-};
+/// list borrowed from the graph's CSR array. Valid as long as the graph.
+using NeighborView = std::span<const Neighbor>;
 
 /// Resident-byte report of one graph instance (graph_stats.cc renders it;
-/// bench_data_layout.cc compares layouts). `capacity_slack` is the sum of
-/// unused heap bytes (capacity - size) across all owned arrays — a tight
-/// Build() keeps it 0, which tests assert.
+/// perfbench reports it as graph.footprint_mb). `capacity_slack` is the
+/// sum of unused heap bytes (capacity - size) across all owned arrays — a
+/// tight Build() keeps it 0, which tests assert.
 struct GraphFootprint {
-  size_t csr_bytes = 0;    ///< offsets + adjacency (flat array or codec arena)
+  size_t csr_bytes = 0;    ///< offsets + flat adjacency array
   size_t label_bytes = 0;  ///< interned string pool + per-node refs + type ids
   size_t edge_bytes = 0;   ///< directed edge arrays (src/dst/rel)
   size_t dict_bytes = 0;   ///< type/relation dictionaries + lookup maps
@@ -147,7 +105,7 @@ class KnowledgeGraph {
     /// Final arrays are reserved from builder sizes, dictionaries are
     /// moved (never copied), and everything is shrunk to fit — the
     /// resulting footprint reports zero capacity slack.
-    KnowledgeGraph Build(GraphLayout layout = GraphLayout::kFlat) &&;
+    KnowledgeGraph Build() &&;
 
    private:
     friend class KnowledgeGraph;
@@ -175,8 +133,6 @@ class KnowledgeGraph {
   /// Number of directed edges (each counted once).
   size_t edge_count() const { return edge_src_.size(); }
 
-  GraphLayout layout() const { return layout_; }
-
   std::string_view NodeLabel(NodeId v) const { return View(label_refs_[v]); }
   /// Type id of a node, or -1 for untyped nodes.
   int32_t NodeType(NodeId v) const { return types_[v]; }
@@ -194,10 +150,7 @@ class KnowledgeGraph {
   /// Undirected adjacency of v (both edge orientations), in canonical
   /// (node, relation, forward) order. See NeighborView for lifetime.
   NeighborView Neighbors(NodeId v) const {
-    if (layout_ == GraphLayout::kFlat) {
-      return {adjacency_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
-    }
-    return DecodeNeighbors(v);
+    return {adjacency_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
   }
 
   /// Undirected degree of v.
@@ -230,10 +183,6 @@ class KnowledgeGraph {
     return {pool_.data() + r.offset, r.length};
   }
 
-  NeighborView DecodeNeighbors(NodeId v) const;
-
-  GraphLayout layout_ = GraphLayout::kFlat;
-
   // Interned string pool: node labels (deduplicated) and type names.
   std::string pool_;
   std::vector<StrRef> label_refs_;  // per node
@@ -247,21 +196,12 @@ class KnowledgeGraph {
   std::vector<NodeId> edge_src_, edge_dst_;
   std::vector<uint32_t> edge_rel_;
 
-  // CSR over the undirected view. offsets_ are entry counts in both
-  // layouts (Degree stays O(1)); the compressed layout additionally keeps
-  // per-node byte offsets into the codec arena. Both are 32-bit; Build()
-  // asserts that 2*|E| entries (and the smaller codec arena) fit uint32.
+  // CSR over the undirected view: adjacency_[offsets_[v], offsets_[v+1]).
+  // 32-bit offsets; Build() asserts that 2*|E| entries fit uint32.
   std::vector<uint32_t> offsets_;
-  std::vector<Neighbor> adjacency_;       // kFlat only
-  std::vector<uint8_t> adjacency_bytes_;  // kCompressed only
-  std::vector<uint32_t> byte_offsets_;    // kCompressed only
+  std::vector<Neighbor> adjacency_;
   size_t max_degree_ = 0;
 };
-
-/// Structural copy of g rebuilt under the given layout (KnowledgeGraph is
-/// move-only). Node ids, edge ids, and all names are preserved, so results
-/// over the copy are bitwise identical to the original.
-KnowledgeGraph CloneWithLayout(const KnowledgeGraph& g, GraphLayout layout);
 
 }  // namespace star::graph
 

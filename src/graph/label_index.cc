@@ -95,65 +95,39 @@ void LabelIndex::PostingsStore::Append(const std::vector<uint32_t>& ids,
                                        const uint8_t* numeric) {
   const size_t n = ids.size();
   counts_.push_back(counts_.back() + static_cast<uint32_t>(n));
-  if (layout_ == GraphLayout::kFlat) {
-    ids_.insert(ids_.end(), ids.begin(), ids.end());
-  }
-  // One pass per block: record the resume point (compressed: the byte
-  // offset BEFORE the block's first varint, plus the preceding id), fold
-  // the members' label facts, and — compressed — encode the ids. The
-  // per-block encoding emits exactly the whole-list delta stream
-  // EncodePostings writes (first id absolute, then gap - 1), so
-  // whole-list Cursor()s are unaffected.
-  for (size_t i = 0; i < n; i += kBlockSize) {
-    const size_t end = std::min(n, i + kBlockSize);
-    Block blk;
-    blk.byte_offset = static_cast<uint32_t>(bytes_.size());
-    blk.prev_id = i > 0 ? ids[i - 1] : 0;
-    if (layout_ == GraphLayout::kCompressed) {
-      for (size_t j = i; j < end; ++j) {
-        csr::AppendVarint32(j == 0 ? ids[0] : ids[j] - ids[j - 1] - 1,
-                            &bytes_);
+  ids_.insert(ids_.end(), ids.begin(), ids.end());
+  if (len != nullptr) {
+    // One digest per block: the members' label facts.
+    for (size_t i = 0; i < n; i += kBlockSize) {
+      text::LabelSetStats stats;
+      for (size_t j = i; j < std::min(n, i + kBlockSize); ++j) {
+        stats.AddFacts(len[ids[j]], numeric[ids[j]] != 0);
       }
-    }
-    if (len != nullptr) {
-      for (size_t j = i; j < end; ++j) {
-        blk.stats.AddFacts(len[ids[j]], numeric[ids[j]] != 0);
-      }
-      blocks_.push_back(blk);
+      blocks_.push_back(stats);
     }
   }
   block_start_.push_back(static_cast<uint32_t>(blocks_.size()));
-  byte_offsets_.push_back(static_cast<uint32_t>(bytes_.size()));
 }
 
 void LabelIndex::PostingsStore::Finish() {
   counts_.shrink_to_fit();
   ids_.shrink_to_fit();
-  bytes_.shrink_to_fit();
-  if (layout_ == GraphLayout::kFlat) {
-    byte_offsets_ = {0};  // unused in this layout; keep it empty-sized
-  }
-  byte_offsets_.shrink_to_fit();
   blocks_.shrink_to_fit();
   block_start_.shrink_to_fit();
 }
 
 size_t LabelIndex::PostingsStore::ByteSize() const {
-  return VecBytes(counts_) + VecBytes(ids_) + VecBytes(bytes_) +
-         VecBytes(byte_offsets_) + VecBytes(blocks_) + VecBytes(block_start_);
+  return VecBytes(counts_) + VecBytes(ids_) + VecBytes(blocks_) +
+         VecBytes(block_start_);
 }
 
 size_t LabelIndex::PostingsStore::Slack() const {
-  return VecSlack(counts_) + VecSlack(ids_) + VecSlack(bytes_) +
-         VecSlack(byte_offsets_) + VecSlack(blocks_) + VecSlack(block_start_);
+  return VecSlack(counts_) + VecSlack(ids_) + VecSlack(blocks_) +
+         VecSlack(block_start_);
 }
 
-LabelIndex::LabelIndex(const KnowledgeGraph& g, GraphLayout layout)
-    : layout_(layout),
-      token_postings_(layout),
-      type_postings_(layout),
-      trigram_postings_(layout),
-      node_count_(g.node_count()) {
+LabelIndex::LabelIndex(const KnowledgeGraph& g)
+    : node_count_(g.node_count()) {
   // Pass 0: per-node O(1) label facts — the inputs of the retrieval
   // bounds, recorded with the SAME predicate the scoring kernel's caps
   // use (text::LooksNumeric) so a block digest provably dominates its
@@ -276,9 +250,9 @@ std::vector<uint32_t> LabelIndex::RankedFuzzyTokenIds(
   ForEachTrigram(low, [&](std::string_view gram) {
     const int64_t gid = trigram_dict_.Find(gram);
     if (gid < 0) return;
-    auto cursor = trigram_postings_.Cursor(static_cast<size_t>(gid));
-    uint32_t id;
-    while (cursor.Next(&id)) ++hits[id];
+    for (const uint32_t id : trigram_postings_.Ids(static_cast<size_t>(gid))) {
+      ++hits[id];
+    }
   });
   const size_t needed = std::max<size_t>(
       1,
@@ -286,7 +260,7 @@ std::vector<uint32_t> LabelIndex::RankedFuzzyTokenIds(
   // Cap the expansion to the best-overlapping tokens so that one typo'd
   // token cannot flood retrieval with half the vocabulary. Ties break on
   // token id asc (== lexicographic, ids are lex ranks): a total order, so
-  // the cap cut is deterministic and layout-independent.
+  // the cap cut is deterministic.
   constexpr size_t kMaxExpansion = 8;
   ranked.clear();
   for (const auto& [id, count] : hits) {
@@ -334,10 +308,8 @@ std::vector<NodeId> LabelIndex::CandidatesByLabel(
   SplitTokensInto(low, &toks);
   std::vector<NodeId> out;
   const auto append = [&](size_t token_id) {
-    auto cursor = token_postings_.Cursor(token_id);
-    out.reserve(out.size() + cursor.remaining());
-    uint32_t v;
-    while (cursor.Next(&v)) out.push_back(v);
+    const auto ids = token_postings_.Ids(token_id);
+    out.insert(out.end(), ids.begin(), ids.end());
   };
   for (const auto& token : toks) {
     const int64_t id = token_dict_.Find(token);
@@ -354,15 +326,11 @@ std::vector<NodeId> LabelIndex::CandidatesByLabel(
 }
 
 std::vector<NodeId> LabelIndex::CandidatesByType(int32_t type) const {
-  std::vector<NodeId> out;
   if (type < 0 || static_cast<size_t>(type) >= type_postings_.lists()) {
-    return out;
+    return {};
   }
-  auto cursor = type_postings_.Cursor(static_cast<size_t>(type));
-  out.reserve(cursor.remaining());
-  uint32_t v;
-  while (cursor.Next(&v)) out.push_back(v);
-  return out;
+  const auto ids = type_postings_.Ids(static_cast<size_t>(type));
+  return {ids.begin(), ids.end()};
 }
 
 std::vector<NodeId> LabelIndex::Candidates(std::string_view label,
@@ -401,12 +369,11 @@ std::vector<NodeId> LabelIndex::RankedCandidates(
   const double n = static_cast<double>(std::max<size_t>(1, node_count_));
   const auto add_store = [&](const PostingsStore& store, size_t i,
                              double scale, uint8_t flags) {
-    auto cursor = store.Cursor(i);
-    if (cursor.remaining() == 0) return;
+    const auto ids = store.Ids(i);
+    if (ids.empty()) return;
     const double w =
-        scale * std::log(1.0 + n / static_cast<double>(cursor.remaining()));
-    uint32_t v;
-    while (cursor.Next(&v)) {
+        scale * std::log(1.0 + n / static_cast<double>(ids.size()));
+    for (const uint32_t v : ids) {
       if (mark[v] == 0) touched.push_back(v);
       mark[v] |= flags;
       weight[v] += w;
@@ -461,14 +428,10 @@ std::vector<NodeId> LabelIndex::RankedCandidates(
 std::vector<NodeId> LabelIndex::Postings(std::string_view token) const {
   static thread_local std::string low;
   ToLowerInto(token, &low);
-  std::vector<NodeId> out;
   const int64_t id = token_dict_.Find(low);
-  if (id < 0) return out;
-  auto cursor = token_postings_.Cursor(static_cast<size_t>(id));
-  out.reserve(cursor.remaining());
-  uint32_t v;
-  while (cursor.Next(&v)) out.push_back(v);
-  return out;
+  if (id < 0) return {};
+  const auto ids = token_postings_.Ids(static_cast<size_t>(id));
+  return {ids.begin(), ids.end()};
 }
 
 IndexFootprint LabelIndex::MemoryFootprint() const {

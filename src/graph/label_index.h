@@ -1,22 +1,24 @@
 #ifndef STAR_GRAPH_LABEL_INDEX_H_
 #define STAR_GRAPH_LABEL_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/string_util.h"
-#include "graph/csr_codec.h"
 #include "graph/knowledge_graph.h"
 #include "text/ensemble.h"
 
 namespace star::graph {
 
-/// Resident-byte report of one LabelIndex (bench_data_layout.cc compares
-/// layouts). `capacity_slack` sums unused heap bytes across all owned
-/// arrays — the build shrinks everything, so it stays 0.
+/// Resident-byte report of one LabelIndex (perfbench adds it to the
+/// graph's for graph.footprint_mb). `capacity_slack` sums unused heap
+/// bytes across all owned arrays — the build shrinks everything, so it
+/// stays 0.
 struct IndexFootprint {
   size_t token_bytes = 0;     ///< token dictionary (pool + offsets + probe)
   size_t postings_bytes = 0;  ///< token postings arena
@@ -37,17 +39,12 @@ struct IndexFootprint {
 /// online (Eq. 1 is never indexed), only candidate *retrieval* is.
 ///
 /// Storage is a sorted flat token dictionary (one interned char pool,
-/// hash-probe accelerated lookup) over a contiguous postings arena; the
-/// same `GraphLayout` knob as KnowledgeGraph selects raw id arrays (kFlat)
-/// or delta-varint slices (kCompressed), decoded through
-/// csr::PostingsCursor. Retrieval outputs are identical across layouts.
+/// hash-probe accelerated lookup) over a contiguous arena of ascending id
+/// arrays, read as spans.
 class LabelIndex {
  public:
   /// Builds the index over every node label of g. O(total label tokens).
-  explicit LabelIndex(const KnowledgeGraph& g,
-                      GraphLayout layout = GraphLayout::kFlat);
-
-  GraphLayout layout() const { return layout_; }
+  explicit LabelIndex(const KnowledgeGraph& g);
 
   /// Nodes whose label shares at least one token with `label` (dedup'd,
   /// ascending ids). Query tokens with no exact posting fall back to
@@ -60,7 +57,7 @@ class LabelIndex {
   /// Indexed tokens sharing >= `min_overlap` of `token`'s trigrams,
   /// sorted lexicographically. The expansion cap keeps the
   /// best-overlapping tokens, ties broken lexicographically (a total
-  /// order, so the result is deterministic and layout-independent).
+  /// order, so the result is deterministic).
   std::vector<std::string> FuzzyTokens(std::string_view token,
                                        double min_overlap = 0.5) const;
 
@@ -72,7 +69,7 @@ class LabelIndex {
   /// The single best fuzzy correction of `token`: the indexed token with
   /// the highest trigram overlap >= min_overlap, ties broken by ascending
   /// token id (lexicographic rank — the same total order FuzzyTokens
-  /// caps by, so the correction is deterministic and layout-independent).
+  /// caps by, so the correction is deterministic).
   /// Empty when nothing reaches the floor. Serve-layer typo-tolerant
   /// query rewriting resolves each unknown query token through this.
   std::string BestFuzzyToken(std::string_view token,
@@ -102,8 +99,7 @@ class LabelIndex {
       std::string_view label, int32_t type, size_t cap,
       std::vector<uint8_t>* shares_token = nullptr) const;
 
-  /// Posting list of one token (empty if unknown). Materialized on demand
-  /// (the compressed layout has no raw array to reference).
+  /// Posting list of one token (empty if unknown), copied out.
   std::vector<NodeId> Postings(std::string_view token) const;
 
   size_t token_count() const { return token_dict_.size(); }
@@ -115,9 +111,8 @@ class LabelIndex {
   // Block-max retrieval surface (bound-driven candidate generation)
   // -------------------------------------------------------------------
   //
-  // The token and type postings arenas carry per-block metadata (an O(1)
-  // LabelSetStats digest of every member's label, plus the compressed
-  // layout's mid-list resume point) at kRetrievalBlockSize granularity.
+  // The token and type postings arenas carry an O(1) LabelSetStats digest
+  // of every member's label per block of kRetrievalBlockSize ids.
   // scoring/query_scorer walks the blocks of the lists Candidates() would
   // union, in descending score-cap order, skipping whole blocks whose cap
   // cannot reach the running max_candidates-th score.
@@ -150,12 +145,11 @@ class LabelIndex {
   }
   /// The block's label digest (for SimilarityEnsemble::RetrievalBlockBound).
   const text::LabelSetStats& BlockStats(ListRef r, size_t b) const {
-    return Store(r).BlockAt(r.list, b).stats;
+    return Store(r).BlockStats(r.list, b);
   }
-  /// Cursor over one block's ids (both layouts; compressed resumes
-  /// mid-list from the recorded byte offset + preceding id).
-  csr::PostingsCursor BlockCursor(ListRef r, size_t b) const {
-    return Store(r).BlockCursor(r.list, b);
+  /// The ids of one block, ascending.
+  std::span<const NodeId> BlockIds(ListRef r, size_t b) const {
+    return Store(r).BlockIds(r.list, b);
   }
 
   /// Byte length of node v's label (the fact the per-node bound needs).
@@ -190,32 +184,17 @@ class LabelIndex {
     uint32_t mask_ = 0;
   };
 
-  /// Contiguous arena of id lists (the codec-behind-an-index idiom):
-  /// list i is counts_[i]..counts_[i+1] in the flat id array, or the
-  /// byte_offsets_[i] slice of the varint arena, depending on layout.
+  /// Contiguous arena of ascending id lists: list i is
+  /// ids_[counts_[i], counts_[i+1]).
   class PostingsStore {
    public:
     static constexpr size_t kBlockSize = kRetrievalBlockSize;
 
-    /// Per-block retrieval metadata: the label digest the block's score
-    /// cap is computed from, and — compressed layout — the byte offset of
-    /// the block's first varint plus the id encoded just before it (the
-    /// mid-list cursor resume point; the byte stream itself is the
-    /// unchanged whole-list delta encoding).
-    struct Block {
-      text::LabelSetStats stats;
-      uint32_t byte_offset = 0;
-      uint32_t prev_id = 0;
-    };
-
-    explicit PostingsStore(GraphLayout layout = GraphLayout::kFlat)
-        : layout_(layout) {}
-
     /// Appends one strictly ascending id list. When `len` / `numeric`
-    /// are given (facts indexed by id), per-kBlockSize block metadata is
-    /// recorded for block-max retrieval (the token/type stores); the
-    /// trigram store passes null — its ids are token ids, not nodes —
-    /// and carries no block metadata.
+    /// are given (facts indexed by id), a label digest is recorded per
+    /// kBlockSize block for block-max retrieval (the token/type stores);
+    /// the trigram store passes null — its ids are token ids, not nodes —
+    /// and carries no digests.
     void Append(const std::vector<uint32_t>& ids,
                 const uint32_t* len = nullptr,
                 const uint8_t* numeric = nullptr);
@@ -225,11 +204,8 @@ class LabelIndex {
 
     size_t Count(size_t i) const { return counts_[i + 1] - counts_[i]; }
 
-    csr::PostingsCursor Cursor(size_t i) const {
-      if (layout_ == GraphLayout::kFlat) {
-        return {ids_.data() + counts_[i], Count(i)};
-      }
-      return {bytes_.data() + byte_offsets_[i], Count(i)};
+    std::span<const uint32_t> Ids(size_t i) const {
+      return {ids_.data() + counts_[i], Count(i)};
     }
 
     size_t BlockCount(size_t i) const {
@@ -240,19 +216,13 @@ class LabelIndex {
       return std::min(kBlockSize, Count(i) - b * kBlockSize);
     }
 
-    /// Block metadata (only lists appended WITH facts have any).
-    const Block& BlockAt(size_t i, size_t b) const {
+    /// Block digest (only lists appended WITH facts have any).
+    const text::LabelSetStats& BlockStats(size_t i, size_t b) const {
       return blocks_[block_start_[i] + b];
     }
 
-    csr::PostingsCursor BlockCursor(size_t i, size_t b) const {
-      const size_t n = BlockSize(i, b);
-      if (layout_ == GraphLayout::kFlat) {
-        return {ids_.data() + counts_[i] + b * kBlockSize, n};
-      }
-      if (b == 0) return {bytes_.data() + byte_offsets_[i], n};
-      const Block& blk = BlockAt(i, b);
-      return {bytes_.data() + blk.byte_offset, n, blk.prev_id};
+    std::span<const uint32_t> BlockIds(size_t i, size_t b) const {
+      return Ids(i).subspan(b * kBlockSize, BlockSize(i, b));
     }
 
     void Finish();  ///< shrink_to_fit all arrays
@@ -260,15 +230,10 @@ class LabelIndex {
     size_t Slack() const;
 
    private:
-    GraphLayout layout_;
     std::vector<uint32_t> counts_{0};  // element-count prefix sums
-    std::vector<uint32_t> ids_;        // kFlat
-    std::vector<uint8_t> bytes_;       // kCompressed
-    // 32-bit offsets: the arena is smaller than the flat id array it
-    // replaces, which is itself bounded far below 4 GiB here.
-    std::vector<uint32_t> byte_offsets_{0};
-    std::vector<Block> blocks_;             // concatenated per-list blocks
-    std::vector<uint32_t> block_start_{0};  // per-list prefix into blocks_
+    std::vector<uint32_t> ids_;
+    std::vector<text::LabelSetStats> blocks_;  // concatenated per-list blocks
+    std::vector<uint32_t> block_start_{0};     // per-list prefix into blocks_
   };
 
   /// Token ids in ranked order (overlap desc, id asc, capped at the
@@ -286,7 +251,6 @@ class LabelIndex {
     return r.type_store ? type_postings_ : token_postings_;
   }
 
-  GraphLayout layout_ = GraphLayout::kFlat;
   FlatDict token_dict_;
   PostingsStore token_postings_;
   PostingsStore type_postings_;  // one list per type id

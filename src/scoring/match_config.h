@@ -2,6 +2,7 @@
 #define STAR_SCORING_MATCH_CONFIG_H_
 
 #include <cstddef>
+#include <cstdint>
 
 namespace star::scoring {
 
@@ -66,31 +67,14 @@ struct MatchConfig {
   /// True when the sampling predicate is active.
   bool sampling() const { return sample_rate < 1.0; }
 
-  /// Use the threshold-aware scoring kernel for bulk F_N evaluation
-  /// (query-side precomputation, allocation-free per-pair scoring, and
-  /// weight-ordered early exit against node_threshold). Candidate sets and
-  /// scores are bit-identical either way — the toggle exists for A/B
-  /// benchmarking (see DESIGN.md "Scoring kernel").
-  bool use_scoring_kernel = true;
-
-  /// Use the batched SoA scoring kernel (ScoreBatchAgainstThreshold) for
-  /// bulk F_N evaluation: kBatchLanes candidates per pass with refined
-  /// per-lane upper bounds, per-chunk duplicate-label elision, and packed
-  /// gram / pre-resolved synonym lanes. Only takes effect together with
-  /// use_scoring_kernel. Candidate sets and scores are bit-identical with
-  /// the toggle on or off (see DESIGN.md "Memory layout & batched
-  /// scoring"); like use_scoring_kernel it is excluded from
-  /// StarOptionsFingerprint.
-  bool use_batch_kernel = true;
-
   /// Bound-driven candidate retrieval (block-max pruning): Candidates()
   /// walks the postings blocks of the retrieval union in descending
   /// score-cap order, maintains the running max_candidates-th score as a
   /// threshold, and skips blocks / nodes whose upper bound cannot reach
   /// it — instead of scoring the whole union and truncating. Candidate
   /// lists are bit-identical with the toggle on or off, including the
-  /// deterministic tie cut (see DESIGN.md "Bound-driven retrieval");
-  /// like the kernel toggles it is excluded from StarOptionsFingerprint.
+  /// deterministic tie cut (see DESIGN.md "Bound-driven retrieval"), so
+  /// it is excluded from StarOptionsFingerprint.
   bool use_pruned_retrieval = true;
 };
 

@@ -72,7 +72,7 @@ class NodeBoundMemo {
   std::array<double, kLengths * 4> caps_;
 };
 
-/// ScoreBatched's duplicate-pair table, one per thread: open addressing
+/// BulkScore's duplicate-pair table, one per thread: open addressing
 /// over (label address, label size, ontology type) keys. A chunk is the
 /// nodes of one BulkScore call. A slot is empty unless it carries the
 /// current chunk's epoch, so a chunk clears nothing, and the table only
@@ -212,8 +212,7 @@ QueryScorer::QueryScorer(const KnowledgeGraph& g, const QueryGraph& q,
     edge_rep_[e] = it->second;
   }
   // Build the kernel's query-side views eagerly (one per unique query
-  // label). The batched view embeds the scalar PreparedLabel, so one
-  // build serves both kernels.
+  // label).
   std::map<std::string_view, uint32_t> label_view;
   prepared_idx_.resize(q.node_count());
   for (int u = 0; u < q.node_count(); ++u) {
@@ -224,7 +223,7 @@ QueryScorer::QueryScorer(const KnowledgeGraph& g, const QueryGraph& q,
       continue;
     }
     const uint32_t idx = static_cast<uint32_t>(prepared_store_.size());
-    prepared_store_.push_back(ensemble_.PrepareBatch(label));
+    prepared_store_.push_back(ensemble_.Prepare(label));
     prepared_idx_[u] = idx;
     label_view.emplace(label, idx);
   }
@@ -250,48 +249,47 @@ double QueryScorer::NodeScore(int query_node, NodeId v) const {
   const auto it = cache.find(v);
   if (it != cache.end()) return it->second;
   ++node_evals_;
-  const double s =
-      config_.use_scoring_kernel
-          ? ComputeNodeScore(query_node, v,
-                             text::SimilarityEnsemble::kNoThreshold,
-                             &kernel_stats_)
-          : ComputeNodeScore(query_node, v);
+  // One lane of the batch kernel in exact mode: Score()'s bits.
+  const std::string_view label = graph_.NodeLabel(v);
+  const int32_t gt = graph_.NodeType(v);
+  const int data_type = gt >= 0 ? graph_type_onto_type_[gt] : -1;
+  double s = 0.0;
+  ensemble_.ScoreBatchAgainstThreshold(
+      prepared_store_[prepared_idx_[query_node]], &label, 1,
+      SimilarityEnsemble::kNoThreshold, query_node_onto_type_[query_node],
+      &data_type, &s, &kernel_stats_);
   cache.emplace(v, s);
   return s;
 }
 
-double QueryScorer::ComputeNodeScore(int query_node, NodeId v) const {
-  if (config_.use_scoring_kernel) {
-    return ComputeNodeScore(query_node, v,
-                            text::SimilarityEnsemble::kNoThreshold, nullptr);
+std::vector<double> QueryScorer::BulkScore(
+    int query_node, const std::vector<graph::NodeId>& nodes, double threshold,
+    const uint8_t* shares_token) const {
+  std::vector<double> scores(nodes.size());
+  CancelChecker cancel_check(cancel_);
+  const query::QueryNode& qn = query_.node(query_node);
+  if (qn.wildcard) {
+    // Wildcard scoring is a type check or a constant: NodeScore never
+    // touches the memo for wildcards.
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      if (cancel_check.ShouldStop()) {  // rest stay 0 (non-candidates)
+        truncated_ = true;
+        break;
+      }
+      scores[i] = NodeScore(query_node, nodes[i]);
+    }
+    return scores;
   }
-  const int32_t gt = graph_.NodeType(v);
-  const int onto_data = gt >= 0 ? graph_type_onto_type_[gt] : -1;
-  return ensemble_.Score(query_.node(query_node).label, graph_.NodeLabel(v),
-                         query_node_onto_type_[query_node], onto_data);
-}
-
-double QueryScorer::ComputeNodeScore(int query_node, NodeId v, double threshold,
-                                     text::KernelStats* stats) const {
-  const int32_t gt = graph_.NodeType(v);
-  const int onto_data = gt >= 0 ? graph_type_onto_type_[gt] : -1;
-  return ensemble_.ScoreAgainstThreshold(
-      prepared_store_[prepared_idx_[query_node]].prepared,
-      graph_.NodeLabel(v), threshold, query_node_onto_type_[query_node],
-      onto_data, stats);
-}
-
-void QueryScorer::ScoreBatched(int query_node,
-                               const std::vector<graph::NodeId>& nodes,
-                               const uint8_t* shares_token, double threshold,
-                               CancelChecker* cancel_check,
-                               std::vector<double>* scores,
-                               std::vector<uint8_t>* miss) const {
-  constexpr int kLanes = text::SimilarityEnsemble::kBatchLanes;
-  const text::SimilarityEnsemble::PreparedLabelBatch& batch =
+  constexpr int kLanes = SimilarityEnsemble::kBatchLanes;
+  const SimilarityEnsemble::PreparedLabelBatch& prepared =
       prepared_store_[prepared_idx_[query_node]];
   const int query_type = query_node_onto_type_[query_node];
-  const auto& cache = node_cache_[node_rep_[query_node]];
+  auto& cache = node_cache_[node_rep_[query_node]];
+  // miss[i] is set once scores[i] was computed by this call (memo misses
+  // only), and only after the score landed, so a cancellation that drops
+  // gathered-but-unflushed lanes can never let the merge below memoize an
+  // unscored 0.0; the rest stay 0.0, below any positive threshold.
+  std::vector<uint8_t> miss(nodes.size(), 0);
 
   // Duplicate-label elision within the call: generated and real graphs
   // repeat labels across nodes, and the kernel is a pure function of
@@ -313,35 +311,32 @@ void QueryScorer::ScoreBatched(int query_node,
     if (lanes == 0) return;
     double out[kLanes];
     ensemble_.ScoreBatchAgainstThreshold(
-        batch, lane_labels, lanes, threshold, query_type, lane_types, out,
+        prepared, lane_labels, lanes, threshold, query_type, lane_types, out,
         &kernel_stats_, shares_token != nullptr ? lane_shares : nullptr);
     for (size_t l = 0; l < lanes; ++l) {
-      (*scores)[lane_index[l]] = out[l];
-      // miss[] is only set here, after the score landed, so a
-      // cancellation that drops gathered-but-unflushed lanes can never
-      // let the merge step memoize an unscored 0.0.
-      (*miss)[lane_index[l]] = 1;
+      scores[lane_index[l]] = out[l];
+      miss[lane_index[l]] = 1;
       seen.Insert(lane_labels[l], lane_types[l], out[l]);
     }
     lanes = 0;
   };
   for (size_t i = 0; i < nodes.size(); ++i) {
-    if (cancel_check->ShouldStop()) {
+    if (cancel_check.ShouldStop()) {
       truncated_ = true;
       break;
     }
     const graph::NodeId v = nodes[i];
     const auto it = cache.find(v);
     if (it != cache.end()) {
-      (*scores)[i] = it->second;
+      scores[i] = it->second;
       continue;
     }
     const std::string_view label = graph_.NodeLabel(v);
     const int32_t gt = graph_.NodeType(v);
     const int data_type = gt >= 0 ? graph_type_onto_type_[gt] : -1;
     if (const double* dup = seen.Find(label, data_type)) {
-      (*scores)[i] = *dup;
-      (*miss)[i] = 1;
+      scores[i] = *dup;
+      miss[i] = 1;
       continue;
     }
     lane_labels[lanes] = label;
@@ -351,60 +346,13 @@ void QueryScorer::ScoreBatched(int query_node,
     if (++lanes == kLanes) flush();
   }
   flush();
-}
-
-std::vector<double> QueryScorer::BulkScore(
-    int query_node, const std::vector<graph::NodeId>& nodes, double threshold,
-    const uint8_t* shares_token) const {
-  std::vector<double> scores(nodes.size());
-  CancelChecker cancel_check(cancel_);
-  const query::QueryNode& qn = query_.node(query_node);
-  if (qn.wildcard) {
-    // Wildcard scoring is a type check or a constant: NodeScore never
-    // touches the memo for wildcards.
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      if (cancel_check.ShouldStop()) {  // rest stay 0 (non-candidates)
-        truncated_ = true;
-        break;
-      }
-      scores[i] = NodeScore(query_node, nodes[i]);
-    }
-    return scores;
-  }
-  const bool kernel = config_.use_scoring_kernel;
-  const bool thresholded = kernel && threshold >= 0.0;
-  auto& cache = node_cache_[node_rep_[query_node]];
-  std::vector<uint8_t> miss(nodes.size(), 0);
-  if (kernel && config_.use_batch_kernel) {
-    ScoreBatched(query_node, nodes, shares_token, threshold, &cancel_check,
-                 &scores, &miss);
-  } else {
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      // Cancellation leaves the rest unscored: miss[] stays 0 for those
-      // entries, so the merge below never memoizes a guessed score, and
-      // their 0.0 falls below any positive candidate threshold.
-      if (cancel_check.ShouldStop()) {
-        truncated_ = true;
-        break;
-      }
-      const auto it = cache.find(nodes[i]);
-      if (it != cache.end()) {
-        scores[i] = it->second;
-        continue;
-      }
-      miss[i] = 1;
-      scores[i] = kernel ? ComputeNodeScore(query_node, nodes[i], threshold,
-                                            &kernel_stats_)
-                         : ComputeNodeScore(query_node, nodes[i]);
-    }
-  }
   // Memo merge: memoize exactly the entries NodeScore would have cached
   // (emplace keeps the first value on duplicates) — except sub-threshold
-  // kernel results, which may be truncated upper bounds rather than exact
-  // F_N values and therefore must not be cached.
+  // results, which may be truncated upper bounds rather than exact F_N
+  // values and therefore must not be cached.
   for (size_t i = 0; i < nodes.size(); ++i) {
     if (!miss[i]) continue;
-    if (thresholded && scores[i] < threshold) continue;
+    if (threshold >= 0.0 && scores[i] < threshold) continue;
     if (cache.emplace(nodes[i], scores[i]).second) ++node_evals_;
   }
   return scores;
@@ -580,9 +528,8 @@ void QueryScorer::PrunedRetrieveBlocks(int query_node,
       }
       break;
     }
-    auto cursor = index_->BlockCursor(lists[blocks[bi].list], blocks[bi].block);
-    uint32_t v;
-    while (cursor.Next(&v)) {
+    for (const NodeId v :
+         index_->BlockIds(lists[blocks[bi].list], blocks[bi].block)) {
       ++retrieval_stats_.nodes_considered;
       if (seen_mark_[v] == seen_epoch_) {
         ++retrieval_stats_.nodes_deduped;
@@ -726,9 +673,9 @@ const CandidateList& QueryScorer::Candidates(int query_node) const {
 
   // Bulk F_N scoring. The candidate filter below keeps only scores >=
   // node_threshold, so the kernel may early-exit any pair whose score
-  // bound falls below it: kept candidates are exact (bit-identical to the
-  // kernel-off path), rejected ones return a sub-threshold bound that the
-  // filter drops either way.
+  // bound falls below it: kept candidates are exact (bitwise Score()),
+  // rejected ones return a sub-threshold bound that the filter drops
+  // either way.
   const std::vector<double> scores =
       BulkScore(query_node, pool, config_.node_threshold,
                 shares_token.empty() ? nullptr : shares_token.data());
@@ -818,7 +765,7 @@ const std::vector<double>& QueryScorer::RelationScoresAll(
     // F_E is Eq. 1 on relation labels: the batch kernel in exact mode
     // returns Score()'s bits. No KernelStats, so the F_N counters do not
     // count relation evaluations.
-    const auto batch = ensemble_.PrepareBatch(qe.relation);
+    const auto prepared = ensemble_.Prepare(qe.relation);
     const uint32_t count = static_cast<uint32_t>(graph_.relation_count());
     table.resize(count);
     constexpr uint32_t kLanes = SimilarityEnsemble::kBatchLanes;
@@ -829,7 +776,7 @@ const std::vector<double>& QueryScorer::RelationScoresAll(
         names[l] = graph_.RelationName(r + l);
       }
       ensemble_.ScoreBatchAgainstThreshold(
-          batch, names, lanes, SimilarityEnsemble::kNoThreshold,
+          prepared, names, lanes, SimilarityEnsemble::kNoThreshold,
           /*query_type=*/-1, /*data_types=*/nullptr, table.data() + r);
     }
   }

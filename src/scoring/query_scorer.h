@@ -62,7 +62,7 @@ using CandidateList = std::pmr::vector<ScoredCandidate>;
 /// The scorer is owned and driven by ONE thread: its memos fill on read,
 /// so no method is safe to call concurrently. Concurrent requests each
 /// build their own scorer; what they share (graph, index, ensemble) is
-/// immutable, and the kernels' scratch is thread_local.
+/// immutable, and the kernel's scratch is thread_local.
 class QueryScorer {
  public:
   /// `index` may be null, in which case candidate retrieval scans all of V
@@ -77,7 +77,8 @@ class QueryScorer {
               const graph::LabelIndex* index = nullptr,
               common::MonotonicArena* arena = nullptr);
 
-  /// F_N(u, v): Eq. 1 score of mapping query node u to data node v.
+  /// F_N(u, v): Eq. 1 score of mapping query node u to data node v,
+  /// bitwise ensemble.Score() (one exact-mode lane of the batch kernel).
   /// Wildcard nodes score `config.wildcard_node_score` for every v.
   double NodeScore(int query_node, graph::NodeId v) const;
 
@@ -103,6 +104,19 @@ class QueryScorer {
   /// exposed so the serve layer's degradation certificate and tests can
   /// reproduce the sampled universe exactly.
   static bool SampleKeep(uint64_t seed, graph::NodeId v, double rate);
+
+  /// The retrieval pool of `query_node`: the node ids Candidates() would
+  /// bulk-score, before any scoring or filtering (index-backed postings,
+  /// typed-wildcard postings, or the full-scan iota, then the sampling
+  /// predicate). Pure — never touches the candidate memo. `shares_token`
+  /// receives the RankedCandidates retrieval facts aligned with the pool
+  /// (max_retrieval pools only; left empty otherwise). For a non-wildcard
+  /// node, Candidates() is exactly the pool's nodes with Score() >=
+  /// node_threshold, ordered by (score desc, node asc) and cut at
+  /// max_candidates — the list the differential harness's fn-oracle check
+  /// rebuilds.
+  std::vector<graph::NodeId> RetrievalPool(
+      int query_node, std::vector<uint8_t>* shares_token) const;
 
   /// The memoized candidate list of `query_node` if it has been computed
   /// (or seeded) this session, nullptr otherwise. Never triggers
@@ -198,8 +212,8 @@ class QueryScorer {
   /// Number of F_N evaluations performed (diagnostic for benches).
   size_t node_score_evaluations() const { return node_evals_; }
 
-  /// Scoring-kernel counters accumulated across every kernel evaluation
-  /// this scorer performed (empty when config.use_scoring_kernel is off).
+  /// Batch-kernel counters accumulated across every F_N evaluation this
+  /// scorer performed (relation tables are not counted).
   const text::KernelStats& kernel_stats() const { return kernel_stats_; }
 
   /// Bound-driven retrieval counters (empty when use_pruned_retrieval is
@@ -216,39 +230,18 @@ class QueryScorer {
   /// Ontology type id for a type name (-1 if no ontology / unknown).
   int OntologyType(std::string_view type_name) const;
 
-  /// The retrieval pool of `query_node`: the node ids Candidates() would
-  /// bulk-score, before any scoring or filtering (index-backed postings,
-  /// typed-wildcard postings, or the full-scan iota, then the sampling
-  /// predicate). Pure — never touches the candidate memo. `shares_token`
-  /// receives the RankedCandidates retrieval facts aligned with the pool
-  /// (max_retrieval pools only; left empty otherwise).
-  std::vector<graph::NodeId> RetrievalPool(
-      int query_node, std::vector<uint8_t>* shares_token) const;
-
-  /// Builds candidate_scores_[rep] from Candidates(rep) (owning thread).
+  /// Builds candidate_scores_  /// Builds candidate_scores_[rep] from Candidates(rep) (owning thread).
   void BuildCandidateScoreTable(int rep) const;
-
-  /// Pure F_N computation (Eq. 1) for a non-wildcard query node: no memo
-  /// access, no counters. Uses the prepared-label kernel in exact mode
-  /// when config.use_scoring_kernel is set.
-  double ComputeNodeScore(int query_node, graph::NodeId v) const;
-
-  /// Threshold-aware F_N (the scoring kernel): exact for results >=
-  /// threshold, a sub-threshold upper bound otherwise (threshold < 0 =
-  /// exact mode). Pure except for `stats` (nullable), which it counts
-  /// into.
-  double ComputeNodeScore(int query_node, graph::NodeId v, double threshold,
-                          text::KernelStats* stats) const;
 
   /// Bulk F_N of `query_node` against every node in `nodes` (Candidates'
   /// scoring step), index-aligned with the input, against a candidate
-  /// threshold. Entries < threshold may be truncated upper bounds. The
-  /// node memo is read while scoring and filled only afterwards, in one
-  /// merge that memoizes only exact (kept) scores, so a node repeated in
-  /// `nodes` is scored twice and its first value kept. When
-  /// config.use_batch_kernel is set (and the scoring kernel is on), the
-  /// nodes run through the batched SoA kernel via ScoreBatched — results
-  /// are bit-identical either way. `shares_token` (nullable, aligned with
+  /// threshold. Entries < threshold may be truncated upper bounds. Memo
+  /// misses are gathered into kBatchLanes-wide lanes, each full batch
+  /// scored in one ScoreBatchAgainstThreshold call, and a (label, type)
+  /// pair repeated within the call is scored once (the kernel is
+  /// deterministic, so the copied score is exact). The node memo is read
+  /// while scoring and filled only afterwards, in one merge that memoizes
+  /// only exact (kept) scores. `shares_token` (nullable, aligned with
   /// `nodes`) passes retrieval facts to the batch kernel's disjoint-token
   /// caps.
   std::vector<double> BulkScore(int query_node,
@@ -297,17 +290,6 @@ class QueryScorer {
                        const std::vector<double>& scores,
                        CandidateList* heap) const;
 
-  /// BulkScore on the batched kernel: gathers memo misses into
-  /// kBatchLanes-wide lanes, elides duplicate (label, type) pairs within
-  /// the call (the kernel is deterministic, so the copied score is exact),
-  /// and scores each full batch in one ScoreBatchAgainstThreshold call.
-  /// Reads the node memo and writes `scores`/`miss` — the same data
-  /// contract as BulkScore's scalar loop.
-  void ScoreBatched(int query_node, const std::vector<graph::NodeId>& nodes,
-                    const uint8_t* shares_token, double threshold,
-                    CancelChecker* cancel_check, std::vector<double>* scores,
-                    std::vector<uint8_t>* miss) const;
-
   const graph::KnowledgeGraph& graph_;
   const query::QueryGraph& query_;
   const text::SimilarityEnsemble& ensemble_;
@@ -337,9 +319,7 @@ class QueryScorer {
   std::vector<int> edge_rep_;
   std::vector<uint32_t> prepared_idx_;
   // Query-side kernel views, one per UNIQUE query label, built eagerly in
-  // the constructor (immutable afterwards).
-  // The batched view embeds the scalar PreparedLabel, so both kernels
-  // share one build. Indexed through prepared_idx_.
+  // the constructor (immutable afterwards). Indexed through prepared_idx_.
   std::vector<text::SimilarityEnsemble::PreparedLabelBatch> prepared_store_;
   // For typed wildcard query nodes: the required graph type id (-1 = none
   // matches / untyped wildcard).

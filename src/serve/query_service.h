@@ -293,7 +293,7 @@ class QueryService {
   const graph::LabelIndex* index_;
   const ServiceOptions options_;
   /// Fingerprint of every result-affecting configuration field (excludes
-  /// the kernel and retrieval toggles, which carry bit-identity contracts).
+  /// the retrieval toggle, which carries a bit-identity contract).
   std::string config_key_;
   ResultCache cache_;
   StarCache star_cache_;

@@ -1,6 +1,7 @@
 #include "testing/differential.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baseline/belief_propagation.h"
@@ -157,8 +159,9 @@ void CheckWellFormed(const std::string& cell, const EngineResult& r,
 }
 
 /// Bitwise identity (exact double equality + identical mappings): the
-/// contract between cells of the SAME strategy (kernel, reuse, k-prefix,
-/// deadline truncation), where tie decisions must replay exactly.
+/// contract between cells of the SAME strategy (retrieval, reuse,
+/// k-prefix, deadline truncation), where tie decisions must replay
+/// exactly.
 bool SameMatch(const core::GraphMatch& a, const core::GraphMatch& b) {
   return a.score == b.score && a.mapping == b.mapping;
 }
@@ -364,6 +367,68 @@ constexpr size_t kRefStrategy = 1;
 
 }  // namespace
 
+std::vector<scoring::ScoredCandidate> CandidatesFromScore(
+    const scoring::QueryScorer& scorer,
+    const text::SimilarityEnsemble& ensemble, int u) {
+  const query::QueryNode& qn = scorer.query().node(u);
+  const graph::KnowledgeGraph& g = scorer.graph();
+  const scoring::MatchConfig& cfg = scorer.config();
+  const text::TypeOntology* ontology = ensemble.context().ontology;
+  const auto onto_type = [&](std::string_view type_name) {
+    return type_name.empty() || ontology == nullptr
+               ? -1
+               : ontology->FindType(type_name);
+  };
+  const int query_type = onto_type(qn.type_name);
+  std::vector<uint8_t> shares_token;
+  std::vector<scoring::ScoredCandidate> list;
+  for (const graph::NodeId v : scorer.RetrievalPool(u, &shares_token)) {
+    const double s = ensemble.Score(qn.label, g.NodeLabel(v), query_type,
+                                    onto_type(g.TypeName(g.NodeType(v))));
+    if (s >= cfg.node_threshold) list.push_back({v, s});
+  }
+  std::sort(list.begin(), list.end(),
+            [](const scoring::ScoredCandidate& a,
+               const scoring::ScoredCandidate& b) {
+              return a.score > b.score ||
+                     (a.score == b.score && a.node < b.node);
+            });
+  if (cfg.max_candidates > 0 && list.size() > cfg.max_candidates) {
+    list.resize(cfg.max_candidates);
+  }
+  return list;
+}
+
+void CheckFnOracle(const scoring::QueryScorer& scorer,
+                   const text::SimilarityEnsemble& ensemble,
+                   const std::string& cell, CaseOutcome* out) {
+  const query::QueryGraph& q = scorer.query();
+  for (int u = 0; u < q.node_count(); ++u) {
+    const query::QueryNode& qn = q.node(u);
+    if (qn.wildcard) continue;
+    const std::vector<scoring::ScoredCandidate> want =
+        CandidatesFromScore(scorer, ensemble, u);
+    const scoring::CandidateList& got = scorer.Candidates(u);
+    const size_t n = std::min(want.size(), got.size());
+    size_t i = 0;
+    while (i < n && got[i].node == want[i].node &&
+           std::bit_cast<uint64_t>(got[i].score) ==
+               std::bit_cast<uint64_t>(want[i].score)) {
+      ++i;
+    }
+    if (i == n && want.size() == got.size()) continue;
+    std::string detail = StrPrintf(
+        "query node %d \"%s\": %zu candidates, Score() gives %zu", u,
+        qn.label.c_str(), got.size(), want.size());
+    if (i < n) {
+      detail += StrPrintf("; position %zu is %d @ %a, Score() gives %d @ %a",
+                          i, static_cast<int>(got[i].node), got[i].score,
+                          static_cast<int>(want[i].node), want[i].score);
+    }
+    AddViolation(out, "fn-oracle", cell, std::move(detail));
+  }
+}
+
 CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
   CaseOutcome out;
   if (c.query.node_count() == 0 || c.graph.node_count() == 0) return out;
@@ -395,14 +460,12 @@ CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
   base_spec.index = index.get();
   base_spec.query = &c.query;
   base_spec.config = c.config;
-  base_spec.config.use_scoring_kernel = true;
-  base_spec.config.use_batch_kernel = true;
   base_spec.config.use_pruned_retrieval = true;
   base_spec.alpha = c.alpha;
   base_spec.decomposition = c.decomposition;
   base_spec.k = c.k;
 
-  // --- Base cells: every strategy, kernel on, no reuse/deadline ---
+  // --- Base cells: every strategy, no reuse/deadline ---
   EngineResult base[3];
   for (size_t i = 0; i < 3; ++i) {
     RunSpec spec = base_spec;
@@ -424,44 +487,27 @@ CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
   {
     scoring::QueryScorer vscorer(c.graph, c.query, ensemble, base_spec.config,
                                  index.get());
+    CheckFnOracle(vscorer, ensemble, "candidates", &out);
     for (size_t i = 0; i < 3; ++i) {
       CheckValidity(std::string(kStrategies[i].name) + "/base",
                     base[i].matches, vscorer, &out);
     }
   }
 
-  // --- Kernel matrix: bit-identity contract per strategy ---
-  // Each cell switches one path of the base off: the scoring kernel (the
-  // canonical Score() path), the SoA batched scorer beneath the scalar
-  // kernel (batch only engages when the kernel itself is on), or
-  // bound-driven retrieval (the score-everything path). Each must
+  // --- Retrieval cells: bit-identity contract per strategy ---
+  // Bound-driven retrieval switched off (the score-everything path) must
   // reproduce the base matches byte for byte.
-  if (opts.run_kernel_matrix) {
-    struct KernelCell {
-      bool kernel;
-      bool batch;
-      bool pruned;
-      const char* check;
-    };
-    constexpr KernelCell kCells[] = {
-        {false, false, true, "kernel-diff"},
-        {true, false, true, "batch-kernel-diff"},
-        {true, true, false, "retrieval-diff"}};
+  if (opts.run_retrieval_diff) {
     for (size_t i = 0; i < 3; ++i) {
-      for (const KernelCell& kc : kCells) {
-        RunSpec spec = base_spec;
-        spec.strategy = kStrategies[i].s;
-        spec.config.use_scoring_kernel = kc.kernel;
-        spec.config.use_batch_kernel = kc.batch;
-        spec.config.use_pruned_retrieval = kc.pruned;
-        const EngineResult r = Run(ensemble, spec);
-        ++out.cells_run;
-        const std::string cell = StrPrintf(
-            "%s/kernel=%d/batch=%d/pruned=%d", kStrategies[i].name,
-            kc.kernel ? 1 : 0, kc.batch ? 1 : 0, kc.pruned ? 1 : 0);
-        CheckWellFormed(cell, r, c, true, &out);
-        CheckBitwiseEqual(kc.check, cell, base[i].matches, r.matches, &out);
-      }
+      RunSpec spec = base_spec;
+      spec.strategy = kStrategies[i].s;
+      spec.config.use_pruned_retrieval = false;
+      const EngineResult r = Run(ensemble, spec);
+      ++out.cells_run;
+      const std::string cell = StrPrintf("%s/pruned=0", kStrategies[i].name);
+      CheckWellFormed(cell, r, c, true, &out);
+      CheckBitwiseEqual("retrieval-diff", cell, base[i].matches, r.matches,
+                        &out);
     }
   }
 
@@ -499,33 +545,6 @@ CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
       CheckBitwiseEqual("reuse-invalidated",
                         StrPrintf("%s/reuse=invalidated", kStrategies[i].name),
                         base[i].matches, inval.matches, &out);
-    }
-  }
-
-  // --- Layout cells: compressed data plane, all bitwise vs flat base ---
-  // The delta-varint layout is a pure storage transform: rebuilding graph
-  // and index under kCompressed must reproduce every strategy's flat
-  // matches byte for byte (same ids, same score bits, same order).
-  if (opts.run_layout) {
-    const graph::KnowledgeGraph cg =
-        graph::CloneWithLayout(c.graph, graph::GraphLayout::kCompressed);
-    std::unique_ptr<graph::LabelIndex> cindex;
-    if (c.with_index) {
-      cindex = std::make_unique<graph::LabelIndex>(
-          cg, graph::GraphLayout::kCompressed);
-    }
-    for (size_t i = 0; i < 3; ++i) {
-      RunSpec spec = base_spec;
-      spec.graph = &cg;
-      spec.index = cindex.get();
-      spec.strategy = kStrategies[i].s;
-      const EngineResult r = Run(ensemble, spec);
-      ++out.cells_run;
-      const std::string cell =
-          StrPrintf("%s/layout=compressed", kStrategies[i].name);
-      CheckWellFormed(cell, r, c, true, &out);
-      CheckBitwiseEqual("layout-diff", cell, base[i].matches, r.matches,
-                        &out);
     }
   }
 

@@ -5,7 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "scoring/query_scorer.h"
 #include "testing/fuzz_case.h"
+#include "text/ensemble.h"
 
 namespace star::testing {
 
@@ -27,10 +29,9 @@ struct RunnerOptions {
   bool run_metamorphic = true;
   bool run_reuse = true;
   bool run_deadline = true;
-  bool run_kernel_matrix = true;
-  /// Re-run every strategy over a kCompressed rebuild of the case's graph
-  /// and index; results must be bitwise identical to the flat base cells.
-  bool run_layout = true;
+  /// Re-run every strategy with bound-driven retrieval switched off; the
+  /// matches must be bitwise identical to the base cells.
+  bool run_retrieval_diff = true;
   /// Anytime/degraded certificate cells: re-run the reference strategy at
   /// degradation levels {1, 2, 3} (or the case's pinned level) plus the
   /// deadline-truncated level-0 cells, build each run's QualityCertificate,
@@ -60,8 +61,9 @@ struct CaseOutcome {
 ///
 ///  - BruteForce oracle vs stark/stard/hybrid (framework) score identity;
 ///  - graphTA (always) and BP (acyclic, non-injective) agreement;
-///  - bitwise identity per strategy with the scoring kernel, the batch
-///    kernel, or pruned retrieval switched off;
+///  - fn-oracle: every candidate list equals the one rebuilt from
+///    SimilarityEnsemble::Score() (CheckFnOracle below);
+///  - bitwise identity per strategy with pruned retrieval switched off;
 ///  - bitwise identity of reuse cold/warm/invalidated runs (with optional
 ///    bug injection between cold and warm);
 ///  - deadline cells: pre-expired => empty + cancelled; tight => bitwise
@@ -79,6 +81,23 @@ struct CaseOutcome {
 /// whose *checks* are timing-independent (the contract holds wherever the
 /// expiry lands).
 CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts);
+
+/// Query node u's candidate list rebuilt from SimilarityEnsemble::Score()
+/// over scorer.RetrievalPool(u): the pool nodes whose Score() reaches
+/// node_threshold, ordered by (score desc, node asc) and cut at
+/// max_candidates, with ontology types resolved as the scorer resolves
+/// them. `u` must not be a wildcard; `ensemble` must be the scorer's.
+std::vector<scoring::ScoredCandidate> CandidatesFromScore(
+    const scoring::QueryScorer& scorer,
+    const text::SimilarityEnsemble& ensemble, int u);
+
+/// The fn-oracle check, run once per case by RunDifferentialCase: appends
+/// one "fn-oracle" violation to `out` for each non-wildcard node u of the
+/// scorer's query whose scorer.Candidates(u) differs from
+/// CandidatesFromScore(scorer, ensemble, u) in an id or a score bit.
+void CheckFnOracle(const scoring::QueryScorer& scorer,
+                   const text::SimilarityEnsemble& ensemble,
+                   const std::string& cell, CaseOutcome* out);
 
 }  // namespace star::testing
 

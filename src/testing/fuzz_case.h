@@ -30,7 +30,7 @@ const char* BugInjectionName(BugInjection b);
 
 /// One self-contained fuzz input: a concrete graph, query, and matching
 /// configuration. Everything the differential matrix varies per cell
-/// (strategy, kernel, reuse mode, deadline mode) is derived by the
+/// (strategy, retrieval path, reuse mode, deadline mode) is derived by the
 /// runner; everything that changes *results* lives here.
 struct FuzzCase {
   /// Seed this case was generated from (provenance; replays keep it).

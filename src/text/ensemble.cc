@@ -417,46 +417,8 @@ bool ContainsDigit(const std::string& s) {
 }
 
 // ---------------------------------------------------------------------
-// Threshold-aware kernel machinery (ScoreAgainstThreshold).
+// Batch kernel machinery (ScoreBatchAgainstThreshold).
 // ---------------------------------------------------------------------
-
-// Relative evaluation cost of each feature (index-aligned with the
-// Feature enum). Used to break weight ties in RebuildEvalOrder so early
-// exits skip the expensive alignment DPs: 0 = O(1), 1 = single linear
-// scan/parse, 2 = tokenization-level, 3 = n-gram/sparse-vector,
-// 4 = character alignment, 5 = token-pair alignment product (Monge-Elkan).
-constexpr int kCostRank[SimilarityEnsemble::kFeatureCount] = {
-    0,  // kExact
-    0,  // kCaseInsensitive
-    4,  // kLevenshtein
-    4,  // kDamerauLevenshtein
-    2,  // kJaro
-    2,  // kJaroWinkler
-    1,  // kPrefix
-    1,  // kSuffix
-    2,  // kContainment
-    2,  // kTokenJaccard
-    2,  // kTokenDice
-    2,  // kTokenOverlap
-    3,  // kNGramJaccard
-    2,  // kAcronym
-    2,  // kAbbreviation
-    0,  // kLengthRatio
-    1,  // kNumeric
-    4,  // kLcs
-    2,  // kPhonetic
-    2,  // kSynonym
-    3,  // kTfIdfCosine
-    1,  // kTypeOntology
-    5,  // kMongeElkan
-    4,  // kLongestCommonSubstring
-    1,  // kHamming
-    4,  // kSmithWaterman
-    3,  // kBigramDice
-    4,  // kTokenSequenceEdit
-    1,  // kDate
-    2,  // kNumeralAware
-};
 
 // Sweep-stage grouping for the batched kernel's evaluation order
 // (index-aligned with the Feature enum). Within a group features keep
@@ -612,6 +574,7 @@ double FastTokenSequenceEdit(const std::vector<uint32_t>& ta,
 // Sorted unique character n-grams of a pre-lowercased string into a
 // reused vector; strings shorter than n degenerate to {s} (the CharNGrams
 // convention shared by NGramJaccard / BigramDice / FastNGramJaccard).
+// Prepare() packs them into the query's gram sets.
 void GramsInto(const std::string& s, size_t n, std::vector<std::string>* dst) {
   size_t count = 0;
   const auto emit = [&](size_t pos, size_t len) {
@@ -630,24 +593,6 @@ void GramsInto(const std::string& s, size_t n, std::vector<std::string>* dst) {
   dst->resize(count);
   std::sort(dst->begin(), dst->end());
   dst->erase(std::unique(dst->begin(), dst->end()), dst->end());
-}
-
-// Intersection size of two sorted unique string vectors.
-size_t SortedIntersectionCount(const std::vector<std::string>& a,
-                               const std::vector<std::string>& b) {
-  size_t inter = 0, i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++inter;
-      ++i;
-      ++j;
-    }
-  }
-  return inter;
 }
 
 // Packs a 1-3 byte gram into a uint32 (length tag + big-endian bytes).
@@ -758,12 +703,12 @@ GramCounts CountGrams(const std::string& s,
 }
 
 // ---------------------------------------------------------------------
-// Per-label token table (the kernels' token features).
+// Per-label token table (the kernel's token features).
 // ---------------------------------------------------------------------
 //
 // The token features meet the same few data tokens lane after lane: the
 // labels a query label is scored against share a small vocabulary. The
-// table interns each distinct token once per scope (one PreparedLabel)
+// table interns each distinct token once per scope (one prepared label)
 // and caches the facts the features read, each computed the first time a
 // feature needs it. Within a scope two tokens have the same id exactly
 // when their bytes are equal, so every feature on ids computes the same
@@ -772,12 +717,12 @@ GramCounts CountGrams(const std::string& s,
 // query_count() are exactly its distinct tokens.
 class TokenTable {
  public:
-  using PreparedLabel = SimilarityEnsemble::PreparedLabel;
+  using Prepared = SimilarityEnsemble::PreparedLabelBatch;
 
   /// Starts a lane scored against `p`. Rebinds the table when it serves
   /// another label or has passed its size bound; either way every data id
   /// of the previous lane is invalid afterwards.
-  void BeginLane(const PreparedLabel& p) {
+  void BeginLane(const Prepared& p) {
     if (p.id != scope_ || Size() > SimilarityEnsemble::kTokenTableBound) {
       Bind(p);
     }
@@ -813,7 +758,7 @@ class TokenTable {
   uint32_t query_count() const { return query_count_; }
 
   /// Whether the token's soundex code is non-empty and one of the query's.
-  bool SoundexInQuery(uint32_t id, const PreparedLabel& p) {
+  bool SoundexInQuery(uint32_t id, const Prepared& p) {
     Token& t = tokens_[id];
     if ((t.known & kSoundex) == 0) {
       const uint32_t code = PackedSoundex(View(id));
@@ -854,11 +799,11 @@ class TokenTable {
 
   /// The query's tf-idf weight of query token `id` (< query_count()), and
   /// its vector's squared norm summed in the vector's order.
-  double QueryWeight(uint32_t id, const PreparedLabel& p) {
+  double QueryWeight(uint32_t id, const Prepared& p) {
     EnsureQueryVector(p);
     return query_weights_[id];
   }
-  double QueryNorm(const PreparedLabel& p) {
+  double QueryNorm(const Prepared& p) {
     EnsureQueryVector(p);
     return query_norm_;
   }
@@ -904,7 +849,7 @@ class TokenTable {
     double idf = 0.0;
   };
 
-  void Bind(const PreparedLabel& p) {
+  void Bind(const Prepared& p) {
     scope_ = p.id;
     tokens_.clear();
     bytes_.clear();
@@ -925,7 +870,7 @@ class TokenTable {
     for (const std::string& t : p.numerals) numeral_ids_.push_back(Intern(t));
   }
 
-  void EnsureQueryVector(const PreparedLabel& p) {
+  void EnsureQueryVector(const Prepared& p) {
     if (query_vector_ready_) return;
     query_weights_.assign(query_count_, 0.0);
     query_norm_ = 0.0;
@@ -992,14 +937,13 @@ class TokenTable {
   bool query_vector_ready_ = false;
 };
 
-/// Data-side per-pair scratch of the kernels. One thread_local instance
+/// Data-side per-pair scratch of the kernel. One thread_local instance
 /// (ThreadScratch); every view is derived lazily from the lowercased data
 /// label, at most once per pair, into buffers that are reused across pairs
 /// (steady-state allocation-free).
 struct KernelScratch {
   std::string lb;  // lowercased data label
-  std::vector<std::string> bigrams, trigrams;
-  GramDedupTable gram_table;  // CountGrams dedup table (batch kernel)
+  GramDedupTable gram_table;  // CountGrams dedup table
   TokenTable token_table;
   std::vector<std::string_view> pieces;  // the label's tokens, as split
   std::vector<uint32_t> tokens;    // their ids, in split order
@@ -1011,17 +955,16 @@ struct KernelScratch {
   std::optional<int> year;
   double jaro = 0.0;
   int lcs_length = -1, run_length = -1;  // -1 until computed in this lane
-  bool has_tokens = false, has_bigrams = false, has_trigrams = false,
-       has_quantity = false, has_year = false, has_jaro = false;
+  bool has_tokens = false, has_quantity = false, has_year = false,
+       has_jaro = false;
 
   void Reset(std::string_view d) {
     ToLowerInto(d, &lb);
-    has_tokens = has_bigrams = has_trigrams = has_quantity = has_year =
-        has_jaro = false;
+    has_tokens = has_quantity = has_year = has_jaro = false;
     lcs_length = run_length = -1;
   }
 
-  void EnsureTokens(const SimilarityEnsemble::PreparedLabel& p) {
+  void EnsureTokens(const SimilarityEnsemble::PreparedLabelBatch& p) {
     if (has_tokens) return;
     has_tokens = true;
     token_table.BeginLane(p);
@@ -1039,18 +982,6 @@ struct KernelScratch {
     }
   }
 
-  void EnsureBigrams() {
-    if (has_bigrams) return;
-    GramsInto(lb, 2, &bigrams);
-    has_bigrams = true;
-  }
-
-  void EnsureTrigrams() {
-    if (has_trigrams) return;
-    GramsInto(lb, 3, &trigrams);
-    has_trigrams = true;
-  }
-
   void EnsureQuantity(std::string_view d) {
     if (has_quantity) return;
     quantity = ParseQuantity(d);
@@ -1063,7 +994,7 @@ struct KernelScratch {
     has_year = true;
   }
 
-  double EnsureJaro(const SimilarityEnsemble::PreparedLabel& p) {
+  double EnsureJaro(const SimilarityEnsemble::PreparedLabelBatch& p) {
     if (!has_jaro) {
       jaro = FastJaro(p.lower, lb);
       has_jaro = true;
@@ -1079,14 +1010,12 @@ KernelScratch& ThreadScratch() {
 
 // One feature value, bitwise equal to what Score() would fold in for the
 // same pair (same guards, same shared intermediates, same expressions).
-// Token features run on the thread's token table. When `batch` is
-// non-null (the batched kernel), the n-gram features run on packed grams
-// — identical values from a cheaper representation.
+// Token features run on the thread's token table, and the n-gram features
+// on packed grams — identical values from cheaper representations.
 double EvalKernelFeature(int feature, const SimilarityEnsemble::Context& ctx,
-                         const SimilarityEnsemble::PreparedLabel& p,
+                         const SimilarityEnsemble::PreparedLabelBatch& p,
                          KernelScratch& sc, std::string_view d, int query_type,
-                         int data_type,
-                         const SimilarityEnsemble::PreparedLabelBatch* batch) {
+                         int data_type) {
   using E = SimilarityEnsemble;
   TokenTable& table = sc.token_table;
   switch (feature) {
@@ -1133,19 +1062,11 @@ double EvalKernelFeature(int feature, const SimilarityEnsemble::Context& ctx,
       return static_cast<double>(sc.shared) / std::min(na, nb);
     }
     case E::kNGramJaccard: {
-      if (batch != nullptr) {
-        const GramCounts c = CountGrams<3>(sc.lb, batch->trigrams,
-                                           sc.gram_table);
-        const size_t na = batch->trigrams.size;
-        if (na == 0 && c.unique == 0) return 1.0;
-        const size_t uni = na + c.unique - c.shared;
-        return uni == 0 ? 0.0 : static_cast<double>(c.shared) / uni;
-      }
-      sc.EnsureTrigrams();
-      if (p.trigrams.empty() && sc.trigrams.empty()) return 1.0;
-      const size_t inter = SortedIntersectionCount(p.trigrams, sc.trigrams);
-      const size_t uni = p.trigrams.size() + sc.trigrams.size() - inter;
-      return uni == 0 ? 0.0 : static_cast<double>(inter) / uni;
+      const GramCounts c = CountGrams<3>(sc.lb, p.trigrams, sc.gram_table);
+      const size_t na = p.trigrams.size;
+      if (na == 0 && c.unique == 0) return 1.0;
+      const size_t uni = na + c.unique - c.shared;
+      return uni == 0 ? 0.0 : static_cast<double>(c.shared) / uni;
     }
     case E::kAcronym: {
       if (p.label.empty() || d.empty()) return 0.0;
@@ -1308,19 +1229,11 @@ double EvalKernelFeature(int feature, const SimilarityEnsemble::Context& ctx,
     case E::kSmithWaterman:
       return FastSmithWaterman(p.lower, sc.lb, sc.lcs_length, sc.run_length);
     case E::kBigramDice: {
-      if (batch != nullptr) {
-        const GramCounts c = CountGrams<2>(sc.lb, batch->bigrams,
-                                           sc.gram_table);
-        const size_t na = batch->bigrams.size;
-        if (na == 0 && c.unique == 0) return 1.0;
-        if (na == 0 || c.unique == 0) return 0.0;
-        return 2.0 * c.shared / (na + c.unique);
-      }
-      sc.EnsureBigrams();
-      if (p.bigrams.empty() && sc.bigrams.empty()) return 1.0;
-      if (p.bigrams.empty() || sc.bigrams.empty()) return 0.0;
-      const size_t inter = SortedIntersectionCount(p.bigrams, sc.bigrams);
-      return 2.0 * inter / (p.bigrams.size() + sc.bigrams.size());
+      const GramCounts c = CountGrams<2>(sc.lb, p.bigrams, sc.gram_table);
+      const size_t na = p.bigrams.size;
+      if (na == 0 && c.unique == 0) return 1.0;
+      if (na == 0 || c.unique == 0) return 0.0;
+      return 2.0 * c.shared / (na + c.unique);
     }
     case E::kTokenSequenceEdit:
       sc.EnsureTokens(p);
@@ -1516,37 +1429,13 @@ void SimilarityEnsemble::SetWeights(const std::vector<double>& weights) {
   } else {
     for (auto& w : weights_) w /= sum;
   }
-  RebuildEvalOrder();
+  RebuildBatchOrder();
 }
 
-void SimilarityEnsemble::RebuildEvalOrder() {
-  eval_order_.clear();
-  eval_order_.reserve(kFeatureCount);
-  // The O(1) pre-filters run first regardless of weight: they cost
-  // nothing and seed the running score before the first bound check.
-  eval_order_.push_back(kExact);
-  eval_order_.push_back(kCaseInsensitive);
-  eval_order_.push_back(kLengthRatio);
-  std::vector<int> rest;
-  rest.reserve(kFeatureCount);
-  for (int i = 0; i < kFeatureCount; ++i) {
-    if (i == kExact || i == kCaseInsensitive || i == kLengthRatio) continue;
-    if (weights_[i] > 0.0) rest.push_back(i);
-  }
-  std::sort(rest.begin(), rest.end(), [this](int a, int b) {
-    if (weights_[a] != weights_[b]) return weights_[a] > weights_[b];
-    if (kCostRank[a] != kCostRank[b]) return kCostRank[a] < kCostRank[b];
-    return a < b;
-  });
-  eval_order_.insert(eval_order_.end(), rest.begin(), rest.end());
-  remaining_mass_.assign(eval_order_.size() + 1, 0.0);
-  for (size_t k = eval_order_.size(); k-- > 0;) {
-    remaining_mass_[k] = remaining_mass_[k + 1] + weights_[eval_order_[k]];
-  }
-  // The batched kernel sweeps every positive-weight feature (no forced
-  // prefix — its stage-A refined-cap bound already did the cheap-reject
-  // work), grouped cheap-first so surviving lanes still exit before the
-  // DPs whenever their per-lane bound drops below the threshold.
+void SimilarityEnsemble::RebuildBatchOrder() {
+  // The batched kernel sweeps every positive-weight feature, grouped
+  // cheap-first so a lane exits before the DPs whenever its refined bound
+  // drops below the threshold.
   batch_order_.clear();
   batch_order_.reserve(kFeatureCount);
   for (int i = 0; i < kFeatureCount; ++i) {
@@ -1561,16 +1450,21 @@ void SimilarityEnsemble::RebuildEvalOrder() {
   });
 }
 
-SimilarityEnsemble::PreparedLabel SimilarityEnsemble::Prepare(
+SimilarityEnsemble::PreparedLabelBatch SimilarityEnsemble::Prepare(
     std::string_view label) const {
   static std::atomic<uint64_t> next_id{1};
-  PreparedLabel p;
+  PreparedLabelBatch p;
   p.id = next_id.fetch_add(1, std::memory_order_relaxed);
   p.label.assign(label);
   p.lower = ToLower(label);
   p.tokens = SplitTokens(p.lower);
-  GramsInto(p.lower, 2, &p.bigrams);
-  GramsInto(p.lower, 3, &p.trigrams);
+  // GramsInto yields each gram once, and packing is injective for grams
+  // of <= 3 bytes, so each set holds exactly the label's distinct grams.
+  std::vector<std::string> grams;
+  GramsInto(p.lower, 2, &grams);
+  p.bigrams = MakeGramSet(grams);
+  GramsInto(p.lower, 3, &grams);
+  p.trigrams = MakeGramSet(grams);
   for (const auto& t : p.tokens) {
     p.initials.push_back(t[0]);
     const uint32_t code = PackedSoundex(t);
@@ -1596,37 +1490,20 @@ SimilarityEnsemble::PreparedLabel SimilarityEnsemble::Prepare(
   if (context_.synonyms != nullptr) {
     p.label_syn_group = context_.synonyms->GroupOfLower(p.lower);
   }
-  return p;
-}
-
-SimilarityEnsemble::PreparedLabelBatch SimilarityEnsemble::PrepareBatch(
-    std::string_view label) const {
-  return PrepareBatch(Prepare(label));
-}
-
-SimilarityEnsemble::PreparedLabelBatch SimilarityEnsemble::PrepareBatch(
-    PreparedLabel prepared) const {
-  PreparedLabelBatch b;
-  b.prepared = std::move(prepared);
-  const PreparedLabel& p = b.prepared;
-  // Packing is injective for grams of <= 3 bytes and the string grams are
-  // already unique, so each set holds exactly the query's grams.
-  b.bigrams = MakeGramSet(p.bigrams);
-  b.trigrams = MakeGramSet(p.trigrams);
   // Both conditions, and the disjoint-token caps they gate, argue from
   // exact token equality; DESIGN.md "Memory layout & batched scoring"
   // spells out why each capped feature is then exactly 0.
-  b.synonym_needs_token =
+  p.synonym_needs_token =
       p.label_syn_group < 0 &&
       (context_.synonyms == nullptr ||
        std::none_of(p.tokens.begin(), p.tokens.end(),
                     [&](const std::string& t) {
                       return context_.synonyms->GroupOfLower(t) >= 0;
                     }));
-  b.numeral_needs_token =
+  p.numeral_needs_token =
       std::find(p.numeral_values.begin(), p.numeral_values.end(), 0) !=
       p.numeral_values.end();
-  return b;
+  return p;
 }
 
 bool SimilarityEnsemble::PackedGramSet::Contains(uint32_t gram) const {
@@ -1640,55 +1517,12 @@ bool SimilarityEnsemble::PackedGramSet::Contains(uint32_t gram) const {
   return false;
 }
 
-double SimilarityEnsemble::ScoreAgainstThreshold(const PreparedLabel& prepared,
-                                                 std::string_view data_label,
-                                                 double threshold,
-                                                 int query_type, int data_type,
-                                                 KernelStats* stats) const {
-  if (stats != nullptr) ++stats->pairs;
-  // Same shortcut as Score(): case-insensitive equality is exactly 1.
-  if (!prepared.label.empty() && EqualIgnoreCase(prepared.label, data_label)) {
-    return 1.0;
-  }
-  KernelScratch& sc = ThreadScratch();
-  sc.Reset(data_label);
-  double f[kFeatureCount] = {};
-  const size_t order = eval_order_.size();
-  double partial = 0.0;
-  for (size_t k = 0; k < order; ++k) {
-    // Upper bound on the final score: every unevaluated feature is <= 1,
-    // so at most the remaining weight mass can still be added. The 1e-9
-    // margin keeps accumulation-order rounding (~1e-13 for a 30-term
-    // convex sum) from ever rejecting a pair the canonical sum accepts.
-    if (threshold >= 0.0 && partial + remaining_mass_[k] < threshold - 1e-9) {
-      if (stats != nullptr) {
-        ++stats->early_exits;
-        stats->features_evaluated += k;
-        stats->features_skipped += order - k;
-      }
-      return partial + remaining_mass_[k];
-    }
-    const int i = eval_order_[k];
-    f[i] = EvalKernelFeature(i, context_, prepared, sc, data_label, query_type,
-                             data_type, nullptr);
-    partial += weights_[i] * f[i];
-  }
-  if (stats != nullptr) stats->features_evaluated += order;
-  // Replay the weighted sum in canonical feature order: bitwise equal to
-  // Score()'s accumulation (skipped/zero-weight terms add +0.0, which is
-  // an identity on the non-negative running sum).
-  double s = 0.0;
-  for (int i = 0; i < kFeatureCount; ++i) s += weights_[i] * f[i];
-  return s;
-}
-
 void SimilarityEnsemble::ScoreBatchAgainstThreshold(
-    const PreparedLabelBatch& batch, const std::string_view* data_labels,
+    const PreparedLabelBatch& p, const std::string_view* data_labels,
     size_t count, double threshold, int query_type, const int* data_types,
     double* out, KernelStats* stats, const uint8_t* shares_token) const {
   constexpr int L = kBatchLanes;
   if (count == 0) return;
-  const PreparedLabel& p = batch.prepared;
   if (stats != nullptr) stats->pairs += count;
   const size_t order = batch_order_.size();
 
@@ -1738,8 +1572,8 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
   // compiler can vectorize it.
   double caps[kFeatureCount][L];
   if (threshold >= 0.0) {
-    const double qtri = static_cast<double>(p.trigrams.size());
-    const double qbi = static_cast<double>(p.bigrams.size());
+    const double qtri = static_cast<double>(p.trigrams.size);
+    const double qbi = static_cast<double>(p.bigrams.size);
     const double qtok = static_cast<double>(p.tokens.size());
     const double qnum = static_cast<double>(p.numerals.size());
     const double qini = static_cast<double>(p.initials.size());
@@ -1757,8 +1591,8 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
     for (int l = 0; l < L; ++l) {
       // Disjoint-token lanes (tok_ok 0): each feature below that can only
       // be positive through a shared token is capped at 0.
-      const double syn_tok = batch.synonym_needs_token ? tok_ok[l] : 1.0;
-      const double num_tok = batch.numeral_needs_token ? tok_ok[l] : 1.0;
+      const double syn_tok = p.synonym_needs_token ? tok_ok[l] : 1.0;
+      const double num_tok = p.numeral_needs_token ? tok_ok[l] : 1.0;
       // Length-equality features: anything normalized over a fixed-length
       // alignment (or exact equality) is 0 when lengths differ.
       caps[kExact][l] = eq[l];
@@ -1837,11 +1671,11 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
     }
   }
 
-  // Stage B: surviving lanes run the scalar sweep in batch order with a
-  // per-lane refined remaining mass (suffix sums of w * cap), sharing the
-  // batch's packed grams and synonym group ids. Completed lanes replay
-  // the weighted sum in canonical feature order, exactly like
-  // ScoreAgainstThreshold — so every kept value is bitwise Score().
+  // Stage B: surviving lanes run the per-feature sweep in batch order
+  // with a per-lane refined remaining mass (suffix sums of w * cap).
+  // Completed lanes replay the weighted sum in canonical feature order:
+  // skipped and zero-weight terms add +0.0, an identity on the
+  // non-negative running sum, so every kept value is bitwise Score().
   KernelScratch& sc = ThreadScratch();
   for (size_t l = 0; l < count; ++l) {
     if (!survive[l]) continue;
@@ -1878,8 +1712,7 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
         ++pinned;
         continue;
       }
-      f[i] = EvalKernelFeature(i, context_, p, sc, d, query_type, data_type,
-                               &batch);
+      f[i] = EvalKernelFeature(i, context_, p, sc, d, query_type, data_type);
       partial += weights_[i] * f[i];
     }
     if (exited) continue;
@@ -1893,7 +1726,7 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
   }
 }
 
-double SimilarityEnsemble::RetrievalCapSum(const PreparedLabelBatch& batch,
+double SimilarityEnsemble::RetrievalCapSum(const PreparedLabelBatch& p,
                                            double rr, double minlen,
                                            double gram_len, bool any_numeric,
                                            bool acr_len_match,
@@ -1902,12 +1735,11 @@ double SimilarityEnsemble::RetrievalCapSum(const PreparedLabelBatch& batch,
   // ScoreBatchAgainstThreshold), evaluated from index-carried facts
   // instead of per-lane ones. Eq-gated caps are 0 here: callers return
   // the trivial 1.0 outright whenever byte-length equality is possible.
-  const PreparedLabel& p = batch.prepared;
   const double tok_ok = (!shares_token && !p.tokens.empty()) ? 0.0 : 1.0;
-  const double syn_tok = batch.synonym_needs_token ? tok_ok : 1.0;
-  const double num_tok = batch.numeral_needs_token ? tok_ok : 1.0;
-  const double qtri = static_cast<double>(p.trigrams.size());
-  const double qbi = static_cast<double>(p.bigrams.size());
+  const double syn_tok = p.synonym_needs_token ? tok_ok : 1.0;
+  const double num_tok = p.numeral_needs_token ? tok_ok : 1.0;
+  const double qtri = static_cast<double>(p.trigrams.size);
+  const double qbi = static_cast<double>(p.bigrams.size);
   const double qtok = static_cast<double>(p.tokens.size());
   const double qnum = static_cast<double>(p.numerals.size());
   const bool acr_q = p.tokens.size() == 1 && p.lower.size() >= 2;
@@ -1960,11 +1792,10 @@ double SimilarityEnsemble::RetrievalCapSum(const PreparedLabelBatch& batch,
   return bound;
 }
 
-double SimilarityEnsemble::RetrievalNodeBound(const PreparedLabelBatch& batch,
+double SimilarityEnsemble::RetrievalNodeBound(const PreparedLabelBatch& p,
                                               size_t data_len,
                                               bool data_numeric,
                                               bool shares_token) const {
-  const PreparedLabel& p = batch.prepared;
   const size_t m = p.label.size();
   // Equal byte length admits the case-insensitive-equality 1.0 and opens
   // every length-gated cap; the trivial bound is the only sound one.
@@ -1972,16 +1803,15 @@ double SimilarityEnsemble::RetrievalNodeBound(const PreparedLabelBatch& batch,
   const double rr = static_cast<double>(std::min(data_len, m)) /
                     static_cast<double>(std::max(data_len, m));
   const bool acr = p.initials.size() == data_len && data_len >= 2;
-  return RetrievalCapSum(batch, rr,
+  return RetrievalCapSum(p, rr,
                          static_cast<double>(std::min(data_len, m)),
                          static_cast<double>(data_len), data_numeric, acr,
                          shares_token);
 }
 
 double SimilarityEnsemble::RetrievalBlockBound(
-    const PreparedLabelBatch& batch, const LabelSetStats& stats) const {
+    const PreparedLabelBatch& p, const LabelSetStats& stats) const {
   if (stats.empty) return 0.0;
-  const PreparedLabel& p = batch.prepared;
   const size_t m = p.label.size();
   const bool m_possible =
       m < 63 ? ((stats.len_mask >> m) & 1) != 0
@@ -1993,7 +1823,7 @@ double SimilarityEnsemble::RetrievalBlockBound(
   // its equal-length shortcut here.)
   for (uint32_t b = 0; b < 63; ++b) {
     if (((stats.len_mask >> b) & 1) == 0) continue;
-    best = std::max(best, RetrievalNodeBound(batch, b, stats.any_numeric));
+    best = std::max(best, RetrievalNodeBound(p, b, stats.any_numeric));
   }
   // Pooled lengths [63, max_len]: per-feature maxima — the ratio family
   // at the admitted length closest to m, the gram/token caps at max_len.
@@ -2006,7 +1836,7 @@ double SimilarityEnsemble::RetrievalBlockBound(
     const bool acr = qini >= 63 && qini <= hi;
     best = std::max(
         best,
-        RetrievalCapSum(batch, rr, static_cast<double>(std::min<size_t>(63, m)),
+        RetrievalCapSum(p, rr, static_cast<double>(std::min<size_t>(63, m)),
                         static_cast<double>(hi), stats.any_numeric, acr,
                         /*shares_token=*/true));
   }

@@ -47,14 +47,14 @@ struct LabelSetStats {
   }
 };
 
-/// Counters of the threshold-aware scoring kernel (ScoreAgainstThreshold):
-/// how many pairs were scored, how many exited early, and how many feature
-/// evaluations the weight-ordered upper bound saved.
+/// Counters of the batch scoring kernel (ScoreBatchAgainstThreshold):
+/// how many lanes were scored, how many exited early, and how many feature
+/// evaluations the per-lane caps saved.
 struct KernelStats {
-  uint64_t pairs = 0;               ///< kernel invocations
-  uint64_t early_exits = 0;         ///< pairs rejected before the full sweep
+  uint64_t pairs = 0;               ///< lanes scored
+  uint64_t early_exits = 0;         ///< lanes rejected before the full sweep
   uint64_t features_evaluated = 0;  ///< feature positions actually consumed
-  uint64_t features_skipped = 0;    ///< feature positions skipped by exits
+  uint64_t features_skipped = 0;    ///< positions skipped by exits and 0 caps
 };
 
 /// The learned node/edge matching function of Eq. 1:
@@ -135,83 +135,11 @@ class SimilarityEnsemble {
 
   /// Replaces the weights (negative entries clamped to 0, then the vector
   /// is renormalized to sum 1). Must have kFeatureCount entries. Also
-  /// rebuilds the kernel's evaluation order (see ScoreAgainstThreshold).
+  /// rebuilds the batch kernel's sweep order.
   void SetWeights(const std::vector<double>& weights);
 
   const std::vector<double>& weights() const { return weights_; }
   const Context& context() const { return context_; }
-
-  // -------------------------------------------------------------------
-  // Threshold-aware scoring kernel
-  // -------------------------------------------------------------------
-  //
-  // Bulk candidate scoring evaluates ONE query label against thousands of
-  // data labels, but Score() re-derives the query-side views (lowercase,
-  // tokens, n-grams, phonetic codes, parses, tf-idf vector) for every
-  // pair. The kernel splits the work: Prepare() builds the query side
-  // once, ScoreAgainstThreshold() touches only the data side per pair —
-  // into thread_local scratch, with no per-pair allocations — and
-  // evaluates features in descending-weight order under the running upper
-  // bound `score_so_far + remaining_weight_mass` (every feature is in
-  // [0, 1]). Once the bound cannot reach `threshold` the pair is rejected
-  // without evaluating the expensive tail (the alignment features).
-  //
-  // Exactness: completed evaluations replay the weighted sum in canonical
-  // feature order, so any returned value >= threshold is bitwise equal to
-  // Score(). Early exits return the (sub-threshold) bound, and the exit
-  // test keeps a 1e-9 margin below the threshold so accumulation-order
-  // rounding can never reject a pair the canonical sum would accept —
-  // which is why Candidates() output is bit-identical with the kernel on
-  // or off.
-
-  /// Sentinel threshold: never exit early (exact mode).
-  static constexpr double kNoThreshold = -1.0;
-
-  /// Query-side view of one label, built once per query node by Prepare().
-  /// Immutable afterwards, so concurrent ScoreAgainstThreshold calls may
-  /// share it (the per-pair scratch is thread_local).
-  struct PreparedLabel {
-    /// Process-unique stamp from Prepare(); copies keep it (and equal
-    /// contents). The kernels' per-thread token table serves one id at a
-    /// time, is rebuilt when a lane arrives with another, and caches
-    /// facts from the context of the ensemble that prepared the label:
-    /// score a label only with that ensemble.
-    uint64_t id = 0;
-    std::string label;                       ///< original bytes
-    std::string lower;                       ///< lowercased
-    std::vector<std::string> tokens;         ///< tokens of lower, in order
-    std::vector<std::string> bigrams;        ///< sorted unique char 2-grams
-    std::vector<std::string> trigrams;       ///< sorted unique char 3-grams
-    std::string initials;                    ///< first char of each token
-    std::vector<uint32_t> soundex;  ///< packed non-empty codes, sorted unique
-    std::vector<std::string> numerals;       ///< numeral-normalized tokens
-    /// Per numerals entry: v when it is the string of v in 1..20 (the only
-    /// strings a numeral token normalizes to), else 0.
-    std::vector<int> numeral_values;
-    std::optional<double> quantity;          ///< ParseQuantity(label)
-    std::optional<int> year;                 ///< ExtractYear(label)
-    bool looks_numeric = false;              ///< numeric-guard flag (lower)
-    bool contains_digit = false;             ///< date-guard flag (lower)
-    TfIdfModel::SparseVector tfidf;          ///< empty without tf-idf ctx
-    /// Synonym group of the whole label (-1 = none or no dictionary).
-    int label_syn_group = -1;
-  };
-
-  /// Builds the query-side view of `label` (uses the tf-idf context when
-  /// present and finalized).
-  PreparedLabel Prepare(std::string_view label) const;
-
-  /// F_N of (prepared query label, data label) against a candidate
-  /// threshold. Returns a value bitwise equal to Score() whenever that
-  /// value is >= threshold (and always when threshold < 0, e.g.
-  /// kNoThreshold); pairs whose canonical score is below the threshold
-  /// may instead return a cheaper sub-threshold upper bound. Thread-safe
-  /// (thread_local scratch); `stats`, when given, is the caller's and is
-  /// mutated non-atomically.
-  double ScoreAgainstThreshold(const PreparedLabel& prepared,
-                               std::string_view data_label, double threshold,
-                               int query_type = -1, int data_type = -1,
-                               KernelStats* stats = nullptr) const;
 
   /// Human-readable feature names, index-aligned with Features().
   static const std::vector<std::string>& FeatureNames();
@@ -229,13 +157,15 @@ class SimilarityEnsemble {
   // Batched scoring kernel (structure-of-arrays)
   // -------------------------------------------------------------------
   //
-  // ScoreAgainstThreshold's remaining-mass bound assumes every unevaluated
-  // feature can still contribute its full weight, so at uniform weights a
-  // garbage pair must consume ~2/3 of the feature order — including the
-  // alignment DPs, n-gram builds, soundex codes and synonym probes — before
-  // the bound can drop below a 0.4 threshold. The batched kernel replaces
-  // that trivial tail bound with per-lane *refined caps* derived from O(1)
-  // facts (label lengths, query-side guard flags, token/gram counts):
+  // Bulk candidate scoring evaluates ONE query label against thousands of
+  // data labels, but Score() re-derives the query-side views (lowercase,
+  // tokens, n-grams, phonetic codes, parses, tf-idf vector) for every
+  // pair. The kernel splits the work: Prepare() builds the query side
+  // once, and ScoreBatchAgainstThreshold() touches only the data side of
+  // each lane — into thread_local scratch, with no per-pair allocations.
+  //
+  // Against a threshold, each lane first gets *refined caps* derived from
+  // O(1) facts (label lengths, query-side guard flags, token/gram counts):
   // Levenshtein-family features are capped by min/max length, Jaro by
   // (2 + min/max)/3, exact/Hamming by length equality, the numeric/date/
   // phonetic features by query-side guards, tf-idf by whether a finalized
@@ -247,12 +177,16 @@ class SimilarityEnsemble {
   // threshold. Under uniform weights the caps are loose: few lanes are
   // rejected outright, and most exits come part-way through the sweep.
   //
-  // Exactness: identical contract to ScoreAgainstThreshold. Lanes whose
-  // evaluation completes replay the weighted sum in canonical feature
-  // order (bitwise equal to Score()); rejected lanes return a sound
-  // sub-threshold upper bound (each cap provably dominates its feature,
-  // and the 1e-9 exit margin absorbs the sub-ulp rounding of the cap
-  // arithmetic exactly as it absorbs accumulation-order rounding).
+  // Exactness: lanes whose evaluation completes replay the weighted sum in
+  // canonical feature order, so any returned value >= threshold is
+  // bitwise equal to Score(). Rejected lanes return a sound sub-threshold
+  // upper bound (each cap provably dominates its feature), and the exit
+  // test keeps a 1e-9 margin below the threshold, so neither the
+  // accumulation-order rounding nor the sub-ulp rounding of the cap
+  // arithmetic can reject a lane the canonical sum would accept.
+
+  /// Sentinel threshold: never exit early (exact mode).
+  static constexpr double kNoThreshold = -1.0;
 
   /// Lanes evaluated per batch kernel invocation.
   static constexpr int kBatchLanes = 8;
@@ -269,19 +203,40 @@ class SimilarityEnsemble {
     bool Contains(uint32_t gram) const;
   };
 
-  /// Query-side SoA view for the batched kernel: the scalar PreparedLabel
-  /// plus packed n-gram sets and the query-side conditions of the
-  /// disjoint-token caps. Built once per query node; immutable afterwards,
-  /// so concurrent ScoreBatchAgainstThreshold calls may share it.
+  /// Query-side view of one label, built once per query node by
+  /// Prepare(). Immutable afterwards, so concurrent
+  /// ScoreBatchAgainstThreshold calls may share it (the per-pair scratch
+  /// is thread_local).
   struct PreparedLabelBatch {
-    PreparedLabel prepared;
-    /// prepared.bigrams and prepared.trigrams as packed gram sets. Packing
-    /// is injective for grams of <= 3 bytes, so the kernel's counts —
-    /// distinct data grams and how many of them the query holds — and
-    /// therefore the Jaccard/Dice values are bitwise identical to the
-    /// string-gram path.
+    /// Process-unique stamp from Prepare(); copies keep it (and equal
+    /// contents). The kernel's per-thread token table serves one id at a
+    /// time, is rebuilt when a lane arrives with another, and caches
+    /// facts from the context of the ensemble that prepared the label:
+    /// score a label only with that ensemble.
+    uint64_t id = 0;
+    std::string label;                       ///< original bytes
+    std::string lower;                       ///< lowercased
+    std::vector<std::string> tokens;         ///< tokens of lower, in order
+    /// The distinct char 2-grams and 3-grams of lower (a string shorter
+    /// than n is its own single gram), packed. Packing is injective for
+    /// grams of <= 3 bytes, so the kernel's counts — distinct data grams
+    /// and how many of them the query holds — and therefore the
+    /// Jaccard/Dice values are bitwise those of Score()'s string grams.
     PackedGramSet bigrams;
     PackedGramSet trigrams;
+    std::string initials;                    ///< first char of each token
+    std::vector<uint32_t> soundex;  ///< packed non-empty codes, sorted unique
+    std::vector<std::string> numerals;       ///< numeral-normalized tokens
+    /// Per numerals entry: v when it is the string of v in 1..20 (the only
+    /// strings a numeral token normalizes to), else 0.
+    std::vector<int> numeral_values;
+    std::optional<double> quantity;          ///< ParseQuantity(label)
+    std::optional<int> year;                 ///< ExtractYear(label)
+    bool looks_numeric = false;              ///< numeric-guard flag (lower)
+    bool contains_digit = false;             ///< date-guard flag (lower)
+    TfIdfModel::SparseVector tfidf;          ///< empty without tf-idf ctx
+    /// Synonym group of the whole label (-1 = none or no dictionary).
+    int label_syn_group = -1;
     /// Query-side conditions of the disjoint-token caps (see
     /// ScoreBatchAgainstThreshold): the synonym feature can be positive
     /// only through a shared token when neither the label nor any token
@@ -292,27 +247,26 @@ class SimilarityEnsemble {
     bool numeral_needs_token = false;
   };
 
-  /// Builds the batched query-side view (Prepare() plus the SoA lanes).
-  PreparedLabelBatch PrepareBatch(std::string_view label) const;
-  /// Wraps an existing PreparedLabel without re-deriving it.
-  PreparedLabelBatch PrepareBatch(PreparedLabel prepared) const;
+  /// Builds the query-side view of `label` (uses the tf-idf context when
+  /// present and finalized).
+  PreparedLabelBatch Prepare(std::string_view label) const;
 
   /// F_N of the prepared query label against `count` (<= kBatchLanes) data
   /// labels at once. Per-lane results land in out[0..count): bitwise equal
   /// to Score() whenever the value is >= threshold (always when
-  /// threshold < 0), otherwise a sub-threshold upper bound — the same
-  /// contract as ScoreAgainstThreshold, so the two kernels and Score()
-  /// agree bitwise on every kept candidate. `data_types` (nullable) gives
-  /// the per-lane ontology type id. Thread-safe; `stats` is the caller's.
+  /// threshold < 0, e.g. kNoThreshold), otherwise a sub-threshold upper
+  /// bound. `data_types` (nullable) gives the per-lane ontology type id.
+  /// Thread-safe (thread_local scratch); `stats`, when given, is the
+  /// caller's and is mutated non-atomically.
   ///
   /// `shares_token` (nullable) carries retrieval facts: shares_token[l] ==
   /// 0 asserts that data label l shares no token with the query label
   /// (LabelIndex::RankedCandidates reports exactly this). When the query
   /// label has tokens, such a lane has token Jaccard, Dice, Overlap,
   /// token-sequence edit and tf-idf cosine exactly 0, and also synonym
-  /// and numeral-aware under the query-side conditions PrepareBatch
-  /// records; stage A caps them at 0 and the sweep skips them. A wrong 0
-  /// breaks the contract, so pass facts only for labels they describe.
+  /// and numeral-aware under the query-side conditions Prepare records;
+  /// stage A caps them at 0 and the sweep skips them. A wrong 0 breaks
+  /// the contract, so pass facts only for labels they describe.
   void ScoreBatchAgainstThreshold(const PreparedLabelBatch& batch,
                                   const std::string_view* data_labels,
                                   size_t count, double threshold,
@@ -358,11 +312,8 @@ class SimilarityEnsemble {
                              const LabelSetStats& stats) const;
 
  private:
-  /// Recomputes eval_order_ / remaining_mass_ from weights_: the O(1)
-  /// pre-filters first, then positive-weight features by (weight desc,
-  /// cost-rank asc, index asc) — equal weights evaluate cheap-first so
-  /// early exits skip the expensive alignment DPs.
-  void RebuildEvalOrder();
+  /// Recomputes batch_order_ from weights_.
+  void RebuildBatchOrder();
 
   /// Shared core of the retrieval bounds: the stage-A cap sum for a
   /// hypothetical data label described by O(1) facts. `rr` is the
@@ -379,9 +330,6 @@ class SimilarityEnsemble {
 
   Context context_;
   std::vector<double> weights_;
-  std::vector<int> eval_order_;
-  /// remaining_mass_[k] = sum of weights_[eval_order_[j]] for j >= k.
-  std::vector<double> remaining_mass_;
   /// Positive-weight features in the batched kernel's sweep order:
   /// cheap-and-informative first (O(1) pre-filters, linear scans, token
   /// set measures), the refined-cap-bounded DPs and sparse measures last,

@@ -234,7 +234,7 @@ TEST(EnsembleTest, FastPathMatchesFeaturesRandomized) {
   }
 
   // Vocabulary labels under full context: Score() against the feature
-  // sum, and both kernels against Score() bitwise.
+  // sum, and the batch kernel against Score() bitwise.
   std::vector<std::string> labels;
   for (int i = 0; i < 120; ++i) labels.push_back(RandomVocabularyLabel(rng));
   const auto dict = SynonymDictionary::BuiltIn();
@@ -250,8 +250,7 @@ TEST(EnsembleTest, FastPathMatchesFeaturesRandomized) {
   constexpr size_t kLanes = SimilarityEnsemble::kBatchLanes;
   for (size_t qi = 0; qi < 40; ++qi) {
     const std::string& q = labels[qi];
-    const auto prepared = full.Prepare(q);
-    const auto batch = full.PrepareBatch(q);
+    const auto batch = full.Prepare(q);
     for (size_t lo = 0; lo < labels.size(); lo += kLanes) {
       const size_t count = std::min(kLanes, labels.size() - lo);
       std::string_view lanes[kLanes];
@@ -271,10 +270,6 @@ TEST(EnsembleTest, FastPathMatchesFeaturesRandomized) {
         if (!q.empty() && ToLower(q) == ToLower(d)) expected = 1.0;
         const double score = full.Score(q, d);
         EXPECT_NEAR(score, expected, 1e-12) << pair;
-        EXPECT_EQ(full.ScoreAgainstThreshold(prepared, d,
-                                             SimilarityEnsemble::kNoThreshold),
-                  score)
-            << pair;
         EXPECT_EQ(out[l], score) << pair;
       }
     }
@@ -282,14 +277,14 @@ TEST(EnsembleTest, FastPathMatchesFeaturesRandomized) {
 }
 
 // Each alignment, rewritten token or gram feature alone (one-hot
-// weights): Score(), the scalar kernel and the exact and thresholded batch
-// kernels must return the bits of the reference function (similarity.h,
-// phonetic.h, TfIdfModel::Cosine, SynonymDictionary::Similarity). The
-// references share no code with the kernels' bit-parallel loops, token
+// weights): Score() and the exact and thresholded batch kernel must
+// return the bits of the reference function (similarity.h, phonetic.h,
+// TfIdfModel::Cosine, SynonymDictionary::Similarity). The references
+// share no code with the kernel's bit-parallel loops, token
 // table, packed soundex codes, position-wise numeral compare, token-run
 // tf-idf walk or hashed gram counts, so a wrong rewrite cannot hide behind
 // a kernel == Score() identity. One more entry weighs LCS, longest common
-// substring and Smith-Waterman equally: the kernels then compute the two
+// substring and Smith-Waterman equally: the kernel then computes the two
 // lengths before Smith-Waterman, which skips its DP when they are equal.
 TEST(EnsembleTest, AlignmentFeaturesMatchReferenceBitwise) {
   // Every label of <= 3 bytes over the bytes a, B and b: Jaro's
@@ -423,8 +418,7 @@ TEST(EnsembleTest, AlignmentFeaturesMatchReferenceBitwise) {
       return sum;
     };
     for (const std::string& q : labels) {
-      const auto prepared = e.Prepare(q);
-      const auto batch = e.PrepareBatch(q);
+      const auto batch = e.Prepare(q);
       for (size_t lo = 0; lo < labels.size(); lo += kLanes) {
         const size_t count = std::min(kLanes, labels.size() - lo);
         std::string_view lanes[kLanes];
@@ -444,10 +438,6 @@ TEST(EnsembleTest, AlignmentFeaturesMatchReferenceBitwise) {
                                  : reference(q, d);
           const std::string pair = name + "q='" + q + "' d='" + d + "'";
           EXPECT_EQ(e.Score(q, d), ref) << pair;
-          EXPECT_EQ(e.ScoreAgainstThreshold(prepared, d,
-                                            SimilarityEnsemble::kNoThreshold),
-                    ref)
-              << pair;
           EXPECT_EQ(out[l], ref) << pair;
           if (ref >= 0.5) {
             EXPECT_EQ(thresholded[l], ref) << pair;

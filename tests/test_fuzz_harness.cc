@@ -1,9 +1,11 @@
 // Tests for the fuzz harness itself (src/testing/): the case generator is
 // seed-deterministic, replays round-trip bit-exactly, the differential
 // matrix passes on a clean engine, the oracle feasibility check gates the
-// right configs, and a deliberately injected bug is caught, shrunk, and
-// reproduced from its replay file.
+// right configs, the fn-oracle check flags wrong candidate lists, and a
+// deliberately injected bug is caught, shrunk, and reproduced from its
+// replay file.
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -11,6 +13,9 @@
 #include <gtest/gtest.h>
 
 #include "baseline/brute_force.h"
+#include "graph/label_index.h"
+#include "scoring/query_scorer.h"
+#include "test_helpers.h"
 #include "testing/differential.h"
 #include "testing/fuzz_case.h"
 #include "testing/replay.h"
@@ -195,6 +200,45 @@ TEST(DifferentialTest, InjectedBugIsCaughtShrunkAndReplayed) {
   std::string err;
   ASSERT_TRUE(LoadReplayFile(path, &reloaded, &err)) << err;
   EXPECT_TRUE(HasCheck(RunDifferentialCase(reloaded, opts), "reuse-warm"));
+}
+
+// The fn-oracle check must flag a candidate list that differs from the
+// one rebuilt from Score() in a single id or a single score bit. The
+// wrong lists are seeded into the scorer's memo, so Candidates() returns
+// them as if the kernel had computed them.
+TEST(FnOracleTest, FlagsADroppedCandidateAndAOneUlpScore) {
+  const graph::KnowledgeGraph g = MovieGraph();
+  const graph::LabelIndex index(g);
+  const text::SimilarityEnsemble ensemble;
+  query::QueryGraph q;
+  const int u = q.AddNode("Brad Pitt", "Actor");
+  const int w = q.AddWildcardNode("");
+  q.AddEdge(u, w, "actedIn");
+  const scoring::MatchConfig cfg = TestConfig();
+  std::vector<scoring::ScoredCandidate> right;
+  {
+    const scoring::QueryScorer scorer(g, q, ensemble, cfg, &index);
+    CaseOutcome clean;
+    CheckFnOracle(scorer, ensemble, "clean", &clean);
+    EXPECT_TRUE(clean.ok()) << clean.Summary();
+    const scoring::CandidateList& list = scorer.Candidates(u);
+    right.assign(list.begin(), list.end());
+  }
+  ASSERT_GE(right.size(), 2u);
+
+  std::vector<scoring::ScoredCandidate> dropped = right;
+  dropped.erase(dropped.begin() + 1);
+  std::vector<scoring::ScoredCandidate> off_by_ulp = right;
+  off_by_ulp.back().score = std::nextafter(off_by_ulp.back().score, 2.0);
+  for (const auto* wrong : {&dropped, &off_by_ulp}) {
+    const scoring::QueryScorer scorer(g, q, ensemble, cfg, &index);
+    scorer.SeedCandidates(u, *wrong);
+    CaseOutcome out;
+    CheckFnOracle(scorer, ensemble, "seeded", &out);
+    ASSERT_EQ(out.violations.size(), 1u);
+    EXPECT_EQ(out.violations[0].check, "fn-oracle");
+    EXPECT_EQ(out.violations[0].cell, "seeded");
+  }
 }
 
 TEST(ShrinkerTest, IsDeterministic) {

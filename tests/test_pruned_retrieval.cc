@@ -1,8 +1,8 @@
 // Bound-driven candidate retrieval (DESIGN.md "Bound-driven retrieval"):
 // bitwise identity of the pruned path against the score-everything path
-// across engines and postings layouts; adversarial ties
-// at the max_candidates cut; and the block/node upper-bound soundness
-// contract (a cap must dominate every member it covers).
+// across engines; adversarial ties at the max_candidates cut; and the
+// block/node upper-bound soundness contract (a cap must dominate every
+// member it covers).
 
 #include <bit>
 #include <cstdint>
@@ -15,6 +15,7 @@
 #include "graph/label_index.h"
 #include "scoring/query_scorer.h"
 #include "test_helpers.h"
+#include "testing/differential.h"
 #include "text/synonym_dictionary.h"
 #include "text/tfidf.h"
 #include "text/type_ontology.h"
@@ -51,8 +52,8 @@ void ExpectBitwiseEqual(const std::vector<ScoredCandidate>& off,
 }
 
 // Pruned candidate lists must be byte-identical to the unpruned ones for
-// every (layout, cutoff, retrieval cap, index presence) cell — including
-// partial labels that exercise the fuzzy trigram lists.
+// every (cutoff, retrieval cap, index presence) cell — including partial
+// labels that exercise the fuzzy trigram lists.
 TEST(PrunedRetrievalTest, CandidateListsBitwiseIdentical) {
   for (const uint64_t seed : {1u, 7u, 23u}) {
     const graph::KnowledgeGraph g = SmallRandomGraph(seed, 60, 140);
@@ -63,23 +64,18 @@ TEST(PrunedRetrievalTest, CandidateListsBitwiseIdentical) {
       query::QueryGraph q;
       const int u = q.AddNode(label);
       text::SimilarityEnsemble ens;
-      for (const auto layout :
-           {graph::GraphLayout::kFlat, graph::GraphLayout::kCompressed}) {
-        const graph::LabelIndex index(g, layout);
-        for (const size_t max_candidates : {size_t{0}, size_t{1}, size_t{5}}) {
-          for (const size_t max_retrieval : {size_t{0}, size_t{8}}) {
-            MatchConfig cfg = TestConfig();
-            cfg.max_candidates = max_candidates;
-            cfg.max_retrieval = max_retrieval;
-            const std::string cell =
-                label + "/layout=" +
-                (layout == graph::GraphLayout::kFlat ? "flat" : "compressed") +
-                "/k=" + std::to_string(max_candidates) +
-                "/r=" + std::to_string(max_retrieval);
-            ExpectBitwiseEqual(
-                CandidatesWith(g, q, u, ens, cfg, &index, false),
-                CandidatesWith(g, q, u, ens, cfg, &index, true), cell);
-          }
+      const graph::LabelIndex index(g);
+      for (const size_t max_candidates : {size_t{0}, size_t{1}, size_t{5}}) {
+        for (const size_t max_retrieval : {size_t{0}, size_t{8}}) {
+          MatchConfig cfg = TestConfig();
+          cfg.max_candidates = max_candidates;
+          cfg.max_retrieval = max_retrieval;
+          const std::string cell = label +
+                                   "/k=" + std::to_string(max_candidates) +
+                                   "/r=" + std::to_string(max_retrieval);
+          ExpectBitwiseEqual(CandidatesWith(g, q, u, ens, cfg, &index, false),
+                             CandidatesWith(g, q, u, ens, cfg, &index, true),
+                             cell);
         }
       }
       // No-index fallback (full scan through the pooled pruner).
@@ -105,22 +101,19 @@ TEST(PrunedRetrievalTest, TieAtTheCutKeepsSmallestIds) {
   query::QueryGraph q;
   const int u = q.AddNode("Brad Pitt");
   text::SimilarityEnsemble ens;
-  for (const auto layout :
-       {graph::GraphLayout::kFlat, graph::GraphLayout::kCompressed}) {
-    const graph::LabelIndex index(g, layout);
-    for (const size_t k : {size_t{1}, size_t{7}, size_t{40}, size_t{55}}) {
-      MatchConfig cfg = TestConfig();
-      cfg.max_candidates = k;
-      const auto off = CandidatesWith(g, q, u, ens, cfg, &index, false);
-      const auto on = CandidatesWith(g, q, u, ens, cfg, &index, true);
-      ExpectBitwiseEqual(off, on, "tie/k=" + std::to_string(k));
-      // The exact-match prefix must be ids 0..min(k,40)-1 in order.
-      const size_t exact = std::min<size_t>(k, 40);
-      ASSERT_GE(on.size(), exact);
-      for (size_t i = 0; i < exact; ++i) {
-        EXPECT_EQ(on[i].node, static_cast<graph::NodeId>(i));
-        EXPECT_DOUBLE_EQ(on[i].score, 1.0);
-      }
+  const graph::LabelIndex index(g);
+  for (const size_t k : {size_t{1}, size_t{7}, size_t{40}, size_t{55}}) {
+    MatchConfig cfg = TestConfig();
+    cfg.max_candidates = k;
+    const auto off = CandidatesWith(g, q, u, ens, cfg, &index, false);
+    const auto on = CandidatesWith(g, q, u, ens, cfg, &index, true);
+    ExpectBitwiseEqual(off, on, "tie/k=" + std::to_string(k));
+    // The exact-match prefix must be ids 0..min(k,40)-1 in order.
+    const size_t exact = std::min<size_t>(k, 40);
+    ASSERT_GE(on.size(), exact);
+    for (size_t i = 0; i < exact; ++i) {
+      EXPECT_EQ(on[i].node, static_cast<graph::NodeId>(i));
+      EXPECT_DOUBLE_EQ(on[i].score, 1.0);
     }
   }
 }
@@ -128,7 +121,7 @@ TEST(PrunedRetrievalTest, TieAtTheCutKeepsSmallestIds) {
 // Soundness property behind every skip decision: a block's cap dominates
 // the true ensemble score of every member it covers, and the per-node
 // bound dominates that node's score — for every block of every retrieval
-// list, in both layouts, on graphs big enough to have multi-block lists.
+// list, on graphs big enough to have multi-block lists.
 TEST(PrunedRetrievalTest, BlockAndNodeBoundsDominateMembers) {
   graph::KnowledgeGraph::Builder b;
   // > 2 full blocks of one shared token with wildly varying label shapes.
@@ -150,7 +143,7 @@ TEST(PrunedRetrievalTest, BlockAndNodeBoundsDominateMembers) {
                                         const std::string& label,
                                         int32_t type,
                                         const graph::LabelIndex& index) {
-    const auto batch = ens.PrepareBatch(label);
+    const auto batch = ens.Prepare(label);
     const auto lists = index.RetrievalLists(label, type);
     EXPECT_FALSE(lists.empty()) << label;
     size_t blocks_seen = 0;
@@ -159,10 +152,8 @@ TEST(PrunedRetrievalTest, BlockAndNodeBoundsDominateMembers) {
         ++blocks_seen;
         const double cap =
             ens.RetrievalBlockBound(batch, index.BlockStats(l, blk));
-        auto cursor = index.BlockCursor(l, blk);
-        uint32_t v;
         size_t members = 0;
-        while (cursor.Next(&v)) {
+        for (const graph::NodeId v : index.BlockIds(l, blk)) {
           ++members;
           const double node_cap = ens.RetrievalNodeBound(
               batch, index.NodeLabelLength(v), index.NodeLooksNumeric(v));
@@ -196,40 +187,32 @@ TEST(PrunedRetrievalTest, BlockAndNodeBoundsDominateMembers) {
   tfidf_only.SetWeights(w);
 
   text::SimilarityEnsemble ens;
-  for (const auto layout :
-       {graph::GraphLayout::kFlat, graph::GraphLayout::kCompressed}) {
-    const graph::LabelIndex index(g, layout);
-    for (const std::string& label :
-         {std::string("alpha tail0"), std::string("alpha 1234"),
-          std::string("alphaz")}) {
-      // The shared "alpha" token must have produced a multi-block list.
-      EXPECT_GT(expect_caps_dominate(ens, label, /*type=*/-1, index), 2u)
-          << label;
-    }
-    ASSERT_EQ(tfidf_only.Score("-", ".."), 1.0);
-    expect_caps_dominate(tfidf_only, "-", g.FindTypeId("Mark"), index);
+  const graph::LabelIndex index(g);
+  for (const std::string& label :
+       {std::string("alpha tail0"), std::string("alpha 1234"),
+        std::string("alphaz")}) {
+    // The shared "alpha" token must have produced a multi-block list.
+    EXPECT_GT(expect_caps_dominate(ens, label, /*type=*/-1, index), 2u)
+        << label;
   }
+  ASSERT_EQ(tfidf_only.Score("-", ".."), 1.0);
+  expect_caps_dominate(tfidf_only, "-", g.FindTypeId("Mark"), index);
 }
 
-// Mid-list resume in the compressed layout: concatenating every block
-// cursor must reproduce the list exactly (strictly ascending ids, full
-// count) — the delta decode depends on the recorded (offset, prev) pair.
-TEST(PrunedRetrievalTest, BlockCursorsTileTheListBothLayouts) {
+// Concatenating every block must reproduce the list exactly (strictly
+// ascending ids, full count).
+TEST(PrunedRetrievalTest, BlocksTileTheList) {
   const graph::KnowledgeGraph g = SmallRandomGraph(5, 400, 900);
   const std::string label(g.NodeLabel(0));
-  for (const auto layout :
-       {graph::GraphLayout::kFlat, graph::GraphLayout::kCompressed}) {
-    const graph::LabelIndex index(g, layout);
-    for (const auto& l : index.RetrievalLists(label, /*type=*/-1)) {
-      std::vector<uint32_t> ids;
-      for (size_t blk = 0; blk < index.ListBlocks(l); ++blk) {
-        auto cursor = index.BlockCursor(l, blk);
-        uint32_t v;
-        while (cursor.Next(&v)) ids.push_back(v);
-      }
-      ASSERT_EQ(ids.size(), index.ListCount(l));
-      for (size_t i = 1; i < ids.size(); ++i) EXPECT_LT(ids[i - 1], ids[i]);
+  const graph::LabelIndex index(g);
+  for (const auto& l : index.RetrievalLists(label, /*type=*/-1)) {
+    std::vector<uint32_t> ids;
+    for (size_t blk = 0; blk < index.ListBlocks(l); ++blk) {
+      const auto block = index.BlockIds(l, blk);
+      ids.insert(ids.end(), block.begin(), block.end());
     }
+    ASSERT_EQ(ids.size(), index.ListCount(l));
+    for (size_t i = 1; i < ids.size(); ++i) EXPECT_LT(ids[i - 1], ids[i]);
   }
 }
 
@@ -265,8 +248,8 @@ TEST(PrunedRetrievalTest, SelectiveQuerySkipsBlocks) {
 // token hits with type-only entries, whose retrieval facts (no shared
 // token) let the batch kernel and the node bound cap the token-only
 // features at 0. On the pruned walk, the unpruned path and the sampled
-// pool, Candidates() must equal the Score()-only lists
-// (use_scoring_kernel = false) bitwise. The synonym- and numeral-heavy
+// pool, Candidates() must equal the lists rebuilt from Score() (the fuzz
+// harness's fn-oracle check) bitwise. The synonym- and numeral-heavy
 // weighting makes type-only pairs like "movie"/"film" and "two"/"ii"
 // candidates through exactly the features whose caps carry query-side
 // conditions.
@@ -305,10 +288,9 @@ TEST(PrunedRetrievalTest, RetrievalFactsKeepTypedPoolsBitwise) {
   ASSERT_GT(heavy.Score("two", "ii"), TestConfig().node_threshold);
 
   query::QueryGraph q;
-  std::vector<int> nodes;
   for (const char* label :
        {"movie", "two", "2", "ii", "21", "Part Two", "teacher", "alpha"}) {
-    nodes.push_back(q.AddNode(label, "Film"));
+    q.AddNode(label, "Film");
   }
   for (const text::SimilarityEnsemble* ens : {&uniform, &heavy}) {
     for (const size_t max_retrieval : {size_t{8}, size_t{1000}}) {
@@ -319,22 +301,18 @@ TEST(PrunedRetrievalTest, RetrievalFactsKeepTypedPoolsBitwise) {
           cfg.max_candidates = max_candidates;
           cfg.sample_rate = sample_rate;
           cfg.sample_seed = 9;
-          MatchConfig reference = cfg;
-          reference.use_scoring_kernel = false;
-          for (const int u : nodes) {
+          for (const bool pruned : {true, false}) {
+            cfg.use_pruned_retrieval = pruned;
             const std::string cell =
-                q.node(u).label + (ens == &heavy ? "/heavy" : "/uniform") +
+                std::string(ens == &heavy ? "heavy" : "uniform") +
                 "/r=" + std::to_string(max_retrieval) +
                 "/k=" + std::to_string(max_candidates) +
-                "/s=" + std::to_string(sample_rate);
-            const auto want =
-                CandidatesWith(g, q, u, *ens, reference, &index, false);
-            ExpectBitwiseEqual(
-                want, CandidatesWith(g, q, u, *ens, cfg, &index, true),
-                cell + "/pruned");
-            ExpectBitwiseEqual(
-                want, CandidatesWith(g, q, u, *ens, cfg, &index, false),
-                cell + "/unpruned");
+                "/s=" + std::to_string(sample_rate) +
+                (pruned ? "/pruned" : "/unpruned");
+            const QueryScorer scorer(g, q, *ens, cfg, &index);
+            star::testing::CaseOutcome out;
+            star::testing::CheckFnOracle(scorer, *ens, cell, &out);
+            EXPECT_TRUE(out.ok()) << out.Summary();
           }
         }
       }
@@ -342,9 +320,9 @@ TEST(PrunedRetrievalTest, RetrievalFactsKeepTypedPoolsBitwise) {
   }
 }
 
-// End-to-end: full TopK matches across all three engines, both layouts,
-// must be byte-identical with retrieval pruning on and off (scores AND
-// mapped nodes).
+// End-to-end: full TopK matches across all three engines must be
+// byte-identical with retrieval pruning on and off (scores AND mapped
+// nodes).
 TEST(PrunedRetrievalTest, FrameworkTopKBitwiseIdentical) {
   for (const uint64_t seed : {2u, 9u}) {
     const graph::KnowledgeGraph g = SmallRandomGraph(seed, 40, 90);
@@ -354,32 +332,29 @@ TEST(PrunedRetrievalTest, FrameworkTopKBitwiseIdentical) {
     const int a = q.AddNode(pivot);
     const int b = q.AddNode(leaf);
     q.AddEdge(a, b);
-    for (const auto layout :
-         {graph::GraphLayout::kFlat, graph::GraphLayout::kCompressed}) {
-      const graph::LabelIndex index(g, layout);
-      for (const auto strategy :
-           {core::StarStrategy::kStark, core::StarStrategy::kStard,
-            core::StarStrategy::kHybrid}) {
-        core::StarOptions opts;
-        opts.strategy = strategy;
-        opts.match = TestConfig(2);
-        opts.match.max_candidates = 6;
+    const graph::LabelIndex index(g);
+    for (const auto strategy :
+         {core::StarStrategy::kStark, core::StarStrategy::kStard,
+          core::StarStrategy::kHybrid}) {
+      core::StarOptions opts;
+      opts.strategy = strategy;
+      opts.match = TestConfig(2);
+      opts.match.max_candidates = 6;
 
-        text::SimilarityEnsemble ens;
-        opts.match.use_pruned_retrieval = false;
-        core::StarFramework off_fw(g, ens, &index, opts);
-        const auto off = off_fw.TopK(q, 8);
+      text::SimilarityEnsemble ens;
+      opts.match.use_pruned_retrieval = false;
+      core::StarFramework off_fw(g, ens, &index, opts);
+      const auto off = off_fw.TopK(q, 8);
 
-        opts.match.use_pruned_retrieval = true;
-        core::StarFramework on_fw(g, ens, &index, opts);
-        const auto on = on_fw.TopK(q, 8);
+      opts.match.use_pruned_retrieval = true;
+      core::StarFramework on_fw(g, ens, &index, opts);
+      const auto on = on_fw.TopK(q, 8);
 
-        ASSERT_EQ(off.size(), on.size());
-        for (size_t i = 0; i < off.size(); ++i) {
-          EXPECT_EQ(std::bit_cast<uint64_t>(off[i].score),
-                    std::bit_cast<uint64_t>(on[i].score));
-          EXPECT_EQ(off[i].mapping, on[i].mapping);
-        }
+      ASSERT_EQ(off.size(), on.size());
+      for (size_t i = 0; i < off.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(off[i].score),
+                  std::bit_cast<uint64_t>(on[i].score));
+        EXPECT_EQ(off[i].mapping, on[i].mapping);
       }
     }
   }

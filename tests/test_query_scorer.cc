@@ -1,7 +1,11 @@
 #include "scoring/query_scorer.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -11,6 +15,9 @@
 #include "graph/graph_generator.h"
 #include "query/workload.h"
 #include "test_helpers.h"
+#include "text/synonym_dictionary.h"
+#include "text/tfidf.h"
+#include "text/type_ontology.h"
 
 namespace star::scoring {
 namespace {
@@ -35,6 +42,63 @@ TEST(QueryScorerTest, NodeScoreExactAndPartial) {
   const double partial = scorer.NodeScore(u, 1);  // Brad Garrett
   EXPECT_GT(partial, 0.0);
   EXPECT_LT(partial, 1.0);
+}
+
+TEST(QueryScorerTest, NodeScoreMatchesScoreBitwise) {
+  // Typed nodes, thesaurus terms, numerals and repeated labels under full
+  // context (synonyms, tf-idf, ontology): NodeScore, one exact-mode lane of
+  // the batch kernel, must return Score()'s bits for every pair, with the
+  // ontology types resolved from the type names.
+  graph::KnowledgeGraph::Builder b;
+  const std::pair<const char*, const char*> nodes[] = {
+      {"Brad Pitt", "Actor"},     {"brad pitt", "Person"},
+      {"Brad Garrett", "Actor"},  {"movie", "Film"},
+      {"motion picture", "Work"}, {"Part II", "Film"},
+      {"Part 2", "Documentary"},  {"teacher", ""},
+      {"educator", "Person"},     {"Rocky Three", "Film"},
+      {"", "Film"},               {"- . -", "Gadget"},
+      {"JFK", "Politician"},      {"12 km", ""},
+      {"Brad Pitt", "Director"}};
+  for (const auto& [label, type] : nodes) b.AddNode(label, type);
+  for (graph::NodeId v = 0; v + 1 < std::size(nodes); ++v) {
+    b.AddEdge(v, v + 1, "knows");
+  }
+  const graph::KnowledgeGraph g = std::move(b).Build();
+  const text::SynonymDictionary synonyms = text::SynonymDictionary::BuiltIn();
+  const text::TypeOntology ontology = text::TypeOntology::BuiltIn();
+  text::TfIdfModel tfidf;
+  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+    tfidf.AddDocument(g.NodeLabel(v));
+  }
+  tfidf.Finalize();
+  text::SimilarityEnsemble::Context ctx;
+  ctx.synonyms = &synonyms;
+  ctx.tfidf = &tfidf;
+  ctx.ontology = &ontology;
+  const text::SimilarityEnsemble ensemble(ctx);
+
+  query::QueryGraph q;
+  q.AddNode("Brad Pitt", "Person");
+  q.AddNode("film", "Film");
+  q.AddNode("Part two", "");
+  q.AddNode("instructor", "Agent");
+  q.AddNode("brad", "Gadget");  // a type the ontology does not know
+  q.AddNode("Brad Pitt", "Actor");
+  for (int u = 0; u + 1 < q.node_count(); ++u) q.AddEdge(u, u + 1, "knows");
+  const auto onto_type = [&](std::string_view name) {
+    return name.empty() ? -1 : ontology.FindType(name);
+  };
+  const QueryScorer scorer(g, q, ensemble, TestConfig());
+  for (int u = 0; u < q.node_count(); ++u) {
+    for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+      const double want = ensemble.Score(q.node(u).label, g.NodeLabel(v),
+                                         onto_type(q.node(u).type_name),
+                                         onto_type(g.TypeName(g.NodeType(v))));
+      EXPECT_EQ(std::bit_cast<uint64_t>(scorer.NodeScore(u, v)),
+                std::bit_cast<uint64_t>(want))
+          << "u=" << u << " v=" << v;
+    }
+  }
 }
 
 TEST(QueryScorerTest, CandidatesSortedAndThresholded) {

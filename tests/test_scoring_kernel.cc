@@ -1,11 +1,12 @@
-// Property tests of the threshold-aware scoring kernel: exact-mode and
-// accepted thresholded scores must be BITWISE equal to Score() and to the
-// naive Features()-dot-weights sum, rejected pairs must truly be below the
-// threshold, and the end-to-end pipeline (Candidates, star top-k) must be
-// bit-identical with the kernel on or off, for every star strategy.
+// Property tests of the scoring kernel, one lane at a time: exact-mode
+// and accepted thresholded scores must be BITWISE equal to Score() and to
+// the naive Features()-dot-weights sum, rejected pairs must truly be below
+// the threshold, and the kernel's counters must reach the star search
+// stats. test_batch_kernel.cc covers ragged lane batches.
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -26,7 +27,6 @@ namespace star {
 namespace {
 
 using core::StarSearch;
-using core::StarStrategy;
 using star::testing::ScorerFixture;
 using star::testing::SmallRandomGraph;
 using star::testing::TestConfig;
@@ -104,6 +104,17 @@ struct FullContextEnsemble {
   }
 };
 
+// One lane of the batch kernel against `threshold`.
+double KernelScore(const SimilarityEnsemble& e,
+                   const SimilarityEnsemble::PreparedLabelBatch& prepared,
+                   std::string_view d, double threshold,
+                   text::KernelStats* stats = nullptr) {
+  double out = 0.0;
+  e.ScoreBatchAgainstThreshold(prepared, &d, 1, threshold, /*query_type=*/-1,
+                               /*data_types=*/nullptr, &out, stats);
+  return out;
+}
+
 // The naive Eq. 1 evaluation: the full feature vector dotted with the
 // weights, accumulated in canonical feature order.
 double NaiveDot(const SimilarityEnsemble& e, const std::string& q,
@@ -118,9 +129,8 @@ double NaiveDot(const SimilarityEnsemble& e, const std::string& q,
 void ExpectExactModeMatchesScore(const SimilarityEnsemble& e,
                                  uint64_t corpus_seed) {
   for (const auto& [q, d] : PairCorpus(corpus_seed, 200)) {
-    const auto prepared = e.Prepare(q);
-    const double kernel = e.ScoreAgainstThreshold(
-        prepared, d, SimilarityEnsemble::kNoThreshold);
+    const double kernel =
+        KernelScore(e, e.Prepare(q), d, SimilarityEnsemble::kNoThreshold);
     const double score = e.Score(q, d);
     EXPECT_EQ(kernel, score) << "q=\"" << q << "\" d=\"" << d << "\"";
   }
@@ -132,7 +142,7 @@ void ExpectThresholdedSemantics(const SimilarityEnsemble& e,
     const auto prepared = e.Prepare(q);
     const double exact = e.Score(q, d);
     for (const double t : {0.05, 0.2, 0.35, 0.5, 0.8, 1.0}) {
-      const double r = e.ScoreAgainstThreshold(prepared, d, t);
+      const double r = KernelScore(e, prepared, d, t);
       if (r >= t) {
         // Accepted results are the exact canonical score, bitwise.
         EXPECT_EQ(r, exact) << "q=\"" << q << "\" d=\"" << d << "\" t=" << t;
@@ -160,9 +170,8 @@ TEST(ScoringKernelTest, AcceptedScoresMatchNaiveFeatureDot) {
     // Score() (and the kernel) shortcut case-insensitive equality to 1.0;
     // the feature dot has no such shortcut, so skip those pairs.
     if (!q.empty() && text::CaseInsensitiveMatch(q, d) == 1.0) continue;
-    const auto prepared = e.Prepare(q);
-    const double kernel = e.ScoreAgainstThreshold(
-        prepared, d, SimilarityEnsemble::kNoThreshold);
+    const double kernel =
+        KernelScore(e, e.Prepare(q), d, SimilarityEnsemble::kNoThreshold);
     EXPECT_EQ(kernel, NaiveDot(e, q, d)) << "q=\"" << q << "\" d=\"" << d
                                          << "\"";
   }
@@ -177,8 +186,8 @@ TEST(ScoringKernelTest, ThresholdedAcceptsExactRejectsTrulyBelow) {
 
 TEST(ScoringKernelTest, CustomWeightsStayExactAfterRebuild) {
   SimilarityEnsemble e;
-  // A lopsided weighting (several zeros, including two of the pre-filter
-  // features) forces a non-uniform evaluation order.
+  // A lopsided weighting (several zeros, including the exact and
+  // length-ratio features) forces a non-uniform sweep order.
   std::vector<double> w(SimilarityEnsemble::kFeatureCount, 0.0);
   w[SimilarityEnsemble::kLevenshtein] = 5.0;
   w[SimilarityEnsemble::kJaroWinkler] = 3.0;
@@ -197,13 +206,15 @@ TEST(ScoringKernelTest, StatsCountPairsExitsAndSkips) {
   text::KernelStats stats;
   const auto prepared = e.Prepare("Benjamin Button");
   const std::vector<std::string> data = {
-      "Benjamin Button", "Benjamin B.", "zzzz", "12._-", "", "qqqq qqqq"};
+      "Benjamin Button", "Benjamin Buttom", "Benjamin B.", "zzzz",
+      "12._-",           "",                "qqqq qqqq"};
   for (const auto& d : data) {
-    e.ScoreAgainstThreshold(prepared, d, /*threshold=*/0.9, -1, -1, &stats);
+    KernelScore(e, prepared, d, /*threshold=*/0.8, &stats);
   }
   EXPECT_EQ(stats.pairs, data.size());
-  // "zzzz" & co. cannot reach 0.9: at least one pair must exit early and
-  // skip feature evaluations.
+  // "zzzz" & co. cannot reach 0.8: at least one pair must exit early and
+  // skip feature evaluations. "Benjamin Buttom" has the query's length,
+  // so its caps let it through to the sweep.
   EXPECT_GT(stats.early_exits, 0u);
   EXPECT_GT(stats.features_skipped, 0u);
   EXPECT_GT(stats.features_evaluated, 0u);
@@ -211,77 +222,11 @@ TEST(ScoringKernelTest, StatsCountPairsExitsAndSkips) {
   // Exact mode never exits early.
   text::KernelStats exact_stats;
   for (const auto& d : data) {
-    e.ScoreAgainstThreshold(prepared, d, SimilarityEnsemble::kNoThreshold, -1,
-                            -1, &exact_stats);
+    KernelScore(e, prepared, d, SimilarityEnsemble::kNoThreshold,
+                &exact_stats);
   }
   EXPECT_EQ(exact_stats.early_exits, 0u);
   EXPECT_EQ(exact_stats.features_skipped, 0u);
-}
-
-// ---------------------------------------------------------------------
-// End-to-end: kernel on vs off must be bit-identical through Candidates
-// and star top-k, for every strategy.
-// ---------------------------------------------------------------------
-
-// Generic over candidate containers (std::vector and the arena-backed
-// scoring::CandidateList compare element-wise the same way).
-template <typename A, typename B>
-void ExpectSameCandidates(const A& a, const B& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].node, b[i].node) << "position " << i;
-    EXPECT_EQ(a[i].score, b[i].score) << "position " << i;  // bitwise
-  }
-}
-
-void ExpectSameStarMatches(const std::vector<core::StarMatch>& a,
-                           const std::vector<core::StarMatch>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].pivot, b[i].pivot) << "rank " << i;
-    EXPECT_EQ(a[i].leaves, b[i].leaves) << "rank " << i;
-    EXPECT_EQ(a[i].score, b[i].score) << "rank " << i;
-  }
-}
-
-TEST(ScoringKernelParallelDeterminismTest, CandidatesIdenticalKernelOnOff) {
-  const auto g = SmallRandomGraph(/*seed=*/31, /*nodes=*/40, /*edges=*/90);
-  query::WorkloadGenerator wg(g, /*seed=*/7);
-  const auto q = wg.RandomStarQuery(4, query::WorkloadOptions{});
-  for (const bool with_index : {false, true}) {
-    auto off_cfg = TestConfig(/*d=*/2);
-    off_cfg.use_scoring_kernel = false;
-    auto on_cfg = off_cfg;
-    on_cfg.use_scoring_kernel = true;
-    ScorerFixture off(g, q, off_cfg, with_index);
-    ScorerFixture on(g, q, on_cfg, with_index);
-    for (int u = 0; u < q.node_count(); ++u) {
-      ExpectSameCandidates(off.scorer->Candidates(u),
-                           on.scorer->Candidates(u));
-    }
-  }
-}
-
-TEST(ScoringKernelParallelDeterminismTest, StarTopKIdenticalKernelOnOff) {
-  const auto g = SmallRandomGraph(/*seed=*/13, /*nodes=*/36, /*edges=*/80);
-  query::WorkloadGenerator wg(g, /*seed=*/19);
-  for (int d = 1; d <= 2; ++d) {
-    const auto q = wg.RandomStarQuery(4, query::WorkloadOptions{});
-    for (const StarStrategy strategy :
-         {StarStrategy::kStark, StarStrategy::kStard, StarStrategy::kHybrid}) {
-      auto off_cfg = TestConfig(d);
-      off_cfg.use_scoring_kernel = false;
-      auto on_cfg = off_cfg;
-      on_cfg.use_scoring_kernel = true;
-      ScorerFixture off(g, q, off_cfg);
-      ScorerFixture on(g, q, on_cfg);
-      StarSearch::Options so;
-      so.strategy = strategy;
-      StarSearch off_search(*off.scorer, core::MakeStarQuery(q), so);
-      StarSearch on_search(*on.scorer, core::MakeStarQuery(q), so);
-      ExpectSameStarMatches(off_search.TopK(10), on_search.TopK(10));
-    }
-  }
 }
 
 TEST(ScoringKernelParallelDeterminismTest, KernelStatsFlowIntoSearchStats) {
