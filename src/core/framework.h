@@ -45,10 +45,7 @@ struct StarOptions {
 
 /// Serializes every StarOptions field that can change results (bit-exact
 /// doubles), plus whether a label index is attached — the retrieval
-/// semantics differ with and without one. `use_pruned_retrieval` is
-/// deliberately excluded: it carries a bit-identity contract (DESIGN.md
-/// "Bound-driven retrieval"), so results are interchangeable across its
-/// settings.
+/// semantics differ with and without one.
 /// Used as the config segment of serve-layer cache keys and of ReuseCache
 /// keys.
 std::string StarOptionsFingerprint(const StarOptions& o, bool has_index);

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "text/ensemble.h"
 
 namespace star::graph {
 
@@ -90,48 +91,30 @@ size_t LabelIndex::FlatDict::Slack() const {
          VecSlack(probe_);
 }
 
-void LabelIndex::PostingsStore::Append(const std::vector<uint32_t>& ids,
-                                       const uint32_t* len,
-                                       const uint8_t* numeric) {
-  const size_t n = ids.size();
-  counts_.push_back(counts_.back() + static_cast<uint32_t>(n));
+void LabelIndex::PostingsStore::Append(const std::vector<uint32_t>& ids) {
+  counts_.push_back(counts_.back() + static_cast<uint32_t>(ids.size()));
   ids_.insert(ids_.end(), ids.begin(), ids.end());
-  if (len != nullptr) {
-    // One digest per block: the members' label facts.
-    for (size_t i = 0; i < n; i += kBlockSize) {
-      text::LabelSetStats stats;
-      for (size_t j = i; j < std::min(n, i + kBlockSize); ++j) {
-        stats.AddFacts(len[ids[j]], numeric[ids[j]] != 0);
-      }
-      blocks_.push_back(stats);
-    }
-  }
-  block_start_.push_back(static_cast<uint32_t>(blocks_.size()));
 }
 
 void LabelIndex::PostingsStore::Finish() {
   counts_.shrink_to_fit();
   ids_.shrink_to_fit();
-  blocks_.shrink_to_fit();
-  block_start_.shrink_to_fit();
 }
 
 size_t LabelIndex::PostingsStore::ByteSize() const {
-  return VecBytes(counts_) + VecBytes(ids_) + VecBytes(blocks_) +
-         VecBytes(block_start_);
+  return VecBytes(counts_) + VecBytes(ids_);
 }
 
 size_t LabelIndex::PostingsStore::Slack() const {
-  return VecSlack(counts_) + VecSlack(ids_) + VecSlack(blocks_) +
-         VecSlack(block_start_);
+  return VecSlack(counts_) + VecSlack(ids_);
 }
 
 LabelIndex::LabelIndex(const KnowledgeGraph& g)
     : node_count_(g.node_count()) {
   // Pass 0: per-node O(1) label facts — the inputs of the retrieval
-  // bounds, recorded with the SAME predicate the scoring kernel's caps
-  // use (text::LooksNumeric) so a block digest provably dominates its
-  // members' kernel scores.
+  // bound, recorded with the SAME predicate the scoring kernel's caps use
+  // (text::LooksNumeric) so a node's cap provably dominates its kernel
+  // score.
   node_len_.reserve(g.node_count());
   node_numeric_.reserve(g.node_count());
   for (NodeId v = 0; v < g.node_count(); ++v) {
@@ -163,8 +146,7 @@ LabelIndex::LabelIndex(const KnowledgeGraph& g)
   std::sort(terms.begin(), terms.end());
   token_dict_.Build(terms);
   for (const std::string& term : terms) {
-    token_postings_.Append(tok_map.find(std::string_view(term))->second,
-                           node_len_.data(), node_numeric_.data());
+    token_postings_.Append(tok_map.find(std::string_view(term))->second);
   }
   token_postings_.Finish();
 
@@ -191,47 +173,10 @@ LabelIndex::LabelIndex(const KnowledgeGraph& g)
   }
   trigram_postings_.Finish();
 
-  for (const auto& list : type_lists) {
-    type_postings_.Append(list, node_len_.data(), node_numeric_.data());
-  }
+  for (const auto& list : type_lists) type_postings_.Append(list);
   type_postings_.Finish();
   node_len_.shrink_to_fit();
   node_numeric_.shrink_to_fit();
-}
-
-std::vector<LabelIndex::ListRef> LabelIndex::RetrievalLists(
-    std::string_view label, int32_t type) const {
-  static thread_local std::string low;
-  static thread_local std::vector<std::string> toks;
-  ToLowerInto(label, &low);
-  SplitTokensInto(low, &toks);
-  std::vector<ListRef> out;
-  for (const auto& token : toks) {
-    const int64_t id = token_dict_.Find(token);
-    if (id >= 0) {
-      out.push_back({false, static_cast<uint32_t>(id)});
-      continue;
-    }
-    for (const uint32_t similar : FuzzyTokenIds(token, 0.5)) {
-      out.push_back({false, similar});
-    }
-  }
-  if (type >= 0 && static_cast<size_t>(type) < type_postings_.lists()) {
-    out.push_back({true, static_cast<uint32_t>(type)});
-  }
-  // Repeated query tokens reference the same list; keep each once. The
-  // order (token lists ascending, then the type list) is a total order,
-  // so downstream cap-sort tie-breaks are deterministic.
-  std::sort(out.begin(), out.end(), [](const ListRef& a, const ListRef& b) {
-    return a.type_store != b.type_store ? !a.type_store : a.list < b.list;
-  });
-  out.erase(std::unique(out.begin(), out.end(),
-                        [](const ListRef& a, const ListRef& b) {
-                          return a.type_store == b.type_store &&
-                                 a.list == b.list;
-                        }),
-            out.end());
-  return out;
 }
 
 std::vector<uint32_t> LabelIndex::RankedFuzzyTokenIds(

@@ -1,7 +1,6 @@
 #ifndef STAR_GRAPH_LABEL_INDEX_H_
 #define STAR_GRAPH_LABEL_INDEX_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -11,7 +10,6 @@
 
 #include "common/string_util.h"
 #include "graph/knowledge_graph.h"
-#include "text/ensemble.h"
 
 namespace star::graph {
 
@@ -107,51 +105,6 @@ class LabelIndex {
   /// Resident bytes per structure (and unused capacity across them).
   IndexFootprint MemoryFootprint() const;
 
-  // -------------------------------------------------------------------
-  // Block-max retrieval surface (bound-driven candidate generation)
-  // -------------------------------------------------------------------
-  //
-  // The token and type postings arenas carry an O(1) LabelSetStats digest
-  // of every member's label per block of kRetrievalBlockSize ids.
-  // scoring/query_scorer walks the blocks of the lists Candidates() would
-  // union, in descending score-cap order, skipping whole blocks whose cap
-  // cannot reach the running max_candidates-th score.
-
-  /// Ids per pruning block (the block-max metadata granularity).
-  static constexpr size_t kRetrievalBlockSize = 128;
-
-  /// One postings list reference: the token arena (type_store = false) or
-  /// the per-type arena (type_store = true), by list index within it.
-  struct ListRef {
-    bool type_store = false;
-    uint32_t list = 0;
-  };
-
-  /// The postings lists Candidates(label, type) unions — exact-token
-  /// lists, fuzzy trigram expansions for unknown tokens, and the type
-  /// list when `type` is indexed — deduplicated, in deterministic order
-  /// (token lists by ascending id, then the type list). The union of the
-  /// referenced lists' members is exactly Candidates(label, type).
-  std::vector<ListRef> RetrievalLists(std::string_view label,
-                                      int32_t type) const;
-
-  /// Ids in the referenced list.
-  size_t ListCount(ListRef r) const { return Store(r).Count(r.list); }
-  /// Blocks in the referenced list (ceil(count / kRetrievalBlockSize)).
-  size_t ListBlocks(ListRef r) const { return Store(r).BlockCount(r.list); }
-  /// Ids in one block (kRetrievalBlockSize except the last).
-  size_t BlockSize(ListRef r, size_t b) const {
-    return Store(r).BlockSize(r.list, b);
-  }
-  /// The block's label digest (for SimilarityEnsemble::RetrievalBlockBound).
-  const text::LabelSetStats& BlockStats(ListRef r, size_t b) const {
-    return Store(r).BlockStats(r.list, b);
-  }
-  /// The ids of one block, ascending.
-  std::span<const NodeId> BlockIds(ListRef r, size_t b) const {
-    return Store(r).BlockIds(r.list, b);
-  }
-
   /// Byte length of node v's label (the fact the per-node bound needs).
   uint32_t NodeLabelLength(NodeId v) const { return node_len_[v]; }
   /// Whether node v's label passes text::LooksNumeric.
@@ -188,16 +141,8 @@ class LabelIndex {
   /// ids_[counts_[i], counts_[i+1]).
   class PostingsStore {
    public:
-    static constexpr size_t kBlockSize = kRetrievalBlockSize;
-
-    /// Appends one strictly ascending id list. When `len` / `numeric`
-    /// are given (facts indexed by id), a label digest is recorded per
-    /// kBlockSize block for block-max retrieval (the token/type stores);
-    /// the trigram store passes null — its ids are token ids, not nodes —
-    /// and carries no digests.
-    void Append(const std::vector<uint32_t>& ids,
-                const uint32_t* len = nullptr,
-                const uint8_t* numeric = nullptr);
+    /// Appends one strictly ascending id list.
+    void Append(const std::vector<uint32_t>& ids);
 
     /// Number of appended lists.
     size_t lists() const { return counts_.size() - 1; }
@@ -208,23 +153,6 @@ class LabelIndex {
       return {ids_.data() + counts_[i], Count(i)};
     }
 
-    size_t BlockCount(size_t i) const {
-      return (Count(i) + kBlockSize - 1) / kBlockSize;
-    }
-
-    size_t BlockSize(size_t i, size_t b) const {
-      return std::min(kBlockSize, Count(i) - b * kBlockSize);
-    }
-
-    /// Block digest (only lists appended WITH facts have any).
-    const text::LabelSetStats& BlockStats(size_t i, size_t b) const {
-      return blocks_[block_start_[i] + b];
-    }
-
-    std::span<const uint32_t> BlockIds(size_t i, size_t b) const {
-      return Ids(i).subspan(b * kBlockSize, BlockSize(i, b));
-    }
-
     void Finish();  ///< shrink_to_fit all arrays
     size_t ByteSize() const;
     size_t Slack() const;
@@ -232,8 +160,6 @@ class LabelIndex {
    private:
     std::vector<uint32_t> counts_{0};  // element-count prefix sums
     std::vector<uint32_t> ids_;
-    std::vector<text::LabelSetStats> blocks_;  // concatenated per-list blocks
-    std::vector<uint32_t> block_start_{0};     // per-list prefix into blocks_
   };
 
   /// Token ids in ranked order (overlap desc, id asc, capped at the
@@ -246,10 +172,6 @@ class LabelIndex {
   /// iteration / FP-summation order).
   std::vector<uint32_t> FuzzyTokenIds(std::string_view token,
                                       double min_overlap) const;
-
-  const PostingsStore& Store(ListRef r) const {
-    return r.type_store ? type_postings_ : token_postings_;
-  }
 
   FlatDict token_dict_;
   PostingsStore token_postings_;

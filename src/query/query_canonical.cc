@@ -246,7 +246,7 @@ CanonicalStar CanonicalizeStar(const QueryGraph& q, const StarQuery& star,
     return node_weights.empty() ? 1.0 : node_weights[u];
   };
   CanonicalStar out;
-  out.signature = "P";
+  out.signature.push_back('P');
   out.signature += NodeAttr(q.node(star.pivot));
   out.signature += kField;
   AppendDoubleBits(out.signature, weight(star.pivot));

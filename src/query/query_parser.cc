@@ -132,8 +132,9 @@ class Parser {
       }
       // Named wildcards are identified by the name alone; a type given at
       // any occurrence attaches to the shared node.
-      return ResolveNamed("?" + ToLower(name), type_name, /*wildcard=*/true,
-                          spec);
+      std::string key(1, '?');
+      key += ToLower(name);
+      return ResolveNamed(key, type_name, /*wildcard=*/true, spec);
     }
     if (spec.empty()) return -1;  // "()" is malformed
     return ResolveNamed(ToLower(spec), type_name, /*wildcard=*/false, spec);

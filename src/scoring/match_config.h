@@ -59,23 +59,12 @@ struct MatchConfig {
   /// a pure function of (seed, id), so the same config produces the same
   /// pools on every engine. Wildcard query nodes are never sampled (they
   /// have no pool). Both fields are result-affecting and included in
-  /// StarOptionsFingerprint. Sampling forces the unpruned retrieval path
-  /// (block-max thresholds assume the full union).
+  /// StarOptionsFingerprint.
   double sample_rate = 1.0;
   uint64_t sample_seed = 0;
 
   /// True when the sampling predicate is active.
   bool sampling() const { return sample_rate < 1.0; }
-
-  /// Bound-driven candidate retrieval (block-max pruning): Candidates()
-  /// walks the postings blocks of the retrieval union in descending
-  /// score-cap order, maintains the running max_candidates-th score as a
-  /// threshold, and skips blocks / nodes whose upper bound cannot reach
-  /// it — instead of scoring the whole union and truncating. Candidate
-  /// lists are bit-identical with the toggle on or off, including the
-  /// deterministic tie cut (see DESIGN.md "Bound-driven retrieval"), so
-  /// it is excluded from StarOptionsFingerprint.
-  bool use_pruned_retrieval = true;
 };
 
 }  // namespace star::scoring

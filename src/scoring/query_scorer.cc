@@ -22,20 +22,20 @@ using text::SimilarityEnsemble;
 namespace {
 
 /// Skip margin of the retrieval bounds — the kernel's standard 1e-9: a
-/// block/node is skipped only when its cap is strictly below theta by more
-/// than the margin, so sub-ulp rounding of the cap arithmetic can never
-/// drop an entry whose canonical score ties the cut.
+/// node is skipped only when its cap is strictly below theta by more than
+/// the margin, so sub-ulp rounding of the cap arithmetic can never drop an
+/// entry whose canonical score ties the cut.
 constexpr double kBoundMargin = 1e-9;
 
 /// Nodes scored per retrieval wave. Wave boundaries are where theta
-/// updates, and membership is decided by the deterministic block/pool
-/// order alone. One postings block per wave: theta tightens as soon as the
-/// highest-cap block has been scored, which is what lets duplicate-heavy
-/// exact matches shut down the rest of the union.
-constexpr size_t kRetrievalWave = graph::LabelIndex::kRetrievalBlockSize;
+/// updates, and membership is decided by the deterministic pool order
+/// alone: theta tightens as soon as the highest-cap wave has been scored,
+/// which is what lets duplicate-heavy exact matches shut down the rest of
+/// the pool.
+constexpr size_t kRetrievalWave = 128;
 
-/// The candidate total order (score desc, node asc) — the same comparator
-/// the unpruned path sorts with.
+/// The candidate total order (score desc, node asc): every list cut and
+/// sort in this file, the retrieval heap's included.
 inline bool BetterCandidate(const ScoredCandidate& a,
                             const ScoredCandidate& b) {
   return a.score > b.score || (a.score == b.score && a.node < b.node);
@@ -160,8 +160,7 @@ QueryScorer::QueryScorer(const KnowledgeGraph& g, const QueryGraph& q,
       relation_table_ready_(q.edge_count(), false),
       walk_mark_(mem_),
       walk_layer_(mem_),
-      walk_next_(mem_),
-      seen_mark_(mem_) {
+      walk_next_(mem_) {
   // Candidate lists bind to the transient resource individually:
   // fill-construction would copy-construct elements, and pmr container
   // copies take the DEFAULT resource, silently dropping the arena.
@@ -432,10 +431,10 @@ void QueryScorer::MergeScoredWave(const std::vector<NodeId>& wave,
   const size_t k = config_.max_candidates;
   for (size_t i = 0; i < wave.size(); ++i) {
     const double s = scores[i];
-    // Sub-threshold entries are dropped exactly as the unpruned filter
-    // drops them (kernel values below the wave's theta may be truncated
-    // upper bounds, but those are < theta <= any kept score, so they can
-    // never displace a kept entry either).
+    // Entries below node_threshold are never candidates (kernel values
+    // below the wave's theta may be truncated upper bounds, but those are
+    // < theta <= any kept score, so they can never displace a kept entry
+    // either).
     if (s < config_.node_threshold) continue;
     const ScoredCandidate c{wave[i], s};
     if (k == 0 || heap->size() < k) {
@@ -451,107 +450,6 @@ void QueryScorer::MergeScoredWave(const std::vector<NodeId>& wave,
     heap->back() = c;
     std::push_heap(heap->begin(), heap->end(), BetterCandidate);
   }
-}
-
-void QueryScorer::PrunedRetrieveBlocks(int query_node,
-                                       CandidateList* out) const {
-  const query::QueryNode& qn = query_.node(query_node);
-  const int32_t gt =
-      qn.type_name.empty() ? -1 : graph_.FindTypeId(qn.type_name);
-  const auto lists = index_->RetrievalLists(qn.label, gt);
-  const auto& batch = prepared_store_[prepared_idx_[query_node]];
-
-  // Cap every block of every list and order them (cap desc, list asc,
-  // block asc — a total order, so the walk is deterministic).
-  struct BlockRef {
-    double cap;
-    uint32_t list;
-    uint32_t block;
-  };
-  NodeBoundMemo node_bound(ensemble_, batch);
-  std::pmr::vector<BlockRef> blocks(mem_);
-  size_t total_blocks = 0;
-  for (const auto& l : lists) total_blocks += index_->ListBlocks(l);
-  blocks.reserve(total_blocks);
-  for (uint32_t li = 0; li < lists.size(); ++li) {
-    const size_t nb = index_->ListBlocks(lists[li]);
-    for (uint32_t b = 0; b < nb; ++b) {
-      blocks.push_back(
-          {ensemble_.RetrievalBlockBound(batch, index_->BlockStats(lists[li], b)),
-           li, b});
-    }
-  }
-  std::sort(blocks.begin(), blocks.end(),
-            [](const BlockRef& a, const BlockRef& b) {
-              if (a.cap != b.cap) return a.cap > b.cap;
-              if (a.list != b.list) return a.list < b.list;
-              return a.block < b.block;
-            });
-  retrieval_stats_.blocks_considered += blocks.size();
-
-  // Epoch-stamped dedup marks (lists overlap; each member scores once).
-  if (seen_mark_.size() != graph_.node_count()) {
-    seen_mark_.assign(graph_.node_count(), 0);
-    seen_epoch_ = 0;
-  }
-  if (seen_epoch_ == std::numeric_limits<uint32_t>::max()) {
-    std::fill(seen_mark_.begin(), seen_mark_.end(), 0);
-    seen_epoch_ = 0;
-  }
-  ++seen_epoch_;
-
-  std::vector<NodeId> wave;
-  wave.reserve(kRetrievalWave);
-  double theta = RetrievalTheta(*out);
-  const auto flush = [&] {
-    if (wave.empty()) return;
-    retrieval_stats_.nodes_scored += wave.size();
-    const std::vector<double> scores = BulkScore(query_node, wave, theta);
-    MergeScoredWave(wave, scores, out);
-    wave.clear();
-    theta = RetrievalTheta(*out);
-  };
-  for (size_t bi = 0; bi < blocks.size(); ++bi) {
-    if (cancel_ != nullptr && cancel_->ShouldStop()) {
-      truncated_ = true;
-      break;
-    }
-    if (blocks[bi].cap < theta - kBoundMargin) {
-      // Blocks are cap-ordered and theta never decreases: every remaining
-      // block is bounded below theta too. Stop outright — a member's true
-      // score is <= its block cap < theta, so it can neither enter the
-      // heap nor tie the cut.
-      retrieval_stats_.blocks_skipped += blocks.size() - bi;
-      for (size_t j = bi; j < blocks.size(); ++j) {
-        retrieval_stats_.nodes_bound_skipped +=
-            index_->BlockSize(lists[blocks[j].list], blocks[j].block);
-      }
-      break;
-    }
-    for (const NodeId v :
-         index_->BlockIds(lists[blocks[bi].list], blocks[bi].block)) {
-      ++retrieval_stats_.nodes_considered;
-      if (seen_mark_[v] == seen_epoch_) {
-        ++retrieval_stats_.nodes_deduped;
-        continue;
-      }
-      seen_mark_[v] = seen_epoch_;
-      // Per-node refinement from the index's O(1) facts: theta may have
-      // outgrown this node's own cap even though the block cap survived.
-      // (Marking it seen first is sound — theta only rises.)
-      const double cap = node_bound(index_->NodeLabelLength(v),
-                                    index_->NodeLooksNumeric(v),
-                                    /*shares=*/true);
-      if (cap < theta - kBoundMargin) {
-        ++retrieval_stats_.nodes_bound_skipped;
-        continue;
-      }
-      wave.push_back(v);
-      if (wave.size() >= kRetrievalWave) flush();
-    }
-  }
-  flush();
-  std::sort(out->begin(), out->end(), BetterCandidate);
 }
 
 void QueryScorer::PrunedRetrievePool(int query_node,
@@ -570,14 +468,16 @@ void QueryScorer::PrunedRetrievePool(int query_node,
   for (size_t i = 0; i < pool.size(); ++i) {
     const NodeId v = pool[i];
     const bool shares = shares_token.empty() || shares_token[i] != 0;
-    // Index facts when available (ranked pools); otherwise the no-index
-    // fallback derives the same two facts from the label.
-    const std::string_view label = graph_.NodeLabel(v);
-    const double cap =
-        index_ != nullptr
-            ? node_bound(index_->NodeLabelLength(v),
-                         index_->NodeLooksNumeric(v), shares)
-            : node_bound(label.size(), text::LooksNumeric(label), shares);
+    // Index facts when available; otherwise the no-index fallback derives
+    // the same two facts from the label.
+    double cap;
+    if (index_ != nullptr) {
+      cap = node_bound(index_->NodeLabelLength(v), index_->NodeLooksNumeric(v),
+                       shares);
+    } else {
+      const std::string_view label = graph_.NodeLabel(v);
+      cap = node_bound(label.size(), text::LooksNumeric(label), shares);
+    }
     order.push_back({cap, v, static_cast<uint8_t>(shares ? 1 : 0)});
   }
   // Theta rises above node_threshold only once the heap holds
@@ -648,58 +548,35 @@ const CandidateList& QueryScorer::Candidates(int query_node) const {
   }
   candidates_ready_[query_node] = true;
 
-  // Bound-driven retrieval (DESIGN.md "Bound-driven retrieval"): walk the
-  // retrieval set in descending upper-bound order and skip everything that
-  // provably cannot reach the running max_candidates-th score. Wildcards
-  // have no label bound and stay on the scan path.
-  const query::QueryNode& qn = query_.node(query_node);
-  if (config_.use_pruned_retrieval && !qn.wildcard && !config_.sampling()) {
-    if (index_ != nullptr && config_.max_retrieval == 0) {
-      // Block-max walk over the postings union itself.
-      PrunedRetrieveBlocks(query_node, &out);
-    } else {
-      // Pooled variant: the no-index full scan and the max_retrieval
-      // rarity pre-ranking fix the pool first; bound-order it per node.
-      std::vector<uint8_t> shares_token;
-      const std::vector<NodeId> pool = RetrievalPool(query_node, &shares_token);
-      PrunedRetrievePool(query_node, pool, shares_token, &out);
-    }
+  std::vector<uint8_t> shares_token;
+  const std::vector<NodeId> pool = RetrievalPool(query_node, &shares_token);
+  if (!query_.node(query_node).wildcard) {
+    // Bound-driven retrieval (DESIGN.md "Bound-driven retrieval"): walk the
+    // pool in descending upper-bound order and skip everything that
+    // provably cannot reach the running max_candidates-th score.
+    PrunedRetrievePool(query_node, pool, shares_token, &out);
     out.shrink_to_fit();
     return out;
   }
 
-  std::vector<uint8_t> shares_token;
-  const std::vector<NodeId> pool = RetrievalPool(query_node, &shares_token);
-
-  // Bulk F_N scoring. The candidate filter below keeps only scores >=
-  // node_threshold, so the kernel may early-exit any pair whose score
-  // bound falls below it: kept candidates are exact (bitwise Score()),
-  // rejected ones return a sub-threshold bound that the filter drops
-  // either way.
+  // Wildcards have no label bound: their F_N is a type check or a
+  // constant, so the whole pool is scored and cut. (score desc, node asc)
+  // is a total order, so the cut is the full sort's prefix — and
+  // nth_element + prefix sort beats partial_sort's heap pass on an
+  // untyped wildcard's O(|V|) pool.
   const std::vector<double> scores =
-      BulkScore(query_node, pool, config_.node_threshold,
-                shares_token.empty() ? nullptr : shares_token.data());
+      BulkScore(query_node, pool, config_.node_threshold);
   for (size_t i = 0; i < pool.size(); ++i) {
     if (scores[i] >= config_.node_threshold) out.push_back({pool[i], scores[i]});
   }
-
-  // (score desc, node asc) is a total order, so the cut is the full
-  // sort's prefix — and when max_candidates truncates, nth_element +
-  // prefix sort beats partial_sort's heap pass (the no-index O(|V|) scan
-  // otherwise pays O(n log k) heap churn for entries it immediately
-  // drops).
-  const auto by_score_then_node = [](const ScoredCandidate& a,
-                                     const ScoredCandidate& b) {
-    return a.score > b.score || (a.score == b.score && a.node < b.node);
-  };
   if (config_.max_candidates > 0 && out.size() > config_.max_candidates) {
     const auto kth =
         out.begin() + static_cast<ptrdiff_t>(config_.max_candidates);
-    std::nth_element(out.begin(), kth - 1, out.end(), by_score_then_node);
-    std::sort(out.begin(), kth, by_score_then_node);
+    std::nth_element(out.begin(), kth - 1, out.end(), BetterCandidate);
+    std::sort(out.begin(), kth, BetterCandidate);
     out.resize(config_.max_candidates);
   } else {
-    std::sort(out.begin(), out.end(), by_score_then_node);
+    std::sort(out.begin(), out.end(), BetterCandidate);
   }
   out.shrink_to_fit();
   return out;

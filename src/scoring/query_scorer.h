@@ -22,23 +22,23 @@ struct ScoredCandidate {
   double score = 0.0;
 };
 
-/// Counters of bound-driven candidate retrieval (MatchConfig::
-/// use_pruned_retrieval): how much of the retrieval union was skipped by
-/// block/node score caps instead of being fully scored. Accumulated across
-/// every pruned Candidates() call of the scorer.
+/// Counters of bound-driven candidate retrieval: how much of the
+/// retrieval pool was skipped by node score caps instead of being fully
+/// scored. Accumulated across every non-wildcard Candidates() call of the
+/// scorer.
 struct RetrievalStats {
-  uint64_t blocks_considered = 0;   ///< postings blocks in cap order
-  uint64_t blocks_skipped = 0;      ///< blocks never decoded (cap < theta)
-  uint64_t nodes_considered = 0;    ///< posting entries / pool nodes seen
-  uint64_t nodes_deduped = 0;       ///< entries already seen this query node
-  uint64_t nodes_bound_skipped = 0; ///< dropped by a bound before scoring
-  uint64_t nodes_scored = 0;        ///< entries handed to bulk scoring
+  /// Always 0: retrieval walks pools, not postings blocks. Kept for
+  /// perfbench's scoring.blocks_skipped_fraction, which reads both.
+  uint64_t blocks_considered = 0;
+  uint64_t blocks_skipped = 0;       ///< always 0 (see blocks_considered)
+  uint64_t nodes_considered = 0;     ///< pool nodes seen
+  uint64_t nodes_bound_skipped = 0;  ///< dropped by a bound before scoring
+  uint64_t nodes_scored = 0;         ///< nodes handed to bulk scoring
 
   void Merge(const RetrievalStats& o) {
     blocks_considered += o.blocks_considered;
     blocks_skipped += o.blocks_skipped;
     nodes_considered += o.nodes_considered;
-    nodes_deduped += o.nodes_deduped;
     nodes_bound_skipped += o.nodes_bound_skipped;
     nodes_scored += o.nodes_scored;
   }
@@ -87,6 +87,9 @@ class QueryScorer {
   /// Computed lazily once per query node. When an index is attached,
   /// non-wildcard retrieval is index-backed (token/type postings), which
   /// defines the candidate semantics for *all* algorithms in the library.
+  /// A non-wildcard node takes one bound-driven walk over its
+  /// RetrievalPool (DESIGN.md "Bound-driven retrieval"); a wildcard scores
+  /// its whole pool and cuts it.
   const CandidateList& Candidates(int query_node) const;
 
   /// Injects a precomputed candidate list for `query_node` (cross-query
@@ -216,8 +219,8 @@ class QueryScorer {
   /// scorer performed (relation tables are not counted).
   const text::KernelStats& kernel_stats() const { return kernel_stats_; }
 
-  /// Bound-driven retrieval counters (empty when use_pruned_retrieval is
-  /// off or only wildcard nodes were retrieved).
+  /// Bound-driven retrieval counters (empty when only wildcard nodes were
+  /// retrieved).
   const RetrievalStats& retrieval_stats() const { return retrieval_stats_; }
 
   /// Memory resource backing the scorer's per-query transient state (the
@@ -230,7 +233,7 @@ class QueryScorer {
   /// Ontology type id for a type name (-1 if no ontology / unknown).
   int OntologyType(std::string_view type_name) const;
 
-  /// Builds candidate_scores_  /// Builds candidate_scores_[rep] from Candidates(rep) (owning thread).
+  /// Builds candidate_scores_[rep] from Candidates(rep) (owning thread).
   void BuildCandidateScoreTable(int rep) const;
 
   /// Bulk F_N of `query_node` against every node in `nodes` (Candidates'
@@ -249,31 +252,23 @@ class QueryScorer {
                                 double threshold,
                                 const uint8_t* shares_token = nullptr) const;
 
-  // --- Bound-driven retrieval (MatchConfig::use_pruned_retrieval) ---
+  // --- Bound-driven retrieval ---
   //
-  // Candidates() for a non-wildcard query node runs one of two pruned
-  // paths instead of score-everything-then-truncate. Both maintain the
+  // Candidates() for a non-wildcard query node walks its retrieval pool
+  // instead of scoring everything and truncating. The walk keeps the
   // candidate top list as a bounded heap on the total order (score desc,
   // node asc) whose running max_candidates-th score is the threshold
-  // theta, score survivors in deterministic fixed-size waves through
-  // BulkScore, and produce lists bitwise identical to the unpruned
-  // path — see DESIGN.md "Bound-driven retrieval" for the soundness and
-  // tie-safety argument.
+  // theta, scores survivors in deterministic fixed-size waves through
+  // BulkScore, and produces the list CandidatesFromScore rebuilds from
+  // Score() — see DESIGN.md "Bound-driven retrieval" for the soundness
+  // and tie-safety argument.
 
-  /// Index-backed path (index attached, no max_retrieval cap): walks the
-  /// postings blocks of RetrievalLists in descending RetrievalBlockBound
-  /// order, stops outright once the best remaining cap is below theta,
-  /// dedups members through the epoch-stamped seen-mark array, and
-  /// bound-filters single nodes before waving them into BulkScore.
-  void PrunedRetrieveBlocks(int query_node, CandidateList* out) const;
-
-  /// Pool path (no index, or a RankedCandidates-capped pool): bounds
-  /// each node by RetrievalNodeBound, with its retrieval fact when
-  /// `shares_token` (aligned with `pool`, or empty) has one. A pool that
-  /// can fill max_candidates is sorted by cap (cap desc, id asc) and the
-  /// walk stops at the first node whose cap cannot reach theta; a smaller
-  /// pool keeps theta at node_threshold, so it skips each such node
-  /// unsorted and scores the rest in one wave.
+  /// Bounds each node of `pool` by RetrievalNodeBound, with its retrieval
+  /// fact when `shares_token` (aligned with `pool`, or empty) has one. A
+  /// pool that can fill max_candidates is sorted by cap (cap desc, id asc)
+  /// and the walk stops at the first node whose cap cannot reach theta; a
+  /// smaller pool keeps theta at node_threshold, so it skips each such
+  /// node unsorted and scores the rest in one wave.
   void PrunedRetrievePool(int query_node,
                           const std::vector<graph::NodeId>& pool,
                           const std::vector<uint8_t>& shares_token,
@@ -377,11 +372,6 @@ class QueryScorer {
   mutable std::pmr::vector<graph::NodeId> walk_layer_;
   mutable std::pmr::vector<graph::NodeId> walk_next_;
   mutable std::vector<std::unordered_map<uint64_t, double>> pair_edge_cache_;
-  // Retrieval dedup scratch: epoch-stamped per-node marks (|V| flat array,
-  // one epoch per pruned retrieval — the walk_mark_ pattern). Owning-thread
-  // only, like Candidates() itself.
-  mutable std::pmr::vector<uint32_t> seen_mark_;
-  mutable uint32_t seen_epoch_ = 0;
   mutable size_t node_evals_ = 0;
   mutable text::KernelStats kernel_stats_;
   mutable RetrievalStats retrieval_stats_;

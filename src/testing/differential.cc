@@ -460,7 +460,6 @@ CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
   base_spec.index = index.get();
   base_spec.query = &c.query;
   base_spec.config = c.config;
-  base_spec.config.use_pruned_retrieval = true;
   base_spec.alpha = c.alpha;
   base_spec.decomposition = c.decomposition;
   base_spec.k = c.k;
@@ -491,23 +490,6 @@ CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
     for (size_t i = 0; i < 3; ++i) {
       CheckValidity(std::string(kStrategies[i].name) + "/base",
                     base[i].matches, vscorer, &out);
-    }
-  }
-
-  // --- Retrieval cells: bit-identity contract per strategy ---
-  // Bound-driven retrieval switched off (the score-everything path) must
-  // reproduce the base matches byte for byte.
-  if (opts.run_retrieval_diff) {
-    for (size_t i = 0; i < 3; ++i) {
-      RunSpec spec = base_spec;
-      spec.strategy = kStrategies[i].s;
-      spec.config.use_pruned_retrieval = false;
-      const EngineResult r = Run(ensemble, spec);
-      ++out.cells_run;
-      const std::string cell = StrPrintf("%s/pruned=0", kStrategies[i].name);
-      CheckWellFormed(cell, r, c, true, &out);
-      CheckBitwiseEqual("retrieval-diff", cell, base[i].matches, r.matches,
-                        &out);
     }
   }
 
@@ -737,10 +719,13 @@ CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
       const std::string cell = StrPrintf("stard/cert=degrade-l%d", level);
       CheckWellFormed(cell, r, c, /*expect_complete_run=*/true, &out);
       // Every degraded match must be valid under the EFFECTIVE semantics
-      // (kept candidates only, reduced-d edge scores).
+      // (kept candidates only, reduced-d edge scores), and the degraded
+      // candidate lists (level 1's cut, level 2's sampled pools) must be
+      // the ones Score() rebuilds.
       {
         scoring::QueryScorer escorer(c.graph, c.query, ensemble,
                                      effective.match, index.get());
+        CheckFnOracle(escorer, ensemble, cell, &out);
         CheckValidity(cell, r.matches, escorer, &out);
       }
       check_certificate(cell, effective, level, r);

@@ -29,9 +29,6 @@ struct RunnerOptions {
   bool run_metamorphic = true;
   bool run_reuse = true;
   bool run_deadline = true;
-  /// Re-run every strategy with bound-driven retrieval switched off; the
-  /// matches must be bitwise identical to the base cells.
-  bool run_retrieval_diff = true;
   /// Anytime/degraded certificate cells: re-run the reference strategy at
   /// degradation levels {1, 2, 3} (or the case's pinned level) plus the
   /// deadline-truncated level-0 cells, build each run's QualityCertificate,
@@ -62,8 +59,8 @@ struct CaseOutcome {
 ///  - BruteForce oracle vs stark/stard/hybrid (framework) score identity;
 ///  - graphTA (always) and BP (acyclic, non-injective) agreement;
 ///  - fn-oracle: every candidate list equals the one rebuilt from
-///    SimilarityEnsemble::Score() (CheckFnOracle below);
-///  - bitwise identity per strategy with pruned retrieval switched off;
+///    SimilarityEnsemble::Score() (CheckFnOracle below), under the base
+///    config and under every degraded cell's effective config;
 ///  - bitwise identity of reuse cold/warm/invalidated runs (with optional
 ///    bug injection between cold and warm);
 ///  - deadline cells: pre-expired => empty + cancelled; tight => bitwise
@@ -91,10 +88,11 @@ std::vector<scoring::ScoredCandidate> CandidatesFromScore(
     const scoring::QueryScorer& scorer,
     const text::SimilarityEnsemble& ensemble, int u);
 
-/// The fn-oracle check, run once per case by RunDifferentialCase: appends
-/// one "fn-oracle" violation to `out` for each non-wildcard node u of the
-/// scorer's query whose scorer.Candidates(u) differs from
-/// CandidatesFromScore(scorer, ensemble, u) in an id or a score bit.
+/// The fn-oracle check, run by RunDifferentialCase on the base config and
+/// on each degraded cell's: appends one "fn-oracle" violation to `out`
+/// for each non-wildcard node u of the scorer's query whose
+/// scorer.Candidates(u) differs from CandidatesFromScore(scorer,
+/// ensemble, u) in an id or a score bit.
 void CheckFnOracle(const scoring::QueryScorer& scorer,
                    const text::SimilarityEnsemble& ensemble,
                    const std::string& cell, CaseOutcome* out);

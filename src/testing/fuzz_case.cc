@@ -80,9 +80,9 @@ FuzzProfile TieCutProfile() {
   // score distribution, so the cut routinely lands inside a run of equal
   // scores — the adversarial regime for bound-driven retrieval, whose
   // heap must reproduce the deterministic (score desc, id asc) truncation
-  // byte for byte while skipping blocks.
+  // byte for byte while skipping nodes.
   p.cutoff_prob = 1.0;
-  p.with_index_prob = 0.9;  // mostly block-max walks, some pool fallbacks
+  p.with_index_prob = 0.9;  // mostly index pools, some full-scan pools
   p.retrieval_cutoff_prob = 0.3;
   p.token_pool_min = 2;
   p.token_pool_max = 4;

@@ -131,7 +131,7 @@ FuzzProfile TieHeavyProfile();
 
 /// TieHeavy plus a guaranteed max_candidates cutoff: the truncation cut
 /// lands inside tie runs, stressing bound-driven retrieval's tie-exact
-/// heap against the score-everything reference.
+/// heap against the Score()-built reference (the fn-oracle check).
 FuzzProfile TieCutProfile();
 
 /// Adds tight-deadline cells on slightly larger graphs so expiries fire

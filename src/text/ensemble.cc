@@ -1726,15 +1726,24 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
   }
 }
 
-double SimilarityEnsemble::RetrievalCapSum(const PreparedLabelBatch& p,
-                                           double rr, double minlen,
-                                           double gram_len, bool any_numeric,
-                                           bool acr_len_match,
-                                           bool shares_token) const {
+double SimilarityEnsemble::RetrievalNodeBound(const PreparedLabelBatch& p,
+                                              size_t data_len,
+                                              bool data_numeric,
+                                              bool shares_token) const {
+  const size_t m = p.label.size();
+  // Equal byte length admits the case-insensitive-equality 1.0 and opens
+  // every length-gated cap; the trivial bound is the only sound one.
+  if (data_len == m) return 1.0;
+  const double rr = static_cast<double>(std::min(data_len, m)) /
+                    static_cast<double>(std::max(data_len, m));
+  const double minlen = static_cast<double>(std::min(data_len, m));
+  const double len = static_cast<double>(data_len);
+  const bool acr_len_match = p.initials.size() == data_len && data_len >= 2;
+
   // The rows below are the batched kernel's stage-A caps (see
   // ScoreBatchAgainstThreshold), evaluated from index-carried facts
-  // instead of per-lane ones. Eq-gated caps are 0 here: callers return
-  // the trivial 1.0 outright whenever byte-length equality is possible.
+  // instead of per-lane ones. Eq-gated caps are 0: equal byte lengths
+  // returned 1.0 above.
   const double tok_ok = (!shares_token && !p.tokens.empty()) ? 0.0 : 1.0;
   const double syn_tok = p.synonym_needs_token ? tok_ok : 1.0;
   const double num_tok = p.numeral_needs_token ? tok_ok : 1.0;
@@ -1744,11 +1753,9 @@ double SimilarityEnsemble::RetrievalCapSum(const PreparedLabelBatch& p,
   const double qnum = static_cast<double>(p.numerals.size());
   const bool acr_q = p.tokens.size() == 1 && p.lower.size() >= 2;
   const double qlen = static_cast<double>(p.lower.size());
-  const double tri_max =
-      gram_len >= 3.0 ? gram_len - 2.0 : (gram_len > 0.0 ? 1.0 : 0.0);
-  const double bi_max =
-      gram_len >= 2.0 ? gram_len - 1.0 : (gram_len > 0.0 ? 1.0 : 0.0);
-  const double tok_max = std::floor((gram_len + 1.0) / 2.0);
+  const double tri_max = len >= 3.0 ? len - 2.0 : (len > 0.0 ? 1.0 : 0.0);
+  const double bi_max = len >= 2.0 ? len - 1.0 : (len > 0.0 ? 1.0 : 0.0);
+  const double tok_max = std::floor((len + 1.0) / 2.0);
 
   double caps[kFeatureCount];
   caps[kExact] = 0.0;
@@ -1764,7 +1771,7 @@ double SimilarityEnsemble::RetrievalCapSum(const PreparedLabelBatch& p,
   caps[kJaro] = jb;
   caps[kJaroWinkler] = 0.6 * jb + 0.4;
   caps[kAbbreviation] = minlen < 2.0 ? 0.0 : 0.5 * rr + 0.5;
-  caps[kNumeric] = (p.looks_numeric || any_numeric) ? 1.0 : 0.0;
+  caps[kNumeric] = (p.looks_numeric || data_numeric) ? 1.0 : 0.0;
   caps[kDate] = p.contains_digit ? 1.0 : 0.0;
   caps[kPhonetic] = p.soundex.empty() ? 0.0 : 1.0;
   caps[kTfIdfCosine] =
@@ -1790,57 +1797,6 @@ double SimilarityEnsemble::RetrievalCapSum(const PreparedLabelBatch& p,
   double bound = 0.0;
   for (const int i : batch_order_) bound += weights_[i] * caps[i];
   return bound;
-}
-
-double SimilarityEnsemble::RetrievalNodeBound(const PreparedLabelBatch& p,
-                                              size_t data_len,
-                                              bool data_numeric,
-                                              bool shares_token) const {
-  const size_t m = p.label.size();
-  // Equal byte length admits the case-insensitive-equality 1.0 and opens
-  // every length-gated cap; the trivial bound is the only sound one.
-  if (data_len == m) return 1.0;
-  const double rr = static_cast<double>(std::min(data_len, m)) /
-                    static_cast<double>(std::max(data_len, m));
-  const bool acr = p.initials.size() == data_len && data_len >= 2;
-  return RetrievalCapSum(p, rr,
-                         static_cast<double>(std::min(data_len, m)),
-                         static_cast<double>(data_len), data_numeric, acr,
-                         shares_token);
-}
-
-double SimilarityEnsemble::RetrievalBlockBound(
-    const PreparedLabelBatch& p, const LabelSetStats& stats) const {
-  if (stats.empty) return 0.0;
-  const size_t m = p.label.size();
-  const bool m_possible =
-      m < 63 ? ((stats.len_mask >> m) & 1) != 0
-             : ((stats.len_mask >> 63) & 1) != 0 && stats.max_len >= m;
-  if (m_possible) return 1.0;
-  double best = 0.0;
-  // Exact lengths: the per-length bound, maxed over the occurring ones.
-  // (b != m for every remaining bit, so RetrievalNodeBound never takes
-  // its equal-length shortcut here.)
-  for (uint32_t b = 0; b < 63; ++b) {
-    if (((stats.len_mask >> b) & 1) == 0) continue;
-    best = std::max(best, RetrievalNodeBound(p, b, stats.any_numeric));
-  }
-  // Pooled lengths [63, max_len]: per-feature maxima — the ratio family
-  // at the admitted length closest to m, the gram/token caps at max_len.
-  if (((stats.len_mask >> 63) & 1) != 0) {
-    const size_t hi = stats.max_len;  // >= 63
-    const size_t n_rr = std::clamp(m, size_t{63}, hi);
-    const double rr = static_cast<double>(std::min(n_rr, m)) /
-                      static_cast<double>(std::max(n_rr, m));
-    const size_t qini = p.initials.size();
-    const bool acr = qini >= 63 && qini <= hi;
-    best = std::max(
-        best,
-        RetrievalCapSum(p, rr, static_cast<double>(std::min<size_t>(63, m)),
-                        static_cast<double>(hi), stats.any_numeric, acr,
-                        /*shares_token=*/true));
-  }
-  return best;
 }
 
 size_t SimilarityEnsemble::ThreadTokenTableSize() {

@@ -1,7 +1,6 @@
 #ifndef STAR_TEXT_ENSEMBLE_H_
 #define STAR_TEXT_ENSEMBLE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -16,36 +15,9 @@ namespace star::text {
 
 /// True when `s` (after trimming) starts like a number — the guard the
 /// numeric feature checks before parsing either side. Exposed so retrieval
-/// metadata (LabelSetStats below, LabelIndex node facts) is built with the
-/// exact predicate the kernel's numeric cap uses.
+/// metadata (LabelIndex node facts) is built with the exact predicate the
+/// kernel's numeric cap uses.
 bool LooksNumeric(std::string_view s);
-
-/// O(1) digest of a SET of data labels (one postings block), from which
-/// SimilarityEnsemble::RetrievalBlockBound derives a score cap that
-/// provably dominates F_N of every member. Tracks which byte lengths occur
-/// (bit min(len, 63) of len_mask; lengths >= 63 pool into bit 63 with the
-/// true range kept in min_len/max_len) and whether any member passes the
-/// numeric guard.
-struct LabelSetStats {
-  uint64_t len_mask = 0;
-  uint32_t min_len = 0;
-  uint32_t max_len = 0;
-  bool any_numeric = false;
-  bool empty = true;
-
-  void AddFacts(size_t len, bool numeric) {
-    const uint32_t n = static_cast<uint32_t>(len);
-    len_mask |= uint64_t{1} << (n < 63 ? n : 63);
-    min_len = empty ? n : std::min(min_len, n);
-    max_len = empty ? n : std::max(max_len, n);
-    any_numeric = any_numeric || numeric;
-    empty = false;
-  }
-
-  void Add(std::string_view label) {
-    AddFacts(label.size(), LooksNumeric(label));
-  }
-};
 
 /// Counters of the batch scoring kernel (ScoreBatchAgainstThreshold):
 /// how many lanes were scored, how many exited early, and how many feature
@@ -275,24 +247,24 @@ class SimilarityEnsemble {
                                   const uint8_t* shares_token = nullptr) const;
 
   // -------------------------------------------------------------------
-  // Retrieval upper bounds (block-max candidate pruning)
+  // Retrieval upper bound (bound-driven candidate retrieval)
   // -------------------------------------------------------------------
   //
   // Bound-driven candidate retrieval (scoring/query_scorer) needs a score
-  // cap per postings block / per node computable WITHOUT touching the data
-  // label bytes — only O(1) facts carried by the index (byte length,
-  // numeric-guard flag). These bounds reuse the batched kernel's stage-A
-  // cap table verbatim, so the soundness argument is the same one DESIGN.md
-  // "Memory layout & batched scoring" makes per cap row.
+  // cap per node computable WITHOUT touching the data label bytes — only
+  // O(1) facts carried by the index (byte length, numeric-guard flag).
+  // The bound reuses the batched kernel's stage-A cap table verbatim, so
+  // the soundness argument is the same one DESIGN.md "Memory layout &
+  // batched scoring" makes per cap row.
   //
   // Soundness vs the equality shortcut: Score() returns 1.0 for
   // case-insensitively equal labels BEFORE any feature is consulted, and
   // that 1.0 can exceed the feature-cap sum. ASCII case folding preserves
-  // byte length, so equality is only possible at equal byte length — both
-  // bounds therefore return the trivial 1.0 whenever the data length
-  // equals (or, for a block, may equal) the query label's length. With the
-  // weights normalized to sum 1 every cap sum is <= 1, so this also
-  // subsumes the open length-equality caps (exact/Hamming/abbreviation).
+  // byte length, so equality is only possible at equal byte length — the
+  // bound therefore returns the trivial 1.0 whenever the data length
+  // equals the query label's length. With the weights normalized to sum 1
+  // every cap sum is <= 1, so this also subsumes the open length-equality
+  // caps (exact/Hamming/abbreviation).
 
   /// Upper bound on Score(query label, any data label of byte length
   /// `data_len` whose numeric guard equals `data_numeric`), for any data
@@ -302,31 +274,9 @@ class SimilarityEnsemble {
   double RetrievalNodeBound(const PreparedLabelBatch& batch, size_t data_len,
                             bool data_numeric, bool shares_token = true) const;
 
-  /// Upper bound on Score(query label, d) over every data label d whose
-  /// facts were folded into `stats` (one postings block), for any data
-  /// type. Exact lengths (< 63) take per-length bounds, maxed; the
-  /// pooled-length bit takes per-feature maxima over [63, max_len] (a sum
-  /// of per-feature maxima, since the features are not jointly unimodal
-  /// over a length range). 0 for an empty digest.
-  double RetrievalBlockBound(const PreparedLabelBatch& batch,
-                             const LabelSetStats& stats) const;
-
  private:
   /// Recomputes batch_order_ from weights_.
   void RebuildBatchOrder();
-
-  /// Shared core of the retrieval bounds: the stage-A cap sum for a
-  /// hypothetical data label described by O(1) facts. `rr` is the
-  /// min/max byte-length ratio, `minlen` the smaller byte length,
-  /// `gram_len` the length the gram/token caps are evaluated at (the
-  /// largest length the facts admit), `acr_len_match` whether some
-  /// admitted length equals the query's initials count (>= 2),
-  /// `shares_token` false that the disjoint-token caps apply. Assumes the
-  /// caller already handled possible byte-length equality (returns the
-  /// eq-gated caps as 0).
-  double RetrievalCapSum(const PreparedLabelBatch& batch, double rr,
-                         double minlen, double gram_len, bool any_numeric,
-                         bool acr_len_match, bool shares_token) const;
 
   Context context_;
   std::vector<double> weights_;

@@ -394,8 +394,10 @@ TEST(TokenTableScopeTest, TableIsClearedPastItsBound) {
   size_t previous = 0, peak = 0;
   int clears = 0;
   for (int i = 0; i < 4000; ++i) {
-    const std::string d =
-        "t" + std::to_string(i) + " alpha u" + std::to_string(i);
+    std::string d = "t";
+    d += std::to_string(i);
+    d += " alpha u";
+    d += std::to_string(i);
     const std::string_view lane = d;
     double out = 0.0;
     e.ScoreBatchAgainstThreshold(prepared, &lane, 1,

@@ -28,7 +28,11 @@ query::QueryGraph TriangleQuery() {
 query::QueryGraph DoubleStarQuery() {
   // Two hubs joined by a bridge: 0-1, 0-2, 0-3, 3-4, 3-5.
   query::QueryGraph q;
-  for (int i = 0; i < 6; ++i) q.AddNode("n" + std::to_string(i));
+  for (int i = 0; i < 6; ++i) {
+    std::string label = "n";
+    label += std::to_string(i);
+    q.AddNode(label);
+  }
   q.AddEdge(0, 1);
   q.AddEdge(0, 2);
   q.AddEdge(0, 3);
@@ -165,7 +169,11 @@ TEST(DecompositionTest, ValidityCheckerRejectsBadDecompositions) {
 TEST(DecompositionTest, LargeQueryFallsBackToGreedy) {
   // A 20-node path exceeds max_enumeration_nodes=16.
   query::QueryGraph q;
-  for (int i = 0; i < 20; ++i) q.AddNode("n" + std::to_string(i));
+  for (int i = 0; i < 20; ++i) {
+    std::string label = "n";
+    label += std::to_string(i);
+    q.AddNode(label);
+  }
   for (int i = 1; i < 20; ++i) q.AddEdge(i - 1, i);
   DecompositionOptions opts;
   opts.strategy = DecompositionStrategy::kSimSize;

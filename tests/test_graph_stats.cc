@@ -77,7 +77,11 @@ TEST(GraphStatsTest, DegreeHistogramCoversAllNodes) {
 TEST(GraphStatsTest, GiniIsZeroForRegularGraph) {
   // A cycle: every node has degree 2.
   KnowledgeGraph::Builder b;
-  for (int i = 0; i < 10; ++i) b.AddNode("n" + std::to_string(i));
+  for (int i = 0; i < 10; ++i) {
+    std::string label = "n";
+    label += std::to_string(i);
+    b.AddNode(label);
+  }
   for (int i = 0; i < 10; ++i) {
     b.AddEdge(i, (i + 1) % 10, "r");
   }

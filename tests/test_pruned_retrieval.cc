@@ -1,17 +1,17 @@
 // Bound-driven candidate retrieval (DESIGN.md "Bound-driven retrieval"):
-// bitwise identity of the pruned path against the score-everything path
-// across engines; adversarial ties at the max_candidates cut; and the
-// block/node upper-bound soundness contract (a cap must dominate every
-// member it covers).
+// every candidate list the pool walk returns is bitwise the list rebuilt
+// from SimilarityEnsemble::Score() (the fuzz harness's fn-oracle
+// reference), across cutoffs, retrieval caps, index presence and sampled
+// pools; adversarial ties at the max_candidates cut; the walk's bound
+// skips on a selective query; and the node upper-bound soundness contract
+// (a cap must dominate the score of every node it covers).
 
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/framework.h"
 #include "graph/label_index.h"
 #include "scoring/query_scorer.h"
 #include "test_helpers.h"
@@ -23,37 +23,22 @@
 namespace star::scoring {
 namespace {
 
-using star::testing::MovieGraph;
 using star::testing::SmallRandomGraph;
 using star::testing::TestConfig;
 
-std::vector<ScoredCandidate> CandidatesWith(const graph::KnowledgeGraph& g,
-                                            const query::QueryGraph& q, int u,
-                                            const text::SimilarityEnsemble& ens,
-                                            MatchConfig cfg,
-                                            const graph::LabelIndex* index,
-                                            bool pruned) {
-  cfg.use_pruned_retrieval = pruned;
-  QueryScorer scorer(g, q, ens, cfg, index);
-  const auto& c = scorer.Candidates(u);
-  return {c.begin(), c.end()};
-}
-
-void ExpectBitwiseEqual(const std::vector<ScoredCandidate>& off,
-                        const std::vector<ScoredCandidate>& on,
+// Every non-wildcard candidate list of `scorer` must equal, in ids and
+// score bits, the one CandidatesFromScore rebuilds from Score().
+void ExpectMatchesScore(const QueryScorer& scorer,
+                        const text::SimilarityEnsemble& ens,
                         const std::string& cell) {
-  ASSERT_EQ(off.size(), on.size()) << cell;
-  for (size_t i = 0; i < off.size(); ++i) {
-    EXPECT_EQ(off[i].node, on[i].node) << cell << " at " << i;
-    EXPECT_EQ(std::bit_cast<uint64_t>(off[i].score),
-              std::bit_cast<uint64_t>(on[i].score))
-        << cell << " at " << i;
-  }
+  star::testing::CaseOutcome out;
+  star::testing::CheckFnOracle(scorer, ens, cell, &out);
+  EXPECT_TRUE(out.ok()) << out.Summary();
 }
 
-// Pruned candidate lists must be byte-identical to the unpruned ones for
-// every (cutoff, retrieval cap, index presence) cell — including partial
-// labels that exercise the fuzzy trigram lists.
+// Walked candidate lists must be byte-identical to the Score()-built ones
+// for every (cutoff, retrieval cap, index presence) cell — including
+// partial labels that exercise the fuzzy trigram lists.
 TEST(PrunedRetrievalTest, CandidateListsBitwiseIdentical) {
   for (const uint64_t seed : {1u, 7u, 23u}) {
     const graph::KnowledgeGraph g = SmallRandomGraph(seed, 60, 140);
@@ -62,7 +47,7 @@ TEST(PrunedRetrievalTest, CandidateListsBitwiseIdentical) {
     const std::string partial = exact.substr(0, exact.find(' '));
     for (const std::string& label : {exact, partial, partial + "zz"}) {
       query::QueryGraph q;
-      const int u = q.AddNode(label);
+      q.AddNode(label);
       text::SimilarityEnsemble ens;
       const graph::LabelIndex index(g);
       for (const size_t max_candidates : {size_t{0}, size_t{1}, size_t{5}}) {
@@ -70,19 +55,15 @@ TEST(PrunedRetrievalTest, CandidateListsBitwiseIdentical) {
           MatchConfig cfg = TestConfig();
           cfg.max_candidates = max_candidates;
           cfg.max_retrieval = max_retrieval;
-          const std::string cell = label +
-                                   "/k=" + std::to_string(max_candidates) +
-                                   "/r=" + std::to_string(max_retrieval);
-          ExpectBitwiseEqual(CandidatesWith(g, q, u, ens, cfg, &index, false),
-                             CandidatesWith(g, q, u, ens, cfg, &index, true),
-                             cell);
+          ExpectMatchesScore(QueryScorer(g, q, ens, cfg, &index), ens,
+                             label + "/k=" + std::to_string(max_candidates) +
+                                 "/r=" + std::to_string(max_retrieval));
         }
       }
-      // No-index fallback (full scan through the pooled pruner).
+      // No-index fallback (the full scan is the pool).
       MatchConfig cfg = TestConfig();
       cfg.max_candidates = 3;
-      ExpectBitwiseEqual(CandidatesWith(g, q, u, ens, cfg, nullptr, false),
-                         CandidatesWith(g, q, u, ens, cfg, nullptr, true),
+      ExpectMatchesScore(QueryScorer(g, q, ens, cfg, nullptr), ens,
                          label + "/no-index");
     }
   }
@@ -90,7 +71,7 @@ TEST(PrunedRetrievalTest, CandidateListsBitwiseIdentical) {
 
 // Adversarial tie at the cut: many byte-identical labels score exactly
 // 1.0, max_candidates slices inside the tie run. The deterministic
-// truncation keeps the smallest ids; the pruned heap must reproduce that
+// truncation keeps the smallest ids; the walk's heap must reproduce that
 // even though high-id duplicates arrive while the heap is already full.
 TEST(PrunedRetrievalTest, TieAtTheCutKeepsSmallestIds) {
   graph::KnowledgeGraph::Builder b;
@@ -105,26 +86,25 @@ TEST(PrunedRetrievalTest, TieAtTheCutKeepsSmallestIds) {
   for (const size_t k : {size_t{1}, size_t{7}, size_t{40}, size_t{55}}) {
     MatchConfig cfg = TestConfig();
     cfg.max_candidates = k;
-    const auto off = CandidatesWith(g, q, u, ens, cfg, &index, false);
-    const auto on = CandidatesWith(g, q, u, ens, cfg, &index, true);
-    ExpectBitwiseEqual(off, on, "tie/k=" + std::to_string(k));
+    const QueryScorer scorer(g, q, ens, cfg, &index);
+    ExpectMatchesScore(scorer, ens, "tie/k=" + std::to_string(k));
+    const CandidateList& got = scorer.Candidates(u);
     // The exact-match prefix must be ids 0..min(k,40)-1 in order.
     const size_t exact = std::min<size_t>(k, 40);
-    ASSERT_GE(on.size(), exact);
+    ASSERT_GE(got.size(), exact);
     for (size_t i = 0; i < exact; ++i) {
-      EXPECT_EQ(on[i].node, static_cast<graph::NodeId>(i));
-      EXPECT_DOUBLE_EQ(on[i].score, 1.0);
+      EXPECT_EQ(got[i].node, static_cast<graph::NodeId>(i));
+      EXPECT_DOUBLE_EQ(got[i].score, 1.0);
     }
   }
 }
 
-// Soundness property behind every skip decision: a block's cap dominates
-// the true ensemble score of every member it covers, and the per-node
-// bound dominates that node's score — for every block of every retrieval
-// list, on graphs big enough to have multi-block lists.
-TEST(PrunedRetrievalTest, BlockAndNodeBoundsDominateMembers) {
+// Soundness property behind every skip decision: the per-node bound
+// dominates the true ensemble score of every node Candidates(label, type)
+// retrieves.
+TEST(PrunedRetrievalTest, NodeBoundsDominateMembers) {
   graph::KnowledgeGraph::Builder b;
-  // > 2 full blocks of one shared token with wildly varying label shapes.
+  // One shared token with wildly varying label shapes.
   for (int i = 0; i < 300; ++i) {
     std::string label = "alpha";
     for (int j = 0; j < i % 7; ++j) label += " tail" + std::to_string(j);
@@ -137,37 +117,22 @@ TEST(PrunedRetrievalTest, BlockAndNodeBoundsDominateMembers) {
   }
   const graph::KnowledgeGraph g = std::move(b).Build();
 
-  // Checks every block and node cap of `label`'s retrieval lists against
-  // the members' scores; returns the number of blocks walked.
+  // Checks the node cap of every member `label` retrieves against the
+  // member's score; returns the number of members checked.
   const auto expect_caps_dominate = [&](const text::SimilarityEnsemble& ens,
                                         const std::string& label,
                                         int32_t type,
                                         const graph::LabelIndex& index) {
     const auto batch = ens.Prepare(label);
-    const auto lists = index.RetrievalLists(label, type);
-    EXPECT_FALSE(lists.empty()) << label;
-    size_t blocks_seen = 0;
-    for (const auto& l : lists) {
-      for (size_t blk = 0; blk < index.ListBlocks(l); ++blk) {
-        ++blocks_seen;
-        const double cap =
-            ens.RetrievalBlockBound(batch, index.BlockStats(l, blk));
-        size_t members = 0;
-        for (const graph::NodeId v : index.BlockIds(l, blk)) {
-          ++members;
-          const double node_cap = ens.RetrievalNodeBound(
-              batch, index.NodeLabelLength(v), index.NodeLooksNumeric(v));
-          const double score = ens.Score(label, g.NodeLabel(v));
-          EXPECT_GE(cap + 1e-9, score)
-              << label << " block " << blk << " node " << v;
-          EXPECT_GE(node_cap + 1e-9, score) << label << " node " << v;
-          EXPECT_GE(cap + 1e-9, node_cap)
-              << label << " block " << blk << " node " << v;
-        }
-        EXPECT_EQ(members, index.BlockSize(l, blk));
-      }
+    const std::vector<graph::NodeId> members = index.Candidates(label, type);
+    EXPECT_FALSE(members.empty()) << label;
+    for (const graph::NodeId v : members) {
+      const double cap = ens.RetrievalNodeBound(
+          batch, index.NodeLabelLength(v), index.NodeLooksNumeric(v));
+      EXPECT_GE(cap + 1e-9, ens.Score(label, g.NodeLabel(v)))
+          << label << " node " << v;
     }
-    return blocks_seen;
+    return members.size();
   };
 
   // A query without tokens against the token-less labels: their tf-idf
@@ -191,35 +156,20 @@ TEST(PrunedRetrievalTest, BlockAndNodeBoundsDominateMembers) {
   for (const std::string& label :
        {std::string("alpha tail0"), std::string("alpha 1234"),
         std::string("alphaz")}) {
-    // The shared "alpha" token must have produced a multi-block list.
-    EXPECT_GT(expect_caps_dominate(ens, label, /*type=*/-1, index), 2u)
+    // Every label shape behind the shared "alpha" token is covered.
+    EXPECT_GE(expect_caps_dominate(ens, label, /*type=*/-1, index), 300u)
         << label;
   }
   ASSERT_EQ(tfidf_only.Score("-", ".."), 1.0);
   expect_caps_dominate(tfidf_only, "-", g.FindTypeId("Mark"), index);
 }
 
-// Concatenating every block must reproduce the list exactly (strictly
-// ascending ids, full count).
-TEST(PrunedRetrievalTest, BlocksTileTheList) {
-  const graph::KnowledgeGraph g = SmallRandomGraph(5, 400, 900);
-  const std::string label(g.NodeLabel(0));
-  const graph::LabelIndex index(g);
-  for (const auto& l : index.RetrievalLists(label, /*type=*/-1)) {
-    std::vector<uint32_t> ids;
-    for (size_t blk = 0; blk < index.ListBlocks(l); ++blk) {
-      const auto block = index.BlockIds(l, blk);
-      ids.insert(ids.end(), block.begin(), block.end());
-    }
-    ASSERT_EQ(ids.size(), index.ListCount(l));
-    for (size_t i = 1; i < ids.size(); ++i) EXPECT_LT(ids[i - 1], ids[i]);
-  }
-}
-
-// On a selective query over a large posting union, pruning must actually
-// skip work (whole blocks and individually bounded nodes) while staying
-// bitwise identical — the counters are the bench's speedup evidence.
-TEST(PrunedRetrievalTest, SelectiveQuerySkipsBlocks) {
+// On a selective query over a large pool, the walk must skip the nodes
+// whose cap cannot reach the cut while staying bitwise identical: 600
+// exact "alpha beta" labels (cap 1.0, the query's byte length) fill the
+// cut at 1.0, so the 600 longer labels are bound-skipped unscored. The
+// kernel sees 8 lanes per 128-node wave; the chunk dedup copies the rest.
+TEST(PrunedRetrievalTest, SelectiveQuerySkipsNodes) {
   graph::KnowledgeGraph::Builder b;
   for (int i = 0; i < 600; ++i) b.AddNode("alpha beta");
   for (int i = 0; i < 600; ++i) {
@@ -233,23 +183,25 @@ TEST(PrunedRetrievalTest, SelectiveQuerySkipsBlocks) {
   MatchConfig cfg = TestConfig();
   cfg.max_candidates = 5;
 
-  const auto off = CandidatesWith(g, q, u, ens, cfg, &index, false);
-  QueryScorer scorer(g, q, ens, cfg, &index);
-  const auto& on = scorer.Candidates(u);
-  ExpectBitwiseEqual(off, {on.begin(), on.end()}, "selective");
+  const QueryScorer scorer(g, q, ens, cfg, &index);
+  ExpectMatchesScore(scorer, ens, "selective");
+  EXPECT_EQ(scorer.Candidates(u).size(), 5u);
 
-  const auto& stats = scorer.retrieval_stats();
-  EXPECT_GT(stats.blocks_considered, 0u);
-  EXPECT_GT(stats.blocks_skipped, 0u);
-  EXPECT_LT(stats.nodes_scored, g.node_count());
+  const RetrievalStats& stats = scorer.retrieval_stats();
+  EXPECT_EQ(stats.nodes_considered, 1200u);
+  EXPECT_EQ(stats.nodes_bound_skipped, 600u);
+  EXPECT_EQ(stats.nodes_scored, 600u);
+  EXPECT_EQ(scorer.kernel_stats().pairs, 40u);
+  EXPECT_EQ(stats.blocks_considered, 0u);
+  EXPECT_EQ(stats.blocks_skipped, 0u);
 }
 
 // Typed query nodes with a retrieval cap: the RankedCandidates pool mixes
 // token hits with type-only entries, whose retrieval facts (no shared
 // token) let the batch kernel and the node bound cap the token-only
-// features at 0. On the pruned walk, the unpruned path and the sampled
-// pool, Candidates() must equal the lists rebuilt from Score() (the fuzz
-// harness's fn-oracle check) bitwise. The synonym- and numeral-heavy
+// features at 0. On the full and the sampled pool, Candidates() must
+// equal the lists rebuilt from Score() (the fuzz harness's fn-oracle
+// check) bitwise. The synonym- and numeral-heavy
 // weighting makes type-only pairs like "movie"/"film" and "two"/"ii"
 // candidates through exactly the features whose caps carry query-side
 // conditions.
@@ -301,60 +253,13 @@ TEST(PrunedRetrievalTest, RetrievalFactsKeepTypedPoolsBitwise) {
           cfg.max_candidates = max_candidates;
           cfg.sample_rate = sample_rate;
           cfg.sample_seed = 9;
-          for (const bool pruned : {true, false}) {
-            cfg.use_pruned_retrieval = pruned;
-            const std::string cell =
-                std::string(ens == &heavy ? "heavy" : "uniform") +
-                "/r=" + std::to_string(max_retrieval) +
-                "/k=" + std::to_string(max_candidates) +
-                "/s=" + std::to_string(sample_rate) +
-                (pruned ? "/pruned" : "/unpruned");
-            const QueryScorer scorer(g, q, *ens, cfg, &index);
-            star::testing::CaseOutcome out;
-            star::testing::CheckFnOracle(scorer, *ens, cell, &out);
-            EXPECT_TRUE(out.ok()) << out.Summary();
-          }
+          const std::string cell =
+              std::string(ens == &heavy ? "heavy" : "uniform") +
+              "/r=" + std::to_string(max_retrieval) +
+              "/k=" + std::to_string(max_candidates) +
+              "/s=" + std::to_string(sample_rate);
+          ExpectMatchesScore(QueryScorer(g, q, *ens, cfg, &index), *ens, cell);
         }
-      }
-    }
-  }
-}
-
-// End-to-end: full TopK matches across all three engines must be
-// byte-identical with retrieval pruning on and off (scores AND mapped
-// nodes).
-TEST(PrunedRetrievalTest, FrameworkTopKBitwiseIdentical) {
-  for (const uint64_t seed : {2u, 9u}) {
-    const graph::KnowledgeGraph g = SmallRandomGraph(seed, 40, 90);
-    query::QueryGraph q;
-    const std::string pivot(g.NodeLabel(1));
-    const std::string leaf(g.NodeLabel(2));
-    const int a = q.AddNode(pivot);
-    const int b = q.AddNode(leaf);
-    q.AddEdge(a, b);
-    const graph::LabelIndex index(g);
-    for (const auto strategy :
-         {core::StarStrategy::kStark, core::StarStrategy::kStard,
-          core::StarStrategy::kHybrid}) {
-      core::StarOptions opts;
-      opts.strategy = strategy;
-      opts.match = TestConfig(2);
-      opts.match.max_candidates = 6;
-
-      text::SimilarityEnsemble ens;
-      opts.match.use_pruned_retrieval = false;
-      core::StarFramework off_fw(g, ens, &index, opts);
-      const auto off = off_fw.TopK(q, 8);
-
-      opts.match.use_pruned_retrieval = true;
-      core::StarFramework on_fw(g, ens, &index, opts);
-      const auto on = on_fw.TopK(q, 8);
-
-      ASSERT_EQ(off.size(), on.size());
-      for (size_t i = 0; i < off.size(); ++i) {
-        EXPECT_EQ(std::bit_cast<uint64_t>(off[i].score),
-                  std::bit_cast<uint64_t>(on[i].score));
-        EXPECT_EQ(off[i].mapping, on[i].mapping);
       }
     }
   }

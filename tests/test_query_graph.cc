@@ -43,7 +43,9 @@ TEST(QueryGraphTest, StarDetection) {
   QueryGraph star;
   const int center = star.AddNode("C");
   for (int i = 0; i < 3; ++i) {
-    star.AddEdge(center, star.AddNode("L" + std::to_string(i)));
+    std::string label = "L";
+    label += std::to_string(i);
+    star.AddEdge(center, star.AddNode(label));
   }
   EXPECT_TRUE(star.IsStar());
   EXPECT_EQ(star.StarPivot(), center);
