@@ -16,11 +16,13 @@
 //      word of the bit-parallel alignment features — and pairs of labels
 //      with repeated tokens, numeral forms and thesaurus terms, the
 //      vocabulary of the kernel's token table and its synonym and numeral
-//      features; every query node's real RankedCandidates pool
-//      batch-scored with its retrieval facts (shares_token) at the
-//      threshold, where accepted values must be Score() bitwise and
-//      rejected pairs truly below; and the timed candidate lists, which
-//      must agree in ids and score bits.
+//      features, and labels against variants built to meet the kernel's
+//      byte-fact caps (first or last byte changed, case flipped, disjoint
+//      or repeated bytes, past 64 bytes); every query node's real
+//      RankedCandidates pool batch-scored with its retrieval facts
+//      (shares_token) at the threshold, where accepted values must be
+//      Score() bitwise and rejected pairs truly below; and the timed
+//      candidate lists, which must agree in ids and score bits.
 //
 // Any mismatch fails the run (nonzero exit). Output is one JSON object so
 // runs can be committed/diffed (BENCH_scoring.json).
@@ -30,6 +32,7 @@
 //   STAR_BENCH_QUERIES  star queries per workload (default 6)
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <iterator>
@@ -255,6 +258,48 @@ std::vector<std::string> LongLabels(const graph::KnowledgeGraph& g,
   return out;
 }
 
+/// Variants of each of `queries` built to meet stage A's byte-fact caps
+/// near the threshold: the first or the last byte changed, the case
+/// flipped (alone, and with the first byte changed), a label over bytes
+/// the query lacks, one of its bytes repeated, the label doubled, and the
+/// label repeated past 64 bytes with its last byte changed.
+std::vector<std::string> ByteFactLabels(
+    const std::vector<std::string>& queries) {
+  std::vector<std::string> out;
+  for (const std::string& q : queries) {
+    if (q.empty()) continue;
+    const std::string lower = ToLower(q);
+    std::string s = q;
+    s.front() = s.front() == '#' ? '%' : '#';
+    out.push_back(s);
+    s = q;
+    s.back() = s.back() == '#' ? '%' : '#';
+    out.push_back(s);
+    s = q;
+    for (char& c : s) {
+      const unsigned char u = static_cast<unsigned char>(c);
+      c = static_cast<char>(std::islower(u) ? std::toupper(u) : std::tolower(u));
+    }
+    out.push_back(s);
+    s.front() = s.front() == '#' ? '%' : '#';
+    out.push_back(s);
+    s.clear();
+    for (int c = 0x21; c < 0x7f && s.size() < q.size(); ++c) {
+      if (lower.find(static_cast<char>(std::tolower(c))) == std::string::npos) {
+        s.push_back(static_cast<char>(c));
+      }
+    }
+    out.push_back(s);
+    out.emplace_back(q.size(), q[q.size() / 2]);
+    out.push_back(q + q);
+    s = q;
+    while (s.size() <= 64) s += " " + q;
+    s.back() = s.back() == '#' ? '%' : '#';
+    out.push_back(s);
+  }
+  return out;
+}
+
 /// Labels with repeated tokens, the digit, roman-numeral and number-word
 /// forms of numerals, and one- and multi-token thesaurus terms, alone and
 /// around the first graph labels' tokens.
@@ -276,10 +321,11 @@ std::vector<std::string> VocabularyLabels(const graph::KnowledgeGraph& g) {
   return out;
 }
 
-/// The five pair sweeps: query labels against every graph label,
+/// The six pair sweeps: query labels against every graph label,
 /// relation labels against every relation name, long labels against long
 /// and short ones, vocabulary labels against themselves and graph labels,
-/// and the query nodes' retrieval pools with their facts.
+/// labels against their byte-fact variants, and the query nodes'
+/// retrieval pools with their facts.
 Identity RunIdentity(const Dataset& d, const std::vector<std::string>& labels,
                      const std::vector<query::QueryGraph>& queries,
                      double threshold, size_t retrieval_cap) {
@@ -323,6 +369,17 @@ Identity RunIdentity(const Dataset& d, const std::vector<std::string>& labels,
                          node_labels.begin() +
                              std::min<size_t>(256, node_labels.size()));
   SweepIdentity(e, vocabulary, vocabulary_data, threshold, &id);
+
+  // The query labels and the first graph labels against their byte-fact
+  // variants: each query meets its own variants near the threshold.
+  std::vector<std::string> fact_queries = labels;
+  fact_queries.insert(fact_queries.end(), node_labels.begin(),
+                      node_labels.begin() +
+                          std::min<size_t>(40, node_labels.size()));
+  const std::vector<std::string> fact_labels = ByteFactLabels(fact_queries);
+  const std::vector<std::string_view> fact_data(fact_labels.begin(),
+                                                fact_labels.end());
+  SweepIdentity(e, fact_queries, fact_data, threshold, &id);
   SweepPools(d, queries, threshold, retrieval_cap, &id);
   return id;
 }

@@ -300,10 +300,86 @@ std::optional<double> StarSearch::TopOneScore(NodeId pivot,
 // stark initialization: exact top-1 for every pivot candidate.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Node -> how many of the semi-join's leaves, in order, have marked it.
+/// One per thread, read only inside InitializeStark.
+EpochArray<uint32_t>& ThreadJoinMarks() {
+  thread_local EpochArray<uint32_t> marks;
+  return marks;
+}
+
+/// Whether `pivot` carries the mark of each of the `joined` leaves.
+bool Joinable(NodeId pivot, uint32_t joined) {
+  if (joined == 0) return true;
+  const uint32_t* mark = ThreadJoinMarks().Find(pivot);
+  return mark != nullptr && *mark == joined;
+}
+
+}  // namespace
+
+uint32_t StarSearch::SemiJoinLeaves(const scoring::CandidateList& pivots) {
+  const KnowledgeGraph& g = scorer_.graph();
+  const scoring::MatchConfig& cfg = scorer_.config();
+  EpochArray<uint32_t>& marks = ThreadJoinMarks();
+  CancelChecker cancel_check(options_.cancel);
+  // The scan walks each pivot's adjacency once per leaf it builds; a leaf
+  // walks its candidates' adjacency once. The cheaper side marks. The
+  // degree sum counts the nodes carrying `joined` marks (all, at 0).
+  const auto degree_sum = [&](const scoring::CandidateList& nodes,
+                              uint32_t joined) {
+    size_t sum = 0;
+    for (const ScoredCandidate& c : nodes) {
+      if (Joinable(c.node, joined)) sum += g.Degree(c.node);
+    }
+    return sum;
+  };
+  uint32_t joined = 0;
+  size_t pivot_cost = degree_sum(pivots, joined);
+  for (size_t i = 0; i < star_.edges.size(); ++i) {
+    const int leaf = leaf_nodes_[i];
+    const query::QueryNode& leaf_node = scorer_.query().node(leaf);
+    if (leaf_node.wildcard && leaf_node.type_name.empty()) continue;
+    // Only a list the scan would read anyway: no list is scored here.
+    const scoring::CandidateList* list = scorer_.CandidatesIfReady(leaf);
+    if (list == nullptr || degree_sum(*list, 0) >= pivot_cost) continue;
+    if (joined == 0) marks.Begin(g.node_count(), 0);
+    // The edges FillLeafLists offers at d = 1, seen from the leaf's side:
+    // Neighbors() lists both orientations of an edge with its relation,
+    // and a self-loop under injectivity offers nothing.
+    const int edge = star_.edges[i];
+    const std::vector<double>* relsim =
+        scorer_.query().edge(edge).wildcard_relation
+            ? nullptr
+            : &scorer_.RelationScoresAll(edge);
+    for (const ScoredCandidate& c : *list) {
+      if (cancel_check.ShouldStop()) {
+        stats_.cancelled = true;
+        return 0;
+      }
+      for (const Neighbor& nb : g.Neighbors(c.node)) {
+        if (cfg.enforce_injective && nb.node == c.node) continue;
+        const double edge_component =
+            relsim == nullptr ? 1.0 : (*relsim)[nb.relation];
+        if (edge_component < cfg.edge_threshold) continue;
+        uint32_t& mark = marks.At(nb.node);
+        if (mark == joined) mark = joined + 1;
+      }
+    }
+    ++joined;
+    pivot_cost = degree_sum(pivots, joined);
+  }
+  return joined;
+}
+
 void StarSearch::InitializeStark() {
   const auto& candidates = scorer_.Candidates(star_.pivot);
   stats_.pivot_candidates = candidates.size();
   const double pivot_weight = NodeWeight(star_.pivot);
+  // At d <= 1 a leaf list holds only direct neighbours, so the semi-join
+  // finds exactly the pivots whose scan would stop at an empty list.
+  const uint32_t joined =
+      scorer_.config().d <= 1 ? SemiJoinLeaves(candidates) : 0;
 
   // The per-candidate top-1s are the d-hop traversals Exp-1 measures.
   // Each one builds leaf lists only up to the pivot's first empty list,
@@ -316,6 +392,10 @@ void StarSearch::InitializeStark() {
     if (stats_.cancelled || cancel_check.ShouldStop()) {
       stats_.cancelled = true;
       break;  // the remaining candidates stay out of the reserve
+    }
+    if (!Joinable(c.node, joined)) {
+      ++stats_.pivots_skipped;
+      continue;
     }
     const double pivot_score = c.score * pivot_weight;
     const std::optional<double> top1 =

@@ -184,19 +184,23 @@ std::vector<uint32_t> LabelIndex::RankedFuzzyTokenIds(
   // All probe scratch is thread_local (the PR 4 pattern): fuzzy expansion
   // runs on every unknown query token, and per-call map/vector churn was
   // the remaining allocation in this path.
+  // Trigram hits are counted in a token-id-indexed array, left all zero
+  // on exit through the list of the ids it touched.
   static thread_local std::string low;
-  static thread_local std::unordered_map<uint32_t, size_t> hits;
+  static thread_local std::vector<uint32_t> hits;
+  static thread_local std::vector<uint32_t> touched;
   static thread_local std::vector<std::pair<size_t, uint32_t>> ranked;
   ToLowerInto(token, &low);
   std::vector<uint32_t> out;
   const size_t gram_count = TrigramCount(low);
   if (gram_count == 0) return out;
-  hits.clear();
+  if (hits.size() < token_dict_.size()) hits.resize(token_dict_.size(), 0);
+  touched.clear();
   ForEachTrigram(low, [&](std::string_view gram) {
     const int64_t gid = trigram_dict_.Find(gram);
     if (gid < 0) return;
     for (const uint32_t id : trigram_postings_.Ids(static_cast<size_t>(gid))) {
-      ++hits[id];
+      if (hits[id]++ == 0) touched.push_back(id);
     }
   });
   const size_t needed = std::max<size_t>(
@@ -208,13 +212,19 @@ std::vector<uint32_t> LabelIndex::RankedFuzzyTokenIds(
   // the cap cut is deterministic.
   constexpr size_t kMaxExpansion = 8;
   ranked.clear();
-  for (const auto& [id, count] : hits) {
-    if (count >= needed) ranked.emplace_back(count, id);
+  for (const uint32_t id : touched) {
+    if (hits[id] >= needed) ranked.emplace_back(hits[id], id);
+    hits[id] = 0;
   }
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+  const auto better = [](const auto& a, const auto& b) {
     return a.first != b.first ? a.first > b.first : a.second < b.second;
-  });
-  if (ranked.size() > kMaxExpansion) ranked.resize(kMaxExpansion);
+  };
+  if (ranked.size() > kMaxExpansion) {
+    std::nth_element(ranked.begin(), ranked.begin() + (kMaxExpansion - 1),
+                     ranked.end(), better);
+    ranked.resize(kMaxExpansion);
+  }
+  std::sort(ranked.begin(), ranked.end(), better);
   out.reserve(ranked.size());
   for (const auto& [count, id] : ranked) out.push_back(id);
   return out;

@@ -548,9 +548,27 @@ const CandidateList& QueryScorer::Candidates(int query_node) const {
   }
   candidates_ready_[query_node] = true;
 
+  const query::QueryNode& qn = query_.node(query_node);
+  if (qn.wildcard && qn.type_name.empty()) {
+    // Every node of the graph (the pool, which is never sampled) scores
+    // wildcard_node_score, so the (score desc, node asc) cut keeps the
+    // first ids, and nothing under the threshold.
+    if (config_.wildcard_node_score >= config_.node_threshold) {
+      size_t count = graph_.node_count();
+      if (config_.max_candidates > 0) {
+        count = std::min(count, config_.max_candidates);
+      }
+      out.reserve(count);
+      for (NodeId v = 0; v < count; ++v) {
+        out.push_back({v, config_.wildcard_node_score});
+      }
+    }
+    return out;
+  }
+
   std::vector<uint8_t> shares_token;
   const std::vector<NodeId> pool = RetrievalPool(query_node, &shares_token);
-  if (!query_.node(query_node).wildcard) {
+  if (!qn.wildcard) {
     // Bound-driven retrieval (DESIGN.md "Bound-driven retrieval"): walk the
     // pool in descending upper-bound order and skip everything that
     // provably cannot reach the running max_candidates-th score.
@@ -559,11 +577,10 @@ const CandidateList& QueryScorer::Candidates(int query_node) const {
     return out;
   }
 
-  // Wildcards have no label bound: their F_N is a type check or a
-  // constant, so the whole pool is scored and cut. (score desc, node asc)
-  // is a total order, so the cut is the full sort's prefix — and
-  // nth_element + prefix sort beats partial_sort's heap pass on an
-  // untyped wildcard's O(|V|) pool.
+  // Typed wildcards have no label bound: their F_N is a type check, so
+  // the whole pool is scored and cut. (score desc, node asc) is a total
+  // order, so the cut is the full sort's prefix — and nth_element +
+  // prefix sort beats partial_sort's heap pass on a large pool.
   const std::vector<double> scores =
       BulkScore(query_node, pool, config_.node_threshold);
   for (size_t i = 0; i < pool.size(); ++i) {

@@ -88,8 +88,9 @@ class QueryScorer {
   /// non-wildcard retrieval is index-backed (token/type postings), which
   /// defines the candidate semantics for *all* algorithms in the library.
   /// A non-wildcard node takes one bound-driven walk over its
-  /// RetrievalPool (DESIGN.md "Bound-driven retrieval"); a wildcard scores
-  /// its whole pool and cuts it.
+  /// RetrievalPool (DESIGN.md "Bound-driven retrieval"); a typed wildcard
+  /// scores its whole pool and cuts it; an untyped wildcard, which scores
+  /// wildcard_node_score on every node, takes the first ids of the graph.
   const CandidateList& Candidates(int query_node) const;
 
   /// Injects a precomputed candidate list for `query_node` (cross-query

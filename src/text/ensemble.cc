@@ -943,6 +943,10 @@ class TokenTable {
 /// (steady-state allocation-free).
 struct KernelScratch {
   std::string lb;  // lowercased data label
+  // Stage 0's lowercased lanes; Reset() swaps a lane's buffer into lb.
+  std::string lanes[SimilarityEnsemble::kBatchLanes];
+  // Per-byte counts of the lane being intersected; all zero between lanes.
+  uint32_t byte_used[256] = {};
   GramDedupTable gram_table;  // CountGrams dedup table
   TokenTable token_table;
   std::vector<std::string_view> pieces;  // the label's tokens, as split
@@ -958,8 +962,9 @@ struct KernelScratch {
   bool has_tokens = false, has_quantity = false, has_year = false,
        has_jaro = false;
 
-  void Reset(std::string_view d) {
-    ToLowerInto(d, &lb);
+  /// Starts a lane on its stage-0 lowercased label, taken from `lowered`.
+  void Reset(std::string& lowered) {
+    lb.swap(lowered);
     has_tokens = has_quantity = has_year = has_jaro = false;
     lcs_length = run_length = -1;
   }
@@ -1006,6 +1011,24 @@ struct KernelScratch {
 KernelScratch& ThreadScratch() {
   static thread_local KernelScratch sc;
   return sc;
+}
+
+/// Size of the byte-multiset intersection of `lower` and the query label
+/// whose byte counts are `query`: sum over bytes c of min(count in lower,
+/// query[c]). `used` must be all zero, and is left so.
+size_t ByteIntersection(const std::string& lower,
+                        const std::array<uint32_t, 256>& query,
+                        uint32_t* used) {
+  size_t h = 0;
+  for (const char c : lower) {
+    const unsigned char b = static_cast<unsigned char>(c);
+    if (used[b] < query[b]) {
+      ++used[b];
+      ++h;
+    }
+  }
+  for (const char c : lower) used[static_cast<unsigned char>(c)] = 0;
+  return h;
 }
 
 // One feature value, bitwise equal to what Score() would fold in for the
@@ -1503,6 +1526,7 @@ SimilarityEnsemble::PreparedLabelBatch SimilarityEnsemble::Prepare(
   p.numeral_needs_token =
       std::find(p.numeral_values.begin(), p.numeral_values.end(), 0) !=
       p.numeral_values.end();
+  for (const char c : p.lower) ++p.byte_counts[static_cast<unsigned char>(c)];
   return p;
 }
 
@@ -1529,7 +1553,10 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
   // Stage 0: per-lane O(1) facts and the case-insensitive-equality
   // shortcut. The shortcut MUST precede any bound rejection: its 1.0 is
   // definitional (Score() returns it for equal-length garbage caps too),
-  // so an equal lane can score above its refined bound.
+  // so an equal lane can score above its refined bound. Each surviving
+  // lane is lowercased here, once, and against a threshold its byte facts
+  // are read off the lowercased bytes every alignment feature compares.
+  KernelScratch& sc = ThreadScratch();
   bool survive[L] = {};
   double eq[L] = {};       // byte lengths equal
   double rr[L] = {};       // min/max byte-length ratio
@@ -1540,6 +1567,13 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
   double num_ok[L] = {};   // data label passes the numeric guard
   double dlen[L] = {};     // data byte length
   double tok_ok[L] = {};   // 0 when the lane provably shares no token
+  // Byte facts; neutral (1) in exact mode and when a label is empty.
+  double first_ok[L] = {};  // 0 when the first bytes differ
+  double last_ok[L] = {};   // 0 when the last bytes differ
+  double h_max[L] = {};     // h / max byte length
+  double h_min[L] = {};     // h / min byte length
+  double jaro_h[L] = {};    // (h/n + h/m + 1)/3, 0 when h == 0
+  double contain_ok[L] = {};  // 0 when h < min byte length
   const size_t m = p.label.size();  // ToLower preserves byte length
   for (size_t l = 0; l < count; ++l) {
     const std::string_view d = data_labels[l];
@@ -1563,11 +1597,28 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
                  !p.tokens.empty())
                     ? 0.0
                     : 1.0;
+    std::string& lower = sc.lanes[l];
+    ToLowerInto(d, &lower);
+    first_ok[l] = last_ok[l] = h_max[l] = h_min[l] = jaro_h[l] =
+        contain_ok[l] = 1.0;
+    if (threshold < 0.0 || n == 0 || m == 0) continue;
+    first_ok[l] = lower.front() == p.lower.front() ? 1.0 : 0.0;
+    last_ok[l] = lower.back() == p.lower.back() ? 1.0 : 0.0;
+    const size_t h = ByteIntersection(lower, p.byte_counts, sc.byte_used);
+    const double hd = static_cast<double>(h);
+    h_max[l] = hd / static_cast<double>(std::max(n, m));
+    h_min[l] = hd / static_cast<double>(std::min(n, m));
+    jaro_h[l] = h == 0 ? 0.0
+                       : (hd / static_cast<double>(n) +
+                          hd / static_cast<double>(m) + 1.0) /
+                             3.0;
+    contain_ok[l] = h < std::min(n, m) ? 0.0 : 1.0;
   }
 
   // Stage A (thresholded mode only): refined per-lane caps from the O(1)
-  // facts, then a lane-parallel bound. Each row below provably dominates
-  // its feature (see DESIGN.md "Memory layout & batched scoring"); the
+  // and byte facts, then a lane-parallel bound. Each row below provably
+  // dominates its feature, and each zero cap is an exact 0 of it (see
+  // DESIGN.md "Memory layout & batched scoring"); the
   // arithmetic is branch-light over contiguous double lanes so the
   // compiler can vectorize it.
   double caps[kFeatureCount][L];
@@ -1600,23 +1651,36 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
       caps[kHamming][l] = eq[l];
       // Edit-family features normalized by max length: distance >= the
       // length gap, so similarity <= min/max. LCS/substring <= min/max
-      // for the same reason; LengthRatio IS min/max.
-      caps[kLevenshtein][l] = rr[l];
-      caps[kDamerauLevenshtein][l] = rr[l];
-      caps[kLcs][l] = rr[l];
-      caps[kLongestCommonSubstring][l] = rr[l];
-      caps[kContainment][l] = rr[l];
+      // for the same reason; LengthRatio IS min/max. The byte facts
+      // tighten these to h/max: edit and OSA distance >= max - LCS, and
+      // the longest common substring and LCS are <= h; h == 0 makes each
+      // exactly 0. Containment needs the shorter label inside the longer,
+      // so h == min.
+      const double align = std::min(rr[l], h_max[l]);
+      caps[kLevenshtein][l] = align;
+      caps[kDamerauLevenshtein][l] = align;
+      caps[kLcs][l] = align;
+      caps[kLongestCommonSubstring][l] = align;
+      caps[kContainment][l] = rr[l] * contain_ok[l];
       caps[kLengthRatio][l] = rr[l];
-      // Jaro: matches <= min, so jaro <= (1 + min/max + 1)/3; Winkler
-      // adds at most 0.4*(1 - jaro) on top.
-      const double jb = (2.0 + rr[l]) / 3.0;
+      // Smith-Waterman: the best local alignment scores at most its
+      // matched pairs, a common subsequence, so <= h, over min (<= 1).
+      caps[kSmithWaterman][l] = h_min[l];
+      // Jaro: matches <= min, so jaro <= (1 + min/max + 1)/3, and matches
+      // <= h. Winkler adds at most 0.4*(1 - jaro) on top, and nothing when
+      // the first bytes differ (a common prefix of 0).
+      const double jb = std::min((2.0 + rr[l]) / 3.0, jaro_h[l]);
       caps[kJaro][l] = jb;
-      caps[kJaroWinkler][l] = 0.6 * jb + 0.4;
+      caps[kJaroWinkler][l] = jb + first_ok[l] * (0.4 * (1.0 - jb));
+      // Prefix and suffix are 0 when the first (last) bytes differ.
+      caps[kPrefix][l] = first_ok[l];
+      caps[kSuffix][l] = last_ok[l];
       // Abbreviation: equal lengths degrade to exact equality (cap 1 only
       // via eq); otherwise the subsequence branch needs min >= 2 and
-      // yields min/max * 0.5 + 0.5.
+      // yields min/max * 0.5 + 0.5. Both need equal first bytes.
       caps[kAbbreviation][l] =
-          eq[l] != 0.0 ? 1.0 : (minlen[l] < 2.0 ? 0.0 : 0.5 * rr[l] + 0.5);
+          (eq[l] != 0.0 ? 1.0 : (minlen[l] < 2.0 ? 0.0 : 0.5 * rr[l] + 0.5)) *
+          first_ok[l];
       // Guard-gated features: 0 unless the query-side (or per-lane) guard
       // that the feature itself checks first can pass.
       caps[kNumeric][l] = p.looks_numeric ? 1.0 : num_ok[l];
@@ -1643,11 +1707,7 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
       caps[kTokenJaccard][l] = tok_ok[l];
       caps[kTokenDice][l] = tok_ok[l];
       caps[kTokenOverlap][l] = tok_ok[l];
-      // No useful O(1) cap (normalized by the shorter side / token-pair
-      // maxima): these stay at the trivial bound of 1.
-      caps[kPrefix][l] = 1.0;
-      caps[kSuffix][l] = 1.0;
-      caps[kSmithWaterman][l] = 1.0;
+      // No useful cap (token-pair maxima): the trivial bound of 1.
       caps[kMongeElkan][l] = 1.0;
     }
     double bound[L] = {};
@@ -1676,12 +1736,11 @@ void SimilarityEnsemble::ScoreBatchAgainstThreshold(
   // Completed lanes replay the weighted sum in canonical feature order:
   // skipped and zero-weight terms add +0.0, an identity on the
   // non-negative running sum, so every kept value is bitwise Score().
-  KernelScratch& sc = ThreadScratch();
   for (size_t l = 0; l < count; ++l) {
     if (!survive[l]) continue;
     const std::string_view d = data_labels[l];
     const int data_type = data_types != nullptr ? data_types[l] : -1;
-    sc.Reset(d);
+    sc.Reset(sc.lanes[l]);
     double remaining[kFeatureCount + 1];
     if (threshold >= 0.0) {
       remaining[order] = 0.0;
@@ -1742,7 +1801,8 @@ double SimilarityEnsemble::RetrievalNodeBound(const PreparedLabelBatch& p,
 
   // The rows below are the batched kernel's stage-A caps (see
   // ScoreBatchAgainstThreshold), evaluated from index-carried facts
-  // instead of per-lane ones. Eq-gated caps are 0: equal byte lengths
+  // instead of per-lane ones; the byte-fact refinements need the label's
+  // bytes and are left out. Eq-gated caps are 0: equal byte lengths
   // returned 1.0 above.
   const double tok_ok = (!shares_token && !p.tokens.empty()) ? 0.0 : 1.0;
   const double syn_tok = p.synonym_needs_token ? tok_ok : 1.0;

@@ -1,6 +1,7 @@
 #ifndef STAR_TEXT_ENSEMBLE_H_
 #define STAR_TEXT_ENSEMBLE_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -141,7 +142,14 @@ class SimilarityEnsemble {
   // Levenshtein-family features are capped by min/max length, Jaro by
   // (2 + min/max)/3, exact/Hamming by length equality, the numeric/date/
   // phonetic features by query-side guards, tf-idf by whether a finalized
-  // model is attached, and so on. The cap and bound arithmetic runs
+  // model is attached, and so on. Stage 0 lowercases each lane once (stage
+  // B reuses that buffer) and reads three byte facts off it: whether the
+  // first bytes are equal, whether the last bytes are equal, and the size
+  // h of the byte-multiset intersection with the query. They cap prefix,
+  // suffix, abbreviation and Jaro-Winkler at their exact zeros, the
+  // alignment features at h over a length, Jaro at (h/n + h/m + 1)/3 and
+  // containment at 0 unless h reaches the shorter length. The cap and
+  // bound arithmetic runs
   // lane-parallel over kBatchLanes candidates at a time (contiguous double
   // lanes, auto-vectorizable), and the per-feature sweep evaluates cheap
   // features first, so a lane exits as soon as its score so far plus the
@@ -217,6 +225,10 @@ class SimilarityEnsemble {
     /// data token normalizes to it.
     bool synonym_needs_token = false;
     bool numeral_needs_token = false;
+    /// Occurrences of each byte in lower, for the byte-multiset
+    /// intersection behind stage A's byte-fact caps. A count is at most
+    /// the label's length, so it never saturates.
+    std::array<uint32_t, 256> byte_counts{};
   };
 
   /// Builds the query-side view of `label` (uses the tf-idf context when
@@ -253,9 +265,10 @@ class SimilarityEnsemble {
   // Bound-driven candidate retrieval (scoring/query_scorer) needs a score
   // cap per node computable WITHOUT touching the data label bytes — only
   // O(1) facts carried by the index (byte length, numeric-guard flag).
-  // The bound reuses the batched kernel's stage-A cap table verbatim, so
-  // the soundness argument is the same one DESIGN.md "Memory layout &
-  // batched scoring" makes per cap row.
+  // The bound reuses the batched kernel's stage-A cap rows that need only
+  // those facts, so the soundness argument is the same one DESIGN.md
+  // "Memory layout & batched scoring" makes per cap row. The byte-fact
+  // rows read the label's bytes, which the index does not carry.
   //
   // Soundness vs the equality shortcut: Score() returns 1.0 for
   // case-insensitively equal labels BEFORE any feature is consulted, and

@@ -73,6 +73,28 @@ TEST(LabelIndexTest, FuzzyTokensRecallTypos) {
   EXPECT_TRUE(index.FuzzyTokens("zzzzqq").empty());
 }
 
+// Twelve tokens tie on three of "abcdez"'s four trigrams, and one holds all
+// four: the expansion keeps that one and the seven lexicographically
+// smallest of the tie. Two passes check that the hit counts of the first
+// are cleared for the second.
+TEST(LabelIndexTest, FuzzyTokensCutTiesByToken) {
+  KnowledgeGraph::Builder b;
+  for (const char c : std::string("lkjihgfedcba")) {
+    b.AddNode(std::string("abcde") + c);
+  }
+  b.AddNode("xabcdez");
+  b.AddNode("unrelated");
+  const KnowledgeGraph g = std::move(b).Build();
+  const LabelIndex index(g);
+  const std::vector<std::string> want = {"abcdea", "abcdeb", "abcdec",
+                                         "abcded", "abcdee", "abcdef",
+                                         "abcdeg", "xabcdez"};
+  for (int pass = 0; pass < 2; ++pass) {
+    EXPECT_EQ(index.FuzzyTokens("abcdez"), want) << "pass " << pass;
+    EXPECT_EQ(index.BestFuzzyToken("abcdez"), "xabcdez") << "pass " << pass;
+  }
+}
+
 TEST(LabelIndexTest, CandidatesFallBackToFuzzy) {
   const auto g = star::testing::MovieGraph();
   const LabelIndex index(g);

@@ -136,6 +136,49 @@ TEST(QueryScorerTest, WildcardCandidates) {
   EXPECT_DOUBLE_EQ(scorer.NodeScore(typed, 4), 0.0);   // Troy: Film
 }
 
+// An untyped wildcard scores wildcard_node_score on every node, so its
+// list is the iota of V, thresholded and cut under (score desc, node
+// asc): the first min(max_candidates, |V|) ids, all of V at 0, none when
+// the wildcard score is under the threshold. With and without an index.
+TEST(QueryScorerTest, UntypedWildcardListIsTheCutIota) {
+  const auto g = SmallRandomGraph(/*seed=*/31, /*nodes=*/40, /*edges=*/80);
+  const graph::LabelIndex index(g);
+  const text::SimilarityEnsemble ensemble;
+  query::QueryGraph q;
+  const int any = q.AddWildcardNode();
+  const graph::LabelIndex* const indexes[] = {&index, nullptr};
+  for (const double wildcard_score : {1.0, 0.5, 0.2}) {
+    for (const size_t max_candidates :
+         {size_t{0}, size_t{3}, g.node_count() + 7}) {
+      for (const graph::LabelIndex* idx : indexes) {
+        MatchConfig cfg = TestConfig();
+        cfg.wildcard_node_score = wildcard_score;
+        cfg.max_candidates = max_candidates;
+        std::vector<ScoredCandidate> want;
+        if (wildcard_score >= cfg.node_threshold) {
+          for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+            want.push_back({v, wildcard_score});
+          }
+          if (max_candidates > 0 && want.size() > max_candidates) {
+            want.resize(max_candidates);
+          }
+        }
+        const QueryScorer scorer(g, q, ensemble, cfg, idx);
+        const CandidateList& got = scorer.Candidates(any);
+        const std::string cell = "score=" + std::to_string(wildcard_score) +
+                                 " k=" + std::to_string(max_candidates) +
+                                 (idx == nullptr ? " no-index" : " index");
+        ASSERT_EQ(got.size(), want.size()) << cell;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].node, want[i].node) << cell << " position " << i;
+          EXPECT_EQ(got[i].score, want[i].score) << cell << " position " << i;
+        }
+        EXPECT_FALSE(scorer.truncated()) << cell;
+      }
+    }
+  }
+}
+
 TEST(QueryScorerTest, CandidateScoreMembership) {
   Fixture fx;
   const int u = fx.q.AddNode("Brad Pitt");

@@ -184,6 +184,121 @@ TEST(ScoringKernelTest, ThresholdedAcceptsExactRejectsTrulyBelow) {
   ExpectThresholdedSemantics(*full.ensemble, /*corpus_seed=*/105);
 }
 
+// Pairs built to hit stage A's byte-fact caps: the first or last byte
+// changed, case-only variants with one byte changed, disjoint byte sets,
+// repeated bytes, bytes >= 0x80, and labels on both sides of 64 bytes
+// (the bit-parallel alignment limit).
+std::vector<std::pair<std::string, std::string>> ByteFactPairs(uint64_t seed,
+                                                               size_t n) {
+  std::vector<std::pair<std::string, std::string>> pairs = {
+      {"abc", "xbc"},     {"abc", "abx"},       {"Abc", "aBx"},
+      {"abc", "xyz"},     {"aaaa", "aaab"},     {"abab", "aaaa"},
+      {"aab", "abb"},     {"ab", "ba"},         {"ab", "b"},
+      {"a", "b"},         {"abc", "abcabc"},    {"cab", "abc"},
+      {"\xe9t\xe9", "\xc9t\xe9"}, {"\x80\x81", "\x81\x80"},
+      {"\xff\xfe a", "a \xfe\xff"},
+  };
+  static const std::string kAlphabets[] = {"abcDEF 12._-", "aA", "xyZ",
+                                           "\x80\xc3\xa9\xff e"};
+  static const std::string kDisjoint = "mnoPQR3";
+  Rng rng(seed);
+  const auto random_over = [&](const std::string& alphabet, size_t len) {
+    std::string s;
+    for (size_t i = 0; i < len; ++i) {
+      s.push_back(alphabet[rng.Below(alphabet.size())]);
+    }
+    return s;
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const std::string& alphabet = kAlphabets[rng.Below(4)];
+    const size_t len = rng.Below(2) == 0 ? rng.Below(13) : 60 + rng.Below(11);
+    std::string q = random_over(alphabet, len);
+    std::string d = q;
+    const char other = kDisjoint[rng.Below(kDisjoint.size())];
+    switch (rng.Below(6)) {
+      case 0:  // first byte changed
+        if (!d.empty()) d.front() = other;
+        break;
+      case 1:  // last byte changed
+        if (!d.empty()) d.back() = other;
+        break;
+      case 2:  // case flipped, then one byte changed
+        for (char& c : d) {
+          if (c >= 'a' && c <= 'z') {
+            c = static_cast<char>(c - 'a' + 'A');
+          } else if (c >= 'A' && c <= 'Z') {
+            c = static_cast<char>(c - 'A' + 'a');
+          }
+        }
+        if (!d.empty()) d[rng.Below(d.size())] = other;
+        break;
+      case 3:  // disjoint byte sets
+        d = random_over(kDisjoint, rng.Below(2) == 0 ? len : rng.Below(70));
+        break;
+      case 4:  // repeated bytes: one byte of q, many times
+        d.assign(rng.Below(70), q.empty() ? 'a' : q[rng.Below(q.size())]);
+        break;
+      default:  // another label over the same alphabet
+        d = random_over(alphabet, rng.Below(2) == 0 ? len : rng.Below(70));
+        break;
+    }
+    if (rng.Below(2) == 0) std::swap(q, d);
+    pairs.emplace_back(std::move(q), std::move(d));
+  }
+  return pairs;
+}
+
+// With one feature weighted, a threshold above every score rejects each
+// lane in stage A, and the value returned is the bound, that feature's
+// cap. Every cap must dominate its feature, and every zero cap must be a
+// feature value of exactly 0.0: stage B skips zero-cap features without
+// evaluating them. Zero caps on pairs of labels of two or more bytes each
+// come only from the byte facts, so the test also counts them per row.
+TEST(ScoringKernelTest, ByteFactCapsDominateTheirFeatures) {
+  using E = SimilarityEnsemble;
+  const auto pairs = ByteFactPairs(/*seed=*/108, 600);
+  const E::Feature rows[] = {
+      E::kPrefix,      E::kSuffix,      E::kAbbreviation,
+      E::kJaro,        E::kJaroWinkler, E::kLevenshtein,
+      E::kDamerauLevenshtein, E::kLcs,  E::kLongestCommonSubstring,
+      E::kSmithWaterman, E::kContainment};
+  for (const E::Feature f : rows) {
+    SimilarityEnsemble e;
+    std::vector<double> w(E::kFeatureCount, 0.0);
+    w[f] = 1.0;
+    e.SetWeights(w);
+    size_t byte_fact_zeros = 0;
+    for (const auto& [q, d] : pairs) {
+      // Case-insensitively equal lanes take the 1.0 shortcut, no caps.
+      if (!q.empty() && text::CaseInsensitiveMatch(q, d) == 1.0) continue;
+      const double cap = KernelScore(e, e.Prepare(q), d, /*threshold=*/2.0);
+      const double value = e.Features(q, d)[f];
+      const std::string pair = "q=\"" + q + "\" d=\"" + d + "\" feature " +
+                               E::FeatureNames()[f];
+      EXPECT_GE(cap + 1e-9, value) << pair;
+      if (cap == 0.0) {
+        EXPECT_EQ(value, 0.0) << pair;
+        if (q.size() >= 2 && d.size() >= 2) ++byte_fact_zeros;
+      }
+    }
+    EXPECT_GT(byte_fact_zeros, 0u) << E::FeatureNames()[f];
+  }
+  // The same pairs keep the thresholded contract under uniform weights.
+  const SimilarityEnsemble e;
+  for (const auto& [q, d] : pairs) {
+    const auto prepared = e.Prepare(q);
+    const double exact = e.Score(q, d);
+    for (const double t : {0.2, 0.35, 0.5, 0.8}) {
+      const double r = KernelScore(e, prepared, d, t);
+      if (r >= t) {
+        EXPECT_EQ(r, exact) << "q=\"" << q << "\" d=\"" << d << "\" t=" << t;
+      } else {
+        EXPECT_LT(exact, t) << "q=\"" << q << "\" d=\"" << d << "\" t=" << t;
+      }
+    }
+  }
+}
+
 TEST(ScoringKernelTest, CustomWeightsStayExactAfterRebuild) {
   SimilarityEnsemble e;
   // A lopsided weighting (several zeros, including the exact and
@@ -206,15 +321,17 @@ TEST(ScoringKernelTest, StatsCountPairsExitsAndSkips) {
   text::KernelStats stats;
   const auto prepared = e.Prepare("Benjamin Button");
   const std::vector<std::string> data = {
-      "Benjamin Button", "Benjamin Buttom", "Benjamin B.", "zzzz",
-      "12._-",           "",                "qqqq qqqq"};
+      "Benjamin Button", "Benjamin Button.", "Benjamin B.", "zzzz",
+      "12._-",           "",                 "qqqq qqqq"};
+  constexpr double kThreshold = 0.6;
   for (const auto& d : data) {
-    KernelScore(e, prepared, d, /*threshold=*/0.8, &stats);
+    KernelScore(e, prepared, d, kThreshold, &stats);
   }
   EXPECT_EQ(stats.pairs, data.size());
-  // "zzzz" & co. cannot reach 0.8: at least one pair must exit early and
-  // skip feature evaluations. "Benjamin Buttom" has the query's length,
-  // so its caps let it through to the sweep.
+  // "zzzz" & co. cannot reach the threshold: at least one pair must exit
+  // early and skip feature evaluations. "Benjamin Button." scores above
+  // it, so no sound cap rejects it: it runs the whole sweep.
+  ASSERT_GE(e.Score("Benjamin Button", "Benjamin Button."), kThreshold);
   EXPECT_GT(stats.early_exits, 0u);
   EXPECT_GT(stats.features_skipped, 0u);
   EXPECT_GT(stats.features_evaluated, 0u);
