@@ -83,11 +83,11 @@ core::QualityCertificate BuildCertificate(
     const core::NodeCandidateInfo& info = stats.node_candidates[u];
     if (info.wildcard) {
       keep[u] = em.wildcard_node_score;  // never sampled
-      // The engine truncates wildcard universes under a candidate cutoff
-      // too (F_N all ties, so the cut keeps the id-ascending head), so a
-      // tightened cut makes the wildcard a drop source like any other
-      // node. Untyped wildcards carry no list digest (info.computed is
-      // false), so the cut must be assumed to have bitten.
+      // A typed wildcard's list is cut like any other (F_N all ties, so
+      // the cut keeps the id-ascending head); an untyped wildcard's list
+      // holds every node and is never cut. The rule stays conservative: a
+      // tightened cut makes any wildcard whose list was not computed, or
+      // reached the cut, a drop source.
       if (cut_tightened && (!info.computed || info.cut_applied)) {
         drop[u] = em.wildcard_node_score;
         affected[u] = true;

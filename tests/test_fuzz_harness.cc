@@ -1,7 +1,7 @@
 // Tests for the fuzz harness itself (src/testing/): the case generator is
 // seed-deterministic, replays round-trip bit-exactly, the differential
-// matrix passes on a clean engine, the oracle feasibility check gates the
-// right configs, the fn-oracle check flags wrong candidate lists, and a
+// matrix passes on a clean engine, the oracle runs on every config, the
+// fn-oracle check flags wrong candidate lists, and a
 // deliberately injected bug is caught, shrunk, and reproduced from its
 // replay file.
 
@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baseline/brute_force.h"
 #include "graph/label_index.h"
 #include "scoring/query_scorer.h"
 #include "test_helpers.h"
@@ -137,35 +136,58 @@ TEST(DifferentialTest, CertificateCellsRunAndAPinnedLevelNarrowsTheSweep) {
   EXPECT_GT(pin.cells_run, without.cells_run);
 }
 
-TEST(OracleCheckTest, FlagsUntypedWildcardWithCutoff) {
-  query::QueryGraph q;
-  q.AddNode("alpha");
-  const int w = q.AddWildcardNode("");  // untyped wildcard
-  q.AddEdge(0, w);
+/// A path query label - wildcard - label over a path x - m - y of a small
+/// random graph, so the wildcard sits at the pivot of one decomposition
+/// and is a leaf in others. The wildcard takes m's type, or none (a `?`
+/// node) unless `typed`.
+FuzzCase WildcardPathCase(bool typed, const scoring::MatchConfig& cfg) {
+  FuzzCase c;
+  c.graph = SmallRandomGraph(/*seed=*/17, /*nodes=*/24, /*edges=*/48);
+  graph::NodeId m = 0;
+  while (c.graph.Neighbors(m).size() < 2) ++m;
+  const graph::NodeId x = c.graph.Neighbors(m)[0].node;
+  graph::NodeId y = x;
+  for (const auto& nb : c.graph.Neighbors(m)) {
+    if (nb.node != x && nb.node != m) y = nb.node;
+  }
+  const int a = c.query.AddNode(std::string(c.graph.NodeLabel(x)));
+  const int w = c.query.AddWildcardNode(
+      typed ? std::string(c.graph.TypeName(c.graph.NodeType(m))) : "");
+  const int b = c.query.AddNode(std::string(c.graph.NodeLabel(y)));
+  c.query.AddEdge(a, w);
+  c.query.AddEdge(w, b);
+  c.config = cfg;
+  return c;
+}
 
-  scoring::MatchConfig cfg;
-  EXPECT_EQ(baseline::BruteForceOracleCheck(q, cfg), "");
-
-  cfg.max_candidates = 4;
-  EXPECT_NE(baseline::BruteForceOracleCheck(q, cfg), "");
-  cfg.max_candidates = 0;
-
-  cfg.wildcard_node_score = 0.1;
-  cfg.node_threshold = 0.5;
-  EXPECT_NE(baseline::BruteForceOracleCheck(q, cfg), "");
+// Every MatchConfig is modelable: a `?` node matches every node wherever
+// it sits, so the oracle, baseline and certificate cells run on untyped
+// wildcards under a candidate cutoff or a sub-threshold wildcard score,
+// and agree with the engines.
+TEST(OracleCheckTest, OracleRunsOnUntypedWildcardWithCutoff) {
+  scoring::MatchConfig cfg = TestConfig();
+  for (int variant = 0; variant < 3; ++variant) {
+    cfg.max_candidates = variant == 1 ? 4 : 0;
+    cfg.wildcard_node_score = variant == 2 ? 0.1 : 1.0;
+    cfg.node_threshold = variant == 2 ? 0.5 : 0.25;
+    const FuzzCase c = WildcardPathCase(/*typed=*/false, cfg);
+    const CaseOutcome o = RunDifferentialCase(c, RunnerOptions());
+    EXPECT_TRUE(o.oracle_ran) << "variant " << variant;
+    EXPECT_TRUE(o.ok()) << "variant " << variant << ": " << o.Summary();
+  }
 }
 
 TEST(OracleCheckTest, TypedQueriesAreAlwaysModelable) {
-  query::QueryGraph q;
-  q.AddNode("alpha");
-  const int w = q.AddWildcardNode("Film");  // typed wildcard
-  q.AddEdge(0, w);
-
-  scoring::MatchConfig cfg;
+  scoring::MatchConfig cfg = TestConfig();
   cfg.max_candidates = 4;
-  cfg.wildcard_node_score = 0.1;
-  cfg.node_threshold = 0.5;
-  EXPECT_EQ(baseline::BruteForceOracleCheck(q, cfg), "");
+  for (const double wildcard_score : {1.0, 0.1}) {
+    cfg.wildcard_node_score = wildcard_score;
+    const FuzzCase c = WildcardPathCase(/*typed=*/true, cfg);
+    const CaseOutcome o = RunDifferentialCase(c, RunnerOptions());
+    EXPECT_TRUE(o.oracle_ran) << "wildcard score " << wildcard_score;
+    EXPECT_TRUE(o.ok()) << "wildcard score " << wildcard_score << ": "
+                        << o.Summary();
+  }
 }
 
 TEST(DifferentialTest, SmallCleanBatchHasNoViolations) {
