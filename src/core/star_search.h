@@ -55,10 +55,6 @@ struct StarSearchStats {
   /// rebuild for a colliding top-1, each activation), plus the walk-layer
   /// nodes they expand at d >= 2.
   size_t nodes_expanded = 0;
-  /// Pivot candidates stark's d <= 1 semi-join proved to have no match
-  /// (some leaf has no candidate among their neighbours), skipped without
-  /// a leaf-list build.
-  size_t pivots_skipped = 0;
   size_t matches_emitted = 0;
   /// Initialize() wall-clock time: the pivot's candidate scoring plus
   /// stark's top-1 pass or stard's propagation, including the leaf lists
@@ -90,7 +86,6 @@ struct StarSearchStats {
     enumerators_built += o.enumerators_built;
     messages_sent += o.messages_sent;
     nodes_expanded += o.nodes_expanded;
-    pivots_skipped += o.pivots_skipped;
     matches_emitted += o.matches_emitted;
     init_wall_ms += o.init_wall_ms;
     init_cpu_ms += o.init_cpu_ms;
@@ -204,15 +199,6 @@ class StarSearch {
 
   void Initialize();
   void InitializeStark();
-  /// stark's semi-join at d <= 1 (DESIGN.md "Star search"), run before
-  /// the top-1 pass. Takes the leaves in edge order; a leaf joins when it
-  /// is not an untyped wildcard, its candidate list is already computed,
-  /// and the list's degree sum is below the surviving pivots' degree sum.
-  /// Each joining leaf marks every node adjacent to one of its candidates
-  /// through an edge FillLeafLists would offer. Returns how many leaves
-  /// joined (0 after a cancellation): a pivot carrying fewer marks has an
-  /// empty leaf list, so no match.
-  uint32_t SemiJoinLeaves(const scoring::CandidateList& pivots);
   void InitializeStard();
   void InitializeHybrid();
   /// Moves reserve pivots into the active queue while one could beat the

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "graph/knowledge_graph.h"
+#include "query/query_graph.h"
 #include "scoring/query_scorer.h"
 #include "testing/fuzz_case.h"
 #include "text/ensemble.h"
@@ -59,8 +61,9 @@ struct CaseOutcome {
 ///  - BruteForce oracle vs stark/stard/hybrid (framework) score identity;
 ///  - graphTA (always) and BP (acyclic, non-injective) agreement;
 ///  - fn-oracle: every candidate list equals the one rebuilt from
-///    SimilarityEnsemble::Score() (CheckFnOracle below), under the base
-///    config and under every degraded cell's effective config;
+///    SimilarityEnsemble::Score() — at d <= 1 its arc-consistent closure
+///    (CheckFnOracle below) — under the base config and under every
+///    degraded cell's effective config;
 ///  - bitwise identity of reuse cold/warm/invalidated runs (with optional
 ///    bug injection between cold and warm);
 ///  - deadline cells: pre-expired => empty + cancelled; tight => bitwise
@@ -88,11 +91,22 @@ std::vector<scoring::ScoredCandidate> CandidatesFromScore(
     const scoring::QueryScorer& scorer,
     const text::SimilarityEnsemble& ensemble, int u);
 
+/// The largest arc-consistent subsets of `lists` (one per node of q): each
+/// entry kept has a graph neighbour — not itself under `injective` — in
+/// the list of each of its node's query neighbours. A plain fixpoint loop,
+/// independent of the scorer's d <= 1 plan.
+void ArcConsistentClosure(
+    const graph::KnowledgeGraph& g, const query::QueryGraph& q,
+    bool injective,
+    std::vector<std::vector<scoring::ScoredCandidate>>* lists);
+
 /// The fn-oracle check, run by RunDifferentialCase on the base config and
 /// on each degraded cell's: appends one "fn-oracle" violation to `out`
-/// for each non-wildcard node u of the scorer's query whose
-/// scorer.Candidates(u) differs from CandidatesFromScore(scorer,
-/// ensemble, u) in an id or a score bit.
+/// for each node u of the scorer's query whose scorer.Candidates(u)
+/// differs in an id or a score bit from the list rebuilt without the
+/// scorer's list code — CandidatesFromScore for a labelled node,
+/// baseline::BruteForceDomain for a wildcard (its F_N is a type check) —
+/// and at d <= 1 from the ArcConsistentClosure of those lists.
 void CheckFnOracle(const scoring::QueryScorer& scorer,
                    const text::SimilarityEnsemble& ensemble,
                    const std::string& cell, CaseOutcome* out);

@@ -245,30 +245,37 @@ class StarReuseIdentityTest : public ::testing::TestWithParam<StarStrategy> {
 
 TEST_P(StarReuseIdentityTest, WarmRunsAreBitwiseIdenticalToCold) {
   ReuseFixture fx(MovieGraph());
-  StarOptions base;
-  base.match = TestConfig(1);
-  base.strategy = GetParam();
   const size_t k = 6;
 
-  for (const QueryGraph& q : {StarOnlyQuery(), PathQuery()}) {
-    const auto direct = fx.Run(q, k, base);
+  for (const int d : {1, 2}) {
+    StarOptions base;
+    base.match = TestConfig(d);
+    base.strategy = GetParam();
+    for (const QueryGraph& q : {StarOnlyQuery(), PathQuery()}) {
+      const std::string cell = "d=" + std::to_string(d) +
+                               (q.IsStar() ? " star" : " path");
+      // At d <= 1 the stars of a multi-star query restrict each other's
+      // candidate lists, so only a single star memoizes its stream.
+      const bool star_cached = q.IsStar() || d >= 2;
+      const auto direct = fx.Run(q, k, base);
 
-    StarCache cache(64, 64);
-    StarOptions with_reuse = base;
-    with_reuse.reuse = &cache;
+      StarCache cache(64, 64);
+      StarOptions with_reuse = base;
+      with_reuse.reuse = &cache;
 
-    core::FrameworkStats cold_stats, warm_stats;
-    const auto cold = fx.Run(q, k, with_reuse, &cold_stats);
-    ExpectIdentical(cold, direct);
-    EXPECT_GT(cold_stats.star_cache_misses, 0u);
-    EXPECT_EQ(cold_stats.star_cache_hits, 0u);
-    EXPECT_GT(cold_stats.candidate_lists_inserted, 0u);
+      core::FrameworkStats cold_stats, warm_stats;
+      const auto cold = fx.Run(q, k, with_reuse, &cold_stats);
+      ExpectIdentical(cold, direct);
+      EXPECT_EQ(cold_stats.star_cache_misses > 0, star_cached) << cell;
+      EXPECT_EQ(cold_stats.star_cache_hits, 0u) << cell;
+      EXPECT_GT(cold_stats.candidate_lists_inserted, 0u) << cell;
 
-    const auto warm = fx.Run(q, k, with_reuse, &warm_stats);
-    ExpectIdentical(warm, direct);
-    EXPECT_GT(warm_stats.star_cache_hits, 0u)
-        << "second run of the same query must replay memoized stars";
-    EXPECT_GT(warm_stats.candidate_lists_seeded, 0u);
+      const auto warm = fx.Run(q, k, with_reuse, &warm_stats);
+      ExpectIdentical(warm, direct);
+      EXPECT_EQ(warm_stats.star_cache_hits > 0, star_cached)
+          << cell << ": a second run of the same query replays its stars";
+      EXPECT_GT(warm_stats.candidate_lists_seeded, 0u) << cell;
+    }
   }
 }
 
@@ -281,6 +288,62 @@ INSTANTIATE_TEST_SUITE_P(
                          : info.param == StarStrategy::kStard ? "Stard"
                                                               : "Hybrid");
     });
+
+// At d <= 1 the stars of a multi-star query restrict each other's
+// candidate lists, so a star's stream is not a function of its signature:
+// such a query neither probes nor commits the star cache, while its
+// node-level candidate lists are still published and seeded. At d = 2 the
+// same query memoizes its stars.
+TEST(StarReuseIdentityTest, MultiStarQueriesAtDOneLeaveTheStarCacheAlone) {
+  ReuseFixture fx(MovieGraph());
+  const QueryGraph q = PathQuery();
+  for (const int d : {1, 2}) {
+    StarCache cache(64, 64);
+    StarOptions o;
+    o.match = TestConfig(d);
+    o.reuse = &cache;
+    core::FrameworkStats cold, warm;
+    const auto first = fx.Run(q, 6, o, &cold);
+    const auto second = fx.Run(q, 6, o, &warm);
+    ExpectIdentical(second, first);
+    ASSERT_GE(cold.num_stars, 2u);
+    const bool cached = d >= 2;
+    EXPECT_EQ(cache.toplist_size() > 0, cached) << "d=" << d;
+    EXPECT_EQ(cache.stats().toplist_insertions > 0, cached) << "d=" << d;
+    EXPECT_EQ(cold.star_cache_misses + warm.star_cache_hits > 0, cached)
+        << "d=" << d;
+    EXPECT_GT(cache.candidate_size(), 0u) << "d=" << d;
+    EXPECT_GT(warm.candidate_lists_seeded, 0u) << "d=" << d;
+  }
+}
+
+// The candidate section holds node-level lists, before the d <= 1
+// reduction: "Brad" next to Los Angeles keeps only Brad Pitt, but a later
+// query seeded from the cache must still see Brad Garrett next to a film.
+TEST(StarReuseIdentityTest, CachedCandidateListsAreNodeLevel) {
+  ReuseFixture fx(MovieGraph());
+  QueryGraph born;
+  const int born_brad = born.AddNode("Brad");
+  born.AddEdge(born_brad, born.AddNode("Los Angeles"));
+  QueryGraph acted;
+  const int brad = acted.AddNode("Brad");
+  acted.AddEdge(brad, acted.AddWildcardNode("Film"));
+  StarOptions base;
+  base.match = TestConfig(1);
+  const auto direct = fx.Run(acted, 6, base);
+
+  StarCache cache(64, 64);
+  StarOptions with_reuse = base;
+  with_reuse.reuse = &cache;
+  fx.Run(born, 6, with_reuse);
+  core::FrameworkStats stats;
+  const auto warm = fx.Run(acted, 6, with_reuse, &stats);
+  EXPECT_GT(stats.candidate_lists_seeded, 0u);
+  ExpectIdentical(warm, direct);
+  bool garrett = false;
+  for (const GraphMatch& m : warm) garrett |= m.mapping[brad] == 1;
+  EXPECT_TRUE(garrett) << "Brad Garrett (node 1) acted in Troy";
+}
 
 TEST(StarReuseIdentityTest, DeeperConsumersResumePastTheRecordedPrefix) {
   // Warm the cache with a SHALLOW run (k = 1), then ask for a deeper

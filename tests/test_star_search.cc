@@ -280,10 +280,12 @@ TEST(StarSearchTest, StarkBuildsNoMoreEnumeratorsThanHybrid) {
   }
 }
 
-// Star initialization scores a leaf only when some pivot reaches it: a
-// pivot's top-1 scan stops at its first empty leaf list. Here no leaf
-// candidate is adjacent to a pivot candidate, so every scan stops at the
-// first leaf in canonical edge order and no other leaf is ever scored.
+// stark's initialization at d >= 2 scores a leaf only when some pivot
+// reaches it: a pivot's top-1 scan stops at its first empty leaf list.
+// Here no leaf candidate is within two hops of a pivot candidate, so every
+// scan stops at the first leaf in canonical edge order and no other leaf
+// is ever scored. (At d <= 1 the first Candidates() call builds every
+// list; stard at d >= 2 propagates from every leaf.)
 TEST(StarSearchTest, InitScoresLeavesLazily) {
   graph::KnowledgeGraph::Builder b;
   for (const char* town : {"Port Town North", "Port Town South"}) {
@@ -301,25 +303,22 @@ TEST(StarSearchTest, InitScoresLeavesLazily) {
   for (const char* leaf : {"Ada Lovelace", "Homer Simpson", "Carl Gauss"}) {
     q.AddEdge(pivot, q.AddNode(leaf));
   }
-  for (const StarStrategy strategy :
-       {StarStrategy::kStark, StarStrategy::kStard}) {
-    ScorerFixture fx(g, q, TestConfig(/*d=*/1));
-    StarSearch::Options so;
-    so.strategy = strategy;
-    StarSearch search(*fx.scorer, MakeStarQuery(q), so);
-    EXPECT_TRUE(search.TopK(5).empty());
-    EXPECT_GE(search.stats().pivot_candidates, 2u);
-    const std::vector<int>& edges = search.star().edges;
-    ASSERT_EQ(edges.size(), 3u);
-    for (size_t i = 0; i < edges.size(); ++i) {
-      const int leaf = q.OtherEnd(edges[i], pivot);
-      EXPECT_EQ(fx.scorer->CandidatesIfReady(leaf) != nullptr, i == 0)
-          << "leaf " << q.node(leaf).label << " at edge position " << i;
-    }
-    // Every leaf has candidates: only laziness left them unscored.
-    for (int leaf = 1; leaf < q.node_count(); ++leaf) {
-      EXPECT_FALSE(fx.scorer->Candidates(leaf).empty()) << "leaf " << leaf;
-    }
+  ScorerFixture fx(g, q, TestConfig(/*d=*/2));
+  StarSearch::Options so;
+  so.strategy = StarStrategy::kStark;
+  StarSearch search(*fx.scorer, MakeStarQuery(q), so);
+  EXPECT_TRUE(search.TopK(5).empty());
+  EXPECT_GE(search.stats().pivot_candidates, 2u);
+  const std::vector<int>& edges = search.star().edges;
+  ASSERT_EQ(edges.size(), 3u);
+  for (size_t i = 0; i < edges.size(); ++i) {
+    const int leaf = q.OtherEnd(edges[i], pivot);
+    EXPECT_EQ(fx.scorer->CandidatesIfReady(leaf) != nullptr, i == 0)
+        << "leaf " << q.node(leaf).label << " at edge position " << i;
+  }
+  // Every leaf has candidates: only laziness left them unscored.
+  for (int leaf = 1; leaf < q.node_count(); ++leaf) {
+    EXPECT_FALSE(fx.scorer->Candidates(leaf).empty()) << "leaf " << leaf;
   }
 }
 

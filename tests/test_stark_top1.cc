@@ -170,14 +170,12 @@ constexpr size_t kPulls = 25;
 /// Runs stark on `q` and checks its bounds, its top-1 fallbacks and its
 /// stream against eager stark. With `warm_lists`, every candidate list
 /// but an untyped wildcard's is computed first, as decomposition does in
-/// the framework, so the d <= 1 semi-join can use it. Returns the
-/// reference for further checks, and the search's stats in `stats`.
+/// the framework. Returns the reference for further checks.
 Reference ExpectMatchesEagerStark(const graph::KnowledgeGraph& g,
                                   const query::QueryGraph& q,
                                   const scoring::MatchConfig& cfg,
                                   size_t k_hint, const std::string& context,
-                                  bool warm_lists = false,
-                                  StarSearchStats* stats = nullptr) {
+                                  bool warm_lists = false) {
   ScorerFixture fx(g, q, cfg);
   if (warm_lists) {
     for (int u = 0; u < q.node_count(); ++u) {
@@ -220,7 +218,6 @@ Reference ExpectMatchesEagerStark(const graph::KnowledgeGraph& g,
     EXPECT_EQ(Bits(stream[j].score), Bits(ref.stream[j].score))
         << context << " pull " << j;
   }
-  if (stats != nullptr) *stats = search.stats();
   return ref;
 }
 
@@ -385,92 +382,6 @@ TEST(StarkTop1Test, RandomGraphsMatchEagerReference) {
   }
   EXPECT_GT(matched, 100u);
   EXPECT_GT(collisions, 0u);
-}
-
-/// Thirty towns, each governed by its own mayor. Only towns 0-2 have a
-/// resident matching "Ada Lovelace"; town 5 has a self-loop and town 6 a
-/// road to town 5.
-graph::KnowledgeGraph SparseLeafGraph() {
-  graph::KnowledgeGraph::Builder b;
-  std::vector<NodeId> towns;
-  for (int t = 0; t < 30; ++t) {
-    towns.push_back(b.AddNode("Port Town " + std::to_string(t), "City"));
-    b.AddEdge(b.AddNode("Mayor " + std::to_string(t), "Person"), towns.back(),
-              "governs");
-  }
-  const NodeId ada = b.AddNode("Ada Lovelace", "Person");
-  b.AddEdge(ada, towns[0], "livesIn");
-  b.AddEdge(ada, towns[1], "livesIn");
-  b.AddEdge(b.AddNode("Ada Lovelac", "Person"), towns[2], "livesIn");
-  b.AddEdge(towns[5], towns[5], "nearBy");
-  b.AddEdge(towns[6], towns[5], "nearBy");
-  return std::move(b).Build();
-}
-
-// The d = 1 semi-join: when a leaf's ready candidate list is cheaper to
-// walk than the pivots' adjacency, pivots with no neighbour in it are
-// skipped without a leaf-list build, and the reserve stays the one the
-// pivot-by-pivot reference builds. Cold lists and a leaf costlier than
-// its pivots skip nothing.
-TEST(StarkTop1Test, SemiJoinSkipsPivotsWithoutALeafNeighbour) {
-  const auto g = SparseLeafGraph();
-  const auto run = [&](const query::QueryGraph& q,
-                       const scoring::MatchConfig& cfg, bool warm,
-                       const std::string& name) {
-    StarSearchStats stats;
-    const Reference ref = ExpectMatchesEagerStark(
-        g, q, cfg, /*k_hint=*/0, name + " warm=" + std::to_string(warm), warm,
-        &stats);
-    return std::make_pair(stats, ref.bounds.size());
-  };
-  {
-    // Towns 0-2 have an Ada among their neighbours; 27 towns do not.
-    query::QueryGraph q;
-    const int town = q.AddNode("Port Town", "City");
-    q.AddEdge(town, q.AddNode("Ada Lovelace", "Person"), "livesIn");
-    for (const bool injective : {true, false}) {
-      const auto cfg = TestConfig(/*d=*/1, injective);
-      const auto [warm, matched] = run(q, cfg, true, "ada");
-      EXPECT_EQ(warm.pivot_candidates, 30u);
-      EXPECT_EQ(matched, 3u);
-      EXPECT_EQ(warm.pivots_skipped, 27u);
-      // Leaf-list builds: 3 top-1s and 3 activations, where the scan
-      // would build 30 top-1s.
-      EXPECT_EQ(warm.nodes_expanded, 6u);
-      EXPECT_EQ(run(q, cfg, false, "ada").first.pivots_skipped, 0u);
-      // At d = 2 the leaf lists take walk credits: no semi-join.
-      EXPECT_EQ(run(q, TestConfig(2, injective), true, "ada d=2")
-                    .first.pivots_skipped,
-                0u);
-    }
-  }
-  {
-    // The leaf's one candidate is town 5. Town 6 reaches it by road; town
-    // 5 reaches itself only through its self-loop, which offers nothing
-    // under injectivity.
-    query::QueryGraph q;
-    const int city = q.AddWildcardNode("City");
-    q.AddEdge(city, q.AddNode("Port Town 5", "City"), "nearBy");
-    for (const bool injective : {true, false}) {
-      auto cfg = TestConfig(/*d=*/1, injective);
-      cfg.node_threshold = 0.9;
-      const auto [warm, matched] = run(q, cfg, true, "self-loop");
-      EXPECT_EQ(warm.pivot_candidates, 30u);
-      EXPECT_EQ(matched, injective ? 1u : 2u);
-      EXPECT_EQ(warm.pivots_skipped, injective ? 29u : 28u);
-    }
-  }
-  {
-    // Two Ada pivots against the thirty towns' adjacency: the leaf costs
-    // more than the scan, so it does not mark.
-    query::QueryGraph q;
-    const int ada = q.AddNode("Ada Lovelace", "Person");
-    q.AddEdge(ada, q.AddNode("Port Town", "City"), "livesIn");
-    const auto [warm, matched] = run(q, TestConfig(/*d=*/1), true, "costly");
-    EXPECT_EQ(warm.pivot_candidates, 2u);
-    EXPECT_EQ(matched, 2u);
-    EXPECT_EQ(warm.pivots_skipped, 0u);
-  }
 }
 
 TEST(StarkTop1Test, PreCancelledTokenBuildsNothing) {
