@@ -14,6 +14,11 @@
 //      the degrade-enabled service rejects strictly fewer requests with
 //      kOverloaded than the reject-only one.
 //
+// Each level's throughput is timed over repeated passes of the pool (at
+// least 5, and at least 1 s unless --quick), reported as the median pass
+// with its quartiles; the identity and certificate gates run on every
+// pass.
+//
 // Usage: bench_degraded_serving [--quick]
 // Environment overrides:
 //   STAR_BENCH_NODES       dataset size (default 10000; --quick 2000)
@@ -43,7 +48,10 @@ struct LevelResult {
   int level = 0;
   double recall_avg = 0.0;
   double cert_floor_avg = 0.0;  // avg guaranteed_prefix / k
-  double qps = 0.0;
+  size_t passes = 0;
+  double qps = 0.0;     // median pass
+  double qps_q1 = 0.0;  // pass quartiles
+  double qps_q3 = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   size_t identity_mismatches = 0;   // level 0 only
@@ -84,55 +92,64 @@ LevelResult RunLevel(const Dataset& d, const core::StarOptions& nominal,
                      const serve::DegradePolicy& policy, int level,
                      const std::vector<query::QueryGraph>& pool, size_t k,
                      const std::vector<std::vector<core::GraphMatch>>& exact,
-                     const std::vector<std::vector<core::GraphMatch>>& truth) {
+                     const std::vector<std::vector<core::GraphMatch>>& truth,
+                     size_t min_passes, double min_seconds) {
   core::StarOptions effective = nominal;
   serve::ApplyDegradation(policy, level, &effective);
 
   LevelResult r;
   r.level = level;
   StatAccumulator lat;
+  StatAccumulator pass_qps;
   double recall_sum = 0.0;
   double floor_sum = 0.0;
-  const WallTimer wall;
-  for (size_t i = 0; i < pool.size(); ++i) {
-    core::StarFramework fw(d.graph, *d.ensemble, d.index.get(), effective);
-    const WallTimer t;
-    const auto out = fw.TopK(pool[i], k);
-    lat.Add(t.ElapsedMillis());
-    const auto cert = serve::BuildCertificate(
-        pool[i], nominal, effective, level, fw.last_stats(), out);
+  const WallTimer total;
+  while (pass_qps.count() < min_passes ||
+         total.ElapsedSeconds() < min_seconds) {
+    const WallTimer wall;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      core::StarFramework fw(d.graph, *d.ensemble, d.index.get(), effective);
+      const WallTimer t;
+      const auto out = fw.TopK(pool[i], k);
+      lat.Add(t.ElapsedMillis());
+      const auto cert = serve::BuildCertificate(
+          pool[i], nominal, effective, level, fw.last_stats(), out);
 
-    if (level == 0 && !SameMatches(out, exact[i])) ++r.identity_mismatches;
+      if (level == 0 && !SameMatches(out, exact[i])) ++r.identity_mismatches;
 
-    const double recall = RecallAtK(out, exact[i]);
-    recall_sum += recall;
-    const double floor =
-        static_cast<double>(cert.guaranteed_prefix) /
-        static_cast<double>(std::max<size_t>(1, exact[i].size()));
-    floor_sum += floor;
+      const double recall = RecallAtK(out, exact[i]);
+      recall_sum += recall;
+      const double floor =
+          static_cast<double>(cert.guaranteed_prefix) /
+          static_cast<double>(std::max<size_t>(1, exact[i].size()));
+      floor_sum += floor;
 
-    // Certificate soundness, graded against the oracle:
-    //  - the guaranteed prefix must be bitwise the exact prefix;
-    //  - the recall the certificate promises must be <= the measured one;
-    //  - the bound must dominate the true rank-(prefix+1) score.
-    const size_t p = cert.guaranteed_prefix;
-    bool bad = p > out.size();
-    for (size_t j = 0; !bad && j < p; ++j) {
-      bad = j >= exact[i].size() ||
-            out[j].mapping != exact[i][j].mapping ||
-            out[j].score != exact[i][j].score;
+      // Certificate soundness, graded against the oracle:
+      //  - the guaranteed prefix must be bitwise the exact prefix;
+      //  - the recall the certificate promises must be <= the measured one;
+      //  - the bound must dominate the true rank-(prefix+1) score.
+      const size_t p = cert.guaranteed_prefix;
+      bool bad = p > out.size();
+      for (size_t j = 0; !bad && j < p; ++j) {
+        bad = j >= exact[i].size() ||
+              out[j].mapping != exact[i][j].mapping ||
+              out[j].score != exact[i][j].score;
+      }
+      if (recall + kEps < floor) bad = true;
+      if (truth[i].size() > p &&
+          cert.score_bound < truth[i][p].score - kEps) {
+        bad = true;
+      }
+      if (bad) ++r.cert_violations;
     }
-    if (recall + kEps < floor) bad = true;
-    if (truth[i].size() > p &&
-        cert.score_bound < truth[i][p].score - kEps) {
-      bad = true;
-    }
-    if (bad) ++r.cert_violations;
+    pass_qps.Add(pool.size() / wall.ElapsedSeconds());
   }
-  const double wall_s = wall.ElapsedSeconds();
-  r.recall_avg = recall_sum / pool.size();
-  r.cert_floor_avg = floor_sum / pool.size();
-  r.qps = pool.size() / wall_s;
+  r.passes = pass_qps.count();
+  r.recall_avg = recall_sum / lat.count();
+  r.cert_floor_avg = floor_sum / lat.count();
+  r.qps = pass_qps.Percentile(0.50);
+  r.qps_q1 = pass_qps.Percentile(0.25);
+  r.qps_q3 = pass_qps.Percentile(0.75);
   r.p50_ms = lat.Percentile(0.50);
   r.p99_ms = lat.Percentile(0.99);
   return r;
@@ -229,16 +246,20 @@ int main(int argc, char** argv) {
     truth.push_back(fw_next.TopK(pool.back(), k + 1));
   }
 
+  const size_t min_passes = 5;
+  const double min_seconds = quick ? 0.0 : 1.0;
   std::vector<LevelResult> levels;
   for (int level = 0; level <= serve::kMaxDegradationLevel; ++level) {
-    levels.push_back(
-        RunLevel(d, nominal, policy, level, pool, k, exact, truth));
+    levels.push_back(RunLevel(d, nominal, policy, level, pool, k, exact,
+                              truth, min_passes, min_seconds));
     const LevelResult& r = levels.back();
     std::fprintf(stderr,
-                 "[degrade] level=%d recall=%.3f floor=%.3f qps=%.1f "
-                 "p50=%.2fms p99=%.2fms (mismatches=%zu violations=%zu)\n",
-                 r.level, r.recall_avg, r.cert_floor_avg, r.qps, r.p50_ms,
-                 r.p99_ms, r.identity_mismatches, r.cert_violations);
+                 "[degrade] level=%d recall=%.3f floor=%.3f passes=%zu "
+                 "qps=%.1f [%.1f, %.1f] p50=%.2fms p99=%.2fms "
+                 "(mismatches=%zu violations=%zu)\n",
+                 r.level, r.recall_avg, r.cert_floor_avg, r.passes, r.qps,
+                 r.qps_q1, r.qps_q3, r.p50_ms, r.p99_ms,
+                 r.identity_mismatches, r.cert_violations);
   }
 
   // Shedding phase: offer load at twice the nominal service's capacity
@@ -284,9 +305,10 @@ int main(int argc, char** argv) {
     const LevelResult& r = levels[i];
     std::printf(
         "    {\"level\": %d, \"recall_at_k\": %.4f, \"cert_floor\": %.4f, "
-        "\"qps\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f}%s\n",
-        r.level, r.recall_avg, r.cert_floor_avg, r.qps, r.p50_ms, r.p99_ms,
-        i + 1 < levels.size() ? "," : "");
+        "\"passes\": %zu, \"qps\": %.1f, \"qps_q1\": %.1f, "
+        "\"qps_q3\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f}%s\n",
+        r.level, r.recall_avg, r.cert_floor_avg, r.passes, r.qps, r.qps_q1,
+        r.qps_q3, r.p50_ms, r.p99_ms, i + 1 < levels.size() ? "," : "");
   }
   std::printf("  ],\n");
   std::printf("  \"shedding\": {\"requests\": %zu, \"interval_ms\": %.3f, "

@@ -199,17 +199,16 @@ std::vector<GraphMatch> StarFramework::TopK(const QueryGraph& q, size_t k,
   QueryScorer scorer(graph_, q, ensemble_, options_.match, index_, arena);
   scorer.set_cancellation(cancel);
 
-  // Cross-query reuse: capture the generation BEFORE any lookup, then seed
-  // warm candidate lists into the scorer so decomposition sampling and
+  // Cross-query reuse: capture the generation BEFORE any lookup. At d >= 2
+  // seed warm candidate lists into the scorer so decomposition sampling and
   // every star search skip retrieval + F_N scoring for shared node shapes.
-  // Node keys hold the lists before the d <= 1 plan's reduction, so the
-  // scorer scores every pool whole.
+  // At d <= 1 a list depends on the node's neighbours, not only on the
+  // signature its key holds, so no list is probed, seeded or published.
   ReuseCache* const reuse = options_.reuse;
   const uint64_t generation = reuse ? reuse->generation() : 0;
   std::vector<std::string> node_keys;
   std::vector<bool> seeded;
-  if (reuse != nullptr) {
-    scorer.ScoreWholePools();
+  if (reuse != nullptr && options_.match.d >= 2) {
     SeedCandidateLists(q, scorer, &node_keys, &seeded);
   }
 
@@ -319,9 +318,9 @@ std::vector<GraphMatch> StarFramework::TopK(const QueryGraph& q, size_t k,
   // candidate list) can never be replayed as the definitive answer.
   if (reuse != nullptr && !stats_.cancelled) {
     for (CachedStarStream* s : stream_ptrs) s->CommitToCache();
-    for (int u = 0; u < q.node_count(); ++u) {
+    for (size_t u = 0; u < node_keys.size(); ++u) {
       if (seeded[u]) continue;
-      if (const auto* list = scorer.WholeCandidatesIfReady(u)) {
+      if (const auto* list = scorer.CandidatesIfReady(static_cast<int>(u))) {
         // The memoized list is arena-backed; the cache needs an owning
         // heap copy that survives the arena reset.
         reuse->InsertCandidates(

@@ -36,10 +36,11 @@ struct StarOptions {
   /// evenly.
   double alpha = 0.5;
   /// Cross-query reuse cache (nullable, must outlive the framework and be
-  /// bound to the same graph/ensemble/index): candidate lists are seeded
-  /// into the scorer before decomposition and star match streams replay
-  /// their memoized prefixes. Hits are bitwise identical to cold
-  /// execution; cancelled/truncated runs never insert.
+  /// bound to the same graph/ensemble/index): at d >= 2 candidate lists
+  /// are seeded into the scorer before decomposition, and star match
+  /// streams replay their memoized prefixes (at d <= 1 only a single-star
+  /// query's). Hits are bitwise identical to cold execution;
+  /// cancelled/truncated runs never insert.
   ReuseCache* reuse = nullptr;
 };
 
@@ -130,7 +131,7 @@ struct FrameworkStats {
   size_t star_cache_misses = 0;
   size_t star_cache_resumes = 0;
   /// Candidate lists injected into the scorer from the reuse cache /
-  /// harvested into it after a clean run.
+  /// harvested into it after a clean run (always 0 at d <= 1).
   size_t candidate_lists_seeded = 0;
   size_t candidate_lists_inserted = 0;
 };
@@ -189,7 +190,8 @@ class StarFramework {
  private:
   /// Probes the reuse cache for each query node's candidate list and seeds
   /// hits into the scorer (before decomposition, so its sampling reuses
-  /// them too). Fills node_keys/seeded for the post-run harvest.
+  /// them too). Fills node_keys/seeded for the post-run harvest. d >= 2
+  /// only.
   void SeedCandidateLists(const query::QueryGraph& q,
                           const scoring::QueryScorer& scorer,
                           std::vector<std::string>* node_keys,

@@ -33,7 +33,8 @@ struct StarTopList {
 /// whole key, never a hash alone):
 ///
 ///  - candidate lists: the scorer's complete, sorted candidate list for
-///    one (node attributes, config) pair;
+///    one (node attributes, config) pair, at d >= 2 only (at d <= 1 a list
+///    also depends on the node's neighbours);
 ///  - star top-lists: memoized match-stream prefixes per canonical star.
 ///
 /// Generation contract (same as serve::ResultCache): callers capture

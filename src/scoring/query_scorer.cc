@@ -273,7 +273,6 @@ QueryScorer::QueryScorer(const KnowledgeGraph& g, const QueryGraph& q,
       node_cache_(q.node_count()),
       candidates_ready_(q.node_count(), false),
       scored_(q.node_count()),
-      whole_ready_(q.node_count(), false),
       candidate_scores_ready_(q.node_count(), false),
       max_relation_score_(q.edge_count(), 1.0),
       max_relation_ready_(q.edge_count(), false),
@@ -286,11 +285,7 @@ QueryScorer::QueryScorer(const KnowledgeGraph& g, const QueryGraph& q,
   // fill-construction would copy-construct elements, and pmr container
   // copies take the DEFAULT resource, silently dropping the arena.
   candidates_.reserve(q.node_count());
-  whole_.reserve(q.node_count());
-  for (int u = 0; u < q.node_count(); ++u) {
-    candidates_.emplace_back(mem_);
-    whole_.emplace_back(mem_);
-  }
+  for (int u = 0; u < q.node_count(); ++u) candidates_.emplace_back(mem_);
   candidate_scores_.reserve(q.node_count());
   for (int u = 0; u < q.node_count(); ++u) {
     candidate_scores_.push_back({std::pmr::vector<CandidateSlot>(mem_), 63});
@@ -733,16 +728,12 @@ void QueryScorer::PlanLists() const {
     return query_.node(u).wildcard && query_.node(u).type_name.empty();
   };
   // What each node offers its neighbours' filters before its own list is
-  // built: its retrieval pool (a seeded list stands in for it), or every
-  // node (null) for an untyped wildcard. A list is a subset of it.
+  // built: its retrieval pool, or every node (null) for an untyped
+  // wildcard. A list is a subset of it.
   std::vector<std::vector<NodeId>> pools(n);
   std::vector<std::vector<uint8_t>> shares(n);
   for (int u = 0; u < n; ++u) {
-    if (whole_ready_[u]) {
-      for (const ScoredCandidate& c : whole_[u]) pools[u].push_back(c.node);
-    } else if (!untyped(u)) {
-      pools[u] = RetrievalPool(u, &shares[u]);
-    }
+    if (!untyped(u)) pools[u] = RetrievalPool(u, &shares[u]);
   }
   // Labelled nodes by ascending pool size, then typed wildcards, then
   // untyped wildcards; ties by index.
@@ -832,21 +823,12 @@ void QueryScorer::PlanLists() const {
       } else {
         scored_[u].scored = true;
       }
-    } else if (whole_ready_[u] || whole_pools_ ||
-               (config_.max_candidates > 0 &&
-                pools[u].size() > config_.max_candidates)) {
-      // A seeded list, a pool scored whole for the reuse cache, or a pool
-      // that can fill max_candidates: which nodes make the cut depends on
-      // the whole pool, so it is scored and cut first, then filtered.
-      if (whole_ready_[u]) {
-        out.assign(whole_[u].begin(), whole_[u].end());
-      } else {
-        ScoreList(u, pools[u], shares[u], &out);
-        if (whole_pools_) {
-          whole_[u].assign(out.begin(), out.end());
-          whole_ready_[u] = true;
-        }
-      }
+    } else if (config_.max_candidates > 0 &&
+               pools[u].size() > config_.max_candidates) {
+      // A pool that can fill max_candidates: which nodes make the cut
+      // depends on the whole pool, so it is scored and cut first, then
+      // filtered.
+      ScoreList(u, pools[u], shares[u], &out);
       scored_[u] = Digest(out);
       for (const int y : neighbours) keep_supported(out, node_of_candidate, y);
     } else {
@@ -948,15 +930,8 @@ void QueryScorer::PlanLists() const {
 
 void QueryScorer::SeedCandidates(int query_node,
                                  const std::vector<ScoredCandidate>& list) const {
-  if (config_.d <= 1) {
-    // The plan reads it as the node's list before the reduction.
-    if (candidates_ready_[query_node] || whole_ready_[query_node]) return;
-    whole_[query_node].assign(list.begin(), list.end());
-    whole_ready_[query_node] = true;
-    return;
-  }
   const int slot = list_rep_[query_node];
-  if (candidates_ready_[slot]) return;
+  if (config_.d <= 1 || candidates_ready_[slot]) return;
   candidates_[slot].assign(list.begin(), list.end());
   candidates_ready_[slot] = true;
   scored_[slot] = Digest(candidates_[slot]);
@@ -965,12 +940,6 @@ void QueryScorer::SeedCandidates(int query_node,
 const CandidateList* QueryScorer::CandidatesIfReady(int query_node) const {
   const int slot = list_rep_[query_node];
   return candidates_ready_[slot] ? &candidates_[slot] : nullptr;
-}
-
-const CandidateList* QueryScorer::WholeCandidatesIfReady(
-    int query_node) const {
-  if (config_.d >= 2) return CandidatesIfReady(query_node);
-  return whole_ready_[query_node] ? &whole_[query_node] : nullptr;
 }
 
 double QueryScorer::CandidateScore(int query_node, graph::NodeId v) const {

@@ -123,28 +123,16 @@ class QueryScorer {
   const CandidateList& Candidates(int query_node) const;
 
   /// Injects a precomputed candidate list for `query_node` (cross-query
-  /// reuse): the list must be exactly the one the node's signature
-  /// scores — Candidates(query_node) at d >= 2, the list before the
-  /// plan's reduction at d <= 1 — under the same config, graph and index,
-  /// and must be COMPLETE (never a cancellation-truncated prefix). No-op
-  /// if the list was already computed. Only the candidate memo is seeded;
-  /// F_N score memos refill on demand with identical values, so every
-  /// downstream read stays bit-identical to an unseeded run.
+  /// reuse), at d >= 2 only: the list must be exactly
+  /// Candidates(query_node) under the same config, graph and index, and
+  /// must be COMPLETE (never a cancellation-truncated prefix). No-op if the
+  /// list was already computed, and at d <= 1, where a list depends on the
+  /// node's neighbours and not only on its signature. Only the candidate
+  /// memo is seeded; F_N score memos refill on demand with identical
+  /// values, so every downstream read stays bit-identical to an unseeded
+  /// run.
   void SeedCandidates(int query_node,
                       const std::vector<ScoredCandidate>& list) const;
-
-  /// Reuse mode, called before the first Candidates(): the d <= 1 plan
-  /// scores every pool whole, without its pre-scoring filter, so that
-  /// each node's list before the reduction can be published under the
-  /// node's signature (WholeCandidatesIfReady). The reduced lists are
-  /// bitwise the ones the plan builds without it.
-  void ScoreWholePools() { whole_pools_ = true; }
-
-  /// The list SeedCandidates takes for `query_node`: CandidatesIfReady at
-  /// d >= 2; at d <= 1 the list before the reduction, once it was seeded
-  /// or scored in reuse mode (nullptr otherwise). Never triggers
-  /// computation.
-  const CandidateList* WholeCandidatesIfReady(int query_node) const;
 
   /// The MatchConfig::sample_rate pool predicate: whether node v survives
   /// deterministic seeded sampling. Pure function of (seed, v, rate) —
@@ -395,11 +383,6 @@ class QueryScorer {
   mutable std::vector<CandidateList> candidates_;
   mutable std::vector<bool> candidates_ready_;
   mutable std::vector<ScoredListInfo> scored_;
-  // d <= 1: reuse mode, and per node the list before the reduction
-  // (seeded, or scored in reuse mode).
-  bool whole_pools_ = false;
-  mutable std::vector<CandidateList> whole_;
-  mutable std::vector<bool> whole_ready_;
   // CandidateScore tables, per list slot: open addressing
   // with linear probing over a power-of-two slot array at least twice the
   // list size, so every probe sequence ends at an empty slot (node ==

@@ -31,11 +31,11 @@ struct StarCacheStats {
 };
 
 /// Thread-safe, generation-counted LRU store behind core::ReuseCache: one
-/// section memoizes per-node candidate lists, the other per-star top-list
-/// prefixes with their recorded between-pull upper bounds. Keys are full
-/// canonical strings (config fingerprint + canonical signature) and every
-/// lookup compares the complete key via the hash map's equality — a hash
-/// collision can never surface a wrong entry.
+/// section memoizes per-node candidate lists (d >= 2), the other per-star
+/// top-list prefixes with their recorded between-pull upper bounds. Keys
+/// are full canonical strings (config fingerprint + canonical signature)
+/// and every lookup compares the complete key via the hash map's equality
+/// — a hash collision can never surface a wrong entry.
 ///
 /// Values are shared_ptr-wrapped so a hit is a refcount bump: the critical
 /// section does no copying, and readers keep replaying an entry safely even

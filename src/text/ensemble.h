@@ -99,10 +99,12 @@ class SimilarityEnsemble {
   /// Aggregated score (Eq. 1) in [0, 1]. Weights are kept normalized to
   /// sum to 1, so the score is a convex combination of the features.
   ///
-  /// This is the hot path of the whole engine (every candidate's F_N is
-  /// computed online): it shares tokenizations/lowercasing across features
-  /// and skips zero-weight features, but is exactly equivalent to
-  /// sum_i w_i * Features(...)[i].
+  /// The reference F_N: production scoring runs through
+  /// ScoreBatchAgainstThreshold, whose exact-mode lanes are bitwise this
+  /// value, and the tests and the fuzz harness's fn-oracle check rebuild
+  /// candidate lists from it. It shares tokenizations/lowercasing across
+  /// features and skips zero-weight features, but is exactly equivalent
+  /// to sum_i w_i * Features(...)[i].
   double Score(std::string_view query_label, std::string_view data_label,
                int query_type = -1, int data_type = -1) const;
 

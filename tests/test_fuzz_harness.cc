@@ -226,8 +226,9 @@ TEST(DifferentialTest, InjectedBugIsCaughtShrunkAndReplayed) {
 
 // The fn-oracle check must flag a candidate list that differs from the
 // one rebuilt from Score() in a single id or a single score bit. The
-// wrong lists are seeded into the scorer's memo, so Candidates() returns
-// them as if the kernel had computed them.
+// wrong lists are seeded into the scorer's memo (at d = 2, where a list
+// can be seeded), so Candidates() returns them as if the kernel had
+// computed them.
 TEST(FnOracleTest, FlagsADroppedCandidateAndAOneUlpScore) {
   const graph::KnowledgeGraph g = MovieGraph();
   const graph::LabelIndex index(g);
@@ -236,7 +237,7 @@ TEST(FnOracleTest, FlagsADroppedCandidateAndAOneUlpScore) {
   const int u = q.AddNode("Brad Pitt", "Actor");
   const int w = q.AddWildcardNode("");
   q.AddEdge(u, w, "actedIn");
-  const scoring::MatchConfig cfg = TestConfig();
+  const scoring::MatchConfig cfg = TestConfig(/*d=*/2);
   std::vector<scoring::ScoredCandidate> right;
   {
     const scoring::QueryScorer scorer(g, q, ensemble, cfg, &index);

@@ -164,6 +164,52 @@ TEST(QueryServiceTest, CacheKeyIsInsertionOrderInsensitive) {
                          fx.Direct(BradAwardQueryReordered(), 5, so.star));
 }
 
+// A typo'd label with fuzzy_labels set runs as its correction: the rewrite
+// is reported, the answer is bitwise the corrected query's, the request
+// keys the corrected query's cache entry, and the stats count it once.
+TEST(QueryServiceTest, FuzzyLabelsRunAndCacheTheCorrectedQuery) {
+  ServeFixture fx(MovieGraph());
+  ServiceOptions so;
+  so.star = TestStarOptions();
+  QueryService service(fx.graph, fx.ensemble, &fx.index, so);
+
+  query::QueryGraph typo;
+  const int brad = typo.AddNode("Bradd Pitt");  // "bradd" has no posting
+  typo.AddEdge(brad, typo.AddWildcardNode("Film"));
+  query::QueryGraph corrected = typo;
+  ASSERT_EQ(RewriteFuzzyLabels(fx.index, &corrected).size(), 1u);
+  const auto expected = fx.Direct(corrected, 5, so.star);
+  ASSERT_FALSE(expected.empty());
+
+  QueryRequest req;
+  req.query = typo;
+  req.k = 5;
+  req.fuzzy_labels = true;
+  const QueryResponse fuzzy = service.Execute(std::move(req));
+  ASSERT_TRUE(fuzzy.status.ok()) << fuzzy.status.ToString();
+  ASSERT_EQ(fuzzy.rewrites.size(), 1u);
+  EXPECT_EQ(fuzzy.rewrites[0].node, brad);
+  EXPECT_EQ(fuzzy.rewrites[0].from, "Bradd Pitt");
+  EXPECT_EQ(fuzzy.rewrites[0].to, corrected.node(brad).label);
+  EXPECT_FALSE(fuzzy.cache_hit);
+  ExpectIdenticalMatches(fuzzy.matches, expected);
+
+  QueryRequest twin;
+  twin.query = corrected;
+  twin.k = 5;
+  const QueryResponse verbatim = service.Execute(std::move(twin));
+  ASSERT_TRUE(verbatim.status.ok()) << verbatim.status.ToString();
+  EXPECT_TRUE(verbatim.cache_hit)
+      << "the corrected twin must hit the fuzzy request's entry";
+  EXPECT_TRUE(verbatim.rewrites.empty());
+  ExpectIdenticalMatches(verbatim.matches, expected);
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.fuzzy_rewritten, 1u);
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+}
+
 TEST(QueryServiceTest, DifferentKOrCacheOptOutMisses) {
   ServeFixture fx(MovieGraph());
   ServiceOptions so;

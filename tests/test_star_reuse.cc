@@ -255,7 +255,8 @@ TEST_P(StarReuseIdentityTest, WarmRunsAreBitwiseIdenticalToCold) {
       const std::string cell = "d=" + std::to_string(d) +
                                (q.IsStar() ? " star" : " path");
       // At d <= 1 the stars of a multi-star query restrict each other's
-      // candidate lists, so only a single star memoizes its stream.
+      // candidate lists, so only a single star memoizes its stream, and no
+      // node-level list is cached.
       const bool star_cached = q.IsStar() || d >= 2;
       const auto direct = fx.Run(q, k, base);
 
@@ -268,13 +269,13 @@ TEST_P(StarReuseIdentityTest, WarmRunsAreBitwiseIdenticalToCold) {
       ExpectIdentical(cold, direct);
       EXPECT_EQ(cold_stats.star_cache_misses > 0, star_cached) << cell;
       EXPECT_EQ(cold_stats.star_cache_hits, 0u) << cell;
-      EXPECT_GT(cold_stats.candidate_lists_inserted, 0u) << cell;
+      EXPECT_EQ(cold_stats.candidate_lists_inserted > 0, d >= 2) << cell;
 
       const auto warm = fx.Run(q, k, with_reuse, &warm_stats);
       ExpectIdentical(warm, direct);
       EXPECT_EQ(warm_stats.star_cache_hits > 0, star_cached)
           << cell << ": a second run of the same query replays its stars";
-      EXPECT_GT(warm_stats.candidate_lists_seeded, 0u) << cell;
+      EXPECT_EQ(warm_stats.candidate_lists_seeded > 0, d >= 2) << cell;
     }
   }
 }
@@ -291,9 +292,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // At d <= 1 the stars of a multi-star query restrict each other's
 // candidate lists, so a star's stream is not a function of its signature:
-// such a query neither probes nor commits the star cache, while its
-// node-level candidate lists are still published and seeded. At d = 2 the
-// same query memoizes its stars.
+// such a query neither probes nor commits the star cache, and no list is
+// a function of its node's signature either, so none is published or
+// seeded. At d = 2 the same query memoizes its stars and its lists.
 TEST(StarReuseIdentityTest, MultiStarQueriesAtDOneLeaveTheStarCacheAlone) {
   ReuseFixture fx(MovieGraph());
   const QueryGraph q = PathQuery();
@@ -312,14 +313,17 @@ TEST(StarReuseIdentityTest, MultiStarQueriesAtDOneLeaveTheStarCacheAlone) {
     EXPECT_EQ(cache.stats().toplist_insertions > 0, cached) << "d=" << d;
     EXPECT_EQ(cold.star_cache_misses + warm.star_cache_hits > 0, cached)
         << "d=" << d;
-    EXPECT_GT(cache.candidate_size(), 0u) << "d=" << d;
-    EXPECT_GT(warm.candidate_lists_seeded, 0u) << "d=" << d;
+    EXPECT_EQ(cache.candidate_size() > 0, cached) << "d=" << d;
+    EXPECT_EQ(warm.candidate_lists_seeded > 0, cached) << "d=" << d;
   }
 }
 
-// The candidate section holds node-level lists, before the d <= 1
-// reduction: "Brad" next to Los Angeles keeps only Brad Pitt, but a later
-// query seeded from the cache must still see Brad Garrett next to a film.
+// The candidate section holds node-level lists, a function of the node's
+// signature. At d = 2 "Brad" next to Los Angeles keeps Brad Garrett, and a
+// later query seeded from the cache sees him next to a film. At d = 1 the
+// plan reduces that list to Brad Pitt, which is not a function of the
+// signature, so nothing node-level is cached and the later query scores
+// its own list.
 TEST(StarReuseIdentityTest, CachedCandidateListsAreNodeLevel) {
   ReuseFixture fx(MovieGraph());
   QueryGraph born;
@@ -328,21 +332,70 @@ TEST(StarReuseIdentityTest, CachedCandidateListsAreNodeLevel) {
   QueryGraph acted;
   const int brad = acted.AddNode("Brad");
   acted.AddEdge(brad, acted.AddWildcardNode("Film"));
-  StarOptions base;
-  base.match = TestConfig(1);
-  const auto direct = fx.Run(acted, 6, base);
+  for (const int d : {1, 2}) {
+    StarOptions base;
+    base.match = TestConfig(d);
+    const auto direct = fx.Run(acted, 6, base);
 
-  StarCache cache(64, 64);
-  StarOptions with_reuse = base;
-  with_reuse.reuse = &cache;
-  fx.Run(born, 6, with_reuse);
-  core::FrameworkStats stats;
-  const auto warm = fx.Run(acted, 6, with_reuse, &stats);
-  EXPECT_GT(stats.candidate_lists_seeded, 0u);
-  ExpectIdentical(warm, direct);
-  bool garrett = false;
-  for (const GraphMatch& m : warm) garrett |= m.mapping[brad] == 1;
-  EXPECT_TRUE(garrett) << "Brad Garrett (node 1) acted in Troy";
+    StarCache cache(64, 64);
+    StarOptions with_reuse = base;
+    with_reuse.reuse = &cache;
+    fx.Run(born, 6, with_reuse);
+    EXPECT_EQ(cache.candidate_size() > 0, d >= 2) << "d=" << d;
+    core::FrameworkStats stats;
+    const auto warm = fx.Run(acted, 6, with_reuse, &stats);
+    EXPECT_EQ(stats.candidate_lists_seeded > 0, d >= 2) << "d=" << d;
+    ExpectIdentical(warm, direct);
+    bool garrett = false;
+    for (const GraphMatch& m : warm) garrett |= m.mapping[brad] == 1;
+    EXPECT_TRUE(garrett) << "d=" << d
+                         << ": Brad Garrett (node 1) acted in Troy";
+  }
+}
+
+// At d <= 1 an attached cache changes nothing before the star cache: the
+// cold run is the uncached plan, with its pre-scoring filter, so it scores
+// the same nodes and returns the same matches, and no node-level list is
+// published. A multi-star query, which skips the star cache at d <= 1,
+// scores them again when warm. At d = 2 the same queries still publish
+// their lists and seed them when warm.
+TEST(StarReuseIdentityTest, AtDOneACachedRunScoresLikeAnUncachedRun) {
+  ReuseFixture fx(MovieGraph());
+  for (const int d : {1, 2}) {
+    for (const QueryGraph& q : {StarOnlyQuery(), PathQuery()}) {
+      const std::string cell = "d=" + std::to_string(d) +
+                               (q.IsStar() ? " star" : " path");
+      StarOptions base;
+      base.match = TestConfig(d);
+      core::FrameworkStats direct_stats, cold_stats, warm_stats;
+      const auto direct = fx.Run(q, 6, base, &direct_stats);
+
+      StarCache cache(64, 64);
+      StarOptions with_reuse = base;
+      with_reuse.reuse = &cache;
+      const auto cold = fx.Run(q, 6, with_reuse, &cold_stats);
+      const auto warm = fx.Run(q, 6, with_reuse, &warm_stats);
+      ExpectIdentical(cold, direct);
+      ExpectIdentical(warm, direct);
+      if (d <= 1) {
+        EXPECT_EQ(cold_stats.retrieval.nodes_scored,
+                  direct_stats.retrieval.nodes_scored)
+            << cell;
+        if (!q.IsStar()) {
+          EXPECT_EQ(warm_stats.retrieval.nodes_scored,
+                    direct_stats.retrieval.nodes_scored)
+              << cell;
+        }
+        EXPECT_EQ(cache.candidate_size(), 0u) << cell;
+        EXPECT_EQ(cold_stats.candidate_lists_inserted, 0u) << cell;
+        EXPECT_EQ(warm_stats.candidate_lists_seeded, 0u) << cell;
+      } else {
+        EXPECT_GT(cold_stats.candidate_lists_inserted, 0u) << cell;
+        EXPECT_GT(cache.candidate_size(), 0u) << cell;
+        EXPECT_GT(warm_stats.candidate_lists_seeded, 0u) << cell;
+      }
+    }
+  }
 }
 
 TEST(StarReuseIdentityTest, DeeperConsumersResumePastTheRecordedPrefix) {
