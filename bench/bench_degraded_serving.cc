@@ -232,7 +232,6 @@ int main(int argc, char** argv) {
   serve::DegradePolicy policy;
   policy.enable = true;
   policy.l1_max_candidates = 32;
-  policy.l2_sample_rate = 0.5;
 
   query::WorkloadGenerator wg(d.graph, /*seed=*/83);
   std::vector<query::QueryGraph> pool;
@@ -299,7 +298,7 @@ int main(int argc, char** argv) {
               d.name.c_str(), d.graph.node_count(), d.graph.edge_count());
   std::printf("  \"workload\": {\"queries\": %zu, \"k\": %zu, "
               "\"l1_max_candidates\": %zu, \"l2_sample_rate\": %.2f},\n",
-              pool_size, k, policy.l1_max_candidates, policy.l2_sample_rate);
+              pool_size, k, policy.l1_max_candidates, serve::kL2SampleRate);
   std::printf("  \"levels\": [\n");
   for (size_t i = 0; i < levels.size(); ++i) {
     const LevelResult& r = levels[i];

@@ -6,13 +6,17 @@
 // star-prefix replay, candidate-list seeding, and coalescing — not to
 // whole-result memoization. JSON on stdout (BENCH_reuse.json).
 //
-// Every OK response is checked bitwise against a direct
+// Each scenario is timed over repeated passes (at least 5, and at least
+// 1 s), each on a fresh QueryService, so every pass replays the same
+// cold-to-warm sequence; it reports the median pass's QPS with its
+// quartiles, and the per-pass means of the reuse counters. Every OK
+// response of every pass is checked bitwise against a direct
 // StarFramework::TopK run of the same query — the process exits non-zero
 // if warm/coalesced serving ever diverges from direct execution.
 //
 // Environment overrides:
 //   STAR_BENCH_NODES       dataset size (default 10000)
-//   STAR_REUSE_REQUESTS    requests per scenario (default 96)
+//   STAR_REUSE_REQUESTS    requests per pass (default 96)
 //   STAR_REUSE_TEMPLATES   distinct queries in the pool (default 8)
 
 #include <atomic>
@@ -32,18 +36,22 @@ struct Scenario {
   bool reuse;  // star cache + coalescing on?
 };
 
+constexpr size_t kMinPasses = 5;
+constexpr double kMinSeconds = 1.0;
+
 struct ScenarioResult {
   Scenario scenario;
-  size_t requests = 0;
-  double wall_s = 0.0;
-  double qps = 0.0;
-  double p50_ms = 0.0;
+  size_t passes = 0;
+  double qps = 0.0;     // median pass
+  double qps_q1 = 0.0;  // pass quartiles
+  double qps_q3 = 0.0;
+  double p50_ms = 0.0;  // over every request of every pass
   double p95_ms = 0.0;
   double p99_ms = 0.0;
-  uint64_t toplist_hits = 0;
-  uint64_t candidate_hits = 0;
-  uint64_t coalesced = 0;
-  size_t mismatches = 0;
+  double toplist_hits = 0.0;  // per-pass means
+  double candidate_hits = 0.0;
+  double coalesced = 0.0;
+  size_t mismatches = 0;  // over every pass
   size_t errors = 0;
 };
 
@@ -56,12 +64,13 @@ bool SameMatches(const std::vector<core::GraphMatch>& a,
   return true;
 }
 
-ScenarioResult RunScenario(const Dataset& d, const core::StarOptions& star,
-                           const std::vector<query::QueryGraph>& pool,
-                           const std::vector<std::vector<core::GraphMatch>>&
-                               expected,
-                           const Scenario& sc, size_t total_requests,
-                           size_t k) {
+/// One pass: `total_requests` requests through a fresh service. Adds each
+/// latency to `lat` and the pass's counters to `r`; returns its wall time.
+double RunPass(const Dataset& d, const core::StarOptions& star,
+               const std::vector<query::QueryGraph>& pool,
+               const std::vector<std::vector<core::GraphMatch>>& expected,
+               const Scenario& sc, size_t total_requests, size_t k,
+               StatAccumulator* lat, ScenarioResult* r) {
   serve::ServiceOptions so;
   so.star = star;
   so.max_inflight = sc.clients;
@@ -101,25 +110,47 @@ ScenarioResult RunScenario(const Dataset& d, const core::StarOptions& star,
     });
   }
   for (auto& t : clients) t.join();
+  const double wall_s = wall.ElapsedSeconds();
 
+  for (const auto& per_client : latencies) {
+    for (const double ms : per_client) lat->Add(ms);
+  }
+  const serve::StarCacheStats cs = service.star_cache_stats();
+  r->toplist_hits += cs.toplist_hits;
+  r->candidate_hits += cs.candidate_hits;
+  r->coalesced += service.stats().coalesced_followers;
+  r->mismatches += mismatches.load();
+  r->errors += errors.load();
+  return wall_s;
+}
+
+ScenarioResult RunScenario(const Dataset& d, const core::StarOptions& star,
+                           const std::vector<query::QueryGraph>& pool,
+                           const std::vector<std::vector<core::GraphMatch>>&
+                               expected,
+                           const Scenario& sc, size_t total_requests,
+                           size_t k) {
   ScenarioResult r;
   r.scenario = sc;
-  r.requests = total_requests;
-  r.wall_s = wall.ElapsedSeconds();
-  r.qps = total_requests / r.wall_s;
-  StatAccumulator acc;
-  for (const auto& per_client : latencies) {
-    for (const double ms : per_client) acc.Add(ms);
+  StatAccumulator lat;
+  StatAccumulator pass_qps;
+  const WallTimer total;
+  while (pass_qps.count() < kMinPasses ||
+         total.ElapsedSeconds() < kMinSeconds) {
+    const double wall_s =
+        RunPass(d, star, pool, expected, sc, total_requests, k, &lat, &r);
+    pass_qps.Add(total_requests / wall_s);
   }
-  r.p50_ms = acc.Percentile(0.50);
-  r.p95_ms = acc.Percentile(0.95);
-  r.p99_ms = acc.Percentile(0.99);
-  const serve::StarCacheStats cs = service.star_cache_stats();
-  r.toplist_hits = cs.toplist_hits;
-  r.candidate_hits = cs.candidate_hits;
-  r.coalesced = service.stats().coalesced_followers;
-  r.mismatches = mismatches.load();
-  r.errors = errors.load();
+  r.passes = pass_qps.count();
+  r.qps = pass_qps.Percentile(0.50);
+  r.qps_q1 = pass_qps.Percentile(0.25);
+  r.qps_q3 = pass_qps.Percentile(0.75);
+  r.p50_ms = lat.Percentile(0.50);
+  r.p95_ms = lat.Percentile(0.95);
+  r.p99_ms = lat.Percentile(0.99);
+  r.toplist_hits /= r.passes;
+  r.candidate_hits /= r.passes;
+  r.coalesced /= r.passes;
   return r;
 }
 
@@ -160,14 +191,13 @@ int main() {
         RunScenario(d, star, pool, expected, sc, total_requests, k));
     const ScenarioResult& r = results.back();
     std::fprintf(stderr,
-                 "[reuse] clients=%d reuse=%s qps=%.1f p50=%.2fms p95=%.2fms "
-                 "(toplist hits %llu, cand hits %llu, coalesced %llu, "
-                 "%zu mismatches, %zu errors)\n",
-                 sc.clients, sc.reuse ? "on" : "off", r.qps, r.p50_ms,
-                 r.p95_ms, static_cast<unsigned long long>(r.toplist_hits),
-                 static_cast<unsigned long long>(r.candidate_hits),
-                 static_cast<unsigned long long>(r.coalesced), r.mismatches,
-                 r.errors);
+                 "[reuse] clients=%d reuse=%s passes=%zu qps=%.1f "
+                 "[%.1f, %.1f] p50=%.2fms p95=%.2fms (per pass: toplist "
+                 "hits %.1f, cand hits %.1f, coalesced %.1f; %zu mismatches, "
+                 "%zu errors)\n",
+                 sc.clients, sc.reuse ? "on" : "off", r.passes, r.qps,
+                 r.qps_q1, r.qps_q3, r.p50_ms, r.p95_ms, r.toplist_hits,
+                 r.candidate_hits, r.coalesced, r.mismatches, r.errors);
   }
 
   size_t total_mismatches = 0, total_errors = 0;
@@ -184,22 +214,21 @@ int main() {
   std::printf("  \"dataset\": {\"name\": \"%s\", \"nodes\": %zu, \"edges\": %zu},\n",
               d.name.c_str(), d.graph.node_count(), d.graph.edge_count());
   std::printf(
-      "  \"workload\": {\"requests_per_scenario\": %zu, \"templates\": %zu, "
-      "\"k\": %zu},\n",
-      total_requests, templates, k);
+      "  \"workload\": {\"requests_per_pass\": %zu, \"templates\": %zu, "
+      "\"k\": %zu, \"min_passes\": %zu, \"min_seconds\": %.1f},\n",
+      total_requests, templates, k, kMinPasses, kMinSeconds);
   std::printf("  \"scenarios\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const ScenarioResult& r = results[i];
     std::printf(
-        "    {\"clients\": %d, \"reuse\": %s, \"qps\": %.1f, "
+        "    {\"clients\": %d, \"reuse\": %s, \"passes\": %zu, "
+        "\"qps\": %.1f, \"qps_q1\": %.1f, \"qps_q3\": %.1f, "
         "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f, "
-        "\"toplist_hits\": %llu, \"candidate_hits\": %llu, "
-        "\"coalesced_followers\": %llu}%s\n",
-        r.scenario.clients, r.scenario.reuse ? "true" : "false", r.qps,
-        r.p50_ms, r.p95_ms, r.p99_ms,
-        static_cast<unsigned long long>(r.toplist_hits),
-        static_cast<unsigned long long>(r.candidate_hits),
-        static_cast<unsigned long long>(r.coalesced),
+        "\"toplist_hits\": %.1f, \"candidate_hits\": %.1f, "
+        "\"coalesced_followers\": %.1f}%s\n",
+        r.scenario.clients, r.scenario.reuse ? "true" : "false", r.passes,
+        r.qps, r.qps_q1, r.qps_q3, r.p50_ms, r.p95_ms, r.p99_ms,
+        r.toplist_hits, r.candidate_hits, r.coalesced,
         i + 1 < results.size() ? "," : "");
   }
   std::printf("  ],\n");

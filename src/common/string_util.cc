@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <cstdio>
 
 namespace star {
 
@@ -145,6 +146,13 @@ bool IsNumeric(std::string_view s) {
     if (!std::isdigit(static_cast<unsigned char>(c))) return false;
   }
   return true;
+}
+
+void AppendKeyU64(std::string& s, uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
+  s += buf;
+  s += kKeySep;
 }
 
 }  // namespace star

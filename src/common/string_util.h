@@ -2,6 +2,7 @@
 #define STAR_COMMON_STRING_UTIL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -62,6 +63,14 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 
 /// True if every character is an ASCII digit (and s non-empty).
 bool IsNumeric(std::string_view s);
+
+/// Separator of cache-key segments, below any canonical-signature byte's
+/// meaning.
+inline constexpr char kKeySep = '\x1d';
+
+/// Appends one fixed-width cache-key segment: `v` as 16 hex digits, then
+/// kKeySep.
+void AppendKeyU64(std::string& s, uint64_t v);
 
 }  // namespace star
 

@@ -1,10 +1,10 @@
 #include "core/framework.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <string>
 
+#include "common/string_util.h"
 #include "query/query_canonical.h"
 
 namespace star::core {
@@ -18,50 +18,40 @@ using text::SimilarityEnsemble;
 
 namespace {
 
-// Key-segment separator, below any canonical-signature byte's meaning.
-constexpr char kSep = '\x1d';
-
-void AppendU64(std::string& s, uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  s += buf;
-  s += kSep;
-}
-
 // Bit-exact double encoding: two configs key equal iff every scoring
 // parameter is the identical double, with no decimal round-trip fuzz.
 void AppendDouble(std::string& s, double d) {
   uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(d));
   std::memcpy(&bits, &d, sizeof(bits));
-  AppendU64(s, bits);
+  AppendKeyU64(s, bits);
 }
 
 }  // namespace
 
 std::string StarOptionsFingerprint(const StarOptions& o, bool has_index) {
   std::string s;
-  AppendU64(s, static_cast<uint64_t>(o.strategy));
+  AppendKeyU64(s, static_cast<uint64_t>(o.strategy));
   AppendDouble(s, o.match.node_threshold);
   AppendDouble(s, o.match.edge_threshold);
   AppendDouble(s, o.match.lambda);
-  AppendU64(s, static_cast<uint64_t>(o.match.d));
-  AppendU64(s, o.match.max_candidates);
-  AppendU64(s, o.match.max_retrieval);
+  AppendKeyU64(s, static_cast<uint64_t>(o.match.d));
+  AppendKeyU64(s, o.match.max_candidates);
+  AppendKeyU64(s, o.match.max_retrieval);
   AppendDouble(s, o.match.wildcard_node_score);
-  AppendU64(s, o.match.enforce_injective ? 1 : 0);
+  AppendKeyU64(s, o.match.enforce_injective ? 1 : 0);
   // Degradation sampling is result-affecting (it shrinks candidate
   // pools), so degraded and nominal runs must never share cache entries.
   AppendDouble(s, o.match.sample_rate);
-  AppendU64(s, o.match.sample_seed);
-  AppendU64(s, static_cast<uint64_t>(o.decomposition.strategy));
+  AppendKeyU64(s, o.match.sample_seed);
+  AppendKeyU64(s, static_cast<uint64_t>(o.decomposition.strategy));
   AppendDouble(s, o.decomposition.lambda_tradeoff);
-  AppendU64(s, o.decomposition.sample_size);
+  AppendKeyU64(s, o.decomposition.sample_size);
   AppendDouble(s, o.decomposition.connectivity_p);
-  AppendU64(s, o.decomposition.seed);
-  AppendU64(s, static_cast<uint64_t>(o.decomposition.max_enumeration_nodes));
+  AppendKeyU64(s, o.decomposition.seed);
+  AppendKeyU64(s, static_cast<uint64_t>(o.decomposition.max_enumeration_nodes));
   AppendDouble(s, o.alpha);
-  AppendU64(s, has_index ? 1 : 0);
+  AppendKeyU64(s, has_index ? 1 : 0);
   return s;
 }
 

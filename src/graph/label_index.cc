@@ -230,54 +230,11 @@ std::vector<uint32_t> LabelIndex::RankedFuzzyTokenIds(
   return out;
 }
 
-std::vector<uint32_t> LabelIndex::FuzzyTokenIds(std::string_view token,
-                                                double min_overlap) const {
-  std::vector<uint32_t> out = RankedFuzzyTokenIds(token, min_overlap);
-  // Ascending ids == lexicographic token order; retrieval iterates (and
-  // FP-sums) expansions in this order.
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<std::string> LabelIndex::FuzzyTokens(std::string_view token,
-                                                 double min_overlap) const {
-  std::vector<std::string> out;
-  for (const uint32_t id : FuzzyTokenIds(token, min_overlap)) {
-    out.emplace_back(token_dict_.Term(id));
-  }
-  return out;
-}
-
 std::string LabelIndex::BestFuzzyToken(std::string_view token,
                                        double min_overlap) const {
   const std::vector<uint32_t> ranked = RankedFuzzyTokenIds(token, min_overlap);
   if (ranked.empty()) return std::string();
   return std::string(token_dict_.Term(ranked.front()));
-}
-
-std::vector<NodeId> LabelIndex::CandidatesByLabel(
-    std::string_view label) const {
-  static thread_local std::string low;
-  static thread_local std::vector<std::string> toks;
-  ToLowerInto(label, &low);
-  SplitTokensInto(low, &toks);
-  std::vector<NodeId> out;
-  const auto append = [&](size_t token_id) {
-    const auto ids = token_postings_.Ids(token_id);
-    out.insert(out.end(), ids.begin(), ids.end());
-  };
-  for (const auto& token : toks) {
-    const int64_t id = token_dict_.Find(token);
-    if (id >= 0) {
-      append(static_cast<size_t>(id));
-      continue;
-    }
-    // Unknown token: fuzzy trigram expansion (typos, morphology).
-    for (const uint32_t similar : FuzzyTokenIds(token, 0.5)) append(similar);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 std::vector<NodeId> LabelIndex::CandidatesByType(int32_t type) const {
@@ -286,18 +243,6 @@ std::vector<NodeId> LabelIndex::CandidatesByType(int32_t type) const {
   }
   const auto ids = type_postings_.Ids(static_cast<size_t>(type));
   return {ids.begin(), ids.end()};
-}
-
-std::vector<NodeId> LabelIndex::Candidates(std::string_view label,
-                                           int32_t type) const {
-  std::vector<NodeId> out = CandidatesByLabel(label);
-  if (type >= 0) {
-    const auto by_type = CandidatesByType(type);
-    out.insert(out.end(), by_type.begin(), by_type.end());
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-  }
-  return out;
 }
 
 std::vector<NodeId> LabelIndex::RankedCandidates(
@@ -341,8 +286,12 @@ std::vector<NodeId> LabelIndex::RankedCandidates(
                 kTouched | kExact);
       continue;
     }
-    for (const uint32_t similar : FuzzyTokenIds(token, 0.5)) {
-      add_store(token_postings_, similar, 0.5, kTouched);
+    // Unknown token: fuzzy trigram expansion (typos, morphology), summed
+    // in ascending token id (lexicographic) order.
+    std::vector<uint32_t> similar = RankedFuzzyTokenIds(token, 0.5);
+    std::sort(similar.begin(), similar.end());
+    for (const uint32_t fuzzy : similar) {
+      add_store(token_postings_, fuzzy, 0.5, kTouched);
     }
   }
   if (type >= 0 && static_cast<size_t>(type) < type_postings_.lists()) {
@@ -378,15 +327,6 @@ std::vector<NodeId> LabelIndex::RankedCandidates(
     mark[v] = 0;
   }
   return out;
-}
-
-std::vector<NodeId> LabelIndex::Postings(std::string_view token) const {
-  static thread_local std::string low;
-  ToLowerInto(token, &low);
-  const int64_t id = token_dict_.Find(low);
-  if (id < 0) return {};
-  const auto ids = token_postings_.Ids(static_cast<size_t>(id));
-  return {ids.begin(), ids.end()};
 }
 
 IndexFootprint LabelIndex::MemoryFootprint() const {

@@ -33,8 +33,9 @@ struct IndexFootprint {
 ///
 /// This is the "various indices" optimization of §V-A: instead of scanning
 /// all of V to find candidate matches for a query node, we union the
-/// postings of the query label's tokens. Matching-score computation stays
-/// online (Eq. 1 is never indexed), only candidate *retrieval* is.
+/// postings of the query label's tokens (RankedCandidates). Matching-score
+/// computation stays online (Eq. 1 is never indexed), only candidate
+/// *retrieval* is.
 ///
 /// Storage is a sorted flat token dictionary (one interned char pool,
 /// hash-probe accelerated lookup) over a contiguous arena of ascending id
@@ -44,21 +45,6 @@ class LabelIndex {
   /// Builds the index over every node label of g. O(total label tokens).
   explicit LabelIndex(const KnowledgeGraph& g);
 
-  /// Nodes whose label shares at least one token with `label` (dedup'd,
-  /// ascending ids). Query tokens with no exact posting fall back to
-  /// fuzzy retrieval: indexed tokens sharing at least half of the query
-  /// token's character trigrams are expanded (so "Bradd" still recalls
-  /// "Brad"-labeled nodes; the ensemble then scores the match online).
-  /// Empty query labels produce no candidates.
-  std::vector<NodeId> CandidatesByLabel(std::string_view label) const;
-
-  /// Indexed tokens sharing >= `min_overlap` of `token`'s trigrams,
-  /// sorted lexicographically. The expansion cap keeps the
-  /// best-overlapping tokens, ties broken lexicographically (a total
-  /// order, so the result is deterministic).
-  std::vector<std::string> FuzzyTokens(std::string_view token,
-                                       double min_overlap = 0.5) const;
-
   /// Whether `token` (already lowercased) has an exact posting.
   bool HasToken(std::string_view token) const {
     return token_dict_.Find(token) >= 0;
@@ -66,24 +52,31 @@ class LabelIndex {
 
   /// The single best fuzzy correction of `token`: the indexed token with
   /// the highest trigram overlap >= min_overlap, ties broken by ascending
-  /// token id (lexicographic rank — the same total order FuzzyTokens
-  /// caps by, so the correction is deterministic).
+  /// token id (lexicographic rank — the same total order the fuzzy
+  /// expansion of RankedCandidates caps by, so the correction is
+  /// deterministic).
   /// Empty when nothing reaches the floor. Serve-layer typo-tolerant
   /// query rewriting resolves each unknown query token through this.
   std::string BestFuzzyToken(std::string_view token,
                              double min_overlap = 0.5) const;
 
-  /// Nodes with exactly the given type id.
+  /// Nodes with exactly the given type id (typed-wildcard pools).
   std::vector<NodeId> CandidatesByType(int32_t type) const;
 
-  /// Union of token candidates and (if type >= 0) type candidates.
-  std::vector<NodeId> Candidates(std::string_view label, int32_t type) const;
-
-  /// Retrieval with a cheap relevance pre-ranking: candidates are scored
-  /// by the summed rarity (idf-style log(1 + N/df)) of the query tokens
-  /// they share (fuzzy-expanded tokens at half weight; type-only hits at
-  /// epsilon weight) and only the best `cap` are returned (all of them if
-  /// cap == 0). This keeps the number of candidates the expensive Eq. 1
+  /// Candidate retrieval for a labelled query node, in ascending ids: the
+  /// nodes whose label shares at least one token with `label`, plus (if
+  /// type >= 0) the nodes of that type. Matching ignores case and
+  /// delimiters, and an empty label has no tokens. A query token with no
+  /// exact posting falls back to fuzzy retrieval: the (at most 8) indexed
+  /// tokens sharing the most, and at least half, of its character
+  /// trigrams are expanded, ties cut by token (so "Bradd" still recalls
+  /// "Brad"-labeled nodes; the ensemble then scores the match online).
+  ///
+  /// With a cheap relevance pre-ranking: candidates are scored by the
+  /// summed rarity (idf-style log(1 + N/df)) of the query tokens they
+  /// share (fuzzy-expanded tokens at half weight; type-only hits at
+  /// epsilon weight) and only the best `cap` are returned (the whole union
+  /// if cap == 0). This keeps the number of candidates the expensive Eq. 1
   /// ensemble must score small — the paper's "various indices" that make
   /// node matching account for <= 1% of query time.
   ///
@@ -96,9 +89,6 @@ class LabelIndex {
   std::vector<NodeId> RankedCandidates(
       std::string_view label, int32_t type, size_t cap,
       std::vector<uint8_t>* shares_token = nullptr) const;
-
-  /// Posting list of one token (empty if unknown), copied out.
-  std::vector<NodeId> Postings(std::string_view token) const;
 
   size_t token_count() const { return token_dict_.size(); }
 
@@ -167,11 +157,6 @@ class LabelIndex {
   /// `min_overlap`.
   std::vector<uint32_t> RankedFuzzyTokenIds(std::string_view token,
                                             double min_overlap) const;
-
-  /// RankedFuzzyTokenIds re-sorted to ascending token id (the retrieval
-  /// iteration / FP-summation order).
-  std::vector<uint32_t> FuzzyTokenIds(std::string_view token,
-                                      double min_overlap) const;
 
   FlatDict token_dict_;
   PostingsStore token_postings_;

@@ -270,7 +270,6 @@ QueryScorer::QueryScorer(const KnowledgeGraph& g, const QueryGraph& q,
       index_(index),
       mem_(arena != nullptr ? arena->resource()
                             : std::pmr::get_default_resource()),
-      node_cache_(q.node_count()),
       candidates_ready_(q.node_count(), false),
       scored_(q.node_count()),
       candidate_scores_ready_(q.node_count(), false),
@@ -366,10 +365,6 @@ double QueryScorer::NodeScore(int query_node, NodeId v) const {
                ? config_.wildcard_node_score
                : 0.0;
   }
-  auto& cache = node_cache_[node_rep_[query_node]];
-  const auto it = cache.find(v);
-  if (it != cache.end()) return it->second;
-  ++node_evals_;
   // One lane of the batch kernel in exact mode: Score()'s bits.
   const std::string_view label = graph_.NodeLabel(v);
   const int32_t gt = graph_.NodeType(v);
@@ -379,7 +374,6 @@ double QueryScorer::NodeScore(int query_node, NodeId v) const {
       prepared_store_[prepared_idx_[query_node]], &label, 1,
       SimilarityEnsemble::kNoThreshold, query_node_onto_type_[query_node],
       &data_type, &s, &kernel_stats_);
-  cache.emplace(v, s);
   return s;
 }
 
@@ -390,8 +384,7 @@ std::vector<double> QueryScorer::BulkScore(
   CancelChecker cancel_check(cancel_);
   const query::QueryNode& qn = query_.node(query_node);
   if (qn.wildcard) {
-    // Wildcard scoring is a type check or a constant: NodeScore never
-    // touches the memo for wildcards.
+    // Wildcard scoring is a type check or a constant.
     for (size_t i = 0; i < nodes.size(); ++i) {
       if (cancel_check.ShouldStop()) {  // rest stay 0 (non-candidates)
         truncated_ = true;
@@ -405,12 +398,8 @@ std::vector<double> QueryScorer::BulkScore(
   const SimilarityEnsemble::PreparedLabelBatch& prepared =
       prepared_store_[prepared_idx_[query_node]];
   const int query_type = query_node_onto_type_[query_node];
-  auto& cache = node_cache_[node_rep_[query_node]];
-  // miss[i] is set once scores[i] was computed by this call (memo misses
-  // only), and only after the score landed, so a cancellation that drops
-  // gathered-but-unflushed lanes can never let the merge below memoize an
-  // unscored 0.0; the rest stay 0.0, below any positive threshold.
-  std::vector<uint8_t> miss(nodes.size(), 0);
+  // A cancellation leaves the entries it did not score (the gathered but
+  // unflushed lanes among them) at 0.0, below any positive threshold.
 
   // Duplicate-label elision within the call: generated and real graphs
   // repeat labels across nodes, and the kernel is a pure function of
@@ -436,7 +425,6 @@ std::vector<double> QueryScorer::BulkScore(
         &kernel_stats_, shares_token != nullptr ? lane_shares : nullptr);
     for (size_t l = 0; l < lanes; ++l) {
       scores[lane_index[l]] = out[l];
-      miss[lane_index[l]] = 1;
       seen.Insert(lane_labels[l], lane_types[l], out[l]);
     }
     lanes = 0;
@@ -447,17 +435,11 @@ std::vector<double> QueryScorer::BulkScore(
       break;
     }
     const graph::NodeId v = nodes[i];
-    const auto it = cache.find(v);
-    if (it != cache.end()) {
-      scores[i] = it->second;
-      continue;
-    }
     const std::string_view label = graph_.NodeLabel(v);
     const int32_t gt = graph_.NodeType(v);
     const int data_type = gt >= 0 ? graph_type_onto_type_[gt] : -1;
     if (const double* dup = seen.Find(label, data_type)) {
       scores[i] = *dup;
-      miss[i] = 1;
       continue;
     }
     lane_labels[lanes] = label;
@@ -467,15 +449,6 @@ std::vector<double> QueryScorer::BulkScore(
     if (++lanes == kLanes) flush();
   }
   flush();
-  // Memo merge: memoize exactly the entries NodeScore would have cached
-  // (emplace keeps the first value on duplicates) — except sub-threshold
-  // results, which may be truncated upper bounds rather than exact F_N
-  // values and therefore must not be cached.
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    if (!miss[i]) continue;
-    if (threshold >= 0.0 && scores[i] < threshold) continue;
-    if (cache.emplace(nodes[i], scores[i]).second) ++node_evals_;
-  }
   return scores;
 }
 
@@ -500,10 +473,8 @@ std::vector<NodeId> QueryScorer::RetrievalPool(
   } else if (index_ != nullptr) {
     const int32_t gt =
         qn.type_name.empty() ? -1 : graph_.FindTypeId(qn.type_name);
-    pool = config_.max_retrieval > 0
-               ? index_->RankedCandidates(qn.label, gt, config_.max_retrieval,
-                                          shares_token)
-               : index_->Candidates(qn.label, gt);
+    pool = index_->RankedCandidates(qn.label, gt, config_.max_retrieval,
+                                    shares_token);
   } else {
     full_scan = true;
   }
@@ -1010,12 +981,6 @@ const std::vector<double>& QueryScorer::RelationScoresAll(
   }
   relation_table_ready_[query_edge] = true;
   return table;
-}
-
-double QueryScorer::EdgeScore(int query_edge, uint32_t direct_relation,
-                              int hops) const {
-  if (hops <= 1) return RelationScore(query_edge, direct_relation);
-  return PathDecay(hops);
 }
 
 double QueryScorer::PathDecay(int hops) const {

@@ -70,7 +70,9 @@ using CandidateList = std::pmr::vector<ScoredCandidate>;
 
 /// Per-query scoring session: binds one QueryGraph to one KnowledgeGraph
 /// and computes every F_N / F_E *online* (the paper's central constraint —
-/// no score is precomputed or indexed), memoizing within the query.
+/// no score is precomputed or indexed). Within the query it memoizes what
+/// the engines read: candidate lists, their score tables and the relation
+/// tables (and, for the baselines, walk balls and pairwise F_E).
 ///
 /// All algorithms (stark, stard, starjoin, graphTA, BP, brute force) score
 /// through this class, so they optimize the identical objective.
@@ -96,8 +98,10 @@ class QueryScorer {
               common::MonotonicArena* arena = nullptr);
 
   /// F_N(u, v): Eq. 1 score of mapping query node u to data node v,
-  /// bitwise ensemble.Score() (one exact-mode lane of the batch kernel).
-  /// Wildcard nodes score `config.wildcard_node_score` for every v.
+  /// bitwise ensemble.Score() (one exact-mode lane of the batch kernel per
+  /// call, not memoized: the engines read candidate lists, and only the
+  /// brute-force oracle and ExplainMatch score single pairs). Wildcard
+  /// nodes score `config.wildcard_node_score` for every v.
   double NodeScore(int query_node, graph::NodeId v) const;
 
   /// Candidate matches of query node u: nodes with F_N >= node_threshold,
@@ -127,10 +131,9 @@ class QueryScorer {
   /// Candidates(query_node) under the same config, graph and index, and
   /// must be COMPLETE (never a cancellation-truncated prefix). No-op if the
   /// list was already computed, and at d <= 1, where a list depends on the
-  /// node's neighbours and not only on its signature. Only the candidate
-  /// memo is seeded; F_N score memos refill on demand with identical
-  /// values, so every downstream read stays bit-identical to an unseeded
-  /// run.
+  /// node's neighbours and not only on its signature. The engines read
+  /// only the list and its score table, so every downstream read stays
+  /// bit-identical to an unseeded run.
   void SeedCandidates(int query_node,
                       const std::vector<ScoredCandidate>& list) const;
 
@@ -141,11 +144,13 @@ class QueryScorer {
   static bool SampleKeep(uint64_t seed, graph::NodeId v, double rate);
 
   /// The retrieval pool of `query_node`: the node ids Candidates() would
-  /// bulk-score, before any scoring or filtering (index-backed postings,
-  /// typed-wildcard postings, or the full-scan iota, then the sampling
+  /// bulk-score, before any scoring or filtering (one
+  /// RankedCandidates(label, type, max_retrieval) call for a labelled node
+  /// with an index, where cap 0 is the whole token-and-type union;
+  /// typed-wildcard postings; or the full-scan iota; then the sampling
   /// predicate). Pure — never touches the candidate memo. `shares_token`
   /// receives the RankedCandidates retrieval facts aligned with the pool
-  /// (max_retrieval pools only; left empty otherwise). For a non-wildcard
+  /// (index-backed labelled pools; left empty otherwise). For a non-wildcard
   /// node, Candidates() is exactly the pool's nodes with Score() >=
   /// node_threshold, ordered by (score desc, node asc) and cut at
   /// max_candidates — the list the differential harness's fn-oracle check
@@ -188,14 +193,11 @@ class QueryScorer {
   /// Empty for wildcard-relation edges (they score 1).
   const std::vector<double>& RelationScoresAll(int query_edge) const;
 
-  /// F_E of a path/walk match of length `hops`: for hops == 1 the relation
-  /// similarity of the direct edge; for hops >= 2 the pure geometric decay
-  /// lambda^(hops-1) (the paper's §V-B example F = lambda^(h-1)). This
-  /// form is symmetric in the two endpoints, so a query edge scores the
-  /// same regardless of which endpoint a decomposition picks as pivot.
-  double EdgeScore(int query_edge, uint32_t direct_relation, int hops) const;
-
-  /// Pure multi-hop decay component lambda^(hops-1).
+  /// F_E of a walk match of length `hops` >= 2: the pure geometric decay
+  /// lambda^(hops-1) (the paper's §V-B example F = lambda^(h-1)); a direct
+  /// edge (hops == 1) scores its RelationScore instead. This form is
+  /// symmetric in the two endpoints, so a query edge scores the same
+  /// regardless of which endpoint a decomposition picks as pivot.
   double PathDecay(int hops) const;
 
   /// Largest achievable RelationScore for this query edge over all
@@ -236,11 +238,10 @@ class QueryScorer {
   /// Attaches a cooperative cancellation token (nullable; must outlive
   /// the scorer's use). The bulk scoring paths (Candidates / BulkScore)
   /// poll it and wind down early once it fires: candidate lists built
-  /// after that point may be truncated — but never contain a wrong score —
+  /// after that point may be truncated — but never contain a wrong score
+  /// (an entry left unscored stays 0.0, below every positive threshold) —
   /// and every such wind-down sets the sticky truncated() flag so the run
-  /// reports itself partial instead of posing as complete. Cached exact
-  /// scores are never polluted by a cancellation (skipped entries are left
-  /// out of the memo, not guessed).
+  /// reports itself partial instead of posing as complete.
   void set_cancellation(const Cancellation* cancel) { cancel_ = cancel; }
 
   /// True once any cancellation checkpoint fired inside this scorer — some
@@ -250,9 +251,6 @@ class QueryScorer {
   /// reported as a complete answer even when the engine's own amortized
   /// checkpoints all missed the expiry.
   bool truncated() const { return truncated_; }
-
-  /// Number of F_N evaluations performed (diagnostic for benches).
-  size_t node_score_evaluations() const { return node_evals_; }
 
   /// Batch-kernel counters accumulated across every F_N evaluation this
   /// scorer performed (relation tables are not counted).
@@ -290,13 +288,11 @@ class QueryScorer {
 
   /// Bulk F_N of `query_node` against every node in `nodes` (Candidates'
   /// scoring step), index-aligned with the input, against a candidate
-  /// threshold. Entries < threshold may be truncated upper bounds. Memo
-  /// misses are gathered into kBatchLanes-wide lanes, each full batch
-  /// scored in one ScoreBatchAgainstThreshold call, and a (label, type)
-  /// pair repeated within the call is scored once (the kernel is
-  /// deterministic, so the copied score is exact). The node memo is read
-  /// while scoring and filled only afterwards, in one merge that memoizes
-  /// only exact (kept) scores. `shares_token` (nullable, aligned with
+  /// threshold. Entries < threshold may be truncated upper bounds. Nodes
+  /// are gathered into kBatchLanes-wide lanes, each full batch scored in
+  /// one ScoreBatchAgainstThreshold call, and a (label, type) pair
+  /// repeated within the call is scored once (the kernel is deterministic,
+  /// so the copied score is exact). `shares_token` (nullable, aligned with
   /// `nodes`) passes retrieval facts to the batch kernel's disjoint-token
   /// caps.
   std::vector<double> BulkScore(int query_node,
@@ -354,14 +350,14 @@ class QueryScorer {
   // candidate retrieval are pure functions of a query node's attribute
   // signature (wildcard flag, type name, label text) plus immutable
   // graph/config state, so nodes sharing a signature alias one
-  // representative's memos: node_rep_[u] is the first query node with u's
-  // signature, and every node-level memo below (F_N cache, candidate
-  // lists, candidate-score tables) is indexed through it. Likewise
-  // edge_rep_[e] aliases relation-similarity memos by (wildcard, relation
-  // label), and prepared_idx_[u] dedupes kernel views by label text —
-  // each view is built, and each postings list decoded, once per query
-  // rather than once per query node. Aliased reads are bitwise identical
-  // to unaliased ones, so results are unchanged.
+  // representative: node_rep_[u] is the first query node with u's
+  // signature, and RetrievalPool and (at d >= 2, through list_rep_) the
+  // candidate lists and their score tables are indexed through it.
+  // Likewise edge_rep_[e] aliases relation-similarity memos by (wildcard,
+  // relation label), and prepared_idx_[u] dedupes kernel views by label
+  // text — each view is built once per query rather than once per query
+  // node. Aliased reads are bitwise identical to unaliased ones, so
+  // results are unchanged.
   std::vector<int> node_rep_;
   std::vector<int> edge_rep_;
   std::vector<uint32_t> prepared_idx_;
@@ -377,9 +373,7 @@ class QueryScorer {
   // signature but not their neighbours).
   std::vector<int> list_rep_;
 
-  // Memoization: per signature representative, data-node -> F_N; candidate
-  // lists per list slot.
-  mutable std::vector<std::unordered_map<graph::NodeId, double>> node_cache_;
+  // Candidate lists per list slot.
   mutable std::vector<CandidateList> candidates_;
   mutable std::vector<bool> candidates_ready_;
   mutable std::vector<ScoredListInfo> scored_;
@@ -430,7 +424,6 @@ class QueryScorer {
   mutable std::pmr::vector<graph::NodeId> walk_layer_;
   mutable std::pmr::vector<graph::NodeId> walk_next_;
   mutable std::vector<std::unordered_map<uint64_t, double>> pair_edge_cache_;
-  mutable size_t node_evals_ = 0;
   mutable text::KernelStats kernel_stats_;
   mutable RetrievalStats retrieval_stats_;
   // Sticky truncation flag (see truncated()).

@@ -15,9 +15,9 @@ int ChooseDegradationLevel(const DegradePolicy& policy, size_t queue_depth,
   if (!policy.enable || max_queue == 0) return 0;
   const double occ =
       static_cast<double>(queue_depth) / static_cast<double>(max_queue);
-  if (occ >= policy.l3_queue_frac) return 3;
-  if (occ >= policy.l2_queue_frac) return 2;
-  if (occ >= policy.l1_queue_frac) return 1;
+  if (occ >= kL3QueueFrac) return 3;
+  if (occ >= kL2QueueFrac) return 2;
+  if (occ >= kL1QueueFrac) return 1;
   return 0;
 }
 
@@ -32,7 +32,7 @@ void ApplyDegradation(const DegradePolicy& policy, int level,
                                       policy.l1_max_candidates);
   }
   if (level >= 2) {
-    m.sample_rate = std::min(m.sample_rate, policy.l2_sample_rate);
+    m.sample_rate = std::min(m.sample_rate, kL2SampleRate);
     m.sample_seed = policy.sample_seed;
   }
   if (level >= 3) {

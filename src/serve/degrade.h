@@ -17,8 +17,10 @@ namespace star::serve {
 /// BEFORE it sheds requests. Each level composes the previous one's knobs:
 ///
 ///   level 1  candidate cutoff tightened to l1_max_candidates
-///   level 2  + deterministic seeded pool sampling at l2_sample_rate
+///   level 2  + deterministic seeded pool sampling at kL2SampleRate
 ///   level 3  + edge-to-path bound reduced to d = 1
+///
+/// Each level engages at a fixed queue occupancy (kL1QueueFrac below).
 ///
 /// kOverloaded remains only for an absolutely full queue — a saturated
 /// service first answers everyone approximately (each answer carrying a
@@ -28,23 +30,23 @@ struct DegradePolicy {
   /// Master switch; false preserves the historical reject-only behavior.
   bool enable = false;
 
-  /// Queue-occupancy fractions (of ServiceOptions::max_queue) at which
-  /// each level engages. Must be non-decreasing.
-  double l1_queue_frac = 0.50;
-  double l2_queue_frac = 0.75;
-  double l3_queue_frac = 0.90;
-
   /// Level-1 candidate cutoff (per query node). 0 disables the tightening
   /// (level 1 then only marks the response as degraded).
   size_t l1_max_candidates = 64;
-
-  /// Level-2 retrieval-pool keep probability (see MatchConfig::sample_rate).
-  double l2_sample_rate = 0.5;
 
   /// Seed of the deterministic sampling predicate. Fixed per service so
   /// identical degraded requests stay coalescable and cacheable.
   uint64_t sample_seed = 0x5eedf00dULL;
 };
+
+/// Queue-occupancy fractions (of ServiceOptions::max_queue) at which
+/// levels 1, 2 and 3 engage.
+inline constexpr double kL1QueueFrac = 0.50;
+inline constexpr double kL2QueueFrac = 0.75;
+inline constexpr double kL3QueueFrac = 0.90;
+
+/// Level-2 retrieval-pool keep probability (see MatchConfig::sample_rate).
+inline constexpr double kL2SampleRate = 0.5;
 
 /// Deepest rung of the shedding ladder.
 inline constexpr int kMaxDegradationLevel = 3;

@@ -1,27 +1,13 @@
 #include "serve/query_service.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/arena.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "query/query_canonical.h"
 
 namespace star::serve {
-
-namespace {
-
-// Key-segment separator, below any canonical-signature byte's meaning.
-constexpr char kSep = '\x1d';
-
-void AppendU64(std::string& s, uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  s += buf;
-  s += kSep;
-}
-
-}  // namespace
 
 QueryService::QueryService(const graph::KnowledgeGraph& g,
                            const text::SimilarityEnsemble& ensemble,
@@ -57,9 +43,9 @@ QueryService::~QueryService() {
 std::string QueryService::KeyFromSignature(std::string signature,
                                            size_t k) const {
   std::string key = std::move(signature);
-  key += kSep;
+  key += kKeySep;
   key += config_key_;
-  AppendU64(key, k);
+  AppendKeyU64(key, k);
   return key;
 }
 
@@ -147,7 +133,7 @@ std::future<QueryResponse> QueryService::Submit(QueryRequest req) {
                                                 queue_.size(),
                                                 options_.max_queue);
       if (keyed && p->degrade_level > 0) {
-        p->key += kSep;
+        p->key += kKeySep;
         p->key += static_cast<char>('0' + p->degrade_level);
       }
       if (!p->rewrites.empty()) ++stats_.fuzzy_rewritten;

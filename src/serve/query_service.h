@@ -292,8 +292,9 @@ class QueryService {
   const text::SimilarityEnsemble& ensemble_;
   const graph::LabelIndex* index_;
   const ServiceOptions options_;
-  /// Fingerprint of every result-affecting configuration field (excludes
-  /// the retrieval toggle, which carries a bit-identity contract).
+  /// Fingerprint of every result-affecting configuration field
+  /// (core::StarOptionsFingerprint of options_.star and the index's
+  /// presence).
   std::string config_key_;
   ResultCache cache_;
   StarCache star_cache_;

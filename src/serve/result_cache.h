@@ -3,19 +3,15 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/string_util.h"
 #include "core/certificate.h"
 #include "core/match.h"
+#include "serve/lru_section.h"
 
 namespace star::serve {
 
@@ -60,9 +56,9 @@ struct CachedResult {
 ///
 /// Result lists are stored behind shared_ptr, so a hit is a refcount bump
 /// and the critical section stays O(1) regardless of k — the (possibly
-/// large) match copy the caller needs happens outside the lock. The index
-/// supports heterogeneous string_view probes, so lookups with a composed
-/// key never allocate a temporary std::string.
+/// large) match copy the caller needs happens outside the lock. The store
+/// is one LruSection, whose index takes string_view probes, so lookups
+/// with a composed key never allocate a temporary std::string.
 ///
 /// Invalidation contract: Lookup callers capture generation() before
 /// computing a fresh value and pass it to Insert. Invalidate() bumps the
@@ -83,22 +79,19 @@ class ResultCache {
   void Invalidate() {
     std::lock_guard<std::mutex> lock(mu_);
     ++generation_;
-    index_.clear();
-    lru_.clear();
+    entries_.Clear();
   }
 
   /// nullptr = miss. The returned list stays valid for as long as the
   /// caller holds the pointer, even across eviction or invalidation.
   MatchList Lookup(std::string_view key) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
-    if (it == index_.end()) {
-      ++stats_.misses;
-      return nullptr;
+    if (auto* entry = entries_.Touch(key)) {
+      ++stats_.hits;
+      return entry->second;
     }
-    lru_.splice(lru_.begin(), lru_, it->second);  // move to front
-    ++stats_.hits;
-    return it->second->second;
+    ++stats_.misses;
+    return nullptr;
   }
 
   /// `node_rank` must be the canonical ranks of the inserting query's
@@ -115,22 +108,13 @@ class ResultCache {
       ++stats_.stale_drops;
       return;
     }
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      it->second->second = std::move(wrapped);
-      lru_.splice(lru_.begin(), lru_, it->second);
+    if (auto* entry = entries_.Touch(key)) {
+      entry->second = std::move(wrapped);
       return;
     }
-    lru_.emplace_front(std::string(key), std::move(wrapped));
-    // The index key views the list node's string, which stays stable under
-    // splice (list nodes never move).
-    index_.emplace(std::string_view(lru_.front().first), lru_.begin());
+    entries_.InsertFront(key, std::move(wrapped), capacity_,
+                         &stats_.evictions);
     ++stats_.insertions;
-    if (lru_.size() > capacity_) {
-      index_.erase(std::string_view(lru_.back().first));
-      lru_.pop_back();
-      ++stats_.evictions;
-    }
   }
 
   CacheStats stats() const {
@@ -140,19 +124,14 @@ class ResultCache {
 
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return lru_.size();
+    return entries_.lru.size();
   }
 
  private:
-  using Entry = std::pair<std::string, MatchList>;
-
   mutable std::mutex mu_;
   const size_t capacity_;
   uint64_t generation_ = 0;
-  std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<std::string_view, std::list<Entry>::iterator,
-                     TransparentStringHash, std::equal_to<>>
-      index_;
+  LruSection<MatchList> entries_;
   CacheStats stats_;
 };
 

@@ -3,17 +3,14 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
-#include "common/string_util.h"
 #include "core/reuse_cache.h"
+#include "serve/lru_section.h"
 
 namespace star::serve {
 
@@ -144,50 +141,13 @@ class StarCache final : public core::ReuseCache {
   }
 
  private:
-  /// One LRU section: list front = most recently used; index does
-  /// heterogeneous string_view lookups so probes never allocate a key copy.
-  template <typename V>
-  struct Section {
-    using Entry = std::pair<std::string, V>;
-    std::list<Entry> lru;
-    std::unordered_map<std::string_view, typename std::list<Entry>::iterator,
-                       TransparentStringHash, std::equal_to<>>
-        index;
-
-    void Clear() {
-      index.clear();
-      lru.clear();
-    }
-
-    /// Returns the entry for `key` moved to the front, or nullptr.
-    Entry* Touch(std::string_view key) {
-      auto it = index.find(key);
-      if (it == index.end()) return nullptr;
-      lru.splice(lru.begin(), lru, it->second);
-      return &*it->second;
-    }
-
-    /// Inserts a fresh front entry and evicts past `capacity`. The index
-    /// keys view the list nodes' strings, which are stable under splice.
-    void InsertFront(std::string_view key, V value, size_t capacity,
-                     uint64_t* evictions) {
-      lru.emplace_front(std::string(key), std::move(value));
-      index.emplace(std::string_view(lru.front().first), lru.begin());
-      if (lru.size() > capacity) {
-        index.erase(std::string_view(lru.back().first));
-        lru.pop_back();
-        ++*evictions;
-      }
-    }
-  };
-
   mutable std::mutex mu_;
   const size_t candidate_capacity_;
   const size_t toplist_capacity_;
   uint64_t generation_ = 0;
-  Section<std::shared_ptr<const std::vector<scoring::ScoredCandidate>>>
+  LruSection<std::shared_ptr<const std::vector<scoring::ScoredCandidate>>>
       candidates_;
-  Section<core::StarTopList> toplists_;
+  LruSection<core::StarTopList> toplists_;
   StarCacheStats stats_;
 };
 

@@ -742,7 +742,6 @@ CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
     serve::DegradePolicy policy;
     policy.enable = true;
     policy.l1_max_candidates = 3;
-    policy.l2_sample_rate = 0.5;
     policy.sample_seed = c.seed * 0x9E3779B97F4A7C15ULL + 0xC2B2AE3D27D4EB4FULL;
     std::vector<int> levels;
     if (c.degrade != 0) {

@@ -80,7 +80,6 @@ TEST(ApplyDegradationTest, LevelZeroIsANoOp) {
 TEST(ApplyDegradationTest, LevelsComposeCumulatively) {
   DegradePolicy p;
   p.l1_max_candidates = 8;
-  p.l2_sample_rate = 0.25;
   p.sample_seed = 99;
 
   core::StarOptions l1;
@@ -94,7 +93,7 @@ TEST(ApplyDegradationTest, LevelsComposeCumulatively) {
   l2.match = TestConfig(2);
   ApplyDegradation(p, 2, &l2);
   EXPECT_EQ(l2.match.max_candidates, 8u);
-  EXPECT_EQ(l2.match.sample_rate, 0.25);
+  EXPECT_EQ(l2.match.sample_rate, kL2SampleRate);
   EXPECT_EQ(l2.match.sample_seed, 99u);
   EXPECT_EQ(l2.match.d, 2);
 
@@ -102,22 +101,21 @@ TEST(ApplyDegradationTest, LevelsComposeCumulatively) {
   l3.match = TestConfig(2);
   ApplyDegradation(p, 3, &l3);
   EXPECT_EQ(l3.match.max_candidates, 8u);
-  EXPECT_EQ(l3.match.sample_rate, 0.25);
+  EXPECT_EQ(l3.match.sample_rate, kL2SampleRate);
   EXPECT_EQ(l3.match.d, 1);
 }
 
 TEST(ApplyDegradationTest, OnlyTightensNeverLoosens) {
   DegradePolicy p;
   p.l1_max_candidates = 100;
-  p.l2_sample_rate = 0.9;
 
   core::StarOptions star;
   star.match = TestConfig(1);
   star.match.max_candidates = 10;   // already tighter than the policy
-  star.match.sample_rate = 0.5;     // already sparser than the policy
+  star.match.sample_rate = kL2SampleRate / 2;  // already sparser
   ApplyDegradation(p, 3, &star);
   EXPECT_EQ(star.match.max_candidates, 10u);
-  EXPECT_EQ(star.match.sample_rate, 0.5);
+  EXPECT_EQ(star.match.sample_rate, kL2SampleRate / 2);
   EXPECT_EQ(star.match.d, 1);
 }
 

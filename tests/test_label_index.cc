@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,21 +15,30 @@
 namespace star::graph {
 namespace {
 
+// Every labelled retrieval pool is RankedCandidates(label, type, 0): the
+// whole token-and-type union, in ascending ids.
+std::vector<NodeId> Pool(const LabelIndex& index, std::string_view label,
+                         int32_t type = -1) {
+  return index.RankedCandidates(label, type, 0);
+}
+
 TEST(LabelIndexTest, TokenPostings) {
   const auto g = star::testing::MovieGraph();
   const LabelIndex index(g);
-  const auto& brad = index.Postings("brad");
+  const auto brad = Pool(index, "brad");
   ASSERT_EQ(brad.size(), 2u);  // Brad Pitt, Brad Garrett
   EXPECT_EQ(g.NodeLabel(brad[0]), "Brad Pitt");
   EXPECT_EQ(g.NodeLabel(brad[1]), "Brad Garrett");
-  EXPECT_TRUE(index.Postings("nonexistent").empty());
+  EXPECT_TRUE(index.HasToken("brad"));
+  EXPECT_FALSE(index.HasToken("zzzzqq"));
+  EXPECT_TRUE(Pool(index, "zzzzqq").empty());
 }
 
-TEST(LabelIndexTest, CandidatesByLabelUnionsTokens) {
+TEST(LabelIndexTest, LabelUnionsTokens) {
   const auto g = star::testing::MovieGraph();
   const LabelIndex index(g);
   // "Brad Award" pulls both Brads and both awards.
-  const auto c = index.CandidatesByLabel("Brad Award");
+  const auto c = Pool(index, "Brad Award");
   EXPECT_EQ(c.size(), 4u);
   // Deduplicated and sorted.
   EXPECT_TRUE(std::is_sorted(c.begin(), c.end()));
@@ -37,8 +48,8 @@ TEST(LabelIndexTest, CandidatesByLabelUnionsTokens) {
 TEST(LabelIndexTest, CaseAndDelimiterInsensitive) {
   const auto g = star::testing::MovieGraph();
   const LabelIndex index(g);
-  EXPECT_EQ(index.CandidatesByLabel("BRAD").size(), 2u);
-  EXPECT_EQ(index.CandidatesByLabel("brad-pitt").size(), 2u);
+  EXPECT_EQ(Pool(index, "BRAD").size(), 2u);
+  EXPECT_EQ(Pool(index, "brad-pitt").size(), 2u);
 }
 
 TEST(LabelIndexTest, CandidatesByType) {
@@ -54,30 +65,35 @@ TEST(LabelIndexTest, CombinedCandidates) {
   const auto g = star::testing::MovieGraph();
   const LabelIndex index(g);
   // Label tokens + type postings unioned.
-  const auto c = index.Candidates("Troy", g.FindTypeId("Film"));
-  EXPECT_EQ(c.size(), 2u);  // Troy + Boyhood (type Film)
+  const auto c = Pool(index, "Troy", g.FindTypeId("Film"));
+  ASSERT_EQ(c.size(), 2u);  // Troy + Boyhood (type Film)
+  EXPECT_EQ(g.NodeLabel(c[0]), "Troy");
+  EXPECT_EQ(g.NodeLabel(c[1]), "Boyhood");
 }
 
 TEST(LabelIndexTest, EmptyLabelNoCandidates) {
   const auto g = star::testing::MovieGraph();
   const LabelIndex index(g);
-  EXPECT_TRUE(index.CandidatesByLabel("").empty());
+  EXPECT_TRUE(Pool(index, "").empty());
 }
 
-TEST(LabelIndexTest, FuzzyTokensRecallTypos) {
+TEST(LabelIndexTest, FuzzyExpansionRecallsTypos) {
   const auto g = star::testing::MovieGraph();
   const LabelIndex index(g);
-  const auto similar = index.FuzzyTokens("lnklater");
-  EXPECT_TRUE(std::find(similar.begin(), similar.end(), "linklater") !=
-              similar.end());
-  EXPECT_TRUE(index.FuzzyTokens("zzzzqq").empty());
+  EXPECT_EQ(index.BestFuzzyToken("lnklater"), "linklater");
+  std::vector<uint8_t> facts;
+  const auto c = index.RankedCandidates("lnklater", -1, 0, &facts);
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_EQ(g.NodeLabel(c[0]), "Richard Linklater");
+  EXPECT_EQ(facts, std::vector<uint8_t>{0});  // shares no exact token
+  EXPECT_TRUE(index.BestFuzzyToken("zzzzqq").empty());
 }
 
 // Twelve tokens tie on three of "abcdez"'s four trigrams, and one holds all
 // four: the expansion keeps that one and the seven lexicographically
 // smallest of the tie. Two passes check that the hit counts of the first
 // are cleared for the second.
-TEST(LabelIndexTest, FuzzyTokensCutTiesByToken) {
+TEST(LabelIndexTest, FuzzyExpansionCutsTiesByToken) {
   KnowledgeGraph::Builder b;
   for (const char c : std::string("lkjihgfedcba")) {
     b.AddNode(std::string("abcde") + c);
@@ -86,11 +102,10 @@ TEST(LabelIndexTest, FuzzyTokensCutTiesByToken) {
   b.AddNode("unrelated");
   const KnowledgeGraph g = std::move(b).Build();
   const LabelIndex index(g);
-  const std::vector<std::string> want = {"abcdea", "abcdeb", "abcdec",
-                                         "abcded", "abcdee", "abcdef",
-                                         "abcdeg", "xabcdez"};
+  // "abcdea" .. "abcdeg" are nodes 11 .. 5; "xabcdez" is node 12.
+  const std::vector<NodeId> want = {5, 6, 7, 8, 9, 10, 11, 12};
   for (int pass = 0; pass < 2; ++pass) {
-    EXPECT_EQ(index.FuzzyTokens("abcdez"), want) << "pass " << pass;
+    EXPECT_EQ(Pool(index, "abcdez"), want) << "pass " << pass;
     EXPECT_EQ(index.BestFuzzyToken("abcdez"), "xabcdez") << "pass " << pass;
   }
 }
@@ -99,7 +114,7 @@ TEST(LabelIndexTest, CandidatesFallBackToFuzzy) {
   const auto g = star::testing::MovieGraph();
   const LabelIndex index(g);
   // "Bradd" has no exact posting but trigram-matches "brad".
-  const auto c = index.CandidatesByLabel("Bradd");
+  const auto c = Pool(index, "Bradd");
   ASSERT_EQ(c.size(), 2u);
   EXPECT_EQ(g.NodeLabel(c[0]), "Brad Pitt");
 }
@@ -108,7 +123,7 @@ TEST(LabelIndexTest, ExactTokenSkipsFuzzyExpansion) {
   const auto g = star::testing::MovieGraph();
   const LabelIndex index(g);
   // "troy" has an exact posting; fuzzy expansion must not add noise.
-  EXPECT_EQ(index.CandidatesByLabel("Troy").size(), 1u);
+  EXPECT_EQ(Pool(index, "Troy").size(), 1u);
 }
 
 TEST(LabelIndexTest, RankedCandidatesPreferRareTokens) {
@@ -126,8 +141,12 @@ TEST(LabelIndexTest, RankedCandidatesUncappedEqualsUnion) {
   const auto g = star::testing::MovieGraph();
   const LabelIndex index(g);
   const auto ranked = index.RankedCandidates("Brad Award", -1, 0);
-  const auto plain = index.CandidatesByLabel("Brad Award");
-  EXPECT_EQ(ranked, plain);
+  const auto brad = Pool(index, "Brad");
+  const auto award = Pool(index, "Award");
+  std::vector<NodeId> both;
+  std::set_union(brad.begin(), brad.end(), award.begin(), award.end(),
+                 std::back_inserter(both));
+  EXPECT_EQ(ranked, both);
 }
 
 TEST(LabelIndexTest, RankedCandidatesIncludeTypeOnlyHits) {

@@ -6,6 +6,8 @@
 // skips on a selective query; and the node upper-bound soundness contract
 // (a cap must dominate the score of every node it covers).
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -99,9 +101,9 @@ TEST(PrunedRetrievalTest, TieAtTheCutKeepsSmallestIds) {
   }
 }
 
-// Soundness property behind every skip decision: the per-node bound
-// dominates the true ensemble score of every node Candidates(label, type)
-// retrieves.
+// Soundness property behind every skip decision: the per-node bound, with
+// the node's retrieval fact, dominates the true ensemble score of every
+// node RankedCandidates(label, type, 0) retrieves.
 TEST(PrunedRetrievalTest, NodeBoundsDominateMembers) {
   graph::KnowledgeGraph::Builder b;
   // One shared token with wildly varying label shapes.
@@ -124,11 +126,16 @@ TEST(PrunedRetrievalTest, NodeBoundsDominateMembers) {
                                         int32_t type,
                                         const graph::LabelIndex& index) {
     const auto batch = ens.Prepare(label);
-    const std::vector<graph::NodeId> members = index.Candidates(label, type);
+    std::vector<uint8_t> facts;
+    const std::vector<graph::NodeId> members =
+        index.RankedCandidates(label, type, 0, &facts);
     EXPECT_FALSE(members.empty()) << label;
-    for (const graph::NodeId v : members) {
-      const double cap = ens.RetrievalNodeBound(
-          batch, index.NodeLabelLength(v), index.NodeLooksNumeric(v));
+    EXPECT_EQ(facts.size(), members.size()) << label;
+    for (size_t i = 0; i < members.size() && i < facts.size(); ++i) {
+      const graph::NodeId v = members[i];
+      const double cap =
+          ens.RetrievalNodeBound(batch, index.NodeLabelLength(v),
+                                 index.NodeLooksNumeric(v), facts[i] != 0);
       EXPECT_GE(cap + 1e-9, ens.Score(label, g.NodeLabel(v)))
           << label << " node " << v;
     }
@@ -262,6 +269,83 @@ TEST(PrunedRetrievalTest, RetrievalFactsKeepTypedPoolsBitwise) {
         }
       }
     }
+  }
+}
+
+// At max_retrieval = 0 a labelled pool is RankedCandidates' whole union,
+// and it carries the retrieval facts a capped pool does: one per pool node,
+// as RankedCandidates(label, type, 0) reports them. Type-only and fuzzy
+// pool nodes share no query token; under synonym-heavy weights some of
+// them are candidates ("film" for "movie"), and every list must still be
+// bitwise the one CandidatesFromScore rebuilds from Score().
+TEST(PrunedRetrievalTest, UncappedPoolCarriesRetrievalFacts) {
+  graph::KnowledgeGraph::Builder b;
+  for (const char* label : {"film", "Movie", "motion picture", "Part II",
+                            "Part 2", "ii", "two", "teacher", "educator",
+                            "alpha beta"}) {
+    b.AddNode(label, "Film");
+  }
+  b.AddNode("movie night", "Event");
+  b.AddNode("alpha", "Person");
+  const graph::KnowledgeGraph g = std::move(b).Build();
+  const graph::LabelIndex index(g);
+
+  text::SynonymDictionary synonyms = text::SynonymDictionary::BuiltIn();
+  text::TfIdfModel tfidf;
+  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+    tfidf.AddDocument(g.NodeLabel(v));
+  }
+  tfidf.Finalize();
+  text::SimilarityEnsemble::Context ctx;
+  ctx.synonyms = &synonyms;
+  ctx.tfidf = &tfidf;
+  text::SimilarityEnsemble ens(ctx);
+  std::vector<double> w(text::SimilarityEnsemble::kFeatureCount, 0.1);
+  w[text::SimilarityEnsemble::kSynonym] = 4.0;
+  w[text::SimilarityEnsemble::kNumeralAware] = 4.0;
+  ens.SetWeights(w);
+  ASSERT_GT(ens.Score("movie", "film"), TestConfig().node_threshold);
+
+  query::QueryGraph q;
+  q.AddNode("movie", "Film");
+  q.AddNode("two", "Film");
+  q.AddNode("moive", "");  // fuzzy only: expands to "movie"
+  q.AddNode("alpha", "");
+  for (const size_t max_candidates : {size_t{0}, size_t{2}}) {
+    MatchConfig cfg = TestConfig();
+    cfg.max_candidates = max_candidates;
+    const QueryScorer scorer(g, q, ens, cfg, &index);
+    size_t tokenless_candidates = 0;
+    for (int u = 0; u < q.node_count(); ++u) {
+      const query::QueryNode& qn = q.node(u);
+      const int32_t type =
+          qn.type_name.empty() ? -1 : g.FindTypeId(qn.type_name);
+      std::vector<uint8_t> want_facts;
+      const std::vector<graph::NodeId> want_pool =
+          index.RankedCandidates(qn.label, type, 0, &want_facts);
+      std::vector<uint8_t> facts;
+      EXPECT_EQ(scorer.RetrievalPool(u, &facts), want_pool) << qn.label;
+      EXPECT_EQ(facts, want_facts) << qn.label;
+
+      const std::vector<ScoredCandidate> want =
+          star::testing::CandidatesFromScore(scorer, ens, u);
+      const CandidateList& got = scorer.Candidates(u);
+      ASSERT_EQ(got.size(), want.size()) << qn.label;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].node, want[i].node) << qn.label << " #" << i;
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[i].score),
+                  std::bit_cast<uint64_t>(want[i].score))
+            << qn.label << " #" << i;
+        const size_t at = static_cast<size_t>(
+            std::find(want_pool.begin(), want_pool.end(), got[i].node) -
+            want_pool.begin());
+        if (at < want_facts.size() && want_facts[at] == 0) {
+          ++tokenless_candidates;
+        }
+      }
+    }
+    // The facts reach lists that keep nodes sharing no query token.
+    EXPECT_GT(tokenless_candidates, 0u) << "k=" << max_candidates;
   }
 }
 

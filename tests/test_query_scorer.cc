@@ -369,10 +369,12 @@ TEST(QueryScorerTest, EdgeScoreDecaysWithHops) {
   const int e = fx.q.AddEdge(a, b);
   auto cfg = TestConfig(3);
   QueryScorer scorer(fx.g, fx.q, fx.ensemble, cfg, &fx.index);
-  EXPECT_DOUBLE_EQ(scorer.EdgeScore(e, 0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(scorer.EdgeScore(e, 0, 2), 0.5);
-  EXPECT_DOUBLE_EQ(scorer.EdgeScore(e, 0, 3), 0.25);
+  // A direct edge scores its relation similarity (1 for a wildcard
+  // relation), a walk of h >= 2 hops lambda^(h-1).
+  EXPECT_DOUBLE_EQ(scorer.RelationScore(e, 0), 1.0);
   EXPECT_DOUBLE_EQ(scorer.PathDecay(2), 0.5);
+  EXPECT_DOUBLE_EQ(scorer.PathDecay(3), 0.25);
+  EXPECT_DOUBLE_EQ(scorer.MaxEdgeScore(e), 1.0);
 }
 
 TEST(QueryScorerTest, PairEdgeScoreDirectAndWalk) {
@@ -494,17 +496,6 @@ TEST(QueryScorerTest, CancelledCandidatesNotMemoizedAndTruncationRecorded) {
   // The flag is sticky: once any checkpoint fired, the session stays
   // marked so no caller can report its output as complete.
   EXPECT_TRUE(scorer.truncated());
-}
-
-TEST(QueryScorerTest, EvaluationCounterGrows) {
-  Fixture fx;
-  const int u = fx.q.AddNode("Brad Pitt");
-  QueryScorer scorer(fx.g, fx.q, fx.ensemble, TestConfig(), &fx.index);
-  EXPECT_EQ(scorer.node_score_evaluations(), 0u);
-  scorer.NodeScore(u, 1);
-  EXPECT_EQ(scorer.node_score_evaluations(), 1u);
-  scorer.NodeScore(u, 1);  // memoized
-  EXPECT_EQ(scorer.node_score_evaluations(), 1u);
 }
 
 // ---------------------------------------------------------------------------

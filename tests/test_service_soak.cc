@@ -319,7 +319,6 @@ TEST(ServiceSoakOverloadTest, ShedsAccuracyThroughEveryLevelBeforeRejecting) {
   so.enable_coalescing = false;
   so.degrade.enable = true;
   so.degrade.l1_max_candidates = 2;  // tight enough to bite on this graph
-  so.degrade.l2_sample_rate = 0.5;
   so.before_execute = [&] {
     entered.fetch_add(1);
     std::unique_lock<std::mutex> lock(mu);

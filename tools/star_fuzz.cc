@@ -88,6 +88,10 @@ bool ParseArgs(int argc, char** argv, Args* a) {
       a->emit_path = v;
     } else if (arg == "--replay" && next(&v)) {
       a->replays.push_back(v);
+      // Every further argument up to the next flag is another file.
+      while (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+        a->replays.emplace_back(argv[++i]);
+      }
     } else if (arg == "--no-shrink") {
       a->shrink = false;
     } else if (arg == "--max-oracle-states" && next(&v)) {
