@@ -79,15 +79,6 @@ double RecallAtK(const std::vector<core::GraphMatch>& got,
   return static_cast<double>(hit) / static_cast<double>(exact.size());
 }
 
-bool SameMatches(const std::vector<core::GraphMatch>& a,
-                 const std::vector<core::GraphMatch>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].mapping != b[i].mapping || a[i].score != b[i].score) return false;
-  }
-  return true;
-}
-
 LevelResult RunLevel(const Dataset& d, const core::StarOptions& nominal,
                      const serve::DegradePolicy& policy, int level,
                      const std::vector<query::QueryGraph>& pool, size_t k,

@@ -3,8 +3,8 @@
 // submitted many times) and compares throughput/latency with the
 // star-level reuse cache + single-flight coalescing ON vs OFF. The result
 // cache is disabled in BOTH arms, so the measured gap is attributable to
-// star-prefix replay, candidate-list seeding, and coalescing — not to
-// whole-result memoization. JSON on stdout (BENCH_reuse.json).
+// star-prefix replay and coalescing — not to whole-result memoization.
+// JSON on stdout (BENCH_reuse.json).
 //
 // Each scenario is timed over repeated passes (at least 5, and at least
 // 1 s), each on a fresh QueryService, so every pass replays the same
@@ -49,20 +49,10 @@ struct ScenarioResult {
   double p95_ms = 0.0;
   double p99_ms = 0.0;
   double toplist_hits = 0.0;  // per-pass means
-  double candidate_hits = 0.0;
   double coalesced = 0.0;
   size_t mismatches = 0;  // over every pass
   size_t errors = 0;
 };
-
-bool SameMatches(const std::vector<core::GraphMatch>& a,
-                 const std::vector<core::GraphMatch>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].mapping != b[i].mapping || a[i].score != b[i].score) return false;
-  }
-  return true;
-}
 
 /// One pass: `total_requests` requests through a fresh service. Adds each
 /// latency to `lat` and the pass's counters to `r`; returns its wall time.
@@ -117,7 +107,6 @@ double RunPass(const Dataset& d, const core::StarOptions& star,
   }
   const serve::StarCacheStats cs = service.star_cache_stats();
   r->toplist_hits += cs.toplist_hits;
-  r->candidate_hits += cs.candidate_hits;
   r->coalesced += service.stats().coalesced_followers;
   r->mismatches += mismatches.load();
   r->errors += errors.load();
@@ -149,7 +138,6 @@ ScenarioResult RunScenario(const Dataset& d, const core::StarOptions& star,
   r.p95_ms = lat.Percentile(0.95);
   r.p99_ms = lat.Percentile(0.99);
   r.toplist_hits /= r.passes;
-  r.candidate_hits /= r.passes;
   r.coalesced /= r.passes;
   return r;
 }
@@ -193,11 +181,10 @@ int main() {
     std::fprintf(stderr,
                  "[reuse] clients=%d reuse=%s passes=%zu qps=%.1f "
                  "[%.1f, %.1f] p50=%.2fms p95=%.2fms (per pass: toplist "
-                 "hits %.1f, cand hits %.1f, coalesced %.1f; %zu mismatches, "
-                 "%zu errors)\n",
+                 "hits %.1f, coalesced %.1f; %zu mismatches, %zu errors)\n",
                  sc.clients, sc.reuse ? "on" : "off", r.passes, r.qps,
                  r.qps_q1, r.qps_q3, r.p50_ms, r.p95_ms, r.toplist_hits,
-                 r.candidate_hits, r.coalesced, r.mismatches, r.errors);
+                 r.coalesced, r.mismatches, r.errors);
   }
 
   size_t total_mismatches = 0, total_errors = 0;
@@ -224,11 +211,10 @@ int main() {
         "    {\"clients\": %d, \"reuse\": %s, \"passes\": %zu, "
         "\"qps\": %.1f, \"qps_q1\": %.1f, \"qps_q3\": %.1f, "
         "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f, "
-        "\"toplist_hits\": %.1f, \"candidate_hits\": %.1f, "
-        "\"coalesced_followers\": %.1f}%s\n",
+        "\"toplist_hits\": %.1f, \"coalesced_followers\": %.1f}%s\n",
         r.scenario.clients, r.scenario.reuse ? "true" : "false", r.passes,
         r.qps, r.qps_q1, r.qps_q3, r.p50_ms, r.p95_ms, r.p99_ms,
-        r.toplist_hits, r.candidate_hits, r.coalesced,
+        r.toplist_hits, r.coalesced,
         i + 1 < results.size() ? "," : "");
   }
   std::printf("  ],\n");

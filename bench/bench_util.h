@@ -14,6 +14,8 @@
 //   STAR_BENCH_NODES    graph size (default per binary)
 //   STAR_BENCH_QUERIES  queries per workload (default per binary)
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -133,6 +135,21 @@ inline scoring::MatchConfig BenchConfig(int d) {
   cfg.max_candidates = 4000;
   cfg.max_retrieval = 4000;
   return cfg;
+}
+
+/// True when `a` and `b` hold the same matches in the same order: equal
+/// mappings and bit-identical scores (the identity gates' test).
+inline bool SameMatches(const std::vector<core::GraphMatch>& a,
+                        const std::vector<core::GraphMatch>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].mapping != b[i].mapping ||
+        std::bit_cast<uint64_t>(a[i].score) !=
+            std::bit_cast<uint64_t>(b[i].score)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// DBPSB-style workload defaults (§VII-A): <= 50% variables, noisy labels.

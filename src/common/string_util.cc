@@ -148,10 +148,14 @@ bool IsNumeric(std::string_view s) {
   return true;
 }
 
-void AppendKeyU64(std::string& s, uint64_t v) {
+void AppendHex64(std::string& s, uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
   s += buf;
+}
+
+void AppendKeyU64(std::string& s, uint64_t v) {
+  AppendHex64(s, v);
   s += kKeySep;
 }
 

@@ -68,8 +68,12 @@ bool IsNumeric(std::string_view s);
 /// meaning.
 inline constexpr char kKeySep = '\x1d';
 
-/// Appends one fixed-width cache-key segment: `v` as 16 hex digits, then
-/// kKeySep.
+/// Appends `v` as 16 lowercase hex digits (fixed width, so adjacent fields
+/// never run together). A double goes in as std::bit_cast<uint64_t>:
+/// bit-exact, with no decimal round trip.
+void AppendHex64(std::string& s, uint64_t v);
+
+/// Appends one fixed-width cache-key segment: AppendHex64(v), then kKeySep.
 void AppendKeyU64(std::string& s, uint64_t v);
 
 }  // namespace star

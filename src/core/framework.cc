@@ -1,7 +1,8 @@
 #include "core/framework.h"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
+#include <cstdint>
 #include <string>
 
 #include "common/string_util.h"
@@ -16,41 +17,30 @@ using query::StarQuery;
 using scoring::QueryScorer;
 using text::SimilarityEnsemble;
 
-namespace {
-
-// Bit-exact double encoding: two configs key equal iff every scoring
-// parameter is the identical double, with no decimal round-trip fuzz.
-void AppendDouble(std::string& s, double d) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(d));
-  std::memcpy(&bits, &d, sizeof(bits));
-  AppendKeyU64(s, bits);
-}
-
-}  // namespace
-
 std::string StarOptionsFingerprint(const StarOptions& o, bool has_index) {
+  // Doubles go in by their bits: two configs key equal iff every scoring
+  // parameter is the identical double, with no decimal round trip.
   std::string s;
   AppendKeyU64(s, static_cast<uint64_t>(o.strategy));
-  AppendDouble(s, o.match.node_threshold);
-  AppendDouble(s, o.match.edge_threshold);
-  AppendDouble(s, o.match.lambda);
+  AppendKeyU64(s, std::bit_cast<uint64_t>(o.match.node_threshold));
+  AppendKeyU64(s, std::bit_cast<uint64_t>(o.match.edge_threshold));
+  AppendKeyU64(s, std::bit_cast<uint64_t>(o.match.lambda));
   AppendKeyU64(s, static_cast<uint64_t>(o.match.d));
   AppendKeyU64(s, o.match.max_candidates);
   AppendKeyU64(s, o.match.max_retrieval);
-  AppendDouble(s, o.match.wildcard_node_score);
+  AppendKeyU64(s, std::bit_cast<uint64_t>(o.match.wildcard_node_score));
   AppendKeyU64(s, o.match.enforce_injective ? 1 : 0);
   // Degradation sampling is result-affecting (it shrinks candidate
   // pools), so degraded and nominal runs must never share cache entries.
-  AppendDouble(s, o.match.sample_rate);
+  AppendKeyU64(s, std::bit_cast<uint64_t>(o.match.sample_rate));
   AppendKeyU64(s, o.match.sample_seed);
   AppendKeyU64(s, static_cast<uint64_t>(o.decomposition.strategy));
-  AppendDouble(s, o.decomposition.lambda_tradeoff);
+  AppendKeyU64(s, std::bit_cast<uint64_t>(o.decomposition.lambda_tradeoff));
   AppendKeyU64(s, o.decomposition.sample_size);
-  AppendDouble(s, o.decomposition.connectivity_p);
+  AppendKeyU64(s, std::bit_cast<uint64_t>(o.decomposition.connectivity_p));
   AppendKeyU64(s, o.decomposition.seed);
   AppendKeyU64(s, static_cast<uint64_t>(o.decomposition.max_enumeration_nodes));
-  AppendDouble(s, o.alpha);
+  AppendKeyU64(s, std::bit_cast<uint64_t>(o.alpha));
   AppendKeyU64(s, has_index ? 1 : 0);
   return s;
 }
@@ -100,14 +90,6 @@ std::vector<double> AlphaNodeWeights(const QueryGraph& q,
   return weights;
 }
 
-std::string CandidateCacheKey(const std::string& config_fingerprint,
-                              const query::QueryNode& n) {
-  std::string key = config_fingerprint;
-  key += 'N';
-  key += query::CanonicalNodeSignature(n);
-  return key;
-}
-
 std::string StarCacheKey(const std::string& config_fingerprint,
                          const QueryGraph& q, const StarQuery& star,
                          const std::vector<double>& node_weights) {
@@ -143,23 +125,6 @@ std::vector<NodeCandidateInfo> CollectNodeCandidateInfo(
   return out;
 }
 
-void StarFramework::SeedCandidateLists(const QueryGraph& q,
-                                       const QueryScorer& scorer,
-                                       std::vector<std::string>* node_keys,
-                                       std::vector<bool>* seeded) {
-  node_keys->resize(q.node_count());
-  seeded->assign(q.node_count(), false);
-  for (int u = 0; u < q.node_count(); ++u) {
-    std::string& key = (*node_keys)[u];
-    key = CandidateCacheKey(config_fingerprint_, q.node(u));
-    if (const auto list = options_.reuse->LookupCandidates(key)) {
-      scorer.SeedCandidates(u, *list);
-      (*seeded)[u] = true;
-      ++stats_.candidate_lists_seeded;
-    }
-  }
-}
-
 std::vector<GraphMatch> StarFramework::TopK(const QueryGraph& q, size_t k,
                                             const Cancellation* cancel) {
   // Even one-shot callers benefit from per-query arena allocation (block
@@ -185,22 +150,16 @@ std::vector<GraphMatch> StarFramework::TopK(const QueryGraph& q, size_t k,
   }
 
   // Scorer shared by decomposition sampling and all star searches, so
-  // candidate lists and score memos are computed once per query.
+  // each candidate list and relation-score table is computed once per
+  // query.
   QueryScorer scorer(graph_, q, ensemble_, options_.match, index_, arena);
   scorer.set_cancellation(cancel);
 
-  // Cross-query reuse: capture the generation BEFORE any lookup. At d >= 2
-  // seed warm candidate lists into the scorer so decomposition sampling and
-  // every star search skip retrieval + F_N scoring for shared node shapes.
-  // At d <= 1 a list depends on the node's neighbours, not only on the
-  // signature its key holds, so no list is probed, seeded or published.
+  // Cross-query reuse: capture the generation BEFORE any star probe, so a
+  // prefix computed against state that Invalidate() has since dropped is
+  // never published.
   ReuseCache* const reuse = options_.reuse;
   const uint64_t generation = reuse ? reuse->generation() : 0;
-  std::vector<std::string> node_keys;
-  std::vector<bool> seeded;
-  if (reuse != nullptr && options_.match.d >= 2) {
-    SeedCandidateLists(q, scorer, &node_keys, &seeded);
-  }
 
   const std::vector<StarQuery> stars =
       DecomposeQuery(q, options_.decomposition, &scorer);
@@ -304,22 +263,10 @@ std::vector<GraphMatch> StarFramework::TopK(const QueryGraph& q, size_t k,
   stats_.cancelled |= scorer.truncated();
 
   // Publish to the reuse cache — only when the whole run finished without
-  // any cancellation anywhere, so a truncated partial (stream prefix or
-  // candidate list) can never be replayed as the definitive answer.
+  // any cancellation anywhere, so a truncated stream prefix can never be
+  // replayed as the definitive answer.
   if (reuse != nullptr && !stats_.cancelled) {
     for (CachedStarStream* s : stream_ptrs) s->CommitToCache();
-    for (size_t u = 0; u < node_keys.size(); ++u) {
-      if (seeded[u]) continue;
-      if (const auto* list = scorer.CandidatesIfReady(static_cast<int>(u))) {
-        // The memoized list is arena-backed; the cache needs an owning
-        // heap copy that survives the arena reset.
-        reuse->InsertCandidates(
-            node_keys[u],
-            std::vector<scoring::ScoredCandidate>(list->begin(), list->end()),
-            generation);
-        ++stats_.candidate_lists_inserted;
-      }
-    }
   }
   return out;
 }

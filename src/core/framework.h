@@ -36,11 +36,10 @@ struct StarOptions {
   /// evenly.
   double alpha = 0.5;
   /// Cross-query reuse cache (nullable, must outlive the framework and be
-  /// bound to the same graph/ensemble/index): at d >= 2 candidate lists
-  /// are seeded into the scorer before decomposition, and star match
-  /// streams replay their memoized prefixes (at d <= 1 only a single-star
-  /// query's). Hits are bitwise identical to cold execution;
-  /// cancelled/truncated runs never insert.
+  /// bound to the same graph/ensemble/index): star match streams replay
+  /// their memoized prefixes (at d <= 1 only a single-star query's). Every
+  /// run scores its own candidate lists. Hits are bitwise identical to
+  /// cold execution; cancelled/truncated runs never insert.
   ReuseCache* reuse = nullptr;
 };
 
@@ -59,11 +58,6 @@ std::vector<double> AlphaNodeWeights(const query::QueryGraph& q,
                                      const std::vector<query::StarQuery>& stars,
                                      size_t star_index, double alpha);
 
-/// ReuseCache key of one query node's candidate list:
-/// fingerprint + 'N' + canonical node signature.
-std::string CandidateCacheKey(const std::string& config_fingerprint,
-                              const query::QueryNode& n);
-
 /// ReuseCache key of one canonical star's top-list, or "" when the
 /// canonicalization is not exact (such stars are never memoized).
 std::string StarCacheKey(const std::string& config_fingerprint,
@@ -78,8 +72,8 @@ std::string StarCacheKey(const std::string& config_fingerprint,
 /// It describes each list as it was scored (QueryScorer::ScoredInfo),
 /// before the d <= 1 plan's arc-consistency pass.
 struct NodeCandidateInfo {
-  /// The list was scored (or seeded) during the run. When false the caps
-  /// below are meaningless and readers must assume the worst.
+  /// The list was scored during the run. When false the caps below are
+  /// meaningless and readers must assume the worst.
   bool computed = false;
   /// Wildcard query node: F_N == wildcard_node_score (untyped) or the
   /// type check (typed) for every v.
@@ -130,10 +124,6 @@ struct FrameworkStats {
   size_t star_cache_hits = 0;
   size_t star_cache_misses = 0;
   size_t star_cache_resumes = 0;
-  /// Candidate lists injected into the scorer from the reuse cache /
-  /// harvested into it after a clean run (always 0 at d <= 1).
-  size_t candidate_lists_seeded = 0;
-  size_t candidate_lists_inserted = 0;
 };
 
 /// Fills one NodeCandidateInfo per query node from the scorer's digests
@@ -188,15 +178,6 @@ class StarFramework {
   StarOptions& mutable_options() { return options_; }
 
  private:
-  /// Probes the reuse cache for each query node's candidate list and seeds
-  /// hits into the scorer (before decomposition, so its sampling reuses
-  /// them too). Fills node_keys/seeded for the post-run harvest. d >= 2
-  /// only.
-  void SeedCandidateLists(const query::QueryGraph& q,
-                          const scoring::QueryScorer& scorer,
-                          std::vector<std::string>* node_keys,
-                          std::vector<bool>* seeded);
-
   const graph::KnowledgeGraph& graph_;
   const text::SimilarityEnsemble& ensemble_;
   const graph::LabelIndex* index_;

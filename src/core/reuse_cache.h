@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/match.h"
-#include "scoring/query_scorer.h"
 
 namespace star::core {
 
@@ -28,17 +27,14 @@ struct StarTopList {
 
 /// Cross-query reuse cache consumed by the engine (StarFramework /
 /// CachedStarStream) and implemented by the serving layer
-/// (serve::StarCache). Two sections, both keyed by full signature strings
-/// (configuration fingerprint + canonical signature — lookups compare the
-/// whole key, never a hash alone):
-///
-///  - candidate lists: the scorer's complete, sorted candidate list for
-///    one (node attributes, config) pair, at d >= 2 only (at d <= 1 a list
-///    also depends on the node's neighbours);
-///  - star top-lists: memoized match-stream prefixes per canonical star.
+/// (serve::StarCache): memoized match-stream prefixes per canonical star,
+/// keyed by full signature strings (configuration fingerprint + canonical
+/// star signature — lookups compare the whole key, never a hash alone).
+/// Candidate lists are never cached across queries: each run scores its
+/// own, as the paper does (§V-A).
 ///
 /// Generation contract (same as serve::ResultCache): callers capture
-/// generation() before computing, pass it to Insert*, and the
+/// generation() before computing, pass it to InsertStarTopList, and the
 /// implementation drops inserts whose generation is stale. An
 /// implementation must only ever return values inserted under the SAME
 /// graph / ensemble / index it is being probed for — in practice a cache
@@ -50,16 +46,6 @@ class ReuseCache {
   virtual ~ReuseCache() = default;
 
   virtual uint64_t generation() const = 0;
-
-  /// The complete candidate list stored under `key`, or nullptr.
-  virtual std::shared_ptr<const std::vector<scoring::ScoredCandidate>>
-  LookupCandidates(std::string_view key) = 0;
-
-  /// Stores a COMPLETE (non-truncated) candidate list. Dropped if
-  /// `generation` is stale.
-  virtual void InsertCandidates(std::string_view key,
-                                std::vector<scoring::ScoredCandidate> list,
-                                uint64_t generation) = 0;
 
   /// The memoized stream prefix stored under `key`, or nullopt.
   virtual std::optional<StarTopList> LookupStarTopList(std::string_view key) = 0;

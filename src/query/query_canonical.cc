@@ -1,10 +1,11 @@
 #include "query/query_canonical.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
+#include <bit>
 #include <map>
 #include <utility>
+
+#include "common/string_util.h"
 
 namespace star::query {
 
@@ -109,19 +110,6 @@ std::string Serialize(const QueryGraph& q, const std::vector<int>& order) {
     out += s;
   }
   return out;
-}
-
-// Bit-exact double encoding (16 hex chars of the IEEE-754 image): two
-// weights key equal iff they are the identical double, with no decimal
-// round-trip fuzz. Mirrors the serve layer's config fingerprinting.
-void AppendDoubleBits(std::string& s, double d) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(d));
-  std::memcpy(&bits, &d, sizeof(bits));
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(bits));
-  s += buf;
 }
 
 uint64_t Fnv1a64(const std::string& s) {
@@ -234,11 +222,9 @@ std::string CanonicalStarEdgeRecord(const QueryGraph& q, int edge, int pivot,
   r += kField;
   r += NodeAttr(q.node(q.OtherEnd(edge, pivot)));
   r += kField;
-  AppendDoubleBits(r, leaf_weight);
+  AppendHex64(r, std::bit_cast<uint64_t>(leaf_weight));
   return r;
 }
-
-std::string CanonicalNodeSignature(const QueryNode& n) { return NodeAttr(n); }
 
 CanonicalStar CanonicalizeStar(const QueryGraph& q, const StarQuery& star,
                                const std::vector<double>& node_weights) {
@@ -249,7 +235,7 @@ CanonicalStar CanonicalizeStar(const QueryGraph& q, const StarQuery& star,
   out.signature.push_back('P');
   out.signature += NodeAttr(q.node(star.pivot));
   out.signature += kField;
-  AppendDoubleBits(out.signature, weight(star.pivot));
+  AppendHex64(out.signature, std::bit_cast<uint64_t>(weight(star.pivot)));
 
   std::vector<std::string> records;
   records.reserve(star.edges.size());

@@ -82,12 +82,6 @@ struct CanonicalStar {
 std::string CanonicalStarEdgeRecord(const QueryGraph& q, int edge, int pivot,
                                     double leaf_weight);
 
-/// Canonical attribute record of one query node (wildcard flag, label,
-/// type). Two query nodes with equal records have identical candidate
-/// lists under a fixed graph/index/config — the star cache keys candidate
-/// lists by this.
-std::string CanonicalNodeSignature(const QueryNode& n);
-
 /// Canonicalizes one star of q. `node_weights` are the α-scheme ownership
 /// weights (StarSearch::Options::node_weights); empty means weight 1.0 for
 /// every node (standalone star query), encoded identically to an explicit

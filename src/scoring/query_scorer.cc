@@ -899,20 +899,6 @@ void QueryScorer::PlanLists() const {
   for (int u = 0; u < n; ++u) candidates_ready_[u] = true;
 }
 
-void QueryScorer::SeedCandidates(int query_node,
-                                 const std::vector<ScoredCandidate>& list) const {
-  const int slot = list_rep_[query_node];
-  if (config_.d <= 1 || candidates_ready_[slot]) return;
-  candidates_[slot].assign(list.begin(), list.end());
-  candidates_ready_[slot] = true;
-  scored_[slot] = Digest(candidates_[slot]);
-}
-
-const CandidateList* QueryScorer::CandidatesIfReady(int query_node) const {
-  const int slot = list_rep_[query_node];
-  return candidates_ready_[slot] ? &candidates_[slot] : nullptr;
-}
-
 double QueryScorer::CandidateScore(int query_node, graph::NodeId v) const {
   const query::QueryNode& qn = query_.node(query_node);
   if (config_.d >= 2 && qn.wildcard && qn.type_name.empty()) {

@@ -49,8 +49,8 @@ struct RetrievalStats {
 /// (DESIGN.md "Arc-consistent candidate lists"). The serve layer's
 /// degradation certificate reads it.
 struct ScoredListInfo {
-  /// The list was scored (or seeded) this session. A list the d <= 1 plan
-  /// never scored (it stopped at an empty list first) reads false.
+  /// The list was scored by this scorer. A list the d <= 1 plan never
+  /// scored (it stopped at an empty list first) reads false.
   bool scored = false;
   /// Best F_N kept; where the plan's pre-scoring filter dropped pool nodes
   /// unscored, raised to the largest RetrievalNodeBound among them (the
@@ -126,17 +126,6 @@ class QueryScorer {
   /// every list is empty.
   const CandidateList& Candidates(int query_node) const;
 
-  /// Injects a precomputed candidate list for `query_node` (cross-query
-  /// reuse), at d >= 2 only: the list must be exactly
-  /// Candidates(query_node) under the same config, graph and index, and
-  /// must be COMPLETE (never a cancellation-truncated prefix). No-op if the
-  /// list was already computed, and at d <= 1, where a list depends on the
-  /// node's neighbours and not only on its signature. The engines read
-  /// only the list and its score table, so every downstream read stays
-  /// bit-identical to an unseeded run.
-  void SeedCandidates(int query_node,
-                      const std::vector<ScoredCandidate>& list) const;
-
   /// The MatchConfig::sample_rate pool predicate: whether node v survives
   /// deterministic seeded sampling. Pure function of (seed, v, rate) —
   /// exposed so the serve layer's degradation certificate and tests can
@@ -157,14 +146,6 @@ class QueryScorer {
   /// rebuilds.
   std::vector<graph::NodeId> RetrievalPool(
       int query_node, std::vector<uint8_t>* shares_token) const;
-
-  /// The memoized candidate list of `query_node` if it has been computed
-  /// this session, nullptr otherwise. Never triggers computation. NOTE: a
-  /// ready list can still be truncated when a cancellation fired
-  /// mid-BulkScore — callers harvesting lists for a cross-query cache
-  /// must first check that the whole run finished cleanly (truncated() is
-  /// false).
-  const CandidateList* CandidatesIfReady(int query_node) const;
 
   /// How `query_node`'s list was scored (see ScoredListInfo). Never
   /// triggers computation.

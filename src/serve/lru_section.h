@@ -15,7 +15,7 @@
 namespace star::serve {
 
 /// One string-keyed LRU store, the body of every serve-layer cache
-/// (ResultCache, StarCache's two sections). Not synchronized: the owning
+/// (ResultCache, StarCache). Not synchronized: the owning
 /// cache holds its lock around every call. List front = most recently
 /// used; the index does heterogeneous string_view lookups so probes never
 /// allocate a key copy.

@@ -24,8 +24,7 @@ QueryService::QueryService(const graph::KnowledgeGraph& g,
       config_key_(core::StarOptionsFingerprint(options_.star,
                                                index_ != nullptr)),
       cache_(options_.cache_capacity),
-      star_cache_(options_.star_cache_capacity,
-                  options_.star_cache_capacity) {
+      star_cache_(options_.star_cache_capacity) {
   // Workers chain through the queue, so max_inflight pool threads suffice;
   // each request runs start to finish on the one worker that took it.
   ThreadPool::Global().EnsureWorkers(options_.max_inflight);
@@ -252,7 +251,7 @@ QueryResponse QueryService::Run(Pending& p) {
   }
   // Degraded execution: every knob ApplyDegradation touches is part of
   // StarOptionsFingerprint, so the star-level reuse cache segregates
-  // degraded prefixes/lists from nominal ones automatically.
+  // degraded prefixes from nominal ones automatically.
   ApplyDegradation(options_.degrade, p.degrade_level, &star_options);
   // Per-worker request arena: pool threads persist across requests, so
   // after warm-up the largest block absorbs each request's transient

@@ -44,10 +44,10 @@ struct ServiceOptions {
   /// Result-cache entries (0 disables caching entirely).
   size_t cache_capacity = 128;
 
-  /// Star-level reuse-cache entries per section (candidate lists and star
-  /// top-lists; 0 disables). Unlike the result cache, this one pays off
-  /// across DIFFERENT queries that share canonical stars or node shapes.
-  /// The service overrides `star.reuse` to point at its own cache.
+  /// Star-level reuse-cache entries, one per canonical star top-list (0
+  /// disables). Unlike the result cache, this one pays off across
+  /// DIFFERENT queries that share canonical stars. The service overrides
+  /// `star.reuse` to point at its own cache.
   size_t star_cache_capacity = 256;
 
   /// Single-flight request coalescing: a request whose normalized cache
@@ -172,9 +172,9 @@ struct ServiceStats {
 ///    InvalidateCache() bumps a generation counter so in-flight stale
 ///    results never land.
 ///  - Star-level reuse: fresh executions run against a shared StarCache of
-///    canonical-star stream prefixes and per-node candidate lists, so
-///    DIFFERENT queries that overlap in template structure skip the
-///    overlapping work. Warm results stay bitwise identical to cold ones.
+///    canonical-star stream prefixes, so DIFFERENT queries that share a
+///    star skip its search. Warm results stay bitwise identical to cold
+///    ones.
 ///  - Single-flight coalescing: duplicate requests (same normalized cache
 ///    key) attach to the in-flight leader and receive copies of its
 ///    result — N identical concurrent requests cost one execution. A

@@ -4,39 +4,6 @@
 
 namespace star::serve {
 
-std::shared_ptr<const std::vector<scoring::ScoredCandidate>>
-StarCache::LookupCandidates(std::string_view key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (auto* entry = candidates_.Touch(key)) {
-    ++stats_.candidate_hits;
-    return entry->second;
-  }
-  ++stats_.candidate_misses;
-  return nullptr;
-}
-
-void StarCache::InsertCandidates(std::string_view key,
-                                 std::vector<scoring::ScoredCandidate> list,
-                                 uint64_t generation) {
-  if (candidate_capacity_ == 0) return;
-  auto value = std::make_shared<const std::vector<scoring::ScoredCandidate>>(
-      std::move(list));
-  std::lock_guard<std::mutex> lock(mu_);
-  if (generation != generation_) {
-    ++stats_.stale_drops;
-    return;
-  }
-  if (auto* entry = candidates_.Touch(key)) {
-    // Candidate lists are pure functions of the key; a re-insert just
-    // refreshes recency (the value is necessarily identical).
-    entry->second = std::move(value);
-    return;
-  }
-  candidates_.InsertFront(key, std::move(value), candidate_capacity_,
-                          &stats_.candidate_evictions);
-  ++stats_.candidate_insertions;
-}
-
 std::optional<core::StarTopList> StarCache::LookupStarTopList(
     std::string_view key) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -52,7 +19,7 @@ void StarCache::InsertStarTopList(std::string_view key,
                                   std::vector<core::StarMatch> matches,
                                   std::vector<double> bounds, bool exhausted,
                                   uint64_t generation) {
-  if (toplist_capacity_ == 0) return;
+  if (capacity_ == 0) return;
   // A recording whose bounds are misaligned with its matches can never
   // replay faithfully; refuse it outright.
   if (bounds.size() != matches.size() + 1) return;
@@ -76,7 +43,7 @@ void StarCache::InsertStarTopList(std::string_view key,
     if (deeper) entry->second = std::move(value);
     return;  // Touch already refreshed recency
   }
-  toplists_.InsertFront(key, std::move(value), toplist_capacity_,
+  toplists_.InsertFront(key, std::move(value), capacity_,
                         &stats_.toplist_evictions);
   ++stats_.toplist_insertions;
 }

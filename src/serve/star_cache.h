@@ -15,10 +15,10 @@
 namespace star::serve {
 
 struct StarCacheStats {
+  /// Always 0: candidate lists are not cached across queries. Kept for
+  /// perfbench's serve.star_cache.candidate_hit_rate, which reads both.
   uint64_t candidate_hits = 0;
-  uint64_t candidate_misses = 0;
-  uint64_t candidate_insertions = 0;
-  uint64_t candidate_evictions = 0;
+  uint64_t candidate_misses = 0;  ///< always 0 (see candidate_hits)
   uint64_t toplist_hits = 0;
   uint64_t toplist_misses = 0;
   uint64_t toplist_insertions = 0;
@@ -27,12 +27,11 @@ struct StarCacheStats {
   uint64_t stale_drops = 0;
 };
 
-/// Thread-safe, generation-counted LRU store behind core::ReuseCache: one
-/// section memoizes per-node candidate lists (d >= 2), the other per-star
-/// top-list prefixes with their recorded between-pull upper bounds. Keys
-/// are full canonical strings (config fingerprint + canonical signature)
-/// and every lookup compares the complete key via the hash map's equality
-/// — a hash collision can never surface a wrong entry.
+/// Thread-safe, generation-counted LRU store behind core::ReuseCache: per
+/// canonical star, a top-list prefix with its recorded between-pull upper
+/// bounds. Keys are full canonical strings (config fingerprint + canonical
+/// star signature) and every lookup compares the complete key via the hash
+/// map's equality — a hash collision can never surface a wrong entry.
 ///
 /// Values are shared_ptr-wrapped so a hit is a refcount bump: the critical
 /// section does no copying, and readers keep replaying an entry safely even
@@ -41,14 +40,12 @@ struct StarCacheStats {
 ///
 /// Invalidation contract (same as ResultCache): callers capture
 /// generation() before computing, pass it to the insert; Invalidate() bumps
-/// the generation and clears both sections.
+/// the generation and clears the store.
 class StarCache final : public core::ReuseCache {
  public:
-  /// Per-section entry capacities; 0 disables that section (lookups miss,
-  /// inserts drop).
-  StarCache(size_t candidate_capacity, size_t toplist_capacity)
-      : candidate_capacity_(candidate_capacity),
-        toplist_capacity_(toplist_capacity) {}
+  /// Top-list entry capacity; 0 disables the cache (lookups miss, inserts
+  /// drop).
+  explicit StarCache(size_t capacity) : capacity_(capacity) {}
 
   uint64_t generation() const override {
     std::lock_guard<std::mutex> lock(mu_);
@@ -58,16 +55,8 @@ class StarCache final : public core::ReuseCache {
   void Invalidate() {
     std::lock_guard<std::mutex> lock(mu_);
     ++generation_;
-    candidates_.Clear();
     toplists_.Clear();
   }
-
-  std::shared_ptr<const std::vector<scoring::ScoredCandidate>>
-  LookupCandidates(std::string_view key) override;
-
-  void InsertCandidates(std::string_view key,
-                        std::vector<scoring::ScoredCandidate> list,
-                        uint64_t generation) override;
 
   std::optional<core::StarTopList> LookupStarTopList(
       std::string_view key) override;
@@ -104,37 +93,6 @@ class StarCache final : public core::ReuseCache {
     return touched;
   }
 
-  /// Test-only fault injection: adds `delta` to every cached candidate
-  /// F_N (order-preserving, so replay machinery stays well-formed while
-  /// every score derived from a seeded list goes wrong). Returns entries
-  /// touched.
-  size_t CorruptCandidateScoresForTest(double delta) {
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t touched = 0;
-    for (auto& [key, list] : candidates_.lru) {
-      auto copy =
-          std::make_shared<std::vector<scoring::ScoredCandidate>>(*list);
-      for (auto& c : *copy) c.score += delta;
-      list = std::move(copy);
-      ++touched;
-    }
-    return touched;
-  }
-
-  /// Test-only: drops the top-list section (keeps candidates and the
-  /// generation). Forces a warm run down the candidate-seeded recompute
-  /// path — used with CorruptCandidateScoresForTest so poisoned lists are
-  /// actually consumed instead of being shadowed by memoized streams.
-  void ClearTopListsForTest() {
-    std::lock_guard<std::mutex> lock(mu_);
-    toplists_.Clear();
-  }
-
-  size_t candidate_size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return candidates_.lru.size();
-  }
-
   size_t toplist_size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return toplists_.lru.size();
@@ -142,11 +100,8 @@ class StarCache final : public core::ReuseCache {
 
  private:
   mutable std::mutex mu_;
-  const size_t candidate_capacity_;
-  const size_t toplist_capacity_;
+  const size_t capacity_;
   uint64_t generation_ = 0;
-  LruSection<std::shared_ptr<const std::vector<scoring::ScoredCandidate>>>
-      candidates_;
   LruSection<core::StarTopList> toplists_;
   StarCacheStats stats_;
 };

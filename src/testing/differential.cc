@@ -451,27 +451,32 @@ void CheckFnOracle(const scoring::QueryScorer& scorer,
   const std::vector<std::vector<scoring::ScoredCandidate>> reference =
       ReferenceCandidateLists(scorer, ensemble);
   for (int u = 0; u < q.node_count(); ++u) {
-    const std::vector<scoring::ScoredCandidate>& want = reference[u];
-    const scoring::CandidateList& got = scorer.Candidates(u);
-    const size_t n = std::min(want.size(), got.size());
-    size_t i = 0;
-    while (i < n && got[i].node == want[i].node &&
-           std::bit_cast<uint64_t>(got[i].score) ==
-               std::bit_cast<uint64_t>(want[i].score)) {
-      ++i;
-    }
-    if (i == n && want.size() == got.size()) continue;
-    std::string detail = StrPrintf(
-        "query node %d \"%s\": %zu candidates, the reference gives %zu", u,
-        q.node(u).label.c_str(), got.size(), want.size());
-    if (i < n) {
-      detail += StrPrintf(
-          "; position %zu is %d @ %a, the reference gives %d @ %a", i,
-          static_cast<int>(got[i].node), got[i].score,
-          static_cast<int>(want[i].node), want[i].score);
-    }
-    AddViolation(out, "fn-oracle", cell, std::move(detail));
+    CheckCandidateList(q, u, scorer.Candidates(u), reference[u], cell, out);
   }
+}
+
+void CheckCandidateList(const query::QueryGraph& q, int u,
+                        std::span<const scoring::ScoredCandidate> got,
+                        std::span<const scoring::ScoredCandidate> want,
+                        const std::string& cell, CaseOutcome* out) {
+  const size_t n = std::min(want.size(), got.size());
+  size_t i = 0;
+  while (i < n && got[i].node == want[i].node &&
+         std::bit_cast<uint64_t>(got[i].score) ==
+             std::bit_cast<uint64_t>(want[i].score)) {
+    ++i;
+  }
+  if (i == n && want.size() == got.size()) return;
+  std::string detail = StrPrintf(
+      "query node %d \"%s\": %zu candidates, the reference gives %zu", u,
+      q.node(u).label.c_str(), got.size(), want.size());
+  if (i < n) {
+    detail += StrPrintf(
+        "; position %zu is %d @ %a, the reference gives %d @ %a", i,
+        static_cast<int>(got[i].node), got[i].score,
+        static_cast<int>(want[i].node), want[i].score);
+  }
+  AddViolation(out, "fn-oracle", cell, std::move(detail));
 }
 
 CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
@@ -541,7 +546,7 @@ CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
   // --- Reuse cells: cold -> warm -> invalidated, all bitwise vs base ---
   if (opts.run_reuse) {
     for (size_t i = 0; i < 3; ++i) {
-      serve::StarCache cache(256, 256);
+      serve::StarCache cache(256);
       RunSpec spec = base_spec;
       spec.strategy = kStrategies[i].s;
       spec.reuse = &cache;
@@ -554,11 +559,6 @@ CaseOutcome RunDifferentialCase(const FuzzCase& c, const RunnerOptions& opts) {
 
       if (c.inject == BugInjection::kWarmTopListScores) {
         cache.CorruptTopListScoresForTest(0.25);
-      } else if (c.inject == BugInjection::kWarmCandidateScores) {
-        cache.CorruptCandidateScoresForTest(0.25);
-        // Drop memoized streams so the poisoned candidate lists are
-        // actually consumed instead of being shadowed by replay.
-        cache.ClearTopListsForTest();
       }
       const EngineResult warm = Run(ensemble, spec);
       ++out.cells_run;

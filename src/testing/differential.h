@@ -2,6 +2,7 @@
 #define STAR_TESTING_DIFFERENTIAL_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -110,6 +111,14 @@ void ArcConsistentClosure(
 void CheckFnOracle(const scoring::QueryScorer& scorer,
                    const text::SimilarityEnsemble& ensemble,
                    const std::string& cell, CaseOutcome* out);
+
+/// CheckFnOracle's comparison of query node u's list: appends one
+/// "fn-oracle" violation to `out` when `got` differs from the reference
+/// `want` in its length, an id or a score bit.
+void CheckCandidateList(const query::QueryGraph& q, int u,
+                        std::span<const scoring::ScoredCandidate> got,
+                        std::span<const scoring::ScoredCandidate> want,
+                        const std::string& cell, CaseOutcome* out);
 
 }  // namespace star::testing
 

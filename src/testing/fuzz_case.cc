@@ -17,7 +17,6 @@ const char* BugInjectionName(BugInjection b) {
   switch (b) {
     case BugInjection::kNone: return "none";
     case BugInjection::kWarmTopListScores: return "warm-toplist";
-    case BugInjection::kWarmCandidateScores: return "warm-candidates";
   }
   return "none";
 }

@@ -20,10 +20,6 @@ enum class BugInjection {
   /// warm reuse runs: warm replays then emit perturbed scores, which the
   /// warm==cold differential cell must flag.
   kWarmTopListScores,
-  /// serve::StarCache::CorruptCandidateScoresForTest between cold and
-  /// warm: seeded candidate lists carry perturbed F_N, breaking warm
-  /// bitwise identity.
-  kWarmCandidateScores,
 };
 
 const char* BugInjectionName(BugInjection b);

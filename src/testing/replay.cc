@@ -83,14 +83,17 @@ std::vector<std::string> SplitLine(const std::string& line,
   return fields;
 }
 
-BugInjection InjectionByName(const std::string& name) {
-  if (name == BugInjectionName(BugInjection::kWarmTopListScores)) {
-    return BugInjection::kWarmTopListScores;
+/// False for a name no BugInjection carries: a replay that names a bug
+/// this build cannot plant must not run as a plain case.
+bool InjectionByName(const std::string& name, BugInjection* out) {
+  for (const BugInjection b :
+       {BugInjection::kNone, BugInjection::kWarmTopListScores}) {
+    if (name == BugInjectionName(b)) {
+      *out = b;
+      return true;
+    }
   }
-  if (name == BugInjectionName(BugInjection::kWarmCandidateScores)) {
-    return BugInjection::kWarmCandidateScores;
-  }
-  return BugInjection::kNone;
+  return false;
 }
 
 }  // namespace
@@ -168,12 +171,13 @@ bool ParseReplay(const std::string& text, FuzzCase* out, std::string* error) {
     } else if (key == "profile") {
       c.profile = DecodeName(rest);
     } else if (key == "inject") {
-      c.inject = InjectionByName(rest);
+      if (!InjectionByName(rest, &c.inject)) return fail("bad inject");
     } else if (key == "k") {
       uint64_t k = 0;
       if (!ParseU64(rest, &k) || k == 0) return fail("bad k");
       c.k = static_cast<size_t>(k);
     } else if (key == "with_index") {
+      if (rest != "0" && rest != "1") return fail("bad with_index");
       c.with_index = rest == "1";
     } else if (key == "context") {
       if (rest != "0" && rest != "1") return fail("bad context");

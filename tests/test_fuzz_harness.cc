@@ -94,6 +94,25 @@ TEST(ReplayTest, RejectsMalformedInputWithLineNumbers) {
   open_graph.resize(open_graph.rfind("endgraph"));
   EXPECT_FALSE(ParseReplay(open_graph, &out, &err));
   EXPECT_NE(err.find("endgraph"), std::string::npos) << err;
+
+  // A bug this build cannot plant, and an index flag that is neither 0
+  // nor 1, must not replay as a plain case.
+  const std::string good = SerializeReplay(MakeFuzzCase(SmokeProfile(), 3));
+  const auto with_line = [&good](const std::string& key,
+                                 const std::string& value) {
+    std::string text = good;
+    const size_t at = text.find("\n" + key + " ") + 1;
+    text.replace(at, text.find('\n', at) - at, key + " " + value);
+    return text;
+  };
+  EXPECT_TRUE(ParseReplay(with_line("inject", "none"), &out, &err)) << err;
+  EXPECT_TRUE(ParseReplay(with_line("inject", "warm-toplist"), &out, &err))
+      << err;
+  EXPECT_TRUE(ParseReplay(with_line("with_index", "0"), &out, &err)) << err;
+  EXPECT_FALSE(ParseReplay(with_line("inject", "bogus"), &out, &err));
+  EXPECT_EQ(err, "line 4: bad inject");
+  EXPECT_FALSE(ParseReplay(with_line("with_index", "2"), &out, &err));
+  EXPECT_EQ(err, "line 6: bad with_index");
 }
 
 TEST(ReplayTest, DegradePinRoundTripsAndDefaultsStayCompatible) {
@@ -226,9 +245,8 @@ TEST(DifferentialTest, InjectedBugIsCaughtShrunkAndReplayed) {
 
 // The fn-oracle check must flag a candidate list that differs from the
 // one rebuilt from Score() in a single id or a single score bit. The
-// wrong lists are seeded into the scorer's memo (at d = 2, where a list
-// can be seeded), so Candidates() returns them as if the kernel had
-// computed them.
+// scorer's own lists pass CheckFnOracle; the wrong lists go through its
+// per-node comparison, CheckCandidateList, against the same reference.
 TEST(FnOracleTest, FlagsADroppedCandidateAndAOneUlpScore) {
   const graph::KnowledgeGraph g = MovieGraph();
   const graph::LabelIndex index(g);
@@ -238,35 +256,32 @@ TEST(FnOracleTest, FlagsADroppedCandidateAndAOneUlpScore) {
   const int w = q.AddWildcardNode("");
   q.AddEdge(u, w, "actedIn");
   const scoring::MatchConfig cfg = TestConfig(/*d=*/2);
-  std::vector<scoring::ScoredCandidate> right;
-  {
-    const scoring::QueryScorer scorer(g, q, ensemble, cfg, &index);
-    CaseOutcome clean;
-    CheckFnOracle(scorer, ensemble, "clean", &clean);
-    EXPECT_TRUE(clean.ok()) << clean.Summary();
-    const scoring::CandidateList& list = scorer.Candidates(u);
-    right.assign(list.begin(), list.end());
-  }
+  const scoring::QueryScorer scorer(g, q, ensemble, cfg, &index);
+  CaseOutcome clean;
+  CheckFnOracle(scorer, ensemble, "clean", &clean);
+  EXPECT_TRUE(clean.ok()) << clean.Summary();
+  const scoring::CandidateList& list = scorer.Candidates(u);
+  const std::vector<scoring::ScoredCandidate> right(list.begin(), list.end());
   ASSERT_GE(right.size(), 2u);
+  CheckCandidateList(q, u, right, right, "right", &clean);
+  EXPECT_TRUE(clean.ok()) << clean.Summary();
 
   std::vector<scoring::ScoredCandidate> dropped = right;
   dropped.erase(dropped.begin() + 1);
   std::vector<scoring::ScoredCandidate> off_by_ulp = right;
   off_by_ulp.back().score = std::nextafter(off_by_ulp.back().score, 2.0);
   for (const auto* wrong : {&dropped, &off_by_ulp}) {
-    const scoring::QueryScorer scorer(g, q, ensemble, cfg, &index);
-    scorer.SeedCandidates(u, *wrong);
     CaseOutcome out;
-    CheckFnOracle(scorer, ensemble, "seeded", &out);
+    CheckCandidateList(q, u, *wrong, right, "wrong", &out);
     ASSERT_EQ(out.violations.size(), 1u);
     EXPECT_EQ(out.violations[0].check, "fn-oracle");
-    EXPECT_EQ(out.violations[0].cell, "seeded");
+    EXPECT_EQ(out.violations[0].cell, "wrong");
   }
 }
 
 TEST(ShrinkerTest, IsDeterministic) {
   FuzzCase c = MakeFuzzCase(SmokeProfile(), 404);
-  c.inject = BugInjection::kWarmCandidateScores;
+  c.inject = BugInjection::kWarmTopListScores;
   ShrinkOptions so;
   const ShrinkResult a = ShrinkCase(c, "reuse-warm", so);
   const ShrinkResult b = ShrinkCase(c, "reuse-warm", so);

@@ -3,8 +3,8 @@
 // (serve/star_cache.h), the framework wiring (StarOptions::reuse +
 // CachedStarStream replay), and single-flight request coalescing in
 // QueryService. The load-bearing property throughout: anything served warm
-// — replayed star prefix, seeded candidate list, coalesced response — is
-// BITWISE identical to cold execution.
+// — replayed star prefix, coalesced response — is BITWISE identical to
+// cold execution.
 
 #include <atomic>
 #include <chrono>
@@ -126,36 +126,39 @@ TEST(CanonicalStarTest, TiedEdgeRecordsAreMarkedInexact) {
 // StarCache unit behavior
 // ---------------------------------------------------------------------------
 
-std::vector<scoring::ScoredCandidate> SomeCandidates(int n) {
-  std::vector<scoring::ScoredCandidate> out;
-  for (int i = 0; i < n; ++i) {
-    out.push_back({static_cast<graph::NodeId>(i), 1.0 / (1 + i)});
-  }
-  return out;
-}
-
-TEST(StarCacheTest, CandidateSectionLruAndGeneration) {
-  StarCache cache(2, 2);
+TEST(StarCacheTest, TopListLruAndGeneration) {
+  StarCache cache(2);
+  const auto insert = [&cache](const char* key, uint64_t generation) {
+    cache.InsertStarTopList(key, std::vector<core::StarMatch>(1),
+                            std::vector<double>(2, 1.0), false, generation);
+  };
   const uint64_t gen = cache.generation();
-  cache.InsertCandidates("a", SomeCandidates(1), gen);
-  cache.InsertCandidates("b", SomeCandidates(2), gen);
-  ASSERT_NE(cache.LookupCandidates("a"), nullptr);  // refresh a
-  cache.InsertCandidates("c", SomeCandidates(3), gen);  // evicts b
-  EXPECT_NE(cache.LookupCandidates("a"), nullptr);
-  EXPECT_EQ(cache.LookupCandidates("b"), nullptr);
-  EXPECT_NE(cache.LookupCandidates("c"), nullptr);
-  EXPECT_EQ(cache.stats().candidate_evictions, 1u);
+  insert("a", gen);
+  insert("b", gen);
+  ASSERT_TRUE(cache.LookupStarTopList("a").has_value());  // refresh a
+  insert("c", gen);  // evicts b
+  EXPECT_TRUE(cache.LookupStarTopList("a").has_value());
+  EXPECT_FALSE(cache.LookupStarTopList("b").has_value());
+  EXPECT_TRUE(cache.LookupStarTopList("c").has_value());
+  EXPECT_EQ(cache.stats().toplist_evictions, 1u);
+  EXPECT_EQ(cache.toplist_size(), 2u);
 
   cache.Invalidate();
-  EXPECT_EQ(cache.LookupCandidates("a"), nullptr)
-      << "Invalidate must clear the candidate section";
-  cache.InsertCandidates("d", SomeCandidates(1), gen);  // stale generation
-  EXPECT_EQ(cache.LookupCandidates("d"), nullptr);
-  EXPECT_GE(cache.stats().stale_drops, 1u);
+  EXPECT_NE(cache.generation(), gen);
+  EXPECT_EQ(cache.toplist_size(), 0u);
+  EXPECT_FALSE(cache.LookupStarTopList("a").has_value())
+      << "Invalidate must clear the top-list section";
+  insert("d", gen);  // stale generation
+  EXPECT_FALSE(cache.LookupStarTopList("d").has_value());
+  EXPECT_EQ(cache.stats().stale_drops, 1u);
+  insert("d", cache.generation());
+  EXPECT_TRUE(cache.LookupStarTopList("d").has_value());
+  EXPECT_EQ(cache.stats().candidate_hits + cache.stats().candidate_misses,
+            0u);
 }
 
 TEST(StarCacheTest, TopListKeepsTheDeeperRecording) {
-  StarCache cache(4, 4);
+  StarCache cache(4);
   const uint64_t gen = cache.generation();
   const auto make = [](int depth) {
     std::vector<core::StarMatch> ms(depth);
@@ -255,12 +258,11 @@ TEST_P(StarReuseIdentityTest, WarmRunsAreBitwiseIdenticalToCold) {
       const std::string cell = "d=" + std::to_string(d) +
                                (q.IsStar() ? " star" : " path");
       // At d <= 1 the stars of a multi-star query restrict each other's
-      // candidate lists, so only a single star memoizes its stream, and no
-      // node-level list is cached.
+      // candidate lists, so only a single star memoizes its stream.
       const bool star_cached = q.IsStar() || d >= 2;
       const auto direct = fx.Run(q, k, base);
 
-      StarCache cache(64, 64);
+      StarCache cache(64);
       StarOptions with_reuse = base;
       with_reuse.reuse = &cache;
 
@@ -269,13 +271,11 @@ TEST_P(StarReuseIdentityTest, WarmRunsAreBitwiseIdenticalToCold) {
       ExpectIdentical(cold, direct);
       EXPECT_EQ(cold_stats.star_cache_misses > 0, star_cached) << cell;
       EXPECT_EQ(cold_stats.star_cache_hits, 0u) << cell;
-      EXPECT_EQ(cold_stats.candidate_lists_inserted > 0, d >= 2) << cell;
 
       const auto warm = fx.Run(q, k, with_reuse, &warm_stats);
       ExpectIdentical(warm, direct);
       EXPECT_EQ(warm_stats.star_cache_hits > 0, star_cached)
           << cell << ": a second run of the same query replays its stars";
-      EXPECT_EQ(warm_stats.candidate_lists_seeded > 0, d >= 2) << cell;
     }
   }
 }
@@ -292,14 +292,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 // At d <= 1 the stars of a multi-star query restrict each other's
 // candidate lists, so a star's stream is not a function of its signature:
-// such a query neither probes nor commits the star cache, and no list is
-// a function of its node's signature either, so none is published or
-// seeded. At d = 2 the same query memoizes its stars and its lists.
+// such a query neither probes nor commits the star cache. At d = 2 the
+// same query memoizes its stars.
 TEST(StarReuseIdentityTest, MultiStarQueriesAtDOneLeaveTheStarCacheAlone) {
   ReuseFixture fx(MovieGraph());
   const QueryGraph q = PathQuery();
   for (const int d : {1, 2}) {
-    StarCache cache(64, 64);
+    StarCache cache(64);
     StarOptions o;
     o.match = TestConfig(d);
     o.reuse = &cache;
@@ -313,53 +312,16 @@ TEST(StarReuseIdentityTest, MultiStarQueriesAtDOneLeaveTheStarCacheAlone) {
     EXPECT_EQ(cache.stats().toplist_insertions > 0, cached) << "d=" << d;
     EXPECT_EQ(cold.star_cache_misses + warm.star_cache_hits > 0, cached)
         << "d=" << d;
-    EXPECT_EQ(cache.candidate_size() > 0, cached) << "d=" << d;
-    EXPECT_EQ(warm.candidate_lists_seeded > 0, cached) << "d=" << d;
   }
 }
 
-// The candidate section holds node-level lists, a function of the node's
-// signature. At d = 2 "Brad" next to Los Angeles keeps Brad Garrett, and a
-// later query seeded from the cache sees him next to a film. At d = 1 the
-// plan reduces that list to Brad Pitt, which is not a function of the
-// signature, so nothing node-level is cached and the later query scores
-// its own list.
-TEST(StarReuseIdentityTest, CachedCandidateListsAreNodeLevel) {
-  ReuseFixture fx(MovieGraph());
-  QueryGraph born;
-  const int born_brad = born.AddNode("Brad");
-  born.AddEdge(born_brad, born.AddNode("Los Angeles"));
-  QueryGraph acted;
-  const int brad = acted.AddNode("Brad");
-  acted.AddEdge(brad, acted.AddWildcardNode("Film"));
-  for (const int d : {1, 2}) {
-    StarOptions base;
-    base.match = TestConfig(d);
-    const auto direct = fx.Run(acted, 6, base);
-
-    StarCache cache(64, 64);
-    StarOptions with_reuse = base;
-    with_reuse.reuse = &cache;
-    fx.Run(born, 6, with_reuse);
-    EXPECT_EQ(cache.candidate_size() > 0, d >= 2) << "d=" << d;
-    core::FrameworkStats stats;
-    const auto warm = fx.Run(acted, 6, with_reuse, &stats);
-    EXPECT_EQ(stats.candidate_lists_seeded > 0, d >= 2) << "d=" << d;
-    ExpectIdentical(warm, direct);
-    bool garrett = false;
-    for (const GraphMatch& m : warm) garrett |= m.mapping[brad] == 1;
-    EXPECT_TRUE(garrett) << "d=" << d
-                         << ": Brad Garrett (node 1) acted in Troy";
-  }
-}
-
-// At d <= 1 an attached cache changes nothing before the star cache: the
-// cold run is the uncached plan, with its pre-scoring filter, so it scores
-// the same nodes and returns the same matches, and no node-level list is
-// published. A multi-star query, which skips the star cache at d <= 1,
-// scores them again when warm. At d = 2 the same queries still publish
-// their lists and seed them when warm.
-TEST(StarReuseIdentityTest, AtDOneACachedRunScoresLikeAnUncachedRun) {
+// An attached cache changes nothing before the star cache: a cold run
+// scores exactly the nodes an uncached run scores and returns the same
+// matches. A warm multi-star query scores them again, at d = 1 because it
+// skips the star cache and at d = 2 because decomposition reads the
+// candidate list of each labelled node; a warm single star replays its
+// stream.
+TEST(StarReuseIdentityTest, ACachedRunScoresLikeAnUncachedRun) {
   ReuseFixture fx(MovieGraph());
   for (const int d : {1, 2}) {
     for (const QueryGraph& q : {StarOnlyQuery(), PathQuery()}) {
@@ -370,29 +332,21 @@ TEST(StarReuseIdentityTest, AtDOneACachedRunScoresLikeAnUncachedRun) {
       core::FrameworkStats direct_stats, cold_stats, warm_stats;
       const auto direct = fx.Run(q, 6, base, &direct_stats);
 
-      StarCache cache(64, 64);
+      StarCache cache(64);
       StarOptions with_reuse = base;
       with_reuse.reuse = &cache;
       const auto cold = fx.Run(q, 6, with_reuse, &cold_stats);
       const auto warm = fx.Run(q, 6, with_reuse, &warm_stats);
       ExpectIdentical(cold, direct);
       ExpectIdentical(warm, direct);
-      if (d <= 1) {
-        EXPECT_EQ(cold_stats.retrieval.nodes_scored,
+      EXPECT_GT(direct_stats.retrieval.nodes_scored, 0u) << cell;
+      EXPECT_EQ(cold_stats.retrieval.nodes_scored,
+                direct_stats.retrieval.nodes_scored)
+          << cell;
+      if (!q.IsStar()) {
+        EXPECT_EQ(warm_stats.retrieval.nodes_scored,
                   direct_stats.retrieval.nodes_scored)
             << cell;
-        if (!q.IsStar()) {
-          EXPECT_EQ(warm_stats.retrieval.nodes_scored,
-                    direct_stats.retrieval.nodes_scored)
-              << cell;
-        }
-        EXPECT_EQ(cache.candidate_size(), 0u) << cell;
-        EXPECT_EQ(cold_stats.candidate_lists_inserted, 0u) << cell;
-        EXPECT_EQ(warm_stats.candidate_lists_seeded, 0u) << cell;
-      } else {
-        EXPECT_GT(cold_stats.candidate_lists_inserted, 0u) << cell;
-        EXPECT_GT(cache.candidate_size(), 0u) << cell;
-        EXPECT_GT(warm_stats.candidate_lists_seeded, 0u) << cell;
       }
     }
   }
@@ -410,7 +364,7 @@ TEST(StarReuseIdentityTest, DeeperConsumersResumePastTheRecordedPrefix) {
 
   const auto deep_direct = fx.Run(q, 8, base);
 
-  StarCache cache(64, 64);
+  StarCache cache(64);
   StarOptions with_reuse = base;
   with_reuse.reuse = &cache;
   fx.Run(q, 1, with_reuse);
@@ -425,7 +379,7 @@ TEST(StarReuseIdentityTest, ReorderedQueryHitsTheSameStarEntries) {
   ReuseFixture fx(MovieGraph());
   StarOptions base;
   base.match = TestConfig(1);
-  StarCache cache(64, 64);
+  StarCache cache(64);
   base.reuse = &cache;
 
   QueryGraph a = StarOnlyQuery();  // nodes: film=0, brad=1, award=2
@@ -453,7 +407,7 @@ TEST(StarReuseIdentityTest, ReorderedQueryHitsTheSameStarEntries) {
 
 TEST(StarReuseIdentityTest, CancelledRunsNeverPopulateTheCache) {
   ReuseFixture fx(MovieGraph());
-  StarCache cache(64, 64);
+  StarCache cache(64);
   StarOptions o;
   o.match = TestConfig(1);
   o.reuse = &cache;
@@ -462,16 +416,13 @@ TEST(StarReuseIdentityTest, CancelledRunsNeverPopulateTheCache) {
   StarFramework fw(fx.graph, fx.ensemble, &fx.index, o);
   (void)fw.TopK(StarOnlyQuery(), 5, &expired);
   EXPECT_TRUE(fw.last_stats().cancelled);
-  EXPECT_EQ(cache.candidate_size(), 0u);
   EXPECT_EQ(cache.toplist_size(), 0u);
-  const serve::StarCacheStats s = cache.stats();
-  EXPECT_EQ(s.candidate_insertions, 0u);
-  EXPECT_EQ(s.toplist_insertions, 0u);
+  EXPECT_EQ(cache.stats().toplist_insertions, 0u);
 }
 
 TEST(StarReuseIdentityTest, InvalidationForcesRecomputeWithIdenticalResults) {
   ReuseFixture fx(MovieGraph());
-  StarCache cache(64, 64);
+  StarCache cache(64);
   StarOptions o;
   o.match = TestConfig(1);
   o.reuse = &cache;
@@ -709,7 +660,7 @@ TEST(StarReuseConcurrencyTest, TemplateSkewedClientsStayExact) {
   EXPECT_EQ(mismatches.load(), 0)
       << "warm star-cache / coalesced results must be bitwise exact";
   const serve::StarCacheStats cs = service.star_cache_stats();
-  EXPECT_GT(cs.toplist_hits + cs.candidate_hits, 0u)
+  EXPECT_GT(cs.toplist_hits, 0u)
       << "the skewed workload must actually exercise reuse";
 }
 

@@ -313,7 +313,7 @@ TEST(StarSearchTest, InitScoresLeavesLazily) {
   ASSERT_EQ(edges.size(), 3u);
   for (size_t i = 0; i < edges.size(); ++i) {
     const int leaf = q.OtherEnd(edges[i], pivot);
-    EXPECT_EQ(fx.scorer->CandidatesIfReady(leaf) != nullptr, i == 0)
+    EXPECT_EQ(fx.scorer->ScoredInfo(leaf).scored, i == 0)
         << "leaf " << q.node(leaf).label << " at edge position " << i;
   }
   // Every leaf has candidates: only laziness left them unscored.

@@ -1,5 +1,7 @@
 #include "common/string_util.h"
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -111,6 +113,19 @@ TEST(StringUtilTest, IsNumeric) {
   EXPECT_FALSE(IsNumeric(""));
   EXPECT_FALSE(IsNumeric("12a"));
   EXPECT_FALSE(IsNumeric("-12"));  // digits only by design
+}
+
+// Canonical star signatures and config fingerprints embed these bytes, so
+// the encoding is pinned: 16 lowercase hex digits of the IEEE-754 image,
+// and a key segment adds kKeySep.
+TEST(StringUtilTest, Hex64EncodingIsPinned) {
+  std::string s = "w";
+  AppendHex64(s, std::bit_cast<uint64_t>(0.1));
+  EXPECT_EQ(s, "w3fb999999999999a");
+  std::string key;
+  AppendKeyU64(key, 0x2a);
+  EXPECT_EQ(key, std::string("000000000000002a") + '\x1d');
+  EXPECT_EQ(kKeySep, '\x1d');
 }
 
 }  // namespace

@@ -47,7 +47,7 @@ struct Args {
   size_t cases = 500;
   uint64_t seed = 1;
   std::string out_dir = ".";
-  std::string inject_bug;           // "", "toplist", "candidates"
+  std::string inject_bug;           // "" or "toplist"
   std::string emit_path;            // --emit FILE
   std::vector<std::string> replays; // --replay FILE...
   bool shrink = true;
@@ -61,7 +61,7 @@ void Usage() {
                "                 [--cases N] [--seed S] [--out-dir DIR] "
                "[--no-shrink]\n"
                "                 [--max-oracle-states X]\n"
-               "                 [--inject-bug toplist|candidates]\n"
+               "                 [--inject-bug toplist]\n"
                "                 [--emit FILE] [--replay FILE ...]\n");
 }
 
@@ -106,7 +106,6 @@ bool ParseArgs(int argc, char** argv, Args* a) {
 
 BugInjection InjectionFromFlag(const std::string& flag) {
   if (flag == "toplist") return BugInjection::kWarmTopListScores;
-  if (flag == "candidates") return BugInjection::kWarmCandidateScores;
   return BugInjection::kNone;
 }
 
@@ -185,7 +184,7 @@ int RunReplays(const Args& args) {
 int RunCanary(const Args& args) {
   const BugInjection inject = InjectionFromFlag(args.inject_bug);
   if (inject == BugInjection::kNone) {
-    std::fprintf(stderr, "star_fuzz: --inject-bug wants toplist|candidates\n");
+    std::fprintf(stderr, "star_fuzz: --inject-bug wants toplist\n");
     return 2;
   }
   const FuzzProfile profile = star::testing::ProfileByName(args.profile);

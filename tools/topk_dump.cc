@@ -17,6 +17,12 @@
 // Each cell's totals go to stderr: answers, F_N nodes scored, star matches
 // read and pivot candidates.
 //
+// Reuse identity: after its uncached pass, each cell runs its queries twice
+// more through a framework with a serve::StarCache attached, first cold and
+// then warm, and compares every answer bitwise with the uncached one. The
+// cell's stderr line adds the cache's top-list hits and the mismatches;
+// any mismatch makes the exit status 1.
+//
 // Usage: topk_dump > dump.txt
 
 #include <cstdio>
@@ -27,6 +33,7 @@
 #include "common/arena.h"
 #include "core/framework.h"
 #include "query/workload.h"
+#include "serve/star_cache.h"
 
 namespace {
 
@@ -37,15 +44,18 @@ constexpr uint64_t kQuerySeed = 2016;
 constexpr size_t kJoinPool = 256;
 constexpr size_t kStarPool = 128;
 constexpr size_t kK = 10;
+// Room for every star of a pool, so the warm pass can replay them all.
+constexpr size_t kStarCacheCapacity = 1024;
 
 struct Strategy {
   core::StarStrategy strategy;
   const char* name;
 };
 
-void DumpCell(const bench::Dataset& d, const char* pool_name,
-              const std::vector<query::QueryGraph>& queries,
-              const Strategy& s, int depth) {
+/// Dumps one cell and runs its reuse check; returns the mismatches.
+size_t DumpCell(const bench::Dataset& d, const char* pool_name,
+                const std::vector<query::QueryGraph>& queries,
+                const Strategy& s, int depth) {
   core::StarOptions options;
   options.strategy = s.strategy;
   options.match = bench::BenchConfig(depth);
@@ -55,6 +65,7 @@ void DumpCell(const bench::Dataset& d, const char* pool_name,
   size_t nodes_scored = 0;
   size_t matches_read = 0;
   size_t pivot_candidates = 0;
+  std::vector<std::vector<core::GraphMatch>> answers;
   for (size_t i = 0; i < queries.size(); ++i) {
     arena.Reset();
     const std::vector<core::GraphMatch> matches =
@@ -73,16 +84,36 @@ void DumpCell(const bench::Dataset& d, const char* pool_name,
     nodes_scored += stats.retrieval.nodes_scored;
     matches_read += stats.total_depth;
     pivot_candidates += stats.search.pivot_candidates;
+    answers.push_back(matches);
+  }
+
+  serve::StarCache cache(kStarCacheCapacity);
+  options.reuse = &cache;
+  core::StarFramework cached(d.graph, *d.ensemble, d.index.get(), options);
+  size_t mismatches = 0;
+  for (const char* pass : {"cold", "warm"}) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      arena.Reset();
+      if (!bench::SameMatches(cached.TopK(queries[i], kK, nullptr, &arena),
+                              answers[i])) {
+        std::fprintf(stderr, "%s %zu %s d=%d: %s cached answer differs\n",
+                     pool_name, i, s.name, depth, pass);
+        ++mismatches;
+      }
+    }
   }
   std::fprintf(stderr,
                "%s %s d=%d: %zu queries, %zu answered, %zu nodes scored "
                "(%.1f a request), %zu star matches read, %zu pivot "
-               "candidates\n",
+               "candidates; reuse: %llu top-list hits, %zu mismatches\n",
                pool_name, s.name, depth, queries.size(), answered,
                nodes_scored,
                static_cast<double>(nodes_scored) /
                    static_cast<double>(queries.size()),
-               matches_read, pivot_candidates);
+               matches_read, pivot_candidates,
+               static_cast<unsigned long long>(cache.stats().toplist_hits),
+               mismatches);
+  return mismatches;
 }
 
 }  // namespace
@@ -110,11 +141,14 @@ int main() {
   const Strategy stard{core::StarStrategy::kStard, "stard"};
   const Strategy stark{core::StarStrategy::kStark, "stark"};
   const Strategy hybrid{core::StarStrategy::kHybrid, "hybrid"};
-  for (const Strategy& s : {stard, stark}) DumpCell(d, "join", joins, s, 1);
+  size_t mismatches = 0;
+  for (const Strategy& s : {stard, stark}) {
+    mismatches += DumpCell(d, "join", joins, s, 1);
+  }
   for (const int depth : {1, 2}) {
     for (const Strategy& s : {stard, stark, hybrid}) {
-      DumpCell(d, "star", stars, s, depth);
+      mismatches += DumpCell(d, "star", stars, s, depth);
     }
   }
-  return 0;
+  return mismatches == 0 ? 0 : 1;
 }
