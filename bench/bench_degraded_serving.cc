@@ -167,8 +167,6 @@ ShedResult RunShedPhase(const Dataset& d, const core::StarOptions& nominal,
   // fractions, level 3 engages at admission depth 9 — one slot before
   // the queue is full and kOverloaded becomes the only option left.
   so.max_queue = 10;
-  so.cache_capacity = 0;  // every admission is a real execution
-  so.enable_coalescing = false;
   so.degrade = policy;
   so.degrade.enable = enable;
   serve::QueryService service(d.graph, *d.ensemble, d.index.get(), so);
@@ -179,7 +177,7 @@ ShedResult RunShedPhase(const Dataset& d, const core::StarOptions& nominal,
     serve::QueryRequest req;
     req.query = pool[i % pool.size()];
     req.k = k;
-    req.use_cache = false;
+    req.use_cache = false;  // every admission is a real execution
     futs.push_back(service.Submit(std::move(req)));
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(interval_ms));

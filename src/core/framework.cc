@@ -51,9 +51,7 @@ StarFramework::StarFramework(const KnowledgeGraph& g,
     : graph_(g),
       ensemble_(ensemble),
       index_(index),
-      options_(options),
-      config_fingerprint_(
-          StarOptionsFingerprint(options_, index_ != nullptr)) {}
+      options_(options) {}
 
 std::vector<double> AlphaNodeWeights(const QueryGraph& q,
                                      const std::vector<StarQuery>& stars,
@@ -102,10 +100,6 @@ std::string StarCacheKey(const std::string& config_fingerprint,
   return key;
 }
 
-std::vector<GraphMatch> StarFramework::TopK(const QueryGraph& q, size_t k) {
-  return TopK(q, k, nullptr);
-}
-
 std::vector<NodeCandidateInfo> CollectNodeCandidateInfo(
     const QueryGraph& q, const QueryScorer& scorer) {
   const scoring::MatchConfig& cfg = scorer.config();
@@ -126,20 +120,16 @@ std::vector<NodeCandidateInfo> CollectNodeCandidateInfo(
 }
 
 std::vector<GraphMatch> StarFramework::TopK(const QueryGraph& q, size_t k,
-                                            const Cancellation* cancel) {
-  // Even one-shot callers benefit from per-query arena allocation (block
-  // reuse within the query); persistent-worker callers pass their own
-  // arena via the overload below and amortize the blocks across requests.
-  common::MonotonicArena arena;
-  return TopK(q, k, cancel, &arena);
-}
-
-std::vector<GraphMatch> StarFramework::TopK(const QueryGraph& q, size_t k,
                                             const Cancellation* cancel,
                                             common::MonotonicArena* arena) {
   stats_ = FrameworkStats{};
   std::vector<GraphMatch> out;
   if (k == 0 || !q.Validate().ok()) return out;
+  // Even one-shot callers benefit from per-query arena allocation (block
+  // reuse within the query); persistent-worker callers pass their own
+  // arena and amortize the blocks across requests.
+  common::MonotonicArena local_arena;  // allocates nothing unless used
+  if (arena == nullptr) arena = &local_arena;
 
   // Pre-expired deadline / pre-cancelled request: return before building
   // the scorer so not a single candidate is retrieved or scored.
@@ -160,6 +150,11 @@ std::vector<GraphMatch> StarFramework::TopK(const QueryGraph& q, size_t k,
   // never published.
   ReuseCache* const reuse = options_.reuse;
   const uint64_t generation = reuse ? reuse->generation() : 0;
+  // The config segment of every star key, from the options as they are
+  // now: mutable_options() may have changed them since the last call.
+  const std::string fingerprint =
+      reuse ? StarOptionsFingerprint(options_, index_ != nullptr)
+            : std::string();
 
   const std::vector<StarQuery> stars =
       DecomposeQuery(q, options_.decomposition, &scorer);
@@ -187,8 +182,7 @@ std::vector<GraphMatch> StarFramework::TopK(const QueryGraph& q, size_t k,
     so.cancel = cancel;
     std::string star_key;
     if (reuse != nullptr && (single || options_.match.d >= 2)) {
-      star_key = StarCacheKey(config_fingerprint_, q, stars[i],
-                              so.node_weights);
+      star_key = StarCacheKey(fingerprint, q, stars[i], so.node_weights);
     }
     auto stream = std::make_unique<CachedStarStream>(
         scorer, stars[i], std::move(so), reuse, std::move(star_key),

@@ -146,30 +146,30 @@ class StarFramework {
   /// Top-k matches of q in descending score order. Exact under the
   /// configured matching semantics (ties broken arbitrarily). A query
   /// that fails QueryGraph::Validate() gets no matches.
-  std::vector<GraphMatch> TopK(const query::QueryGraph& q, size_t k);
-
-  /// Cancellable variant: `cancel` (nullable, must outlive the call) is
-  /// polled at every hot-loop checkpoint — candidate scoring, stark
-  /// enumeration, stard propagation, reserve activation, rank-join pulls.
-  /// Once it fires the call winds down and returns the matches emitted so
-  /// far (a prefix of the exact top-k, possibly empty), with
-  /// last_stats().cancelled set. An already-expired deadline returns
-  /// before any candidate retrieval.
+  ///
+  /// `cancel` (nullable, must outlive the call) is polled at every
+  /// hot-loop checkpoint — candidate scoring, stark enumeration, stard
+  /// propagation, reserve activation, rank-join pulls. Once it fires the
+  /// call winds down and returns the matches emitted so far (a prefix of
+  /// the exact top-k, possibly empty), with last_stats().cancelled set. An
+  /// already-expired deadline returns before any candidate retrieval.
+  ///
+  /// `arena` (nullable, single-threaded, owned by the caller) backs the
+  /// query's transient state — candidate lists, walk-ball scratch, the
+  /// rank-join result heap; null means a local arena for this call. The
+  /// caller must not Reset() it until the returned matches have been
+  /// consumed of every reference into scorer state (the matches
+  /// themselves own their mappings and survive a reset). A serving worker
+  /// that owns one arena and resets it once per request reaches
+  /// steady-state zero allocation churn on the cold path. Results are
+  /// bit-identical with and without an arena.
+  ///
+  /// Reuse-cache keys are built from the options as they are at the call,
+  /// so a change made through mutable_options() never replays a stream
+  /// recorded under the old options.
   std::vector<GraphMatch> TopK(const query::QueryGraph& q, size_t k,
-                               const Cancellation* cancel);
-
-  /// Arena variant: `arena` (nullable, single-threaded, owned by the
-  /// caller) backs the query's transient state — candidate lists,
-  /// walk-ball scratch, the rank-join result heap. The caller must not
-  /// Reset() it until the returned matches have been consumed of every
-  /// reference into scorer state (the matches themselves own their
-  /// mappings and survive a reset). A serving worker that owns one arena
-  /// and resets it once per request reaches steady-state zero allocation
-  /// churn on the cold path. Results are bit-identical with and without
-  /// an arena.
-  std::vector<GraphMatch> TopK(const query::QueryGraph& q, size_t k,
-                               const Cancellation* cancel,
-                               common::MonotonicArena* arena);
+                               const Cancellation* cancel = nullptr,
+                               common::MonotonicArena* arena = nullptr);
 
   /// Diagnostics of the most recent TopK call.
   const FrameworkStats& last_stats() const { return stats_; }
@@ -182,9 +182,6 @@ class StarFramework {
   const text::SimilarityEnsemble& ensemble_;
   const graph::LabelIndex* index_;
   StarOptions options_;
-  /// StarOptionsFingerprint of options_ — the config segment every
-  /// ReuseCache key starts with.
-  std::string config_fingerprint_;
   FrameworkStats stats_;
 };
 

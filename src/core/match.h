@@ -1,7 +1,6 @@
 #ifndef STAR_CORE_MATCH_H_
 #define STAR_CORE_MATCH_H_
 
-#include <optional>
 #include <vector>
 
 #include "graph/knowledge_graph.h"
@@ -35,24 +34,6 @@ struct GraphMatch {
   /// True if no two query nodes map to the same data node (ignoring
   /// unmapped slots).
   bool Injective() const;
-};
-
-/// Pull interface for algorithms that emit matches in non-increasing score
-/// order. This monotonicity is the property §VI-A relies on: it makes a
-/// match stream equivalent to a pre-sorted list, enabling rank joins with
-/// valid upper bounds.
-class RankedMatchIterator {
- public:
-  virtual ~RankedMatchIterator() = default;
-
-  /// The next-best match, or nullopt when exhausted. Scores of successive
-  /// results never increase.
-  virtual std::optional<GraphMatch> Next() = 0;
-
-  /// An upper bound on the score of any match not yet returned.
-  /// Must be <= the score of the previously returned match once one has
-  /// been returned; -infinity when exhausted.
-  virtual double UpperBound() const = 0;
 };
 
 inline bool GraphMatch::Injective() const {

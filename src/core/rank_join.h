@@ -18,12 +18,26 @@
 
 namespace star::core {
 
-/// A RankedMatchIterator with a declared set of covered query nodes; rank
-/// joins use the cover masks to find the joint nodes U shared by two
-/// inputs (§VI-A). Query graphs are limited to 64 nodes by the mask width,
-/// far beyond any query the paper considers.
-class CoveredMatchIterator : public RankedMatchIterator {
+/// Pull interface for algorithms that emit matches in non-increasing score
+/// order, with a declared set of covered query nodes. The monotonicity is
+/// the property §VI-A relies on: it makes a match stream equivalent to a
+/// pre-sorted list, enabling rank joins with valid upper bounds. Rank joins
+/// use the cover masks to find the joint nodes U shared by two inputs.
+/// Query graphs are limited to 64 nodes by the mask width, far beyond any
+/// query the paper considers.
+class CoveredMatchIterator {
  public:
+  virtual ~CoveredMatchIterator() = default;
+
+  /// The next-best match, or nullopt when exhausted. Scores of successive
+  /// results never increase.
+  virtual std::optional<GraphMatch> Next() = 0;
+
+  /// An upper bound on the score of any match not yet returned.
+  /// Must be <= the score of the previously returned match once one has
+  /// been returned; -infinity when exhausted.
+  virtual double UpperBound() const = 0;
+
   /// Bit u set <=> query node u is mapped by every match of this stream.
   virtual uint64_t covered_mask() const = 0;
 

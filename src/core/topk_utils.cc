@@ -15,17 +15,6 @@ bool RanksBefore(const ListEntry& a, const ListEntry& b) {
 
 }  // namespace
 
-std::vector<double> TopKValues(std::vector<double> values, size_t k) {
-  if (k == 0) return {};
-  if (values.size() > k) {
-    std::nth_element(values.begin(), values.begin() + k - 1, values.end(),
-                     std::greater<double>());
-    values.resize(k);
-  }
-  std::sort(values.begin(), values.end(), std::greater<double>());
-  return values;
-}
-
 void PruneListsProp3(std::vector<std::vector<ListEntry>>& lists, size_t k) {
   const size_t s = lists.size();
   if (s == 0 || k == 0) return;

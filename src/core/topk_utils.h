@@ -7,10 +7,6 @@
 
 namespace star::core {
 
-/// Lemma 2 [18]: selects the k largest values of `values` in O(n) (plus
-/// O(k log k) to sort them). Returns the selected values sorted descending.
-std::vector<double> TopKValues(std::vector<double> values, size_t k);
-
 /// One scored leaf-list entry used by Prop. 3 pruning. `node` is the tie
 /// key: among equal values the smaller node ranks first, so with distinct
 /// nodes per list the entries each cut keeps depend only on the list's

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <map>
 #include <utility>
 
@@ -112,15 +113,6 @@ std::string Serialize(const QueryGraph& q, const std::vector<int>& order) {
   return out;
 }
 
-uint64_t Fnv1a64(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 /// Enumerates every node order consistent with the color classes (classes
 /// in color order; nodes permuted within a class) and keeps the
 /// lexicographically smallest serialization.
@@ -162,7 +154,6 @@ CanonicalQuery CanonicalizeQuery(const QueryGraph& q) {
   const int n = q.node_count();
   if (n == 0) {
     out.signature = Serialize(q, {});
-    out.hash = Fnv1a64(out.signature);
     return out;
   }
 
@@ -203,16 +194,7 @@ CanonicalQuery CanonicalizeQuery(const QueryGraph& q) {
   for (size_t pos = 0; pos < order.size(); ++pos) {
     out.node_rank[order[pos]] = static_cast<int>(pos);
   }
-  out.hash = Fnv1a64(out.signature);
   return out;
-}
-
-uint64_t CanonicalQueryHash(const QueryGraph& q) {
-  return CanonicalizeQuery(q).hash;
-}
-
-bool CanonicallyEqual(const QueryGraph& a, const QueryGraph& b) {
-  return CanonicalizeQuery(a).signature == CanonicalizeQuery(b).signature;
 }
 
 std::string CanonicalStarEdgeRecord(const QueryGraph& q, int edge, int pivot,
@@ -251,7 +233,6 @@ CanonicalStar CanonicalizeStar(const QueryGraph& q, const StarQuery& star,
     out.signature += kRecord;
     out.signature += r;
   }
-  out.hash = Fnv1a64(out.signature);
   return out;
 }
 

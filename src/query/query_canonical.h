@@ -1,7 +1,7 @@
 #ifndef STAR_QUERY_QUERY_CANONICAL_H_
 #define STAR_QUERY_QUERY_CANONICAL_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -28,11 +28,9 @@ namespace star::query {
 /// sensitive for those pathological queries (a missed cache hit, never a
 /// wrong one; `exact` reports it).
 struct CanonicalQuery {
-  /// Full canonical serialization (nodes, then sorted edge list).
+  /// Full canonical serialization (nodes, then sorted edge list). Caches
+  /// key on it whole.
   std::string signature;
-  /// FNV-1a hash of `signature` (for hash-map keying; the signature is
-  /// still what must be compared on lookup).
-  uint64_t hash = 0;
   /// Canonical rank of each original node index.
   std::vector<int> node_rank;
   /// False when the permutation cap forced the refinement-order fallback.
@@ -44,12 +42,6 @@ struct CanonicalQuery {
 inline constexpr size_t kMaxCanonicalOrderings = 20'160;  // 8!/2
 
 CanonicalQuery CanonicalizeQuery(const QueryGraph& q);
-
-/// Convenience: CanonicalizeQuery(q).hash.
-uint64_t CanonicalQueryHash(const QueryGraph& q);
-
-/// True when a and b have identical canonical signatures.
-bool CanonicallyEqual(const QueryGraph& a, const QueryGraph& b);
 
 /// An insertion-order-insensitive canonical form of ONE star subquery: the
 /// pivot's attributes and ownership weight followed by the sorted multiset
@@ -63,9 +55,6 @@ bool CanonicallyEqual(const QueryGraph& a, const QueryGraph& b);
 struct CanonicalStar {
   /// Pivot record + sorted edge records.
   std::string signature;
-  /// FNV-1a hash of `signature` (hash-map keying only; lookups must still
-  /// compare the full signature — the map key is the signature itself).
-  uint64_t hash = 0;
   /// False when two edge records tie exactly (identical relation, leaf
   /// attributes and weight). The signature is still deterministic, but a
   /// tie means the canonical edge order is not unique, so such stars are

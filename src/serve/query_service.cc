@@ -81,9 +81,6 @@ std::vector<core::GraphMatch> QueryService::RemapMatches(
 }
 
 std::future<QueryResponse> QueryService::Submit(QueryRequest req) {
-  if (req.deadline.infinite() && options_.default_timeout_ms > 0) {
-    req.deadline = Deadline::AfterMillis(options_.default_timeout_ms);
-  }
   // Typo-tolerant rewrite BEFORE canonicalization: the rewritten query is
   // what gets keyed, coalesced, executed and certified, so corrected
   // requests share cache entries and flights with their verbatim twins.
@@ -102,8 +99,7 @@ std::future<QueryResponse> QueryService::Submit(QueryRequest req) {
   // query). Shared by the result cache and the coalescing map; a cache
   // opt-out also opts out of coalescing (such callers want an execution of
   // their own).
-  const bool keyed = reject.ok() && p->req.use_cache &&
-                     (options_.cache_capacity > 0 || options_.enable_coalescing);
+  const bool keyed = reject.ok() && p->req.use_cache;
   if (keyed) {
     query::CanonicalQuery canon = query::CanonicalizeQuery(p->req.query);
     p->key = KeyFromSignature(std::move(canon.signature), p->req.k);
@@ -131,12 +127,12 @@ std::future<QueryResponse> QueryService::Submit(QueryRequest req) {
       p->degrade_level = ChooseDegradationLevel(options_.degrade,
                                                 queue_.size(),
                                                 options_.max_queue);
-      if (keyed && p->degrade_level > 0) {
-        p->key += kKeySep;
-        p->key += static_cast<char>('0' + p->degrade_level);
-      }
       if (!p->rewrites.empty()) ++stats_.fuzzy_rewritten;
-      if (options_.enable_coalescing && keyed) {
+      if (keyed) {
+        if (p->degrade_level > 0) {
+          p->key += kKeySep;
+          p->key += static_cast<char>('0' + p->degrade_level);
+        }
         const auto it = flights_.find(p->key);
         if (it != flights_.end()) {
           // Identical request already in flight: ride along. Consumes no
@@ -161,7 +157,7 @@ std::future<QueryResponse> QueryService::Submit(QueryRequest req) {
         }
         if (admitted) {
           ++stats_.degraded_at_level[static_cast<size_t>(p->degrade_level)];
-          if (options_.enable_coalescing && keyed) {
+          if (keyed) {
             p->flight = std::make_shared<Flight>();
             flights_.emplace(p->key, p->flight);
           }

@@ -50,15 +50,6 @@ struct ServiceOptions {
   /// `star.reuse` to point at its own cache.
   size_t star_cache_capacity = 256;
 
-  /// Single-flight request coalescing: a request whose normalized cache
-  /// key matches one already executing attaches to that execution instead
-  /// of running (or queueing) its own. Requires use_cache on the request.
-  bool enable_coalescing = true;
-
-  /// Deadline applied to requests that arrive without one, measured from
-  /// admission (so it covers queue wait). 0 = no implicit deadline.
-  double default_timeout_ms = 0.0;
-
   /// Test hook: runs on the worker thread immediately before each request
   /// executes (after dequeue, before the deadline checkpoint). Lets tests
   /// hold workers busy deterministically to exercise admission control.
@@ -75,9 +66,11 @@ struct ServiceOptions {
 struct QueryRequest {
   query::QueryGraph query;
   size_t k = 10;
-  /// Infinite by default; the service substitutes default_timeout_ms.
+  /// Infinite by default.
   Deadline deadline;
-  /// Per-request cache opt-out (e.g. for freshness-critical callers).
+  /// Per-request opt-out of the result cache, the star cache and
+  /// single-flight coalescing together (e.g. for freshness-critical
+  /// callers): such a request always runs an execution of its own.
   bool use_cache = true;
   /// Opt-in typo tolerance: unknown label tokens are rewritten to their
   /// best trigram correction before the query is keyed and executed (see
@@ -236,8 +229,8 @@ class QueryService {
     std::promise<QueryResponse> promise;
     WallTimer queued;      // started at admission
     Cancellation cancel;   // owns the request's deadline
-    /// Normalized cache key; empty when neither caching nor coalescing
-    /// applies to this request.
+    /// Normalized cache key; empty when the request is rejected or opts
+    /// out of reuse (use_cache false).
     std::string key;
     /// Canonical rank of each of this request's query nodes (parallel to
     /// `key`: set exactly when the request is keyed). Used to remap

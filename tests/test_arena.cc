@@ -171,9 +171,6 @@ TEST(ArenaCancellationTest, ExpiredRequestDoesNotPoisonWorkerArena) {
   serve::ServiceOptions so;
   so.star.match = TestConfig(/*d=*/2);
   so.max_inflight = 1;  // one worker: both requests share its arena
-  so.cache_capacity = 0;
-  so.star_cache_capacity = 0;
-  so.enable_coalescing = false;
   serve::QueryService service(g, ensemble, &index, so);
 
   core::StarFramework fw(g, ensemble, &index, so.star);
@@ -184,12 +181,14 @@ TEST(ArenaCancellationTest, ExpiredRequestDoesNotPoisonWorkerArena) {
     doomed.query = q;
     doomed.k = 10;
     doomed.deadline = Deadline::AfterMillis(0.01);
+    doomed.use_cache = false;  // every request runs on the worker
     const auto dr = service.Execute(std::move(doomed));
     EXPECT_NE(dr.status.code(), StatusCode::kOk);
 
     serve::QueryRequest fresh;
     fresh.query = q;
     fresh.k = 10;
+    fresh.use_cache = false;
     const auto fr = service.Execute(std::move(fresh));
     ASSERT_TRUE(fr.status.ok()) << fr.status.ToString();
     ExpectSameMatches(fr.matches, expected);

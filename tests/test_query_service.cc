@@ -404,9 +404,6 @@ TEST(QueryServiceTest, SaturatedServiceRejectsWithOverloaded) {
   so.star = TestStarOptions();
   so.max_inflight = 1;
   so.max_queue = 1;
-  // The requests below are identical; without this they would coalesce
-  // into one flight instead of exercising the admission limits.
-  so.enable_coalescing = false;
   so.before_execute = [&] {
     entered.fetch_add(1);
     std::unique_lock<std::mutex> lock(mu);
@@ -419,6 +416,9 @@ TEST(QueryServiceTest, SaturatedServiceRejectsWithOverloaded) {
     QueryRequest req;
     req.query = BradAwardQuery();
     req.k = 3;
+    // The requests below are identical; without this they would coalesce
+    // into one flight instead of exercising the admission limits.
+    req.use_cache = false;
 
     f1 = service.Submit(req);
     // Wait until the worker holds the only execution slot.

@@ -185,6 +185,9 @@ void ExpectBitwisePrefixOfEither(const std::vector<core::GraphMatch>& expected,
       << "the remap of its reordered pair's";
 }
 
+/// The parameter is every request's use_cache: on, requests share the
+/// result cache, the star cache and coalescing flights; off, each runs an
+/// execution of its own.
 class ServiceSoakTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(ServiceSoakTest, ConcurrentClientsSurviveChurn) {
@@ -199,7 +202,6 @@ TEST_P(ServiceSoakTest, ConcurrentClientsSurviveChurn) {
   so.max_queue = 8;  // small bounds => the overload path actually fires
   so.cache_capacity = 64;
   so.star_cache_capacity = 128;
-  so.enable_coalescing = GetParam();
   QueryService service(fx.graph, fx.ensemble, &fx.index, so);
 
   constexpr int kClients = 4;
@@ -228,6 +230,7 @@ TEST_P(ServiceSoakTest, ConcurrentClientsSurviveChurn) {
         QueryRequest req;
         req.query = fx.templates[t];
         req.k = fx.ks[t];
+        req.use_cache = GetParam();
         if (i % 5 == 4) req.deadline = Deadline::AfterMillis(0.05);
         burst.push_back({service.Submit(std::move(req)), t});
         if (burst.size() < kBurst && i + 1 < kRequestsPerClient) continue;
@@ -315,8 +318,6 @@ TEST(ServiceSoakOverloadTest, ShedsAccuracyThroughEveryLevelBeforeRejecting) {
   so.star = star;
   so.max_inflight = 1;
   so.max_queue = 10;
-  so.cache_capacity = 0;  // every response is a fresh, certifiable run
-  so.enable_coalescing = false;
   so.degrade.enable = true;
   so.degrade.l1_max_candidates = 2;  // tight enough to bite on this graph
   so.before_execute = [&] {
@@ -346,6 +347,7 @@ TEST(ServiceSoakOverloadTest, ShedsAccuracyThroughEveryLevelBeforeRejecting) {
       QueryRequest req;
       req.query = queries[size_t(i)];
       req.k = kK;
+      req.use_cache = false;  // every response is a fresh, certifiable run
       futs.push_back(service.Submit(std::move(req)));
       if (i == 0) {
         while (entered.load() == 0) std::this_thread::yield();

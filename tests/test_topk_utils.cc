@@ -14,24 +14,6 @@
 namespace star::core {
 namespace {
 
-TEST(TopKValues, SelectsLargestSorted) {
-  const std::vector<double> v = {3.0, 1.0, 4.0, 1.5, 9.0, 2.6};
-  const auto top = TopKValues(v, 3);
-  EXPECT_EQ(top, (std::vector<double>{9.0, 4.0, 3.0}));
-}
-
-TEST(TopKValues, KLargerThanInput) {
-  const auto top = TopKValues({2.0, 1.0}, 5);
-  EXPECT_EQ(top, (std::vector<double>{2.0, 1.0}));
-}
-
-TEST(TopKValues, KZero) { EXPECT_TRUE(TopKValues({1.0, 2.0}, 0).empty()); }
-
-TEST(TopKValues, Duplicates) {
-  const auto top = TopKValues({1.0, 1.0, 1.0, 0.5}, 2);
-  EXPECT_EQ(top, (std::vector<double>{1.0, 1.0}));
-}
-
 // Brute-force top-k sums picking one element per list.
 std::vector<double> BruteTopSums(const std::vector<std::vector<double>>& lists,
                                  size_t k) {
