@@ -22,8 +22,8 @@ namespace star::baseline {
 /// MatchConfig coverage: every option is honored with the engines'
 /// semantics — node thresholds and cutoffs via BruteForceDomain, lambda/d
 /// and the edge threshold via PairEdgeScore, and injectivity. The domains
-/// never read Candidates(), so the d <= 1 plan's reduction of the lists is
-/// checked against the full enumeration, not assumed by it.
+/// never read Candidates(), so the plan's reduction of the lists (at every
+/// d) is checked against the full enumeration, not assumed by it.
 std::vector<core::GraphMatch> BruteForceTopK(scoring::QueryScorer& scorer,
                                              size_t k);
 
@@ -31,7 +31,7 @@ std::vector<core::GraphMatch> BruteForceTopK(scoring::QueryScorer& scorer,
 /// RetrievalPool and NodeScore alone: the pool nodes whose F_N reaches
 /// node_threshold, ordered by (score desc, node asc) and cut at
 /// max_candidates (an untyped wildcard, whose pool is every node, is never
-/// cut) — u's candidate list before any d <= 1 reduction.
+/// cut) — u's candidate list before the plan's reduction.
 std::vector<scoring::ScoredCandidate> BruteForceDomain(
     const scoring::QueryScorer& scorer, int u);
 

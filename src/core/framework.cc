@@ -165,9 +165,9 @@ std::vector<GraphMatch> StarFramework::TopK(const QueryGraph& q, size_t k,
   // stream directly (Fig. 4 step 2 only); general queries fold the streams
   // with left-deep α-scheme rank joins (§VI-A). Star cache keys combine
   // the config fingerprint with the canonical star signature; lookups
-  // compare the full key string, never a hash. At d <= 1 the other stars'
-  // lists restrict a star's lists, so a star of a multi-star query is not
-  // a function of its signature and never touches the star cache.
+  // compare the full key string, never a hash. The other stars' lists
+  // restrict a star's lists, so a star of a multi-star query is not a
+  // function of its signature and never touches the star cache.
   std::vector<CachedStarStream*> stream_ptrs;
   std::vector<RankJoin*> join_ptrs;
   std::unique_ptr<CoveredMatchIterator> pipeline;
@@ -181,7 +181,7 @@ std::vector<GraphMatch> StarFramework::TopK(const QueryGraph& q, size_t k,
     if (!single) so.node_weights = AlphaNodeWeights(q, stars, i, options_.alpha);
     so.cancel = cancel;
     std::string star_key;
-    if (reuse != nullptr && (single || options_.match.d >= 2)) {
+    if (reuse != nullptr && single) {
       star_key = StarCacheKey(fingerprint, q, stars[i], so.node_weights);
     }
     auto stream = std::make_unique<CachedStarStream>(
@@ -203,8 +203,8 @@ std::vector<GraphMatch> StarFramework::TopK(const QueryGraph& q, size_t k,
 
   while (out.size() < k) {
     // scorer.truncated() is a plain bool read, checked unamortized: a
-    // cancellation observed inside a lazy Candidates() call leaves that
-    // list missing arbitrary entries, and the stride-amortized clock
+    // cancellation observed inside the candidate plan leaves lists
+    // missing arbitrary entries, and the stride-amortized clock
     // check alone could emit further (possibly misordered) matches from
     // the incomplete universe before noticing the expiry.
     if (cancel_check.ShouldStop() || scorer.truncated()) {

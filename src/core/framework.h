@@ -36,9 +36,9 @@ struct StarOptions {
   /// evenly.
   double alpha = 0.5;
   /// Cross-query reuse cache (nullable, must outlive the framework and be
-  /// bound to the same graph/ensemble/index): star match streams replay
-  /// their memoized prefixes (at d <= 1 only a single-star query's). Every
-  /// run scores its own candidate lists. Hits are bitwise identical to
+  /// bound to the same graph/ensemble/index): a single-star query's match
+  /// stream replays its memoized prefix. Every run scores its own
+  /// candidate lists. Hits are bitwise identical to
   /// cold execution; cancelled/truncated runs never insert.
   ReuseCache* reuse = nullptr;
 };
@@ -70,7 +70,7 @@ std::string StarCacheKey(const std::string& config_fingerprint,
 /// have excluded candidates, the certificate needs the best/worst KEPT
 /// F_N per node to bound what any excluded candidate could contribute.
 /// It describes each list as it was scored (QueryScorer::ScoredInfo),
-/// before the d <= 1 plan's arc-consistency pass.
+/// before the plan's arc-consistency pass.
 struct NodeCandidateInfo {
   /// The list was scored during the run. When false the caps below are
   /// meaningless and readers must assume the worst.
@@ -79,7 +79,7 @@ struct NodeCandidateInfo {
   /// type check (typed) for every v.
   bool wildcard = false;
   /// Best kept F_N (lists are (score desc, node asc); 0 if empty), raised
-  /// over the pool nodes the d <= 1 plan dropped unscored.
+  /// over the pool nodes the plan dropped unscored.
   double top_score = 0.0;
   /// Worst kept F_N (the cut boundary; 0 if empty).
   double cut_score = 0.0;

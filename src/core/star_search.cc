@@ -306,8 +306,9 @@ void StarSearch::InitializeStark() {
   const double pivot_weight = NodeWeight(star_.pivot);
 
   // The per-candidate top-1s are the d-hop traversals Exp-1 measures.
-  // Each one builds leaf lists only up to the pivot's first empty list,
-  // so a leaf's candidates are scored only once some pivot reaches it.
+  // Each one builds leaf lists only up to the pivot's first empty list.
+  // Every candidate list was built by the scorer's plan on the first
+  // Candidates() call above, so no leaf is scored here.
   CancelChecker cancel_check(options_.cancel);
   reserve_.reserve(candidates.size());
   for (const ScoredCandidate& c : candidates) {
@@ -820,9 +821,9 @@ void StarSearch::ActivateReserve() {
 std::optional<StarMatch> StarSearch::Next() {
   Initialize();
   // scorer_.truncated() is checked unamortized alongside the cancellation
-  // flags: a cancellation observed inside a lazy Candidates() call leaves
-  // that list missing arbitrary entries (truncation happens mid-bulk-score,
-  // before the canonical sort), so a match emitted afterwards could be
+  // flags: a cancellation observed inside the candidate plan leaves lists
+  // missing arbitrary entries (truncation happens mid-bulk-score, before
+  // the canonical sort), so a match emitted afterwards could be
   // out of global order — the stride-amortized clock check alone can let
   // up to kStride such emissions slip through.
   if (stats_.cancelled || scorer_.truncated() || cancel_check_.ShouldStop()) {

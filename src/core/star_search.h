@@ -227,9 +227,10 @@ class StarSearch {
   /// entry under (total desc, node asc). Returns false, with the lists
   /// incomplete, when some leaf has no candidate (the pivot has no match)
   /// or a cancellation checkpoint fired (stats.cancelled is then set).
-  /// Counters accumulate into `stats`. A leaf's candidate list and score
-  /// table are built on its first offer, so the leaves after the first
-  /// empty list are never scored.
+  /// Counters accumulate into `stats`. A leaf's score table is built on
+  /// its first offer, from the list the scorer's plan built (DESIGN.md
+  /// "Arc-consistent candidate lists"); the walk credited here stops at
+  /// the plan's support radius.
   bool FillLeafLists(graph::NodeId pivot, bool first_only,
                      StarSearchStats& stats, LeafListScratch& scratch);
   /// The calling thread's scratch, sized to the graph once and reused.

@@ -99,95 +99,99 @@ ScoredListInfo Digest(const CandidateList& list) {
   return info;
 }
 
-/// Node-indexed marks of the d <= 1 plan's support tests, one array per
-/// thread, sized to the graph once; Begin() opens an epoch in O(1).
-class SupportMarks {
+/// The plan's support test: whether node v reaches a member s of one
+/// support set S (another query node's list or pool; null = every node)
+/// by a walk of 1..R hops, with s != v under injectivity, since both query
+/// nodes of the edge would otherwise map to v. Each marked node records
+/// the one member of S it was marked from, or kMany.
+/// - R = 1 walks the side with the smaller degree sum: it marks S's
+///   adjacency and reads the tested node's own mark when S is cheaper
+///   than the nodes to be tested (`tested_degree_sum`), else it marks S
+///   and scans each tested node's adjacency. Neighbors() lists both
+///   orientations of every edge, so both answer the same predicate.
+/// - R = 2 marks S and S's adjacency, then scans each tested node's
+///   adjacency: v is within two hops of s exactly when a neighbour of v
+///   is s or a neighbour of s.
+/// - R >= 3, or S = every node, keeps every node with a neighbour (not
+///   only itself under injectivity): a superset of the walk rule.
+/// The marks are node-indexed and epoch-stamped, one array per thread, so
+/// a test is valid until the next one is built.
+class WalkSupport {
  public:
-  void Begin(size_t nodes) {
-    if (mark_.size() < nodes) mark_.resize(nodes, 0);
-    if (++epoch_ == 0) {  // wrapped: no node may carry a stale epoch
-      std::fill(mark_.begin(), mark_.end(), 0);
-      epoch_ = 1;
-    }
-  }
-  /// Marks v; returns whether it was unmarked.
-  bool Set(NodeId v) {
-    if (mark_[v] == epoch_) return false;
-    mark_[v] = epoch_;
-    return true;
-  }
-  bool Test(NodeId v) const { return mark_[v] == epoch_; }
-
-  static SupportMarks& ForThread() {
-    thread_local SupportMarks marks;
-    return marks;
-  }
-
- private:
-  std::vector<uint32_t> mark_;
-  uint32_t epoch_ = 0;
-};
-
-/// The nodes with a graph neighbour in `support` (not only through a
-/// self-loop under injectivity), in id order.
-std::vector<NodeId> AdjacentNodes(const KnowledgeGraph& g, bool injective,
-                                  const std::vector<NodeId>& support) {
-  SupportMarks& marks = SupportMarks::ForThread();
-  marks.Begin(g.node_count());
-  std::vector<NodeId> out;
-  for (const NodeId w : support) {
-    for (const graph::Neighbor& nb : g.Neighbors(w)) {
-      if (injective && nb.node == w) continue;
-      if (marks.Set(nb.node)) out.push_back(nb.node);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// Whether node v has a graph neighbour in one support set S (another
-/// query node's list or pool; null = every node). A self-loop supports its
-/// node only without injectivity: at d <= 1 the two query nodes of an edge
-/// then map to one data node. The side with the smaller degree sum is
-/// walked: S's adjacency is marked when S is cheaper than the nodes to be
-/// tested (`tested_degree_sum`), else S is marked and each test scans v's
-/// adjacency. Both answer the same predicate, since Neighbors() lists both
-/// orientations of every edge. Valid until the next test is built.
-class SupportTest {
- public:
-  SupportTest(const KnowledgeGraph& g, bool injective,
+  WalkSupport(const KnowledgeGraph& g, bool injective, int radius,
               const std::vector<NodeId>* support, size_t tested_degree_sum)
-      : g_(g), injective_(injective), marks_(SupportMarks::ForThread()) {
-    if (support == nullptr) return;
-    marks_.Begin(g.node_count());
+      : g_(g), injective_(injective), marks_(Marks::ForThread()) {
+    if (support == nullptr || radius >= 3) return;
     size_t support_degree_sum = 0;
-    for (const NodeId w : *support) support_degree_sum += g.Degree(w);
-    mode_ = support_degree_sum < tested_degree_sum ? kAdjacent : kMembers;
-    for (const NodeId w : *support) {
-      if (mode_ == kMembers) {
-        marks_.Set(w);
-        continue;
-      }
-      for (const graph::Neighbor& nb : g.Neighbors(w)) {
-        if (!injective || nb.node != w) marks_.Set(nb.node);
+    if (radius == 1) {
+      for (const NodeId s : *support) support_degree_sum += g.Degree(s);
+    }
+    mode_ = radius == 1 && support_degree_sum < tested_degree_sum ? kOwnMark
+                                                                  : kScan;
+    marks_.Begin(g.node_count());
+    for (const NodeId s : *support) {
+      if (mode_ == kScan) marks_.Add(s, s);
+      if (mode_ == kOwnMark || radius == 2) {
+        for (const graph::Neighbor& nb : g.Neighbors(s)) {
+          marks_.Add(nb.node, s);
+        }
       }
     }
   }
 
   bool operator()(NodeId v) const {
-    if (mode_ == kAdjacent) return marks_.Test(v);
+    if (mode_ == kOwnMark) return Supports(v, v);
     for (const graph::Neighbor& nb : g_.Neighbors(v)) {
-      if (injective_ && nb.node == v) continue;
-      if (mode_ == kEveryNode || marks_.Test(nb.node)) return true;
+      if (mode_ == kEveryNode ? !injective_ || nb.node != v
+                              : Supports(nb.node, v)) {
+        return true;
+      }
     }
     return false;
   }
 
  private:
-  enum Mode { kEveryNode, kMembers, kAdjacent };
+  static constexpr NodeId kMany = graph::kInvalidNode;
+  struct Mark {
+    uint32_t epoch = 0;
+    NodeId source = kMany;
+  };
+  struct Marks {
+    std::vector<Mark> mark;
+    uint32_t epoch = 0;
+
+    void Begin(size_t nodes) {
+      if (mark.size() < nodes) mark.resize(nodes);
+      if (++epoch == 0) {  // wrapped: no node may carry a stale epoch
+        std::fill(mark.begin(), mark.end(), Mark{});
+        epoch = 1;
+      }
+    }
+    void Add(NodeId x, NodeId source) {
+      Mark& m = mark[x];
+      if (m.epoch != epoch) {
+        m = {epoch, source};
+      } else if (m.source != source) {
+        m.source = kMany;
+      }
+    }
+    static Marks& ForThread() {
+      thread_local Marks marks;
+      return marks;
+    }
+  };
+  enum Mode { kEveryNode, kScan, kOwnMark };
+
+  /// Whether x is marked from a member of S other than v (any member
+  /// without injectivity).
+  bool Supports(NodeId x, NodeId v) const {
+    const Mark& m = marks_.mark[x];
+    return m.epoch == marks_.epoch && (!injective_ || m.source != v);
+  }
+
   const KnowledgeGraph& g_;
   const bool injective_;
-  SupportMarks& marks_;
+  Marks& marks_;
   Mode mode_ = kEveryNode;
 };
 
@@ -270,7 +274,6 @@ QueryScorer::QueryScorer(const KnowledgeGraph& g, const QueryGraph& q,
       index_(index),
       mem_(arena != nullptr ? arena->resource()
                             : std::pmr::get_default_resource()),
-      candidates_ready_(q.node_count(), false),
       scored_(q.node_count()),
       candidate_scores_ready_(q.node_count(), false),
       max_relation_score_(q.edge_count(), 1.0),
@@ -306,22 +309,14 @@ QueryScorer::QueryScorer(const KnowledgeGraph& g, const QueryGraph& q,
       wildcard_graph_type_[u] = g.FindTypeId(qn.type_name);
     }
   }
-  // Derived-view reuse: collapse query nodes onto signature
-  // representatives and dedupe kernel views by label, so repeated
-  // labels/types across query nodes build each derived view once.
-  std::map<std::tuple<bool, std::string_view, std::string_view>, int>
-      node_sig;
-  node_rep_.resize(q.node_count());
-  for (int u = 0; u < q.node_count(); ++u) {
-    const auto& qn = q.node(u);
-    const auto [it, inserted] = node_sig.try_emplace(
-        std::make_tuple(qn.wildcard, std::string_view(qn.type_name),
-                        std::string_view(qn.label)),
-        u);
-    node_rep_[u] = it->second;
+  // Where StarSearch's leaf lists stop crediting walks.
+  while (radius_ < config_.d &&
+         PathDecay(radius_ + 1) >= config_.edge_threshold) {
+    ++radius_;
   }
-  list_rep_ = node_rep_;
-  if (config_.d <= 1) std::iota(list_rep_.begin(), list_rep_.end(), 0);
+  // Derived-view reuse: alias relation tables by signature and dedupe
+  // kernel views by label, so repeated relations and labels across the
+  // query build each derived view once.
   std::map<std::pair<bool, std::string_view>, int> edge_sig;
   edge_rep_.resize(q.edge_count());
   for (int e = 0; e < q.edge_count(); ++e) {
@@ -454,7 +449,6 @@ std::vector<double> QueryScorer::BulkScore(
 
 std::vector<NodeId> QueryScorer::RetrievalPool(
     int query_node, std::vector<uint8_t>* shares_token) const {
-  query_node = node_rep_[query_node];
   shares_token->clear();
   const query::QueryNode& qn = query_.node(query_node);
 
@@ -618,21 +612,7 @@ void QueryScorer::PrunedRetrievePool(int query_node,
 void QueryScorer::ScoreList(int query_node, const std::vector<NodeId>& pool,
                             const std::vector<uint8_t>& shares_token,
                             CandidateList* out) const {
-  const query::QueryNode& qn = query_.node(query_node);
-  if (qn.wildcard && qn.type_name.empty()) {
-    // Every node of the graph (the pool, which is never sampled) scores
-    // wildcard_node_score: the list is all of V in id order, never cut, so
-    // a `?` node matches every node wherever it sits, and nothing under
-    // the threshold.
-    if (config_.wildcard_node_score >= config_.node_threshold) {
-      out->resize(graph_.node_count());
-      for (NodeId v = 0; v < out->size(); ++v) {
-        (*out)[v] = {v, config_.wildcard_node_score};
-      }
-    }
-    return;
-  }
-  if (!qn.wildcard) {
+  if (!query_.node(query_node).wildcard) {
     // Bound-driven retrieval (DESIGN.md "Bound-driven retrieval"): walk the
     // pool in descending upper-bound order and skip everything that
     // provably cannot reach the running max_candidates-th score.
@@ -664,32 +644,18 @@ void QueryScorer::ScoreList(int query_node, const std::vector<NodeId>& pool,
 }
 
 const CandidateList& QueryScorer::Candidates(int query_node) const {
-  // All reads and writes go through the list slot: at d >= 2 query nodes
-  // sharing (wildcard, type, label) retrieve and score one shared list
-  // (see list_rep_ in the header).
-  const int slot = list_rep_[query_node];
-  if (candidates_ready_[slot]) return candidates_[slot];
-
-  // Cancelled requests skip retrieval + scoring outright. The list is NOT
-  // marked ready (the empty result is never memoized as definitive) and the
-  // truncation is recorded so the run as a whole reports itself partial.
-  if (cancel_ != nullptr && cancel_->ShouldStop()) {
-    truncated_ = true;
-    return candidates_[slot];
+  // Cancelled requests skip retrieval + scoring outright. The plan does not
+  // count as run (the empty result is never memoized as definitive) and
+  // the truncation is recorded so the run as a whole reports itself
+  // partial.
+  if (!planned_) {
+    if (cancel_ != nullptr && cancel_->ShouldStop()) {
+      truncated_ = true;
+    } else {
+      PlanLists();
+    }
   }
-  if (config_.d <= 1) {
-    PlanLists();
-    return candidates_[slot];
-  }
-  candidates_ready_[slot] = true;
-  std::vector<uint8_t> shares_token;
-  const query::QueryNode& qn = query_.node(slot);
-  const std::vector<NodeId> pool = qn.wildcard && qn.type_name.empty()
-                                       ? std::vector<NodeId>()
-                                       : RetrievalPool(slot, &shares_token);
-  ScoreList(slot, pool, shares_token, &candidates_[slot]);
-  scored_[slot] = Digest(candidates_[slot]);
-  return candidates_[slot];
+  return candidates_[query_node];
 }
 
 void QueryScorer::PlanLists() const {
@@ -698,6 +664,11 @@ void QueryScorer::PlanLists() const {
   const auto untyped = [&](int u) {
     return query_.node(u).wildcard && query_.node(u).type_name.empty();
   };
+  // An untyped wildcard's list is filtered only at R = 1. At R >= 2 it is
+  // every node and offers every node: filtering it there was measured to
+  // remove nothing from any other list, at nearly twice the plan's time
+  // (DESIGN.md "Arc-consistent candidate lists").
+  const auto filtered = [&](int u) { return radius_ == 1 || !untyped(u); };
   // What each node offers its neighbours' filters before its own list is
   // built: its retrieval pool, or every node (null) for an untyped
   // wildcard. A list is a subset of it.
@@ -720,21 +691,22 @@ void QueryScorer::PlanLists() const {
 
   std::vector<bool> built(n, false);
   std::vector<NodeId> support_scratch;
-  // The support set query node y offers now: its list once built, else
-  // what it offers before (nullptr: every node).
+  // The support set query node y offers now: its list once built (unless
+  // it is not filtered), else what it offers before (nullptr: every node).
   const auto support = [&](int y) -> const std::vector<NodeId>* {
-    if (!built[y]) return untyped(y) ? nullptr : &pools[y];
+    if (untyped(y) && (!built[y] || !filtered(y))) return nullptr;
+    if (!built[y]) return &pools[y];
     support_scratch.clear();
     for (const ScoredCandidate& c : candidates_[y]) {
       support_scratch.push_back(c.node);
     }
     return &support_scratch;
   };
-  // Keeps the entries of `items` with a graph neighbour in y's support.
+  // Keeps the entries of `items` that y's support supports.
   const auto keep_supported = [&](auto& items, auto node_of, int y) {
     size_t degree_sum = 0;
     for (const auto& item : items) degree_sum += graph_.Degree(node_of(item));
-    const SupportTest test(graph_, injective, support(y), degree_sum);
+    const WalkSupport test(graph_, injective, radius_, support(y), degree_sum);
     const size_t before = items.size();
     std::erase_if(items,
                   [&](const auto& item) { return !test(node_of(item)); });
@@ -768,22 +740,16 @@ void QueryScorer::PlanLists() const {
     }
     CandidateList& out = candidates_[u];
     if (untyped(u)) {
+      // Every node of the graph scores wildcard_node_score, so the list is
+      // all of V in id order, never cut, filtered at R = 1; nothing under
+      // the threshold.
       if (config_.wildcard_node_score >= config_.node_threshold) {
-        // Every node, filtered: the first neighbour's support that is not
-        // every node gives the nodes adjacent to it, in id order.
-        std::vector<NodeId> nodes;
-        const auto first =
-            std::find_if(neighbours.begin(), neighbours.end(),
-                         [&](int y) { return built[y] || !untyped(y); });
-        if (first != neighbours.end()) {
-          nodes = AdjacentNodes(graph_, injective, *support(*first));
-          neighbours.erase(first);
-        } else {
-          nodes.resize(graph_.node_count());
-          std::iota(nodes.begin(), nodes.end(), NodeId{0});
-        }
-        for (const int y : neighbours) {
-          keep_supported(nodes, [](NodeId v) { return v; }, y);
+        std::vector<NodeId> nodes(graph_.node_count());
+        std::iota(nodes.begin(), nodes.end(), NodeId{0});
+        if (filtered(u)) {
+          for (const int y : neighbours) {
+            keep_supported(nodes, [](NodeId v) { return v; }, y);
+          }
         }
         out.reserve(nodes.size());
         for (const NodeId v : nodes) {
@@ -813,7 +779,8 @@ void QueryScorer::PlanLists() const {
         for (size_t i = 0; i < pool.size(); ++i) {
           if (keep[i]) degree_sum += graph_.Degree(pool[i]);
         }
-        const SupportTest test(graph_, injective, support(y), degree_sum);
+        const WalkSupport test(graph_, injective, radius_, support(y),
+                               degree_sum);
         for (size_t i = 0; i < pool.size(); ++i) {
           if (keep[i] && !test(pool[i])) keep[i] = 0;
         }
@@ -867,7 +834,7 @@ void QueryScorer::PlanLists() const {
                                 0);
     const auto push = [&](int u, int e) {
       uint8_t& q = queued[arc_id(u, e)];
-      if (q) return;
+      if (q || !filtered(u)) return;
       q = 1;
       arcs.emplace_back(u, e);
     };
@@ -896,30 +863,28 @@ void QueryScorer::PlanLists() const {
   if (empty) {
     for (int u = 0; u < n; ++u) candidates_[u].clear();
   }
-  for (int u = 0; u < n; ++u) candidates_ready_[u] = true;
+  planned_ = true;
 }
 
 double QueryScorer::CandidateScore(int query_node, graph::NodeId v) const {
   const query::QueryNode& qn = query_.node(query_node);
-  if (config_.d >= 2 && qn.wildcard && qn.type_name.empty()) {
-    // The list is all of V, or empty under the threshold.
-    return config_.wildcard_node_score >= config_.node_threshold
-               ? config_.wildcard_node_score
-               : -1.0;
+  if (radius_ >= 2 && qn.wildcard && qn.type_name.empty()) {
+    // The list is every node, or none (under the threshold, or the query
+    // has no match).
+    return Candidates(query_node).empty() ? -1.0 : config_.wildcard_node_score;
   }
-  const int slot = list_rep_[query_node];
-  if (!candidate_scores_ready_[slot]) {
+  if (!candidate_scores_ready_[query_node]) {
     Candidates(query_node);
-    BuildCandidateScoreTable(slot);
+    BuildCandidateScoreTable(query_node);
   }
   // An absent v (kInvalidNode too) ends at an empty slot, which reads -1.
-  const CandidateScoreTable& table = candidate_scores_[slot];
+  const CandidateScoreTable& table = candidate_scores_[query_node];
   return table.slots[table.Probe(v)].score;
 }
 
-void QueryScorer::BuildCandidateScoreTable(int slot) const {
-  const CandidateList& list = candidates_[slot];
-  CandidateScoreTable& table = candidate_scores_[slot];
+void QueryScorer::BuildCandidateScoreTable(int query_node) const {
+  const CandidateList& list = candidates_[query_node];
+  CandidateScoreTable& table = candidate_scores_[query_node];
   size_t capacity = 2;
   table.shift = 63;
   while (capacity < 2 * list.size()) {
@@ -932,7 +897,7 @@ void QueryScorer::BuildCandidateScoreTable(int slot) const {
     // A repeated node keeps its first score.
     if (entry.node == graph::kInvalidNode) entry = {c.node, c.score};
   }
-  candidate_scores_ready_[slot] = true;
+  candidate_scores_ready_[query_node] = true;
 }
 
 double QueryScorer::RelationScore(int query_edge, uint32_t relation) const {

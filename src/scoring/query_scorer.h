@@ -45,12 +45,12 @@ struct RetrievalStats {
 };
 
 /// How one query node's candidate list was scored: its retrieval pool
-/// thresholded and cut, before the d <= 1 plan's arc-consistency pass
-/// (DESIGN.md "Arc-consistent candidate lists"). The serve layer's
-/// degradation certificate reads it.
+/// thresholded and cut, before the plan's arc-consistency pass (DESIGN.md
+/// "Arc-consistent candidate lists"). The serve layer's degradation
+/// certificate reads it.
 struct ScoredListInfo {
-  /// The list was scored by this scorer. A list the d <= 1 plan never
-  /// scored (it stopped at an empty list first) reads false.
+  /// The list was scored by this scorer. A list the plan never scored (it
+  /// stopped at an empty list first) reads false.
   bool scored = false;
   /// Best F_N kept; where the plan's pre-scoring filter dropped pool nodes
   /// unscored, raised to the largest RetrievalNodeBound among them (the
@@ -115,15 +115,19 @@ class QueryScorer {
   /// holds every node of the graph in id order (never cut), or none under
   /// the threshold.
   ///
-  /// At d >= 2 each list is computed lazily, once per node signature. At
-  /// d <= 1 the first call builds every node's own list in one plan
-  /// (DESIGN.md "Arc-consistent candidate lists"): each list above is
-  /// reduced to its largest arc-consistent subset, the entries with a
-  /// graph neighbour in the list of each of the node's query neighbours
-  /// (not itself under injectivity), in the same order. Every match uses
-  /// only such entries, since at d <= 1 a query edge maps to one data
-  /// edge. When a list of a connected query ends empty (it has no match),
-  /// every list is empty.
+  /// The first call builds every node's own list in one plan (DESIGN.md
+  /// "Arc-consistent candidate lists"): each list above is reduced to its
+  /// largest arc-consistent subset under the support radius R, the largest
+  /// h <= max(d, 1) with h = 1 or PathDecay(h) >= edge_threshold. An entry
+  /// v stays when the list of each of the node's query neighbours holds a
+  /// member s that v reaches by a walk of 1..R hops (s != v under
+  /// injectivity), in the same order. Every match uses only such entries,
+  /// since a query edge maps to such a walk. Two rules loosen the filter,
+  /// so it still drops nothing a match uses: an untyped wildcard's list is
+  /// filtered only at R = 1 (else it is every node, and offers every
+  /// node), and at R >= 3 an entry needs only a graph neighbour (not
+  /// itself under injectivity). When a list of a connected query ends
+  /// empty (it has no match), every list is empty.
   const CandidateList& Candidates(int query_node) const;
 
   /// The MatchConfig::sample_rate pool predicate: whether node v survives
@@ -150,15 +154,15 @@ class QueryScorer {
   /// How `query_node`'s list was scored (see ScoredListInfo). Never
   /// triggers computation.
   const ScoredListInfo& ScoredInfo(int query_node) const {
-    return scored_[list_rep_[query_node]];
+    return scored_[query_node];
   }
 
   /// Membership score in Candidates(query_node): F_N if v is a candidate,
   /// -1 otherwise (also for kInvalidNode). The first call per query node
   /// builds a flat open-addressing table over the list (the first entry
-  /// of a node wins); later calls are one probe sequence. At d >= 2
+  /// of a node wins); later calls are one probe sequence. At R >= 2
   /// untyped wildcards short-circuit: every node matches at the wildcard
-  /// score, or none when it is under node_threshold.
+  /// score, or none when the list is empty.
   double CandidateScore(int query_node, graph::NodeId v) const;
 
   /// Relation-label similarity of mapping query edge e to a data edge with
@@ -251,20 +255,20 @@ class QueryScorer {
   /// Ontology type id for a type name (-1 if no ontology / unknown).
   int OntologyType(std::string_view type_name) const;
 
-  /// Builds candidate_scores_[slot] from the list in that slot.
-  void BuildCandidateScoreTable(int slot) const;
+  /// Builds candidate_scores_[query_node] from its list.
+  void BuildCandidateScoreTable(int query_node) const;
 
   /// Scores `query_node`'s list from `pool` (its RetrievalPool, or a
-  /// filtered part of it; ignored for an untyped wildcard, whose list is
-  /// every node) into `out`: thresholded, sorted by (score desc, node
-  /// asc) and cut at max_candidates (untyped wildcards are never cut).
+  /// filtered part of it) into `out`: thresholded, sorted by (score desc,
+  /// node asc) and cut at max_candidates. Not for an untyped wildcard,
+  /// whose list the plan builds itself.
   void ScoreList(int query_node, const std::vector<graph::NodeId>& pool,
                  const std::vector<uint8_t>& shares_token,
                  CandidateList* out) const;
 
-  /// The d <= 1 plan (DESIGN.md "Arc-consistent candidate lists"): builds
-  /// every node's list, filters each against its neighbours' lists until
-  /// they are arc-consistent, and marks them all ready.
+  /// The plan (DESIGN.md "Arc-consistent candidate lists"): builds every
+  /// node's list, filters each against its neighbours' lists until they
+  /// are arc-consistent, and sets planned_.
   void PlanLists() const;
 
   /// Bulk F_N of `query_node` against every node in `nodes` (Candidates'
@@ -327,19 +331,11 @@ class QueryScorer {
   // Ontology ids resolved once: per query node and per graph type id.
   std::vector<int> query_node_onto_type_;
   std::vector<int> graph_type_onto_type_;
-  // Derived-view reuse across query nodes (per-query scope). F_N and
-  // candidate retrieval are pure functions of a query node's attribute
-  // signature (wildcard flag, type name, label text) plus immutable
-  // graph/config state, so nodes sharing a signature alias one
-  // representative: node_rep_[u] is the first query node with u's
-  // signature, and RetrievalPool and (at d >= 2, through list_rep_) the
-  // candidate lists and their score tables are indexed through it.
-  // Likewise edge_rep_[e] aliases relation-similarity memos by (wildcard,
-  // relation label), and prepared_idx_[u] dedupes kernel views by label
-  // text — each view is built once per query rather than once per query
-  // node. Aliased reads are bitwise identical to unaliased ones, so
-  // results are unchanged.
-  std::vector<int> node_rep_;
+  // Derived-view reuse across query elements (per-query scope): edge_rep_[e]
+  // aliases relation-similarity memos by (wildcard, relation label), and
+  // prepared_idx_[u] dedupes kernel views by label text — each view is
+  // built once per query rather than once per query node. Aliased reads
+  // are bitwise identical to unaliased ones, so results are unchanged.
   std::vector<int> edge_rep_;
   std::vector<uint32_t> prepared_idx_;
   // Query-side kernel views, one per UNIQUE query label, built eagerly in
@@ -348,17 +344,15 @@ class QueryScorer {
   // For typed wildcard query nodes: the required graph type id (-1 = none
   // matches / untyped wildcard).
   std::vector<int32_t> wildcard_graph_type_;
-  // The slot of each query node's candidate list, candidate-score table
-  // and ScoredListInfo: node_rep_[u] at d >= 2; u itself at d <= 1, where
-  // a list also depends on the node's neighbours (two `?` nodes share a
-  // signature but not their neighbours).
-  std::vector<int> list_rep_;
+  // The plan's support radius R (see Candidates()).
+  int radius_ = 1;
 
-  // Candidate lists per list slot.
+  // Candidate lists per query node, each its own (a list depends on the
+  // node's neighbours too), all built by one plan.
   mutable std::vector<CandidateList> candidates_;
-  mutable std::vector<bool> candidates_ready_;
+  mutable bool planned_ = false;
   mutable std::vector<ScoredListInfo> scored_;
-  // CandidateScore tables, per list slot: open addressing
+  // CandidateScore tables, per query node: open addressing
   // with linear probing over a power-of-two slot array at least twice the
   // list size, so every probe sequence ends at an empty slot (node ==
   // kInvalidNode, score -1). v's probe starts at the top bits of v times

@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -391,9 +392,39 @@ std::vector<scoring::ScoredCandidate> CandidatesFromScore(
 
 void ArcConsistentClosure(
     const graph::KnowledgeGraph& g, const query::QueryGraph& q,
-    bool injective,
+    bool injective, int radius,
     std::vector<std::vector<scoring::ScoredCandidate>>* lists) {
-  // Plain fixpoint: sweep every edge both ways until no list changes.
+  const auto untyped = [&](int u) {
+    return q.node(u).wildcard && q.node(u).type_name.empty();
+  };
+  // Whether v reaches a node s != v (any s without injectivity) that
+  // `in_support` accepts by a walk of 1..radius hops, found layer by
+  // layer: W_0 = {v}, W_h = N(W_{h-1}). From radius 3 on, a neighbour
+  // other than v (any neighbour without injectivity) is enough.
+  const auto supported = [&](graph::NodeId v, const auto& in_support) {
+    if (radius >= 3) {
+      for (const auto& nb : g.Neighbors(v)) {
+        if (!injective || nb.node != v) return true;
+      }
+      return false;
+    }
+    std::set<graph::NodeId> layer = {v};
+    for (int h = 1; h <= radius; ++h) {
+      std::set<graph::NodeId> next;
+      for (const graph::NodeId x : layer) {
+        for (const auto& nb : g.Neighbors(x)) next.insert(nb.node);
+      }
+      layer = std::move(next);
+      for (const graph::NodeId s : layer) {
+        if ((!injective || s != v) && in_support(s)) return true;
+      }
+    }
+    return false;
+  };
+  // Plain fixpoint: sweep every edge both ways until no list changes. An
+  // untyped wildcard's list is filtered only at radius 1; above it, it
+  // offers every node.
+  const auto filtered = [&](int u) { return radius == 1 || !untyped(u); };
   bool changed = true;
   while (changed) {
     changed = false;
@@ -401,32 +432,39 @@ void ArcConsistentClosure(
       for (const bool forward : {true, false}) {
         const int u = forward ? q.edge(e).u : q.edge(e).v;
         const int y = q.OtherEnd(e, u);
+        if (!filtered(u)) continue;
         std::vector<graph::NodeId> support;
         for (const auto& c : (*lists)[y]) support.push_back(c.node);
         std::sort(support.begin(), support.end());
-        const auto supported = [&](graph::NodeId v) {
-          for (const auto& nb : g.Neighbors(v)) {
-            if (injective && nb.node == v) continue;
-            if (std::binary_search(support.begin(), support.end(), nb.node)) {
-              return true;
-            }
-          }
-          return false;
+        const auto in_support = [&](graph::NodeId s) {
+          return !filtered(y) ||
+                 std::binary_search(support.begin(), support.end(), s);
         };
         const size_t before = (*lists)[u].size();
         std::erase_if((*lists)[u], [&](const scoring::ScoredCandidate& c) {
-          return !supported(c.node);
+          return !supported(c.node, in_support);
         });
         changed |= (*lists)[u].size() != before;
       }
     }
   }
+  // A connected query with an empty list has no match.
+  const bool none = std::any_of(lists->begin(), lists->end(),
+                                [](const auto& list) { return list.empty(); });
+  if (none && q.IsConnected()) {
+    for (auto& list : *lists) list.clear();
+  }
 }
 
-namespace {
+int SupportRadius(const scoring::QueryScorer& scorer) {
+  int radius = 1;
+  for (int h = 2; h <= scorer.config().d; ++h) {
+    if (scorer.PathDecay(h) >= scorer.config().edge_threshold) radius = h;
+  }
+  return radius;
+}
 
-/// Every node's list as CheckFnOracle expects it.
-std::vector<std::vector<scoring::ScoredCandidate>> ReferenceCandidateLists(
+std::vector<std::vector<scoring::ScoredCandidate>> UnreducedCandidateLists(
     const scoring::QueryScorer& scorer,
     const text::SimilarityEnsemble& ensemble) {
   const query::QueryGraph& q = scorer.query();
@@ -435,21 +473,17 @@ std::vector<std::vector<scoring::ScoredCandidate>> ReferenceCandidateLists(
     lists[u] = q.node(u).wildcard ? baseline::BruteForceDomain(scorer, u)
                                   : CandidatesFromScore(scorer, ensemble, u);
   }
-  if (scorer.config().d <= 1) {
-    ArcConsistentClosure(scorer.graph(), q, scorer.config().enforce_injective,
-                         &lists);
-  }
   return lists;
 }
-
-}  // namespace
 
 void CheckFnOracle(const scoring::QueryScorer& scorer,
                    const text::SimilarityEnsemble& ensemble,
                    const std::string& cell, CaseOutcome* out) {
   const query::QueryGraph& q = scorer.query();
-  const std::vector<std::vector<scoring::ScoredCandidate>> reference =
-      ReferenceCandidateLists(scorer, ensemble);
+  std::vector<std::vector<scoring::ScoredCandidate>> reference =
+      UnreducedCandidateLists(scorer, ensemble);
+  ArcConsistentClosure(scorer.graph(), q, scorer.config().enforce_injective,
+                       SupportRadius(scorer), &reference);
   for (int u = 0; u < q.node_count(); ++u) {
     CheckCandidateList(q, u, scorer.Candidates(u), reference[u], cell, out);
   }

@@ -61,10 +61,10 @@ struct CaseOutcome {
 ///
 ///  - BruteForce oracle vs stark/stard/hybrid (framework) score identity;
 ///  - graphTA (always) and BP (acyclic, non-injective) agreement;
-///  - fn-oracle: every candidate list equals the one rebuilt from
-///    SimilarityEnsemble::Score() — at d <= 1 its arc-consistent closure
-///    (CheckFnOracle below) — under the base config and under every
-///    degraded cell's effective config;
+///  - fn-oracle: every candidate list equals the arc-consistent closure
+///    of the one rebuilt from SimilarityEnsemble::Score() (CheckFnOracle
+///    below) under the base config and under every degraded cell's
+///    effective config;
 ///  - bitwise identity of reuse cold/warm/invalidated runs (with optional
 ///    bug injection between cold and warm);
 ///  - deadline cells: pre-expired => empty + cancelled; tight => bitwise
@@ -92,22 +92,37 @@ std::vector<scoring::ScoredCandidate> CandidatesFromScore(
     const scoring::QueryScorer& scorer,
     const text::SimilarityEnsemble& ensemble, int u);
 
-/// The largest arc-consistent subsets of `lists` (one per node of q): each
-/// entry kept has a graph neighbour — not itself under `injective` — in
-/// the list of each of its node's query neighbours. A plain fixpoint loop,
-/// independent of the scorer's d <= 1 plan.
+/// The largest arc-consistent subsets of `lists` (one per node of q) under
+/// the walk rule of radius R = `radius`: each entry v kept reaches a
+/// member s of the list of each of its node's query neighbours by a walk
+/// of 1..R hops, with s != v under `injective`. Two rules loosen it: an
+/// untyped wildcard's list is filtered only at R = 1 (above, it offers
+/// every node), and at R >= 3 an entry needs only a neighbour (not itself
+/// under `injective`). When q is connected and a list ends empty, every
+/// list is emptied. A plain fixpoint loop over per-node walk layers,
+/// independent of the scorer's plan.
 void ArcConsistentClosure(
     const graph::KnowledgeGraph& g, const query::QueryGraph& q,
-    bool injective,
+    bool injective, int radius,
     std::vector<std::vector<scoring::ScoredCandidate>>* lists);
+
+/// The support radius of the scorer's config, from its definition: the
+/// largest h <= max(d, 1) with h = 1 or PathDecay(h) >= edge_threshold.
+int SupportRadius(const scoring::QueryScorer& scorer);
+
+/// Every node's candidate list rebuilt without the scorer's list code, as
+/// it stands before the plan's reduction: CandidatesFromScore for a
+/// labelled node, baseline::BruteForceDomain for a wildcard (its F_N is a
+/// type check).
+std::vector<std::vector<scoring::ScoredCandidate>> UnreducedCandidateLists(
+    const scoring::QueryScorer& scorer,
+    const text::SimilarityEnsemble& ensemble);
 
 /// The fn-oracle check, run by RunDifferentialCase on the base config and
 /// on each degraded cell's: appends one "fn-oracle" violation to `out`
 /// for each node u of the scorer's query whose scorer.Candidates(u)
-/// differs in an id or a score bit from the list rebuilt without the
-/// scorer's list code — CandidatesFromScore for a labelled node,
-/// baseline::BruteForceDomain for a wildcard (its F_N is a type check) —
-/// and at d <= 1 from the ArcConsistentClosure of those lists.
+/// differs in an id or a score bit from the ArcConsistentClosure, at the
+/// config's SupportRadius, of the UnreducedCandidateLists.
 void CheckFnOracle(const scoring::QueryScorer& scorer,
                    const text::SimilarityEnsemble& ensemble,
                    const std::string& cell, CaseOutcome* out);

@@ -62,26 +62,42 @@ TEST_P(BpTreeExactness, ExactOnTrees) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BpTreeExactness, ::testing::Range(0, 10));
 
+// A triangle query over a graph with one data triangle and one open path
+// of the same labels: loopy BP runs on the cycle, at d = 1 (the triangle
+// alone matches) and at d = 2 (the path's ends are two hops apart, so it
+// matches too), with its domains from the scorer's plan at both.
 TEST(BeliefPropagationTest, CyclicQueriesReturnValidMatches) {
-  const auto g = SmallRandomGraph(5, 20, 44);
-  query::WorkloadGenerator wg(g, 23);
-  query::WorkloadOptions wo;
-  wo.variable_fraction = 0.0;
-  const auto q = wg.RandomGraphQuery(4, 5, wo);
-  if (q.IsTree()) GTEST_SKIP();
-  const auto cfg = TestConfig(1);
-  ScorerFixture fx(g, q, cfg);
-  BeliefPropagation bp(*fx.scorer, {});
-  const auto got = bp.TopK(5);
-  // No completeness guarantee, but everything returned must be a valid
-  // match no better than the true optimum.
-  ScorerFixture fx2(g, q, cfg);
-  const auto best = BruteForceTopK(*fx2.scorer, 1);
-  for (const auto& m : got) {
-    EXPECT_TRUE(m.Complete());
-    EXPECT_TRUE(m.Injective());
-    if (!best.empty()) {
-      EXPECT_LE(m.score, best[0].score + 1e-9);
+  graph::KnowledgeGraph::Builder b;
+  const char* const names[] = {"Ada Lovelace", "Homer Simpson", "Carl Gauss"};
+  std::vector<graph::NodeId> triangle, path;
+  for (const char* name : names) triangle.push_back(b.AddNode(name, "Person"));
+  for (const char* name : names) path.push_back(b.AddNode(name, "Person"));
+  for (size_t i = 0; i < 3; ++i) {
+    b.AddEdge(triangle[i], triangle[(i + 1) % 3], "knows");
+  }
+  b.AddEdge(path[0], path[1], "knows");
+  b.AddEdge(path[1], path[2], "knows");
+  b.AddEdge(path[2], b.AddNode("Qwxv Jjk", "Thing"), "owns");
+  const auto g = std::move(b).Build();
+  query::QueryGraph q;
+  for (const char* name : names) q.AddNode(name);
+  for (int u = 0; u < 3; ++u) q.AddEdge(u, (u + 1) % 3, "knows");
+  ASSERT_FALSE(q.IsTree());
+  for (const int d : {1, 2}) {
+    const auto cfg = TestConfig(d);
+    ScorerFixture fx(g, q, cfg);
+    BeliefPropagation bp(*fx.scorer, {});
+    const auto got = bp.TopK(5);
+    // No completeness guarantee, but everything returned must be a valid
+    // match no better than the true optimum.
+    ScorerFixture fx2(g, q, cfg);
+    const auto best = BruteForceTopK(*fx2.scorer, 1);
+    ASSERT_FALSE(best.empty()) << "d=" << d;
+    EXPECT_FALSE(got.empty()) << "d=" << d;
+    for (const auto& m : got) {
+      EXPECT_TRUE(m.Complete()) << "d=" << d;
+      EXPECT_TRUE(m.Injective()) << "d=" << d;
+      EXPECT_LE(m.score, best[0].score + 1e-9) << "d=" << d;
     }
   }
 }

@@ -187,10 +187,11 @@ TEST(QueryScorerTest, CandidateScoreMembership) {
 }
 
 // CandidateScore's flat table against a linear scan of Candidates(u), for
-// every node of the graph and kInvalidNode, at d = 1 (the plan's reduced
-// lists) and d = 2. Two query nodes share a signature (same label and
-// type): at d = 2 they share one list, at d = 1 each has its own. One leaf
-// is an untyped wildcard, which short-circuits at d = 2 only.
+// every node of the graph and kInvalidNode, over the plan's reduced lists
+// at d = 1 and d = 2 (radius 2 here). Two query nodes share a signature
+// (same label and type) and a neighbour: each has its own list, and the
+// two are equal. One leaf is an untyped wildcard, which short-circuits at
+// radius 2 only.
 TEST(CandidateScoreTableTest, MatchesLinearScanOfCandidates) {
   graph::GeneratorConfig gc;
   gc.num_nodes = 400;
@@ -214,6 +215,7 @@ TEST(CandidateScoreTableTest, MatchesLinearScanOfCandidates) {
   for (const int leaf : {twin_a, twin_b, any, typed}) q.AddEdge(pivot, leaf);
   for (const int d : {1, 2}) {
     QueryScorer scorer(g, q, ensemble, TestConfig(d), &index);
+    ASSERT_EQ(star::testing::SupportRadius(scorer), d);
     const bool short_circuit = d >= 2;
     const auto scan = [&](int u, graph::NodeId v) {
       if (short_circuit && u == any) {
@@ -241,10 +243,12 @@ TEST(CandidateScoreTableTest, MatchesLinearScanOfCandidates) {
     EXPECT_GT(members, 100u) << "d=" << d;
     const CandidateList& list_a = scorer.Candidates(twin_a);
     const CandidateList& list_b = scorer.Candidates(twin_b);
-    EXPECT_EQ(&list_a == &list_b, d >= 2);
+    EXPECT_NE(&list_a, &list_b) << "d=" << d;
+    EXPECT_FALSE(list_a.empty()) << "d=" << d;
     ASSERT_EQ(list_a.size(), list_b.size()) << "d=" << d;
     for (size_t i = 0; i < list_a.size(); ++i) {
       EXPECT_EQ(list_a[i].node, list_b[i].node) << "d=" << d << " " << i;
+      EXPECT_EQ(list_a[i].score, list_b[i].score) << "d=" << d << " " << i;
     }
   }
 }
@@ -252,29 +256,28 @@ TEST(CandidateScoreTableTest, MatchesLinearScanOfCandidates) {
 TEST(QueryScorerTest, TruncatedCandidatesEqualFullSortPrefix) {
   // The max_candidates cut (nth_element + prefix sort) must agree with the
   // full sort under the (score desc, node asc) total order; an untyped
-  // wildcard's list is never cut. At d = 2 that is the list; at d = 1 the
-  // list is the arc-consistent closure of those prefixes.
+  // wildcard's list is never cut. The list is the arc-consistent closure
+  // of those prefixes, at radius d here.
   const auto g = SmallRandomGraph(/*seed=*/23, /*nodes=*/48, /*edges=*/96);
   query::WorkloadGenerator wg(g, /*seed=*/9);
   const auto q = wg.RandomStarQuery(3, query::WorkloadOptions{});
   ScorerFixture full(g, q, TestConfig(/*d=*/2), /*with_index=*/false);
+  const std::vector<std::vector<ScoredCandidate>> sorted =
+      star::testing::UnreducedCandidateLists(*full.scorer, full.ensemble);
   std::vector<std::vector<ScoredCandidate>> prefixes(q.node_count());
   for (int u = 0; u < q.node_count(); ++u) {
-    const CandidateList& expect = full.scorer->Candidates(u);
     const bool untyped = q.node(u).wildcard && q.node(u).type_name.empty();
     const size_t keep =
-        untyped ? expect.size() : std::min<size_t>(expect.size(), 5);
-    prefixes[u].assign(expect.begin(), expect.begin() + keep);
+        untyped ? sorted[u].size() : std::min<size_t>(sorted[u].size(), 5);
+    prefixes[u].assign(sorted[u].begin(), sorted[u].begin() + keep);
   }
   for (const int d : {1, 2}) {
     auto cut_cfg = TestConfig(d);
     cut_cfg.max_candidates = 5;
     ScorerFixture cut(g, q, cut_cfg, /*with_index=*/false);
     std::vector<std::vector<ScoredCandidate>> want = prefixes;
-    if (d <= 1) {
-      star::testing::ArcConsistentClosure(g, q, cut_cfg.enforce_injective,
-                                          &want);
-    }
+    star::testing::ArcConsistentClosure(g, q, cut_cfg.enforce_injective,
+                                        /*radius=*/d, &want);
     for (int u = 0; u < q.node_count(); ++u) {
       const CandidateList& got = cut.scorer->Candidates(u);
       ASSERT_EQ(got.size(), want[u].size()) << "d=" << d << " u=" << u;
@@ -499,7 +502,7 @@ TEST(QueryScorerTest, CancelledCandidatesNotMemoizedAndTruncationRecorded) {
 }
 
 // ---------------------------------------------------------------------------
-// The d <= 1 plan (DESIGN.md "Arc-consistent candidate lists").
+// The plan (DESIGN.md "Arc-consistent candidate lists").
 // ---------------------------------------------------------------------------
 
 /// Node ids of a candidate list, in list order.
@@ -510,20 +513,18 @@ std::vector<graph::NodeId> Ids(const List& list) {
   return ids;
 }
 
-/// The lists a d <= 1 scorer must end with: the harness's closure of the
-/// lists a d = 2 scorer (no plan) builds under the same config.
+/// The lists a scorer must end with: the harness's closure, at the
+/// config's radius, of the lists rebuilt from Score() under the config.
 std::vector<std::vector<ScoredCandidate>> Closure(
     const graph::KnowledgeGraph& g, const query::QueryGraph& q,
-    const text::SimilarityEnsemble& ensemble, MatchConfig cfg,
+    const text::SimilarityEnsemble& ensemble, const MatchConfig& cfg,
     const graph::LabelIndex* index) {
-  cfg.d = 2;
-  const QueryScorer whole(g, q, ensemble, cfg, index);
-  std::vector<std::vector<ScoredCandidate>> lists(q.node_count());
-  for (int u = 0; u < q.node_count(); ++u) {
-    const CandidateList& list = whole.Candidates(u);
-    lists[u].assign(list.begin(), list.end());
-  }
-  star::testing::ArcConsistentClosure(g, q, cfg.enforce_injective, &lists);
+  const QueryScorer reference(g, q, ensemble, cfg, index);
+  std::vector<std::vector<ScoredCandidate>> lists =
+      star::testing::UnreducedCandidateLists(reference, ensemble);
+  star::testing::ArcConsistentClosure(g, q, cfg.enforce_injective,
+                                      star::testing::SupportRadius(reference),
+                                      &lists);
   return lists;
 }
 
@@ -670,17 +671,15 @@ TEST(CandidatePlanTest, APoolThatFillsTheCutIsFilteredAfterIt) {
   q.AddEdge(ada, h);
   MatchConfig cfg = TestConfig(/*d=*/1);
   cfg.max_candidates = 2;
-  MatchConfig whole_cfg = cfg;
-  whole_cfg.d = 2;
-  const QueryScorer whole(g, q, ensemble, whole_cfg, &index);
-  ASSERT_EQ(Ids(whole.Candidates(ada)),
-            (std::vector<graph::NodeId>{exact, near}));
   const QueryScorer scorer(g, q, ensemble, cfg, &index);
+  const std::vector<ScoredCandidate> cut =
+      star::testing::CandidatesFromScore(scorer, ensemble, ada);
+  ASSERT_EQ(Ids(cut), (std::vector<graph::NodeId>{exact, near}));
   EXPECT_EQ(Ids(scorer.Candidates(ada)), std::vector<graph::NodeId>{near});
   EXPECT_EQ(Ids(scorer.Candidates(h)), std::vector<graph::NodeId>{homer});
   // The digest is the cut list as scored.
   EXPECT_EQ(scorer.ScoredInfo(ada).size, 2u);
-  EXPECT_EQ(scorer.ScoredInfo(ada).top_score, whole.Candidates(ada)[0].score);
+  EXPECT_EQ(scorer.ScoredInfo(ada).top_score, cut[0].score);
   ExpectLists(scorer, Closure(g, q, ensemble, cfg, &index), "cut");
 }
 
@@ -719,9 +718,11 @@ TEST(CandidatePlanTest, AnEmptyListStopsThePlan) {
   ExpectLists(scorer, Closure(g, q, ensemble, cfg, &index), "empty");
 }
 
-// Over random path and star queries, with and without a cut, every list
-// the plan builds is bitwise the closure of the lists a d = 2 scorer
-// builds, and the sweep reduces some of them.
+// Over random path and star queries, at d = 1, 2 and 3, with and without a
+// cut, every list the plan builds is bitwise the closure of the lists
+// rebuilt from Score(), and the sweep reduces some of them at d = 1 and 2
+// (at radius 3 it drops only nodes without a neighbour, and every node of
+// this graph has one).
 TEST(CandidatePlanTest, RandomQueriesEndWithTheClosure) {
   const auto g = SmallRandomGraph(/*seed=*/41, /*nodes=*/60, /*edges=*/150);
   const graph::LabelIndex index(g);
@@ -729,26 +730,160 @@ TEST(CandidatePlanTest, RandomQueriesEndWithTheClosure) {
   query::WorkloadGenerator wg(g, /*seed=*/3);
   query::WorkloadOptions wo;
   wo.variable_fraction = 0.3;
-  size_t reduced = 0;
+  std::vector<query::QueryGraph> queries;
   for (int i = 0; i < 12; ++i) {
-    const query::QueryGraph q = i % 2 == 0 ? wg.RandomGraphQuery(4, 4, wo)
-                                           : wg.RandomStarQuery(3, wo);
-    for (const size_t max_candidates : {size_t{0}, size_t{3}}) {
-      MatchConfig cfg = TestConfig(/*d=*/1);
-      cfg.max_candidates = max_candidates;
-      const std::string cell = "query " + std::to_string(i) +
-                               " cut=" + std::to_string(max_candidates);
-      const QueryScorer plain(g, q, ensemble, cfg, &index);
-      MatchConfig node_cfg = cfg;
-      node_cfg.d = 2;
-      const QueryScorer node_level(g, q, ensemble, node_cfg, &index);
-      ExpectLists(plain, Closure(g, q, ensemble, cfg, &index), cell);
-      for (int u = 0; u < q.node_count(); ++u) {
-        reduced += node_level.Candidates(u).size() - plain.Candidates(u).size();
+    queries.push_back(i % 2 == 0 ? wg.RandomGraphQuery(4, 4, wo)
+                                 : wg.RandomStarQuery(3, wo));
+  }
+  for (const int d : {1, 2, 3}) {
+    size_t reduced = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const query::QueryGraph& q = queries[i];
+      for (const size_t max_candidates : {size_t{0}, size_t{3}}) {
+        MatchConfig cfg = TestConfig(d);
+        cfg.max_candidates = max_candidates;
+        const std::string cell = "d=" + std::to_string(d) + " query " +
+                                 std::to_string(i) +
+                                 " cut=" + std::to_string(max_candidates);
+        const QueryScorer plain(g, q, ensemble, cfg, &index);
+        ExpectLists(plain, Closure(g, q, ensemble, cfg, &index), cell);
+        const auto unreduced =
+            star::testing::UnreducedCandidateLists(plain, ensemble);
+        for (int u = 0; u < q.node_count(); ++u) {
+          reduced += unreduced[u].size() - plain.Candidates(u).size();
+        }
       }
     }
+    EXPECT_EQ(reduced > 0, d <= 2) << "d=" << d;
   }
-  EXPECT_GT(reduced, 0u);
+}
+
+// A path in the data: Ada 1 - x - Homer 1, and Ada 2 - Homer 2 directly.
+// Homer 1 is two hops from an Ada: its walk supports it at d = 2, not at
+// d = 1. A plan that dropped a supported node fails here at d = 2.
+TEST(CandidatePlanTest, AWalkOfTwoHopsSupportsAtDTwoOnly) {
+  graph::KnowledgeGraph::Builder b;
+  const graph::NodeId ada1 = b.AddNode("Ada Lovelace", "Person");
+  const graph::NodeId x = b.AddNode("Qwxv Jjk", "Thing");
+  const graph::NodeId homer1 = b.AddNode("Homer Simpson", "Person");
+  const graph::NodeId ada2 = b.AddNode("Ada Lovelace", "Person");
+  const graph::NodeId homer2 = b.AddNode("Homer Simpson", "Person");
+  b.AddEdge(ada1, x, "knows");
+  b.AddEdge(x, homer1, "knows");
+  b.AddEdge(ada2, homer2, "knows");
+  const graph::KnowledgeGraph g = std::move(b).Build();
+  const graph::LabelIndex index(g);
+  const text::SimilarityEnsemble ensemble;
+  query::QueryGraph q;
+  const int a = q.AddNode("Ada Lovelace");
+  const int h = q.AddNode("Homer Simpson");
+  q.AddEdge(a, h);
+  for (const int d : {1, 2}) {
+    MatchConfig cfg = TestConfig(d);
+    cfg.node_threshold = 0.9;
+    const QueryScorer scorer(g, q, ensemble, cfg, &index);
+    const std::string cell = "d=" + std::to_string(d);
+    const std::vector<graph::NodeId> adas =
+        d == 1 ? std::vector<graph::NodeId>{ada2}
+               : std::vector<graph::NodeId>{ada1, ada2};
+    const std::vector<graph::NodeId> homers =
+        d == 1 ? std::vector<graph::NodeId>{homer2}
+               : std::vector<graph::NodeId>{homer1, homer2};
+    EXPECT_EQ(Ids(scorer.Candidates(a)), adas) << cell;
+    EXPECT_EQ(Ids(scorer.Candidates(h)), homers) << cell;
+    ExpectLists(scorer, Closure(g, q, ensemble, cfg, &index), cell);
+  }
+}
+
+// The radius is where walks stop scoring: the largest h <= d whose decay
+// lambda^(h-1) reaches edge_threshold. On the path Ada 1 - x - Homer 1 -
+// y - z - Homer 3 (and Ada 2 - Homer 2), Homer 1 is two hops from an Ada
+// and Homer 3 five. At d = 2 with edge_threshold above lambda the radius
+// is 1 and Homer 1 goes; at d = 3 with it between lambda^2 and lambda the
+// radius is 2 and Homer 3 goes; at radius 3 a neighbour is enough, so
+// Homer 3 stays. A supported node dropped in any cell fails it.
+TEST(CandidatePlanTest, TheRadiusStopsWhereWalksStopScoring) {
+  graph::KnowledgeGraph::Builder b;
+  const graph::NodeId ada1 = b.AddNode("Ada Lovelace", "Person");
+  const graph::NodeId x = b.AddNode("Qwxv Jjk", "Thing");
+  const graph::NodeId homer1 = b.AddNode("Homer Simpson", "Person");
+  const graph::NodeId y = b.AddNode("Zzyq Kkl", "Thing");
+  const graph::NodeId z = b.AddNode("Vvbn Mmq", "Thing");
+  const graph::NodeId homer3 = b.AddNode("Homer Simpson", "Person");
+  const graph::NodeId ada2 = b.AddNode("Ada Lovelace", "Person");
+  const graph::NodeId homer2 = b.AddNode("Homer Simpson", "Person");
+  b.AddEdge(ada1, x, "knows");
+  b.AddEdge(x, homer1, "knows");
+  b.AddEdge(homer1, y, "knows");
+  b.AddEdge(y, z, "knows");
+  b.AddEdge(z, homer3, "knows");
+  b.AddEdge(ada2, homer2, "knows");
+  const graph::KnowledgeGraph g = std::move(b).Build();
+  const graph::LabelIndex index(g);
+  const text::SimilarityEnsemble ensemble;
+  query::QueryGraph q;
+  const int a = q.AddNode("Ada Lovelace");
+  const int h = q.AddNode("Homer Simpson");
+  q.AddEdge(a, h);
+  struct Cell {
+    int d;
+    double edge_threshold;
+    std::vector<graph::NodeId> homers;
+  };
+  const Cell cells[] = {
+      {2, 0.6, {homer2}},                   // lambda = 0.5 < 0.6: radius 1
+      {3, 0.3, {homer1, homer2}},           // 0.25 < 0.3 <= 0.5: radius 2
+      {3, 0.2, {homer1, homer3, homer2}},   // 0.2 <= 0.25: radius 3
+  };
+  for (const Cell& c : cells) {
+    MatchConfig cfg = TestConfig(c.d);
+    cfg.node_threshold = 0.9;
+    cfg.edge_threshold = c.edge_threshold;
+    const QueryScorer scorer(g, q, ensemble, cfg, &index);
+    const std::string cell = "d=" + std::to_string(c.d) +
+                             " edge_threshold=" +
+                             std::to_string(c.edge_threshold);
+    std::vector<graph::NodeId> got = Ids(scorer.Candidates(h));
+    std::sort(got.begin(), got.end());
+    std::vector<graph::NodeId> want = c.homers;
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want) << cell;
+    ExpectLists(scorer, Closure(g, q, ensemble, cfg, &index), cell);
+  }
+}
+
+// A two-hop walk from a node back to itself (v - x - v) supports it only
+// with injectivity off, as a self-loop does at d = 1: the two query nodes
+// of the edge then map to v. Neither Port Town is within two hops of the
+// other.
+TEST(CandidatePlanTest, AWalkBackToItselfSupportsOnlyWithoutInjectivity) {
+  graph::KnowledgeGraph::Builder b;
+  const graph::NodeId port = b.AddNode("Port Town", "City");
+  const graph::NodeId lone = b.AddNode("Port Town", "City");
+  b.AddEdge(port, b.AddNode("Qwxv Jjk", "Thing"), "nearBy");
+  b.AddEdge(lone, b.AddNode("Qwxv Farm", "Thing"), "owns");
+  const graph::KnowledgeGraph g = std::move(b).Build();
+  const graph::LabelIndex index(g);
+  const text::SimilarityEnsemble ensemble;
+  query::QueryGraph q;
+  const int town = q.AddNode("Port Town");
+  const int near = q.AddNode("Port Town");
+  q.AddEdge(town, near);
+  for (const int d : {1, 2}) {
+    for (const bool injective : {true, false}) {
+      MatchConfig cfg = TestConfig(d, injective);
+      cfg.node_threshold = 0.9;
+      const QueryScorer scorer(g, q, ensemble, cfg, &index);
+      const std::string cell = "d=" + std::to_string(d) +
+                               " injective=" + std::to_string(injective);
+      const std::vector<graph::NodeId> want =
+          d == 2 && !injective ? std::vector<graph::NodeId>{port, lone}
+                               : std::vector<graph::NodeId>{};
+      EXPECT_EQ(Ids(scorer.Candidates(town)), want) << cell;
+      EXPECT_EQ(Ids(scorer.Candidates(near)), want) << cell;
+      ExpectLists(scorer, Closure(g, q, ensemble, cfg, &index), cell);
+    }
+  }
 }
 
 }  // namespace

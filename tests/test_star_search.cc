@@ -280,46 +280,57 @@ TEST(StarSearchTest, StarkBuildsNoMoreEnumeratorsThanHybrid) {
   }
 }
 
-// stark's initialization at d >= 2 scores a leaf only when some pivot
-// reaches it: a pivot's top-1 scan stops at its first empty leaf list.
-// Here no leaf candidate is within two hops of a pivot candidate, so every
-// scan stops at the first leaf in canonical edge order and no other leaf
-// is ever scored. (At d <= 1 the first Candidates() call builds every
-// list; stard at d >= 2 propagates from every leaf.)
+// The first Candidates() call of stark's initialization runs the scorer's
+// plan, which at d = 2 builds the lists in ascending pool size and stops at
+// the first empty one: every list is then empty, and the lists after it are
+// never scored. The leaves' pools hold one node each and the pivot's both
+// Port Towns, so the plan builds Ada, Homer, Carl, then the pivot. Ada is
+// two hops from a Port Town, so her list keeps her; Homer is not, so his
+// list ends empty, and Carl's and the pivot's lists stay unscored although
+// both have a candidate.
 TEST(StarSearchTest, InitScoresLeavesLazily) {
   graph::KnowledgeGraph::Builder b;
+  std::vector<graph::NodeId> towns;
   for (const char* town : {"Port Town North", "Port Town South"}) {
-    const graph::NodeId t = b.AddNode(town, "City");
-    b.AddEdge(t, b.AddNode("Qwxv Jjk", "Thing"), "near");
+    towns.push_back(b.AddNode(town, "City"));
   }
-  const graph::NodeId ada = b.AddNode("Ada Lovelace", "Person");
-  const graph::NodeId homer = b.AddNode("Homer Simpson", "Person");
+  const graph::NodeId hop = b.AddNode("Qwxv Jjk", "Thing");
+  b.AddEdge(towns[0], hop, "near");
+  b.AddEdge(b.AddNode("Ada Lovelace", "Person"), hop, "knows");
   const graph::NodeId carl = b.AddNode("Carl Gauss", "Person");
-  b.AddEdge(ada, homer, "knows");
-  b.AddEdge(homer, carl, "knows");
+  b.AddEdge(b.AddNode("Homer Simpson", "Person"), carl, "knows");
   const auto g = std::move(b).Build();
   query::QueryGraph q;
   const int pivot = q.AddNode("Port Town");
-  for (const char* leaf : {"Ada Lovelace", "Homer Simpson", "Carl Gauss"}) {
-    q.AddEdge(pivot, q.AddNode(leaf));
+  const int ada_leaf = q.AddNode("Ada Lovelace");
+  const int homer_leaf = q.AddNode("Homer Simpson");
+  const int carl_leaf = q.AddNode("Carl Gauss");
+  for (const int leaf : {ada_leaf, homer_leaf, carl_leaf}) {
+    q.AddEdge(pivot, leaf);
   }
   ScorerFixture fx(g, q, TestConfig(/*d=*/2));
   StarSearch::Options so;
   so.strategy = StarStrategy::kStark;
   StarSearch search(*fx.scorer, MakeStarQuery(q), so);
   EXPECT_TRUE(search.TopK(5).empty());
-  EXPECT_GE(search.stats().pivot_candidates, 2u);
-  const std::vector<int>& edges = search.star().edges;
-  ASSERT_EQ(edges.size(), 3u);
-  for (size_t i = 0; i < edges.size(); ++i) {
-    const int leaf = q.OtherEnd(edges[i], pivot);
-    EXPECT_EQ(fx.scorer->ScoredInfo(leaf).scored, i == 0)
-        << "leaf " << q.node(leaf).label << " at edge position " << i;
+  EXPECT_EQ(search.stats().pivot_candidates, 0u);
+  const scoring::QueryScorer& scorer = *fx.scorer;
+  for (int u = 0; u < q.node_count(); ++u) {
+    EXPECT_TRUE(scorer.Candidates(u).empty()) << "u=" << u;
   }
-  // Every leaf has candidates: only laziness left them unscored.
-  for (int leaf = 1; leaf < q.node_count(); ++leaf) {
-    EXPECT_FALSE(fx.scorer->Candidates(leaf).empty()) << "leaf " << leaf;
-  }
+  // Ada's list was scored and kept her; Homer's was filtered empty.
+  EXPECT_TRUE(scorer.ScoredInfo(ada_leaf).scored);
+  EXPECT_EQ(scorer.ScoredInfo(ada_leaf).size, 1u);
+  EXPECT_TRUE(scorer.ScoredInfo(homer_leaf).scored);
+  EXPECT_EQ(scorer.ScoredInfo(homer_leaf).size, 0u);
+  // The lists after the first empty one stay unscored; only the stop left
+  // them so.
+  EXPECT_FALSE(scorer.ScoredInfo(carl_leaf).scored);
+  EXPECT_FALSE(scorer.ScoredInfo(pivot).scored);
+  const double threshold = scorer.config().node_threshold;
+  EXPECT_GE(scorer.NodeScore(carl_leaf, carl), threshold);
+  EXPECT_GE(scorer.NodeScore(pivot, towns[0]), threshold);
+  EXPECT_EQ(scorer.retrieval_stats().nodes_scored, 1u);  // Ada alone
 }
 
 TEST(StarSearchTest, WildcardLeafMatchesAnyNeighbor) {

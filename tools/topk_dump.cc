@@ -12,7 +12,8 @@
 //          d = 1;
 //   star   RandomStarQuery(3 + i % 3) for i < 128 from a fresh generator
 //          (perfbench's overload_open pool), under stard, stark and the
-//          hybrid at d = 1 and d = 2.
+//          hybrid at d = 1 and d = 2, and its first 16 queries under stard
+//          at d = 3, where the candidate plan's radius is 3.
 //
 // Each cell's totals go to stderr: answers, F_N nodes scored, star matches
 // read and pivot candidates.
@@ -43,6 +44,7 @@ constexpr size_t kNodes = 20000;
 constexpr uint64_t kQuerySeed = 2016;
 constexpr size_t kJoinPool = 256;
 constexpr size_t kStarPool = 128;
+constexpr size_t kDeepStars = 16;  // the d = 3 cell's share of the pool
 constexpr size_t kK = 10;
 // Room for every star of a pool, so the warm pass can replay them all.
 constexpr size_t kStarCacheCapacity = 1024;
@@ -150,5 +152,8 @@ int main() {
       mismatches += DumpCell(d, "star", stars, s, depth);
     }
   }
+  const std::vector<query::QueryGraph> deep(stars.begin(),
+                                            stars.begin() + kDeepStars);
+  mismatches += DumpCell(d, "star", deep, stard, 3);
   return mismatches == 0 ? 0 : 1;
 }
